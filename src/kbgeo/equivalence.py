@@ -35,7 +35,7 @@ from .core import (
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula
-from .lattice import DefinabilityError, FilterLattice, build_filter_lattice, lattice_profile
+from .lattice import DefinabilityError, FilterLattice, build_filter_lattice
 from .semantics import pullback_indices, satisfying_points
 from .categories import (
     AdmissibilityError,
@@ -277,8 +277,6 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
     constraints, in deterministic order."""
     blocks1 = lat1.algebra.block_masks()
     blocks2 = lat2.algebra.block_masks()
-    if len(blocks1) != len(blocks2):
-        return
     sig1 = {b: tuple(b & ~a == 0 for a, _ in constraints) for b in blocks1}
     sig2 = {b: tuple(b & ~a == 0 for _, a in constraints) for b in blocks2}
     classes1: dict[tuple, list[int]] = {}
@@ -293,25 +291,19 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
     if any(len(classes1[k]) != len(classes2[k]) for k in keys):
         return
     member_masks = lat1.algebra.masks
-    target_masks = set(lat2.algebra.masks)
     for choice in itertools.product(*(itertools.permutations(classes2[k]) for k in keys)):
         block_map: dict[int, int] = {}
         for key, images in zip(keys, choice):
             for b, c in zip(classes1[key], images):
                 block_map[b] = c
         alpha: dict[int, int] = {}
-        ok = True
         for mask in member_masks:
             image = 0
             for b, c in block_map.items():
                 if b & mask == b:
                     image |= c
-            if image not in target_masks:
-                ok = False
-                break
             alpha[mask] = image
-        if ok:
-            yield alpha
+        yield alpha
 
 
 def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism,
@@ -450,6 +442,8 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
     mapped substitution."""
     n_max = iso.n_max if n_max is None else n_max
     depth = iso.depth if depth is None else depth
+    if n_max < 1:
+        raise MismatchError("n_max must be at least 1")
     if n_max > iso.n_max:
         raise MismatchError("cannot verify beyond the witness bounds")
     sig = iso.lattices1[1].model.sig
@@ -615,21 +609,16 @@ def _bounds(n_max: int, depth: int) -> tuple[tuple[str, str], ...]:
 
 def _invariant_refutation(lattices1, lattices2, n_max) -> Optional[tuple[tuple[str, str], ...]]:
     for n in range(1, n_max + 1):
-        size1, height1, degrees1 = lattice_profile(lattices1[n])
-        size2, height2, degrees2 = lattice_profile(lattices2[n])
-        varset = canonical_varset(n)
-        for name, left, right in (("lattice size", size1, size2),
-                                  ("lattice height", height1, height2),
-                                  ("degree multiset", degrees1, degrees2)):
-            if left != right:
-                return (
-                    ("invariant", name),
-                    ("var_count", str(n)),
-                    ("left", str(left)),
-                    ("right", str(right)),
-                    ("values", f"{left} vs {right} at |X|={n}"),
-                    ("summary", f"{name} {left} vs {right} at X={varset}"),
-                )
+        left, right = len(lattices1[n]), len(lattices2[n])
+        if left != right:
+            return (
+                ("invariant", "lattice size"),
+                ("var_count", str(n)),
+                ("left", str(left)),
+                ("right", str(right)),
+                ("values", f"{left} vs {right} at |X|={n}"),
+                ("summary", f"lattice size {left} vs {right} at X={canonical_varset(n)}"),
+            )
     return None
 
 
@@ -650,6 +639,8 @@ def check_informational_equivalence(model1: Model, model2: Model,
     """
     if model1.sig != model2.sig:
         raise MismatchError("models have different signatures")
+    if n_max < 1:
+        raise MismatchError("n_max must be at least 1")
     lattices1 = _build_lattices(model1, n_max, max_term_depth, max_points)
     lattices2 = _build_lattices(model2, n_max, max_term_depth, max_points)
     saturated = all(lat.saturated for lat in lattices1.values()) and \

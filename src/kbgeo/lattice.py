@@ -1,10 +1,12 @@
 """Definable point sets over one model and the dual lattice of closed filters.
 
-The definable algebra over (model, varset) is generated from the valuations of
+The definable algebra over (model, varset) is the closure of the valuations of
 all atomic formulas (relation atoms over term-definable argument tuples, plus
-equalities between them when the signature has equality) by closing under
-complement, intersection, union, and one-variable projection.  Every member
-carries a witness formula that evaluates exactly to its point set.
+equalities between them when the signature has equality) under complement,
+intersection, union, and one-variable projection.  It is a finite Boolean
+algebra, so it is built from its atoms, found by partition refinement: the
+members are the unions of atoms.  Every member carries a witness formula that
+evaluates exactly to its point set.
 
 A closed filter is represented by its dual definable set: the filter of all
 formulas true on that set.  Smaller filters correspond to larger point sets,
@@ -72,17 +74,18 @@ class DefinableSet:
 
 
 class DefinableAlgebra:
-    """The complete generated family of definable sets over one space."""
+    """The definable algebra over one space, built from its atoms by partition
+    refinement: the members are all unions of atoms, in ascending mask order."""
 
     def __init__(self, model: Model, varset: VarSet, space: PointSpace,
-                 members: tuple[DefinableSet, ...], saturated: bool):
+                 blocks: tuple[int, ...], members: tuple[DefinableSet, ...], saturated: bool):
         self.model = model
         self.varset = varset
         self.space = space
+        self._blocks = blocks
         self.members = members
         self.saturated = saturated
         self._by_mask = {m.mask: m for m in members}
-        self._blocks: Optional[tuple[int, ...]] = None
 
     def __len__(self) -> int:
         return len(self.members)
@@ -104,54 +107,79 @@ class DefinableAlgebra:
         return tuple(m.mask for m in self.members)
 
     def block_masks(self) -> tuple[int, ...]:
-        """Masks of the minimal nonempty members, ascending.  Every member is
-        a union of these blocks."""
-        if self._blocks is None:
-            signatures: dict[tuple, int] = {}
-            ordered = sorted(self._by_mask)
-            for p in range(self.space.size):
-                key = tuple(mask >> p & 1 for mask in ordered)
-                signatures[key] = signatures.get(key, 0) | (1 << p)
-            self._blocks = tuple(sorted(signatures.values()))
+        """Masks of the atoms, ascending.  Every member is a union of these
+        blocks."""
         return self._blocks
 
     def dump_lines(self) -> list[str]:
         """One line per member, sorted by mask: hex mask, cardinality, witness."""
-        out = []
-        for mask in sorted(self._by_mask):
-            member = self._by_mask[mask]
-            out.append(f"{mask:#x} {member.points.cardinality} {formula_to_text(member.witness)}")
-        return out
+        return [f"{m.mask:#x} {m.points.cardinality} {formula_to_text(m.witness)}"
+                for m in self.members]
 
     def __repr__(self) -> str:
         return (f"DefinableAlgebra({self.varset}, {len(self.members)} sets,"
                 f" saturated={self.saturated})")
 
 
+def _select(cut: Formula, when: Formula, otherwise: Formula) -> Formula:
+    """A formula agreeing with `when` inside `cut` and with `otherwise` outside
+    it, without constant parts; the two are not the same constant."""
+    if when is TRUE:
+        return cut if otherwise is FALSE else Or(cut, otherwise)
+    if when is FALSE:
+        return Not(cut) if otherwise is TRUE else And(Not(cut), otherwise)
+    if otherwise is FALSE:
+        return And(cut, when)
+    if otherwise is TRUE:
+        return Or(Not(cut), when)
+    return Or(And(cut, when), And(Not(cut), otherwise))
+
+
 def generate_definable_algebra(model: Model, varset: VarSet,
                                max_term_depth: Optional[int] = None,
                                max_points: int = DEFAULT_MAX_POINTS) -> DefinableAlgebra:
-    """Generate the definable algebra by a worklist closure.
+    """Generate the definable algebra from its atoms, found by partition
+    refinement.
 
-    Seeds are the full space, the empty set, every relation atom over tuples
-    of term functions, and every equality between term functions when the
-    signature has equality.  The worklist closes under complement, pairwise
-    intersection and union, and projection along each variable.  The first
-    witness found for a point set is kept.
+    Seeds are every relation atom over tuples of term functions, and every
+    equality between term functions when the signature has equality.  Starting
+    from the whole space, each seed splits the blocks it cuts; then the
+    projection of each block along each variable splits the blocks until
+    nothing splits.  Projection distributes over union, so the blocks are the
+    atoms of the closure of the seeds under complement, intersection, union,
+    and projection.  The members are all unions of atoms, each witnessed by
+    its choices at the splits that made the atoms.
     """
     space = enumerate_points(model, varset, max_points)
     clone = term_functions(model, varset, max_term_depth, max_points)
+    blocks = [space.full_mask]
+    splits: dict[int, tuple[Formula, int, int]] = {}  # block -> (cut, inside, outside)
+    memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
 
-    order: list[int] = []
-    witness_of: dict[int, Formula] = {}
+    def split(by: int, cut: Formula) -> list[int]:
+        """Split every block that the set `by` of `cut` cuts; returns the parts."""
+        parts = []
+        for block in blocks:
+            inside = block & by
+            if inside and inside != block:
+                splits[block] = (cut, inside, block ^ inside)
+                parts += (inside, block ^ inside)
+        blocks[:] = [b for b in blocks if b not in splits] + parts
+        return parts
 
-    def add(mask: int, witness: Formula) -> None:
-        if mask not in witness_of:
-            witness_of[mask] = witness
-            order.append(mask)
+    def witness(part: int, node: int = space.full_mask) -> Formula:
+        """A formula whose set meets the split tree's `node` exactly in `part`;
+        members share subformulas through the memo."""
+        if part == 0:
+            return FALSE
+        if part == node:
+            return TRUE
+        if (node, part) not in memo:
+            cut, inside, outside = splits[node]
+            memo[node, part] = _select(cut, witness(part & inside, inside),
+                                       witness(part & outside, outside))
+        return memo[node, part]
 
-    add(space.full_mask, TRUE)
-    add(0, FALSE)
     for rel, arity in model.sig.rels:
         rows = model.rel_tables[rel]
         for combo in itertools.product(clone.functions, repeat=arity):
@@ -159,7 +187,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
             for p in range(space.size):
                 if tuple(f.values[p] for f in combo) in rows:
                     mask |= 1 << p
-            add(mask, Atom(rel, tuple(f.witness for f in combo)))
+            split(mask, Atom(rel, tuple(f.witness for f in combo)))
     if model.sig.with_equality:
         for f1 in clone.functions:
             for f2 in clone.functions:
@@ -167,36 +195,30 @@ def generate_definable_algebra(model: Model, varset: VarSet,
                 for p in range(space.size):
                     if f1.values[p] == f2.values[p]:
                         mask |= 1 << p
-                add(mask, Equal(f1.witness, f2.witness))
+                split(mask, Equal(f1.witness, f2.witness))
 
-    i = 0
-    while i < len(order):
-        mask = order[i]
-        witness = witness_of[mask]
-        add(space.full_mask & ~mask, Not(witness))
+    # Each block is queued once: its projections stay unions of blocks as the
+    # partition refines, and a block split later has its parts queued.
+    pending = list(blocks)
+    while pending:
+        block = pending.pop()
         for var in varset.names:
-            add(_exists_mask(mask, space, var), Exists(var, witness))
-        for j in range(i + 1):
-            other = order[j]
-            other_witness = witness_of[other]
-            add(mask & other, And(other_witness, witness))
-            add(mask | other, Or(other_witness, witness))
-        i += 1
+            pending += split(_exists_mask(block, space, var), Exists(var, witness(block)))
 
-    members = tuple(DefinableSet(PointSet(space, m), witness_of[m]) for m in order)
-    return DefinableAlgebra(model, varset, space, members, clone.saturated)
+    atoms = tuple(sorted(blocks))
+    masks = [0]
+    for atom in atoms:
+        masks += [mask | atom for mask in masks]
+    members = tuple(DefinableSet(PointSet(space, m), witness(m)) for m in sorted(masks))
+    return DefinableAlgebra(model, varset, space, atoms, members, clone.saturated)
 
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:
-    """The least definable superset: intersection of all members containing
-    the given points."""
+    """The least definable superset: the union of the atoms the set meets,
+    summed since atoms are disjoint."""
     if pset.space.varset != algebra.varset or pset.space.model != algebra.model:
         raise MismatchError("point set does not live over the algebra's space")
-    mask = algebra.space.full_mask
-    for member_mask in algebra.masks:
-        if pset.mask & ~member_mask == 0:
-            mask &= member_mask
-    return algebra.member(mask)
+    return algebra.member(sum(b for b in algebra.block_masks() if b & pset.mask))
 
 
 class ClosedFilter:
@@ -335,32 +357,9 @@ def lattice_profile(lat: FilterLattice) -> tuple[int, int, tuple[int, ...]]:
     """(size, height, sorted degree multiset) of the lattice's cover diagram.
 
     Height is the longest cover chain; the degree of a node counts its
-    covers and cocovers together.
+    covers and cocovers together.  The lattice is Boolean: with k atoms it
+    has 2^k nodes, height k, and j + (k - j) = k covers and cocovers at a
+    node whose dual holds j atoms.
     """
-    masks = sorted(f.mask for f in lat.filters)
-    n = len(masks)
-    # filter order: a <= b iff dual(a) contains dual(b)
-    leq = [[masks[j] & ~masks[i] == 0 for j in range(n)] for i in range(n)]
-    covers: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq[i][j]:
-                continue
-            if any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n)):
-                continue
-            covers.append((i, j))
-    degree = [0] * n
-    for i, j in covers:
-        degree[i] += 1
-        degree[j] += 1
-    by_popcount = sorted(range(n), key=lambda i: -masks[i].bit_count())
-    longest = {i: 0 for i in range(n)}
-    up = {i: [] for i in range(n)}
-    for i, j in covers:
-        up[i].append(j)
-    height = 0
-    for i in by_popcount:
-        for j in up[i]:
-            longest[j] = max(longest[j], longest[i] + 1)
-            height = max(height, longest[j])
-    return len(masks), height, tuple(sorted(degree))
+    k = len(lat.algebra.block_masks())
+    return 1 << k, k, (k,) * (1 << k)

@@ -1,12 +1,15 @@
 """Fixture models and independent brute-force oracles shared by the tests.
 
-The oracles here deliberately avoid the library's bitmask worklist: definable
-families are grown as frozensets of assignment rows with a plain fixpoint
-loop, and term functions are closed pointwise.  Agreement between the two
-implementations is what the lattice and acceptance tests check.
+The oracles here deliberately avoid the library's atoms by partition
+refinement and its closed-form lattice profile: definable families are grown
+as frozensets of assignment rows with a plain fixpoint loop, term functions
+are closed pointwise, and lattice profiles come from an all-triples cover
+search.  Agreement between the two implementations is what the lattice and
+acceptance tests check.
 """
 
 import itertools
+import random
 
 from kbgeo import Model, Signature
 
@@ -52,6 +55,27 @@ def all_fixtures() -> list:
         ("m_pq2", model_pq2()),
         ("m_neg", model_neg()),
     ]
+
+
+def seeded_models() -> list:
+    """Three random 3-element models of each shape, from a fixed seed: unary P
+    and Q, a binary R, and a unary op f with a unary P.  Each table row is
+    kept at even odds."""
+    rng = random.Random(2017)
+    carrier = (0, 1, 2)
+
+    def rows(arity: int) -> list:
+        return [row for row in itertools.product(carrier, repeat=arity) if rng.random() < 0.5]
+
+    out = []
+    for i in range(3):
+        out.append((f"pq{i}", Model(Signature((), (("P", 1), ("Q", 1))), carrier, None,
+                                    {"P": rows(1), "Q": rows(1)})))
+        out.append((f"r{i}", Model(Signature((), (("R", 2),)), carrier, None, {"R": rows(2)})))
+        op = {(a,): rng.choice(carrier) for a in carrier}
+        out.append((f"fp{i}", Model(Signature((("f", 1),), (("P", 1),)), carrier,
+                                    {"f": op}, {"P": rows(1)})))
+    return out
 
 
 def brute_rows(model: Model, k: int) -> list:
@@ -130,3 +154,30 @@ def brute_closure(model: Model, k: int, subset, family=None) -> frozenset:
         if subset <= member:
             result &= member
     return result
+
+
+def brute_lattice_profile(family) -> tuple:
+    """(size, height, sorted degree multiset) of the cover diagram of the
+    filters dual to a family, found by testing every triple of members.
+
+    A filter is below another when its dual contains the other's dual; a
+    cover is a strict pair with nothing strictly between.
+    """
+    members = sorted(family, key=sorted)
+    n = len(members)
+    leq = [[members[j] <= members[i] for j in range(n)] for i in range(n)]
+    covers = [(i, j) for i in range(n) for j in range(n)
+              if i != j and leq[i][j]
+              and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(n))]
+    degree = [0] * n
+    for i, j in covers:
+        degree[i] += 1
+        degree[j] += 1
+    up = [[] for _ in range(n)]
+    for i, j in covers:
+        up[i].append(j)
+    longest = [0] * n
+    for i in sorted(range(n), key=lambda i: -len(members[i])):
+        for j in up[i]:
+            longest[j] = max(longest[j], longest[i] + 1)
+    return n, max(longest), tuple(sorted(degree))

@@ -146,6 +146,16 @@ def test_lattice_subcommand():
     assert "members:" in text and "0x" in text
 
 
+def test_lattice_subcommand_pinned_output():
+    code, text = run_command(["lattice", fixture("m_p.kbm"), "--vars", "x1"])
+    assert code == EXIT_PASS
+    assert text == "vars: x1\nsize: 4\nheight: 2\ndegrees: 2,2,2,2\nsaturated: yes"
+    code, text = run_command(["lattice", fixture("m_neg.kbm"), "--vars", "x1,x2"])
+    assert code == EXIT_PASS
+    assert text == ("vars: x1, x2\nsize: 16\nheight: 4\n"
+                    "degrees: 4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4\nsaturated: yes")
+
+
 def test_duality_and_functor_subcommands():
     code, text = run_command(["duality", fixture("m_eq.kbm"), "--max-vars", "2"])
     assert code == EXIT_PASS

@@ -218,3 +218,19 @@ def test_self_equivalence_via_identity():
     report = check_informational_equivalence(model_neg(), model_neg())
     assert report.verdict == VERDICT_WITNESSED
     assert dict(report.witness)["phi"] == "identity"
+
+
+def test_informational_equivalence_needs_a_variable():
+    with pytest.raises(MismatchError, match="n_max must be at least 1"):
+        check_informational_equivalence(model_p(), model_p_relabeled(), n_max=0)
+
+
+def test_automorphic_equivalence_needs_a_variable():
+    with pytest.raises(MismatchError, match="n_max must be at least 1"):
+        check_automorphic_equivalence(model_pq1(), model_pq2(), n_max=0)
+
+
+def test_admissibility_transfer_needs_a_variable():
+    iso = find_functor_iso(model_pq1(), model_pq2(), swap_pq(), n_max=1, depth=1)
+    with pytest.raises(MismatchError, match="n_max must be at least 1"):
+        verify_admissibility_transfer(iso, n_max=0)

@@ -7,9 +7,12 @@ import pytest
 from kbgeo import (
     DefinabilityError,
     DefinableSet,
+    FilterLattice,
     FormulaContext,
     MismatchError,
+    Model,
     PointSet,
+    Signature,
     Substitution,
     build_filter_lattice,
     canonical_varset,
@@ -25,10 +28,12 @@ from helpers import (
     all_fixtures,
     brute_closure,
     brute_definable_family,
+    brute_lattice_profile,
     model_eq,
     model_neg,
     model_p,
     model_p0,
+    seeded_models,
 )
 
 
@@ -49,11 +54,14 @@ def test_definable_set_witness_must_match():
 
 
 def test_generated_algebra_matches_brute_family():
-    for name, model in all_fixtures():
+    for name, model in all_fixtures() + seeded_models():
         for k in (1, 2):
             algebra = generate_definable_algebra(model, canonical_varset(k))
-            assert member_rows(algebra) == brute_definable_family(model, k), (name, k)
+            family = brute_definable_family(model, k)
+            assert member_rows(algebra) == family, (name, k)
             assert algebra.saturated
+            assert lattice_profile(FilterLattice(algebra)) == brute_lattice_profile(family), \
+                (name, k)
 
 
 def test_known_algebra_sizes():
@@ -72,7 +80,7 @@ def test_every_member_checks_its_witness():
 
 
 def test_closure_matches_brute_oracle():
-    for model in (model_p(), model_neg(), model_eq()):
+    for model in [model_p(), model_neg(), model_eq()] + [m for _, m in seeded_models()]:
         for k in (1, 2):
             varset = canonical_varset(k)
             algebra = generate_definable_algebra(model, varset)
@@ -168,6 +176,16 @@ def test_lattice_profile_values():
     size, height, degrees = lattice_profile(build_filter_lattice(model_p(), canonical_varset(2)))
     assert size == 16 and height == 4
     assert len(degrees) == 16 and degrees == tuple(sorted(degrees))
+
+
+def test_three_element_carrier_at_three_variables():
+    """Unary P on a 3-element carrier at n = 3: 27 points and 14 atoms, so
+    2^14 members, each built with a checked witness."""
+    model = Model(Signature((), (("P", 1),)), (0, 1, 2), None, {"P": [(1,)]})
+    lat = build_filter_lattice(model, canonical_varset(3))
+    assert len(lat.algebra.block_masks()) == 14
+    assert len(lat) == 2 ** 14
+    assert lattice_profile(lat)[:2] == (16384, 14)
 
 
 def test_depth_cap_marks_partial():
