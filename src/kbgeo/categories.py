@@ -9,6 +9,12 @@ pointwise image required to land inside the assigned set.
 
 The duality swaps the two sides object by object (a filter and its dual set)
 and morphism by morphism, reversing direction.
+
+Every pointwise preimage and image along a substitution goes through the
+`Geometry` of the spaces involved, which computes each pullback table once.
+A `KnowledgeBase` builds all its objects over one geometry, so its two
+sweeps, `check_duality` and `verify_push_functoriality`, share spaces and
+tables across every substitution they visit.
 """
 
 from __future__ import annotations
@@ -31,12 +37,13 @@ from .lattice import (
     DefinableAlgebra,
     DefinableSet,
     FilterLattice,
+    UndefinablePullbackError,
     build_filter_lattice,
     closure,
 )
 from .semantics import (
+    Geometry,
     PointSet,
-    pullback_indices,
     subst_image_points,
     subst_preimage_points,
 )
@@ -105,7 +112,7 @@ class ContentObject:
 
 def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
                        target_filter: ClosedFilter,
-                       max_points: int = DEFAULT_MAX_POINTS) -> bool:
+                       max_points: Optional[int] = None) -> bool:
     """Whether the substitution may send source_filter to target_filter.
 
     On duals: the target filter's points must all pull back into the source
@@ -119,7 +126,7 @@ def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
 
 def is_admissible_cont(subst: Substitution, source_set: DefinableSet,
                        target_set: DefinableSet,
-                       max_points: int = DEFAULT_MAX_POINTS) -> bool:
+                       max_points: Optional[int] = None) -> bool:
     """Whether the substitution may send source_set (over the substitution's
     target varset) to target_set (over its source varset): the pointwise image
     must be contained in the assigned set."""
@@ -127,6 +134,14 @@ def is_admissible_cont(subst: Substitution, source_set: DefinableSet,
         raise MismatchError("sets live over different models")
     image = subst_image_points(subst, source_set.points, max_points)
     return image.is_subset_of(target_set.points)
+
+
+def _check_ends(subst: Substitution, source: DescriptionObject,
+                target: DescriptionObject) -> None:
+    if subst.source != source.varset or subst.target != target.varset:
+        raise MismatchError("substitution endpoints do not match the objects")
+    if source.model != target.model:
+        raise MismatchError("objects live over different models")
 
 
 class DescMorphism:
@@ -139,22 +154,14 @@ class DescMorphism:
 
     def __init__(self, source: DescriptionObject, target: DescriptionObject,
                  subst: Substitution, assignment: Mapping[int, int]):
-        if subst.source != source.varset or subst.target != target.varset:
-            raise MismatchError("substitution endpoints do not match the objects")
-        if source.model != target.model:
-            raise MismatchError("objects live over different models")
+        _check_ends(subst, source, target)
         assignment = dict(assignment)
         if set(assignment) != set(source.lattice.algebra.masks):
             raise MismatchError("assignment is not total on the source lattice")
-        pull = pullback_indices(subst, source.lattice.algebra.space,
-                                target.lattice.algebra.space)
+        geometry = target.lattice.algebra.space.geometry
         for src_mask, dst_mask in assignment.items():
             target.lattice.filter_for_mask(dst_mask)
-            preimage = 0
-            for p in range(target.lattice.algebra.space.size):
-                if src_mask >> pull[p] & 1:
-                    preimage |= 1 << p
-            if dst_mask & ~preimage:
+            if dst_mask & ~geometry.preimage(subst, src_mask):
                 raise AdmissibilityError(
                     f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
         self.source = source
@@ -193,16 +200,10 @@ class ContMorphism:
         assignment = dict(assignment)
         if set(assignment) != set(source.algebra.masks):
             raise MismatchError("assignment is not total on the source algebra")
-        pull = pullback_indices(subst, target.algebra.space, source.algebra.space)
+        geometry = source.algebra.space.geometry
         for src_mask, dst_mask in assignment.items():
             target.algebra.member(dst_mask)
-            image = 0
-            rest = src_mask
-            while rest:
-                low = rest & -rest
-                image |= 1 << pull[low.bit_length() - 1]
-                rest ^= low
-            if image & ~dst_mask:
+            if geometry.image(subst, src_mask) & ~dst_mask:
                 raise AdmissibilityError(
                     f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
         self.source = source
@@ -254,17 +255,13 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
                         subst: Substitution) -> DescMorphism:
     """The pointwise least admissible assignment along a substitution: each
     filter goes to the filter whose dual is the full pullback of its dual."""
-    pull = pullback_indices(subst, source.lattice.algebra.space,
-                            target.lattice.algebra.space)
+    _check_ends(subst, source, target)
+    geometry = target.lattice.algebra.space.geometry
     assignment = {}
     for mask in source.lattice.algebra.masks:
-        preimage = 0
-        for p in range(target.lattice.algebra.space.size):
-            if mask >> pull[p] & 1:
-                preimage |= 1 << p
+        preimage = geometry.preimage(subst, mask)
         if not target.lattice.algebra.contains_mask(preimage):
-            raise DefinabilityError(
-                f"pullback {preimage:#x} of {mask:#x} is not definable over {target.varset}")
+            raise UndefinablePullbackError(subst, mask, preimage)
         assignment[mask] = preimage
     return DescMorphism(source, target, subst, assignment)
 
@@ -307,9 +304,9 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
 class KnowledgeBase:
     """A model with its description and content objects for sizes 1..n_max.
 
-    Objects are built over the canonical variable sets and cached.  On every
-    object the duality invariant is checked: filters and definable sets are in
-    mask-for-mask bijection.
+    Objects are built over the canonical variable sets of one geometry and
+    cached.  On every object the duality invariant is checked: filters and
+    definable sets are in mask-for-mask bijection.
     """
 
     def __init__(self, model: Model, n_max: int,
@@ -320,7 +317,7 @@ class KnowledgeBase:
         self.model = model
         self.n_max = n_max
         self.max_term_depth = max_term_depth
-        self.max_points = max_points
+        self.geometry = Geometry(model, max_points)
         self._descriptions: dict[int, DescriptionObject] = {}
 
     def description(self, n: int) -> DescriptionObject:
@@ -328,7 +325,7 @@ class KnowledgeBase:
             raise MismatchError(f"object size {n} outside 1..{self.n_max}")
         if n not in self._descriptions:
             lattice = build_filter_lattice(self.model, canonical_varset(n),
-                                           self.max_term_depth, self.max_points)
+                                           self.max_term_depth, geometry=self.geometry)
             obj = DescriptionObject(lattice)
             dual_masks = sorted(m.mask for m in lattice.algebra)
             filter_masks = sorted(f.mask for f in lattice)
@@ -344,6 +341,134 @@ class KnowledgeBase:
     def saturated(self) -> bool:
         return all(self.description(n).lattice.saturated for n in range(1, self.n_max + 1))
 
+    def check_duality(self, depth: int = 1) -> Report:
+        """The sweep of the module-level `check_duality` over these objects."""
+        n_max = self.n_max
+        checked = 0
+        failures: list[str] = []
+        sizes = []
+        for n in range(1, n_max + 1):
+            obj = self.description(n)
+            sizes.append(len(obj))
+            masks = obj.lattice.algebra.masks
+            for a in masks:
+                fa = obj.lattice.filter_for_mask(a)
+                for b in masks:
+                    fb = obj.lattice.filter_for_mask(b)
+                    order_filters = fa.is_leq(fb)
+                    order_duals = b & ~a == 0
+                    checked += 1
+                    if order_filters != order_duals:
+                        failures.append(
+                            f"|X|={n}: filter order and dual inclusion disagree on "
+                            f"{a:#x}, {b:#x}")
+
+        morphisms: dict[tuple[int, int], list[DescMorphism]] = {}
+        duals: dict[tuple[int, int], list[ContMorphism]] = {}
+        for a in range(1, n_max + 1):
+            for b in range(1, n_max + 1):
+                source, target = self.description(a), self.description(b)
+                pairs: list[DescMorphism] = []
+                dual_pairs: list[ContMorphism] = []
+                for subst in enumerate_substitutions(self.model.sig, source.varset,
+                                                     target.varset, depth):
+                    checked += 1
+                    try:
+                        morphism = least_desc_morphism(source, target, subst)
+                    except UndefinablePullbackError as exc:
+                        failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
+                        continue
+                    pairs.append(morphism)
+                    dual_pairs.append(content_morphism(morphism))
+                morphisms[(a, b)] = pairs
+                duals[(a, b)] = dual_pairs
+                for i, m1 in enumerate(pairs):
+                    for j, m2 in enumerate(pairs):
+                        checked += 1
+                        if (dual_pairs[i] == dual_pairs[j]) != (m1 == m2):
+                            failures.append(
+                                f"duality not injective between sizes {a}->{b}")
+
+        for n in range(1, n_max + 1):
+            obj = self.description(n)
+            ident = identity_desc(obj)
+            dual = content_morphism(ident)
+            checked += 1
+            if any(dual.assignment[m] != m for m in dual.assignment):
+                failures.append(f"identity over |X|={n} does not dualize to the identity")
+
+        for a in range(1, n_max + 1):
+            for b in range(1, n_max + 1):
+                for c in range(1, n_max + 1):
+                    for i, m1 in enumerate(morphisms[(a, b)]):
+                        for j, m2 in enumerate(morphisms[(b, c)]):
+                            composite = compose_desc(m2, m1)
+                            left = content_morphism(composite)
+                            right = compose_cont(duals[(a, b)][i], duals[(b, c)][j])
+                            checked += 1
+                            if left != right:
+                                failures.append(
+                                    f"dual of a composite differs: sizes {a}->{b}->{c}, "
+                                    f"subs {m1.subst} then {m2.subst}")
+
+        entries = (
+            ("object", f"canonical variable sets of sizes 1..{n_max}"),
+            ("sizes", " ".join(str(s) for s in sizes)),
+            ("morphism family", f"least assignments for substitutions of depth <= {depth}"),
+        )
+        return Report("duality", entries, checked, tuple(failures))
+
+    def verify_push_functoriality(self, depth: int) -> Report:
+        """The sweep of the module-level `verify_push_functoriality` over these
+        objects."""
+        n_max = self.n_max
+        checked = 0
+        failures: list[str] = []
+        for n in range(1, n_max + 1):
+            lattice = self.description(n).lattice
+            ident = Substitution.identity(lattice.varset)
+            for filt in lattice:
+                checked += 1
+                if push_filter(ident, filt, lattice) != filt:
+                    failures.append(f"identity push moved a filter over |X|={n}")
+
+        triples = 0
+        undefinable: set[Substitution] = set()
+        sig = self.model.sig
+        for a in range(1, n_max + 1):
+            for b in range(1, n_max + 1):
+                for c in range(1, n_max + 1):
+                    lat_a = self.description(a).lattice
+                    lat_b = self.description(b).lattice
+                    lat_c = self.description(c).lattice
+                    subs_ab = enumerate_substitutions(sig, lat_a.varset, lat_b.varset, depth)
+                    subs_bc = enumerate_substitutions(sig, lat_b.varset, lat_c.varset, depth)
+                    for s1 in subs_ab:
+                        for s2 in subs_bc:
+                            composite = compose_subst(s1, s2)
+                            for filt in lat_a:
+                                triples += 1
+                                checked += 1
+                                try:
+                                    direct = push_filter(composite, filt, lat_c)
+                                    staged = push_filter(s2, push_filter(s1, filt, lat_b), lat_c)
+                                except UndefinablePullbackError as exc:
+                                    if exc.subst not in undefinable:
+                                        undefinable.add(exc.subst)
+                                        failures.append(f"push along {s1} then {s2}: {exc}")
+                                    continue
+                                if direct != staged:
+                                    failures.append(
+                                        f"push along {s1} then {s2} disagrees with the "
+                                        f"composite on dual {filt.mask:#x}")
+
+        entries = (
+            ("object", f"canonical variable sets of sizes 1..{n_max}"),
+            ("substitution depth", str(depth)),
+            ("triples", str(triples)),
+        )
+        return Report("push functoriality", entries, checked, tuple(failures))
+
 
 def push_filter(subst: Substitution, filt: ClosedFilter,
                 target_lattice: FilterLattice) -> ClosedFilter:
@@ -355,8 +480,7 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
         raise MismatchError("lattice does not match the substitution's target")
     preimage = subst_preimage_points(subst, filt.points)
     if not target_lattice.algebra.contains_mask(preimage.mask):
-        raise DefinabilityError(
-            f"pullback {preimage.mask:#x} is not definable over {target_lattice.varset}")
+        raise UndefinablePullbackError(subst, filt.mask, preimage.mask)
     return target_lattice.filter_for_mask(preimage.mask)
 
 
@@ -369,79 +493,11 @@ def check_duality(model: Model, n_max: int, depth: int = 1,
     Morphisms: for every substitution between canonical variable sets of sizes
     up to n_max with image depth up to depth, the least description morphism
     dualizes admissibly, duals compose contravariantly, identities map to
-    identities, and dualization is injective on the sampled family.
+    identities, and dualization is injective on the sampled family.  A
+    substitution whose pullback of some dual is not definable has no least
+    morphism; it is reported as a failure with that dual.
     """
-    kb = KnowledgeBase(model, n_max, max_term_depth, max_points)
-    checked = 0
-    failures: list[str] = []
-    sizes = []
-    for n in range(1, n_max + 1):
-        obj = kb.description(n)
-        sizes.append(len(obj))
-        masks = obj.lattice.algebra.masks
-        for a in masks:
-            fa = obj.lattice.filter_for_mask(a)
-            for b in masks:
-                fb = obj.lattice.filter_for_mask(b)
-                order_filters = fa.is_leq(fb)
-                order_duals = b & ~a == 0
-                checked += 1
-                if order_filters != order_duals:
-                    failures.append(
-                        f"|X|={n}: filter order and dual inclusion disagree on "
-                        f"{a:#x}, {b:#x}")
-
-    morphisms: dict[tuple[int, int], list[DescMorphism]] = {}
-    duals: dict[tuple[int, int], list[ContMorphism]] = {}
-    for a in range(1, n_max + 1):
-        for b in range(1, n_max + 1):
-            source, target = kb.description(a), kb.description(b)
-            pairs: list[DescMorphism] = []
-            dual_pairs: list[ContMorphism] = []
-            for subst in enumerate_substitutions(model.sig, source.varset,
-                                                 target.varset, depth):
-                morphism = least_desc_morphism(source, target, subst)
-                dual = content_morphism(morphism)
-                checked += 1
-                pairs.append(morphism)
-                dual_pairs.append(dual)
-            morphisms[(a, b)] = pairs
-            duals[(a, b)] = dual_pairs
-            for i, m1 in enumerate(pairs):
-                for j, m2 in enumerate(pairs):
-                    checked += 1
-                    if (dual_pairs[i] == dual_pairs[j]) != (m1 == m2):
-                        failures.append(
-                            f"duality not injective between sizes {a}->{b}")
-
-    for n in range(1, n_max + 1):
-        obj = kb.description(n)
-        ident = identity_desc(obj)
-        dual = content_morphism(ident)
-        checked += 1
-        if any(dual.assignment[m] != m for m in dual.assignment):
-            failures.append(f"identity over |X|={n} does not dualize to the identity")
-
-    for a in range(1, n_max + 1):
-        for b in range(1, n_max + 1):
-            for c in range(1, n_max + 1):
-                for i, m1 in enumerate(morphisms[(a, b)]):
-                    for j, m2 in enumerate(morphisms[(b, c)]):
-                        composite = compose_desc(m2, m1)
-                        left = content_morphism(composite)
-                        right = compose_cont(duals[(a, b)][i], duals[(b, c)][j])
-                        checked += 1
-                        if left != right:
-                            failures.append(
-                                f"dual of a composite differs: sizes {a}->{b}->{c}, "
-                                f"subs {m1.subst} then {m2.subst}")
-
-    entries = (
-        ("object", f"canonical variable sets of sizes 1..{n_max}"),
-        ("sizes", " ".join(str(s) for s in sizes)),
-        ("morphism family", f"least assignments for substitutions of depth <= {depth}"),
-    )
-    return Report("duality", entries, checked, tuple(failures))
+    return KnowledgeBase(model, n_max, max_term_depth, max_points).check_duality(depth)
 
 
 def verify_push_functoriality(model: Model, depth: int, n_max: int,
@@ -451,44 +507,8 @@ def verify_push_functoriality(model: Model, depth: int, n_max: int,
 
     Sweeps all composable substitution pairs between canonical variable sets
     of sizes up to n_max with image depth up to depth, applied to every filter
-    of the source lattice.
+    of the source lattice.  A substitution along which some push has no
+    definable pullback is reported once, as a failure naming the first such
+    dual.
     """
-    kb = KnowledgeBase(model, n_max, max_term_depth, max_points)
-    checked = 0
-    failures: list[str] = []
-    for n in range(1, n_max + 1):
-        lattice = kb.description(n).lattice
-        ident = Substitution.identity(lattice.varset)
-        for filt in lattice:
-            checked += 1
-            if push_filter(ident, filt, lattice) != filt:
-                failures.append(f"identity push moved a filter over |X|={n}")
-
-    triples = 0
-    for a in range(1, n_max + 1):
-        for b in range(1, n_max + 1):
-            for c in range(1, n_max + 1):
-                lat_a = kb.description(a).lattice
-                lat_b = kb.description(b).lattice
-                lat_c = kb.description(c).lattice
-                subs_ab = enumerate_substitutions(model.sig, lat_a.varset, lat_b.varset, depth)
-                subs_bc = enumerate_substitutions(model.sig, lat_b.varset, lat_c.varset, depth)
-                for s1 in subs_ab:
-                    for s2 in subs_bc:
-                        composite = compose_subst(s1, s2)
-                        for filt in lat_a:
-                            triples += 1
-                            checked += 1
-                            direct = push_filter(composite, filt, lat_c)
-                            staged = push_filter(s2, push_filter(s1, filt, lat_b), lat_c)
-                            if direct != staged:
-                                failures.append(
-                                    f"push along {s1} then {s2} disagrees with the "
-                                    f"composite on dual {filt.mask:#x}")
-
-    entries = (
-        ("object", f"canonical variable sets of sizes 1..{n_max}"),
-        ("substitution depth", str(depth)),
-        ("triples", str(triples)),
-    )
-    return Report("push functoriality", entries, checked, tuple(failures))
+    return KnowledgeBase(model, n_max, max_term_depth, max_points).verify_push_functoriality(depth)

@@ -313,7 +313,8 @@ class Substitution:
     """A map from source variables to terms over the target variable set.
 
     Images are stored in source order, so two substitutions are equal exactly
-    when they agree on every source variable.
+    when they agree on every source variable.  The hash is computed once,
+    since substitutions key the pullback tables of a geometry.
     """
 
     source: VarSet
@@ -331,6 +332,10 @@ class Substitution:
             if extra:
                 raise MismatchError(
                     f"image {term} uses variables {sorted(extra)} outside {self.target}")
+        object.__setattr__(self, "_hash", hash((self.source, self.target, images)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, source: VarSet, target: VarSet, mapping: Mapping[str, Term]) -> "Substitution":
@@ -457,6 +462,8 @@ class Model:
         return self.rel_tables[name]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Model):
             return NotImplemented
         return (self.sig == other.sig and self.carrier == other.carrier

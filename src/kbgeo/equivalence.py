@@ -35,8 +35,13 @@ from .core import (
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula
-from .lattice import DefinabilityError, FilterLattice, build_filter_lattice
-from .semantics import pullback_indices, satisfying_points
+from .lattice import (
+    DefinabilityError,
+    FilterLattice,
+    UndefinablePullbackError,
+    build_filter_lattice,
+)
+from .semantics import Geometry, satisfying_points
 from .categories import (
     AdmissibilityError,
     DescMorphism,
@@ -214,34 +219,6 @@ class FunctorIso:
         return f"phi {self.phi.describe()} with {sizes}"
 
 
-class _PullCache:
-    """Pullback index arrays per (model tag, substitution)."""
-
-    def __init__(self, lattices1: dict[int, FilterLattice],
-                 lattices2: dict[int, FilterLattice]):
-        self.spaces = {
-            1: {n: lat.algebra.space for n, lat in lattices1.items()},
-            2: {n: lat.algebra.space for n, lat in lattices2.items()},
-        }
-        self.cache: dict[tuple[int, Substitution], list[int]] = {}
-
-    def pull(self, tag: int, subst: Substitution) -> list[int]:
-        key = (tag, subst)
-        if key not in self.cache:
-            spaces = self.spaces[tag]
-            self.cache[key] = pullback_indices(
-                subst, spaces[len(subst.source)], spaces[len(subst.target)])
-        return self.cache[key]
-
-    def preimage(self, tag: int, subst: Substitution, mask: int) -> int:
-        pull = self.pull(tag, subst)
-        out = 0
-        for p, q in enumerate(pull):
-            if mask >> q & 1:
-                out |= 1 << p
-        return out
-
-
 def _atom_constraints(model1: Model, model2: Model, phi: FormulaAutomorphism,
                       n: int, depth: int,
                       max_points: int) -> Optional[list[tuple[int, int]]]:
@@ -308,7 +285,7 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
 
 def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism,
                      lattices1: dict[int, FilterLattice],
-                     pulls: _PullCache, sig: Signature, depth: int,
+                     lattices2: dict[int, FilterLattice], sig: Signature, depth: int,
                      source_n: int, target_n: int) -> bool:
     """Check the naturality squares for all bounded substitutions between two
     assigned sizes: pushing then transporting equals transporting then
@@ -317,22 +294,26 @@ def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism
     target = canonical_varset(target_n)
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
+    geometry1 = lattices1[source_n].algebra.space.geometry
+    geometry2 = lattices2[source_n].algebra.space.geometry
     for subst in enumerate_substitutions(sig, source, target, depth):
         mapped = phi.map_subst(subst)
         for mask in lattices1[source_n].algebra.masks:
-            push1 = pulls.preimage(1, subst, mask)
+            push1 = geometry1.preimage(subst, mask)
             if push1 not in alpha_b:
-                raise DefinabilityError(
-                    f"pullback {push1:#x} is not definable over {target}")
+                raise UndefinablePullbackError(subst, mask, push1)
             lhs = alpha_b[push1]
-            rhs = pulls.preimage(2, mapped, alpha_a[mask])
+            rhs = geometry2.preimage(mapped, alpha_a[mask])
             if lhs != rhs:
                 return False
     return True
 
 
 def _build_lattices(model: Model, n_max: int, max_term_depth, max_points):
-    return {n: build_filter_lattice(model, canonical_varset(n), max_term_depth, max_points)
+    """The lattices over x1..xn for n = 1..n_max, built over one geometry."""
+    geometry = Geometry(model, max_points)
+    return {n: build_filter_lattice(model, canonical_varset(n), max_term_depth,
+                                    geometry=geometry)
             for n in range(1, n_max + 1)}
 
 
@@ -367,7 +348,6 @@ def find_functor_iso(model1: Model, model2: Model, phi: FormulaAutomorphism,
             return None
         candidate_lists.append(candidates)
 
-    pulls = _PullCache(lattices1, lattices2)
     alphas: dict[int, dict[int, int]] = {}
 
     def assign(n: int) -> bool:
@@ -377,11 +357,11 @@ def find_functor_iso(model1: Model, model2: Model, phi: FormulaAutomorphism,
             alphas[n] = candidate
             ok = True
             for other in range(1, n + 1):
-                if not _squares_commute(alphas, phi, lattices1, pulls, model1.sig,
+                if not _squares_commute(alphas, phi, lattices1, lattices2, model1.sig,
                                         depth, other, n):
                     ok = False
                     break
-                if other != n and not _squares_commute(alphas, phi, lattices1, pulls,
+                if other != n and not _squares_commute(alphas, phi, lattices1, lattices2,
                                                        model1.sig, depth, n, other):
                     ok = False
                     break
@@ -422,14 +402,13 @@ def transport_model_iso(mmap: ModelMap, n_max: int = 2, depth: int = 2,
             table[mask] = image
         alphas[n] = table
     phi = FormulaAutomorphism.identity(model1.sig)
-    pulls = _PullCache(lattices1, lattices2)
     for n in range(1, n_max + 1):
         constraints = _atom_constraints(model1, model2, phi, n, depth, max_points)
         if constraints is None or any(alphas[n][a] != b for a, b in constraints):
             raise DefinabilityError("carrier transport violates an atom constraint")
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
-            if not _squares_commute(alphas, phi, lattices1, pulls, model1.sig,
+            if not _squares_commute(alphas, phi, lattices1, lattices2, model1.sig,
                                     depth, a, b):
                 raise DefinabilityError("carrier transport violates a naturality square")
     return FunctorIso(phi, n_max, depth, alphas, lattices1, lattices2)
@@ -447,7 +426,8 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
     if n_max > iso.n_max:
         raise MismatchError("cannot verify beyond the witness bounds")
     sig = iso.lattices1[1].model.sig
-    pulls = _PullCache(iso.lattices1, iso.lattices2)
+    geometry1, geometry2 = (iso.lattices1[1].algebra.space.geometry,
+                            iso.lattices2[1].algebra.space.geometry)
     checked = 0
     failures: list[str] = []
     for a in range(1, n_max + 1):
@@ -458,8 +438,8 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
                                                  canonical_varset(b), depth):
                 mapped = iso.phi.map_subst(subst)
                 for t1 in masks_a:
-                    pre1 = pulls.preimage(1, subst, t1)
-                    pre2 = pulls.preimage(2, mapped, iso.alphas[a][t1])
+                    pre1 = geometry1.preimage(subst, t1)
+                    pre2 = geometry2.preimage(mapped, iso.alphas[a][t1])
                     for t2 in masks_b:
                         checked += 1
                         before = t2 & ~pre1 == 0
@@ -635,7 +615,9 @@ def check_informational_equivalence(model1: Model, model2: Model,
     A witness is either a carrier isomorphism transported to the lattice
     families or a found functor isomorphism for one of the candidate
     automorphisms; in both cases the description functor construction must
-    pass before the witness is reported.
+    pass before the witness is reported.  A substitution whose pullback of
+    some dual is not definable over its target stops the search: the verdict
+    is UNKNOWN, with a note naming that pullback.
     """
     if model1.sig != model2.sig:
         raise MismatchError("models have different signatures")
@@ -657,41 +639,44 @@ def check_informational_equivalence(model1: Model, model2: Model,
         notes.append("lattice generation hit the term depth bound; no refutation or witness"
                      " is drawn from partial lattices")
 
-    if use_model_iso:
-        isos = model_isomorphisms(model1, model2)
-        if isos:
-            iso = transport_model_iso(isos[0], n_max, depth, max_term_depth, max_points)
-            construction = build_description_iso(iso)
-            if not construction.passed:
-                raise DefinabilityError(
-                    "carrier isomorphism failed the description functor construction")
-            witness = (
-                ("kind", "model isomorphism"),
-                ("map", isos[0].describe()),
-                ("phi", iso.phi.describe()),
-                ("alphas", "; ".join(f"|X|={n}: {len(iso.alphas[n])} filters"
-                                     for n in sorted(iso.alphas))),
-            )
-            return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
+    try:
+        if use_model_iso:
+            isos = model_isomorphisms(model1, model2)
+            if isos:
+                iso = transport_model_iso(isos[0], n_max, depth, max_term_depth, max_points)
+                construction = build_description_iso(iso)
+                if not construction.passed:
+                    raise DefinabilityError(
+                        "carrier isomorphism failed the description functor construction")
+                witness = (
+                    ("kind", "model isomorphism"),
+                    ("map", isos[0].describe()),
+                    ("phi", iso.phi.describe()),
+                    ("alphas", "; ".join(f"|X|={n}: {len(iso.alphas[n])} filters"
+                                         for n in sorted(iso.alphas))),
+                )
+                return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
 
-    if saturated:
-        candidates = enumerate_automorphisms(model1.sig, n_max) if phis is None else phis
-        for phi in candidates:
-            iso = find_functor_iso(model1, model2, phi, n_max, depth,
-                                   max_term_depth, max_points)
-            if iso is None:
-                continue
-            construction = build_description_iso(iso)
-            if not construction.passed:
-                raise DefinabilityError(
-                    f"witness {phi.describe()} failed the description functor construction")
-            witness = (
-                ("kind", "functor isomorphism"),
-                ("phi", phi.describe()),
-                ("alphas", "; ".join(f"|X|={n}: {len(iso.alphas[n])} filters"
-                                     for n in sorted(iso.alphas))),
-            )
-            return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
+        if saturated:
+            candidates = enumerate_automorphisms(model1.sig, n_max) if phis is None else phis
+            for phi in candidates:
+                iso = find_functor_iso(model1, model2, phi, n_max, depth,
+                                       max_term_depth, max_points)
+                if iso is None:
+                    continue
+                construction = build_description_iso(iso)
+                if not construction.passed:
+                    raise DefinabilityError(
+                        f"witness {phi.describe()} failed the description functor construction")
+                witness = (
+                    ("kind", "functor isomorphism"),
+                    ("phi", phi.describe()),
+                    ("alphas", "; ".join(f"|X|={n}: {len(iso.alphas[n])} filters"
+                                         for n in sorted(iso.alphas))),
+                )
+                return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
+    except UndefinablePullbackError as exc:
+        notes.append(f"witness search stopped: {exc}")
 
     return EquivReport(VERDICT_UNKNOWN, mode, bounds, None, None, tuple(notes))
 

@@ -21,10 +21,10 @@ from typing import Iterator, Optional
 from .core import DEFAULT_MAX_POINTS, MismatchError, Model, Substitution, VarSet, term_functions
 from .formulas import And, Atom, Equal, Exists, FALSE, Formula, Not, Or, TRUE, formula_to_text
 from .semantics import (
+    Geometry,
     PointSet,
     PointSpace,
     _exists_mask,
-    enumerate_points,
     satisfying_points,
     subst_image_points,
 )
@@ -34,20 +34,30 @@ class DefinabilityError(RuntimeError):
     """A point set expected to be definable is missing from the algebra."""
 
 
+class UndefinablePullbackError(DefinabilityError):
+    """The pullback of a definable set along a substitution is not definable
+    over the substitution's target, whose variables cannot express it."""
+
+    def __init__(self, subst: Substitution, mask: int, pullback: int):
+        super().__init__(f"pullback {pullback:#x} of {mask:#x} along {subst}"
+                         f" is not definable over {subst.target}")
+        self.subst = subst
+
+
 class DefinableSet:
     """A definable point set together with a defining witness formula.
 
-    Construction re-evaluates the witness and refuses a mismatch, so a
-    DefinableSet is definable by checked evidence, not by promise.  Equality
-    and hashing ignore the witness: two members with the same points are the
-    same set.
+    Construction re-evaluates the witness over the space's geometry and
+    refuses a mismatch, so a DefinableSet is definable by checked evidence,
+    not by promise.  Equality and hashing ignore the witness: two members
+    with the same points are the same set.
     """
 
     __slots__ = ("points", "witness")
 
     def __init__(self, points: PointSet, witness: Formula):
         space = points.space
-        actual = satisfying_points(witness, space.model, space.varset)
+        actual = satisfying_points(witness, space.model, space.varset, geometry=space.geometry)
         if actual.mask != points.mask:
             raise DefinabilityError(
                 f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
@@ -137,7 +147,8 @@ def _select(cut: Formula, when: Formula, otherwise: Formula) -> Formula:
 
 def generate_definable_algebra(model: Model, varset: VarSet,
                                max_term_depth: Optional[int] = None,
-                               max_points: int = DEFAULT_MAX_POINTS) -> DefinableAlgebra:
+                               max_points: int = DEFAULT_MAX_POINTS,
+                               geometry: Optional[Geometry] = None) -> DefinableAlgebra:
     """Generate the definable algebra from its atoms, found by partition
     refinement.
 
@@ -149,9 +160,16 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     atoms of the closure of the seeds under complement, intersection, union,
     and projection.  The members are all unions of atoms, each witnessed by
     its choices at the splits that made the atoms.
+
+    The space comes from `geometry`, the model's geometry, when one is given;
+    otherwise from a fresh one bounded by max_points.
     """
-    space = enumerate_points(model, varset, max_points)
-    clone = term_functions(model, varset, max_term_depth, max_points)
+    if geometry is None:
+        geometry = Geometry(model, max_points)
+    elif geometry.model != model:
+        raise MismatchError("geometry belongs to another model")
+    space = geometry.space(varset)
+    clone = term_functions(model, varset, max_term_depth, geometry.max_points)
     blocks = [space.full_mask]
     splits: dict[int, tuple[Formula, int, int]] = {}  # block -> (cut, inside, outside)
     memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
@@ -333,8 +351,10 @@ class FilterLattice:
 
 def build_filter_lattice(model: Model, varset: VarSet,
                          max_term_depth: Optional[int] = None,
-                         max_points: int = DEFAULT_MAX_POINTS) -> FilterLattice:
-    return FilterLattice(generate_definable_algebra(model, varset, max_term_depth, max_points))
+                         max_points: int = DEFAULT_MAX_POINTS,
+                         geometry: Optional[Geometry] = None) -> FilterLattice:
+    return FilterLattice(generate_definable_algebra(model, varset, max_term_depth,
+                                                    max_points, geometry))
 
 
 def filter_preimage(subst: Substitution, filt: ClosedFilter,

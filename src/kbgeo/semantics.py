@@ -4,6 +4,12 @@ A point is a variable assignment into the carrier.  The space of all points
 over (model, varset) is enumerated lexicographically: variable order comes
 from the varset, element order from the carrier.  Point sets are immutable
 bitmasks over that enumeration, so all boolean structure is integer work.
+
+A `Geometry` holds one model's spaces under one point bound: one space per
+varset, and one pullback table per substitution, computed on first use.  Its
+`preimage` and `image` are the only loops that move masks along a
+substitution; every space knows its geometry, so a point set reaches the
+other end of a substitution through `pset.space.geometry`.
 """
 
 from __future__ import annotations
@@ -59,22 +65,22 @@ class Point:
 
 
 class PointSpace:
-    """All assignments varset -> carrier for one model, in enumeration order."""
+    """All assignments varset -> carrier for one model, in enumeration order.
 
-    def __init__(self, model: Model, varset: VarSet):
+    The space belongs to `geometry`; without one it starts a geometry of its
+    own under the default bound.
+    """
+
+    def __init__(self, model: Model, varset: VarSet, geometry: Optional["Geometry"] = None):
         self.model = model
         self.varset = varset
         self.value_rows: tuple[tuple, ...] = tuple(
             product(model.carrier, repeat=len(varset)))
         self._row_index = {row: i for i, row in enumerate(self.value_rows)}
-
-    @property
-    def size(self) -> int:
-        return len(self.value_rows)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
+        self.size = len(self.value_rows)
+        self.full_mask = (1 << self.size) - 1
+        self.geometry = Geometry(model) if geometry is None else geometry
+        self.geometry._spaces.setdefault(varset.names, self)
 
     def point(self, index: int) -> Point:
         return Point(self.varset, self.value_rows[index])
@@ -99,13 +105,82 @@ class PointSpace:
         return f"PointSpace({self.varset}, {self.size} points)"
 
 
-def enumerate_points(model: Model, varset: VarSet,
-                     max_points: int = DEFAULT_MAX_POINTS) -> PointSpace:
-    """Build the assignment space, refusing to enumerate past max_points."""
+def _check_bound(model: Model, varset: VarSet, max_points: int) -> None:
     count = len(model.carrier) ** len(varset)
     if count > max_points:
         raise BoundError(f"{count} points exceed the bound {max_points}")
-    return PointSpace(model, varset)
+
+
+class Geometry:
+    """One model's point spaces and pullback tables under one point bound.
+
+    Spaces and tables are built on first use and live as long as the
+    geometry.  Masks over equal spaces of different geometries are
+    interchangeable, since the enumeration order is fixed by model and varset.
+    """
+
+    def __init__(self, model: Model, max_points: int = DEFAULT_MAX_POINTS):
+        self.model = model
+        self.max_points = max_points
+        self._spaces: dict[tuple[str, ...], PointSpace] = {}
+        self._tables: dict[Substitution, tuple[list[int], list[int]]] = {}
+        # The last substitution looked up and its table: callers transport many
+        # masks along one substitution object, and comparing equal but distinct
+        # substitutions in the dict costs more than the transport.
+        self._last: Optional[tuple[Substitution, tuple[list[int], list[int]]]] = None
+
+    def space(self, varset: VarSet) -> PointSpace:
+        """The space over varset, refusing to enumerate past the bound."""
+        space = self._spaces.get(varset.names)
+        if space is None:
+            _check_bound(self.model, varset, self.max_points)
+            space = PointSpace(self.model, varset, self)
+        return space
+
+    def _table(self, subst: Substitution) -> tuple[list[int], list[int]]:
+        """Per target point the bit of its composite's source index, and per
+        source point the mask of target points composing onto it."""
+        if self._last is not None and self._last[0] is subst:
+            return self._last[1]
+        table = self._tables.get(subst)
+        if table is None:
+            source = self.space(subst.source)
+            pull = pullback_indices(subst, source, self.space(subst.target))
+            fibers = [0] * source.size
+            for p, q in enumerate(pull):
+                fibers[q] |= 1 << p
+            table = self._tables[subst] = [1 << q for q in pull], fibers
+        self._last = subst, table
+        return table
+
+    def preimage(self, subst: Substitution, mask: int) -> int:
+        """Target-space mask of the points whose composite with the
+        substitution lands in the source-space mask."""
+        fibers = self._table(subst)[1]
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= fibers[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def image(self, subst: Substitution, mask: int) -> int:
+        """Source-space mask of the composites of the target-space mask's
+        points with the substitution."""
+        bits = self._table(subst)[0]
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= bits[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+
+def enumerate_points(model: Model, varset: VarSet,
+                     max_points: int = DEFAULT_MAX_POINTS) -> PointSpace:
+    """Build the assignment space in a fresh geometry, refusing to enumerate
+    past max_points."""
+    return Geometry(model, max_points).space(varset)
 
 
 class PointSet:
@@ -234,73 +309,64 @@ def _exists_mask(mask: int, space: PointSpace, var: str) -> int:
     return out
 
 
-class _Evaluator:
-    """Recursive valuation over one model, caching spaces per variable set."""
-
-    def __init__(self, model: Model, max_points: int):
-        self.model = model
-        self.max_points = max_points
-        self.spaces: dict[tuple[str, ...], PointSpace] = {}
-
-    def space_for(self, varset: VarSet) -> PointSpace:
-        key = varset.names
-        if key not in self.spaces:
-            self.spaces[key] = enumerate_points(self.model, varset, self.max_points)
-        return self.spaces[key]
-
-    def mask(self, f: Formula, space: PointSpace) -> int:
-        if isinstance(f, TrueF):
-            return space.full_mask
-        if isinstance(f, FalseF):
-            return 0
-        if isinstance(f, Atom):
-            rows = self.model.rel_tables[f.rel]
-            columns = [_term_columns(t, space) for t in f.args]
-            out = 0
-            for p in range(space.size):
-                if tuple(col[p] for col in columns) in rows:
-                    out |= 1 << p
-            return out
-        if isinstance(f, Equal):
-            left = _term_columns(f.left, space)
-            right = _term_columns(f.right, space)
-            out = 0
-            for p in range(space.size):
-                if left[p] == right[p]:
-                    out |= 1 << p
-            return out
-        if isinstance(f, Not):
-            return space.full_mask & ~self.mask(f.body, space)
-        if isinstance(f, And):
-            return self.mask(f.left, space) & self.mask(f.right, space)
-        if isinstance(f, Or):
-            return self.mask(f.left, space) | self.mask(f.right, space)
-        if isinstance(f, Implies):
-            return (space.full_mask & ~self.mask(f.left, space)) | self.mask(f.right, space)
-        if isinstance(f, Exists):
-            return _exists_mask(self.mask(f.body, space), space, f.var)
-        if isinstance(f, Forall):
-            inner = space.full_mask & ~self.mask(f.body, space)
-            return space.full_mask & ~_exists_mask(inner, space, f.var)
-        if isinstance(f, SubstNode):
-            inner_space = self.space_for(f.subst.source)
-            inner_mask = self.mask(f.body, inner_space)
-            pull = pullback_indices(f.subst, inner_space, space)
-            out = 0
-            for p in range(space.size):
-                if inner_mask >> pull[p] & 1:
-                    out |= 1 << p
-            return out
-        raise MismatchError(f"not a formula: {f!r}")
+def _formula_mask(f: Formula, space: PointSpace) -> int:
+    """Recursive valuation over one space; substitution nodes are evaluated
+    over the space's geometry and pulled back into the space."""
+    if isinstance(f, TrueF):
+        return space.full_mask
+    if isinstance(f, FalseF):
+        return 0
+    if isinstance(f, Atom):
+        rows = space.model.rel_tables[f.rel]
+        columns = [_term_columns(t, space) for t in f.args]
+        out = 0
+        for p in range(space.size):
+            if tuple(col[p] for col in columns) in rows:
+                out |= 1 << p
+        return out
+    if isinstance(f, Equal):
+        left = _term_columns(f.left, space)
+        right = _term_columns(f.right, space)
+        out = 0
+        for p in range(space.size):
+            if left[p] == right[p]:
+                out |= 1 << p
+        return out
+    if isinstance(f, Not):
+        return space.full_mask & ~_formula_mask(f.body, space)
+    if isinstance(f, And):
+        return _formula_mask(f.left, space) & _formula_mask(f.right, space)
+    if isinstance(f, Or):
+        return _formula_mask(f.left, space) | _formula_mask(f.right, space)
+    if isinstance(f, Implies):
+        return (space.full_mask & ~_formula_mask(f.left, space)) | _formula_mask(f.right, space)
+    if isinstance(f, Exists):
+        return _exists_mask(_formula_mask(f.body, space), space, f.var)
+    if isinstance(f, Forall):
+        inner = space.full_mask & ~_formula_mask(f.body, space)
+        return space.full_mask & ~_exists_mask(inner, space, f.var)
+    if isinstance(f, SubstNode):
+        geometry = space.geometry
+        inner = _formula_mask(f.body, geometry.space(f.subst.source))
+        return geometry.preimage(f.subst, inner)
+    raise MismatchError(f"not a formula: {f!r}")
 
 
 def satisfying_points(f: Formula, model: Model, varset: VarSet,
-                      max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
-    """The set of assignments over varset at which the formula holds."""
+                      max_points: int = DEFAULT_MAX_POINTS,
+                      geometry: Optional[Geometry] = None) -> PointSet:
+    """The set of assignments over varset at which the formula holds.
+
+    The space comes from `geometry`, the model's geometry, when one is given;
+    otherwise from a fresh one bounded by max_points.
+    """
     check_formula(f, FormulaContext(model.sig, varset))
-    ev = _Evaluator(model, max_points)
-    space = ev.space_for(varset)
-    return PointSet(space, ev.mask(f, space))
+    if geometry is None:
+        geometry = Geometry(model, max_points)
+    elif geometry.model != model:
+        raise MismatchError("geometry belongs to another model")
+    space = geometry.space(varset)
+    return PointSet(space, _formula_mask(f, space))
 
 
 def holds_at(point: Point, f: Formula, model: Model,
@@ -314,57 +380,61 @@ def points_satisfying_all(formulas, model: Model, varset: VarSet,
                           max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
     """Common solutions of a formula collection; the empty collection gives
     the full space."""
-    ev = _Evaluator(model, max_points)
-    space = ev.space_for(varset)
+    geometry = Geometry(model, max_points)
+    space = geometry.space(varset)
     mask = space.full_mask
     for f in formulas:
-        check_formula(f, FormulaContext(model.sig, varset))
-        mask &= ev.mask(f, space)
+        mask &= satisfying_points(f, model, varset, geometry=geometry).mask
     return PointSet(space, mask)
 
 
 def holds_on_all(pset: PointSet, f: Formula,
-                 max_points: int = DEFAULT_MAX_POINTS) -> bool:
+                 max_points: Optional[int] = None) -> bool:
     """True when the formula is satisfied by every point of the set.  This is
-    membership of the formula in the filter cut out by the set."""
-    sat = satisfying_points(f, pset.space.model, pset.space.varset, max_points)
-    return pset.is_subset_of(sat)
+    membership of the formula in the filter cut out by the set.  The formula
+    is evaluated over the set's geometry; an explicit max_points is checked
+    as well."""
+    space = pset.space
+    if max_points is not None:
+        _check_bound(space.model, space.varset, max_points)
+    return pset.is_subset_of(satisfying_points(f, space.model, space.varset,
+                                               geometry=space.geometry))
+
+
+def _other_space(pset: PointSet, varset: VarSet, max_points: Optional[int]) -> PointSpace:
+    """The space over varset in the point set's geometry, checked against an
+    explicit max_points as well as the geometry's bound."""
+    if max_points is not None:
+        _check_bound(pset.space.model, varset, max_points)
+    return pset.space.geometry.space(varset)
 
 
 def subst_preimage_points(subst: Substitution, pset: PointSet,
-                          max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
+                          max_points: Optional[int] = None) -> PointSet:
     """Points over the target whose composite with the substitution lands in
     the given source-space set."""
     if pset.space.varset != subst.source:
         raise MismatchError(
             f"point set is over {pset.space.varset}, substitution starts at {subst.source}")
-    target_space = enumerate_points(pset.space.model, subst.target, max_points)
-    pull = pullback_indices(subst, pset.space, target_space)
-    mask = 0
-    for p in range(target_space.size):
-        if pset.mask >> pull[p] & 1:
-            mask |= 1 << p
-    return PointSet(target_space, mask)
+    target_space = _other_space(pset, subst.target, max_points)
+    return PointSet(target_space, pset.space.geometry.preimage(subst, pset.mask))
 
 
 def subst_image_points(subst: Substitution, pset: PointSet,
-                       max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
+                       max_points: Optional[int] = None) -> PointSet:
     """Composites mu after subst for mu in the given target-space set."""
     if pset.space.varset != subst.target:
         raise MismatchError(
             f"point set is over {pset.space.varset}, substitution targets {subst.target}")
-    source_space = enumerate_points(pset.space.model, subst.source, max_points)
-    pull = pullback_indices(subst, source_space, pset.space)
-    mask = 0
-    for p in pset.indices():
-        mask |= 1 << pull[p]
-    return PointSet(source_space, mask)
+    source_space = _other_space(pset, subst.source, max_points)
+    return PointSet(source_space, pset.space.geometry.image(subst, pset.mask))
 
 
 __all__ = [
     "Point",
     "PointSpace",
     "PointSet",
+    "Geometry",
     "enumerate_points",
     "satisfying_points",
     "holds_at",

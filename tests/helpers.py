@@ -1,17 +1,18 @@
 """Fixture models and independent brute-force oracles shared by the tests.
 
 The oracles here deliberately avoid the library's atoms by partition
-refinement and its closed-form lattice profile: definable families are grown
-as frozensets of assignment rows with a plain fixpoint loop, term functions
-are closed pointwise, and lattice profiles come from an all-triples cover
-search.  Agreement between the two implementations is what the lattice and
-acceptance tests check.
+refinement, its closed-form lattice profile and its pullback tables:
+definable families are grown as frozensets of assignment rows with a plain
+fixpoint loop, term functions are closed pointwise, lattice profiles come
+from an all-triples cover search, and substitutions act on masks through
+assignments composed term by term.  Agreement between the two
+implementations is what the lattice, semantics and acceptance tests check.
 """
 
 import itertools
 import random
 
-from kbgeo import Model, Signature
+from kbgeo import Model, Signature, eval_term
 
 
 def model_eq() -> Model:
@@ -181,3 +182,25 @@ def brute_lattice_profile(family) -> tuple:
         for j in up[i]:
             longest[j] = max(longest[j], longest[i] + 1)
     return n, max(longest), tuple(sorted(degree))
+
+
+def brute_composites(model: Model, subst) -> list:
+    """For each assignment over the substitution's target, in enumeration
+    order, the row number of its composite with the substitution among the
+    assignments over the source, evaluated term by term with eval_term."""
+    source_rows = brute_rows(model, len(subst.source))
+    out = []
+    for row in brute_rows(model, len(subst.target)):
+        env = dict(zip(subst.target.names, row))
+        out.append(source_rows.index(tuple(eval_term(t, env, model) for t in subst.images)))
+    return out
+
+
+def brute_preimage(composites: list, mask: int) -> int:
+    """Target points whose composite lies in the source mask."""
+    return sum(1 << p for p, q in enumerate(composites) if mask >> q & 1)
+
+
+def brute_image(composites: list, mask: int) -> int:
+    """Source points that are composites of points in the target mask."""
+    return sum(1 << q for q in {composites[p] for p in range(len(composites)) if mask >> p & 1})

@@ -4,6 +4,7 @@ import pytest
 
 from kbgeo import (
     AdmissibilityError,
+    BoundError,
     DescMorphism,
     DescriptionObject,
     KnowledgeBase,
@@ -18,6 +19,7 @@ from kbgeo import (
     content_morphism,
     content_of,
     enumerate_substitutions,
+    filter_preimage,
     identity_desc,
     is_admissible_cont,
     is_admissible_desc,
@@ -28,7 +30,12 @@ from kbgeo import (
     subst_preimage_points,
     verify_push_functoriality,
 )
-from helpers import all_fixtures, model_eq, model_neg, model_p
+from kbgeo import semantics
+from helpers import all_fixtures, model_eq, model_neg, model_p, seeded_models
+
+# Seeded models whose 2-variable duals pull back along x1, x2 := x1, x1 to
+# sets that one variable cannot define.
+UNDEFINABLE_PULLBACKS = ("r0", "r2")
 
 
 def desc_obj(model, n):
@@ -184,3 +191,62 @@ def test_least_morphisms_between_sizes():
                 assert dual.subst == s
                 cont = least_cont_morphism(kb.content(b), kb.content(a), s)
                 assert cont == dual
+
+
+def test_second_sweep_over_one_knowledge_base_computes_no_pullback(monkeypatch):
+    calls = []
+    original = semantics.pullback_indices
+
+    def counting(subst, source_space, target_space):
+        calls.append(subst)
+        return original(subst, source_space, target_space)
+
+    monkeypatch.setattr(semantics, "pullback_indices", counting)
+    kb = KnowledgeBase(model_neg(), 2)
+    first = kb.check_duality(1)
+    computed = len(calls)
+    assert computed > 0
+    assert len(set(calls)) == computed
+    assert kb.check_duality(1) == first
+    assert len(calls) == computed
+    assert first == check_duality(model_neg(), 2, 1)
+
+
+# The unary-op models are left out for time: their two sweeps take about 7 s
+# each, against about 1 s for the others.
+@pytest.mark.parametrize("name,model", [(name, m) for name, m in seeded_models()
+                                        if not m.sig.ops])
+def test_sweeps_report_undefinable_pullbacks(name, model):
+    duality = check_duality(model, 2, 1)
+    push = verify_push_functoriality(model, 1, 2)
+    if name not in UNDEFINABLE_PULLBACKS:
+        assert duality.passed and push.passed
+        return
+    assert not duality.passed and not push.passed
+    for failure in duality.failures + push.failures:
+        assert "is not definable over {x1}" in failure
+        assert "along {" in failure
+    assert any("along {x1 := x1, x2 := x1}" in f for f in duality.failures)
+    # A failing push still counts as a triple: substitutions of depth 1 are
+    # variable maps here, b^a of them from size a to size b.
+    sizes = [int(n) for n in dict(duality.entries)["sizes"].split()]
+    triples = sum(b ** a * c ** b * sizes[a - 1]
+                  for a in (1, 2) for b in (1, 2) for c in (1, 2))
+    assert dict(push.entries)["triples"] == str(triples)
+
+
+def test_filter_transport_honours_the_lattice_bound():
+    m = model_p()
+    one, two = canonical_varset(1), canonical_varset(2)
+    narrow = build_filter_lattice(m, one, max_points=2)
+    wide = build_filter_lattice(m, two)
+    down = Substitution.of(two, one, {"x1": parse_term("x1", m.sig, one),
+                                       "x2": parse_term("x1", m.sig, one)})
+    with pytest.raises(BoundError):
+        filter_preimage(down, narrow.bottom, wide)
+    with pytest.raises(BoundError):
+        least_cont_morphism(content_of(DescriptionObject(narrow)),
+                            content_of(DescriptionObject(wide)), down)
+    up = Substitution.of(one, two, {"x1": parse_term("x2", m.sig, two)})
+    with pytest.raises(BoundError):
+        push_filter(up, narrow.bottom, wide)

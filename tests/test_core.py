@@ -27,7 +27,7 @@ from kbgeo import (
     term_vars,
     term_functions,
 )
-from helpers import model_eq, model_neg, model_p, model_p_relabeled
+from helpers import model_eq, model_neg, model_p, model_p_relabeled, seeded_models
 
 
 def test_signature_basic():
@@ -139,8 +139,12 @@ def test_model_validation():
 
 def test_model_equality_and_eval():
     m = model_neg()
+    assert m == m
     assert m == model_neg()
     assert m != model_p()
+    for (_, left), (_, right) in zip(seeded_models(), seeded_models()):
+        assert left is not right
+        assert left == right
     env = {"x1": 1}
     sig, xs = m.sig, canonical_varset(1)
     assert eval_term(parse_term("neg(neg(x1))", sig, xs), env, m) == 1

@@ -35,6 +35,7 @@ from helpers import (
     model_p_relabeled,
     model_pq1,
     model_pq2,
+    seeded_models,
 )
 
 
@@ -234,3 +235,17 @@ def test_admissibility_transfer_needs_a_variable():
     iso = find_functor_iso(model_pq1(), model_pq2(), swap_pq(), n_max=1, depth=1)
     with pytest.raises(MismatchError, match="n_max must be at least 1"):
         verify_admissibility_transfer(iso, n_max=0)
+
+
+@pytest.mark.parametrize("name,model", seeded_models())
+def test_undefinable_pullback_gives_unknown(name, model):
+    reports = (check_informational_equivalence(model, model, n_max=2, depth=1),
+               check_automorphic_equivalence(model, model, n_max=2, depth=1))
+    for report in reports:
+        if name in ("r0", "r2"):
+            assert report.verdict == VERDICT_UNKNOWN
+            assert report.exit_code == 2
+            assert "is not definable over {x1}" in report.notes[-1]
+            assert "pullback 0x" in report.notes[-1]
+        else:
+            assert report.verdict == VERDICT_WITNESSED

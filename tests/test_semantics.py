@@ -7,10 +7,12 @@ import pytest
 from kbgeo import (
     BoundError,
     FormulaContext,
+    Geometry,
     PointSet,
     Substitution,
     canonical_varset,
     enumerate_points,
+    enumerate_substitutions,
     holds_at,
     holds_on_all,
     parse_formula,
@@ -20,7 +22,17 @@ from kbgeo import (
     subst_image_points,
     subst_preimage_points,
 )
-from helpers import model_eq, model_neg, model_p, model_pq1
+from helpers import (
+    all_fixtures,
+    brute_composites,
+    brute_image,
+    brute_preimage,
+    model_eq,
+    model_neg,
+    model_p,
+    model_pq1,
+    seeded_models,
+)
 
 
 def val(text: str, model, n: int) -> PointSet:
@@ -171,3 +183,39 @@ def test_point_bound_respected():
     ctx = FormulaContext(m.sig, canonical_varset(4))
     with pytest.raises(BoundError):
         satisfying_points(parse_formula("true", ctx), m, ctx.varset, max_points=8)
+
+
+@pytest.mark.parametrize("name,model", all_fixtures() + seeded_models())
+def test_geometry_transport_matches_pointwise_oracle(name, model):
+    g = Geometry(model)
+    for a in (1, 2):
+        for b in (1, 2):
+            source, target = canonical_varset(a), canonical_varset(b)
+            assert g.space(source) is g.space(source)
+            assert g.space(source).geometry is g
+            for s in enumerate_substitutions(model.sig, source, target, 1):
+                composites = brute_composites(model, s)
+                for mask in range(1 << g.space(source).size):
+                    assert g.preimage(s, mask) == brute_preimage(composites, mask)
+                for mask in range(1 << g.space(target).size):
+                    assert g.image(s, mask) == brute_image(composites, mask)
+
+
+def test_transport_honours_the_space_bound():
+    m = model_p()
+    one, two = canonical_varset(1), canonical_varset(2)
+    narrow = enumerate_points(m, one, max_points=2)
+    up = Substitution.of(one, two, {"x1": parse_term("x2", m.sig, two)})
+    with pytest.raises(BoundError):
+        subst_preimage_points(up, PointSet.full(narrow))
+    down = Substitution.of(two, one, {"x1": parse_term("x1", m.sig, one),
+                                       "x2": parse_term("x1", m.sig, one)})
+    with pytest.raises(BoundError):
+        subst_image_points(down, PointSet.full(narrow))
+    wide = enumerate_points(m, one)
+    assert subst_preimage_points(up, PointSet.full(wide)).cardinality == 4
+    with pytest.raises(BoundError):
+        subst_preimage_points(up, PointSet.full(wide), max_points=3)
+    with pytest.raises(BoundError):
+        holds_on_all(PointSet.full(wide), parse_formula("P(x1)", FormulaContext(m.sig, one)),
+                     max_points=1)
