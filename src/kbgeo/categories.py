@@ -12,9 +12,11 @@ and morphism by morphism, reversing direction.
 
 Every pointwise preimage and image along a substitution goes through the
 `Geometry` of the spaces involved, which computes each pullback table once.
-A `KnowledgeBase` builds all its objects over one geometry, so its two
-sweeps, `check_duality` and `verify_push_functoriality`, share spaces and
-tables across every substitution they visit.
+A `KnowledgeBase` is one model's context: one geometry, whose point bound is
+the only bound on its transport, and each object built once.  Its two sweeps,
+`check_duality` and `verify_push_functoriality`, share spaces and tables
+across every substitution they visit, and an equivalence decision builds one
+knowledge base per model and runs its whole witness search over the pair.
 """
 
 from __future__ import annotations
@@ -41,12 +43,7 @@ from .lattice import (
     build_filter_lattice,
     closure,
 )
-from .semantics import (
-    Geometry,
-    PointSet,
-    subst_image_points,
-    subst_preimage_points,
-)
+from .semantics import Geometry, subst_image_points, subst_preimage_points
 
 
 class AdmissibilityError(ValueError):
@@ -111,8 +108,7 @@ class ContentObject:
 
 
 def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
-                       target_filter: ClosedFilter,
-                       max_points: Optional[int] = None) -> bool:
+                       target_filter: ClosedFilter) -> bool:
     """Whether the substitution may send source_filter to target_filter.
 
     On duals: the target filter's points must all pull back into the source
@@ -120,19 +116,18 @@ def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
     """
     if source_filter.points.space.model != target_filter.points.space.model:
         raise MismatchError("filters live over different models")
-    preimage = subst_preimage_points(subst, source_filter.points, max_points)
+    preimage = subst_preimage_points(subst, source_filter.points)
     return target_filter.points.is_subset_of(preimage)
 
 
 def is_admissible_cont(subst: Substitution, source_set: DefinableSet,
-                       target_set: DefinableSet,
-                       max_points: Optional[int] = None) -> bool:
+                       target_set: DefinableSet) -> bool:
     """Whether the substitution may send source_set (over the substitution's
     target varset) to target_set (over its source varset): the pointwise image
     must be contained in the assigned set."""
     if source_set.points.space.model != target_set.points.space.model:
         raise MismatchError("sets live over different models")
-    image = subst_image_points(subst, source_set.points, max_points)
+    image = subst_image_points(subst, source_set.points)
     return image.is_subset_of(target_set.points)
 
 
@@ -339,7 +334,8 @@ class KnowledgeBase:
 
     @property
     def saturated(self) -> bool:
-        return all(self.description(n).lattice.saturated for n in range(1, self.n_max + 1))
+        """Whether every lattice is complete; builds every object."""
+        return all([self.description(n).lattice.saturated for n in range(1, self.n_max + 1)])
 
     def check_duality(self, depth: int = 1) -> Report:
         """The sweep of the module-level `check_duality` over these objects."""
@@ -434,24 +430,29 @@ class KnowledgeBase:
 
         triples = 0
         undefinable: set[Substitution] = set()
-        sig = self.model.sig
-        for a in range(1, n_max + 1):
-            for b in range(1, n_max + 1):
-                for c in range(1, n_max + 1):
+        sizes = range(1, n_max + 1)
+        subs = {(a, b): enumerate_substitutions(self.model.sig, canonical_varset(a),
+                                                canonical_varset(b), depth)
+                for a in sizes for b in sizes}
+        # Each stage of a staged push repeats across the sweep, so each
+        # (substitution, filter) is pushed once; the direct push runs first.
+        pushed: dict[tuple[Substitution, int], ClosedFilter | UndefinablePullbackError] = {}
+        for a in sizes:
+            for b in sizes:
+                for c in sizes:
                     lat_a = self.description(a).lattice
                     lat_b = self.description(b).lattice
                     lat_c = self.description(c).lattice
-                    subs_ab = enumerate_substitutions(sig, lat_a.varset, lat_b.varset, depth)
-                    subs_bc = enumerate_substitutions(sig, lat_b.varset, lat_c.varset, depth)
-                    for s1 in subs_ab:
-                        for s2 in subs_bc:
+                    for s1 in subs[a, b]:
+                        for s2 in subs[b, c]:
                             composite = compose_subst(s1, s2)
                             for filt in lat_a:
                                 triples += 1
                                 checked += 1
                                 try:
                                     direct = push_filter(composite, filt, lat_c)
-                                    staged = push_filter(s2, push_filter(s1, filt, lat_b), lat_c)
+                                    first = _push_once(pushed, s1, filt, lat_b)
+                                    staged = _push_once(pushed, s2, first, lat_c)
                                 except UndefinablePullbackError as exc:
                                     if exc.subst not in undefinable:
                                         undefinable.add(exc.subst)
@@ -482,6 +483,22 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
     if not target_lattice.algebra.contains_mask(preimage.mask):
         raise UndefinablePullbackError(subst, filt.mask, preimage.mask)
     return target_lattice.filter_for_mask(preimage.mask)
+
+
+def _push_once(pushed: dict, subst: Substitution, filt: ClosedFilter,
+               target_lattice: FilterLattice) -> ClosedFilter:
+    """`push_filter`, computed once per (substitution, filter) and kept in
+    `pushed`; an undefinable push is kept too and raised again."""
+    key = (subst, filt.mask)
+    if key not in pushed:
+        try:
+            pushed[key] = push_filter(subst, filt, target_lattice)
+        except UndefinablePullbackError as exc:
+            pushed[key] = exc
+    result = pushed[key]
+    if isinstance(result, UndefinablePullbackError):
+        raise result.with_traceback(None)
+    return result
 
 
 def check_duality(model: Model, n_max: int, depth: int = 1,

@@ -11,6 +11,11 @@ Supported automorphisms are generated by relation permutations and by
 variable renamings; in a free term setting the invertible substitutions are
 exactly the renamings, so this covers every automorphism built from symbol
 shuffles.  Every report says so.
+
+A decision builds one `KnowledgeBase` per model, so each lattice is built
+once, and passes the pair to `find_functor_iso` (once per candidate
+automorphism) or `transport_model_iso`; the witness they return carries the
+pair on to `verify_admissibility_transfer` and `build_description_iso`.
 """
 
 from __future__ import annotations
@@ -35,17 +40,12 @@ from .core import (
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula
-from .lattice import (
-    DefinabilityError,
-    FilterLattice,
-    UndefinablePullbackError,
-    build_filter_lattice,
-)
-from .semantics import Geometry, satisfying_points
+from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError
+from .semantics import satisfying_points
 from .categories import (
     AdmissibilityError,
     DescMorphism,
-    DescriptionObject,
+    KnowledgeBase,
     Report,
     compose_desc,
     identity_desc,
@@ -195,17 +195,20 @@ def enumerate_automorphisms(sig: Signature, n_max: int) -> list[FormulaAutomorph
 class FunctorIso:
     """A verified family of lattice bijections implementing an automorphism.
 
-    ``alphas[n]`` maps dual masks of the first model's lattice over x1..xn to
-    dual masks of the second model's.  The bounds record how far the defining
-    conditions were checked.
+    ``alphas[n]`` maps dual masks of the first knowledge base's lattice over
+    x1..xn to dual masks of the second's.  The bounds record how far the
+    defining conditions were checked.
     """
 
     phi: FormulaAutomorphism
-    n_max: int
     depth: int
     alphas: dict[int, dict[int, int]]
-    lattices1: dict[int, FilterLattice]
-    lattices2: dict[int, FilterLattice]
+    kb1: KnowledgeBase
+    kb2: KnowledgeBase
+
+    @property
+    def n_max(self) -> int:
+        return self.kb1.n_max
 
     def alpha_mask(self, n: int, mask: int) -> int:
         return self.alphas[n][mask]
@@ -219,28 +222,29 @@ class FunctorIso:
         return f"phi {self.phi.describe()} with {sizes}"
 
 
-def _atom_constraints(model1: Model, model2: Model, phi: FormulaAutomorphism,
-                      n: int, depth: int,
-                      max_points: int) -> Optional[list[tuple[int, int]]]:
-    """Pairs (mask over model1, required image mask over model2) forced by the
-    automorphism's action on atomic formulas, or None when they already clash.
+def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
+                      n: int, depth: int) -> Optional[list[tuple[int, int]]]:
+    """Pairs (mask over kb1's model, required image mask over kb2's) forced by
+    the automorphism's action on atomic formulas, or None when they already
+    clash.
     """
+    sig = kb1.model.sig
     varset = canonical_varset(n)
-    terms = enumerate_terms(model1.sig, varset, depth)
+    terms = enumerate_terms(sig, varset, depth)
     atoms: list[Formula] = []
-    for rel, arity in model1.sig.rels:
+    for rel, arity in sig.rels:
         for combo in itertools.product(terms, repeat=arity):
             atoms.append(Atom(rel, combo))
-    if model1.sig.with_equality:
+    if sig.with_equality:
         for left in terms:
             for right in terms:
                 atoms.append(Equal(left, right))
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
     for atom in atoms:
-        mask1 = satisfying_points(atom, model1, varset, max_points).mask
+        mask1 = satisfying_points(atom, kb1.model, varset, geometry=kb1.geometry).mask
         image = phi.map_formula(atom, n)
-        mask2 = satisfying_points(image, model2, varset, max_points).mask
+        mask2 = satisfying_points(image, kb2.model, varset, geometry=kb2.geometry).mask
         if forward.get(mask1, mask2) != mask2 or backward.get(mask2, mask1) != mask1:
             return None
         forward[mask1] = mask2
@@ -284,8 +288,7 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
 
 
 def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism,
-                     lattices1: dict[int, FilterLattice],
-                     lattices2: dict[int, FilterLattice], sig: Signature, depth: int,
+                     kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
                      source_n: int, target_n: int) -> bool:
     """Check the naturality squares for all bounded substitutions between two
     assigned sizes: pushing then transporting equals transporting then
@@ -294,33 +297,21 @@ def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism
     target = canonical_varset(target_n)
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
-    geometry1 = lattices1[source_n].algebra.space.geometry
-    geometry2 = lattices2[source_n].algebra.space.geometry
-    for subst in enumerate_substitutions(sig, source, target, depth):
+    for subst in enumerate_substitutions(kb1.model.sig, source, target, depth):
         mapped = phi.map_subst(subst)
-        for mask in lattices1[source_n].algebra.masks:
-            push1 = geometry1.preimage(subst, mask)
+        for mask in kb1.description(source_n).lattice.algebra.masks:
+            push1 = kb1.geometry.preimage(subst, mask)
             if push1 not in alpha_b:
                 raise UndefinablePullbackError(subst, mask, push1)
             lhs = alpha_b[push1]
-            rhs = geometry2.preimage(mapped, alpha_a[mask])
+            rhs = kb2.geometry.preimage(mapped, alpha_a[mask])
             if lhs != rhs:
                 return False
     return True
 
 
-def _build_lattices(model: Model, n_max: int, max_term_depth, max_points):
-    """The lattices over x1..xn for n = 1..n_max, built over one geometry."""
-    geometry = Geometry(model, max_points)
-    return {n: build_filter_lattice(model, canonical_varset(n), max_term_depth,
-                                    geometry=geometry)
-            for n in range(1, n_max + 1)}
-
-
-def find_functor_iso(model1: Model, model2: Model, phi: FormulaAutomorphism,
-                     n_max: int = 2, depth: int = 2,
-                     max_term_depth: Optional[int] = None,
-                     max_points: int = DEFAULT_MAX_POINTS) -> Optional[FunctorIso]:
+def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
+                     depth: int = 2) -> Optional[FunctorIso]:
     """Search for lattice bijections realizing the automorphism, or None.
 
     Candidates for each size are block bijections pinned down by the
@@ -329,21 +320,22 @@ def find_functor_iso(model1: Model, model2: Model, phi: FormulaAutomorphism,
     commutes for every substitution within the depth bound.  Partial lattices
     never certify: the search requires saturated generation.
     """
-    if model1.sig != model2.sig:
+    if kb1.model.sig != kb2.model.sig:
         raise MismatchError("models have different signatures")
-    lattices1 = _build_lattices(model1, n_max, max_term_depth, max_points)
-    lattices2 = _build_lattices(model2, n_max, max_term_depth, max_points)
-    if not all(lat.saturated for lat in lattices1.values()) or \
-            not all(lat.saturated for lat in lattices2.values()):
+    if kb1.n_max != kb2.n_max:
+        raise MismatchError("knowledge bases have different n_max")
+    n_max = kb1.n_max
+    if not (kb1.saturated and kb2.saturated):
         return None
     candidate_lists: list[list[dict[int, int]]] = []
     for n in range(1, n_max + 1):
-        if len(lattices1[n]) != len(lattices2[n]):
+        lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
+        if len(lat1) != len(lat2):
             return None
-        constraints = _atom_constraints(model1, model2, phi, n, depth, max_points)
+        constraints = _atom_constraints(kb1, kb2, phi, n, depth)
         if constraints is None:
             return None
-        candidates = list(_candidate_alphas(lattices1[n], lattices2[n], constraints))
+        candidates = list(_candidate_alphas(lat1, lat2, constraints))
         if not candidates:
             return None
         candidate_lists.append(candidates)
@@ -357,12 +349,10 @@ def find_functor_iso(model1: Model, model2: Model, phi: FormulaAutomorphism,
             alphas[n] = candidate
             ok = True
             for other in range(1, n + 1):
-                if not _squares_commute(alphas, phi, lattices1, lattices2, model1.sig,
-                                        depth, other, n):
+                if not _squares_commute(alphas, phi, kb1, kb2, depth, other, n):
                     ok = False
                     break
-                if other != n and not _squares_commute(alphas, phi, lattices1, lattices2,
-                                                       model1.sig, depth, n, other):
+                if other != n and not _squares_commute(alphas, phi, kb1, kb2, depth, n, other):
                     ok = False
                     break
             if ok and assign(n + 1):
@@ -372,46 +362,48 @@ def find_functor_iso(model1: Model, model2: Model, phi: FormulaAutomorphism,
 
     if not assign(1):
         return None
-    return FunctorIso(phi, n_max, depth, dict(alphas), lattices1, lattices2)
+    return FunctorIso(phi, depth, dict(alphas), kb1, kb2)
 
 
-def transport_model_iso(mmap: ModelMap, n_max: int = 2, depth: int = 2,
-                        max_term_depth: Optional[int] = None,
-                        max_points: int = DEFAULT_MAX_POINTS) -> FunctorIso:
-    """Turn a carrier isomorphism into the induced lattice-family bijection,
-    with the identity automorphism, and verify its defining conditions."""
-    model1, model2 = mmap.source, mmap.target
-    lattices1 = _build_lattices(model1, n_max, max_term_depth, max_points)
-    lattices2 = _build_lattices(model2, n_max, max_term_depth, max_points)
+def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
+                        depth: int = 2) -> FunctorIso:
+    """Turn a carrier isomorphism between the two knowledge bases' models into
+    the induced lattice-family bijection, with the identity automorphism, and
+    verify its defining conditions."""
+    if mmap.source != kb1.model or mmap.target != kb2.model:
+        raise MismatchError("the carrier map does not run between the knowledge bases' models")
+    if kb1.n_max != kb2.n_max:
+        raise MismatchError("knowledge bases have different n_max")
+    n_max = kb1.n_max
     alphas: dict[int, dict[int, int]] = {}
     for n in range(1, n_max + 1):
-        space1 = lattices1[n].algebra.space
-        space2 = lattices2[n].algebra.space
+        algebra1 = kb1.description(n).lattice.algebra
+        algebra2 = kb2.description(n).lattice.algebra
         table: dict[int, int] = {}
-        for mask in lattices1[n].algebra.masks:
+        for mask in algebra1.masks:
             image = 0
             rest = mask
             while rest:
                 low = rest & -rest
                 idx = low.bit_length() - 1
                 rest ^= low
-                image |= 1 << space2.index_of(mmap.apply_values(space1.value_rows[idx]))
-            if not lattices2[n].algebra.contains_mask(image):
+                image |= 1 << algebra2.space.index_of(
+                    mmap.apply_values(algebra1.space.value_rows[idx]))
+            if not algebra2.contains_mask(image):
                 raise DefinabilityError(
                     f"relabeled member {image:#x} is missing over size {n}")
             table[mask] = image
         alphas[n] = table
-    phi = FormulaAutomorphism.identity(model1.sig)
+    phi = FormulaAutomorphism.identity(kb1.model.sig)
     for n in range(1, n_max + 1):
-        constraints = _atom_constraints(model1, model2, phi, n, depth, max_points)
+        constraints = _atom_constraints(kb1, kb2, phi, n, depth)
         if constraints is None or any(alphas[n][a] != b for a, b in constraints):
             raise DefinabilityError("carrier transport violates an atom constraint")
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
-            if not _squares_commute(alphas, phi, lattices1, lattices2, model1.sig,
-                                    depth, a, b):
+            if not _squares_commute(alphas, phi, kb1, kb2, depth, a, b):
                 raise DefinabilityError("carrier transport violates a naturality square")
-    return FunctorIso(phi, n_max, depth, alphas, lattices1, lattices2)
+    return FunctorIso(phi, depth, alphas, kb1, kb2)
 
 
 def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
@@ -425,16 +417,14 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
         raise MismatchError("n_max must be at least 1")
     if n_max > iso.n_max:
         raise MismatchError("cannot verify beyond the witness bounds")
-    sig = iso.lattices1[1].model.sig
-    geometry1, geometry2 = (iso.lattices1[1].algebra.space.geometry,
-                            iso.lattices2[1].algebra.space.geometry)
+    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
     checked = 0
     failures: list[str] = []
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
-            masks_a = iso.lattices1[a].algebra.masks
-            masks_b = iso.lattices1[b].algebra.masks
-            for subst in enumerate_substitutions(sig, canonical_varset(a),
+            masks_a = iso.kb1.description(a).lattice.algebra.masks
+            masks_b = iso.kb1.description(b).lattice.algebra.masks
+            for subst in enumerate_substitutions(iso.kb1.model.sig, canonical_varset(a),
                                                  canonical_varset(b), depth):
                 mapped = iso.phi.map_subst(subst)
                 for t1 in masks_a:
@@ -466,9 +456,8 @@ def build_description_iso(iso: FunctorIso) -> Report:
     admissible, identities map to identities, composition is preserved, and
     the two functors invert each other on the sampled families.
     """
-    sig = iso.lattices1[1].model.sig
-    objects1 = {n: DescriptionObject(iso.lattices1[n]) for n in iso.lattices1}
-    objects2 = {n: DescriptionObject(iso.lattices2[n]) for n in iso.lattices2}
+    sig = iso.kb1.model.sig
+    objects1, objects2 = iso.kb1.description, iso.kb2.description
     inverse = iso.inverse_alphas()
     phi_inv = iso.phi.inverse()
     checked = 0
@@ -477,12 +466,12 @@ def build_description_iso(iso: FunctorIso) -> Report:
     def forward(m: DescMorphism) -> DescMorphism:
         a, b = len(m.source.varset), len(m.target.varset)
         assignment = {iso.alphas[a][k]: iso.alphas[b][v] for k, v in m.assignment.items()}
-        return DescMorphism(objects2[a], objects2[b], iso.phi.map_subst(m.subst), assignment)
+        return DescMorphism(objects2(a), objects2(b), iso.phi.map_subst(m.subst), assignment)
 
     def backward(m: DescMorphism) -> DescMorphism:
         a, b = len(m.source.varset), len(m.target.varset)
         assignment = {inverse[a][k]: inverse[b][v] for k, v in m.assignment.items()}
-        return DescMorphism(objects1[a], objects1[b], phi_inv.map_subst(m.subst), assignment)
+        return DescMorphism(objects1(a), objects1(b), phi_inv.map_subst(m.subst), assignment)
 
     family1: dict[tuple[int, int], list[DescMorphism]] = {}
     family2: dict[tuple[int, int], list[DescMorphism]] = {}
@@ -492,7 +481,7 @@ def build_description_iso(iso: FunctorIso) -> Report:
             lst1, lst2, img = [], [], []
             for subst in enumerate_substitutions(sig, canonical_varset(a),
                                                  canonical_varset(b), iso.depth):
-                m1 = least_desc_morphism(objects1[a], objects1[b], subst)
+                m1 = least_desc_morphism(objects1(a), objects1(b), subst)
                 lst1.append(m1)
                 checked += 1
                 try:
@@ -500,7 +489,7 @@ def build_description_iso(iso: FunctorIso) -> Report:
                 except AdmissibilityError as exc:
                     failures.append(f"image of {subst} is not admissible: {exc}")
                     img.append(None)
-                m2 = least_desc_morphism(objects2[a], objects2[b], subst)
+                m2 = least_desc_morphism(objects2(a), objects2(b), subst)
                 lst2.append(m2)
             family1[(a, b)] = lst1
             family2[(a, b)] = lst2
@@ -508,7 +497,7 @@ def build_description_iso(iso: FunctorIso) -> Report:
 
     for n in range(1, iso.n_max + 1):
         checked += 1
-        if forward(identity_desc(objects1[n])) != identity_desc(objects2[n]):
+        if forward(identity_desc(objects1(n))) != identity_desc(objects2(n)):
             failures.append(f"identity over |X|={n} is not preserved")
 
     for a in range(1, iso.n_max + 1):
@@ -587,9 +576,10 @@ def _bounds(n_max: int, depth: int) -> tuple[tuple[str, str], ...]:
     return (("n_max", str(n_max)), ("depth", str(depth)))
 
 
-def _invariant_refutation(lattices1, lattices2, n_max) -> Optional[tuple[tuple[str, str], ...]]:
-    for n in range(1, n_max + 1):
-        left, right = len(lattices1[n]), len(lattices2[n])
+def _invariant_refutation(kb1: KnowledgeBase,
+                          kb2: KnowledgeBase) -> Optional[tuple[tuple[str, str], ...]]:
+    for n in range(1, kb1.n_max + 1):
+        left, right = len(kb1.description(n)), len(kb2.description(n))
         if left != right:
             return (
                 ("invariant", "lattice size"),
@@ -621,17 +611,15 @@ def check_informational_equivalence(model1: Model, model2: Model,
     """
     if model1.sig != model2.sig:
         raise MismatchError("models have different signatures")
-    if n_max < 1:
-        raise MismatchError("n_max must be at least 1")
-    lattices1 = _build_lattices(model1, n_max, max_term_depth, max_points)
-    lattices2 = _build_lattices(model2, n_max, max_term_depth, max_points)
-    saturated = all(lat.saturated for lat in lattices1.values()) and \
-        all(lat.saturated for lat in lattices2.values())
+    kb1 = KnowledgeBase(model1, n_max, max_term_depth, max_points)
+    kb2 = KnowledgeBase(model2, n_max, max_term_depth, max_points)
+    # Both families are built in full, the first model's first, before any verdict.
+    saturated = all([kb1.saturated, kb2.saturated])
     notes = [f"supported automorphism class: {SUPPORTED_CLASS}"]
     bounds = _bounds(n_max, depth)
 
     if saturated:
-        refutation = _invariant_refutation(lattices1, lattices2, n_max)
+        refutation = _invariant_refutation(kb1, kb2)
         if refutation is not None:
             return EquivReport(VERDICT_INEQUIVALENT, mode, bounds, None,
                                refutation, tuple(notes))
@@ -643,7 +631,7 @@ def check_informational_equivalence(model1: Model, model2: Model,
         if use_model_iso:
             isos = model_isomorphisms(model1, model2)
             if isos:
-                iso = transport_model_iso(isos[0], n_max, depth, max_term_depth, max_points)
+                iso = transport_model_iso(isos[0], kb1, kb2, depth)
                 construction = build_description_iso(iso)
                 if not construction.passed:
                     raise DefinabilityError(
@@ -660,8 +648,7 @@ def check_informational_equivalence(model1: Model, model2: Model,
         if saturated:
             candidates = enumerate_automorphisms(model1.sig, n_max) if phis is None else phis
             for phi in candidates:
-                iso = find_functor_iso(model1, model2, phi, n_max, depth,
-                                       max_term_depth, max_points)
+                iso = find_functor_iso(kb1, kb2, phi, depth)
                 if iso is None:
                     continue
                 construction = build_description_iso(iso)

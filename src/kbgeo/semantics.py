@@ -27,7 +27,6 @@ from .core import (
     Term,
     Var,
     VarSet,
-    eval_term,
 )
 from .formulas import (
     And,
@@ -68,10 +67,13 @@ class PointSpace:
     """All assignments varset -> carrier for one model, in enumeration order.
 
     The space belongs to `geometry`; without one it starts a geometry of its
-    own under the default bound.
+    own under the default bound.  It refuses to enumerate past the geometry's
+    bound.
     """
 
     def __init__(self, model: Model, varset: VarSet, geometry: Optional["Geometry"] = None):
+        self.geometry = Geometry(model) if geometry is None else geometry
+        _check_bound(model, varset, self.geometry.max_points)
         self.model = model
         self.varset = varset
         self.value_rows: tuple[tuple, ...] = tuple(
@@ -79,7 +81,6 @@ class PointSpace:
         self._row_index = {row: i for i, row in enumerate(self.value_rows)}
         self.size = len(self.value_rows)
         self.full_mask = (1 << self.size) - 1
-        self.geometry = Geometry(model) if geometry is None else geometry
         self.geometry._spaces.setdefault(varset.names, self)
 
     def point(self, index: int) -> Point:
@@ -133,7 +134,6 @@ class Geometry:
         """The space over varset, refusing to enumerate past the bound."""
         space = self._spaces.get(varset.names)
         if space is None:
-            _check_bound(self.model, varset, self.max_points)
             space = PointSpace(self.model, varset, self)
         return space
 
@@ -388,46 +388,33 @@ def points_satisfying_all(formulas, model: Model, varset: VarSet,
     return PointSet(space, mask)
 
 
-def holds_on_all(pset: PointSet, f: Formula,
-                 max_points: Optional[int] = None) -> bool:
+def holds_on_all(pset: PointSet, f: Formula) -> bool:
     """True when the formula is satisfied by every point of the set.  This is
     membership of the formula in the filter cut out by the set.  The formula
-    is evaluated over the set's geometry; an explicit max_points is checked
-    as well."""
+    is evaluated over the set's geometry."""
     space = pset.space
-    if max_points is not None:
-        _check_bound(space.model, space.varset, max_points)
     return pset.is_subset_of(satisfying_points(f, space.model, space.varset,
                                                geometry=space.geometry))
 
 
-def _other_space(pset: PointSet, varset: VarSet, max_points: Optional[int]) -> PointSpace:
-    """The space over varset in the point set's geometry, checked against an
-    explicit max_points as well as the geometry's bound."""
-    if max_points is not None:
-        _check_bound(pset.space.model, varset, max_points)
-    return pset.space.geometry.space(varset)
-
-
-def subst_preimage_points(subst: Substitution, pset: PointSet,
-                          max_points: Optional[int] = None) -> PointSet:
+def subst_preimage_points(subst: Substitution, pset: PointSet) -> PointSet:
     """Points over the target whose composite with the substitution lands in
-    the given source-space set."""
+    the given source-space set, in the set's geometry."""
     if pset.space.varset != subst.source:
         raise MismatchError(
             f"point set is over {pset.space.varset}, substitution starts at {subst.source}")
-    target_space = _other_space(pset, subst.target, max_points)
-    return PointSet(target_space, pset.space.geometry.preimage(subst, pset.mask))
+    geometry = pset.space.geometry
+    return PointSet(geometry.space(subst.target), geometry.preimage(subst, pset.mask))
 
 
-def subst_image_points(subst: Substitution, pset: PointSet,
-                       max_points: Optional[int] = None) -> PointSet:
-    """Composites mu after subst for mu in the given target-space set."""
+def subst_image_points(subst: Substitution, pset: PointSet) -> PointSet:
+    """Composites mu after subst for mu in the given target-space set, in the
+    set's geometry."""
     if pset.space.varset != subst.target:
         raise MismatchError(
             f"point set is over {pset.space.varset}, substitution targets {subst.target}")
-    source_space = _other_space(pset, subst.source, max_points)
-    return PointSet(source_space, pset.space.geometry.image(subst, pset.mask))
+    geometry = pset.space.geometry
+    return PointSet(geometry.space(subst.source), geometry.image(subst, pset.mask))
 
 
 __all__ = [

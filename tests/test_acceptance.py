@@ -15,6 +15,7 @@ from kbgeo import (
     FALSE,
     FormulaAutomorphism,
     FormulaContext,
+    KnowledgeBase,
     ModelMap,
     PointSet,
     apply_subst_formula,
@@ -265,13 +266,20 @@ def model_neg_relabeled():
                  {"neg": {("a",): "b", ("b",): "a"}}, {"P": [("b",)]})
 
 
+def kbs(model1, model2) -> tuple:
+    """The two knowledge bases at the default bounds (n_max 2)."""
+    return KnowledgeBase(model1, 2), KnowledgeBase(model2, 2)
+
+
+def transport(model1, model2):
+    return transport_model_iso(ModelMap(model1, model2, ("a", "b")), *kbs(model1, model2))
+
+
 def criterion_7_witnesses() -> list:
     """The functor isomorphisms behind every witnessed verdict of criterion 7."""
-    witnesses = [find_functor_iso(model_pq1(), model_pq2(), swap_pq())]
-    witnesses.append(transport_model_iso(
-        ModelMap(model_p(), model_p_relabeled(), ("a", "b"))))
-    witnesses.append(transport_model_iso(
-        ModelMap(model_neg(), model_neg_relabeled(), ("a", "b"))))
+    witnesses = [find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())]
+    witnesses.append(transport(model_p(), model_p_relabeled()))
+    witnesses.append(transport(model_neg(), model_neg_relabeled()))
     return witnesses
 
 
@@ -282,7 +290,7 @@ def test_criterion_7_equivalence_chain():
         violations.append(f"swapped relations: verdict {report.verdict}")
     elif dict(report.witness)["phi"] != "swap P Q":
         violations.append(f"swapped relations: wrong witness {dict(report.witness)}")
-    iso = find_functor_iso(model_pq1(), model_pq2(), swap_pq())
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())
     if iso is None:
         violations.append("swapped relations: no functor isomorphism found")
     elif not build_description_iso(iso).passed:
@@ -310,8 +318,7 @@ def test_criterion_7_equivalence_chain():
             witness = dict(relab.witness)
             if witness["phi"] != "identity":
                 violations.append(f"{name} relabeled: witnessed by {witness['phi']}")
-        direct = find_functor_iso(pair[0], pair[1],
-                                  FormulaAutomorphism.identity(pair[0].sig))
+        direct = find_functor_iso(*kbs(*pair), FormulaAutomorphism.identity(pair[0].sig))
         if direct is None:
             violations.append(f"{name} relabeled: identity functor search failed")
         elif not build_description_iso(direct).passed:

@@ -7,6 +7,7 @@ import pytest
 from kbgeo import (
     Atom,
     FormulaAutomorphism,
+    KnowledgeBase,
     MismatchError,
     ModelMap,
     Signature,
@@ -27,6 +28,7 @@ from kbgeo import (
     transport_model_iso,
     verify_admissibility_transfer,
 )
+from kbgeo import lattice, semantics
 from helpers import (
     model_eq,
     model_neg,
@@ -44,6 +46,10 @@ PQ_SIG = Signature((), (("P", 1), ("Q", 1)))
 
 def swap_pq() -> FormulaAutomorphism:
     return FormulaAutomorphism.relation_permutation(PQ_SIG, {"P": "Q", "Q": "P"})
+
+
+def kbs(model1, model2, n_max: int = 2) -> tuple[KnowledgeBase, KnowledgeBase]:
+    return KnowledgeBase(model1, n_max), KnowledgeBase(model2, n_max)
 
 
 def test_automorphism_validation():
@@ -103,16 +109,16 @@ def test_enumerate_automorphisms_order():
 
 def test_find_functor_iso_needs_matching_signatures():
     with pytest.raises(MismatchError):
-        find_functor_iso(model_p(), model_eq(), FormulaAutomorphism.identity(model_p().sig))
+        find_functor_iso(*kbs(model_p(), model_eq()), FormulaAutomorphism.identity(model_p().sig))
 
 
 def test_find_functor_iso_identity_fails_on_swapped_relations():
     phi = FormulaAutomorphism.identity(PQ_SIG)
-    assert find_functor_iso(model_pq1(), model_pq2(), phi, n_max=1, depth=1) is None
+    assert find_functor_iso(*kbs(model_pq1(), model_pq2(), 1), phi, depth=1) is None
 
 
 def test_find_functor_iso_swap_witnesses():
-    iso = find_functor_iso(model_pq1(), model_pq2(), swap_pq())
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())
     assert iso is not None
     assert iso.phi.describe() == "swap P Q"
     for n, alpha in iso.alphas.items():
@@ -123,23 +129,56 @@ def test_find_functor_iso_swap_witnesses():
 
 def test_find_functor_iso_fails_across_different_lattices():
     phi = FormulaAutomorphism.identity(model_p().sig)
-    assert find_functor_iso(model_p(), model_p0(), phi) is None
+    assert find_functor_iso(*kbs(model_p(), model_p0()), phi) is None
 
 
 def test_transport_model_iso():
     mmap = ModelMap(model_p(), model_p_relabeled(), ("a", "b"))
-    iso = transport_model_iso(mmap)
+    iso = transport_model_iso(mmap, *kbs(model_p(), model_p_relabeled()))
     assert iso.phi.is_identity
     report = build_description_iso(iso)
     assert report.passed
-    direct = find_functor_iso(model_p(), model_p_relabeled(),
+    direct = find_functor_iso(*kbs(model_p(), model_p_relabeled()),
                               FormulaAutomorphism.identity(model_p().sig))
     assert direct is not None
     assert direct.alphas == iso.alphas
 
 
+def test_search_functions_need_matching_knowledge_bases():
+    with pytest.raises(MismatchError):
+        find_functor_iso(KnowledgeBase(model_pq1(), 1), KnowledgeBase(model_pq2(), 2), swap_pq())
+    mmap = ModelMap(model_p(), model_p_relabeled(), ("a", "b"))
+    with pytest.raises(MismatchError):
+        transport_model_iso(mmap, *kbs(model_p0(), model_p_relabeled()))
+
+
+@pytest.mark.parametrize("pair,kind", [((model_pq1, model_pq2), "functor isomorphism"),
+                                       ((model_p, model_p_relabeled), "model isomorphism")],
+                         ids=["swap", "relabel"])
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_decision_builds_each_lattice_and_space_once(monkeypatch, pair, kind, n_max):
+    algebras, spaces = [], []
+    generate = lattice.generate_definable_algebra
+    init = semantics.PointSpace.__init__
+
+    def counting_generate(*args, **kwargs):
+        algebras.append(args[:2])
+        return generate(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        spaces.append(args[:2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "generate_definable_algebra", counting_generate)
+    monkeypatch.setattr(semantics.PointSpace, "__init__", counting_init)
+    report = check_informational_equivalence(pair[0](), pair[1](), n_max=n_max, depth=1)
+    assert report.verdict == VERDICT_WITNESSED
+    assert dict(report.witness)["kind"] == kind
+    assert len(algebras) == len(spaces) == 2 * n_max
+
+
 def test_admissibility_transfer_and_corruption():
-    iso = find_functor_iso(model_pq1(), model_pq2(), swap_pq())
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())
     report = verify_admissibility_transfer(iso, n_max=1, depth=1)
     assert report.passed and report.checked > 0
     bad = copy.deepcopy(iso)
@@ -232,7 +271,7 @@ def test_automorphic_equivalence_needs_a_variable():
 
 
 def test_admissibility_transfer_needs_a_variable():
-    iso = find_functor_iso(model_pq1(), model_pq2(), swap_pq(), n_max=1, depth=1)
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2(), 1), swap_pq(), depth=1)
     with pytest.raises(MismatchError, match="n_max must be at least 1"):
         verify_admissibility_transfer(iso, n_max=0)
 

@@ -9,6 +9,7 @@ from kbgeo import (
     FormulaContext,
     Geometry,
     PointSet,
+    PointSpace,
     Substitution,
     canonical_varset,
     enumerate_points,
@@ -214,8 +215,13 @@ def test_transport_honours_the_space_bound():
         subst_image_points(down, PointSet.full(narrow))
     wide = enumerate_points(m, one)
     assert subst_preimage_points(up, PointSet.full(wide)).cardinality == 4
+
+
+def test_point_space_refuses_to_pass_its_geometry_bound():
+    m = model_p()
+    g = Geometry(m, 4)
     with pytest.raises(BoundError):
-        subst_preimage_points(up, PointSet.full(wide), max_points=3)
+        PointSpace(m, canonical_varset(3), g)
     with pytest.raises(BoundError):
-        holds_on_all(PointSet.full(wide), parse_formula("P(x1)", FormulaContext(m.sig, one)),
-                     max_points=1)
+        g.space(canonical_varset(3))
+    assert g.space(canonical_varset(2)).size == 4
