@@ -43,7 +43,14 @@ from .lattice import (
     build_filter_lattice,
     closure,
 )
-from .semantics import Geometry, subst_image_points, subst_preimage_points
+from .formulas import Formula
+from .semantics import (
+    Geometry,
+    PointSet,
+    satisfying_points,
+    subst_image_points,
+    subst_preimage_points,
+)
 
 
 class AdmissibilityError(ValueError):
@@ -139,6 +146,14 @@ def _check_ends(subst: Substitution, source: DescriptionObject,
         raise MismatchError("objects live over different models")
 
 
+def _check_cont_ends(subst: Substitution, source: ContentObject,
+                     target: ContentObject) -> None:
+    if subst.target != source.varset or subst.source != target.varset:
+        raise MismatchError("substitution endpoints do not match the objects")
+    if source.model != target.model:
+        raise MismatchError("objects live over different models")
+
+
 class DescMorphism:
     """An admissible, total assignment of filters along a substitution.
 
@@ -151,7 +166,7 @@ class DescMorphism:
                  subst: Substitution, assignment: Mapping[int, int]):
         _check_ends(subst, source, target)
         assignment = dict(assignment)
-        if set(assignment) != set(source.lattice.algebra.masks):
+        if assignment.keys() != source.lattice.algebra._by_mask.keys():
             raise MismatchError("assignment is not total on the source lattice")
         geometry = target.lattice.algebra.space.geometry
         for src_mask, dst_mask in assignment.items():
@@ -188,12 +203,9 @@ class ContMorphism:
 
     def __init__(self, source: ContentObject, target: ContentObject,
                  subst: Substitution, assignment: Mapping[int, int]):
-        if subst.target != source.varset or subst.source != target.varset:
-            raise MismatchError("substitution endpoints do not match the objects")
-        if source.model != target.model:
-            raise MismatchError("objects live over different models")
+        _check_cont_ends(subst, source, target)
         assignment = dict(assignment)
-        if set(assignment) != set(source.algebra.masks):
+        if assignment.keys() != source.algebra._by_mask.keys():
             raise MismatchError("assignment is not total on the source algebra")
         geometry = source.algebra.space.geometry
         for src_mask, dst_mask in assignment.items():
@@ -264,10 +276,12 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
 def least_cont_morphism(source: ContentObject, target: ContentObject,
                         subst: Substitution) -> ContMorphism:
     """Each definable set goes to the closure of its pointwise image."""
+    _check_cont_ends(subst, source, target)
+    geometry = source.algebra.space.geometry
     assignment = {}
-    for member in source.algebra:
-        image = subst_image_points(subst, member.points)
-        assignment[member.mask] = closure(image, target.algebra).mask
+    for mask in source.algebra.masks:
+        image = PointSet(target.algebra.space, geometry.image(subst, mask))
+        assignment[mask] = closure(image, target.algebra).mask
     return ContMorphism(source, target, subst, assignment)
 
 
@@ -287,10 +301,9 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
     source_obj = content_of(morphism.target)
     target_obj = content_of(morphism.source)
     result = least_cont_morphism(source_obj, target_obj, morphism.subst)
+    geometry = source_obj.algebra.space.geometry
     for src_mask, dst_mask in morphism.assignment.items():
-        dual_src = source_obj.algebra.member(dst_mask)
-        dual_dst = target_obj.algebra.member(src_mask)
-        if not is_admissible_cont(morphism.subst, dual_src, dual_dst):
+        if geometry.image(morphism.subst, dst_mask) & ~src_mask:
             raise AdmissibilityError(
                 f"duality broken: pair {src_mask:#x} -> {dst_mask:#x} has an inadmissible dual")
     return result
@@ -300,8 +313,9 @@ class KnowledgeBase:
     """A model with its description and content objects for sizes 1..n_max.
 
     Objects are built over the canonical variable sets of one geometry and
-    cached.  On every object the duality invariant is checked: filters and
-    definable sets are in mask-for-mask bijection.
+    cached, and so are the masks of atomic formulas.  On every object the
+    duality invariant is checked: filters and definable sets are in
+    mask-for-mask bijection.
     """
 
     def __init__(self, model: Model, n_max: int,
@@ -314,6 +328,7 @@ class KnowledgeBase:
         self.max_term_depth = max_term_depth
         self.geometry = Geometry(model, max_points)
         self._descriptions: dict[int, DescriptionObject] = {}
+        self._atom_masks: dict[tuple[int, Formula], int] = {}
 
     def description(self, n: int) -> DescriptionObject:
         if not 1 <= n <= self.n_max:
@@ -331,6 +346,16 @@ class KnowledgeBase:
 
     def content(self, n: int) -> ContentObject:
         return content_of(self.description(n))
+
+    def atom_mask(self, atom: Formula, n: int) -> int:
+        """The points over the canonical variable set of size n satisfying an
+        atomic formula, evaluated once per formula and size."""
+        key = (n, atom)
+        mask = self._atom_masks.get(key)
+        if mask is None:
+            mask = self._atom_masks[key] = satisfying_points(
+                atom, self.model, canonical_varset(n), geometry=self.geometry).mask
+        return mask
 
     @property
     def saturated(self) -> bool:

@@ -41,7 +41,6 @@ from .core import (
 )
 from .formulas import Atom, Equal, Formula
 from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError
-from .semantics import satisfying_points
 from .categories import (
     AdmissibilityError,
     DescMorphism,
@@ -134,7 +133,10 @@ class FormulaAutomorphism:
 
     def map_subst(self, subst: Substitution) -> Substitution:
         """Conjugate a substitution between canonical variable sets by the
-        sizewise renamings."""
+        sizewise renamings.  Without renamings the conjugate equals the
+        substitution, which is returned as it is."""
+        if not self.var_images:
+            return subst
         u_source = self.renaming_for(len(subst.source))
         u_target = self.renaming_for(len(subst.target))
         return compose_subst(compose_subst(u_source.inverted(), subst), u_target)
@@ -242,9 +244,8 @@ def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomo
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
     for atom in atoms:
-        mask1 = satisfying_points(atom, kb1.model, varset, geometry=kb1.geometry).mask
-        image = phi.map_formula(atom, n)
-        mask2 = satisfying_points(image, kb2.model, varset, geometry=kb2.geometry).mask
+        mask1 = kb1.atom_mask(atom, n)
+        mask2 = kb2.atom_mask(phi.map_formula(atom, n), n)
         if forward.get(mask1, mask2) != mask2 or backward.get(mask2, mask1) != mask1:
             return None
         forward[mask1] = mask2

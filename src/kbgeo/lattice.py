@@ -94,8 +94,9 @@ class DefinableAlgebra:
         self.space = space
         self._blocks = blocks
         self.members = members
+        self.masks = tuple(m.mask for m in members)
         self.saturated = saturated
-        self._by_mask = {m.mask: m for m in members}
+        self._by_mask = dict(zip(self.masks, members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -111,10 +112,6 @@ class DefinableAlgebra:
             return self._by_mask[mask]
         except KeyError:
             raise DefinabilityError(f"mask {mask:#x} is not definable here") from None
-
-    @property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(m.mask for m in self.members)
 
     def block_masks(self) -> tuple[int, ...]:
         """Masks of the atoms, ascending.  Every member is a union of these

@@ -9,7 +9,10 @@ A `Geometry` holds one model's spaces under one point bound: one space per
 varset, and one pullback table per substitution, computed on first use.  Its
 `preimage` and `image` are the only loops that move masks along a
 substitution; every space knows its geometry, so a point set reaches the
-other end of a substitution through `pset.space.geometry`.
+other end of a substitution through `pset.space.geometry`.  Each table also
+memoizes transport per mask, so a mask moves along a substitution once per
+direction and later calls are dict lookups.  The memo grows with the distinct
+masks moved; inside the package those are lattice members.
 """
 
 from __future__ import annotations
@@ -112,23 +115,42 @@ def _check_bound(model: Model, varset: VarSet, max_points: int) -> None:
         raise BoundError(f"{count} points exceed the bound {max_points}")
 
 
+class _Table:
+    """One substitution's pullback table: per target point the bit of its
+    composite's source index, per source point the mask of target points
+    composing onto it, and the masks already moved each way."""
+
+    __slots__ = ("bits", "fibers", "preimages", "images")
+
+    def __init__(self, pull: list[int], source_size: int):
+        self.bits = [1 << q for q in pull]
+        self.fibers = [0] * source_size
+        for p, q in enumerate(pull):
+            self.fibers[q] |= 1 << p
+        self.preimages: dict[int, int] = {}
+        self.images: dict[int, int] = {}
+
+
 class Geometry:
     """One model's point spaces and pullback tables under one point bound.
 
     Spaces and tables are built on first use and live as long as the
-    geometry.  Masks over equal spaces of different geometries are
-    interchangeable, since the enumeration order is fixed by model and varset.
+    geometry.  Each table memoizes `preimage` and `image` per mask, so its
+    memory grows with the distinct masks moved along its substitution; every
+    caller inside the package moves lattice members only.  Masks over equal
+    spaces of different geometries are interchangeable, since the enumeration
+    order is fixed by model and varset.
     """
 
     def __init__(self, model: Model, max_points: int = DEFAULT_MAX_POINTS):
         self.model = model
         self.max_points = max_points
         self._spaces: dict[tuple[str, ...], PointSpace] = {}
-        self._tables: dict[Substitution, tuple[list[int], list[int]]] = {}
+        self._tables: dict[Substitution, _Table] = {}
         # The last substitution looked up and its table: callers transport many
         # masks along one substitution object, and comparing equal but distinct
         # substitutions in the dict costs more than the transport.
-        self._last: Optional[tuple[Substitution, tuple[list[int], list[int]]]] = None
+        self._last: Optional[tuple[Substitution, _Table]] = None
 
     def space(self, varset: VarSet) -> PointSpace:
         """The space over varset, refusing to enumerate past the bound."""
@@ -137,42 +159,47 @@ class Geometry:
             space = PointSpace(self.model, varset, self)
         return space
 
-    def _table(self, subst: Substitution) -> tuple[list[int], list[int]]:
-        """Per target point the bit of its composite's source index, and per
-        source point the mask of target points composing onto it."""
+    def _table(self, subst: Substitution) -> _Table:
         if self._last is not None and self._last[0] is subst:
             return self._last[1]
         table = self._tables.get(subst)
         if table is None:
             source = self.space(subst.source)
             pull = pullback_indices(subst, source, self.space(subst.target))
-            fibers = [0] * source.size
-            for p, q in enumerate(pull):
-                fibers[q] |= 1 << p
-            table = self._tables[subst] = [1 << q for q in pull], fibers
+            table = self._tables[subst] = _Table(pull, source.size)
         self._last = subst, table
         return table
 
     def preimage(self, subst: Substitution, mask: int) -> int:
         """Target-space mask of the points whose composite with the
         substitution lands in the source-space mask."""
-        fibers = self._table(subst)[1]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= fibers[low.bit_length() - 1]
-            mask ^= low
+        table = self._table(subst)
+        out = table.preimages.get(mask)
+        if out is None:
+            fibers = table.fibers
+            out = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                out |= fibers[low.bit_length() - 1]
+                rest ^= low
+            table.preimages[mask] = out
         return out
 
     def image(self, subst: Substitution, mask: int) -> int:
         """Source-space mask of the composites of the target-space mask's
         points with the substitution."""
-        bits = self._table(subst)[0]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= bits[low.bit_length() - 1]
-            mask ^= low
+        table = self._table(subst)
+        out = table.images.get(mask)
+        if out is None:
+            bits = table.bits
+            out = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                out |= bits[low.bit_length() - 1]
+                rest ^= low
+            table.images[mask] = out
         return out
 
 

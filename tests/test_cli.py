@@ -1,5 +1,6 @@
 """Model files, phi specs, report formats, and subcommand exit codes."""
 
+import itertools
 import pathlib
 
 import pytest
@@ -25,6 +26,7 @@ from kbgeo.cli import (
 from helpers import all_fixtures, model_neg, model_p
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+EQUIV_GOLDEN = pathlib.Path(__file__).resolve().parent / "equiv_machine.golden"
 
 
 def fixture(name: str) -> str:
@@ -214,6 +216,23 @@ def test_machine_format_is_flat_and_deterministic():
     assert lines["refutation.values"] == "4 vs 2 at |X|=1"
     code, report = run_command(["duality", fixture("m_eq.kbm"), "--format", "machine"])
     assert "failures: 0" in report
+
+
+def equiv_machine_runs() -> str:
+    """`equiv --format machine` on every ordered pair of fixtures in modes iso,
+    lae and info, under the default bounds: per run a header line naming the
+    files, the mode and the exit code, then the output."""
+    names = sorted(path.name for path in FIXTURES.glob("*.kbm"))
+    blocks = []
+    for first, second, mode in itertools.product(names, names, ("iso", "lae", "info")):
+        code, text = run_command(["equiv", fixture(first), fixture(second),
+                                  "--mode", mode, "--format", "machine"], RunConfig())
+        blocks.append(f"## {first} {second} {mode} -> {code}\n{text}\n")
+    return "".join(blocks)
+
+
+def test_equiv_machine_output_on_all_fixture_pairs():
+    assert equiv_machine_runs().splitlines() == EQUIV_GOLDEN.read_text().splitlines()
 
 
 def test_usage_errors_exit_above_two():

@@ -1,6 +1,7 @@
 """Automorphisms of the formula algebra and the bounded equivalence deciders."""
 
 import copy
+import dataclasses
 
 import pytest
 
@@ -22,7 +23,9 @@ from kbgeo import (
     check_automorphic_equivalence,
     check_informational_equivalence,
     check_isomorphic,
+    compose_subst,
     enumerate_automorphisms,
+    enumerate_substitutions,
     find_functor_iso,
     parse_term,
     transport_model_iso,
@@ -96,6 +99,20 @@ def test_automorphism_conjugates_substitutions():
     assert mapped.image_of("x1") == parse_term("x1", m.sig, xs)
     ident = FormulaAutomorphism.identity(m.sig)
     assert ident.map_subst(s) == s
+
+
+def test_map_subst_is_conjugation_by_the_renamings():
+    phis = enumerate_automorphisms(PQ_SIG, 2)
+    assert any(phi.var_images for phi in phis) and any(not phi.var_images for phi in phis)
+    for a in (1, 2):
+        for b in (1, 2):
+            for s in enumerate_substitutions(PQ_SIG, canonical_varset(a), canonical_varset(b), 1):
+                for phi in phis:
+                    u_src, u_tgt = phi.renaming_for(a), phi.renaming_for(b)
+                    expected = compose_subst(compose_subst(u_src.inverted(), s), u_tgt)
+                    assert phi.map_subst(s) == expected
+                    if not phi.var_images:
+                        assert phi.map_subst(s) is s
 
 
 def test_enumerate_automorphisms_order():
@@ -190,6 +207,42 @@ def test_admissibility_transfer_and_corruption():
     assert len(broken.failures) >= 1
     with pytest.raises(MismatchError):
         verify_admissibility_transfer(iso, n_max=iso.n_max + 1, depth=1)
+
+
+CORRUPTED_FIRST_FAILURES = (
+    "image of {x1 := x1} is not admissible: assignment 0x0 -> 0xf is not admissible"
+    " for {x1 := x1}",
+    "image of {x1 := x2} is not admissible: assignment 0x0 -> 0xf is not admissible"
+    " for {x1 := x2}",
+    "image of {x1 := x1, x2 := x1} is not admissible: assignment 0x0 -> 0x3 is not"
+    " admissible for {x1 := x1, x2 := x1}",
+)
+CORRUPTED_SECOND_FAILURES = (
+    "image of {x1 := x1, x2 := x1} is not admissible: assignment 0x2 -> 0xf is not"
+    " admissible for {x1 := x1, x2 := x1}",
+    "image of {x1 := x2, x2 := x2} is not admissible: assignment 0x2 -> 0xf is not"
+    " admissible for {x1 := x2, x2 := x2}",
+)
+
+
+def backward_failures(lines: tuple) -> tuple:
+    return tuple("backward " + line for line in lines)
+
+
+@pytest.mark.parametrize("n,checked,failures", [
+    (1, 40, CORRUPTED_FIRST_FAILURES + backward_failures(CORRUPTED_FIRST_FAILURES)),
+    (2, 26, CORRUPTED_FIRST_FAILURES + CORRUPTED_SECOND_FAILURES
+     + backward_failures(CORRUPTED_FIRST_FAILURES + CORRUPTED_SECOND_FAILURES)),
+])
+def test_description_functor_rejects_a_corrupted_witness(n, checked, failures):
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())
+    assert build_description_iso(iso).passed
+    alphas = {size: dict(table) for size, table in iso.alphas.items()}
+    masks = sorted(alphas[n])
+    alphas[n][masks[0]], alphas[n][masks[-1]] = alphas[n][masks[-1]], alphas[n][masks[0]]
+    report = build_description_iso(dataclasses.replace(iso, alphas=alphas))
+    assert report.checked == checked
+    assert report.failures == failures
 
 
 def test_check_isomorphic():

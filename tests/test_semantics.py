@@ -194,12 +194,20 @@ def test_geometry_transport_matches_pointwise_oracle(name, model):
             source, target = canonical_varset(a), canonical_varset(b)
             assert g.space(source) is g.space(source)
             assert g.space(source).geometry is g
-            for s in enumerate_substitutions(model.sig, source, target, 1):
-                composites = brute_composites(model, s)
+            substs = enumerate_substitutions(model.sig, source, target, 1)
+            composites = [brute_composites(model, s) for s in substs]
+            # Every (substitution, mask) is queried three times, the
+            # substitutions interleaved mask by mask: the first query fills the
+            # table's memo, the second reads it back, and the third goes
+            # through an equal but distinct substitution object.
+            twins = [Substitution(s.source, s.target, s.images) for s in substs]
+            for round_substs in (substs, substs, twins):
                 for mask in range(1 << g.space(source).size):
-                    assert g.preimage(s, mask) == brute_preimage(composites, mask)
+                    for s, comp in zip(round_substs, composites):
+                        assert g.preimage(s, mask) == brute_preimage(comp, mask)
                 for mask in range(1 << g.space(target).size):
-                    assert g.image(s, mask) == brute_image(composites, mask)
+                    for s, comp in zip(round_substs, composites):
+                        assert g.image(s, mask) == brute_image(comp, mask)
 
 
 def test_transport_honours_the_space_bound():
