@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import (
     MismatchError,
@@ -144,7 +144,20 @@ def formula_to_text(f: Formula) -> str:
     return _render(f, 0)
 
 
-def _render(f: Formula, min_prec: int) -> str:
+def _render(f: Formula, min_prec: int, memo: Optional[dict] = None) -> str:
+    """The text of `f` where the context binds at `min_prec`.  With `memo`, a
+    dict from (node identity, min_prec) to text whose keyed nodes its owner
+    keeps alive, a subformula shared between calls is rendered once."""
+    if memo is None:
+        return _render_node(f, min_prec, None)
+    key = (id(f), min_prec)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _render_node(f, min_prec, memo)
+    return text
+
+
+def _render_node(f: Formula, min_prec: int, memo: Optional[dict]) -> str:
     prec = _prec(f)
     if isinstance(f, TrueF):
         text = "true"
@@ -155,21 +168,22 @@ def _render(f: Formula, min_prec: int) -> str:
     elif isinstance(f, Equal):
         text = f"{term_to_text(f.left)} = {term_to_text(f.right)}"
     elif isinstance(f, Not):
-        text = "!" + _render(f.body, _PREC_NOT)
+        text = "!" + _render(f.body, _PREC_NOT, memo)
     elif isinstance(f, And):
-        text = _render(f.left, _PREC_AND) + " & " + _render(f.right, _PREC_AND + 1)
+        text = _render(f.left, _PREC_AND, memo) + " & " + _render(f.right, _PREC_AND + 1, memo)
     elif isinstance(f, Or):
-        text = _render(f.left, _PREC_OR) + " | " + _render(f.right, _PREC_OR + 1)
+        text = _render(f.left, _PREC_OR, memo) + " | " + _render(f.right, _PREC_OR + 1, memo)
     elif isinstance(f, Implies):
-        text = _render(f.left, _PREC_IMPLIES + 1) + " -> " + _render(f.right, _PREC_IMPLIES)
+        text = (_render(f.left, _PREC_IMPLIES + 1, memo) + " -> "
+                + _render(f.right, _PREC_IMPLIES, memo))
     elif isinstance(f, Exists):
-        text = f"exists {f.var}. " + _render(f.body, 0)
+        text = f"exists {f.var}. " + _render(f.body, 0, memo)
     elif isinstance(f, Forall):
-        text = f"forall {f.var}. " + _render(f.body, 0)
+        text = f"forall {f.var}. " + _render(f.body, 0, memo)
     elif isinstance(f, SubstNode):
         inner = ", ".join(f"{n} := {term_to_text(t)}"
                           for n, t in zip(f.subst.source.names, f.subst.images))
-        text = "subst {" + inner + "} " + _render(f.body, 0)
+        text = "subst {" + inner + "} " + _render(f.body, 0, memo)
     else:
         raise SignatureError(f"not a formula: {f!r}")
     if prec < min_prec:
@@ -316,8 +330,20 @@ def free_vars(f: Formula) -> frozenset[str]:
     raise SignatureError(f"not a formula: {f!r}")
 
 
-def check_formula(f: Formula, ctx: FormulaContext) -> None:
+def check_formula(f: Formula, ctx: FormulaContext, _checked: Optional[set] = None) -> None:
     """Validate relation symbols, arities, terms, and binder scoping."""
+    if _checked is None:
+        _check_node(f, ctx, None)
+    elif id(f) not in _checked:
+        _check_node(f, ctx, _checked)
+        _checked.add(id(f))
+
+
+def _check_node(f: Formula, ctx: FormulaContext, checked: Optional[set]) -> None:
+    """check_formula on one node.  `checked`, when given, holds the identities
+    of the nodes already validated in ctx, which its owner keeps alive: they
+    are skipped, and a node joins once it passes.  A substitution body lives
+    over another context, so it starts a set of its own."""
     if isinstance(f, (TrueF, FalseF)):
         return
     if isinstance(f, Atom):
@@ -336,16 +362,16 @@ def check_formula(f: Formula, ctx: FormulaContext) -> None:
         check_term(f.right, ctx.sig, ctx.varset)
         return
     if isinstance(f, Not):
-        check_formula(f.body, ctx)
+        check_formula(f.body, ctx, checked)
         return
     if isinstance(f, (And, Or, Implies)):
-        check_formula(f.left, ctx)
-        check_formula(f.right, ctx)
+        check_formula(f.left, ctx, checked)
+        check_formula(f.right, ctx, checked)
         return
     if isinstance(f, (Exists, Forall)):
         if f.var not in ctx.varset:
             raise MismatchError(f"quantified variable {f.var} not in {ctx.varset}")
-        check_formula(f.body, ctx)
+        check_formula(f.body, ctx, checked)
         return
     if isinstance(f, SubstNode):
         if f.subst.target != ctx.varset:
@@ -353,7 +379,8 @@ def check_formula(f: Formula, ctx: FormulaContext) -> None:
                 f"substitution targets {f.subst.target}, context is over {ctx.varset}")
         for t in f.subst.images:
             check_term(t, ctx.sig, ctx.varset)
-        check_formula(f.body, FormulaContext(ctx.sig, f.subst.source))
+        check_formula(f.body, FormulaContext(ctx.sig, f.subst.source),
+                      None if checked is None else set())
         return
     raise SignatureError(f"not a formula: {f!r}")
 

@@ -6,7 +6,12 @@ equalities between them when the signature has equality) under complement,
 intersection, union, and one-variable projection.  It is a finite Boolean
 algebra, so it is built from its atoms, found by partition refinement: the
 members are the unions of atoms.  Every member carries a witness formula that
-evaluates exactly to its point set.
+evaluates exactly to its point set.  The witnesses come from the split tree,
+so members share subformulas: one algebra's witnesses form a formula DAG.  A
+build checks and values its members through one memo keyed on node identity,
+so each shared node is checked and valued once per build, and `dump_lines`
+renders each shared node once per call.  Both memos are locals of that build
+or call.
 
 A closed filter is represented by its dual definable set: the filter of all
 formulas true on that set.  Smaller filters correspond to larger point sets,
@@ -19,11 +24,24 @@ import itertools
 from typing import Iterator, Optional
 
 from .core import DEFAULT_MAX_POINTS, MismatchError, Model, Substitution, VarSet, term_functions
-from .formulas import And, Atom, Equal, Exists, FALSE, Formula, Not, Or, TRUE, formula_to_text
+from .formulas import (
+    And,
+    Atom,
+    Equal,
+    Exists,
+    FALSE,
+    Formula,
+    Not,
+    Or,
+    TRUE,
+    _render,
+    formula_to_text,
+)
 from .semantics import (
     Geometry,
     PointSet,
     PointSpace,
+    _Valuation,
     _exists_mask,
     satisfying_points,
     subst_image_points,
@@ -49,15 +67,20 @@ class DefinableSet:
 
     Construction re-evaluates the witness over the space's geometry and
     refuses a mismatch, so a DefinableSet is definable by checked evidence,
-    not by promise.  Equality and hashing ignore the witness: two members
-    with the same points are the same set.
+    not by promise.  A set built on its own is checked from scratch; the
+    members of one algebra build are checked through that build's valuation
+    memo, which answers the subformulas they share from their first check.
+    Equality and hashing ignore the witness: two members with the same points
+    are the same set.
     """
 
     __slots__ = ("points", "witness")
 
-    def __init__(self, points: PointSet, witness: Formula):
+    def __init__(self, points: PointSet, witness: Formula,
+                 _valuation: Optional[_Valuation] = None):
         space = points.space
-        actual = satisfying_points(witness, space.model, space.varset, geometry=space.geometry)
+        actual = satisfying_points(witness, space.model, space.varset,
+                                   geometry=space.geometry, _valuation=_valuation)
         if actual.mask != points.mask:
             raise DefinabilityError(
                 f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
@@ -119,8 +142,11 @@ class DefinableAlgebra:
         return self._blocks
 
     def dump_lines(self) -> list[str]:
-        """One line per member, sorted by mask: hex mask, cardinality, witness."""
-        return [f"{m.mask:#x} {m.points.cardinality} {formula_to_text(m.witness)}"
+        """One line per member, sorted by mask: hex mask, cardinality, witness.
+        The witnesses share subformulas, and each shared one is rendered once
+        per call."""
+        texts: dict[tuple[int, int], str] = {}  # (node id, min_prec) -> text
+        return [f"{m.mask:#x} {m.points.cardinality} {_render(m.witness, 0, texts)}"
                 for m in self.members]
 
     def __repr__(self) -> str:
@@ -224,7 +250,12 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     masks = [0]
     for atom in atoms:
         masks += [mask | atom for mask in masks]
-    members = tuple(DefinableSet(PointSet(space, m), witness(m)) for m in sorted(masks))
+    # Every member's witness is checked and valued through one memo: the
+    # witnesses share their split-tree subformulas, and the members and the
+    # witness memo keep every node alive until the build returns.
+    valuation = _Valuation()
+    members = tuple(DefinableSet(PointSet(space, m), witness(m), valuation)
+                    for m in sorted(masks))
     return DefinableAlgebra(model, varset, space, atoms, members, clone.saturated)
 
 

@@ -336,9 +336,33 @@ def _exists_mask(mask: int, space: PointSpace, var: str) -> int:
     return out
 
 
-def _formula_mask(f: Formula, space: PointSpace) -> int:
+class _Valuation:
+    """The formula nodes checked and valued over one space, keyed on node
+    identity: one build's memo, so that witnesses sharing subformulas have
+    each shared node checked and valued once.  Its owner keeps every keyed
+    node alive while it uses the memo, so no identity is reused."""
+
+    __slots__ = ("checked", "masks")
+
+    def __init__(self):
+        self.checked: set[int] = set()
+        self.masks: dict[int, int] = {}
+
+
+def _formula_mask(f: Formula, space: PointSpace, memo: Optional[dict] = None) -> int:
     """Recursive valuation over one space; substitution nodes are evaluated
-    over the space's geometry and pulled back into the space."""
+    over the space's geometry and pulled back into the space.  With `memo`,
+    a `_Valuation.masks` of this space, a node valued before is answered from
+    it."""
+    if memo is None:
+        return _node_mask(f, space, None)
+    out = memo.get(id(f))
+    if out is None:
+        out = memo[id(f)] = _node_mask(f, space, memo)
+    return out
+
+
+def _node_mask(f: Formula, space: PointSpace, memo: Optional[dict]) -> int:
     if isinstance(f, TrueF):
         return space.full_mask
     if isinstance(f, FalseF):
@@ -360,40 +384,45 @@ def _formula_mask(f: Formula, space: PointSpace) -> int:
                 out |= 1 << p
         return out
     if isinstance(f, Not):
-        return space.full_mask & ~_formula_mask(f.body, space)
+        return space.full_mask & ~_formula_mask(f.body, space, memo)
     if isinstance(f, And):
-        return _formula_mask(f.left, space) & _formula_mask(f.right, space)
+        return _formula_mask(f.left, space, memo) & _formula_mask(f.right, space, memo)
     if isinstance(f, Or):
-        return _formula_mask(f.left, space) | _formula_mask(f.right, space)
+        return _formula_mask(f.left, space, memo) | _formula_mask(f.right, space, memo)
     if isinstance(f, Implies):
-        return (space.full_mask & ~_formula_mask(f.left, space)) | _formula_mask(f.right, space)
+        return ((space.full_mask & ~_formula_mask(f.left, space, memo))
+                | _formula_mask(f.right, space, memo))
     if isinstance(f, Exists):
-        return _exists_mask(_formula_mask(f.body, space), space, f.var)
+        return _exists_mask(_formula_mask(f.body, space, memo), space, f.var)
     if isinstance(f, Forall):
-        inner = space.full_mask & ~_formula_mask(f.body, space)
+        inner = space.full_mask & ~_formula_mask(f.body, space, memo)
         return space.full_mask & ~_exists_mask(inner, space, f.var)
     if isinstance(f, SubstNode):
         geometry = space.geometry
-        inner = _formula_mask(f.body, geometry.space(f.subst.source))
+        inner = _formula_mask(f.body, geometry.space(f.subst.source),
+                              None if memo is None else {})
         return geometry.preimage(f.subst, inner)
     raise MismatchError(f"not a formula: {f!r}")
 
 
 def satisfying_points(f: Formula, model: Model, varset: VarSet,
                       max_points: int = DEFAULT_MAX_POINTS,
-                      geometry: Optional[Geometry] = None) -> PointSet:
+                      geometry: Optional[Geometry] = None,
+                      _valuation: Optional[_Valuation] = None) -> PointSet:
     """The set of assignments over varset at which the formula holds.
 
     The space comes from `geometry`, the model's geometry, when one is given;
     otherwise from a fresh one bounded by max_points.
     """
-    check_formula(f, FormulaContext(model.sig, varset))
+    check_formula(f, FormulaContext(model.sig, varset),
+                  None if _valuation is None else _valuation.checked)
     if geometry is None:
         geometry = Geometry(model, max_points)
     elif geometry.model != model:
         raise MismatchError("geometry belongs to another model")
     space = geometry.space(varset)
-    return PointSet(space, _formula_mask(f, space))
+    return PointSet(space, _formula_mask(f, space,
+                                         None if _valuation is None else _valuation.masks))
 
 
 def holds_at(point: Point, f: Formula, model: Model,

@@ -27,6 +27,7 @@ from helpers import all_fixtures, model_neg, model_p
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EQUIV_GOLDEN = pathlib.Path(__file__).resolve().parent / "equiv_machine.golden"
+DUMP_GOLDEN = pathlib.Path(__file__).resolve().parent / "lattice_dump.golden"
 
 
 def fixture(name: str) -> str:
@@ -196,6 +197,23 @@ def test_equiv_modes_and_phi():
     code, text = run_command(["equiv", fixture("m_pq1.kbm"), fixture("m_pq2.kbm"),
                               "--mode", "iso", "--phi", "identity"])
     assert code == EXIT_USAGE
+
+
+def lattice_dump_runs() -> str:
+    """`lattice --dump` on every fixture over x1, x1,x2 and x1,x2,x3 under the
+    default bounds: per run a header line naming the file, the variables and
+    the exit code, then the output."""
+    names = sorted(path.name for path in FIXTURES.glob("*.kbm"))
+    blocks = []
+    for name, varlist in itertools.product(names, ("x1", "x1,x2", "x1,x2,x3")):
+        code, text = run_command(["lattice", fixture(name), "--vars", varlist, "--dump"],
+                                 RunConfig())
+        blocks.append(f"## {name} {varlist} -> {code}\n{text}\n")
+    return "".join(blocks)
+
+
+def test_lattice_dump_on_all_fixtures():
+    assert lattice_dump_runs().splitlines() == DUMP_GOLDEN.read_text().splitlines()
 
 
 def test_machine_format_is_flat_and_deterministic():

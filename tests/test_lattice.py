@@ -13,17 +13,22 @@ from kbgeo import (
     Model,
     PointSet,
     Signature,
+    SignatureError,
     Substitution,
+    Var,
     build_filter_lattice,
     canonical_varset,
     closure,
     enumerate_points,
     filter_preimage,
+    formula_to_text,
     generate_definable_algebra,
     lattice_profile,
     parse_formula,
     parse_term,
 )
+from kbgeo import lattice
+from kbgeo.formulas import And, Atom, Formula, Not
 from helpers import (
     all_fixtures,
     brute_closure,
@@ -73,10 +78,81 @@ def test_known_algebra_sizes():
 
 
 def test_every_member_checks_its_witness():
-    algebra = generate_definable_algebra(model_neg(), canonical_varset(2))
+    """Every member, rebuilt outside its build, passes the from-scratch check,
+    and its dump line ends with its witness rendered from scratch."""
+    cases = [(name, model, k) for name, model in all_fixtures() for k in (1, 2, 3)]
+    cases += [(name, model, k) for name, model in seeded_models() for k in (1, 2)]
+    for name, model, k in cases:
+        algebra = generate_definable_algebra(model, canonical_varset(k))
+        for member, line in zip(algebra, algebra.dump_lines(), strict=True):
+            recomputed = DefinableSet(member.points, member.witness)
+            assert recomputed.mask == member.mask, (name, k)
+            assert line.endswith(" " + formula_to_text(member.witness)), (name, k)
+
+
+def _node_ids(f, seen: set) -> None:
+    """Add the identities of f's subformulas to seen."""
+    if id(f) not in seen:
+        seen.add(id(f))
+        for child in (getattr(f, "body", None), getattr(f, "left", None),
+                      getattr(f, "right", None)):
+            if isinstance(child, Formula):
+                _node_ids(child, seen)
+
+
+def _most_shared_select_call(monkeypatch, model, varset) -> int:
+    """The index, among the `_select` calls of a build, of the first call whose
+    result is a subformula of the most member witnesses, at least two."""
+    original = lattice._select
+    results = []
+
+    def recording(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "_select", recording)
+        algebra = generate_definable_algebra(model, varset)
+    uses = {}
     for member in algebra:
-        recomputed = DefinableSet(member.points, member.witness)
-        assert recomputed.mask == member.mask
+        seen = set()
+        _node_ids(member.witness, seen)
+        for key in seen:
+            uses[key] = uses.get(key, 0) + 1
+    shares = [uses.get(id(f), 0) for f in results]
+    assert max(shares) >= 2
+    return shares.index(max(shares))
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (Not, DefinabilityError),
+    (lambda f: And(Atom("Undeclared", (Var("x1"),)), f), SignatureError),
+])
+def test_build_memo_still_checks_every_member(monkeypatch, corrupt, error):
+    """Corrupting one shared split-tree subformula fails the build: the memo
+    answers shared nodes, but every member's witness is still checked and
+    valued.  Builds before and after, over other spaces, stay correct, so no
+    memo entry outlives its build."""
+    for model in (model_neg(), dict(seeded_models())["fp0"]):
+        two, one = canonical_varset(2), canonical_varset(1)
+        index = _most_shared_select_call(monkeypatch, model, two)
+        expected = generate_definable_algebra(model, one).dump_lines()
+        original = lattice._select
+        calls = []
+
+        def corrupted(*args):
+            calls.append(None)
+            result = original(*args)
+            return corrupt(result) if len(calls) == index + 1 else result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_select", corrupted)
+            with pytest.raises(error):
+                generate_definable_algebra(model, two)
+        assert len(calls) > index
+        assert generate_definable_algebra(model, one).dump_lines() == expected
+        assert member_rows(generate_definable_algebra(model, two)) == \
+            brute_definable_family(model, 2)
 
 
 def test_closure_matches_brute_oracle():
@@ -186,6 +262,21 @@ def test_three_element_carrier_at_three_variables():
     assert len(lat.algebra.block_masks()) == 14
     assert len(lat) == 2 ** 14
     assert lattice_profile(lat)[:2] == (16384, 14)
+
+
+def test_four_element_cycle_at_two_variables():
+    """f(a) = a+1 mod 4 and P = {0} at n = 2: every one of the 16 points is an
+    atom, so 2^16 members, each checked through the build's memo; every
+    4096th is checked again from scratch."""
+    carrier = (0, 1, 2, 3)
+    model = Model(Signature((("f", 1),), (("P", 1),)), carrier,
+                  {"f": {(a,): (a + 1) % 4 for a in carrier}}, {"P": [(0,)]})
+    lat = build_filter_lattice(model, canonical_varset(2))
+    assert len(lat.algebra.block_masks()) == 16
+    assert len(lat) == 2 ** 16
+    assert lattice_profile(lat)[:2] == (65536, 16)
+    for member in lat.algebra.members[::4096]:
+        assert DefinableSet(member.points, member.witness).mask == member.mask
 
 
 def test_depth_cap_marks_partial():
