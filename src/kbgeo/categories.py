@@ -17,6 +17,9 @@ the only bound on its transport, and each object built once.  Its two sweeps,
 `check_duality` and `verify_push_functoriality`, share spaces and tables
 across every substitution they visit, and an equivalence decision builds one
 knowledge base per model and runs its whole witness search over the pair.
+The witness check holds its description morphisms by their images on the
+atoms of their source lattices (`_HeldMorphism`), which fix a morphism that
+preserves unions.
 """
 
 from __future__ import annotations
@@ -154,6 +157,22 @@ def _check_cont_ends(subst: Substitution, source: ContentObject,
         raise MismatchError("objects live over different models")
 
 
+def _check_assignment(sources, target: FilterLattice, subst: Substitution,
+                      assignment: dict[int, int]) -> None:
+    """Check that an assignment of dual masks along a substitution has the
+    keys `sources`, then each pair in the assignment's order: the image is
+    the dual of a filter of `target`, and it lies inside the pullback of the
+    argument.  The first violation raises."""
+    if assignment.keys() != sources:
+        raise MismatchError("assignment is not total on the source lattice")
+    geometry = target.algebra.space.geometry
+    for src_mask, dst_mask in assignment.items():
+        target.filter_for_mask(dst_mask)
+        if dst_mask & ~geometry.preimage(subst, src_mask):
+            raise AdmissibilityError(
+                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+
+
 class DescMorphism:
     """An admissible, total assignment of filters along a substitution.
 
@@ -166,14 +185,8 @@ class DescMorphism:
                  subst: Substitution, assignment: Mapping[int, int]):
         _check_ends(subst, source, target)
         assignment = dict(assignment)
-        if assignment.keys() != source.lattice.algebra._by_mask.keys():
-            raise MismatchError("assignment is not total on the source lattice")
-        geometry = target.lattice.algebra.space.geometry
-        for src_mask, dst_mask in assignment.items():
-            target.lattice.filter_for_mask(dst_mask)
-            if dst_mask & ~geometry.preimage(subst, src_mask):
-                raise AdmissibilityError(
-                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+        _check_assignment(source.lattice.algebra._by_mask.keys(), target.lattice, subst,
+                          assignment)
         self.source = source
         self.target = target
         self.subst = subst
@@ -193,6 +206,73 @@ class DescMorphism:
 
     def __repr__(self) -> str:
         return f"DescMorphism({self.subst}, {self.source.varset} -> {self.target.varset})"
+
+
+class _Generators:
+    """A generating set of one description object's lattice: its atoms, or
+    all its members, ascending."""
+
+    __slots__ = ("n", "lattice", "masks", "keys", "atoms")
+
+    def __init__(self, obj: DescriptionObject, atoms: bool):
+        algebra = obj.lattice.algebra
+        self.n = len(obj.varset)
+        self.lattice = obj.lattice
+        self.atoms = atoms
+        self.masks = algebra.block_masks() if atoms else algebra.masks
+        self.keys = frozenset(self.masks)
+
+
+class _HeldMorphism:
+    """A description morphism held by its images on the generators of its
+    source lattice, along one substitution.
+
+    `images` maps each generator to a target dual mask, in the order its
+    pairs were checked; construction checks them as `DescMorphism` does.  On
+    atoms the morphism is taken to preserve unions, so a member's image is
+    the union of its atoms' images.
+    """
+
+    __slots__ = ("source", "target", "subst", "images")
+
+    def __init__(self, source: _Generators, target: _Generators, subst: Substitution,
+                 images: dict[int, int]):
+        _check_assignment(source.keys, target.lattice, subst, images)
+        self.source = source
+        self.target = target
+        self.subst = subst
+        self.images = images
+
+    @classmethod
+    def least(cls, source: _Generators, target: _Generators,
+              subst: Substitution) -> "_HeldMorphism":
+        """`least_desc_morphism` on the generators."""
+        return cls(source, target, subst, _least_images(source.masks, target.lattice, subst))
+
+    @classmethod
+    def identity(cls, gens: _Generators) -> "_HeldMorphism":
+        return cls(gens, gens, Substitution.identity(gens.lattice.varset),
+                   {m: m for m in gens.masks})
+
+    def image(self, mask: int) -> int:
+        """The image of a member of the source lattice."""
+        if not self.source.atoms:
+            return self.images[mask]
+        out = 0
+        for atom, image in self.images.items():
+            if atom & mask == atom:
+                out |= image
+        return out
+
+    def after(self, first: "_HeldMorphism", subst: Substitution) -> "_HeldMorphism":
+        """`first`, then this morphism, along their composite `subst`."""
+        images = {k: self.image(v) for k, v in first.images.items()}
+        return _HeldMorphism(first.source, self.target, subst, images)
+
+    def __eq__(self, other) -> bool:
+        return self.subst == other.subst and self.images == other.images
+
+    __hash__ = None
 
 
 class ContMorphism:
@@ -263,14 +343,22 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
     """The pointwise least admissible assignment along a substitution: each
     filter goes to the filter whose dual is the full pullback of its dual."""
     _check_ends(subst, source, target)
-    geometry = target.lattice.algebra.space.geometry
-    assignment = {}
-    for mask in source.lattice.algebra.masks:
+    return DescMorphism(source, target, subst,
+                        _least_images(source.lattice.algebra.masks, target.lattice, subst))
+
+
+def _least_images(masks, target: FilterLattice, subst: Substitution) -> dict[int, int]:
+    """Each dual mask's full pullback along the substitution, in order; the
+    first pullback that is not a dual of `target` raises."""
+    algebra = target.algebra
+    geometry = algebra.space.geometry
+    images = {}
+    for mask in masks:
         preimage = geometry.preimage(subst, mask)
-        if not target.lattice.algebra.contains_mask(preimage):
+        if not algebra.contains_mask(preimage):
             raise UndefinablePullbackError(subst, mask, preimage)
-        assignment[mask] = preimage
-    return DescMorphism(source, target, subst, assignment)
+        images[mask] = preimage
+    return images
 
 
 def least_cont_morphism(source: ContentObject, target: ContentObject,
@@ -456,8 +544,11 @@ class KnowledgeBase:
         triples = 0
         undefinable: set[Substitution] = set()
         sizes = range(1, n_max + 1)
-        subs = {(a, b): enumerate_substitutions(self.model.sig, canonical_varset(a),
-                                                canonical_varset(b), depth)
+        # Every substitution and composite is interned once, so each push
+        # finds its pullback table by identity.
+        intern = self.geometry.intern
+        subs = {(a, b): [intern(s) for s in enumerate_substitutions(
+                    self.model.sig, canonical_varset(a), canonical_varset(b), depth)]
                 for a in sizes for b in sizes}
         # Each stage of a staged push repeats across the sweep, so each
         # (substitution, filter) is pushed once; the direct push runs first.
@@ -470,7 +561,7 @@ class KnowledgeBase:
                     lat_c = self.description(c).lattice
                     for s1 in subs[a, b]:
                         for s2 in subs[b, c]:
-                            composite = compose_subst(s1, s2)
+                            composite = intern(compose_subst(s1, s2))
                             for filt in lat_a:
                                 triples += 1
                                 checked += 1

@@ -16,6 +16,9 @@ A decision builds one `KnowledgeBase` per model, so each lattice is built
 once, and passes the pair to `find_functor_iso` (once per candidate
 automorphism) or `transport_model_iso`; the witness they return carries the
 pair on to `verify_admissibility_transfer` and `build_description_iso`.
+The naturality squares and the description functor are checked on the
+lattices' atoms, since every map they compare preserves unions; a witness
+whose alphas are not Boolean isomorphisms is checked member by member.
 """
 
 from __future__ import annotations
@@ -43,12 +46,10 @@ from .formulas import Atom, Equal, Formula
 from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError
 from .categories import (
     AdmissibilityError,
-    DescMorphism,
     KnowledgeBase,
     Report,
-    compose_desc,
-    identity_desc,
-    least_desc_morphism,
+    _Generators,
+    _HeldMorphism,
 )
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
@@ -293,14 +294,26 @@ def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism
                      source_n: int, target_n: int) -> bool:
     """Check the naturality squares for all bounded substitutions between two
     assigned sizes: pushing then transporting equals transporting then
-    pushing along the mapped substitution."""
+    pushing along the mapped substitution.
+
+    The squares are checked on the atoms of the source lattice, ascending.
+    Both callers pass alphas that preserve unions (block bijections, or a
+    carrier map acting pointwise), and so do pullbacks, so both sides of a
+    square preserve unions: a member's pullback is definable and its square
+    commutes when that holds for each of its atoms.  The member loop in
+    ascending order stops at the first member where a pullback is not
+    definable (raise) or a square fails (False).  That member has an atom
+    where one of the two happens, and the atom, a submask, is no larger; so
+    the first such member is an atom, the first such atom, and the atom loop
+    stops there in the same way, with the same error text.
+    """
     source = canonical_varset(source_n)
     target = canonical_varset(target_n)
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
     for subst in enumerate_substitutions(kb1.model.sig, source, target, depth):
         mapped = phi.map_subst(subst)
-        for mask in kb1.description(source_n).lattice.algebra.masks:
+        for mask in kb1.description(source_n).lattice.algebra.block_masks():
             push1 = kb1.geometry.preimage(subst, mask)
             if push1 not in alpha_b:
                 raise UndefinablePullbackError(subst, mask, push1)
@@ -447,6 +460,38 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
     return Report("admissibility transfer", entries, checked, tuple(failures))
 
 
+def _is_boolean(iso: FunctorIso) -> bool:
+    """Whether every alpha is a Boolean isomorphism: a bijection between the
+    members that sends the atoms onto the atoms and each member to the union
+    of its atoms' images.  Members ascend, so each is checked against a
+    smaller one: itself without the atom holding its lowest point."""
+    for n in range(1, iso.n_max + 1):
+        alpha = iso.alphas.get(n)
+        algebra1 = iso.kb1.description(n).lattice.algebra
+        algebra2 = iso.kb2.description(n).lattice.algebra
+        if (alpha is None or sorted(alpha) != list(algebra1.masks)
+                or sorted(alpha.values()) != list(algebra2.masks)
+                or sorted(alpha[x] for x in algebra1.block_masks())
+                != list(algebra2.block_masks())):
+            return False
+        atom_of: dict[int, int] = {}
+        for atom in algebra1.block_masks():
+            rest = atom
+            while rest:
+                low = rest & -rest
+                atom_of[low] = atom
+                rest ^= low
+        for mask in algebra1.masks:
+            if mask == 0:
+                if alpha[0] != 0:
+                    return False
+                continue
+            atom = atom_of[mask & -mask]
+            if alpha[mask] != alpha[mask ^ atom] | alpha[atom]:
+                return False
+    return True
+
+
 def build_description_iso(iso: FunctorIso) -> Report:
     """Materialize the induced functor between the description categories and
     check the functor laws.
@@ -456,33 +501,55 @@ def build_description_iso(iso: FunctorIso) -> Report:
     inverse automorphism and inverse bijections.  Checked: every image is
     admissible, identities map to identities, composition is preserved, and
     the two functors invert each other on the sampled families.
+
+    Each morphism is held by its images on a generating set of its source
+    lattice.  When every alpha is a Boolean isomorphism, which the witnesses
+    of `find_functor_iso` and `transport_model_iso` are, the generators are
+    the atoms; otherwise they are all the members, and every check is made
+    member by member.  The atoms suffice: least morphisms, alphas and
+    pullbacks preserve unions, so every morphism built here does, and two
+    such morphisms are equal when they agree on the atoms.  A pair (k, t) of
+    a morphism is admissible when t lies inside the pullback of k, and both
+    sides preserve unions in k, so a member passes when each of its atoms
+    does.  A morphism's pairs are checked in ascending order of the members
+    of the lattice it was first built on, an order that transport keeps.
+    The first member that fails has an atom that fails and is no larger, so
+    it is that atom: the atom loop reports the same first failure, with the
+    same text, and likewise for an undefinable pullback of a least morphism.
+    The report, `checked` included, is the member-wise one.
     """
     sig = iso.kb1.model.sig
-    objects1, objects2 = iso.kb1.description, iso.kb2.description
+    sizes = range(1, iso.n_max + 1)
+    atoms = _is_boolean(iso)
+    gens1 = {n: _Generators(iso.kb1.description(n), atoms) for n in sizes}
+    gens2 = {n: _Generators(iso.kb2.description(n), atoms) for n in sizes}
     inverse = iso.inverse_alphas()
     phi_inv = iso.phi.inverse()
     checked = 0
     failures: list[str] = []
 
-    def forward(m: DescMorphism) -> DescMorphism:
-        a, b = len(m.source.varset), len(m.target.varset)
-        assignment = {iso.alphas[a][k]: iso.alphas[b][v] for k, v in m.assignment.items()}
-        return DescMorphism(objects2(a), objects2(b), iso.phi.map_subst(m.subst), assignment)
+    def transport(m: _HeldMorphism, alphas: dict[int, dict[int, int]],
+                  phi: FormulaAutomorphism, gens: dict[int, _Generators]) -> _HeldMorphism:
+        alpha_a, alpha_b = alphas[m.source.n], alphas[m.target.n]
+        images = {alpha_a[k]: alpha_b[v] for k, v in m.images.items()}
+        return _HeldMorphism(gens[m.source.n], gens[m.target.n], phi.map_subst(m.subst),
+                             images)
 
-    def backward(m: DescMorphism) -> DescMorphism:
-        a, b = len(m.source.varset), len(m.target.varset)
-        assignment = {inverse[a][k]: inverse[b][v] for k, v in m.assignment.items()}
-        return DescMorphism(objects1(a), objects1(b), phi_inv.map_subst(m.subst), assignment)
+    def forward(m: _HeldMorphism) -> _HeldMorphism:
+        return transport(m, iso.alphas, iso.phi, gens2)
 
-    family1: dict[tuple[int, int], list[DescMorphism]] = {}
-    family2: dict[tuple[int, int], list[DescMorphism]] = {}
-    images1: dict[tuple[int, int], list[DescMorphism]] = {}
-    for a in range(1, iso.n_max + 1):
-        for b in range(1, iso.n_max + 1):
+    def backward(m: _HeldMorphism) -> _HeldMorphism:
+        return transport(m, inverse, phi_inv, gens1)
+
+    family1: dict[tuple[int, int], list[_HeldMorphism]] = {}
+    family2: dict[tuple[int, int], list[_HeldMorphism]] = {}
+    images1: dict[tuple[int, int], list[Optional[_HeldMorphism]]] = {}
+    for a in sizes:
+        for b in sizes:
             lst1, lst2, img = [], [], []
             for subst in enumerate_substitutions(sig, canonical_varset(a),
                                                  canonical_varset(b), iso.depth):
-                m1 = least_desc_morphism(objects1(a), objects1(b), subst)
+                m1 = _HeldMorphism.least(gens1[a], gens1[b], subst)
                 lst1.append(m1)
                 checked += 1
                 try:
@@ -490,26 +557,34 @@ def build_description_iso(iso: FunctorIso) -> Report:
                 except AdmissibilityError as exc:
                     failures.append(f"image of {subst} is not admissible: {exc}")
                     img.append(None)
-                m2 = least_desc_morphism(objects2(a), objects2(b), subst)
+                m2 = _HeldMorphism.least(gens2[a], gens2[b], subst)
                 lst2.append(m2)
             family1[(a, b)] = lst1
             family2[(a, b)] = lst2
             images1[(a, b)] = img
 
-    for n in range(1, iso.n_max + 1):
+    for n in sizes:
         checked += 1
-        if forward(identity_desc(objects1(n))) != identity_desc(objects2(n)):
+        if forward(_HeldMorphism.identity(gens1[n])) != _HeldMorphism.identity(gens2[n]):
             failures.append(f"identity over |X|={n} is not preserved")
 
-    for a in range(1, iso.n_max + 1):
-        for b in range(1, iso.n_max + 1):
-            for c in range(1, iso.n_max + 1):
+    # Each composite substitution is made once per pair and interned, and
+    # shared by the image side when phi left both factors as they were.
+    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
+    for a in sizes:
+        for b in sizes:
+            for c in sizes:
                 for m1, f1 in zip(family1[(a, b)], images1[(a, b)]):
                     for m2, f2 in zip(family1[(b, c)], images1[(b, c)]):
                         if f1 is None or f2 is None:
                             continue
                         checked += 1
-                        if forward(compose_desc(m2, m1)) != compose_desc(f2, f1):
+                        subst = geometry1.intern(compose_subst(m1.subst, m2.subst))
+                        if f1.subst is m1.subst and f2.subst is m2.subst:
+                            mapped = subst
+                        else:
+                            mapped = geometry2.intern(compose_subst(f1.subst, f2.subst))
+                        if forward(m2.after(m1, subst)) != f2.after(f1, mapped):
                             failures.append(
                                 f"composition not preserved for {m1.subst} then {m2.subst}")
 

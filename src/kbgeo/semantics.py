@@ -116,13 +116,15 @@ def _check_bound(model: Model, varset: VarSet, max_points: int) -> None:
 
 
 class _Table:
-    """One substitution's pullback table: per target point the bit of its
-    composite's source index, per source point the mask of target points
-    composing onto it, and the masks already moved each way."""
+    """One substitution's pullback table: the substitution it is keyed by,
+    per target point the bit of its composite's source index, per source
+    point the mask of target points composing onto it, and the masks already
+    moved each way."""
 
-    __slots__ = ("bits", "fibers", "preimages", "images")
+    __slots__ = ("key", "bits", "fibers", "preimages", "images")
 
-    def __init__(self, pull: list[int], source_size: int):
+    def __init__(self, key: Substitution, pull: list[int], source_size: int):
+        self.key = key
         self.bits = [1 << q for q in pull]
         self.fibers = [0] * source_size
         for p, q in enumerate(pull):
@@ -166,9 +168,17 @@ class Geometry:
         if table is None:
             source = self.space(subst.source)
             pull = pullback_indices(subst, source, self.space(subst.target))
-            table = self._tables[subst] = _Table(pull, source.size)
+            table = self._tables[subst] = _Table(subst, pull, source.size)
         self._last = subst, table
         return table
+
+    def intern(self, subst: Substitution) -> Substitution:
+        """The substitution equal to `subst` that keys its pullback table:
+        `subst` itself if no equal one was seen before.  Later lookups with
+        the result find the table by identity, without comparing terms."""
+        table = self._table(subst)
+        self._last = table.key, table
+        return table.key
 
     def preimage(self, subst: Substitution, mask: int) -> int:
         """Target-space mask of the points whose composite with the

@@ -7,12 +7,31 @@ fixpoint loop, term functions are closed pointwise, lattice profiles come
 from an all-triples cover search, and substitutions act on masks through
 assignments composed term by term.  Agreement between the two
 implementations is what the lattice, semantics and acceptance tests check.
+
+The member-wise oracles at the end are the witness checks of the
+equivalence deciders as they were before they ran on atoms: every
+description morphism is a `DescMorphism` over all lattice members, and
+every naturality square is checked on every member.
 """
 
 import itertools
 import random
 
-from kbgeo import Model, Signature, eval_term
+from kbgeo import (
+    AdmissibilityError,
+    DescMorphism,
+    KnowledgeBase,
+    Model,
+    Report,
+    Signature,
+    UndefinablePullbackError,
+    canonical_varset,
+    compose_desc,
+    enumerate_substitutions,
+    eval_term,
+    identity_desc,
+    least_desc_morphism,
+)
 
 
 def model_eq() -> Model:
@@ -77,6 +96,55 @@ def seeded_models() -> list:
         out.append((f"fp{i}", Model(Signature((("f", 1),), (("P", 1),)), carrier,
                                     {"f": op}, {"P": rows(1)})))
     return out
+
+
+def relabeled(model: Model, perm) -> Model:
+    """The model with carrier element i renamed perm[i]."""
+    name = dict(zip(model.carrier, perm))
+    ops = {op: {tuple(name[a] for a in args): name[value] for args, value in table.items()}
+           for op, table in model.op_tables.items()}
+    rels = {rel: [tuple(name[a] for a in row) for row in rows]
+            for rel, rows in model.rel_tables.items()}
+    return Model(model.sig, model.carrier, ops, rels)
+
+
+def swapped(model: Model, first: str, second: str) -> Model:
+    """The model with the tables of two relations exchanged."""
+    rels = dict(model.rel_tables)
+    rels[first], rels[second] = rels[second], rels[first]
+    return Model(model.sig, model.carrier, model.op_tables, rels)
+
+
+def seeded_pairs() -> list:
+    """A relabelling pair of 3-element models with a unary op f and a unary P,
+    and a swap pair of 3-element models with unary P and Q, from a fixed seed.
+    Each first model is the first draw with proper nonempty relations, a
+    non-identity op and two different relations, whose lattice over two
+    variables has at most 32 members, so that the member-wise oracles stay
+    fast."""
+    rng = random.Random(2017)
+    carrier = (0, 1, 2)
+
+    def rows() -> list:
+        while True:
+            out = [(a,) for a in carrier if rng.random() < 0.5]
+            if 0 < len(out) < len(carrier):
+                return out
+
+    def small(model: Model) -> bool:
+        return len(KnowledgeBase(model, 2).description(2)) <= 32
+
+    while True:
+        op = {(a,): rng.choice(carrier) for a in carrier}
+        fp = Model(Signature((("f", 1),), (("P", 1),)), carrier, {"f": op}, {"P": rows()})
+        if any(value != args[0] for args, value in op.items()) and small(fp):
+            break
+    while True:
+        p, q = rows(), rows()
+        pq = Model(Signature((), (("P", 1), ("Q", 1))), carrier, None, {"P": p, "Q": q})
+        if p != q and small(pq):
+            break
+    return [("fp relabel", fp, relabeled(fp, (2, 0, 1))), ("pq swap", pq, swapped(pq, "P", "Q"))]
 
 
 def brute_rows(model: Model, k: int) -> list:
@@ -204,3 +272,95 @@ def brute_preimage(composites: list, mask: int) -> int:
 def brute_image(composites: list, mask: int) -> int:
     """Source points that are composites of points in the target mask."""
     return sum(1 << q for q in {composites[p] for p in range(len(composites)) if mask >> p & 1})
+
+
+def memberwise_description_iso(iso) -> Report:
+    """`build_description_iso` with every morphism a `DescMorphism` over all
+    members: the same checks, in the same order, with the same messages."""
+    sig = iso.kb1.model.sig
+    objects1, objects2 = iso.kb1.description, iso.kb2.description
+    inverse = iso.inverse_alphas()
+    phi_inv = iso.phi.inverse()
+    checked = 0
+    failures = []
+
+    def forward(m):
+        a, b = len(m.source.varset), len(m.target.varset)
+        assignment = {iso.alphas[a][k]: iso.alphas[b][v] for k, v in m.assignment.items()}
+        return DescMorphism(objects2(a), objects2(b), iso.phi.map_subst(m.subst), assignment)
+
+    def backward(m):
+        a, b = len(m.source.varset), len(m.target.varset)
+        assignment = {inverse[a][k]: inverse[b][v] for k, v in m.assignment.items()}
+        return DescMorphism(objects1(a), objects1(b), phi_inv.map_subst(m.subst), assignment)
+
+    sizes = range(1, iso.n_max + 1)
+    family1, family2, images1 = {}, {}, {}
+    for a in sizes:
+        for b in sizes:
+            lst1, lst2, img = [], [], []
+            for subst in enumerate_substitutions(sig, canonical_varset(a),
+                                                 canonical_varset(b), iso.depth):
+                m1 = least_desc_morphism(objects1(a), objects1(b), subst)
+                lst1.append(m1)
+                checked += 1
+                try:
+                    img.append(forward(m1))
+                except AdmissibilityError as exc:
+                    failures.append(f"image of {subst} is not admissible: {exc}")
+                    img.append(None)
+                lst2.append(least_desc_morphism(objects2(a), objects2(b), subst))
+            family1[(a, b)], family2[(a, b)], images1[(a, b)] = lst1, lst2, img
+
+    for n in sizes:
+        checked += 1
+        if forward(identity_desc(objects1(n))) != identity_desc(objects2(n)):
+            failures.append(f"identity over |X|={n} is not preserved")
+
+    for a, b, c in itertools.product(sizes, repeat=3):
+        for m1, f1 in zip(family1[(a, b)], images1[(a, b)]):
+            for m2, f2 in zip(family1[(b, c)], images1[(b, c)]):
+                if f1 is None or f2 is None:
+                    continue
+                checked += 1
+                if forward(compose_desc(m2, m1)) != compose_desc(f2, f1):
+                    failures.append(f"composition not preserved for {m1.subst} then {m2.subst}")
+
+    for key, morphisms in family1.items():
+        for m1, f1 in zip(morphisms, images1[key]):
+            if f1 is None:
+                continue
+            checked += 1
+            if backward(f1) != m1:
+                failures.append(f"backward functor does not invert {m1.subst}")
+    for morphisms in family2.values():
+        for m2 in morphisms:
+            checked += 1
+            try:
+                if forward(backward(m2)) != m2:
+                    failures.append(f"forward functor does not invert {m2.subst}")
+            except AdmissibilityError as exc:
+                failures.append(f"backward image of {m2.subst} is not admissible: {exc}")
+
+    entries = (
+        ("object", f"canonical variable sets of sizes 1..{iso.n_max}"),
+        ("substitution depth", str(iso.depth)),
+        ("phi", iso.phi.describe()),
+    )
+    return Report("description functor", entries, checked, tuple(failures))
+
+
+def memberwise_squares_commute(alphas, phi, kb1, kb2, depth: int,
+                               source_n: int, target_n: int) -> bool:
+    """The naturality squares between two sizes, checked on every member."""
+    alpha_a, alpha_b = alphas[source_n], alphas[target_n]
+    for subst in enumerate_substitutions(kb1.model.sig, canonical_varset(source_n),
+                                         canonical_varset(target_n), depth):
+        mapped = phi.map_subst(subst)
+        for mask in kb1.description(source_n).lattice.algebra.masks:
+            push1 = kb1.geometry.preimage(subst, mask)
+            if push1 not in alpha_b:
+                raise UndefinablePullbackError(subst, mask, push1)
+            if alpha_b[push1] != kb2.geometry.preimage(mapped, alpha_a[mask]):
+                return False
+    return True

@@ -31,6 +31,9 @@ from kbgeo import (
     verify_push_functoriality,
 )
 from kbgeo import semantics
+from kbgeo.categories import _Generators, _HeldMorphism
+from kbgeo.core import compose_subst
+from kbgeo.lattice import UndefinablePullbackError
 from helpers import all_fixtures, model_eq, model_neg, model_p, seeded_models
 
 # Seeded models whose 2-variable duals pull back along x1, x2 := x1, x1 to
@@ -250,3 +253,68 @@ def test_filter_transport_honours_the_lattice_bound():
     up = Substitution.of(one, two, {"x1": parse_term("x2", m.sig, two)})
     with pytest.raises(BoundError):
         push_filter(up, narrow.bottom, wide)
+
+
+def test_geometry_interns_substitutions_by_their_table():
+    m = model_neg()
+    geometry = KnowledgeBase(m, 1).geometry
+    first = neg_subst(m)
+    again = neg_subst(m)
+    assert again == first and again is not first
+    assert geometry.intern(first) is first
+    assert geometry.intern(again) is first
+    assert geometry.preimage(again, 0b01) == geometry.preimage(first, 0b01)
+    assert len(geometry._tables) == 1
+
+
+def held_or_error(source, target, subst):
+    try:
+        return _HeldMorphism.least(source, target, subst)
+    except UndefinablePullbackError as exc:
+        return str(exc)
+
+
+def desc_or_error(source, target, subst):
+    try:
+        return least_desc_morphism(source, target, subst)
+    except UndefinablePullbackError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name,model", all_fixtures() + [
+    (name, m) for name, m in seeded_models() if not m.sig.ops])
+def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
+    """A least morphism held on atoms gives every member the image the
+    member-wise least morphism assigns, or fails with the same error; held
+    composites give every member the member-wise composite's image; and held
+    morphisms are equal exactly when the member-wise ones are."""
+    kb = KnowledgeBase(model, 2)
+    sizes = (1, 2)
+    gens = {n: _Generators(kb.description(n), True) for n in sizes}
+    subs = {(a, b): enumerate_substitutions(model.sig, canonical_varset(a),
+                                            canonical_varset(b), 1)
+            for a in sizes for b in sizes}
+    held, desc = {}, {}
+    for (a, b), substs in subs.items():
+        pairs = []
+        for s in substs:
+            h = held_or_error(gens[a], gens[b], s)
+            d = desc_or_error(kb.description(a), kb.description(b), s)
+            if isinstance(d, str):
+                assert h == d
+                continue
+            assert {k: h.image(k) for k in d.assignment} == d.assignment
+            pairs.append((h, d))
+        for h1, d1 in pairs:
+            for h2, d2 in pairs:
+                assert (h1 == h2) == (d1 == d2)
+        held[(a, b)] = pairs
+    for a in sizes:
+        for b in sizes:
+            for c in sizes:
+                for h1, d1 in held[(a, b)]:
+                    for h2, d2 in held[(b, c)]:
+                        composite = compose_desc(d2, d1)
+                        h = h2.after(h1, compose_subst(d1.subst, d2.subst))
+                        assert ({k: h.image(k) for k in composite.assignment}
+                                == composite.assignment)

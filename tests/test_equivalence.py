@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import itertools
 
 import pytest
 
 from kbgeo import (
     Atom,
     FormulaAutomorphism,
+    FunctorIso,
     KnowledgeBase,
     MismatchError,
     ModelMap,
@@ -27,12 +29,23 @@ from kbgeo import (
     enumerate_automorphisms,
     enumerate_substitutions,
     find_functor_iso,
+    model_isomorphisms,
     parse_term,
     transport_model_iso,
     verify_admissibility_transfer,
 )
 from kbgeo import lattice, semantics
+from kbgeo.equivalence import (
+    _atom_constraints,
+    _candidate_alphas,
+    _is_boolean,
+    _squares_commute,
+)
+from kbgeo.lattice import UndefinablePullbackError
 from helpers import (
+    all_fixtures,
+    memberwise_description_iso,
+    memberwise_squares_commute,
     model_eq,
     model_neg,
     model_p,
@@ -41,6 +54,7 @@ from helpers import (
     model_pq1,
     model_pq2,
     seeded_models,
+    seeded_pairs,
 )
 
 
@@ -329,15 +343,131 @@ def test_admissibility_transfer_needs_a_variable():
         verify_admissibility_transfer(iso, n_max=0)
 
 
+UNDEFINABLE_NOTES = {
+    "r0": "witness search stopped: pullback 0x1 of 0x1 along {x1 := x1, x2 := x1}"
+          " is not definable over {x1}",
+    "r2": "witness search stopped: pullback 0x2 of 0x10 along {x1 := x1, x2 := x1}"
+          " is not definable over {x1}",
+}
+
+
 @pytest.mark.parametrize("name,model", seeded_models())
 def test_undefinable_pullback_gives_unknown(name, model):
     reports = (check_informational_equivalence(model, model, n_max=2, depth=1),
                check_automorphic_equivalence(model, model, n_max=2, depth=1))
     for report in reports:
-        if name in ("r0", "r2"):
+        if name in UNDEFINABLE_NOTES:
             assert report.verdict == VERDICT_UNKNOWN
             assert report.exit_code == 2
             assert "is not definable over {x1}" in report.notes[-1]
             assert "pullback 0x" in report.notes[-1]
+            assert report.notes[-1] == UNDEFINABLE_NOTES[name]
         else:
             assert report.verdict == VERDICT_WITNESSED
+
+
+def decider_pairs() -> list:
+    """(label, model1, model2, n_max, depth): every same-signature ordered pair
+    of the fixtures and the relabelled P model at the deciders' default
+    bounds, the seeded self-pairs, and the seeded relabel and swap pairs."""
+    fixtures = all_fixtures() + [("m_p_relabeled", model_p_relabeled())]
+    out = [(f"{n1} {n2}", m1, m2, 2, 2)
+           for (n1, m1), (n2, m2) in itertools.product(fixtures, repeat=2) if m1.sig == m2.sig]
+    out += [(f"{name} self", m, m, 2, 1) for name, m in seeded_models()]
+    out += [(label, m1, m2, 2, 2) for label, m1, m2 in seeded_pairs()]
+    return out
+
+
+def outcome(fn, *args):
+    """The result of a call, or the text of the undefinable pullback it raised."""
+    try:
+        return fn(*args)
+    except UndefinablePullbackError as exc:
+        return f"raised: {exc}"
+
+
+def rotated(iso: FunctorIso, n: int) -> FunctorIso:
+    """The witness with its atom images over size n rotated by one: still a
+    Boolean isomorphism, but no longer natural when the atoms differ."""
+    algebra = iso.kb1.description(n).lattice.algebra
+    atoms = algebra.block_masks()
+    images = [iso.alphas[n][a] for a in atoms]
+    images = images[1:] + images[:1]
+    table = {mask: sum(c for a, c in zip(atoms, images) if a & mask == a)
+             for mask in algebra.masks}
+    return dataclasses.replace(iso, alphas={**iso.alphas, n: table})
+
+
+def reported_witnesses(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int) -> list:
+    """The witnesses the two deciders report on a pair, each once: the
+    transported first carrier isomorphism and the first automorphism's
+    functor isomorphism.  A search stopped by an undefinable pullback gives
+    its error text instead."""
+    out = []
+    mmaps = model_isomorphisms(kb1.model, kb2.model)
+    if mmaps:
+        out.append(outcome(transport_model_iso, mmaps[0], kb1, kb2, depth))
+    for phi in enumerate_automorphisms(kb1.model.sig, kb1.n_max):
+        iso = outcome(find_functor_iso, kb1, kb2, phi, depth)
+        if iso is not None:
+            out.append(iso)
+            break
+    return [iso for i, iso in enumerate(out)
+            if not isinstance(iso, FunctorIso) or not any(
+                isinstance(o, FunctorIso) and (o.phi, o.alphas) == (iso.phi, iso.alphas)
+                for o in out[:i])]
+
+
+def test_atom_path_matches_the_member_loops():
+    """Each witness the deciders report on these pairs gets the member-wise
+    description functor report field for field.  So do its rotations and the
+    first variable renaming's witness, on pairs without operations, where
+    the member loops stay fast.  An identity family whose pullbacks are not
+    definable raises the same error.  Every candidate alpha gets the
+    member-wise verdict on every naturality square, accepted, rejected or
+    raising."""
+    witnesses = renamed = failing = raised = 0
+    square_outcomes = set()
+    for label, m1, m2, n_max, depth in decider_pairs():
+        kb1, kb2 = KnowledgeBase(m1, n_max), KnowledgeBase(m2, n_max)
+        sizes = range(1, n_max + 1)
+        phis = enumerate_automorphisms(m1.sig, n_max)
+        isos = reported_witnesses(kb1, kb2, depth)
+        if not m1.sig.ops:
+            renaming = next(phi for phi in phis if phi.var_images)
+            isos.append(outcome(find_functor_iso, kb1, kb2, renaming, depth))
+        if m1 is m2 and not any(isinstance(iso, FunctorIso) for iso in isos):
+            identity = {n: {m: m for m in kb1.description(n).lattice.algebra.masks}
+                        for n in sizes}
+            isos.append(FunctorIso(phis[0], depth, identity, kb1, kb2))
+        for iso in isos:
+            if not isinstance(iso, FunctorIso):
+                continue
+            assert _is_boolean(iso), label
+            witnesses += 1
+            renamed += bool(iso.phi.var_images)
+            variants = [iso] + ([rotated(iso, n) for n in sizes] if not m1.sig.ops else [])
+            for variant in variants:
+                report = outcome(build_description_iso, variant)
+                assert report == outcome(memberwise_description_iso, variant), label
+                raised += isinstance(report, str)
+                failing += not isinstance(report, str) and not report.passed
+
+        for phi in phis:
+            candidates = {}
+            for n in sizes:
+                lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
+                constraints = _atom_constraints(kb1, kb2, phi, n, depth)
+                if len(lat1) != len(lat2) or constraints is None:
+                    break
+                candidates[n] = list(_candidate_alphas(lat1, lat2, constraints))
+            for a, b in itertools.product(candidates, repeat=2):
+                for alpha_a, alpha_b in itertools.product(candidates[a], candidates[b]):
+                    if a == b and alpha_a is not alpha_b:
+                        continue
+                    args = ({a: alpha_a, b: alpha_b}, phi, kb1, kb2, depth, a, b)
+                    result = outcome(_squares_commute, *args)
+                    assert result == outcome(memberwise_squares_commute, *args), label
+                    square_outcomes.add(result if isinstance(result, bool) else "raised")
+    assert witnesses > 0 and renamed > 0 and failing > 0 and raised > 0
+    assert square_outcomes == {True, False, "raised"}
