@@ -44,7 +44,7 @@ from .lattice import (
     generate_definable_algebra,
     lattice_profile,
 )
-from .semantics import PointSet, enumerate_points, satisfying_points
+from .semantics import Geometry, PointSet, satisfying_points
 from .categories import Report, check_duality, verify_push_functoriality
 from .equivalence import (
     EquivReport,
@@ -410,11 +410,9 @@ def _apply_config(args, config: RunConfig) -> RunConfig:
 def _run_eval(args, config: RunConfig) -> tuple[int, str]:
     model = load_model(args.model)
     varset = parse_var_list(args.vars)
-    try:
-        f = parse_formula(args.formula, FormulaContext(model.sig, varset))
-        points = satisfying_points(f, model, varset, config.max_points)
-    except (ParseError, SignatureError, MismatchError, BoundError) as exc:
-        raise DataError(str(exc)) from None
+    f = parse_formula(args.formula, FormulaContext(model.sig, varset))
+    points = satisfying_points(f, model, varset,
+                               geometry=Geometry(model, config.max_points))
     lines = [
         f"formula: {formula_to_text(f)}",
         f"vars: {', '.join(varset.names)}",
@@ -427,14 +425,11 @@ def _run_eval(args, config: RunConfig) -> tuple[int, str]:
 def _run_closure(args, config: RunConfig) -> tuple[int, str]:
     model = load_model(args.model)
     varset = parse_var_list(args.vars)
-    try:
-        space = enumerate_points(model, varset, config.max_points)
-        pset = PointSet.of_rows(space, parse_point_rows(args.points))
-        algebra = generate_definable_algebra(model, varset, config.max_term_depth,
-                                             config.max_points)
-        closed = closure(pset, algebra)
-    except (MismatchError, BoundError) as exc:
-        raise DataError(str(exc)) from None
+    geometry = Geometry(model, config.max_points)
+    pset = PointSet.of_rows(geometry.space(varset), parse_point_rows(args.points))
+    algebra = generate_definable_algebra(model, varset, config.max_term_depth,
+                                         geometry=geometry)
+    closed = closure(pset, algebra)
     lines = [
         f"vars: {', '.join(varset.names)}",
         f"input: {pset}",
@@ -449,11 +444,8 @@ def _run_closure(args, config: RunConfig) -> tuple[int, str]:
 def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
     model = load_model(args.model)
     varset = parse_var_list(args.vars)
-    try:
-        lattice = build_filter_lattice(model, varset, config.max_term_depth,
-                                       config.max_points)
-    except BoundError as exc:
-        raise DataError(str(exc)) from None
+    lattice = build_filter_lattice(model, varset, config.max_term_depth,
+                                   geometry=Geometry(model, config.max_points))
     size, height, degrees = lattice_profile(lattice)
     lines = [
         f"vars: {', '.join(varset.names)}",
@@ -470,21 +462,15 @@ def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
 
 def _run_duality(args, config: RunConfig) -> tuple[int, str]:
     model = load_model(args.model)
-    try:
-        report = check_duality(model, config.n_max, args.depth,
-                               config.max_term_depth, config.max_points)
-    except BoundError as exc:
-        raise DataError(str(exc)) from None
+    report = check_duality(model, config.n_max, args.depth,
+                           config.max_term_depth, config.max_points)
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
 
 
 def _run_functor(args, config: RunConfig) -> tuple[int, str]:
     model = load_model(args.model)
-    try:
-        report = verify_push_functoriality(model, config.depth, config.n_max,
-                                           config.max_term_depth, config.max_points)
-    except BoundError as exc:
-        raise DataError(str(exc)) from None
+    report = verify_push_functoriality(model, config.depth, config.n_max,
+                                       config.max_term_depth, config.max_points)
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
 
 
@@ -494,29 +480,21 @@ def _run_equiv(args, config: RunConfig) -> tuple[int, str]:
     if args.mode == "iso":
         if args.phi is not None:
             raise UsageError("--phi applies to modes lae and info only")
-        try:
-            report = check_isomorphic(model1, model2)
-        except MismatchError as exc:
-            raise DataError(str(exc)) from None
+        report = check_isomorphic(model1, model2)
         return report.exit_code, write_report(report, config.fmt)
     phis = None
     if args.phi is not None:
         phis = [parse_phi_spec(args.phi, model1.sig, config.n_max)]
-    try:
-        if args.mode == "lae" or phis is not None:
-            report = check_automorphic_equivalence(
-                model1, model2, phis, config.n_max, config.depth,
-                config.max_term_depth, config.max_points)
-            if args.mode == "info":
-                report = replace(report, mode="informational")
-        else:
-            report = check_informational_equivalence(
-                model1, model2, config.n_max, config.depth,
-                config.max_term_depth, config.max_points)
-    except MismatchError as exc:
-        raise DataError(str(exc)) from None
-    except BoundError as exc:
-        raise DataError(str(exc)) from None
+    if args.mode == "lae" or phis is not None:
+        report = check_automorphic_equivalence(
+            model1, model2, phis, config.n_max, config.depth,
+            config.max_term_depth, config.max_points)
+        if args.mode == "info":
+            report = replace(report, mode="informational")
+    else:
+        report = check_informational_equivalence(
+            model1, model2, config.n_max, config.depth,
+            config.max_term_depth, config.max_points)
     return report.exit_code, write_report(report, config.fmt)
 
 
@@ -541,9 +519,8 @@ def run_command(argv, config: Optional[RunConfig] = None) -> tuple[int, str]:
         return _RUNNERS[args.command](args, config)
     except UsageError as exc:
         return EXIT_USAGE, f"usage error: {exc}"
-    except DataError as exc:
-        return EXIT_DATA, f"error: {exc}"
-    except DefinabilityError as exc:
+    except (DataError, DefinabilityError, BoundError, MismatchError, ParseError,
+            SignatureError) as exc:
         return EXIT_DATA, f"error: {exc}"
 
 

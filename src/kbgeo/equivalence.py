@@ -16,9 +16,13 @@ A decision builds one `KnowledgeBase` per model, so each lattice is built
 once, and passes the pair to `find_functor_iso` (once per candidate
 automorphism) or `transport_model_iso`; the witness they return carries the
 pair on to `verify_admissibility_transfer` and `build_description_iso`.
-The naturality squares and the description functor are checked on the
-lattices' atoms, since every map they compare preserves unions; a witness
-whose alphas are not Boolean isomorphisms is checked member by member.
+Each alpha is fixed by its atom images, which the lattice layer's
+`_union_table` extends to a member table: a candidate sends the atoms along
+a block bijection, and a carrier map relabels the points of each atom.  The
+same extension decides whether a given alpha is a Boolean isomorphism.  The
+naturality squares and the description functor are checked on the lattices'
+atoms, since every map they compare preserves unions; a witness whose alphas
+are not Boolean isomorphisms is checked member by member.
 """
 
 from __future__ import annotations
@@ -39,11 +43,10 @@ from .core import (
     canonical_varset,
     compose_subst,
     enumerate_substitutions,
-    enumerate_terms,
     model_isomorphisms,
 )
-from .formulas import Atom, Equal, Formula
-from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError
+from .formulas import Atom, Equal, Formula, atomic_formulas
+from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError, _union_table
 from .categories import (
     AdmissibilityError,
     KnowledgeBase,
@@ -231,20 +234,9 @@ def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomo
     the automorphism's action on atomic formulas, or None when they already
     clash.
     """
-    sig = kb1.model.sig
-    varset = canonical_varset(n)
-    terms = enumerate_terms(sig, varset, depth)
-    atoms: list[Formula] = []
-    for rel, arity in sig.rels:
-        for combo in itertools.product(terms, repeat=arity):
-            atoms.append(Atom(rel, combo))
-    if sig.with_equality:
-        for left in terms:
-            for right in terms:
-                atoms.append(Equal(left, right))
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
-    for atom in atoms:
+    for atom in atomic_formulas(kb1.model.sig, canonical_varset(n), depth):
         mask1 = kb1.atom_mask(atom, n)
         mask2 = kb2.atom_mask(phi.map_formula(atom, n), n)
         if forward.get(mask1, mask2) != mask2 or backward.get(mask2, mask1) != mask1:
@@ -273,20 +265,11 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
     keys = sorted(classes1)
     if any(len(classes1[k]) != len(classes2[k]) for k in keys):
         return
-    member_masks = lat1.algebra.masks
     for choice in itertools.product(*(itertools.permutations(classes2[k]) for k in keys)):
         block_map: dict[int, int] = {}
         for key, images in zip(keys, choice):
-            for b, c in zip(classes1[key], images):
-                block_map[b] = c
-        alpha: dict[int, int] = {}
-        for mask in member_masks:
-            image = 0
-            for b, c in block_map.items():
-                if b & mask == b:
-                    image |= c
-            alpha[mask] = image
-        yield alpha
+            block_map.update(zip(classes1[key], images))
+        yield _union_table(blocks1, [block_map[b] for b in blocks1])
 
 
 def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism,
@@ -383,7 +366,15 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
                         depth: int = 2) -> FunctorIso:
     """Turn a carrier isomorphism between the two knowledge bases' models into
     the induced lattice-family bijection, with the identity automorphism, and
-    verify its defining conditions."""
+    verify its defining conditions.
+
+    Only the points of the atoms are relabelled; each member goes to the
+    union of its atoms' images.  The map acts pointwise, so a member's image
+    is a member when each of its atoms' images is one, since the target
+    algebra is closed under union.  Members ascend, so the first member whose
+    image is missing has an atom whose image is missing and is no larger:
+    it is that atom, the first such atom, and the error names the same mask
+    a member loop would."""
     if mmap.source != kb1.model or mmap.target != kb2.model:
         raise MismatchError("the carrier map does not run between the knowledge bases' models")
     if kb1.n_max != kb2.n_max:
@@ -393,21 +384,19 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     for n in range(1, n_max + 1):
         algebra1 = kb1.description(n).lattice.algebra
         algebra2 = kb2.description(n).lattice.algebra
-        table: dict[int, int] = {}
-        for mask in algebra1.masks:
-            image = 0
-            rest = mask
+        rows, index_of = algebra1.space.value_rows, algebra2.space.index_of
+        images = []
+        for atom in algebra1.block_masks():
+            image, rest = 0, atom
             while rest:
                 low = rest & -rest
-                idx = low.bit_length() - 1
                 rest ^= low
-                image |= 1 << algebra2.space.index_of(
-                    mmap.apply_values(algebra1.space.value_rows[idx]))
+                image |= 1 << index_of(mmap.apply_values(rows[low.bit_length() - 1]))
             if not algebra2.contains_mask(image):
                 raise DefinabilityError(
                     f"relabeled member {image:#x} is missing over size {n}")
-            table[mask] = image
-        alphas[n] = table
+            images.append(image)
+        alphas[n] = _union_table(algebra1.block_masks(), images)
     phi = FormulaAutomorphism.identity(kb1.model.sig)
     for n in range(1, n_max + 1):
         constraints = _atom_constraints(kb1, kb2, phi, n, depth)
@@ -461,34 +450,18 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
 
 
 def _is_boolean(iso: FunctorIso) -> bool:
-    """Whether every alpha is a Boolean isomorphism: a bijection between the
-    members that sends the atoms onto the atoms and each member to the union
-    of its atoms' images.  Members ascend, so each is checked against a
-    smaller one: itself without the atom holding its lowest point."""
+    """Whether every alpha is a Boolean isomorphism: its atom images are a
+    permutation of the target's atoms, and it sends each member to the union
+    of its atoms' images."""
     for n in range(1, iso.n_max + 1):
         alpha = iso.alphas.get(n)
-        algebra1 = iso.kb1.description(n).lattice.algebra
-        algebra2 = iso.kb2.description(n).lattice.algebra
-        if (alpha is None or sorted(alpha) != list(algebra1.masks)
-                or sorted(alpha.values()) != list(algebra2.masks)
-                or sorted(alpha[x] for x in algebra1.block_masks())
-                != list(algebra2.block_masks())):
+        atoms1 = iso.kb1.description(n).lattice.algebra.block_masks()
+        atoms2 = iso.kb2.description(n).lattice.algebra.block_masks()
+        if alpha is None or not set(atoms1) <= alpha.keys():
             return False
-        atom_of: dict[int, int] = {}
-        for atom in algebra1.block_masks():
-            rest = atom
-            while rest:
-                low = rest & -rest
-                atom_of[low] = atom
-                rest ^= low
-        for mask in algebra1.masks:
-            if mask == 0:
-                if alpha[0] != 0:
-                    return False
-                continue
-            atom = atom_of[mask & -mask]
-            if alpha[mask] != alpha[mask ^ atom] | alpha[atom]:
-                return False
+        images = [alpha[atom] for atom in atoms1]
+        if sorted(images) != list(atoms2) or alpha != _union_table(atoms1, images):
+            return False
     return True
 
 

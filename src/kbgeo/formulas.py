@@ -25,6 +25,7 @@ from .core import (
     VarSet,
     check_term,
     compose_subst,
+    enumerate_terms,
     parse_term_stream,
     term_to_text,
     term_vars,
@@ -141,15 +142,13 @@ def _prec(f: Formula) -> int:
 
 
 def formula_to_text(f: Formula) -> str:
-    return _render(f, 0)
+    return _render(f, 0, {})
 
 
-def _render(f: Formula, min_prec: int, memo: Optional[dict] = None) -> str:
-    """The text of `f` where the context binds at `min_prec`.  With `memo`, a
-    dict from (node identity, min_prec) to text whose keyed nodes its owner
-    keeps alive, a subformula shared between calls is rendered once."""
-    if memo is None:
-        return _render_node(f, min_prec, None)
+def _render(f: Formula, min_prec: int, memo: dict) -> str:
+    """The text of `f` where the context binds at `min_prec`.  `memo` maps
+    (node identity, min_prec) to text, and its owner keeps the keyed nodes
+    alive, so a subformula shared within or between calls is rendered once."""
     key = (id(f), min_prec)
     text = memo.get(key)
     if text is None:
@@ -157,7 +156,7 @@ def _render(f: Formula, min_prec: int, memo: Optional[dict] = None) -> str:
     return text
 
 
-def _render_node(f: Formula, min_prec: int, memo: Optional[dict]) -> str:
+def _render_node(f: Formula, min_prec: int, memo: dict) -> str:
     prec = _prec(f)
     if isinstance(f, TrueF):
         text = "true"
@@ -333,17 +332,17 @@ def free_vars(f: Formula) -> frozenset[str]:
 def check_formula(f: Formula, ctx: FormulaContext, _checked: Optional[set] = None) -> None:
     """Validate relation symbols, arities, terms, and binder scoping."""
     if _checked is None:
-        _check_node(f, ctx, None)
-    elif id(f) not in _checked:
+        _checked = set()
+    if id(f) not in _checked:
         _check_node(f, ctx, _checked)
         _checked.add(id(f))
 
 
-def _check_node(f: Formula, ctx: FormulaContext, checked: Optional[set]) -> None:
-    """check_formula on one node.  `checked`, when given, holds the identities
-    of the nodes already validated in ctx, which its owner keeps alive: they
-    are skipped, and a node joins once it passes.  A substitution body lives
-    over another context, so it starts a set of its own."""
+def _check_node(f: Formula, ctx: FormulaContext, checked: set) -> None:
+    """check_formula on one node.  `checked` holds the identities of the nodes
+    already validated in ctx, which its owner keeps alive: they are skipped,
+    and a node joins once it passes.  A substitution body lives over another
+    context, so it starts a set of its own."""
     if isinstance(f, (TrueF, FalseF)):
         return
     if isinstance(f, Atom):
@@ -379,8 +378,7 @@ def _check_node(f: Formula, ctx: FormulaContext, checked: Optional[set]) -> None
                 f"substitution targets {f.subst.target}, context is over {ctx.varset}")
         for t in f.subst.images:
             check_term(t, ctx.sig, ctx.varset)
-        check_formula(f.body, FormulaContext(ctx.sig, f.subst.source),
-                      None if checked is None else set())
+        check_formula(f.body, FormulaContext(ctx.sig, f.subst.source), set())
         return
     raise SignatureError(f"not a formula: {f!r}")
 
@@ -435,20 +433,24 @@ def _push_subst(subst: Substitution, f: Formula) -> Formula:
     raise SignatureError(f"not a formula: {f!r}")
 
 
+def atomic_formulas(sig: Signature, varset: VarSet, max_term_depth: int) -> list[Formula]:
+    """The atomic formulas over terms of depth at most max_term_depth: every
+    relation atom, then every equality when the signature has equality."""
+    terms = enumerate_terms(sig, varset, max_term_depth)
+    out: list[Formula] = [Atom(rel, combo) for rel, arity in sig.rels
+                          for combo in itertools.product(terms, repeat=arity)]
+    if sig.with_equality:
+        out += [Equal(left, right) for left in terms for right in terms]
+    return out
+
+
 def enumerate_formulas(ctx: FormulaContext, max_depth: int,
                        max_term_depth: int = 1) -> Iterator[Formula]:
     """Yield formulas by connective depth: first the atomic layer, then each
     depth adds negations, binary connectives, and quantifiers.  The stream is
     deterministic; consumers bound it by slicing."""
-    terms = _bounded_terms(ctx, max_term_depth)
-    layer: list[Formula] = [TRUE, FALSE]
-    for rel, arity in ctx.sig.rels:
-        for combo in itertools.product(terms, repeat=arity):
-            layer.append(Atom(rel, combo))
-    if ctx.sig.with_equality:
-        for left in terms:
-            for right in terms:
-                layer.append(Equal(left, right))
+    layer: list[Formula] = [TRUE, FALSE] + atomic_formulas(ctx.sig, ctx.varset,
+                                                           max_term_depth)
     yield from layer
     everything = list(layer)
     for _ in range(max_depth):
@@ -466,9 +468,3 @@ def enumerate_formulas(ctx: FormulaContext, max_depth: int,
         yield from new_layer
         everything.extend(new_layer)
         layer = new_layer
-
-
-def _bounded_terms(ctx: FormulaContext, max_term_depth: int) -> list[Term]:
-    from .core import enumerate_terms
-
-    return enumerate_terms(ctx.sig, ctx.varset, max_term_depth)

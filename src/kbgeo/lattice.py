@@ -5,13 +5,18 @@ all atomic formulas (relation atoms over term-definable argument tuples, plus
 equalities between them when the signature has equality) under complement,
 intersection, union, and one-variable projection.  It is a finite Boolean
 algebra, so it is built from its atoms, found by partition refinement: the
-members are the unions of atoms.  Every member carries a witness formula that
-evaluates exactly to its point set.  The witnesses come from the split tree,
-so members share subformulas: one algebra's witnesses form a formula DAG.  A
-build checks and values its members through one memo keyed on node identity,
-so each shared node is checked and valued once per build, and `dump_lines`
-renders each shared node once per call.  Both memos are locals of that build
-or call.
+members are the unions of atoms.  A map that preserves unions is fixed by its
+atom images, and `_union_table` extends those images to every member; the
+member list, the equivalence layer's lattice bijections and its Boolean check
+all come from it.  A build takes its point bound from the model's geometry
+alone.
+
+Every member carries a witness formula that evaluates exactly to its point
+set.  The witnesses come from the split tree, so members share subformulas:
+one algebra's witnesses form a formula DAG.  A build checks and values its
+members through one memo keyed on node identity, so each shared node is
+checked and valued once per build, and `dump_lines` renders each shared node
+once per call.  Both memos are locals of that build or call.
 
 A closed filter is represented by its dual definable set: the filter of all
 formulas true on that set.  Smaller filters correspond to larger point sets,
@@ -21,9 +26,9 @@ so the lattice order here is reverse inclusion of duals.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .core import DEFAULT_MAX_POINTS, MismatchError, Model, Substitution, VarSet, term_functions
+from .core import MismatchError, Model, Substitution, VarSet, term_functions
 from .formulas import (
     And,
     Atom,
@@ -168,9 +173,19 @@ def _select(cut: Formula, when: Formula, otherwise: Formula) -> Formula:
     return Or(And(cut, when), And(Not(cut), otherwise))
 
 
+def _union_table(atoms: Sequence[int], images: Sequence[int]) -> dict[int, int]:
+    """The map that preserves unions and sends each atom to its image: a table
+    from every union of the atoms to the union of their images.  Atoms are
+    disjoint, so with atoms ascending each one exceeds every union of those
+    before it, and the table's keys ascend."""
+    table = {0: 0}
+    for atom, image in zip(atoms, images):
+        table.update([(mask | atom, value | image) for mask, value in table.items()])
+    return table
+
+
 def generate_definable_algebra(model: Model, varset: VarSet,
-                               max_term_depth: Optional[int] = None,
-                               max_points: int = DEFAULT_MAX_POINTS,
+                               max_term_depth: Optional[int] = None, *,
                                geometry: Optional[Geometry] = None) -> DefinableAlgebra:
     """Generate the definable algebra from its atoms, found by partition
     refinement.
@@ -184,11 +199,11 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     and projection.  The members are all unions of atoms, each witnessed by
     its choices at the splits that made the atoms.
 
-    The space comes from `geometry`, the model's geometry, when one is given;
-    otherwise from a fresh one bounded by max_points.
+    The space comes from `geometry`, the model's geometry, which holds the
+    point bound; without one, from a fresh geometry under the default bound.
     """
     if geometry is None:
-        geometry = Geometry(model, max_points)
+        geometry = Geometry(model)
     elif geometry.model != model:
         raise MismatchError("geometry belongs to another model")
     space = geometry.space(varset)
@@ -247,15 +262,12 @@ def generate_definable_algebra(model: Model, varset: VarSet,
             pending += split(_exists_mask(block, space, var), Exists(var, witness(block)))
 
     atoms = tuple(sorted(blocks))
-    masks = [0]
-    for atom in atoms:
-        masks += [mask | atom for mask in masks]
     # Every member's witness is checked and valued through one memo: the
     # witnesses share their split-tree subformulas, and the members and the
     # witness memo keep every node alive until the build returns.
     valuation = _Valuation()
     members = tuple(DefinableSet(PointSet(space, m), witness(m), valuation)
-                    for m in sorted(masks))
+                    for m in _union_table(atoms, atoms))
     return DefinableAlgebra(model, varset, space, atoms, members, clone.saturated)
 
 
@@ -378,11 +390,10 @@ class FilterLattice:
 
 
 def build_filter_lattice(model: Model, varset: VarSet,
-                         max_term_depth: Optional[int] = None,
-                         max_points: int = DEFAULT_MAX_POINTS,
+                         max_term_depth: Optional[int] = None, *,
                          geometry: Optional[Geometry] = None) -> FilterLattice:
     return FilterLattice(generate_definable_algebra(model, varset, max_term_depth,
-                                                    max_points, geometry))
+                                                    geometry=geometry))
 
 
 def filter_preimage(subst: Substitution, filt: ClosedFilter,

@@ -348,9 +348,10 @@ def _exists_mask(mask: int, space: PointSpace, var: str) -> int:
 
 class _Valuation:
     """The formula nodes checked and valued over one space, keyed on node
-    identity: one build's memo, so that witnesses sharing subformulas have
-    each shared node checked and valued once.  Its owner keeps every keyed
-    node alive while it uses the memo, so no identity is reused."""
+    identity: one call's or one build's memo, so that witnesses sharing
+    subformulas have each shared node checked and valued once.  Its owner
+    keeps every keyed node alive while it uses the memo, so no identity is
+    reused."""
 
     __slots__ = ("checked", "masks")
 
@@ -359,20 +360,18 @@ class _Valuation:
         self.masks: dict[int, int] = {}
 
 
-def _formula_mask(f: Formula, space: PointSpace, memo: Optional[dict] = None) -> int:
+def _formula_mask(f: Formula, space: PointSpace, memo: dict) -> int:
     """Recursive valuation over one space; substitution nodes are evaluated
-    over the space's geometry and pulled back into the space.  With `memo`,
-    a `_Valuation.masks` of this space, a node valued before is answered from
+    over the space's geometry and pulled back into the space.  `memo` is a
+    `_Valuation.masks` of this space: a node valued before is answered from
     it."""
-    if memo is None:
-        return _node_mask(f, space, None)
     out = memo.get(id(f))
     if out is None:
         out = memo[id(f)] = _node_mask(f, space, memo)
     return out
 
 
-def _node_mask(f: Formula, space: PointSpace, memo: Optional[dict]) -> int:
+def _node_mask(f: Formula, space: PointSpace, memo: dict) -> int:
     if isinstance(f, TrueF):
         return space.full_mask
     if isinstance(f, FalseF):
@@ -409,36 +408,36 @@ def _node_mask(f: Formula, space: PointSpace, memo: Optional[dict]) -> int:
         return space.full_mask & ~_exists_mask(inner, space, f.var)
     if isinstance(f, SubstNode):
         geometry = space.geometry
-        inner = _formula_mask(f.body, geometry.space(f.subst.source),
-                              None if memo is None else {})
+        inner = _formula_mask(f.body, geometry.space(f.subst.source), {})
         return geometry.preimage(f.subst, inner)
     raise MismatchError(f"not a formula: {f!r}")
 
 
-def satisfying_points(f: Formula, model: Model, varset: VarSet,
-                      max_points: int = DEFAULT_MAX_POINTS,
+def satisfying_points(f: Formula, model: Model, varset: VarSet, *,
                       geometry: Optional[Geometry] = None,
                       _valuation: Optional[_Valuation] = None) -> PointSet:
     """The set of assignments over varset at which the formula holds.
 
-    The space comes from `geometry`, the model's geometry, when one is given;
-    otherwise from a fresh one bounded by max_points.
+    The space comes from `geometry`, the model's geometry, which holds the
+    point bound; without one, from a fresh geometry under the default bound.
+    Without `_valuation` the formula is checked and valued through a fresh
+    memo, so from scratch.
     """
-    check_formula(f, FormulaContext(model.sig, varset),
-                  None if _valuation is None else _valuation.checked)
+    if _valuation is None:
+        _valuation = _Valuation()
+    check_formula(f, FormulaContext(model.sig, varset), _valuation.checked)
     if geometry is None:
-        geometry = Geometry(model, max_points)
+        geometry = Geometry(model)
     elif geometry.model != model:
         raise MismatchError("geometry belongs to another model")
     space = geometry.space(varset)
-    return PointSet(space, _formula_mask(f, space,
-                                         None if _valuation is None else _valuation.masks))
+    return PointSet(space, _formula_mask(f, space, _valuation.masks))
 
 
 def holds_at(point: Point, f: Formula, model: Model,
              max_points: int = DEFAULT_MAX_POINTS) -> bool:
     """Truth of the formula at one assignment."""
-    sat = satisfying_points(f, model, point.varset, max_points)
+    sat = satisfying_points(f, model, point.varset, geometry=Geometry(model, max_points))
     return sat.contains_values(point.values)
 
 

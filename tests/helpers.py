@@ -8,10 +8,11 @@ from an all-triples cover search, and substitutions act on masks through
 assignments composed term by term.  Agreement between the two
 implementations is what the lattice, semantics and acceptance tests check.
 
-The member-wise oracles at the end are the witness checks of the
-equivalence deciders as they were before they ran on atoms: every
-description morphism is a `DescMorphism` over all lattice members, and
-every naturality square is checked on every member.
+The member-wise oracles at the end are the equivalence deciders' loops as
+they were before they ran on atoms: every description morphism is a
+`DescMorphism` over all lattice members, every naturality square is checked
+on every member, and the alphas, their Boolean check and the carrier
+transport walk every member point by point instead of extending atom images.
 """
 
 import itertools
@@ -19,6 +20,7 @@ import random
 
 from kbgeo import (
     AdmissibilityError,
+    DefinabilityError,
     DescMorphism,
     KnowledgeBase,
     Model,
@@ -362,5 +364,86 @@ def memberwise_squares_commute(alphas, phi, kb1, kb2, depth: int,
             if push1 not in alpha_b:
                 raise UndefinablePullbackError(subst, mask, push1)
             if alpha_b[push1] != kb2.geometry.preimage(mapped, alpha_a[mask]):
+                return False
+    return True
+
+
+def memberwise_candidate_alphas(lat1, lat2, constraints):
+    """`_candidate_alphas` with each member's image summed over the blocks
+    inside it."""
+    blocks1 = lat1.algebra.block_masks()
+    blocks2 = lat2.algebra.block_masks()
+    sig1 = {b: tuple(b & ~a == 0 for a, _ in constraints) for b in blocks1}
+    sig2 = {b: tuple(b & ~a == 0 for _, a in constraints) for b in blocks2}
+    classes1, classes2 = {}, {}
+    for b in blocks1:
+        classes1.setdefault(sig1[b], []).append(b)
+    for b in blocks2:
+        classes2.setdefault(sig2[b], []).append(b)
+    if sorted(classes1) != sorted(classes2):
+        return
+    keys = sorted(classes1)
+    if any(len(classes1[k]) != len(classes2[k]) for k in keys):
+        return
+    for choice in itertools.product(*(itertools.permutations(classes2[k]) for k in keys)):
+        block_map = {}
+        for key, images in zip(keys, choice):
+            for b, c in zip(classes1[key], images):
+                block_map[b] = c
+        alpha = {}
+        for mask in lat1.algebra.masks:
+            image = 0
+            for b, c in block_map.items():
+                if b & mask == b:
+                    image |= c
+            alpha[mask] = image
+        yield alpha
+
+
+def memberwise_transport_tables(mmap, kb1, kb2) -> dict:
+    """The alphas of `transport_model_iso` before its checks, with every
+    point of every member relabelled."""
+    alphas = {}
+    for n in range(1, kb1.n_max + 1):
+        algebra1 = kb1.description(n).lattice.algebra
+        algebra2 = kb2.description(n).lattice.algebra
+        table = {}
+        for mask in algebra1.masks:
+            image = 0
+            for idx in range(algebra1.space.size):
+                if mask >> idx & 1:
+                    image |= 1 << algebra2.space.index_of(
+                        mmap.apply_values(algebra1.space.value_rows[idx]))
+            if not algebra2.contains_mask(image):
+                raise DefinabilityError(f"relabeled member {image:#x} is missing over size {n}")
+            table[mask] = image
+        alphas[n] = table
+    return alphas
+
+
+def memberwise_is_boolean(iso) -> bool:
+    """`_is_boolean` by induction over the members: each is checked against
+    itself without the atom holding its lowest point."""
+    for n in range(1, iso.n_max + 1):
+        alpha = iso.alphas.get(n)
+        algebra1 = iso.kb1.description(n).lattice.algebra
+        algebra2 = iso.kb2.description(n).lattice.algebra
+        if (alpha is None or sorted(alpha) != list(algebra1.masks)
+                or sorted(alpha.values()) != list(algebra2.masks)
+                or sorted(alpha[x] for x in algebra1.block_masks())
+                != list(algebra2.block_masks())):
+            return False
+        atom_of = {}
+        for atom in algebra1.block_masks():
+            for idx in range(algebra1.space.size):
+                if atom >> idx & 1:
+                    atom_of[1 << idx] = atom
+        for mask in algebra1.masks:
+            if mask == 0:
+                if alpha[0] != 0:
+                    return False
+                continue
+            atom = atom_of[mask & -mask]
+            if alpha[mask] != alpha[mask ^ atom] | alpha[atom]:
                 return False
     return True

@@ -7,6 +7,7 @@ from kbgeo import (
     BoundError,
     DescMorphism,
     DescriptionObject,
+    Geometry,
     KnowledgeBase,
     MismatchError,
     Report,
@@ -241,7 +242,7 @@ def test_sweeps_report_undefinable_pullbacks(name, model):
 def test_filter_transport_honours_the_lattice_bound():
     m = model_p()
     one, two = canonical_varset(1), canonical_varset(2)
-    narrow = build_filter_lattice(m, one, max_points=2)
+    narrow = build_filter_lattice(m, one, geometry=Geometry(m, 2))
     wide = build_filter_lattice(m, two)
     down = Substitution.of(two, one, {"x1": parse_term("x1", m.sig, one),
                                        "x2": parse_term("x1", m.sig, one)})

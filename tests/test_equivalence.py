@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import re
 
 import pytest
 
@@ -10,8 +11,10 @@ from kbgeo import (
     Atom,
     FormulaAutomorphism,
     FunctorIso,
+    DefinabilityError,
     KnowledgeBase,
     MismatchError,
+    Model,
     ModelMap,
     Signature,
     SignatureError,
@@ -44,8 +47,11 @@ from kbgeo.equivalence import (
 from kbgeo.lattice import UndefinablePullbackError
 from helpers import (
     all_fixtures,
+    memberwise_candidate_alphas,
     memberwise_description_iso,
+    memberwise_is_boolean,
     memberwise_squares_commute,
+    memberwise_transport_tables,
     model_eq,
     model_neg,
     model_p,
@@ -471,3 +477,91 @@ def test_atom_path_matches_the_member_loops():
                     square_outcomes.add(result if isinstance(result, bool) else "raised")
     assert witnesses > 0 and renamed > 0 and failing > 0 and raised > 0
     assert square_outcomes == {True, False, "raised"}
+
+
+def corrupted(iso: FunctorIso, n: int) -> list:
+    """The witness with the images of its first and last members over size n
+    swapped, with its second member sent where its first goes, and without
+    size n."""
+    table = iso.alphas[n]
+    masks = sorted(table)
+    swapped = {**table, masks[0]: table[masks[-1]], masks[-1]: table[masks[0]]}
+    merged = {**table, masks[1]: table[masks[0]]}
+    missing = {size: alpha for size, alpha in iso.alphas.items() if size != n}
+    return [dataclasses.replace(iso, alphas=alphas)
+            for alphas in ({**iso.alphas, n: swapped}, {**iso.alphas, n: merged}, missing)]
+
+
+def items(table: dict) -> list:
+    return list(table.items())
+
+
+def test_atom_tables_match_the_member_loops():
+    """The alphas extended from atom images equal the member loops' tables,
+    key order included: every candidate of every automorphism, and the
+    carrier transport of every model isomorphism, which names the same first
+    missing member when a coarser lattice lacks one.  The Boolean check
+    agrees with the member-wise induction on the reported witnesses, their
+    rotations and their corruptions."""
+    fixtures = all_fixtures() + [("m_p_relabeled", model_p_relabeled())]
+    pairs = [(m1, m2) for (_, m1), (_, m2) in itertools.product(fixtures, repeat=2)
+             if m1.sig == m2.sig]
+    pairs += [(m1, m2) for _, m1, m2 in seeded_pairs()]
+    cycle = Model(Signature((("f", 1),), (("P", 1),), False), (0, 1, 2),
+                  {"f": {(0,): 1, (1,): 2, (2,): 0}}, {"P": [(0,)]})
+    coarse = [(KnowledgeBase(cycle, 1), KnowledgeBase(cycle, 1, max_term_depth=0))]
+    transported = missing = candidates = 0
+    booleans = set()
+    for (m1, m2), n_max in itertools.product(pairs, (1, 2)):
+        kb1, kb2 = kbs(m1, m2, n_max)
+        sizes = range(1, n_max + 1)
+        for phi in enumerate_automorphisms(m1.sig, n_max):
+            for n in sizes:
+                lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
+                constraints = _atom_constraints(kb1, kb2, phi, n, 2)
+                if constraints is None:
+                    continue
+                new = list(map(items, _candidate_alphas(lat1, lat2, constraints)))
+                assert new == list(map(items, memberwise_candidate_alphas(lat1, lat2,
+                                                                          constraints)))
+                candidates += len(new)
+        for iso in reported_witnesses(kb1, kb2, 2):
+            if isinstance(iso, FunctorIso):
+                variants = [iso] + [rotated(iso, n) for n in sizes]
+                variants += [bad for n in sizes for bad in corrupted(iso, n)]
+                for variant in variants:
+                    assert _is_boolean(variant) == memberwise_is_boolean(variant)
+                    booleans.add(_is_boolean(variant))
+        coarse.append((kb1, kb2))
+    for kb1, kb2 in coarse:
+        for mmap in model_isomorphisms(kb1.model, kb2.model):
+            try:
+                alphas = transport_model_iso(mmap, kb1, kb2, 2).alphas
+            except DefinabilityError as exc:
+                if "relabeled member" not in str(exc):
+                    continue
+                with pytest.raises(DefinabilityError, match=f"^{re.escape(str(exc))}$"):
+                    memberwise_transport_tables(mmap, kb1, kb2)
+                missing += 1
+                continue
+            oracle = memberwise_transport_tables(mmap, kb1, kb2)
+            assert {n: items(t) for n, t in alphas.items()} == \
+                {n: items(t) for n, t in oracle.items()}
+            transported += 1
+    assert transported > 0 and missing > 0 and candidates > 0
+    assert booleans == {True, False}
+
+
+def test_transport_relabels_each_point_once(monkeypatch):
+    calls = []
+    apply_values = ModelMap.apply_values
+
+    def counting(self, values):
+        calls.append(values)
+        return apply_values(self, values)
+
+    monkeypatch.setattr(ModelMap, "apply_values", counting)
+    mmap = ModelMap(model_p(), model_p_relabeled(), ("a", "b"))
+    transport_model_iso(mmap, *kbs(model_p(), model_p_relabeled()))
+    assert sorted(calls) == sorted([(a,) for a in (0, 1)]
+                                   + list(itertools.product((0, 1), repeat=2)))

@@ -5,10 +5,12 @@ import itertools
 import pytest
 
 from kbgeo import (
+    BoundError,
     DefinabilityError,
     DefinableSet,
     FilterLattice,
     FormulaContext,
+    Geometry,
     MismatchError,
     Model,
     PointSet,
@@ -26,6 +28,7 @@ from kbgeo import (
     lattice_profile,
     parse_formula,
     parse_term,
+    satisfying_points,
 )
 from kbgeo import lattice
 from kbgeo.formulas import And, Atom, Formula, Not
@@ -307,3 +310,39 @@ def test_dump_lines_are_sorted_and_witnessed():
     masks = [int(line.split()[0], 16) for line in lines]
     assert masks == sorted(masks)
     assert any("P(x1)" in line for line in lines)
+
+
+def test_union_table_matches_brute_force_or():
+    """Every union of atoms goes to the union of their images, with the keys
+    ascending: the member masks for the atoms themselves, and any images."""
+    for _, model in all_fixtures():
+        for k in (1, 2, 3):
+            algebra = generate_definable_algebra(model, canonical_varset(k))
+            atoms = algebra.block_masks()
+            for images in (atoms, atoms[1:] + atoms[:1], [3 << i for i in range(len(atoms))]):
+                brute = {}
+                for chosen in itertools.product((False, True), repeat=len(atoms)):
+                    key = value = 0
+                    for keep, atom, image in zip(chosen, atoms, images):
+                        if keep:
+                            key, value = key | atom, value | image
+                    brute[key] = value
+                table = lattice._union_table(atoms, images)
+                assert table == brute
+                assert list(table) == sorted(brute) == list(algebra.masks)
+
+
+@pytest.mark.parametrize("build", [generate_definable_algebra, build_filter_lattice,
+                                   satisfying_points], ids=lambda fn: fn.__name__)
+def test_the_geometry_is_the_only_point_bound(build):
+    m = model_p()
+    three = canonical_varset(3)
+    first = parse_formula("P(x1)", FormulaContext(m.sig, three))
+    args = (first, m, three) if build is satisfying_points else (m, three, None)
+    with pytest.raises(TypeError):
+        build(*args, max_points=4)
+    with pytest.raises(TypeError):
+        build(*args, 4)
+    with pytest.raises(BoundError, match="8 points exceed the bound 4"):
+        build(*args, geometry=Geometry(m, 4))
+    assert build(*args, geometry=Geometry(m, 8))

@@ -183,7 +183,8 @@ def test_point_bound_respected():
     m = model_eq()
     ctx = FormulaContext(m.sig, canonical_varset(4))
     with pytest.raises(BoundError):
-        satisfying_points(parse_formula("true", ctx), m, ctx.varset, max_points=8)
+        satisfying_points(parse_formula("true", ctx), m, ctx.varset,
+                          geometry=Geometry(m, 8))
 
 
 @pytest.mark.parametrize("name,model", all_fixtures() + seeded_models())
