@@ -17,9 +17,20 @@ the only bound on its transport, and each object built once.  Its two sweeps,
 `check_duality` and `verify_push_functoriality`, share spaces and tables
 across every substitution they visit, and an equivalence decision builds one
 knowledge base per model and runs its whole witness search over the pair.
-The witness check holds its description morphisms by their images on the
-atoms of their source lattices (`_HeldMorphism`), which fix a morphism that
-preserves unions.
+
+The sweeps and the witness check run on lattice atoms.  Every map they
+compare preserves unions: least description morphisms are pullbacks, least
+content morphisms are closures of images, pushes are pullbacks, and
+composites of these preserve unions too.  Such a map is fixed by its atom
+images, so the sweeps and the witness check hold morphisms by their images on
+the atoms of their sources (`_HeldMorphism`, and `_HeldContMorphism` on the
+content side).  A check passes on a member when it passes on each of the
+member's atoms, and the first member to fail is an atom, so the atom loops
+report what member loops would.  The push sweep reruns a block whose atoms
+fail over every member, which keeps its member-by-member failure lines.  The
+object-order check and the identity pushes still run member by member.
+`DescMorphism`, `ContMorphism` and their constructors stay for arbitrary
+assignments.
 """
 
 from __future__ import annotations
@@ -173,6 +184,30 @@ def _check_assignment(sources, target: FilterLattice, subst: Substitution,
                 f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
 
 
+def _check_cont_assignment(sources, geometry: Geometry, target: DefinableAlgebra,
+                           subst: Substitution, assignment: dict[int, int]) -> None:
+    """The content side of `_check_assignment`: each image is a member of
+    `target`, and the pointwise image of the argument, taken in `geometry`,
+    lies inside it."""
+    if assignment.keys() != sources:
+        raise MismatchError("assignment is not total on the source algebra")
+    for src_mask, dst_mask in assignment.items():
+        target.member(dst_mask)
+        if geometry.image(subst, src_mask) & ~dst_mask:
+            raise AdmissibilityError(
+                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+
+
+def _check_dual(subst: Substitution, assignment: dict[int, int], geometry: Geometry) -> None:
+    """Each assigned pair of a description morphism has an admissible dual:
+    the image of the assigned target dual lands in the argument's dual.  A
+    violation would contradict the duality and raises."""
+    for src_mask, dst_mask in assignment.items():
+        if geometry.image(subst, dst_mask) & ~src_mask:
+            raise AdmissibilityError(
+                f"duality broken: pair {src_mask:#x} -> {dst_mask:#x} has an inadmissible dual")
+
+
 class DescMorphism:
     """An admissible, total assignment of filters along a substitution.
 
@@ -265,14 +300,57 @@ class _HeldMorphism:
         return out
 
     def after(self, first: "_HeldMorphism", subst: Substitution) -> "_HeldMorphism":
-        """`first`, then this morphism, along their composite `subst`."""
+        """`first`, then this morphism, along their composite `subst`, checked
+        as this morphism's kind is."""
         images = {k: self.image(v) for k, v in first.images.items()}
-        return _HeldMorphism(first.source, self.target, subst, images)
+        return type(self)(first.source, self.target, subst, images)
 
     def __eq__(self, other) -> bool:
         return self.subst == other.subst and self.images == other.images
 
     __hash__ = None
+
+
+class _HeldContMorphism(_HeldMorphism):
+    """A content morphism held by its images on the generators of its source
+    algebra, against one substitution: sets over the substitution's target go
+    to sets over its source.  Construction checks the pairs as `ContMorphism`
+    does.  Closures and pointwise images preserve unions, and so do the least
+    content morphisms and their composites."""
+
+    __slots__ = ()
+
+    def __init__(self, source: _Generators, target: _Generators, subst: Substitution,
+                 images: dict[int, int]):
+        _check_cont_assignment(source.keys, source.lattice.algebra.space.geometry,
+                               target.lattice.algebra, subst, images)
+        self.source = source
+        self.target = target
+        self.subst = subst
+        self.images = images
+
+    @classmethod
+    def least(cls, source: _Generators, target: _Generators,
+              subst: Substitution) -> "_HeldContMorphism":
+        """`least_cont_morphism` on the generators: each goes to the closure
+        of its pointwise image, the union of the target atoms it meets."""
+        geometry = source.lattice.algebra.space.geometry
+        atoms = target.lattice.algebra.block_masks()
+        images = {}
+        for mask in source.masks:
+            image = geometry.image(subst, mask)
+            images[mask] = sum(atom for atom in atoms if atom & image)
+        return cls(source, target, subst, images)
+
+
+def _held_dual(morphism: _HeldMorphism) -> _HeldContMorphism:
+    """`content_morphism` on held morphisms: the least content morphism
+    against the same substitution, after checking that every held pair has
+    an admissible dual."""
+    result = _HeldContMorphism.least(morphism.target, morphism.source, morphism.subst)
+    _check_dual(morphism.subst, morphism.images,
+                morphism.target.lattice.algebra.space.geometry)
+    return result
 
 
 class ContMorphism:
@@ -285,14 +363,8 @@ class ContMorphism:
                  subst: Substitution, assignment: Mapping[int, int]):
         _check_cont_ends(subst, source, target)
         assignment = dict(assignment)
-        if assignment.keys() != source.algebra._by_mask.keys():
-            raise MismatchError("assignment is not total on the source algebra")
-        geometry = source.algebra.space.geometry
-        for src_mask, dst_mask in assignment.items():
-            target.algebra.member(dst_mask)
-            if geometry.image(subst, src_mask) & ~dst_mask:
-                raise AdmissibilityError(
-                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+        _check_cont_assignment(source.algebra._by_mask.keys(), source.algebra.space.geometry,
+                               target.algebra, subst, assignment)
         self.source = source
         self.target = target
         self.subst = subst
@@ -350,15 +422,17 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
 def _least_images(masks, target: FilterLattice, subst: Substitution) -> dict[int, int]:
     """Each dual mask's full pullback along the substitution, in order; the
     first pullback that is not a dual of `target` raises."""
-    algebra = target.algebra
-    geometry = algebra.space.geometry
-    images = {}
-    for mask in masks:
-        preimage = geometry.preimage(subst, mask)
-        if not algebra.contains_mask(preimage):
-            raise UndefinablePullbackError(subst, mask, preimage)
-        images[mask] = preimage
-    return images
+    return {mask: _pullback(subst, mask, target.algebra) for mask in masks}
+
+
+def _pullback(subst: Substitution, mask: int, target: DefinableAlgebra) -> int:
+    """The pullback of a dual mask along the substitution, which must be a
+    member of `target`, the algebra over the substitution's target; the dual
+    of the filter `push_filter` returns."""
+    pullback = target.space.geometry.preimage(subst, mask)
+    if not target.contains_mask(pullback):
+        raise UndefinablePullbackError(subst, mask, pullback)
+    return pullback
 
 
 def least_cont_morphism(source: ContentObject, target: ContentObject,
@@ -389,11 +463,7 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
     source_obj = content_of(morphism.target)
     target_obj = content_of(morphism.source)
     result = least_cont_morphism(source_obj, target_obj, morphism.subst)
-    geometry = source_obj.algebra.space.geometry
-    for src_mask, dst_mask in morphism.assignment.items():
-        if geometry.image(morphism.subst, dst_mask) & ~src_mask:
-            raise AdmissibilityError(
-                f"duality broken: pair {src_mask:#x} -> {dst_mask:#x} has an inadmissible dual")
+    _check_dual(morphism.subst, morphism.assignment, source_obj.algebra.space.geometry)
     return result
 
 
@@ -451,7 +521,19 @@ class KnowledgeBase:
         return all([self.description(n).lattice.saturated for n in range(1, self.n_max + 1)])
 
     def check_duality(self, depth: int = 1) -> Report:
-        """The sweep of the module-level `check_duality` over these objects."""
+        """The sweep of the module-level `check_duality` over these objects.
+
+        The object check runs member by member.  Every morphism is held by
+        its images on the atoms of its source: a least description morphism
+        (`_HeldMorphism`) and its content dual (`_HeldContMorphism`), which
+        take pullbacks and closures of images, and the composites of these,
+        all preserve unions.  So two of them are equal when they agree on the
+        atoms, and each pair check (admissibility, the dual of a pair, the
+        identity) passes on a member when it passes on each of its atoms.  By
+        the argument in `build_description_iso`, the first member to fail a
+        check, or to have an undefinable pullback, is an atom, so the atom
+        loops raise and report what member loops would.
+        """
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
@@ -472,23 +554,23 @@ class KnowledgeBase:
                             f"|X|={n}: filter order and dual inclusion disagree on "
                             f"{a:#x}, {b:#x}")
 
-        morphisms: dict[tuple[int, int], list[DescMorphism]] = {}
-        duals: dict[tuple[int, int], list[ContMorphism]] = {}
+        gens = {n: _Generators(self.description(n), True) for n in range(1, n_max + 1)}
+        morphisms: dict[tuple[int, int], list[_HeldMorphism]] = {}
+        duals: dict[tuple[int, int], list[_HeldContMorphism]] = {}
         for a in range(1, n_max + 1):
             for b in range(1, n_max + 1):
-                source, target = self.description(a), self.description(b)
-                pairs: list[DescMorphism] = []
-                dual_pairs: list[ContMorphism] = []
-                for subst in enumerate_substitutions(self.model.sig, source.varset,
-                                                     target.varset, depth):
+                pairs: list[_HeldMorphism] = []
+                dual_pairs: list[_HeldContMorphism] = []
+                for subst in enumerate_substitutions(self.model.sig, canonical_varset(a),
+                                                     canonical_varset(b), depth):
                     checked += 1
                     try:
-                        morphism = least_desc_morphism(source, target, subst)
+                        morphism = _HeldMorphism.least(gens[a], gens[b], subst)
                     except UndefinablePullbackError as exc:
                         failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
                         continue
                     pairs.append(morphism)
-                    dual_pairs.append(content_morphism(morphism))
+                    dual_pairs.append(_held_dual(morphism))
                 morphisms[(a, b)] = pairs
                 duals[(a, b)] = dual_pairs
                 for i, m1 in enumerate(pairs):
@@ -499,21 +581,22 @@ class KnowledgeBase:
                                 f"duality not injective between sizes {a}->{b}")
 
         for n in range(1, n_max + 1):
-            obj = self.description(n)
-            ident = identity_desc(obj)
-            dual = content_morphism(ident)
+            dual = _held_dual(_HeldMorphism.identity(gens[n]))
             checked += 1
-            if any(dual.assignment[m] != m for m in dual.assignment):
+            if any(image != atom for atom, image in dual.images.items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
 
+        # Each composite substitution is made once per pair and interned, and
+        # both sides of the check share it.
+        intern = self.geometry.intern
         for a in range(1, n_max + 1):
             for b in range(1, n_max + 1):
                 for c in range(1, n_max + 1):
-                    for i, m1 in enumerate(morphisms[(a, b)]):
-                        for j, m2 in enumerate(morphisms[(b, c)]):
-                            composite = compose_desc(m2, m1)
-                            left = content_morphism(composite)
-                            right = compose_cont(duals[(a, b)][i], duals[(b, c)][j])
+                    for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
+                        for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
+                            subst = intern(compose_subst(m1.subst, m2.subst))
+                            left = _held_dual(m2.after(m1, subst))
+                            right = d1.after(d2, subst)
                             checked += 1
                             if left != right:
                                 failures.append(
@@ -529,7 +612,18 @@ class KnowledgeBase:
 
     def verify_push_functoriality(self, depth: int) -> Report:
         """The sweep of the module-level `verify_push_functoriality` over these
-        objects."""
+        objects.
+
+        The identity pushes run member by member.  A composable pair (s1, s2)
+        is one block: pushes are pullbacks of duals, which preserve unions,
+        and the algebras are closed under union, so when every atom of the
+        source lattice pushes definably along the composite, along s1 and
+        along s2 after s1, and its direct and staged pushes agree, every
+        member does too.  A block whose atom run records a failure runs again
+        over every member, through the same loop, so its failure lines, their
+        order and the de-duplication of undefinable substitutions are those
+        of the member sweep.  Every member counts as a triple either way.
+        """
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
@@ -550,34 +644,21 @@ class KnowledgeBase:
         subs = {(a, b): [intern(s) for s in enumerate_substitutions(
                     self.model.sig, canonical_varset(a), canonical_varset(b), depth)]
                 for a in sizes for b in sizes}
-        # Each stage of a staged push repeats across the sweep, so each
-        # (substitution, filter) is pushed once; the direct push runs first.
-        pushed: dict[tuple[Substitution, int], ClosedFilter | UndefinablePullbackError] = {}
         for a in sizes:
             for b in sizes:
                 for c in sizes:
-                    lat_a = self.description(a).lattice
-                    lat_b = self.description(b).lattice
-                    lat_c = self.description(c).lattice
+                    algebra_a = self.description(a).lattice.algebra
+                    algebra_b = self.description(b).lattice.algebra
+                    algebra_c = self.description(c).lattice.algebra
                     for s1 in subs[a, b]:
                         for s2 in subs[b, c]:
-                            composite = intern(compose_subst(s1, s2))
-                            for filt in lat_a:
-                                triples += 1
-                                checked += 1
-                                try:
-                                    direct = push_filter(composite, filt, lat_c)
-                                    first = _push_once(pushed, s1, filt, lat_b)
-                                    staged = _push_once(pushed, s2, first, lat_c)
-                                except UndefinablePullbackError as exc:
-                                    if exc.subst not in undefinable:
-                                        undefinable.add(exc.subst)
-                                        failures.append(f"push along {s1} then {s2}: {exc}")
-                                    continue
-                                if direct != staged:
-                                    failures.append(
-                                        f"push along {s1} then {s2} disagrees with the "
-                                        f"composite on dual {filt.mask:#x}")
+                            block = (s1, s2, intern(compose_subst(s1, s2)), algebra_b, algebra_c)
+                            probe: list[str] = []
+                            _push_block(algebra_a.block_masks(), *block, probe, set())
+                            if probe:
+                                _push_block(algebra_a.masks, *block, failures, undefinable)
+                            triples += len(algebra_a)
+                            checked += len(algebra_a)
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
@@ -585,6 +666,27 @@ class KnowledgeBase:
             ("triples", str(triples)),
         )
         return Report("push functoriality", entries, checked, tuple(failures))
+
+
+def _push_block(masks, s1: Substitution, s2: Substitution, composite: Substitution,
+                algebra_b: DefinableAlgebra, algebra_c: DefinableAlgebra,
+                failures: list[str], undefinable: set[Substitution]) -> None:
+    """Push each dual mask along the composite, then along s1 and s2 after
+    it, and record a failure for the first undefinable push of each
+    substitution not in `undefinable`, and for each mask whose direct and
+    staged pushes differ."""
+    for mask in masks:
+        try:
+            direct = _pullback(composite, mask, algebra_c)
+            staged = _pullback(s2, _pullback(s1, mask, algebra_b), algebra_c)
+        except UndefinablePullbackError as exc:
+            if exc.subst not in undefinable:
+                undefinable.add(exc.subst)
+                failures.append(f"push along {s1} then {s2}: {exc}")
+            continue
+        if direct != staged:
+            failures.append(
+                f"push along {s1} then {s2} disagrees with the composite on dual {mask:#x}")
 
 
 def push_filter(subst: Substitution, filt: ClosedFilter,
@@ -599,22 +701,6 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
     if not target_lattice.algebra.contains_mask(preimage.mask):
         raise UndefinablePullbackError(subst, filt.mask, preimage.mask)
     return target_lattice.filter_for_mask(preimage.mask)
-
-
-def _push_once(pushed: dict, subst: Substitution, filt: ClosedFilter,
-               target_lattice: FilterLattice) -> ClosedFilter:
-    """`push_filter`, computed once per (substitution, filter) and kept in
-    `pushed`; an undefinable push is kept too and raised again."""
-    key = (subst, filt.mask)
-    if key not in pushed:
-        try:
-            pushed[key] = push_filter(subst, filt, target_lattice)
-        except UndefinablePullbackError as exc:
-            pushed[key] = exc
-    result = pushed[key]
-    if isinstance(result, UndefinablePullbackError):
-        raise result.with_traceback(None)
-    return result
 
 
 def check_duality(model: Model, n_max: int, depth: int = 1,

@@ -510,10 +510,10 @@ _RUNNERS = {
 
 def run_command(argv, config: Optional[RunConfig] = None) -> tuple[int, str]:
     """Run one subcommand; returns (exit code, output text)."""
-    if config is None:
-        config = RunConfig.from_env()
     parser = build_parser()
     try:
+        if config is None:
+            config = RunConfig.from_env()
         args = parser.parse_args(argv)
         config = _apply_config(args, config)
         return _RUNNERS[args.command](args, config)

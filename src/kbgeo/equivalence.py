@@ -362,36 +362,50 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
     return FunctorIso(phi, depth, dict(alphas), kb1, kb2)
 
 
+def _relabel(mask: int, bits: list[int]) -> int:
+    """The union of the bits of a mask's points: `bits[p]` is the target bit
+    of point p under a carrier map."""
+    image = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        image |= bits[low.bit_length() - 1]
+    return image
+
+
 def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
                         depth: int = 2) -> FunctorIso:
     """Turn a carrier isomorphism between the two knowledge bases' models into
     the induced lattice-family bijection, with the identity automorphism, and
     verify its defining conditions.
 
-    Only the points of the atoms are relabelled; each member goes to the
-    union of its atoms' images.  The map acts pointwise, so a member's image
-    is a member when each of its atoms' images is one, since the target
-    algebra is closed under union.  Members ascend, so the first member whose
-    image is missing has an atom whose image is missing and is no larger:
-    it is that atom, the first such atom, and the error names the same mask
-    a member loop would."""
+    Each point is relabelled once, and each atom goes to the union of its
+    points' images; each member goes to the union of its atoms' images.  The
+    map acts pointwise, so a member's image is a member when each of its
+    atoms' images is one, since the target algebra is closed under union.
+    Members ascend, so the first member whose image is missing has an atom
+    whose image is missing and is no larger: it is that atom, the first such
+    atom, and the error names the same mask a member loop would.
+
+    The atom constraints are checked by relabelling their masks' points the
+    same way.  On a saturated lattice those masks are members, and this is
+    the alpha's value; on a lattice capped by the term depth they need not
+    be members, and the alpha has no value for them."""
     if mmap.source != kb1.model or mmap.target != kb2.model:
         raise MismatchError("the carrier map does not run between the knowledge bases' models")
     if kb1.n_max != kb2.n_max:
         raise MismatchError("knowledge bases have different n_max")
     n_max = kb1.n_max
+    bits: dict[int, list[int]] = {}
     alphas: dict[int, dict[int, int]] = {}
     for n in range(1, n_max + 1):
         algebra1 = kb1.description(n).lattice.algebra
         algebra2 = kb2.description(n).lattice.algebra
-        rows, index_of = algebra1.space.value_rows, algebra2.space.index_of
+        index_of = algebra2.space.index_of
+        bits[n] = [1 << index_of(mmap.apply_values(row)) for row in algebra1.space.value_rows]
         images = []
         for atom in algebra1.block_masks():
-            image, rest = 0, atom
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                image |= 1 << index_of(mmap.apply_values(rows[low.bit_length() - 1]))
+            image = _relabel(atom, bits[n])
             if not algebra2.contains_mask(image):
                 raise DefinabilityError(
                     f"relabeled member {image:#x} is missing over size {n}")
@@ -400,7 +414,7 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     phi = FormulaAutomorphism.identity(kb1.model.sig)
     for n in range(1, n_max + 1):
         constraints = _atom_constraints(kb1, kb2, phi, n, depth)
-        if constraints is None or any(alphas[n][a] != b for a, b in constraints):
+        if constraints is None or any(_relabel(a, bits[n]) != b for a, b in constraints):
             raise DefinabilityError("carrier transport violates an atom constraint")
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
@@ -673,8 +687,8 @@ def check_informational_equivalence(model1: Model, model2: Model,
             return EquivReport(VERDICT_INEQUIVALENT, mode, bounds, None,
                                refutation, tuple(notes))
     else:
-        notes.append("lattice generation hit the term depth bound; no refutation or witness"
-                     " is drawn from partial lattices")
+        notes.append("lattice generation hit the term depth bound; no refutation or"
+                     " automorphism witness is drawn from partial lattices")
 
     try:
         if use_model_iso:

@@ -8,11 +8,13 @@ from an all-triples cover search, and substitutions act on masks through
 assignments composed term by term.  Agreement between the two
 implementations is what the lattice, semantics and acceptance tests check.
 
-The member-wise oracles at the end are the equivalence deciders' loops as
-they were before they ran on atoms: every description morphism is a
-`DescMorphism` over all lattice members, every naturality square is checked
-on every member, and the alphas, their Boolean check and the carrier
-transport walk every member point by point instead of extending atom images.
+The member-wise oracles at the end are the category sweeps' and the
+equivalence deciders' loops as they were before they ran on atoms: every
+description morphism is a `DescMorphism` and every content morphism a
+`ContMorphism` over all lattice members, every push moves a `ClosedFilter`,
+every naturality square is checked on every member, and the alphas, their
+Boolean check and the carrier transport walk every member point by point
+instead of extending atom images.
 """
 
 import itertools
@@ -27,12 +29,17 @@ from kbgeo import (
     Report,
     Signature,
     UndefinablePullbackError,
+    Substitution,
     canonical_varset,
+    compose_cont,
     compose_desc,
+    compose_subst,
+    content_morphism,
     enumerate_substitutions,
     eval_term,
     identity_desc,
     least_desc_morphism,
+    push_filter,
 )
 
 
@@ -447,3 +454,113 @@ def memberwise_is_boolean(iso) -> bool:
             if alpha[mask] != alpha[mask ^ atom] | alpha[atom]:
                 return False
     return True
+
+
+def memberwise_check_duality(kb, depth: int) -> Report:
+    """`KnowledgeBase.check_duality` with every morphism built over all
+    members by the public constructors: the same checks, in the same order,
+    with the same messages."""
+    n_max = kb.n_max
+    sizes = range(1, n_max + 1)
+    checked = 0
+    failures = []
+    lattice_sizes = []
+    for n in sizes:
+        obj = kb.description(n)
+        lattice_sizes.append(len(obj))
+        masks = obj.lattice.algebra.masks
+        for a in masks:
+            fa = obj.lattice.filter_for_mask(a)
+            for b in masks:
+                checked += 1
+                if fa.is_leq(obj.lattice.filter_for_mask(b)) != (b & ~a == 0):
+                    failures.append(f"|X|={n}: filter order and dual inclusion disagree on "
+                                    f"{a:#x}, {b:#x}")
+
+    morphisms, duals = {}, {}
+    for a, b in itertools.product(sizes, repeat=2):
+        source, target = kb.description(a), kb.description(b)
+        pairs, dual_pairs = [], []
+        for subst in enumerate_substitutions(kb.model.sig, source.varset, target.varset, depth):
+            checked += 1
+            try:
+                morphism = least_desc_morphism(source, target, subst)
+            except UndefinablePullbackError as exc:
+                failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
+                continue
+            pairs.append(morphism)
+            dual_pairs.append(content_morphism(morphism))
+        morphisms[(a, b)], duals[(a, b)] = pairs, dual_pairs
+        for i, m1 in enumerate(pairs):
+            for j, m2 in enumerate(pairs):
+                checked += 1
+                if (dual_pairs[i] == dual_pairs[j]) != (m1 == m2):
+                    failures.append(f"duality not injective between sizes {a}->{b}")
+
+    for n in sizes:
+        dual = content_morphism(identity_desc(kb.description(n)))
+        checked += 1
+        if any(dual.assignment[m] != m for m in dual.assignment):
+            failures.append(f"identity over |X|={n} does not dualize to the identity")
+
+    for a, b, c in itertools.product(sizes, repeat=3):
+        for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
+            for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
+                left = content_morphism(compose_desc(m2, m1))
+                right = compose_cont(d1, d2)
+                checked += 1
+                if left != right:
+                    failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
+                                    f"subs {m1.subst} then {m2.subst}")
+
+    entries = (
+        ("object", f"canonical variable sets of sizes 1..{n_max}"),
+        ("sizes", " ".join(str(s) for s in lattice_sizes)),
+        ("morphism family", f"least assignments for substitutions of depth <= {depth}"),
+    )
+    return Report("duality", entries, checked, tuple(failures))
+
+
+def memberwise_push_functoriality(kb, depth: int) -> Report:
+    """`KnowledgeBase.verify_push_functoriality` with every filter of every
+    source lattice pushed by `push_filter`, directly and in two stages."""
+    n_max = kb.n_max
+    sizes = range(1, n_max + 1)
+    checked = 0
+    failures = []
+    for n in sizes:
+        lattice = kb.description(n).lattice
+        ident = Substitution.identity(lattice.varset)
+        for filt in lattice:
+            checked += 1
+            if push_filter(ident, filt, lattice) != filt:
+                failures.append(f"identity push moved a filter over |X|={n}")
+
+    triples = 0
+    undefinable = set()
+    for a, b, c in itertools.product(sizes, repeat=3):
+        lat_a, lat_b, lat_c = (kb.description(n).lattice for n in (a, b, c))
+        for s1 in enumerate_substitutions(kb.model.sig, lat_a.varset, lat_b.varset, depth):
+            for s2 in enumerate_substitutions(kb.model.sig, lat_b.varset, lat_c.varset, depth):
+                composite = compose_subst(s1, s2)
+                for filt in lat_a:
+                    triples += 1
+                    checked += 1
+                    try:
+                        direct = push_filter(composite, filt, lat_c)
+                        staged = push_filter(s2, push_filter(s1, filt, lat_b), lat_c)
+                    except UndefinablePullbackError as exc:
+                        if exc.subst not in undefinable:
+                            undefinable.add(exc.subst)
+                            failures.append(f"push along {s1} then {s2}: {exc}")
+                        continue
+                    if direct != staged:
+                        failures.append(f"push along {s1} then {s2} disagrees with the "
+                                        f"composite on dual {filt.mask:#x}")
+
+    entries = (
+        ("object", f"canonical variable sets of sizes 1..{n_max}"),
+        ("substitution depth", str(depth)),
+        ("triples", str(triples)),
+    )
+    return Report("push functoriality", entries, checked, tuple(failures))

@@ -32,10 +32,18 @@ from kbgeo import (
     verify_push_functoriality,
 )
 from kbgeo import semantics
-from kbgeo.categories import _Generators, _HeldMorphism
+from kbgeo.categories import _Generators, _HeldMorphism, _held_dual
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError
-from helpers import all_fixtures, model_eq, model_neg, model_p, seeded_models
+from helpers import (
+    all_fixtures,
+    memberwise_check_duality,
+    memberwise_push_functoriality,
+    model_eq,
+    model_neg,
+    model_p,
+    seeded_models,
+)
 
 # Seeded models whose 2-variable duals pull back along x1, x2 := x1, x1 to
 # sets that one variable cannot define.
@@ -221,8 +229,13 @@ def test_second_sweep_over_one_knowledge_base_computes_no_pullback(monkeypatch):
 @pytest.mark.parametrize("name,model", [(name, m) for name, m in seeded_models()
                                         if not m.sig.ops])
 def test_sweeps_report_undefinable_pullbacks(name, model):
-    duality = check_duality(model, 2, 1)
-    push = verify_push_functoriality(model, 1, 2)
+    kb = KnowledgeBase(model, 2)
+    duality = kb.check_duality(1)
+    push = kb.verify_push_functoriality(1)
+    # The sweeps on atoms report what the member sweeps do; failing pushes
+    # take the member rerun of their blocks.
+    assert duality.render() == memberwise_check_duality(kb, 1).render()
+    assert push.render() == memberwise_push_functoriality(kb, 1).render()
     if name not in UNDEFINABLE_PULLBACKS:
         assert duality.passed and push.passed
         return
@@ -286,8 +299,8 @@ def desc_or_error(source, target, subst):
     (name, m) for name, m in seeded_models() if not m.sig.ops])
 def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
     """A least morphism held on atoms gives every member the image the
-    member-wise least morphism assigns, or fails with the same error; held
-    composites give every member the member-wise composite's image; and held
+    member-wise least morphism assigns, or fails with the same error, and so
+    does its content dual; held composites give every member the member-wise composite's image; and held
     morphisms are equal exactly when the member-wise ones are."""
     kb = KnowledgeBase(model, 2)
     sizes = (1, 2)
@@ -305,6 +318,8 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
                 assert h == d
                 continue
             assert {k: h.image(k) for k in d.assignment} == d.assignment
+            dual = content_morphism(d)
+            assert {k: _held_dual(h).image(k) for k in dual.assignment} == dual.assignment
             pairs.append((h, d))
         for h1, d1 in pairs:
             for h2, d2 in pairs:
@@ -319,3 +334,64 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
                         h = h2.after(h1, compose_subst(d1.subst, d2.subst))
                         assert ({k: h.image(k) for k in composite.assignment}
                                 == composite.assignment)
+
+
+def assert_sweeps_match_the_member_sweeps(model, n_max, depth):
+    kb = KnowledgeBase(model, n_max)
+    assert kb.check_duality(depth).render() == memberwise_check_duality(kb, depth).render()
+    assert (kb.verify_push_functoriality(depth).render()
+            == memberwise_push_functoriality(kb, depth).render())
+
+
+# Depth 2 on the fixtures is pinned by tests/sweeps_machine.golden.
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("name,model", all_fixtures())
+def test_atom_sweeps_match_the_member_sweeps_on_fixtures(name, model, depth):
+    assert_sweeps_match_the_member_sweeps(model, 2, depth)
+
+
+# The models without ops are compared at n_max 2 in
+# test_sweeps_report_undefinable_pullbacks.  At n_max 2 the unary-op models
+# have 512-member lattices, where the member sweeps take about 3 s per model.
+@pytest.mark.parametrize("name,model", seeded_models())
+def test_atom_sweeps_match_the_member_sweeps_on_seeded_models(name, model):
+    assert_sweeps_match_the_member_sweeps(model, 1, 1)
+
+
+def tampered_composite_table(kb):
+    """The pullback table of {x1 := neg(neg(x1)), x2 := x2} over the model
+    with neg: the composite of two blocks of the depth-1 sweeps."""
+    sig, two = kb.model.sig, canonical_varset(2)
+    step = Substitution.of(two, two, {"x1": parse_term("neg(x1)", sig, two),
+                                      "x2": parse_term("x2", sig, two)})
+    return kb.geometry._table(kb.geometry.intern(compose_subst(step, step)))
+
+
+def test_a_block_failing_on_atoms_reruns_over_every_member():
+    """A composite's pullback table loses the fiber of the first point, so
+    the direct push differs from the staged one on every member holding that
+    point: the first atom alone, and unions of it with the others.  The
+    failing blocks rerun over their members."""
+    kb = KnowledgeBase(model_neg(), 2)
+    table = tampered_composite_table(kb)
+    table.fibers[0] = 0
+    table.preimages.clear()
+    push = kb.verify_push_functoriality(1)
+    assert push.render() == memberwise_push_functoriality(kb, 1).render()
+    atoms = kb.description(2).lattice.algebra.block_masks()
+    masks = [int(f.rsplit(" ", 1)[1], 16) for f in push.failures if "disagrees" in f]
+    assert any(mask not in atoms for mask in masks)
+
+
+def test_a_composite_whose_dual_differs_on_the_first_atom():
+    """A composite's table loses the image of the first point, so the least
+    content morphism along it differs from the composed duals on the first
+    atom alone; the admissibility checks still pass."""
+    kb = KnowledgeBase(model_neg(), 2)
+    table = tampered_composite_table(kb)
+    table.bits[0] = 0
+    table.images.clear()
+    duality = kb.check_duality(1)
+    assert duality.render() == memberwise_check_duality(kb, 1).render()
+    assert len(duality.failures) == 2
+    assert all(f.startswith("dual of a composite differs") for f in duality.failures)

@@ -28,6 +28,7 @@ from helpers import all_fixtures, model_neg, model_p
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EQUIV_GOLDEN = pathlib.Path(__file__).resolve().parent / "equiv_machine.golden"
 DUMP_GOLDEN = pathlib.Path(__file__).resolve().parent / "lattice_dump.golden"
+SWEEPS_GOLDEN = pathlib.Path(__file__).resolve().parent / "sweeps_machine.golden"
 
 
 def fixture(name: str) -> str:
@@ -253,6 +254,24 @@ def test_equiv_machine_output_on_all_fixture_pairs():
     assert equiv_machine_runs().splitlines() == EQUIV_GOLDEN.read_text().splitlines()
 
 
+def sweeps_machine_runs() -> str:
+    """`duality` and `functor --format machine` on every fixture, at
+    --max-vars 1 and 2 and --depth 0, 1 and 2: per run a header line naming
+    the command, the file, the bounds and the exit code, then the output."""
+    names = sorted(path.name for path in FIXTURES.glob("*.kbm"))
+    blocks = []
+    for name, command, n_max, depth in itertools.product(
+            names, ("duality", "functor"), ("1", "2"), ("0", "1", "2")):
+        code, text = run_command([command, fixture(name), "--max-vars", n_max,
+                                  "--depth", depth, "--format", "machine"], RunConfig())
+        blocks.append(f"## {command} {name} {n_max} {depth} -> {code}\n{text}\n")
+    return "".join(blocks)
+
+
+def test_sweeps_machine_output_on_all_fixtures():
+    assert sweeps_machine_runs().splitlines() == SWEEPS_GOLDEN.read_text().splitlines()
+
+
 def test_usage_errors_exit_above_two():
     code, text = run_command(["equiv", fixture("m_p.kbm")])
     assert code == EXIT_USAGE and code > 2
@@ -281,3 +300,53 @@ def test_point_bound_env_override():
 def test_signature_mismatch_is_data_error():
     code, text = run_command(["equiv", fixture("m_p.kbm"), fixture("m_eq.kbm")])
     assert code == EXIT_DATA
+
+
+def test_bad_point_bound_env_is_a_data_error(monkeypatch):
+    monkeypatch.setenv("KBGEO_MAX_POINTS", "abc")
+    code, text = run_command(["eval", fixture("m_p.kbm"), "--vars", "x", "--formula", "P(x)"])
+    assert code == EXIT_DATA
+    assert text == "error: KBGEO_MAX_POINTS must be a positive integer, got 'abc'"
+
+
+CYCLE = """carrier: 0 1 2
+flag with_equality off
+op f 1
+rel P 1
+op f: 0 -> 1
+op f: 1 -> 2
+op f: 2 -> 0
+rel P: 0
+"""
+
+
+def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path):
+    """The atom constraints of a depth-capped lattice need not be members; the
+    carrier transport relabels them instead of looking them up, and the
+    search stops at the first undefinable pullback."""
+    path = tmp_path / "cycle.kbm"
+    path.write_text(CYCLE)
+    code, text = run_command(["equiv", str(path), str(path), "--max-term-depth", "0",
+                              "--format", "machine"], RunConfig())
+    assert code == EXIT_UNKNOWN
+    assert text.splitlines()[-1] == ("note.3: witness search stopped: pullback 0x4 of 0x1 "
+                                     "along {x1 := f(x1)} is not definable over {x1}")
+
+
+def test_partial_lattice_note_leaves_the_carrier_witness_standing():
+    code, text = run_command(["equiv", fixture("m_neg.kbm"), fixture("m_neg.kbm"),
+                              "--max-term-depth", "0", "--format", "machine"], RunConfig())
+    assert code == EXIT_PASS
+    assert text.splitlines() == [
+        "verdict: EQUIVALENT_WITNESSED",
+        "mode: informational",
+        "bounds.n_max: 2",
+        "bounds.depth: 2",
+        "witness.kind: model isomorphism",
+        "witness.map: 0->0 1->1",
+        "witness.phi: identity",
+        "witness.alphas: |X|=1: 4 filters; |X|=2: 16 filters",
+        "note.1: supported automorphism class: relation permutations and variable renamings",
+        "note.2: lattice generation hit the term depth bound; no refutation or automorphism"
+        " witness is drawn from partial lattices",
+    ]
