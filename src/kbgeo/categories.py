@@ -22,15 +22,15 @@ The sweeps and the witness check run on lattice atoms.  Every map they
 compare preserves unions: least description morphisms are pullbacks, least
 content morphisms are closures of images, pushes are pullbacks, and
 composites of these preserve unions too.  Such a map is fixed by its atom
-images, so the sweeps and the witness check hold morphisms by their images on
-the atoms of their sources (`_HeldMorphism`, and `_HeldContMorphism` on the
-content side).  A check passes on a member when it passes on each of the
-member's atoms, and the first member to fail is an atom, so the atom loops
-report what member loops would.  The push sweep reruns a block whose atoms
-fail over every member, which keeps its member-by-member failure lines.  The
-object-order check and the identity pushes still run member by member.
-`DescMorphism`, `ContMorphism` and their constructors stay for arbitrary
-assignments.
+images.  So `DescMorphism` and `ContMorphism` hold their images on a
+generating set of their source: every member when built from an assignment,
+and the atoms when the sweeps and the witness check build them as least
+morphisms, duals, identities or composites.  A check passes on a member when
+it passes on each of the member's atoms, and the first member to fail is an
+atom, so the atom loops report what member loops would.  The push sweep
+reruns a block whose atoms fail over every member, which keeps its
+member-by-member failure lines.  The object-order check and the identity
+pushes still run member by member.
 """
 
 from __future__ import annotations
@@ -54,13 +54,12 @@ from .lattice import (
     DefinableSet,
     FilterLattice,
     UndefinablePullbackError,
+    _union_table,
     build_filter_lattice,
-    closure,
 )
 from .formulas import Formula
 from .semantics import (
     Geometry,
-    PointSet,
     satisfying_points,
     subst_image_points,
     subst_preimage_points,
@@ -99,12 +98,14 @@ class Report:
 
 
 class DescriptionObject:
-    """A variable set together with its lattice of closed filters."""
+    """A variable set together with its lattice of closed filters, and the
+    content object dual to it."""
 
     def __init__(self, lattice: FilterLattice):
         self.lattice = lattice
         self.model = lattice.model
         self.varset = lattice.varset
+        self._content = ContentObject(lattice.algebra)
 
     def __len__(self) -> int:
         return len(self.lattice)
@@ -168,130 +169,33 @@ def _check_cont_ends(subst: Substitution, source: ContentObject,
         raise MismatchError("objects live over different models")
 
 
-def _check_assignment(sources, target: FilterLattice, subst: Substitution,
-                      assignment: dict[int, int]) -> None:
-    """Check that an assignment of dual masks along a substitution has the
-    keys `sources`, then each pair in the assignment's order: the image is
-    the dual of a filter of `target`, and it lies inside the pullback of the
-    argument.  The first violation raises."""
-    if assignment.keys() != sources:
-        raise MismatchError("assignment is not total on the source lattice")
-    geometry = target.algebra.space.geometry
-    for src_mask, dst_mask in assignment.items():
-        target.filter_for_mask(dst_mask)
-        if dst_mask & ~geometry.preimage(subst, src_mask):
-            raise AdmissibilityError(
-                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+class _Morphism:
+    """An admissible, total assignment of dual masks along one substitution,
+    held by its images on a generating set of its source.
 
-
-def _check_cont_assignment(sources, geometry: Geometry, target: DefinableAlgebra,
-                           subst: Substitution, assignment: dict[int, int]) -> None:
-    """The content side of `_check_assignment`: each image is a member of
-    `target`, and the pointwise image of the argument, taken in `geometry`,
-    lies inside it."""
-    if assignment.keys() != sources:
-        raise MismatchError("assignment is not total on the source algebra")
-    for src_mask, dst_mask in assignment.items():
-        target.member(dst_mask)
-        if geometry.image(subst, src_mask) & ~dst_mask:
-            raise AdmissibilityError(
-                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
-
-
-def _check_dual(subst: Substitution, assignment: dict[int, int], geometry: Geometry) -> None:
-    """Each assigned pair of a description morphism has an admissible dual:
-    the image of the assigned target dual lands in the argument's dual.  A
-    violation would contradict the duality and raises."""
-    for src_mask, dst_mask in assignment.items():
-        if geometry.image(subst, dst_mask) & ~src_mask:
-            raise AdmissibilityError(
-                f"duality broken: pair {src_mask:#x} -> {dst_mask:#x} has an inadmissible dual")
-
-
-class DescMorphism:
-    """An admissible, total assignment of filters along a substitution.
-
-    The assignment maps every dual mask of the source lattice to a dual mask
-    of the target lattice; admissibility of each pair is checked on
-    construction.
+    A morphism built from an assignment holds every member.  The least
+    morphisms, their duals, the identities and the composites of these
+    preserve unions, and the sweeps and the description functor build them
+    on the atoms of their sources (the private `_on_atoms`): a member's image
+    is then the union of its atoms' images.  Construction checks the held
+    pairs in their order, and a composite is held on atoms when both of its
+    factors are.  Two morphisms are equal when their substitutions, which fix
+    both variable sets, and their member tables are.
     """
 
-    def __init__(self, source: DescriptionObject, target: DescriptionObject,
-                 subst: Substitution, assignment: Mapping[int, int]):
-        _check_ends(subst, source, target)
-        assignment = dict(assignment)
-        _check_assignment(source.lattice.algebra._by_mask.keys(), target.lattice, subst,
-                          assignment)
-        self.source = source
-        self.target = target
-        self.subst = subst
-        self.assignment = assignment
+    __slots__ = ("source", "target", "subst", "images", "_on_atoms")
 
-    def map_filter(self, filt: ClosedFilter) -> ClosedFilter:
-        return self.target.lattice.filter_for_mask(self.assignment[filt.mask])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DescMorphism):
-            return NotImplemented
-        return (self.subst == other.subst and self.assignment == other.assignment
-                and self.source.varset == other.source.varset
-                and self.target.varset == other.target.varset)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"DescMorphism({self.subst}, {self.source.varset} -> {self.target.varset})"
-
-
-class _Generators:
-    """A generating set of one description object's lattice: its atoms, or
-    all its members, ascending."""
-
-    __slots__ = ("n", "lattice", "masks", "keys", "atoms")
-
-    def __init__(self, obj: DescriptionObject, atoms: bool):
-        algebra = obj.lattice.algebra
-        self.n = len(obj.varset)
-        self.lattice = obj.lattice
-        self.atoms = atoms
-        self.masks = algebra.block_masks() if atoms else algebra.masks
-        self.keys = frozenset(self.masks)
-
-
-class _HeldMorphism:
-    """A description morphism held by its images on the generators of its
-    source lattice, along one substitution.
-
-    `images` maps each generator to a target dual mask, in the order its
-    pairs were checked; construction checks them as `DescMorphism` does.  On
-    atoms the morphism is taken to preserve unions, so a member's image is
-    the union of its atoms' images.
-    """
-
-    __slots__ = ("source", "target", "subst", "images")
-
-    def __init__(self, source: _Generators, target: _Generators, subst: Substitution,
-                 images: dict[int, int]):
-        _check_assignment(source.keys, target.lattice, subst, images)
-        self.source = source
-        self.target = target
-        self.subst = subst
-        self.images = images
-
-    @classmethod
-    def least(cls, source: _Generators, target: _Generators,
-              subst: Substitution) -> "_HeldMorphism":
-        """`least_desc_morphism` on the generators."""
-        return cls(source, target, subst, _least_images(source.masks, target.lattice, subst))
-
-    @classmethod
-    def identity(cls, gens: _Generators) -> "_HeldMorphism":
-        return cls(gens, gens, Substitution.identity(gens.lattice.varset),
-                   {m: m for m in gens.masks})
+    @property
+    def assignment(self) -> dict[int, int]:
+        """The image of every member of the source."""
+        if not self._on_atoms:
+            return self.images
+        atoms = sorted(self.images)
+        return _union_table(atoms, [self.images[atom] for atom in atoms])
 
     def image(self, mask: int) -> int:
-        """The image of a member of the source lattice."""
-        if not self.source.atoms:
+        """The image of a member of the source."""
+        if not self._on_atoms:
             return self.images[mask]
         out = 0
         for atom, image in self.images.items():
@@ -299,100 +203,150 @@ class _HeldMorphism:
                 out |= image
         return out
 
-    def after(self, first: "_HeldMorphism", subst: Substitution) -> "_HeldMorphism":
+    def after(self, first, subst: Substitution):
         """`first`, then this morphism, along their composite `subst`, checked
         as this morphism's kind is."""
-        images = {k: self.image(v) for k, v in first.images.items()}
+        if first._on_atoms and self._on_atoms:
+            images = {k: self.image(v) for k, v in first.images.items()}
+            return type(self)(first.source, self.target, subst, images, True)
+        images = {k: self.image(v) for k, v in first.assignment.items()}
         return type(self)(first.source, self.target, subst, images)
 
     def __eq__(self, other) -> bool:
-        return self.subst == other.subst and self.images == other.images
-
-    __hash__ = None
-
-
-class _HeldContMorphism(_HeldMorphism):
-    """A content morphism held by its images on the generators of its source
-    algebra, against one substitution: sets over the substitution's target go
-    to sets over its source.  Construction checks the pairs as `ContMorphism`
-    does.  Closures and pointwise images preserve unions, and so do the least
-    content morphisms and their composites."""
-
-    __slots__ = ()
-
-    def __init__(self, source: _Generators, target: _Generators, subst: Substitution,
-                 images: dict[int, int]):
-        _check_cont_assignment(source.keys, source.lattice.algebra.space.geometry,
-                               target.lattice.algebra, subst, images)
-        self.source = source
-        self.target = target
-        self.subst = subst
-        self.images = images
-
-    @classmethod
-    def least(cls, source: _Generators, target: _Generators,
-              subst: Substitution) -> "_HeldContMorphism":
-        """`least_cont_morphism` on the generators: each goes to the closure
-        of its pointwise image, the union of the target atoms it meets."""
-        geometry = source.lattice.algebra.space.geometry
-        atoms = target.lattice.algebra.block_masks()
-        images = {}
-        for mask in source.masks:
-            image = geometry.image(subst, mask)
-            images[mask] = sum(atom for atom in atoms if atom & image)
-        return cls(source, target, subst, images)
-
-
-def _held_dual(morphism: _HeldMorphism) -> _HeldContMorphism:
-    """`content_morphism` on held morphisms: the least content morphism
-    against the same substitution, after checking that every held pair has
-    an admissible dual."""
-    result = _HeldContMorphism.least(morphism.target, morphism.source, morphism.subst)
-    _check_dual(morphism.subst, morphism.images,
-                morphism.target.lattice.algebra.space.geometry)
-    return result
-
-
-class ContMorphism:
-    """An admissible, total assignment of definable sets against a substitution.
-
-    For a substitution s: X -> Y this maps sets over Y to sets over X.
-    """
-
-    def __init__(self, source: ContentObject, target: ContentObject,
-                 subst: Substitution, assignment: Mapping[int, int]):
-        _check_cont_ends(subst, source, target)
-        assignment = dict(assignment)
-        _check_cont_assignment(source.algebra._by_mask.keys(), source.algebra.space.geometry,
-                               target.algebra, subst, assignment)
-        self.source = source
-        self.target = target
-        self.subst = subst
-        self.assignment = assignment
-
-    def map_set(self, dset: DefinableSet) -> DefinableSet:
-        return self.target.algebra.member(self.assignment[dset.mask])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ContMorphism):
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.subst == other.subst and self.assignment == other.assignment
-                and self.source.varset == other.source.varset
-                and self.target.varset == other.target.varset)
+        if self.subst != other.subst:
+            return False
+        if self._on_atoms == other._on_atoms:
+            return self.images == other.images
+        return self.assignment == other.assignment
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"ContMorphism({self.subst}, {self.source.varset} -> {self.target.varset})"
+        return f"{type(self).__name__}({self.subst}, {self.source.varset} -> {self.target.varset})"
+
+
+class DescMorphism(_Morphism):
+    """An admissible, total assignment of filters along a substitution.
+
+    The assignment maps every dual mask of the source lattice to a dual mask
+    of the target lattice; admissibility of each pair is checked on
+    construction.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, source: DescriptionObject, target: DescriptionObject,
+                 subst: Substitution, assignment: Mapping[int, int], _on_atoms: bool = False):
+        algebra = source.lattice.algebra
+        if _on_atoms:
+            images, keys = assignment, algebra._atom_keys
+        else:
+            _check_ends(subst, source, target)
+            images, keys = dict(assignment), algebra._by_mask.keys()
+        if images.keys() != keys:
+            raise MismatchError("assignment is not total on the source lattice")
+        lattice = target.lattice
+        geometry = lattice.algebra.space.geometry
+        for src_mask, dst_mask in images.items():
+            lattice.filter_for_mask(dst_mask)
+            if dst_mask & ~geometry.preimage(subst, src_mask):
+                raise AdmissibilityError(
+                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+        self.source = source
+        self.target = target
+        self.subst = subst
+        self.images = images
+        self._on_atoms = _on_atoms
+
+    @classmethod
+    def _least(cls, source: DescriptionObject, target: DescriptionObject, subst: Substitution,
+               on_atoms: bool = False) -> "DescMorphism":
+        """Each generator goes to its full pullback along the substitution, in
+        order; the first pullback that is not a dual of the target raises."""
+        algebra = source.lattice.algebra
+        masks = algebra.block_masks() if on_atoms else algebra.masks
+        target_algebra = target.lattice.algebra
+        return cls(source, target, subst,
+                   {mask: _pullback(subst, mask, target_algebra) for mask in masks}, on_atoms)
+
+    @classmethod
+    def _identity(cls, obj: DescriptionObject, on_atoms: bool = False) -> "DescMorphism":
+        algebra = obj.lattice.algebra
+        masks = algebra.block_masks() if on_atoms else algebra.masks
+        return cls(obj, obj, Substitution.identity(obj.varset), {m: m for m in masks}, on_atoms)
+
+    def _dual(self) -> "ContMorphism":
+        """`content_morphism`, held on the same kind of generators."""
+        result = ContMorphism._least(self.target._content, self.source._content, self.subst,
+                                     self._on_atoms)
+        geometry = self.target.lattice.algebra.space.geometry
+        for src_mask, dst_mask in self.images.items():
+            if geometry.image(self.subst, dst_mask) & ~src_mask:
+                raise AdmissibilityError(
+                    f"duality broken: pair {src_mask:#x} -> {dst_mask:#x} has an inadmissible dual")
+        return result
+
+    def map_filter(self, filt: ClosedFilter) -> ClosedFilter:
+        return self.target.lattice.filter_for_mask(self.image(filt.mask))
+
+
+class ContMorphism(_Morphism):
+    """An admissible, total assignment of definable sets against a substitution.
+
+    For a substitution s: X -> Y this maps sets over Y to sets over X, and
+    the pointwise image of each set must lie inside its assigned set.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, source: ContentObject, target: ContentObject,
+                 subst: Substitution, assignment: Mapping[int, int], _on_atoms: bool = False):
+        algebra = source.algebra
+        if _on_atoms:
+            images, keys = assignment, algebra._atom_keys
+        else:
+            _check_cont_ends(subst, source, target)
+            images, keys = dict(assignment), algebra._by_mask.keys()
+        if images.keys() != keys:
+            raise MismatchError("assignment is not total on the source algebra")
+        geometry = algebra.space.geometry
+        members = target.algebra
+        for src_mask, dst_mask in images.items():
+            members.member(dst_mask)
+            if geometry.image(subst, src_mask) & ~dst_mask:
+                raise AdmissibilityError(
+                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+        self.source = source
+        self.target = target
+        self.subst = subst
+        self.images = images
+        self._on_atoms = _on_atoms
+
+    @classmethod
+    def _least(cls, source: ContentObject, target: ContentObject, subst: Substitution,
+               on_atoms: bool = False) -> "ContMorphism":
+        """Each generator goes to the closure of its pointwise image: the
+        union of the target atoms it meets."""
+        algebra = source.algebra
+        geometry = algebra.space.geometry
+        atoms = target.algebra.block_masks()
+        images = {}
+        for mask in (algebra.block_masks() if on_atoms else algebra.masks):
+            image = geometry.image(subst, mask)
+            images[mask] = sum(atom for atom in atoms if atom & image)
+        return cls(source, target, subst, images, on_atoms)
+
+    def map_set(self, dset: DefinableSet) -> DefinableSet:
+        return self.target.algebra.member(self.image(dset.mask))
 
 
 def compose_desc(second: DescMorphism, first: DescMorphism) -> DescMorphism:
     """Apply first, then second."""
     if first.target.varset != second.source.varset:
         raise MismatchError("morphisms do not compose")
-    subst = compose_subst(first.subst, second.subst)
-    assignment = {m: second.assignment[first.assignment[m]] for m in first.assignment}
-    return DescMorphism(first.source, second.target, subst, assignment)
+    return second.after(first, compose_subst(first.subst, second.subst))
 
 
 def compose_cont(second: ContMorphism, first: ContMorphism) -> ContMorphism:
@@ -400,14 +354,11 @@ def compose_cont(second: ContMorphism, first: ContMorphism) -> ContMorphism:
     underlying substitutions the other way around."""
     if first.target.varset != second.source.varset:
         raise MismatchError("morphisms do not compose")
-    subst = compose_subst(second.subst, first.subst)
-    assignment = {m: second.assignment[first.assignment[m]] for m in first.assignment}
-    return ContMorphism(first.source, second.target, subst, assignment)
+    return second.after(first, compose_subst(second.subst, first.subst))
 
 
 def identity_desc(obj: DescriptionObject) -> DescMorphism:
-    subst = Substitution.identity(obj.varset)
-    return DescMorphism(obj, obj, subst, {m: m for m in obj.lattice.algebra.masks})
+    return DescMorphism._identity(obj)
 
 
 def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
@@ -415,14 +366,7 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
     """The pointwise least admissible assignment along a substitution: each
     filter goes to the filter whose dual is the full pullback of its dual."""
     _check_ends(subst, source, target)
-    return DescMorphism(source, target, subst,
-                        _least_images(source.lattice.algebra.masks, target.lattice, subst))
-
-
-def _least_images(masks, target: FilterLattice, subst: Substitution) -> dict[int, int]:
-    """Each dual mask's full pullback along the substitution, in order; the
-    first pullback that is not a dual of `target` raises."""
-    return {mask: _pullback(subst, mask, target.algebra) for mask in masks}
+    return DescMorphism._least(source, target, subst)
 
 
 def _pullback(subst: Substitution, mask: int, target: DefinableAlgebra) -> int:
@@ -439,17 +383,12 @@ def least_cont_morphism(source: ContentObject, target: ContentObject,
                         subst: Substitution) -> ContMorphism:
     """Each definable set goes to the closure of its pointwise image."""
     _check_cont_ends(subst, source, target)
-    geometry = source.algebra.space.geometry
-    assignment = {}
-    for mask in source.algebra.masks:
-        image = PointSet(target.algebra.space, geometry.image(subst, mask))
-        assignment[mask] = closure(image, target.algebra).mask
-    return ContMorphism(source, target, subst, assignment)
+    return ContMorphism._least(source, target, subst)
 
 
 def content_of(obj: DescriptionObject) -> ContentObject:
     """The dual object: same variable set, the algebra of filter duals."""
-    return ContentObject(obj.lattice.algebra)
+    return obj._content
 
 
 def content_morphism(morphism: DescMorphism) -> ContMorphism:
@@ -460,11 +399,7 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
     the content side: the image of an assigned target dual must land in the
     argument's dual.  A violation would contradict the duality and raises.
     """
-    source_obj = content_of(morphism.target)
-    target_obj = content_of(morphism.source)
-    result = least_cont_morphism(source_obj, target_obj, morphism.subst)
-    _check_dual(morphism.subst, morphism.assignment, source_obj.algebra.space.geometry)
-    return result
+    return morphism._dual()
 
 
 class KnowledgeBase:
@@ -523,9 +458,9 @@ class KnowledgeBase:
     def check_duality(self, depth: int = 1) -> Report:
         """The sweep of the module-level `check_duality` over these objects.
 
-        The object check runs member by member.  Every morphism is held by
-        its images on the atoms of its source: a least description morphism
-        (`_HeldMorphism`) and its content dual (`_HeldContMorphism`), which
+        The object check runs member by member, over the filters in the
+        order of their duals' masks.  Every morphism is held on the atoms of
+        its source: a least description morphism and its content dual, which
         take pullbacks and closures of images, and the composites of these,
         all preserve unions.  So two of them are equal when they agree on the
         atoms, and each pair check (admissibility, the dual of a pair, the
@@ -541,11 +476,9 @@ class KnowledgeBase:
         for n in range(1, n_max + 1):
             obj = self.description(n)
             sizes.append(len(obj))
-            masks = obj.lattice.algebra.masks
-            for a in masks:
-                fa = obj.lattice.filter_for_mask(a)
-                for b in masks:
-                    fb = obj.lattice.filter_for_mask(b)
+            members = list(zip(obj.lattice.algebra.masks, obj.lattice.filters))
+            for a, fa in members:
+                for b, fb in members:
                     order_filters = fa.is_leq(fb)
                     order_duals = b & ~a == 0
                     checked += 1
@@ -554,23 +487,23 @@ class KnowledgeBase:
                             f"|X|={n}: filter order and dual inclusion disagree on "
                             f"{a:#x}, {b:#x}")
 
-        gens = {n: _Generators(self.description(n), True) for n in range(1, n_max + 1)}
-        morphisms: dict[tuple[int, int], list[_HeldMorphism]] = {}
-        duals: dict[tuple[int, int], list[_HeldContMorphism]] = {}
+        objs = {n: self.description(n) for n in range(1, n_max + 1)}
+        morphisms: dict[tuple[int, int], list[DescMorphism]] = {}
+        duals: dict[tuple[int, int], list[ContMorphism]] = {}
         for a in range(1, n_max + 1):
             for b in range(1, n_max + 1):
-                pairs: list[_HeldMorphism] = []
-                dual_pairs: list[_HeldContMorphism] = []
+                pairs: list[DescMorphism] = []
+                dual_pairs: list[ContMorphism] = []
                 for subst in enumerate_substitutions(self.model.sig, canonical_varset(a),
                                                      canonical_varset(b), depth):
                     checked += 1
                     try:
-                        morphism = _HeldMorphism.least(gens[a], gens[b], subst)
+                        morphism = DescMorphism._least(objs[a], objs[b], subst, True)
                     except UndefinablePullbackError as exc:
                         failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
                         continue
                     pairs.append(morphism)
-                    dual_pairs.append(_held_dual(morphism))
+                    dual_pairs.append(morphism._dual())
                 morphisms[(a, b)] = pairs
                 duals[(a, b)] = dual_pairs
                 for i, m1 in enumerate(pairs):
@@ -581,7 +514,7 @@ class KnowledgeBase:
                                 f"duality not injective between sizes {a}->{b}")
 
         for n in range(1, n_max + 1):
-            dual = _held_dual(_HeldMorphism.identity(gens[n]))
+            dual = DescMorphism._identity(objs[n], True)._dual()
             checked += 1
             if any(image != atom for atom, image in dual.images.items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
@@ -595,7 +528,7 @@ class KnowledgeBase:
                     for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
                         for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
                             subst = intern(compose_subst(m1.subst, m2.subst))
-                            left = _held_dual(m2.after(m1, subst))
+                            left = m2.after(m1, subst)._dual()
                             right = d1.after(d2, subst)
                             checked += 1
                             if left != right:

@@ -21,8 +21,10 @@ Each alpha is fixed by its atom images, which the lattice layer's
 a block bijection, and a carrier map relabels the points of each atom.  The
 same extension decides whether a given alpha is a Boolean isomorphism.  The
 naturality squares and the description functor are checked on the lattices'
-atoms, since every map they compare preserves unions; a witness whose alphas
-are not Boolean isomorphisms is checked member by member.
+atoms, since every map they compare preserves unions: the functor's
+morphisms are `DescMorphism`s held on atoms.  A witness whose alphas are not
+Boolean isomorphisms is checked member by member, with morphisms held on
+every member.
 """
 
 from __future__ import annotations
@@ -47,13 +49,8 @@ from .core import (
 )
 from .formulas import Atom, Equal, Formula, atomic_formulas
 from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError, _union_table
-from .categories import (
-    AdmissibilityError,
-    KnowledgeBase,
-    Report,
-    _Generators,
-    _HeldMorphism,
-)
+from .categories import AdmissibilityError, DescMorphism, KnowledgeBase, Report
+from .semantics import _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
 VERDICT_INEQUIVALENT = "INEQUIVALENT"
@@ -362,17 +359,6 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
     return FunctorIso(phi, depth, dict(alphas), kb1, kb2)
 
 
-def _relabel(mask: int, bits: list[int]) -> int:
-    """The union of the bits of a mask's points: `bits[p]` is the target bit
-    of point p under a carrier map."""
-    image = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        image |= bits[low.bit_length() - 1]
-    return image
-
-
 def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
                         depth: int = 2) -> FunctorIso:
     """Turn a carrier isomorphism between the two knowledge bases' models into
@@ -405,7 +391,7 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
         bits[n] = [1 << index_of(mmap.apply_values(row)) for row in algebra1.space.value_rows]
         images = []
         for atom in algebra1.block_masks():
-            image = _relabel(atom, bits[n])
+            image = _gather(atom, bits[n])
             if not algebra2.contains_mask(image):
                 raise DefinabilityError(
                     f"relabeled member {image:#x} is missing over size {n}")
@@ -414,7 +400,7 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     phi = FormulaAutomorphism.identity(kb1.model.sig)
     for n in range(1, n_max + 1):
         constraints = _atom_constraints(kb1, kb2, phi, n, depth)
-        if constraints is None or any(_relabel(a, bits[n]) != b for a, b in constraints):
+        if constraints is None or any(_gather(a, bits[n]) != b for a, b in constraints):
             raise DefinabilityError("carrier transport violates an atom constraint")
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
@@ -489,11 +475,12 @@ def build_description_iso(iso: FunctorIso) -> Report:
     admissible, identities map to identities, composition is preserved, and
     the two functors invert each other on the sampled families.
 
-    Each morphism is held by its images on a generating set of its source
-    lattice.  When every alpha is a Boolean isomorphism, which the witnesses
-    of `find_functor_iso` and `transport_model_iso` are, the generators are
-    the atoms; otherwise they are all the members, and every check is made
-    member by member.  The atoms suffice: least morphisms, alphas and
+    Each morphism is a `DescMorphism` held by its images on a generating set
+    of its source lattice, and transport moves those images.  When every
+    alpha is a Boolean isomorphism, which the witnesses of `find_functor_iso`
+    and `transport_model_iso` are, the generators are the atoms; otherwise
+    they are all the members, and every check is made member by member.  The
+    atoms suffice: least morphisms, alphas and
     pullbacks preserve unions, so every morphism built here does, and two
     such morphisms are equal when they agree on the atoms.  A pair (k, t) of
     a morphism is admissible when t lies inside the pullback of k, and both
@@ -508,35 +495,37 @@ def build_description_iso(iso: FunctorIso) -> Report:
     sig = iso.kb1.model.sig
     sizes = range(1, iso.n_max + 1)
     atoms = _is_boolean(iso)
-    gens1 = {n: _Generators(iso.kb1.description(n), atoms) for n in sizes}
-    gens2 = {n: _Generators(iso.kb2.description(n), atoms) for n in sizes}
+    objs1 = {n: iso.kb1.description(n) for n in sizes}
+    objs2 = {n: iso.kb2.description(n) for n in sizes}
     inverse = iso.inverse_alphas()
     phi_inv = iso.phi.inverse()
+    # Each object, keyed by identity, goes to its alpha and its counterpart.
+    ends1 = {objs1[n]: (iso.alphas[n], objs2[n]) for n in sizes}
+    ends2 = {objs2[n]: (inverse[n], objs1[n]) for n in sizes}
     checked = 0
     failures: list[str] = []
 
-    def transport(m: _HeldMorphism, alphas: dict[int, dict[int, int]],
-                  phi: FormulaAutomorphism, gens: dict[int, _Generators]) -> _HeldMorphism:
-        alpha_a, alpha_b = alphas[m.source.n], alphas[m.target.n]
+    def transport(m: DescMorphism, ends: dict, phi: FormulaAutomorphism) -> DescMorphism:
+        alpha_a, source = ends[m.source]
+        alpha_b, target = ends[m.target]
         images = {alpha_a[k]: alpha_b[v] for k, v in m.images.items()}
-        return _HeldMorphism(gens[m.source.n], gens[m.target.n], phi.map_subst(m.subst),
-                             images)
+        return DescMorphism(source, target, phi.map_subst(m.subst), images, atoms)
 
-    def forward(m: _HeldMorphism) -> _HeldMorphism:
-        return transport(m, iso.alphas, iso.phi, gens2)
+    def forward(m: DescMorphism) -> DescMorphism:
+        return transport(m, ends1, iso.phi)
 
-    def backward(m: _HeldMorphism) -> _HeldMorphism:
-        return transport(m, inverse, phi_inv, gens1)
+    def backward(m: DescMorphism) -> DescMorphism:
+        return transport(m, ends2, phi_inv)
 
-    family1: dict[tuple[int, int], list[_HeldMorphism]] = {}
-    family2: dict[tuple[int, int], list[_HeldMorphism]] = {}
-    images1: dict[tuple[int, int], list[Optional[_HeldMorphism]]] = {}
+    family1: dict[tuple[int, int], list[DescMorphism]] = {}
+    family2: dict[tuple[int, int], list[DescMorphism]] = {}
+    images1: dict[tuple[int, int], list[Optional[DescMorphism]]] = {}
     for a in sizes:
         for b in sizes:
             lst1, lst2, img = [], [], []
             for subst in enumerate_substitutions(sig, canonical_varset(a),
                                                  canonical_varset(b), iso.depth):
-                m1 = _HeldMorphism.least(gens1[a], gens1[b], subst)
+                m1 = DescMorphism._least(objs1[a], objs1[b], subst, atoms)
                 lst1.append(m1)
                 checked += 1
                 try:
@@ -544,15 +533,16 @@ def build_description_iso(iso: FunctorIso) -> Report:
                 except AdmissibilityError as exc:
                     failures.append(f"image of {subst} is not admissible: {exc}")
                     img.append(None)
-                m2 = _HeldMorphism.least(gens2[a], gens2[b], subst)
+                m2 = DescMorphism._least(objs2[a], objs2[b], subst, atoms)
                 lst2.append(m2)
             family1[(a, b)] = lst1
             family2[(a, b)] = lst2
             images1[(a, b)] = img
 
+    identity = DescMorphism._identity
     for n in sizes:
         checked += 1
-        if forward(_HeldMorphism.identity(gens1[n])) != _HeldMorphism.identity(gens2[n]):
+        if forward(identity(objs1[n], atoms)) != identity(objs2[n], atoms):
             failures.append(f"identity over |X|={n} is not preserved")
 
     # Each composite substitution is made once per pair and interned, and

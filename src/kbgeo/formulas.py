@@ -21,7 +21,6 @@ from .core import (
     Substitution,
     Term,
     TokenStream,
-    Var,
     VarSet,
     check_term,
     compose_subst,

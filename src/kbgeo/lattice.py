@@ -121,6 +121,7 @@ class DefinableAlgebra:
         self.varset = varset
         self.space = space
         self._blocks = blocks
+        self._atom_keys = frozenset(blocks)
         self.members = members
         self.masks = tuple(m.mask for m in members)
         self.saturated = saturated

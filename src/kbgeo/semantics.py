@@ -115,6 +115,16 @@ def _check_bound(model: Model, varset: VarSet, max_points: int) -> None:
         raise BoundError(f"{count} points exceed the bound {max_points}")
 
 
+def _gather(mask: int, bits: list[int]) -> int:
+    """The union of `bits[p]` over the points p of a mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= bits[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class _Table:
     """One substitution's pullback table: the substitution it is keyed by,
     per target point the bit of its composite's source index, per source
@@ -186,14 +196,7 @@ class Geometry:
         table = self._table(subst)
         out = table.preimages.get(mask)
         if out is None:
-            fibers = table.fibers
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                out |= fibers[low.bit_length() - 1]
-                rest ^= low
-            table.preimages[mask] = out
+            out = table.preimages[mask] = _gather(mask, table.fibers)
         return out
 
     def image(self, subst: Substitution, mask: int) -> int:
@@ -202,14 +205,7 @@ class Geometry:
         table = self._table(subst)
         out = table.images.get(mask)
         if out is None:
-            bits = table.bits
-            out = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                out |= bits[low.bit_length() - 1]
-                rest ^= low
-            table.images[mask] = out
+            out = table.images[mask] = _gather(mask, table.bits)
         return out
 
 

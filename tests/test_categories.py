@@ -5,6 +5,7 @@ import pytest
 from kbgeo import (
     AdmissibilityError,
     BoundError,
+    ContMorphism,
     DescMorphism,
     DescriptionObject,
     Geometry,
@@ -32,7 +33,6 @@ from kbgeo import (
     verify_push_functoriality,
 )
 from kbgeo import semantics
-from kbgeo.categories import _Generators, _HeldMorphism, _held_dual
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError
 from helpers import (
@@ -283,7 +283,7 @@ def test_geometry_interns_substitutions_by_their_table():
 
 def held_or_error(source, target, subst):
     try:
-        return _HeldMorphism.least(source, target, subst)
+        return DescMorphism._least(source, target, subst, True)
     except UndefinablePullbackError as exc:
         return str(exc)
 
@@ -300,11 +300,12 @@ def desc_or_error(source, target, subst):
 def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
     """A least morphism held on atoms gives every member the image the
     member-wise least morphism assigns, or fails with the same error, and so
-    does its content dual; held composites give every member the member-wise composite's image; and held
-    morphisms are equal exactly when the member-wise ones are."""
+    does its content dual; held composites give every member the member-wise
+    composite's image; and held morphisms are equal exactly when the
+    member-wise ones are."""
     kb = KnowledgeBase(model, 2)
     sizes = (1, 2)
-    gens = {n: _Generators(kb.description(n), True) for n in sizes}
+    objs = {n: kb.description(n) for n in sizes}
     subs = {(a, b): enumerate_substitutions(model.sig, canonical_varset(a),
                                             canonical_varset(b), 1)
             for a in sizes for b in sizes}
@@ -312,14 +313,16 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
     for (a, b), substs in subs.items():
         pairs = []
         for s in substs:
-            h = held_or_error(gens[a], gens[b], s)
-            d = desc_or_error(kb.description(a), kb.description(b), s)
+            h = held_or_error(objs[a], objs[b], s)
+            d = desc_or_error(objs[a], objs[b], s)
             if isinstance(d, str):
                 assert h == d
                 continue
+            assert sorted(h.images) == list(objs[a].lattice.algebra.block_masks())
             assert {k: h.image(k) for k in d.assignment} == d.assignment
             dual = content_morphism(d)
-            assert {k: _held_dual(h).image(k) for k in dual.assignment} == dual.assignment
+            held_dual = content_morphism(h)
+            assert {k: held_dual.image(k) for k in dual.assignment} == dual.assignment
             pairs.append((h, d))
         for h1, d1 in pairs:
             for h2, d2 in pairs:
@@ -334,6 +337,67 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
                         h = h2.after(h1, compose_subst(d1.subst, d2.subst))
                         assert ({k: h.image(k) for k in composite.assignment}
                                 == composite.assignment)
+
+
+def assert_same_morphism(held, member, apply, sources):
+    """`held` (on atoms) and `member` (on every member) are one morphism:
+    equal in both orders, with one member table, mapping every member
+    alike."""
+    assert held._on_atoms and not member._on_atoms
+    assert held == member and member == held
+    assert not held != member and not member != held
+    assert held.assignment == member.assignment
+    assert list(held.assignment) == sorted(member.assignment)
+    assert ([apply(held, x).mask for x in sources]
+            == [apply(member, x).mask for x in sources])
+
+
+def test_morphisms_held_on_atoms_equal_their_member_forms():
+    """The two holdings of a least morphism, an identity, a composite and
+    their content duals compare equal and map alike; mixed composites are
+    held on every member; and a description morphism never equals a content
+    morphism, even with the same substitution and table."""
+    model = model_neg()
+    kb = KnowledgeBase(model, 2)
+    two = kb.description(2)
+    members = two.lattice.filters
+    sets = kb.content(2).algebra.members
+    map_filter, map_set = DescMorphism.map_filter, ContMorphism.map_set
+    atoms = two.lattice.algebra.block_masks()
+    assert len(atoms) < len(members)
+
+    ident = DescMorphism._identity(two, True)
+    assert_same_morphism(ident, identity_desc(two), map_filter, members)
+    assert_same_morphism(content_morphism(ident), content_morphism(identity_desc(two)),
+                         map_set, sets)
+    assert ident != content_morphism(ident)
+    assert identity_desc(two) != content_morphism(identity_desc(two))
+
+    substs = list(enumerate_substitutions(model.sig, two.varset, two.varset, 1))
+    assert len(substs) > 2
+    for s1 in substs:
+        held1 = DescMorphism._least(two, two, s1, True)
+        member1 = least_desc_morphism(two, two, s1)
+        assert_same_morphism(held1, member1, map_filter, members)
+        assert_same_morphism(content_morphism(held1), content_morphism(member1),
+                             map_set, sets)
+        assert held1 != content_morphism(held1) and content_morphism(held1) != held1
+        for s2 in substs[:3]:
+            held2 = DescMorphism._least(two, two, s2, True)
+            member2 = least_desc_morphism(two, two, s2)
+            composite = compose_desc(member2, member1)
+            assert_same_morphism(compose_desc(held2, held1), composite, map_filter, members)
+            for mixed in (compose_desc(held2, member1), compose_desc(member2, held1)):
+                assert mixed.images == composite.assignment
+                assert mixed == composite
+            assert_same_morphism(
+                compose_cont(content_morphism(held1), content_morphism(held2)),
+                compose_cont(content_morphism(member1), content_morphism(member2)),
+                map_set, sets)
+
+    partial = {atom: atom for atom in atoms}
+    with pytest.raises(MismatchError):
+        DescMorphism(two, two, Substitution.identity(two.varset), partial)
 
 
 def assert_sweeps_match_the_member_sweeps(model, n_max, depth):

@@ -1,0 +1,102 @@
+"""Import hygiene of the package: no module imports a name it never uses.
+
+A name counts as used when the module reads it, names it in a quoted
+annotation, lists it in `__all__`, or when another module of the package
+imports it from this one (the package's `__init__.py` re-exports that way).
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kbgeo"
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names bound by the module's imports, with their line numbers."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg,
+                                                                         args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """The names the module reads, in code and in quoted annotations, and
+    the strings of its `__all__`."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+def reexported(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Per module, the names other modules of the package import from it."""
+    out: dict[str, set[str]] = {name: set() for name in trees}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in out:
+                out[node.module] |= {alias.name for alias in node.names}
+    return out
+
+
+def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
+    exported = reexported(trees)
+    found = []
+    for module, tree in sorted(trees.items()):
+        used = used_names(tree) | exported[module]
+        for name, line in sorted(imported_names(tree).items()):
+            if name not in used:
+                found.append(f"{module}.py:{line}: {name}")
+    return found
+
+
+def parse_package() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports(parse_package()) == []
+
+
+def test_the_check_finds_an_unused_import():
+    """A module that imports a name only its docstring mentions is caught;
+    a read name, an `__all__` entry, a quoted annotation and a name another
+    module imports from it are not."""
+    trees = {
+        "one": ast.parse('"""Uses Mapping."""\n'
+                         "from __future__ import annotations\n"
+                         "import os\n"
+                         "from typing import Mapping, Optional\n"
+                         "from .two import Kept, Listed, Quoted, Passed\n"
+                         "__all__ = ['Listed']\n"
+                         "def f(x: 'Quoted') -> Optional[int]:\n"
+                         "    return os.sep, Kept\n"),
+        "two": ast.parse("from .one import Passed\n"),
+    }
+    assert unused_imports(trees) == ["one.py:4: Mapping"]
