@@ -19,18 +19,13 @@ across every substitution they visit, and an equivalence decision builds one
 knowledge base per model and runs its whole witness search over the pair.
 
 The sweeps and the witness check run on lattice atoms.  Every map they
-compare preserves unions: least description morphisms are pullbacks, least
-content morphisms are closures of images, pushes are pullbacks, and
-composites of these preserve unions too.  Such a map is fixed by its atom
-images.  So `DescMorphism` and `ContMorphism` hold their images on a
-generating set of their source: every member when built from an assignment,
-and the atoms when the sweeps and the witness check build them as least
-morphisms, duals, identities or composites.  A check passes on a member when
-it passes on each of the member's atoms, and the first member to fail is an
-atom, so the atom loops report what member loops would.  The push sweep
-reruns a block whose atoms fail over every member, which keeps its
-member-by-member failure lines.  The object-order check and the identity
-pushes still run member by member.
+compare preserves unions (pullbacks, closures of images and their
+composites), so it is fixed by its atom images, and a morphism built by them
+holds only those; its member table is the lattice layer's `UnionMap`.  A
+check passes on a member when it passes on the member's atoms, and the first
+member to fail is an atom, so atom loops report what member loops would.
+Only the object-order check, the identity pushes and the rerun of a push
+block whose atoms fail list members, within the lattice layer's bound.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from .lattice import (
     DefinableSet,
     FilterLattice,
     UndefinablePullbackError,
-    _union_table,
+    UnionMap,
     build_filter_lattice,
 )
 from .formulas import Formula
@@ -103,6 +98,7 @@ class DescriptionObject:
 
     def __init__(self, lattice: FilterLattice):
         self.lattice = lattice
+        self.algebra = lattice.algebra
         self.model = lattice.model
         self.varset = lattice.varset
         self._content = ContentObject(lattice.algebra)
@@ -111,7 +107,7 @@ class DescriptionObject:
         return len(self.lattice)
 
     def __repr__(self) -> str:
-        return f"DescriptionObject({self.varset}, {len(self.lattice)} filters)"
+        return f"DescriptionObject({self.varset}, {1 << len(self.algebra.block_masks())} filters)"
 
 
 class ContentObject:
@@ -126,7 +122,7 @@ class ContentObject:
         return len(self.algebra)
 
     def __repr__(self) -> str:
-        return f"ContentObject({self.varset}, {len(self.algebra)} sets)"
+        return f"ContentObject({self.varset}, {1 << len(self.algebra.block_masks())} sets)"
 
 
 def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
@@ -153,17 +149,8 @@ def is_admissible_cont(subst: Substitution, source_set: DefinableSet,
     return image.is_subset_of(target_set.points)
 
 
-def _check_ends(subst: Substitution, source: DescriptionObject,
-                target: DescriptionObject) -> None:
+def _check_ends(subst: Substitution, source, target) -> None:
     if subst.source != source.varset or subst.target != target.varset:
-        raise MismatchError("substitution endpoints do not match the objects")
-    if source.model != target.model:
-        raise MismatchError("objects live over different models")
-
-
-def _check_cont_ends(subst: Substitution, source: ContentObject,
-                     target: ContentObject) -> None:
-    if subst.target != source.varset or subst.source != target.varset:
         raise MismatchError("substitution endpoints do not match the objects")
     if source.model != target.model:
         raise MismatchError("objects live over different models")
@@ -176,50 +163,60 @@ class _Morphism:
     A morphism built from an assignment holds every member.  The least
     morphisms, their duals, the identities and the composites of these
     preserve unions, and the sweeps and the description functor build them
-    on the atoms of their sources (the private `_on_atoms`): a member's image
-    is then the union of its atoms' images.  Construction checks the held
-    pairs in their order, and a composite is held on atoms when both of its
+    on the atoms of their sources (the private `_on_atoms`), and `assignment`
+    is then the `UnionMap` of the atom images.  Construction checks the held
+    pairs in order: the image of a pair's mask over the substitution's target
+    must lie inside its other mask.  A composite is held on atoms when both
     factors are.  Two morphisms are equal when their substitutions, which fix
     both variable sets, and their member tables are.
     """
 
-    __slots__ = ("source", "target", "subst", "images", "_on_atoms")
+    __slots__ = ("source", "target", "subst", "images", "assignment", "_on_atoms")
+    _along: bool  # whether the source lies over the substitution's source
 
-    @property
-    def assignment(self) -> dict[int, int]:
-        """The image of every member of the source."""
-        if not self._on_atoms:
-            return self.images
-        atoms = sorted(self.images)
-        return _union_table(atoms, [self.images[atom] for atom in atoms])
+    def __init__(self, source, target, subst: Substitution, assignment: Mapping[int, int],
+                 _on_atoms: bool = False):
+        along = self._along
+        index = source.algebra.index
+        if _on_atoms:
+            images, keys = assignment, index.atoms.keys()
+        else:
+            _check_ends(subst, *((source, target) if along else (target, source)))
+            images, keys = dict(assignment), index.keys()
+        if images.keys() != keys:
+            raise MismatchError("assignment is not total on its source")
+        members = target.algebra.index
+        image = (target if along else source).algebra.space.geometry.image
+        for src_mask, dst_mask in images.items():
+            if dst_mask not in members:
+                raise DefinabilityError(f"mask {dst_mask:#x} is not definable over the target")
+            if image(subst, dst_mask) & ~src_mask if along else image(subst, src_mask) & ~dst_mask:
+                raise AdmissibilityError(
+                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+        self.source = source
+        self.target = target
+        self.subst = subst
+        self.images = images
+        self.assignment = UnionMap(images) if _on_atoms else images
+        self._on_atoms = _on_atoms
 
     def image(self, mask: int) -> int:
         """The image of a member of the source."""
-        if not self._on_atoms:
-            return self.images[mask]
-        out = 0
-        for atom, image in self.images.items():
-            if atom & mask == atom:
-                out |= image
-        return out
+        return self.assignment[mask]
 
     def after(self, first, subst: Substitution):
         """`first`, then this morphism, along their composite `subst`, checked
         as this morphism's kind is."""
-        if first._on_atoms and self._on_atoms:
-            images = {k: self.image(v) for k, v in first.images.items()}
-            return type(self)(first.source, self.target, subst, images, True)
-        images = {k: self.image(v) for k, v in first.assignment.items()}
-        return type(self)(first.source, self.target, subst, images)
+        on_atoms = first._on_atoms and self._on_atoms
+        assignment = self.assignment
+        images = {k: assignment[v]
+                  for k, v in (first.images if on_atoms else first.assignment).items()}
+        return type(self)(first.source, self.target, subst, images, on_atoms)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        if self.subst != other.subst:
-            return False
-        if self._on_atoms == other._on_atoms:
-            return self.images == other.images
-        return self.assignment == other.assignment
+        return self.subst == other.subst and self.assignment == other.assignment
 
     __hash__ = None
 
@@ -228,101 +225,42 @@ class _Morphism:
 
 
 class DescMorphism(_Morphism):
-    """An admissible, total assignment of filters along a substitution.
-
-    The assignment maps every dual mask of the source lattice to a dual mask
-    of the target lattice; admissibility of each pair is checked on
-    construction.
-    """
+    """An admissible, total assignment of filters along a substitution: from
+    the dual masks of the source lattice to those of the target lattice."""
 
     __slots__ = ()
-
-    def __init__(self, source: DescriptionObject, target: DescriptionObject,
-                 subst: Substitution, assignment: Mapping[int, int], _on_atoms: bool = False):
-        algebra = source.lattice.algebra
-        if _on_atoms:
-            images, keys = assignment, algebra._atom_keys
-        else:
-            _check_ends(subst, source, target)
-            images, keys = dict(assignment), algebra._by_mask.keys()
-        if images.keys() != keys:
-            raise MismatchError("assignment is not total on the source lattice")
-        lattice = target.lattice
-        geometry = lattice.algebra.space.geometry
-        for src_mask, dst_mask in images.items():
-            lattice.filter_for_mask(dst_mask)
-            if dst_mask & ~geometry.preimage(subst, src_mask):
-                raise AdmissibilityError(
-                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
-        self.source = source
-        self.target = target
-        self.subst = subst
-        self.images = images
-        self._on_atoms = _on_atoms
+    _along = True
 
     @classmethod
     def _least(cls, source: DescriptionObject, target: DescriptionObject, subst: Substitution,
                on_atoms: bool = False) -> "DescMorphism":
         """Each generator goes to its full pullback along the substitution, in
         order; the first pullback that is not a dual of the target raises."""
-        algebra = source.lattice.algebra
-        masks = algebra.block_masks() if on_atoms else algebra.masks
-        target_algebra = target.lattice.algebra
+        masks = source.algebra.block_masks() if on_atoms else source.algebra.masks
         return cls(source, target, subst,
-                   {mask: _pullback(subst, mask, target_algebra) for mask in masks}, on_atoms)
+                   {mask: _pullback(subst, mask, target.algebra) for mask in masks}, on_atoms)
 
     @classmethod
     def _identity(cls, obj: DescriptionObject, on_atoms: bool = False) -> "DescMorphism":
-        algebra = obj.lattice.algebra
-        masks = algebra.block_masks() if on_atoms else algebra.masks
+        masks = obj.algebra.block_masks() if on_atoms else obj.algebra.masks
         return cls(obj, obj, Substitution.identity(obj.varset), {m: m for m in masks}, on_atoms)
 
     def _dual(self) -> "ContMorphism":
         """`content_morphism`, held on the same kind of generators."""
-        result = ContMorphism._least(self.target._content, self.source._content, self.subst,
-                                     self._on_atoms)
-        geometry = self.target.lattice.algebra.space.geometry
-        for src_mask, dst_mask in self.images.items():
-            if geometry.image(self.subst, dst_mask) & ~src_mask:
-                raise AdmissibilityError(
-                    f"duality broken: pair {src_mask:#x} -> {dst_mask:#x} has an inadmissible dual")
-        return result
+        return ContMorphism._least(self.target._content, self.source._content, self.subst,
+                                   self._on_atoms)
 
     def map_filter(self, filt: ClosedFilter) -> ClosedFilter:
+        self.source.algebra.own(filt.dual)
         return self.target.lattice.filter_for_mask(self.image(filt.mask))
 
 
 class ContMorphism(_Morphism):
-    """An admissible, total assignment of definable sets against a substitution.
-
-    For a substitution s: X -> Y this maps sets over Y to sets over X, and
-    the pointwise image of each set must lie inside its assigned set.
-    """
+    """An admissible, total assignment of definable sets against a
+    substitution s: X -> Y, from sets over Y to sets over X."""
 
     __slots__ = ()
-
-    def __init__(self, source: ContentObject, target: ContentObject,
-                 subst: Substitution, assignment: Mapping[int, int], _on_atoms: bool = False):
-        algebra = source.algebra
-        if _on_atoms:
-            images, keys = assignment, algebra._atom_keys
-        else:
-            _check_cont_ends(subst, source, target)
-            images, keys = dict(assignment), algebra._by_mask.keys()
-        if images.keys() != keys:
-            raise MismatchError("assignment is not total on the source algebra")
-        geometry = algebra.space.geometry
-        members = target.algebra
-        for src_mask, dst_mask in images.items():
-            members.member(dst_mask)
-            if geometry.image(subst, src_mask) & ~dst_mask:
-                raise AdmissibilityError(
-                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
-        self.source = source
-        self.target = target
-        self.subst = subst
-        self.images = images
-        self._on_atoms = _on_atoms
+    _along = False
 
     @classmethod
     def _least(cls, source: ContentObject, target: ContentObject, subst: Substitution,
@@ -339,6 +277,7 @@ class ContMorphism(_Morphism):
         return cls(source, target, subst, images, on_atoms)
 
     def map_set(self, dset: DefinableSet) -> DefinableSet:
+        self.source.algebra.own(dset)
         return self.target.algebra.member(self.image(dset.mask))
 
 
@@ -371,10 +310,9 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
 
 def _pullback(subst: Substitution, mask: int, target: DefinableAlgebra) -> int:
     """The pullback of a dual mask along the substitution, which must be a
-    member of `target`, the algebra over the substitution's target; the dual
-    of the filter `push_filter` returns."""
+    member of `target`, over the substitution's target: a pushed filter's dual."""
     pullback = target.space.geometry.preimage(subst, mask)
-    if not target.contains_mask(pullback):
+    if pullback not in target.index:
         raise UndefinablePullbackError(subst, mask, pullback)
     return pullback
 
@@ -382,7 +320,7 @@ def _pullback(subst: Substitution, mask: int, target: DefinableAlgebra) -> int:
 def least_cont_morphism(source: ContentObject, target: ContentObject,
                         subst: Substitution) -> ContMorphism:
     """Each definable set goes to the closure of its pointwise image."""
-    _check_cont_ends(subst, source, target)
+    _check_ends(subst, target, source)
     return ContMorphism._least(source, target, subst)
 
 
@@ -392,13 +330,9 @@ def content_of(obj: DescriptionObject) -> ContentObject:
 
 
 def content_morphism(morphism: DescMorphism) -> ContMorphism:
-    """The dual of a description morphism.
-
-    The result runs against the substitution with the least content
-    assignment.  Every assigned pair of the input is asserted admissible on
-    the content side: the image of an assigned target dual must land in the
-    argument's dual.  A violation would contradict the duality and raises.
-    """
+    """The dual of a description morphism: the least content assignment against
+    the same substitution.  Both sides check a pair as the same image
+    inclusion, so each pair of the input is admissible read the other way."""
     return morphism._dual()
 
 
@@ -406,9 +340,9 @@ class KnowledgeBase:
     """A model with its description and content objects for sizes 1..n_max.
 
     Objects are built over the canonical variable sets of one geometry and
-    cached, and so are the masks of atomic formulas.  On every object the
-    duality invariant is checked: filters and definable sets are in
-    mask-for-mask bijection.
+    cached, and so are the masks of atomic formulas.  An object's content
+    dual is built on its own algebra, so filters and definable sets are in
+    mask-for-mask bijection by construction.
     """
 
     def __init__(self, model: Model, n_max: int,
@@ -429,12 +363,7 @@ class KnowledgeBase:
         if n not in self._descriptions:
             lattice = build_filter_lattice(self.model, canonical_varset(n),
                                            self.max_term_depth, geometry=self.geometry)
-            obj = DescriptionObject(lattice)
-            dual_masks = sorted(m.mask for m in lattice.algebra)
-            filter_masks = sorted(f.mask for f in lattice)
-            if dual_masks != filter_masks:
-                raise DefinabilityError("duality bijection broken on construction")
-            self._descriptions[n] = obj
+            self._descriptions[n] = DescriptionObject(lattice)
         return self._descriptions[n]
 
     def content(self, n: int) -> ContentObject:
@@ -460,14 +389,9 @@ class KnowledgeBase:
 
         The object check runs member by member, over the filters in the
         order of their duals' masks.  Every morphism is held on the atoms of
-        its source: a least description morphism and its content dual, which
-        take pullbacks and closures of images, and the composites of these,
-        all preserve unions.  So two of them are equal when they agree on the
-        atoms, and each pair check (admissibility, the dual of a pair, the
-        identity) passes on a member when it passes on each of its atoms.  By
-        the argument in `build_description_iso`, the first member to fail a
-        check, or to have an undefinable pullback, is an atom, so the atom
-        loops raise and report what member loops would.
+        its source, so two of them are equal when they agree on the atoms,
+        and by the argument in `build_description_iso` the first member to
+        fail a check, or to have an undefinable pullback, is an atom.
         """
         n_max = self.n_max
         checked = 0
@@ -547,15 +471,13 @@ class KnowledgeBase:
         """The sweep of the module-level `verify_push_functoriality` over these
         objects.
 
-        The identity pushes run member by member.  A composable pair (s1, s2)
-        is one block: pushes are pullbacks of duals, which preserve unions,
-        and the algebras are closed under union, so when every atom of the
-        source lattice pushes definably along the composite, along s1 and
-        along s2 after s1, and its direct and staged pushes agree, every
-        member does too.  A block whose atom run records a failure runs again
-        over every member, through the same loop, so its failure lines, their
-        order and the de-duplication of undefinable substitutions are those
-        of the member sweep.  Every member counts as a triple either way.
+        A composable pair (s1, s2) is one block: when every atom of the source
+        lattice pushes definably along the composite, along s1 and along s2
+        after s1, and its direct and staged pushes agree, every member does.
+        A block whose atom run records a failure runs again over every member,
+        through the same loop, so its failure lines, their order and the
+        de-duplication of undefinable substitutions are those of the member
+        sweep.  Every member counts as a triple either way.
         """
         n_max = self.n_max
         checked = 0

@@ -12,8 +12,8 @@ Model files are line oriented with '#' comments:
 
 Subcommands: eval, closure, lattice, duality, functor, equiv.  Exit codes:
 0 pass/witnessed, 1 failure/inequivalent, 2 unknown, 64 usage error, 65
-bad input data.  The KBGEO_MAX_POINTS environment variable overrides the
-point-space bound.
+bad input data or an exceeded bound.  The KBGEO_MAX_POINTS environment
+variable overrides the point-space bound.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .core import (
 )
 from .formulas import FormulaContext, formula_to_text, parse_formula
 from .lattice import (
+    MAX_MEMBERS,
     DefinabilityError,
     build_filter_lattice,
     closure,
@@ -356,7 +357,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lattice", help="profile of the filter lattice")
     p.add_argument("model")
     p.add_argument("--vars", required=True)
-    p.add_argument("--dump", action="store_true", help="list every definable set")
+    p.add_argument("--dump", action="store_true",
+                   help=f"list every definable set; past {MAX_MEMBERS} of them, exit 65")
     add_common(p)
 
     p = sub.add_parser("duality", help="verify the description/content duality")

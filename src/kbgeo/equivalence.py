@@ -16,22 +16,19 @@ A decision builds one `KnowledgeBase` per model, so each lattice is built
 once, and passes the pair to `find_functor_iso` (once per candidate
 automorphism) or `transport_model_iso`; the witness they return carries the
 pair on to `verify_admissibility_transfer` and `build_description_iso`.
-Each alpha is fixed by its atom images, which the lattice layer's
-`_union_table` extends to a member table: a candidate sends the atoms along
-a block bijection, and a carrier map relabels the points of each atom.  The
-same extension decides whether a given alpha is a Boolean isomorphism.  The
-naturality squares and the description functor are checked on the lattices'
-atoms, since every map they compare preserves unions: the functor's
-morphisms are `DescMorphism`s held on atoms.  A witness whose alphas are not
-Boolean isomorphisms is checked member by member, with morphisms held on
-every member.
+Each alpha is the lattice layer's `UnionMap` of its atom images, which
+reads a member's image on lookup: a candidate sends the atoms along a block
+bijection, and a carrier map relabels the points of each atom.  So a
+decision lists no member.  The naturality squares and the description
+functor are checked on atoms; a witness whose alphas are not Boolean
+isomorphisms is checked member by member.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Mapping, Optional
 
 from .core import (
     DEFAULT_MAX_POINTS,
@@ -48,7 +45,7 @@ from .core import (
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula, atomic_formulas
-from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError, _union_table
+from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError, UnionMap
 from .categories import AdmissibilityError, DescMorphism, KnowledgeBase, Report
 from .semantics import _gather
 
@@ -199,13 +196,13 @@ class FunctorIso:
     """A verified family of lattice bijections implementing an automorphism.
 
     ``alphas[n]`` maps dual masks of the first knowledge base's lattice over
-    x1..xn to dual masks of the second's.  The bounds record how far the
-    defining conditions were checked.
+    x1..xn to dual masks of the second's, a `UnionMap` when found or
+    transported.  The bounds record how far the conditions were checked.
     """
 
     phi: FormulaAutomorphism
     depth: int
-    alphas: dict[int, dict[int, int]]
+    alphas: dict[int, Mapping[int, int]]
     kb1: KnowledgeBase
     kb2: KnowledgeBase
 
@@ -213,16 +210,24 @@ class FunctorIso:
     def n_max(self) -> int:
         return self.kb1.n_max
 
-    def alpha_mask(self, n: int, mask: int) -> int:
-        return self.alphas[n][mask]
+    def inverse_alphas(self) -> dict[int, Mapping[int, int]]:
+        return {n: table.inverse() if isinstance(table, UnionMap)
+                else {v: k for k, v in table.items()} for n, table in self.alphas.items()}
 
-    def inverse_alphas(self) -> dict[int, dict[int, int]]:
-        return {n: {v: k for k, v in table.items()} for n, table in self.alphas.items()}
+    def sizes(self) -> str:
+        """The size of each alpha's lattice, as a witness line."""
+        return "; ".join(f"|X|={n}: {_size(self.kb1, n)} filters" for n in sorted(self.alphas))
 
-    def describe(self) -> str:
-        sizes = "; ".join(f"|X|={n}: {len(self.alphas[n])} filters"
-                          for n in sorted(self.alphas))
-        return f"phi {self.phi.describe()} with {sizes}"
+    def __deepcopy__(self, memo) -> "FunctorIso":
+        """A copy holding each alpha as a mutable dict; the automorphism and
+        the knowledge bases are shared."""
+        return replace(self, alphas={n: dict(alpha.items()) for n, alpha in self.alphas.items()})
+
+
+def _size(kb: KnowledgeBase, n: int) -> int:
+    """The number of filters over x1..xn, from the atom count, so that it has
+    no bound where `len` has one."""
+    return 1 << len(kb.description(n).algebra.block_masks())
 
 
 def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
@@ -244,7 +249,7 @@ def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomo
 
 
 def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
-                      constraints: list[tuple[int, int]]) -> Iterable[dict[int, int]]:
+                      constraints: list[tuple[int, int]]) -> Iterable[UnionMap]:
     """All mask bijections induced by block bijections compatible with the
     constraints, in deterministic order."""
     blocks1 = lat1.algebra.block_masks()
@@ -266,10 +271,10 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
         block_map: dict[int, int] = {}
         for key, images in zip(keys, choice):
             block_map.update(zip(classes1[key], images))
-        yield _union_table(blocks1, [block_map[b] for b in blocks1])
+        yield UnionMap(block_map)
 
 
-def _squares_commute(alphas: dict[int, dict[int, int]], phi: FormulaAutomorphism,
+def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorphism,
                      kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
                      source_n: int, target_n: int) -> bool:
     """Check the naturality squares for all bounded substitutions between two
@@ -321,11 +326,11 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
     n_max = kb1.n_max
     if not (kb1.saturated and kb2.saturated):
         return None
-    candidate_lists: list[list[dict[int, int]]] = []
+    candidate_lists: list[list[UnionMap]] = []
     for n in range(1, n_max + 1):
-        lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
-        if len(lat1) != len(lat2):
+        if _size(kb1, n) != _size(kb2, n):
             return None
+        lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
         constraints = _atom_constraints(kb1, kb2, phi, n, depth)
         if constraints is None:
             return None
@@ -334,7 +339,7 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
             return None
         candidate_lists.append(candidates)
 
-    alphas: dict[int, dict[int, int]] = {}
+    alphas: dict[int, UnionMap] = {}
 
     def assign(n: int) -> bool:
         if n > n_max:
@@ -366,8 +371,8 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     verify its defining conditions.
 
     Each point is relabelled once, and each atom goes to the union of its
-    points' images; each member goes to the union of its atoms' images.  The
-    map acts pointwise, so a member's image is a member when each of its
+    points' images; the alpha, a `UnionMap`, sends each member to the union
+    of its atoms' images.  A member's image is a member when each of its
     atoms' images is one, since the target algebra is closed under union.
     Members ascend, so the first member whose image is missing has an atom
     whose image is missing and is no larger: it is that atom, the first such
@@ -383,20 +388,18 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
         raise MismatchError("knowledge bases have different n_max")
     n_max = kb1.n_max
     bits: dict[int, list[int]] = {}
-    alphas: dict[int, dict[int, int]] = {}
+    alphas: dict[int, UnionMap] = {}
     for n in range(1, n_max + 1):
         algebra1 = kb1.description(n).lattice.algebra
         algebra2 = kb2.description(n).lattice.algebra
         index_of = algebra2.space.index_of
         bits[n] = [1 << index_of(mmap.apply_values(row)) for row in algebra1.space.value_rows]
-        images = []
+        images = {}
         for atom in algebra1.block_masks():
-            image = _gather(atom, bits[n])
+            image = images[atom] = _gather(atom, bits[n])
             if not algebra2.contains_mask(image):
-                raise DefinabilityError(
-                    f"relabeled member {image:#x} is missing over size {n}")
-            images.append(image)
-        alphas[n] = _union_table(algebra1.block_masks(), images)
+                raise DefinabilityError(f"relabeled member {image:#x} is missing over size {n}")
+        alphas[n] = UnionMap(images)
     phi = FormulaAutomorphism.identity(kb1.model.sig)
     for n in range(1, n_max + 1):
         constraints = _atom_constraints(kb1, kb2, phi, n, depth)
@@ -457,10 +460,10 @@ def _is_boolean(iso: FunctorIso) -> bool:
         alpha = iso.alphas.get(n)
         atoms1 = iso.kb1.description(n).lattice.algebra.block_masks()
         atoms2 = iso.kb2.description(n).lattice.algebra.block_masks()
-        if alpha is None or not set(atoms1) <= alpha.keys():
+        if alpha is None or not all(atom in alpha for atom in atoms1):
             return False
-        images = [alpha[atom] for atom in atoms1]
-        if sorted(images) != list(atoms2) or alpha != _union_table(atoms1, images):
+        images = {atom: alpha[atom] for atom in atoms1}
+        if sorted(images.values()) != list(atoms2) or alpha != UnionMap(images):
             return False
     return True
 
@@ -480,17 +483,16 @@ def build_description_iso(iso: FunctorIso) -> Report:
     alpha is a Boolean isomorphism, which the witnesses of `find_functor_iso`
     and `transport_model_iso` are, the generators are the atoms; otherwise
     they are all the members, and every check is made member by member.  The
-    atoms suffice: least morphisms, alphas and
-    pullbacks preserve unions, so every morphism built here does, and two
-    such morphisms are equal when they agree on the atoms.  A pair (k, t) of
-    a morphism is admissible when t lies inside the pullback of k, and both
-    sides preserve unions in k, so a member passes when each of its atoms
-    does.  A morphism's pairs are checked in ascending order of the members
-    of the lattice it was first built on, an order that transport keeps.
-    The first member that fails has an atom that fails and is no larger, so
-    it is that atom: the atom loop reports the same first failure, with the
-    same text, and likewise for an undefinable pullback of a least morphism.
-    The report, `checked` included, is the member-wise one.
+    atoms suffice: least morphisms, alphas and pullbacks preserve unions, so
+    every morphism built here does, and two such morphisms are equal when
+    they agree on the atoms.  A pair (k, t) is admissible when the image of t
+    lies inside k, and both sides preserve unions in k, so a member passes
+    when each of its atoms does.  Pairs are checked in ascending order of the
+    members of the lattice a morphism was first built on, which transport
+    keeps.  The first member that fails has an atom that fails and is no
+    larger, so it is that atom: the atom loop reports the same first failure,
+    with the same text, and likewise for an undefinable pullback of a least
+    morphism.  The report, `checked` included, is the member-wise one.
     """
     sig = iso.kb1.model.sig
     sizes = range(1, iso.n_max + 1)
@@ -632,7 +634,7 @@ def _bounds(n_max: int, depth: int) -> tuple[tuple[str, str], ...]:
 def _invariant_refutation(kb1: KnowledgeBase,
                           kb2: KnowledgeBase) -> Optional[tuple[tuple[str, str], ...]]:
     for n in range(1, kb1.n_max + 1):
-        left, right = len(kb1.description(n)), len(kb2.description(n))
+        left, right = _size(kb1, n), _size(kb2, n)
         if left != right:
             return (
                 ("invariant", "lattice size"),
@@ -693,8 +695,7 @@ def check_informational_equivalence(model1: Model, model2: Model,
                     ("kind", "model isomorphism"),
                     ("map", isos[0].describe()),
                     ("phi", iso.phi.describe()),
-                    ("alphas", "; ".join(f"|X|={n}: {len(iso.alphas[n])} filters"
-                                         for n in sorted(iso.alphas))),
+                    ("alphas", iso.sizes()),
                 )
                 return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
 
@@ -711,8 +712,7 @@ def check_informational_equivalence(model1: Model, model2: Model,
                 witness = (
                     ("kind", "functor isomorphism"),
                     ("phi", phi.describe()),
-                    ("alphas", "; ".join(f"|X|={n}: {len(iso.alphas[n])} filters"
-                                         for n in sorted(iso.alphas))),
+                    ("alphas", iso.sizes()),
                 )
                 return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
     except UndefinablePullbackError as exc:

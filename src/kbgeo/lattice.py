@@ -4,31 +4,26 @@ The definable algebra over (model, varset) is the closure of the valuations of
 all atomic formulas (relation atoms over term-definable argument tuples, plus
 equalities between them when the signature has equality) under complement,
 intersection, union, and one-variable projection.  It is a finite Boolean
-algebra, so it is built from its atoms, found by partition refinement: the
-members are the unions of atoms.  A map that preserves unions is fixed by its
-atom images, and `_union_table` extends those images to every member; the
-member list, the equivalence layer's lattice bijections and its Boolean check
-all come from it.  A build takes its point bound from the model's geometry
-alone.
+algebra, so its atoms fix it, and a build, by partition refinement, stores
+nothing else.  A map that preserves unions is fixed by its atom images:
+`UnionMap` reads it lazily.  It is each algebra's member index, every lattice
+bijection of the equivalence layer and the member table of every morphism
+held on atoms.  Listing more than `MAX_MEMBERS` members is a `BoundError`.
 
 Every member carries a witness formula that evaluates exactly to its point
-set.  The witnesses come from the split tree, so members share subformulas:
-one algebra's witnesses form a formula DAG.  A build checks and values its
-members through one memo keyed on node identity, so each shared node is
-checked and valued once per build, and `dump_lines` renders each shared node
-once per call.  Both memos are locals of that build or call.
-
-A closed filter is represented by its dual definable set: the filter of all
-formulas true on that set.  Smaller filters correspond to larger point sets,
-so the lattice order here is reverse inclusion of duals.
+set.  The witnesses come from the split tree that made the atoms, so they
+share subformulas.  An algebra keeps that tree, its witness memo and one
+valuation memo keyed on node identity; a member is built and checked through
+them when first asked for, then cached, so each shared node is checked once.
+A closed filter is represented by its dual definable set.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional
 
-from .core import MismatchError, Model, Substitution, VarSet, term_functions
+from .core import BoundError, MismatchError, Model, Substitution, VarSet, term_functions
 from .formulas import (
     And,
     Atom,
@@ -52,6 +47,13 @@ from .semantics import (
     subst_image_points,
 )
 
+MAX_MEMBERS = 1 << 20  # the most members, filters or degrees one listing holds
+
+
+def _listable(count: int) -> None:
+    if count > MAX_MEMBERS:
+        raise BoundError(f"{count} members exceed the bound {MAX_MEMBERS}")
+
 
 class DefinabilityError(RuntimeError):
     """A point set expected to be definable is missing from the algebra."""
@@ -67,13 +69,22 @@ class UndefinablePullbackError(DefinabilityError):
         self.subst = subst
 
 
+def _check_witness(points: PointSet, witness: Formula, valuation: Optional[_Valuation]) -> None:
+    space = points.space
+    actual = satisfying_points(witness, space.model, space.varset,
+                               geometry=space.geometry, _valuation=valuation)
+    if actual.mask != points.mask:
+        raise DefinabilityError(
+            f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
+
+
 class DefinableSet:
     """A definable point set together with a defining witness formula.
 
     Construction re-evaluates the witness over the space's geometry and
     refuses a mismatch, so a DefinableSet is definable by checked evidence,
     not by promise.  A set built on its own is checked from scratch; the
-    members of one algebra build are checked through that build's valuation
+    members of one algebra are checked through that algebra's valuation
     memo, which answers the subformulas they share from their first check.
     Equality and hashing ignore the witness: two members with the same points
     are the same set.
@@ -83,12 +94,7 @@ class DefinableSet:
 
     def __init__(self, points: PointSet, witness: Formula,
                  _valuation: Optional[_Valuation] = None):
-        space = points.space
-        actual = satisfying_points(witness, space.model, space.varset,
-                                   geometry=space.geometry, _valuation=_valuation)
-        if actual.mask != points.mask:
-            raise DefinabilityError(
-                f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
+        _check_witness(points, witness, _valuation)
         self.points = points
         self.witness = witness
 
@@ -111,52 +117,122 @@ class DefinableSet:
         return f"DefinableSet(mask={self.mask:#x}, witness={formula_to_text(self.witness)!r})"
 
 
+class UnionMap(Mapping[int, int]):
+    """The read-only map that sends each union of `atoms` (disjoint, nonzero
+    masks) to the union of their images, computed on first lookup.  Keys
+    iterate ascending: each atom exceeds every union of smaller ones, so
+    doubling the list atom by atom keeps it sorted."""
+
+    __slots__ = ("atoms", "_memo", "_keys")
+
+    def __init__(self, atoms: dict[int, int]):
+        self.atoms = atoms
+        self._memo: dict[int, Optional[int]] = {}
+        self._keys: Optional[list[int]] = None
+
+    def __getitem__(self, mask: int) -> int:
+        value = self._memo.get(mask)
+        if value is None and mask not in self:
+            raise KeyError(mask)
+        return self._memo[mask] if value is None else value
+
+    def __contains__(self, mask) -> bool:
+        try:
+            return self._memo[mask] is not None
+        except KeyError:
+            pass
+        value, rest = 0, mask
+        for atom, image in self.atoms.items():
+            if rest & atom:  # an atom only partly in `mask` leaves its rest set
+                value |= image
+                rest ^= atom
+        self._memo[mask] = None if rest else value
+        return not rest
+
+    def __len__(self) -> int:
+        return 1 << len(self.atoms)
+
+    def __iter__(self) -> Iterator[int]:
+        if self._keys is None:
+            _listable(len(self))
+            self._keys = [0]
+            for atom in sorted(self.atoms):
+                self._keys += [union | atom for union in self._keys]
+        return iter(self._keys)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UnionMap):
+            return self.atoms == other.atoms
+        return super().__eq__(other)
+
+    def inverse(self) -> "UnionMap":
+        """The inverse map; the images must be disjoint and nonzero."""
+        return UnionMap({image: atom for atom, image in self.atoms.items()})
+
+
 class DefinableAlgebra:
-    """The definable algebra over one space, built from its atoms by partition
-    refinement: the members are all unions of atoms, in ascending mask order."""
+    """The definable algebra over one space, held by its atoms; `index` maps
+    every member to itself, and a member is built when first asked for."""
 
     def __init__(self, model: Model, varset: VarSet, space: PointSpace,
-                 blocks: tuple[int, ...], members: tuple[DefinableSet, ...], saturated: bool):
+                 blocks: tuple[int, ...], witness: Callable[[int], Formula],
+                 valuation: _Valuation, saturated: bool):
         self.model = model
         self.varset = varset
         self.space = space
-        self._blocks = blocks
-        self._atom_keys = frozenset(blocks)
-        self.members = members
-        self.masks = tuple(m.mask for m in members)
         self.saturated = saturated
-        self._by_mask = dict(zip(self.masks, members))
+        self.index = UnionMap({block: block for block in blocks})
+        self._blocks = blocks
+        self._witness = witness
+        self._valuation = valuation
+        self._members: dict[int, DefinableSet] = {}
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        return tuple(self.index)
+
+    @property
+    def members(self) -> tuple[DefinableSet, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return 1 << len(self._blocks)
 
     def __iter__(self) -> Iterator[DefinableSet]:
-        return iter(self.members)
+        return map(self.member, self.index)
 
     def contains_mask(self, mask: int) -> bool:
-        return mask in self._by_mask
+        return mask in self.index
 
     def member(self, mask: int) -> DefinableSet:
-        try:
-            return self._by_mask[mask]
-        except KeyError:
-            raise DefinabilityError(f"mask {mask:#x} is not definable here") from None
+        dset = self._members.get(mask)
+        if dset is None:
+            if mask not in self.index:
+                raise DefinabilityError(f"mask {mask:#x} is not definable here")
+            dset = self._members[mask] = DefinableSet(PointSet(self.space, mask),
+                                                      self._witness(mask), self._valuation)
+        return dset
+
+    def own(self, dset: DefinableSet) -> None:
+        """Raise `MismatchError` unless `dset` is a member of this algebra."""
+        space = dset.points.space
+        if dset.mask not in self.index or space.varset != self.varset \
+                or space.model != self.model:
+            raise MismatchError("set does not belong to this algebra")
 
     def block_masks(self) -> tuple[int, ...]:
-        """Masks of the atoms, ascending.  Every member is a union of these
-        blocks."""
+        """Masks of the atoms, ascending; every member is a union of these."""
         return self._blocks
 
     def dump_lines(self) -> list[str]:
-        """One line per member, sorted by mask: hex mask, cardinality, witness.
-        The witnesses share subformulas, and each shared one is rendered once
-        per call."""
+        """One line per member, sorted by mask: hex mask, cardinality, witness;
+        each subformula the witnesses share is rendered once per call."""
         texts: dict[tuple[int, int], str] = {}  # (node id, min_prec) -> text
         return [f"{m.mask:#x} {m.points.cardinality} {_render(m.witness, 0, texts)}"
                 for m in self.members]
 
     def __repr__(self) -> str:
-        return (f"DefinableAlgebra({self.varset}, {len(self.members)} sets,"
+        return (f"DefinableAlgebra({self.varset}, {1 << len(self._blocks)} sets,"
                 f" saturated={self.saturated})")
 
 
@@ -174,17 +250,6 @@ def _select(cut: Formula, when: Formula, otherwise: Formula) -> Formula:
     return Or(And(cut, when), And(Not(cut), otherwise))
 
 
-def _union_table(atoms: Sequence[int], images: Sequence[int]) -> dict[int, int]:
-    """The map that preserves unions and sends each atom to its image: a table
-    from every union of the atoms to the union of their images.  Atoms are
-    disjoint, so with atoms ascending each one exceeds every union of those
-    before it, and the table's keys ascend."""
-    table = {0: 0}
-    for atom, image in zip(atoms, images):
-        table.update([(mask | atom, value | image) for mask, value in table.items()])
-    return table
-
-
 def generate_definable_algebra(model: Model, varset: VarSet,
                                max_term_depth: Optional[int] = None, *,
                                geometry: Optional[Geometry] = None) -> DefinableAlgebra:
@@ -197,8 +262,8 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     projection of each block along each variable splits the blocks until
     nothing splits.  Projection distributes over union, so the blocks are the
     atoms of the closure of the seeds under complement, intersection, union,
-    and projection.  The members are all unions of atoms, each witnessed by
-    its choices at the splits that made the atoms.
+    and projection.  Each member is a union of atoms, witnessed by its
+    choices at the splits; a block's witness is checked before it projects.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from a fresh geometry under the default bound.
@@ -255,21 +320,19 @@ def generate_definable_algebra(model: Model, varset: VarSet,
                 split(mask, Equal(f1.witness, f2.witness))
 
     # Each block is queued once: its projections stay unions of blocks as the
-    # partition refines, and a block split later has its parts queued.
+    # partition refines, and a block split later has its parts queued.  The
+    # witness memo and the split tree keep every node the valuation keys alive.
+    valuation = _Valuation()
     pending = list(blocks)
     while pending:
         block = pending.pop()
+        body = witness(block)
+        _check_witness(PointSet(space, block), body, valuation)
         for var in varset.names:
-            pending += split(_exists_mask(block, space, var), Exists(var, witness(block)))
+            pending += split(_exists_mask(block, space, var), Exists(var, body))
 
-    atoms = tuple(sorted(blocks))
-    # Every member's witness is checked and valued through one memo: the
-    # witnesses share their split-tree subformulas, and the members and the
-    # witness memo keep every node alive until the build returns.
-    valuation = _Valuation()
-    members = tuple(DefinableSet(PointSet(space, m), witness(m), valuation)
-                    for m in _union_table(atoms, atoms))
-    return DefinableAlgebra(model, varset, space, atoms, members, clone.saturated)
+    return DefinableAlgebra(model, varset, space, tuple(sorted(blocks)), witness, valuation,
+                            clone.saturated)
 
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:
@@ -332,8 +395,6 @@ class FilterLattice:
 
     def __init__(self, algebra: DefinableAlgebra):
         self.algebra = algebra
-        self.filters = tuple(ClosedFilter(m) for m in algebra.members)
-        self._by_mask = {f.mask: f for f in self.filters}
 
     @property
     def model(self) -> Model:
@@ -347,17 +408,18 @@ class FilterLattice:
     def saturated(self) -> bool:
         return self.algebra.saturated
 
+    @property
+    def filters(self) -> tuple[ClosedFilter, ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.filters)
+        return len(self.algebra)
 
     def __iter__(self) -> Iterator[ClosedFilter]:
-        return iter(self.filters)
+        return map(ClosedFilter, self.algebra)
 
     def filter_for_mask(self, mask: int) -> ClosedFilter:
-        try:
-            return self._by_mask[mask]
-        except KeyError:
-            raise DefinabilityError(f"no filter with dual mask {mask:#x}") from None
+        return ClosedFilter(self.algebra.member(mask))
 
     @property
     def bottom(self) -> ClosedFilter:
@@ -369,25 +431,19 @@ class FilterLattice:
         """The improper filter: dual is empty."""
         return self.filter_for_mask(0)
 
-    def _own(self, filt: ClosedFilter) -> None:
-        if filt.mask not in self._by_mask or \
-                filt.points.space.varset != self.varset or \
-                filt.points.space.model != self.model:
-            raise MismatchError("filter does not belong to this lattice")
-
     def meet(self, a: ClosedFilter, b: ClosedFilter) -> ClosedFilter:
-        self._own(a)
-        self._own(b)
+        self.algebra.own(a.dual)
+        self.algebra.own(b.dual)
         return self.filter_for_mask(a.mask | b.mask)
 
     def join(self, a: ClosedFilter, b: ClosedFilter) -> ClosedFilter:
         """Closed union of filters: dual is the intersection of duals."""
-        self._own(a)
-        self._own(b)
+        self.algebra.own(a.dual)
+        self.algebra.own(b.dual)
         return self.filter_for_mask(a.mask & b.mask)
 
     def __repr__(self) -> str:
-        return f"FilterLattice({self.varset}, {len(self.filters)} filters)"
+        return f"FilterLattice({self.varset}, {1 << len(self.algebra.block_masks())} filters)"
 
 
 def build_filter_lattice(model: Model, varset: VarSet,
@@ -419,7 +475,8 @@ def lattice_profile(lat: FilterLattice) -> tuple[int, int, tuple[int, ...]]:
     Height is the longest cover chain; the degree of a node counts its
     covers and cocovers together.  The lattice is Boolean: with k atoms it
     has 2^k nodes, height k, and j + (k - j) = k covers and cocovers at a
-    node whose dual holds j atoms.
+    node whose dual holds j atoms, so the degrees are 2^k copies of k.
     """
     k = len(lat.algebra.block_masks())
+    _listable(1 << k)
     return 1 << k, k, (k,) * (1 << k)

@@ -344,7 +344,7 @@ def _exists_mask(mask: int, space: PointSpace, var: str) -> int:
 
 class _Valuation:
     """The formula nodes checked and valued over one space, keyed on node
-    identity: one call's or one build's memo, so that witnesses sharing
+    identity: one call's or one algebra's memo, so that witnesses sharing
     subformulas have each shared node checked and valued once.  Its owner
     keeps every keyed node alive while it uses the memo, so no identity is
     reused."""

@@ -107,6 +107,15 @@ def seeded_models() -> list:
     return out
 
 
+def named_pair() -> tuple:
+    """Two 3-element models with P = {1}, Q = {0} and P = {2}, Q = {0}: a
+    relabelling pair in which atomic formulas name every element, so every
+    point over three variables is its own atom: 27 atoms, 2^27 members."""
+    sig = Signature((), (("P", 1), ("Q", 1)))
+    return (Model(sig, (0, 1, 2), None, {"P": [(1,)], "Q": [(0,)]}),
+            Model(sig, (0, 1, 2), None, {"P": [(2,)], "Q": [(0,)]}))
+
+
 def relabeled(model: Model, perm) -> Model:
     """The model with carrier element i renamed perm[i]."""
     name = dict(zip(model.carrier, perm))
@@ -220,6 +229,24 @@ def brute_definable_family(model: Model, k: int, depth: int = 2) -> set:
         if additions <= family:
             return family
         family |= additions
+
+
+def brute_atomic_classes(model: Model, k: int) -> list:
+    """The rows of the k-variable space grouped by the truth values, row by
+    row, of every relation atom over the variables and every equality
+    between two variables (for a signature without operations).  Rows in
+    different groups are separated by an atomic formula, so lie in
+    different atoms: singleton groups make every set of rows definable."""
+    rows = brute_rows(model, k)
+    groups = {}
+    for row in rows:
+        values = [args in model.rel_tables[name]
+                  for name, arity in model.sig.rels
+                  for args in itertools.product(row, repeat=arity)]
+        if model.sig.with_equality:
+            values += [a == b for a, b in itertools.product(row, repeat=2)]
+        groups.setdefault(tuple(values), []).append(row)
+    return list(groups.values())
 
 
 def brute_closure(model: Model, k: int, subset, family=None) -> frozenset:

@@ -42,6 +42,7 @@ from helpers import (
     model_eq,
     model_neg,
     model_p,
+    model_pq1,
     seeded_models,
 )
 
@@ -398,6 +399,26 @@ def test_morphisms_held_on_atoms_equal_their_member_forms():
     partial = {atom: atom for atom in atoms}
     with pytest.raises(MismatchError):
         DescMorphism(two, two, Substitution.identity(two.varset), partial)
+
+
+def test_morphisms_refuse_arguments_from_other_objects():
+    """A morphism maps only the filters or sets of its own source, in either
+    holding: a filter over {x1, x2} given to a morphism from {x1}, or a set
+    over {x1} given to its content dual from {x1, x2}, is a MismatchError."""
+    kb = KnowledgeBase(model_pq1(), 2)
+    one, two = kb.description(1), kb.description(2)
+    subst = next(iter(enumerate_substitutions(model_pq1().sig, one.varset, two.varset, 1)))
+    foreign_filter = two.lattice.filter_for_mask(0xc)
+    foreign_set = kb.content(1).algebra.member(0b10)
+    for held in (least_desc_morphism(one, two, subst), DescMorphism._least(one, two, subst, True)):
+        dual = content_morphism(held)
+        with pytest.raises(MismatchError, match="set does not belong to this algebra"):
+            held.map_filter(foreign_filter)
+        with pytest.raises(MismatchError, match="set does not belong to this algebra"):
+            dual.map_set(foreign_set)
+        own = one.lattice.filter_for_mask(0b10)
+        assert held.map_filter(own).mask == subst_preimage_points(subst, own.points).mask
+        assert dual.map_set(kb.content(2).algebra.member(0xc)).mask == 0b10
 
 
 def assert_sweeps_match_the_member_sweeps(model, n_max, depth):

@@ -333,6 +333,28 @@ def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path):
                                      "along {x1 := f(x1)} is not definable over {x1}")
 
 
+NAMED = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 1\nrel Q: 0\n"
+
+
+def test_listing_past_the_member_bound_is_a_data_error(tmp_path):
+    """Over three variables the model has 2^27 members: the decision stands,
+    while the dump, the profile's degree line and both sweeps, which list
+    members, stop with exit 65 and the bound."""
+    path = tmp_path / "named.kbm"
+    path.write_text(NAMED)
+    code, text = run_command(["equiv", str(path), str(path), "--max-vars", "3",
+                              "--depth", "1", "--format", "machine"], RunConfig())
+    assert code == EXIT_PASS
+    assert "witness.alphas: |X|=1: 8 filters; |X|=2: 512 filters; |X|=3: 134217728 filters" \
+        in text.splitlines()
+    error = "error: 134217728 members exceed the bound 1048576"
+    for argv in (["lattice", str(path), "--vars", "x1,x2,x3", "--dump"],
+                 ["lattice", str(path), "--vars", "x1,x2,x3"],
+                 ["duality", str(path), "--max-vars", "3"],
+                 ["functor", str(path), "--max-vars", "3", "--depth", "1"]):
+        assert run_command(argv, RunConfig()) == (EXIT_DATA, error)
+
+
 def test_partial_lattice_note_leaves_the_carrier_witness_standing():
     code, text = run_command(["equiv", fixture("m_neg.kbm"), fixture("m_neg.kbm"),
                               "--max-term-depth", "0", "--format", "machine"], RunConfig())

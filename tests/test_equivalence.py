@@ -3,19 +3,23 @@
 import copy
 import dataclasses
 import itertools
+import random
 import re
 
 import pytest
 
 from kbgeo import (
     Atom,
+    BoundError,
     FormulaAutomorphism,
     FunctorIso,
     DefinabilityError,
+    DefinableSet,
     KnowledgeBase,
     MismatchError,
     Model,
     ModelMap,
+    PointSet,
     Signature,
     SignatureError,
     Substitution,
@@ -26,12 +30,14 @@ from kbgeo import (
     build_description_iso,
     canonical_varset,
     check_automorphic_equivalence,
+    closure,
     check_informational_equivalence,
     check_isomorphic,
     compose_subst,
     enumerate_automorphisms,
     enumerate_substitutions,
     find_functor_iso,
+    lattice_profile,
     model_isomorphisms,
     parse_term,
     transport_model_iso,
@@ -47,6 +53,7 @@ from kbgeo.equivalence import (
 from kbgeo.lattice import UndefinablePullbackError
 from helpers import (
     all_fixtures,
+    brute_atomic_classes,
     memberwise_candidate_alphas,
     memberwise_description_iso,
     memberwise_is_boolean,
@@ -59,6 +66,8 @@ from helpers import (
     model_p_relabeled,
     model_pq1,
     model_pq2,
+    named_pair,
+    relabeled,
     seeded_models,
     seeded_pairs,
 )
@@ -194,9 +203,10 @@ def test_search_functions_need_matching_knowledge_bases():
                          ids=["swap", "relabel"])
 @pytest.mark.parametrize("n_max", [1, 2])
 def test_decision_builds_each_lattice_and_space_once(monkeypatch, pair, kind, n_max):
-    algebras, spaces = [], []
+    algebras, spaces, members = [], [], []
     generate = lattice.generate_definable_algebra
     init = semantics.PointSpace.__init__
+    member_init = DefinableSet.__init__
 
     def counting_generate(*args, **kwargs):
         algebras.append(args[:2])
@@ -206,12 +216,65 @@ def test_decision_builds_each_lattice_and_space_once(monkeypatch, pair, kind, n_
         spaces.append(args[:2])
         init(self, *args, **kwargs)
 
+    def counting_member(self, *args, **kwargs):
+        members.append(args[0].mask)
+        member_init(self, *args, **kwargs)
+
     monkeypatch.setattr(lattice, "generate_definable_algebra", counting_generate)
     monkeypatch.setattr(semantics.PointSpace, "__init__", counting_init)
+    monkeypatch.setattr(DefinableSet, "__init__", counting_member)
     report = check_informational_equivalence(pair[0](), pair[1](), n_max=n_max, depth=1)
     assert report.verdict == VERDICT_WITNESSED
     assert dict(report.witness)["kind"] == kind
     assert len(algebras) == len(spaces) == 2 * n_max
+    assert members == []
+
+
+def test_decisions_at_three_variables():
+    """The named pair has 27 atoms and 2^27 members over three variables.
+    Both deciders witness it at n_max 3, depth 1: the carrier transport and
+    the functor search.  Atomic formulas separate every point, so every mask
+    is a member and its own closure, which the lattice answers from its atoms
+    on seeded random masks."""
+    first, second = named_pair()
+    line = "|X|=1: 8 filters; |X|=2: 512 filters; |X|=3: 134217728 filters"
+    for decide, kind in ((check_informational_equivalence, "model isomorphism"),
+                         (check_automorphic_equivalence, "functor isomorphism")):
+        report = decide(first, second, n_max=3, depth=1)
+        assert report.verdict == VERDICT_WITNESSED
+        assert dict(report.witness)["kind"] == kind
+        assert dict(report.witness)["alphas"] == line
+    lat = KnowledgeBase(first, 3).description(3).lattice
+    assert len(lat) == 1 << 27
+    with pytest.raises(BoundError, match="^134217728 members exceed the bound 1048576$"):
+        lattice_profile(lat)
+    classes = brute_atomic_classes(first, 3)
+    assert len(classes) == 27 and all(len(rows) == 1 for rows in classes)
+    algebra = lat.algebra
+    assert len(algebra.block_masks()) == 27
+    rng = random.Random(3)
+    for _ in range(200):
+        mask = rng.getrandbits(27)
+        assert algebra.contains_mask(mask)
+        assert not algebra.contains_mask(mask | 1 << 27 + rng.randrange(4))
+        assert closure(PointSet(algebra.space, mask), algebra).mask == mask
+
+
+def test_decisions_past_sixty_two_atoms():
+    """Three unary relations name the eight elements by their bits, so over
+    two variables the lattice has 64 atoms and 2^64 members, more than `len`
+    can return.  Both deciders witness the model against a relabelling and
+    print the sizes from the atom counts."""
+    sig = Signature((), (("P", 1), ("Q", 1), ("R", 1)))
+    bits = Model(sig, tuple(range(8)), None,
+                 {rel: [(i,) for i in range(8) if i >> b & 1] for b, rel in enumerate("PQR")})
+    line = "|X|=1: 256 filters; |X|=2: 18446744073709551616 filters"
+    for decide, kind in ((check_informational_equivalence, "model isomorphism"),
+                         (check_automorphic_equivalence, "functor isomorphism")):
+        report = decide(bits, relabeled(bits, (3, 0, 6, 1, 7, 2, 5, 4)), n_max=2, depth=1)
+        assert report.verdict == VERDICT_WITNESSED
+        assert dict(report.witness)["kind"] == kind
+        assert dict(report.witness)["alphas"] == line
 
 
 def test_admissibility_transfer_and_corruption():

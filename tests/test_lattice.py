@@ -41,6 +41,7 @@ from helpers import (
     model_neg,
     model_p,
     model_p0,
+    named_pair,
     seeded_models,
 )
 
@@ -312,9 +313,10 @@ def test_dump_lines_are_sorted_and_witnessed():
     assert any("P(x1)" in line for line in lines)
 
 
-def test_union_table_matches_brute_force_or():
+def test_union_map_matches_brute_force_or():
     """Every union of atoms goes to the union of their images, with the keys
-    ascending: the member masks for the atoms themselves, and any images."""
+    ascending: the member masks for the atoms themselves, and any images.
+    A mask that is no union of atoms is not a key."""
     for _, model in all_fixtures():
         for k in (1, 2, 3):
             algebra = generate_definable_algebra(model, canonical_varset(k))
@@ -327,9 +329,59 @@ def test_union_table_matches_brute_force_or():
                         if keep:
                             key, value = key | atom, value | image
                     brute[key] = value
-                table = lattice._union_table(atoms, images)
-                assert table == brute
+                table = lattice.UnionMap(dict(zip(atoms, images)))
+                assert dict(table.items()) == brute and table == brute
                 assert list(table) == sorted(brute) == list(algebra.masks)
+                assert len(table) == len(brute)
+                for mask in range(1 << algebra.space.size):
+                    assert (mask in table) == (mask in brute)
+
+
+def test_member_is_built_on_first_use_checked_and_cached(monkeypatch):
+    """A build makes no member; `member` checks the witness of a mask the
+    first time it is asked, and answers with that same set after; a failed
+    check leaves nothing cached.  A filter is built on its dual member."""
+    built = []
+    init = DefinableSet.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0].mask)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DefinableSet, "__init__", counting)
+    lat = build_filter_lattice(model_neg(), canonical_varset(2))
+    algebra = lat.algebra
+    assert built == []
+    mask = algebra.block_masks()[0] | algebra.block_masks()[-1]
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "satisfying_points",
+                      lambda f, model, varset, **kw: PointSet(algebra.space, 0))
+        with pytest.raises(DefinabilityError):
+            algebra.member(mask)
+    first = algebra.member(mask)
+    assert first.mask == mask and built == [mask, mask]
+    assert algebra.member(mask) is first and built == [mask, mask]
+    assert lat.filter_for_mask(mask).dual is first
+    assert DefinableSet(first.points, first.witness).mask == mask
+    with pytest.raises(DefinabilityError):
+        algebra.member(algebra.block_masks()[0] | 1 << algebra.space.size)
+
+
+def test_listings_past_the_member_bound_raise():
+    """Over three variables the named pair's first model has 2^27 members:
+    every listing of members, filters or degrees is a BoundError, while
+    lookups and the size stay answered."""
+    lat = build_filter_lattice(named_pair()[0], canonical_varset(3))
+    algebra = lat.algebra
+    assert len(algebra) == len(lat) == 1 << 27 > lattice.MAX_MEMBERS
+    listings = [lambda: algebra.masks, lambda: algebra.members, lambda: list(algebra),
+                algebra.dump_lines, lambda: lat.filters, lambda: list(lat),
+                lambda: list(algebra.index), lambda: lattice_profile(lat)]
+    for listing in listings:
+        with pytest.raises(BoundError, match="^134217728 members exceed the bound 1048576$"):
+            listing()
+    top = algebra.space.full_mask
+    assert algebra.member(top).mask == top and lat.bottom.mask == top
 
 
 @pytest.mark.parametrize("build", [generate_definable_algebra, build_filter_lattice,
