@@ -24,8 +24,10 @@ composites), so it is fixed by its atom images, and a morphism built by them
 holds only those; its member table is the lattice layer's `UnionMap`.  A
 check passes on a member when it passes on the member's atoms, and the first
 member to fail is an atom, so atom loops report what member loops would.
-Only the object-order check, the identity pushes and the rerun of a push
-block whose atoms fail list members, within the lattice layer's bound.
+A passing sweep lists no member; only the rerun of a push block or an
+identity whose atoms fail does, within the lattice layer's bound.  Objects
+need no check: a description object's content dual is built on its own
+algebra, and a filter's order is its dual's reverse inclusion by definition.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class DescriptionObject:
         return len(self.lattice)
 
     def __repr__(self) -> str:
-        return f"DescriptionObject({self.varset}, {1 << len(self.algebra.block_masks())} filters)"
+        return f"DescriptionObject({self.varset}, {self.algebra.size} filters)"
 
 
 class ContentObject:
@@ -122,7 +124,7 @@ class ContentObject:
         return len(self.algebra)
 
     def __repr__(self) -> str:
-        return f"ContentObject({self.varset}, {1 << len(self.algebra.block_masks())} sets)"
+        return f"ContentObject({self.varset}, {self.algebra.size} sets)"
 
 
 def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
@@ -387,30 +389,15 @@ class KnowledgeBase:
     def check_duality(self, depth: int = 1) -> Report:
         """The sweep of the module-level `check_duality` over these objects.
 
-        The object check runs member by member, over the filters in the
-        order of their duals' masks.  Every morphism is held on the atoms of
-        its source, so two of them are equal when they agree on the atoms,
-        and by the argument in `build_description_iso` the first member to
-        fail a check, or to have an undefinable pullback, is an atom.
+        It checks no object, since each is dual to its content object by
+        construction.  Every morphism is held on the atoms of its source, so
+        two of them are equal when they agree on the atoms, and by the
+        argument in `build_description_iso` the first member to fail a check,
+        or to have an undefinable pullback, is an atom.
         """
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
-        sizes = []
-        for n in range(1, n_max + 1):
-            obj = self.description(n)
-            sizes.append(len(obj))
-            members = list(zip(obj.lattice.algebra.masks, obj.lattice.filters))
-            for a, fa in members:
-                for b, fb in members:
-                    order_filters = fa.is_leq(fb)
-                    order_duals = b & ~a == 0
-                    checked += 1
-                    if order_filters != order_duals:
-                        failures.append(
-                            f"|X|={n}: filter order and dual inclusion disagree on "
-                            f"{a:#x}, {b:#x}")
-
         objs = {n: self.description(n) for n in range(1, n_max + 1)}
         morphisms: dict[tuple[int, int], list[DescMorphism]] = {}
         duals: dict[tuple[int, int], list[ContMorphism]] = {}
@@ -462,7 +449,7 @@ class KnowledgeBase:
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
-            ("sizes", " ".join(str(s) for s in sizes)),
+            ("sizes", " ".join(str(obj.algebra.size) for obj in objs.values())),
             ("morphism family", f"least assignments for substitutions of depth <= {depth}"),
         )
         return Report("duality", entries, checked, tuple(failures))
@@ -477,18 +464,19 @@ class KnowledgeBase:
         A block whose atom run records a failure runs again over every member,
         through the same loop, so its failure lines, their order and the
         de-duplication of undefinable substitutions are those of the member
-        sweep.  Every member counts as a triple either way.
+        sweep.  Every member counts as a triple either way.  The identity
+        pushes run on the atoms too, and over every member when one moves.
         """
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
         for n in range(1, n_max + 1):
-            lattice = self.description(n).lattice
-            ident = Substitution.identity(lattice.varset)
-            for filt in lattice:
-                checked += 1
-                if push_filter(ident, filt, lattice) != filt:
-                    failures.append(f"identity push moved a filter over |X|={n}")
+            algebra = self.description(n).algebra
+            ident = Substitution.identity(algebra.varset)
+            if any(_pullback(ident, atom, algebra) != atom for atom in algebra.block_masks()):
+                failures += [f"identity push moved a filter over |X|={n}"
+                             for mask in algebra.masks if _pullback(ident, mask, algebra) != mask]
+            checked += algebra.size
 
         triples = 0
         undefinable: set[Substitution] = set()
@@ -512,8 +500,8 @@ class KnowledgeBase:
                             _push_block(algebra_a.block_masks(), *block, probe, set())
                             if probe:
                                 _push_block(algebra_a.masks, *block, failures, undefinable)
-                            triples += len(algebra_a)
-                            checked += len(algebra_a)
+                            triples += algebra_a.size
+                            checked += algebra_a.size
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
@@ -563,13 +551,15 @@ def check_duality(model: Model, n_max: int, depth: int = 1,
                   max_points: int = DEFAULT_MAX_POINTS) -> Report:
     """Verify the object and morphism duality up to the given bounds.
 
-    Objects: mask bijection and order reversal between filters and sets.
-    Morphisms: for every substitution between canonical variable sets of sizes
-    up to n_max with image depth up to depth, the least description morphism
-    dualizes admissibly, duals compose contravariantly, identities map to
-    identities, and dualization is injective on the sampled family.  A
-    substitution whose pullback of some dual is not definable has no least
-    morphism; it is reported as a failure with that dual.
+    Objects are dual by construction: each content object is built on its
+    description object's algebra, and a filter's order is its dual's reverse
+    inclusion.  Morphisms: for every substitution between canonical variable
+    sets of sizes up to n_max with image depth up to depth, the least
+    description morphism dualizes admissibly, duals compose contravariantly,
+    identities map to identities, and dualization is injective on the
+    sampled family.  A substitution whose pullback of some dual is not
+    definable has no least morphism; it is reported as a failure with that
+    dual.
     """
     return KnowledgeBase(model, n_max, max_term_depth, max_points).check_duality(depth)
 

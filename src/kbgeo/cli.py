@@ -12,8 +12,8 @@ Model files are line oriented with '#' comments:
 
 Subcommands: eval, closure, lattice, duality, functor, equiv.  Exit codes:
 0 pass/witnessed, 1 failure/inequivalent, 2 unknown, 64 usage error, 65
-bad input data or an exceeded bound.  The KBGEO_MAX_POINTS environment
-variable overrides the point-space bound.
+bad input data or an exceeded bound, memory included.  The KBGEO_MAX_POINTS
+environment variable overrides the point-space bound.
 """
 
 from __future__ import annotations
@@ -524,6 +524,8 @@ def run_command(argv, config: Optional[RunConfig] = None) -> tuple[int, str]:
     except (DataError, DefinabilityError, BoundError, MismatchError, ParseError,
             SignatureError) as exc:
         return EXIT_DATA, f"error: {exc}"
+    except MemoryError:
+        return EXIT_DATA, "error: out of memory within the given bounds"
 
 
 def main(argv=None) -> int:

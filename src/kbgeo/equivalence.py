@@ -216,18 +216,13 @@ class FunctorIso:
 
     def sizes(self) -> str:
         """The size of each alpha's lattice, as a witness line."""
-        return "; ".join(f"|X|={n}: {_size(self.kb1, n)} filters" for n in sorted(self.alphas))
+        return "; ".join(f"|X|={n}: {self.kb1.description(n).algebra.size} filters"
+                         for n in sorted(self.alphas))
 
     def __deepcopy__(self, memo) -> "FunctorIso":
         """A copy holding each alpha as a mutable dict; the automorphism and
         the knowledge bases are shared."""
         return replace(self, alphas={n: dict(alpha.items()) for n, alpha in self.alphas.items()})
-
-
-def _size(kb: KnowledgeBase, n: int) -> int:
-    """The number of filters over x1..xn, from the atom count, so that it has
-    no bound where `len` has one."""
-    return 1 << len(kb.description(n).algebra.block_masks())
 
 
 def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
@@ -328,7 +323,7 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
         return None
     candidate_lists: list[list[UnionMap]] = []
     for n in range(1, n_max + 1):
-        if _size(kb1, n) != _size(kb2, n):
+        if kb1.description(n).algebra.size != kb2.description(n).algebra.size:
             return None
         lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
         constraints = _atom_constraints(kb1, kb2, phi, n, depth)
@@ -634,7 +629,7 @@ def _bounds(n_max: int, depth: int) -> tuple[tuple[str, str], ...]:
 def _invariant_refutation(kb1: KnowledgeBase,
                           kb2: KnowledgeBase) -> Optional[tuple[tuple[str, str], ...]]:
     for n in range(1, kb1.n_max + 1):
-        left, right = _size(kb1, n), _size(kb2, n)
+        left, right = kb1.description(n).algebra.size, kb2.description(n).algebra.size
         if left != right:
             return (
                 ("invariant", "lattice size"),

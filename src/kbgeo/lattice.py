@@ -172,7 +172,9 @@ class UnionMap(Mapping[int, int]):
 
 class DefinableAlgebra:
     """The definable algebra over one space, held by its atoms; `index` maps
-    every member to itself, and a member is built when first asked for."""
+    every member to itself, and a member is built when first asked for.
+    `size` is the member count, 2^k for k atoms, which `len` cannot return
+    past 62 atoms."""
 
     def __init__(self, model: Model, varset: VarSet, space: PointSpace,
                  blocks: tuple[int, ...], witness: Callable[[int], Formula],
@@ -181,6 +183,7 @@ class DefinableAlgebra:
         self.varset = varset
         self.space = space
         self.saturated = saturated
+        self.size = 1 << len(blocks)
         self.index = UnionMap({block: block for block in blocks})
         self._blocks = blocks
         self._witness = witness
@@ -196,7 +199,7 @@ class DefinableAlgebra:
         return tuple(self)
 
     def __len__(self) -> int:
-        return 1 << len(self._blocks)
+        return self.size
 
     def __iter__(self) -> Iterator[DefinableSet]:
         return map(self.member, self.index)
@@ -232,7 +235,7 @@ class DefinableAlgebra:
                 for m in self.members]
 
     def __repr__(self) -> str:
-        return (f"DefinableAlgebra({self.varset}, {1 << len(self._blocks)} sets,"
+        return (f"DefinableAlgebra({self.varset}, {self.size} sets,"
                 f" saturated={self.saturated})")
 
 
@@ -443,7 +446,7 @@ class FilterLattice:
         return self.filter_for_mask(a.mask & b.mask)
 
     def __repr__(self) -> str:
-        return f"FilterLattice({self.varset}, {1 << len(self.algebra.block_masks())} filters)"
+        return f"FilterLattice({self.varset}, {self.algebra.size} filters)"
 
 
 def build_filter_lattice(model: Model, varset: VarSet,
@@ -477,6 +480,6 @@ def lattice_profile(lat: FilterLattice) -> tuple[int, int, tuple[int, ...]]:
     has 2^k nodes, height k, and j + (k - j) = k covers and cocovers at a
     node whose dual holds j atoms, so the degrees are 2^k copies of k.
     """
-    k = len(lat.algebra.block_masks())
-    _listable(1 << k)
-    return 1 << k, k, (k,) * (1 << k)
+    size, k = lat.algebra.size, len(lat.algebra.block_masks())
+    _listable(size)
+    return size, k, (k,) * size

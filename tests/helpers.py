@@ -491,19 +491,6 @@ def memberwise_check_duality(kb, depth: int) -> Report:
     sizes = range(1, n_max + 1)
     checked = 0
     failures = []
-    lattice_sizes = []
-    for n in sizes:
-        obj = kb.description(n)
-        lattice_sizes.append(len(obj))
-        masks = obj.lattice.algebra.masks
-        for a in masks:
-            fa = obj.lattice.filter_for_mask(a)
-            for b in masks:
-                checked += 1
-                if fa.is_leq(obj.lattice.filter_for_mask(b)) != (b & ~a == 0):
-                    failures.append(f"|X|={n}: filter order and dual inclusion disagree on "
-                                    f"{a:#x}, {b:#x}")
-
     morphisms, duals = {}, {}
     for a, b in itertools.product(sizes, repeat=2):
         source, target = kb.description(a), kb.description(b)
@@ -542,7 +529,7 @@ def memberwise_check_duality(kb, depth: int) -> Report:
 
     entries = (
         ("object", f"canonical variable sets of sizes 1..{n_max}"),
-        ("sizes", " ".join(str(s) for s in lattice_sizes)),
+        ("sizes", " ".join(str(len(kb.description(n))) for n in sizes)),
         ("morphism family", f"least assignments for substitutions of depth <= {depth}"),
     )
     return Report("duality", entries, checked, tuple(failures))

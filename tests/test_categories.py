@@ -34,7 +34,7 @@ from kbgeo import (
 )
 from kbgeo import semantics
 from kbgeo.core import compose_subst
-from kbgeo.lattice import UndefinablePullbackError
+from kbgeo.lattice import UndefinablePullbackError, UnionMap
 from helpers import (
     all_fixtures,
     memberwise_check_duality,
@@ -43,6 +43,7 @@ from helpers import (
     model_neg,
     model_p,
     model_pq1,
+    named_pair,
     seeded_models,
 )
 
@@ -443,6 +444,20 @@ def test_atom_sweeps_match_the_member_sweeps_on_seeded_models(name, model):
     assert_sweeps_match_the_member_sweeps(model, 1, 1)
 
 
+def test_a_passing_sweep_lists_no_member(monkeypatch):
+    """Both sweeps pass on atoms alone: on the 2^27-member lattice of the
+    named 3-element model at n_max 3, and on every fixture at n_max 2,
+    neither lists a member table."""
+    def refuse(self):
+        raise AssertionError("a passing sweep listed the members of a table")
+    monkeypatch.setattr(UnionMap, "__iter__", refuse)
+    cases = [(named_pair()[0], 3)] + [(model, 2) for _, model in all_fixtures()]
+    for model, n_max in cases:
+        kb = KnowledgeBase(model, n_max)
+        assert kb.check_duality(2).passed
+        assert kb.verify_push_functoriality(2).passed
+
+
 def tampered_composite_table(kb):
     """The pullback table of {x1 := neg(neg(x1)), x2 := x2} over the model
     with neg: the composite of two blocks of the depth-1 sweeps."""
@@ -466,6 +481,21 @@ def test_a_block_failing_on_atoms_reruns_over_every_member():
     atoms = kb.description(2).lattice.algebra.block_masks()
     masks = [int(f.rsplit(" ", 1)[1], 16) for f in push.failures if "disagrees" in f]
     assert any(mask not in atoms for mask in masks)
+
+
+def test_an_identity_moving_an_atom_reruns_over_every_member():
+    """The identity's pullback table over {x1, x2} loses the fibers of the
+    first atom's points, so the identity push moves every member holding
+    that atom: the atoms find it, and the size reruns over its members with
+    the member sweep's report."""
+    kb = KnowledgeBase(model_neg(), 2)
+    algebra = kb.description(2).algebra
+    table = kb.geometry._table(Substitution.identity(algebra.varset))
+    first = algebra.block_masks()[0]
+    table.fibers = [0 if first >> p & 1 else fiber for p, fiber in enumerate(table.fibers)]
+    push = kb.verify_push_functoriality(1)
+    assert push.render() == memberwise_push_functoriality(kb, 1).render()
+    assert push.failures.count("identity push moved a filter over |X|=2") == algebra.size // 2
 
 
 def test_a_composite_whose_dual_differs_on_the_first_atom():

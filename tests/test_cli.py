@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from kbgeo import Signature, VERDICT_WITNESSED
+from kbgeo import Signature, VERDICT_WITNESSED, cli
 from kbgeo.cli import (
     DataError,
     EXIT_DATA,
@@ -337,9 +337,11 @@ NAMED = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 1\nrel Q: 0\n"
 
 
 def test_listing_past_the_member_bound_is_a_data_error(tmp_path):
-    """Over three variables the model has 2^27 members: the decision stands,
-    while the dump, the profile's degree line and both sweeps, which list
-    members, stop with exit 65 and the bound."""
+    """Over three variables the model has 2^27 members: the decision and both
+    sweeps, which list none, pass, while the dump and the profile's degree
+    line, which list them all, stop with exit 65 and the bound.  The triple
+    count is the closed form of the sum over sizes a, b, c of b^a c^b 2^k_a,
+    with k = 3, 9, 27 atoms."""
     path = tmp_path / "named.kbm"
     path.write_text(NAMED)
     code, text = run_command(["equiv", str(path), str(path), "--max-vars", "3",
@@ -349,10 +351,24 @@ def test_listing_past_the_member_bound_is_a_data_error(tmp_path):
         in text.splitlines()
     error = "error: 134217728 members exceed the bound 1048576"
     for argv in (["lattice", str(path), "--vars", "x1,x2,x3", "--dump"],
-                 ["lattice", str(path), "--vars", "x1,x2,x3"],
-                 ["duality", str(path), "--max-vars", "3"],
-                 ["functor", str(path), "--max-vars", "3", "--depth", "1"]):
+                 ["lattice", str(path), "--vars", "x1,x2,x3"]):
         assert run_command(argv, RunConfig()) == (EXIT_DATA, error)
+    for argv, line in ((["duality", str(path), "--max-vars", "3"], "sizes: 8 512 134217728"),
+                       (["functor", str(path), "--max-vars", "3", "--depth", "1"],
+                        "triples: 146297522288")):
+        code, text = run_command(argv, RunConfig())
+        assert code == EXIT_PASS
+        assert line in text.splitlines()
+
+
+def test_running_out_of_memory_is_a_data_error(monkeypatch):
+    """A MemoryError is an exceeded bound (exit 65), never a traceback whose
+    exit code 1 would read as "inequivalent"."""
+    def exhausted(args, config):
+        raise MemoryError
+    monkeypatch.setitem(cli._RUNNERS, "equiv", exhausted)
+    assert run_command(["equiv", fixture("m_p.kbm"), fixture("m_p.kbm")], RunConfig()) \
+        == (EXIT_DATA, "error: out of memory within the given bounds")
 
 
 def test_partial_lattice_note_leaves_the_carrier_witness_standing():
