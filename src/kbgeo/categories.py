@@ -24,14 +24,17 @@ composites), so it is fixed by its atom images, and a morphism built by them
 holds only those; its member table is the lattice layer's `UnionMap`.  A
 check passes on a member when it passes on the member's atoms, and the first
 member to fail is an atom, so atom loops report what member loops would.
-A passing sweep lists no member; only the rerun of a push block or an
-identity whose atoms fail does, within the lattice layer's bound.  Objects
-need no check: a description object's content dual is built on its own
-algebra, and a filter's order is its dual's reverse inclusion by definition.
+A composable pair builds no morphism: its composites are image dicts,
+checked by `_check_pairs`, the constructor's own loop, in the same order.
+A passing sweep lists no member; only the rerun of a push block or
+an identity whose atoms fail does, within the lattice layer's bound.
+Objects need no check: a description object's content dual is built on its
+own algebra, and a filter's order is its dual's reverse inclusion.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -187,14 +190,8 @@ class _Morphism:
             images, keys = dict(assignment), index.keys()
         if images.keys() != keys:
             raise MismatchError("assignment is not total on its source")
-        members = target.algebra.index
-        image = (target if along else source).algebra.space.geometry.image
-        for src_mask, dst_mask in images.items():
-            if dst_mask not in members:
-                raise DefinabilityError(f"mask {dst_mask:#x} is not definable over the target")
-            if image(subst, dst_mask) & ~src_mask if along else image(subst, src_mask) & ~dst_mask:
-                raise AdmissibilityError(
-                    f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+        _check_pairs(images, subst, target.algebra.index,
+                     (target if along else source).algebra.space.geometry, along)
         self.source = source
         self.target = target
         self.subst = subst
@@ -224,6 +221,31 @@ class _Morphism:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.subst}, {self.source.varset} -> {self.target.varset})"
+
+
+def _check_pairs(images: Mapping[int, int], subst: Substitution, members: UnionMap,
+                 geometry: Geometry, along: bool) -> None:
+    """`_Morphism`'s checks of its held pairs, in order, reading moved masks
+    from the substitution's table as `geometry.image` would."""
+    moved, image = geometry._table(subst).images, geometry.image
+    for src_mask, dst_mask in images.items():
+        if dst_mask not in members:
+            raise DefinabilityError(f"mask {dst_mask:#x} is not definable over the target")
+        mask, bound = (dst_mask, src_mask) if along else (src_mask, dst_mask)
+        if (moved[mask] if mask in moved else image(subst, mask)) & ~bound:
+            raise AdmissibilityError(
+                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+
+
+class _Memo(dict):
+    """A dict that fills each missing key with `make(key)`."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class DescMorphism(_Morphism):
@@ -270,12 +292,9 @@ class ContMorphism(_Morphism):
         """Each generator goes to the closure of its pointwise image: the
         union of the target atoms it meets."""
         algebra = source.algebra
-        geometry = algebra.space.geometry
-        atoms = target.algebra.block_masks()
-        images = {}
-        for mask in (algebra.block_masks() if on_atoms else algebra.masks):
-            image = geometry.image(subst, mask)
-            images[mask] = sum(atom for atom in atoms if atom & image)
+        image, close = algebra.space.geometry.image, target.algebra._close
+        images = {mask: close(image(subst, mask))
+                  for mask in (algebra.block_masks() if on_atoms else algebra.masks)}
         return cls(source, target, subst, images, on_atoms)
 
     def map_set(self, dset: DefinableSet) -> DefinableSet:
@@ -393,7 +412,10 @@ class KnowledgeBase:
         construction.  Every morphism is held on the atoms of its source, so
         two of them are equal when they agree on the atoms, and by the
         argument in `build_description_iso` the first member to fail a check,
-        or to have an undefinable pullback, is an atom.
+        or to have an undefinable pullback, is an atom.  A composable pair
+        builds no morphism: its composites are image dicts checked as `after`
+        checks them.  The composite's dual depends on its substitution alone,
+        as the least content morphism along it, so it is built once for each.
         """
         n_max = self.n_max
         checked = 0
@@ -403,8 +425,8 @@ class KnowledgeBase:
         duals: dict[tuple[int, int], list[ContMorphism]] = {}
         for a in range(1, n_max + 1):
             for b in range(1, n_max + 1):
-                pairs: list[DescMorphism] = []
-                dual_pairs: list[ContMorphism] = []
+                pairs = morphisms[(a, b)] = []
+                dual_pairs = duals[(a, b)] = []
                 for subst in enumerate_substitutions(self.model.sig, canonical_varset(a),
                                                      canonical_varset(b), depth):
                     checked += 1
@@ -415,8 +437,6 @@ class KnowledgeBase:
                         continue
                     pairs.append(morphism)
                     dual_pairs.append(morphism._dual())
-                morphisms[(a, b)] = pairs
-                duals[(a, b)] = dual_pairs
                 for i, m1 in enumerate(pairs):
                     for j, m2 in enumerate(pairs):
                         checked += 1
@@ -432,20 +452,24 @@ class KnowledgeBase:
 
         # Each composite substitution is made once per pair and interned, and
         # both sides of the check share it.
-        intern = self.geometry.intern
-        for a in range(1, n_max + 1):
-            for b in range(1, n_max + 1):
-                for c in range(1, n_max + 1):
-                    for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
-                        for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
-                            subst = intern(compose_subst(m1.subst, m2.subst))
-                            left = m2.after(m1, subst)._dual()
-                            right = d1.after(d2, subst)
-                            checked += 1
-                            if left != right:
-                                failures.append(
-                                    f"dual of a composite differs: sizes {a}->{b}->{c}, "
-                                    f"subs {m1.subst} then {m2.subst}")
+        geometry = self.geometry
+        least_duals = _Memo(lambda s: ContMorphism._least(
+            objs[len(s.target)]._content, objs[len(s.source)]._content, s, True).images)
+        for a, b, c in itertools.product(range(1, n_max + 1), repeat=3):
+            members_a, members_c = objs[a].algebra.index, objs[c].algebra.index
+            for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
+                for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
+                    subst = geometry.intern(Substitution._composite(m1.subst, m2.subst))
+                    second, first = m2.assignment, d1.assignment
+                    _check_pairs({k: second[v] for k, v in m1.images.items()},
+                                 subst, members_c, geometry, True)
+                    left = least_duals[subst]
+                    right = {k: first[v] for k, v in d2.images.items()}
+                    _check_pairs(right, subst, members_a, geometry, False)
+                    checked += 1
+                    if left != right:
+                        failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
+                                        f"subs {m1.subst} then {m2.subst}")
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
@@ -487,21 +511,20 @@ class KnowledgeBase:
         subs = {(a, b): [intern(s) for s in enumerate_substitutions(
                     self.model.sig, canonical_varset(a), canonical_varset(b), depth)]
                 for a in sizes for b in sizes}
-        for a in sizes:
-            for b in sizes:
-                for c in sizes:
-                    algebra_a = self.description(a).lattice.algebra
-                    algebra_b = self.description(b).lattice.algebra
-                    algebra_c = self.description(c).lattice.algebra
-                    for s1 in subs[a, b]:
-                        for s2 in subs[b, c]:
-                            block = (s1, s2, intern(compose_subst(s1, s2)), algebra_b, algebra_c)
-                            probe: list[str] = []
-                            _push_block(algebra_a.block_masks(), *block, probe, set())
-                            if probe:
-                                _push_block(algebra_a.masks, *block, failures, undefinable)
-                            triples += algebra_a.size
-                            checked += algebra_a.size
+        composite = Substitution._composite
+        for a, b, c in itertools.product(sizes, repeat=3):
+            algebra_a = self.description(a).lattice.algebra
+            algebra_b = self.description(b).lattice.algebra
+            algebra_c = self.description(c).lattice.algebra
+            for s1 in subs[a, b]:
+                for s2 in subs[b, c]:
+                    block = (s1, s2, intern(composite(s1, s2)), algebra_b, algebra_c)
+                    probe: list[str] = []
+                    _push_block(algebra_a.block_masks(), *block, probe, set())
+                    if probe:
+                        _push_block(algebra_a.masks, *block, failures, undefinable)
+                    triples += algebra_a.size
+                    checked += algebra_a.size
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),

@@ -313,8 +313,8 @@ class Substitution:
     """A map from source variables to terms over the target variable set.
 
     Images are stored in source order, so two substitutions are equal exactly
-    when they agree on every source variable.  The hash is computed once,
-    since substitutions key the pullback tables of a geometry.
+    when they agree on every source variable.  The hash is computed once, on
+    first use, since substitutions key the pullback tables of a geometry.
     """
 
     source: VarSet
@@ -332,10 +332,13 @@ class Substitution:
             if extra:
                 raise MismatchError(
                     f"image {term} uses variables {sorted(extra)} outside {self.target}")
-        object.__setattr__(self, "_hash", hash((self.source, self.target, images)))
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.source, self.target, self.images)))
+            return self._hash
 
     @classmethod
     def of(cls, source: VarSet, target: VarSet, mapping: Mapping[str, Term]) -> "Substitution":
@@ -350,6 +353,15 @@ class Substitution:
         return cls(varset, varset, tuple(Var(n) for n in varset.names))
 
     @classmethod
+    def _composite(cls, first: "Substitution", second: "Substitution") -> "Substitution":
+        """`compose_subst` of two valid substitutions known to compose, without
+        its checks: the images of `second` use only its target's variables."""
+        out = object.__new__(cls)
+        out.__dict__.update(source=first.source, target=second.target,
+                            images=tuple(map(second.apply_to_term, first.images)))
+        return out
+
+    @classmethod
     def renaming(cls, source: VarSet, target: VarSet, mapping: Mapping[str, str]) -> "Substitution":
         return cls(source, target, tuple(Var(mapping[n]) for n in source.names))
 
@@ -358,8 +370,8 @@ class Substitution:
 
     def apply_to_term(self, term: Term) -> Term:
         if isinstance(term, Var):
-            return self.image_of(term.name)
-        return OpApp(term.op, tuple(self.apply_to_term(a) for a in term.args))
+            return self.images[self.source.index(term.name)]
+        return OpApp(term.op, tuple(map(self.apply_to_term, term.args)))
 
     @property
     def is_identity(self) -> bool:

@@ -40,13 +40,13 @@ from .core import (
     Substitution,
     Var,
     canonical_varset,
-    compose_subst,
     enumerate_substitutions,
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula, atomic_formulas
 from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError, UnionMap
-from .categories import AdmissibilityError, DescMorphism, KnowledgeBase, Report
+from .categories import (AdmissibilityError, DescMorphism, KnowledgeBase, Report, _Memo,
+                         _check_pairs)
 from .semantics import _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
@@ -86,6 +86,8 @@ class FormulaAutomorphism:
             if images != expected:
                 var_map[n] = tuple(images)
         object.__setattr__(self, "var_images", tuple(sorted(var_map.items())))
+        object.__setattr__(self, "_conjugators", {  # size: (inverse renaming, renaming)
+            n: (u.inverted(), u) for n in var_map for u in (self.renaming_for(n),)})
 
     @classmethod
     def identity(cls, sig: Signature) -> "FormulaAutomorphism":
@@ -131,13 +133,15 @@ class FormulaAutomorphism:
 
     def map_subst(self, subst: Substitution) -> Substitution:
         """Conjugate a substitution between canonical variable sets by the
-        sizewise renamings.  Without renamings the conjugate equals the
-        substitution, which is returned as it is."""
-        if not self.var_images:
-            return subst
-        u_source = self.renaming_for(len(subst.source))
-        u_target = self.renaming_for(len(subst.target))
-        return compose_subst(compose_subst(u_source.inverted(), subst), u_target)
+        sizewise renamings.  A size without a renaming adds no factor, so
+        without renamings the substitution is returned as it is."""
+        source = self._conjugators.get(len(subst.source))
+        target = self._conjugators.get(len(subst.target))
+        if source is not None:
+            subst = Substitution._composite(source[0], subst)
+        if target is not None:
+            subst = Substitution._composite(subst, target[1])
+        return subst
 
     def map_formula(self, f: Formula, n: int) -> Formula:
         """Act on an atomic formula over the canonical variable set of size n."""
@@ -488,6 +492,11 @@ def build_description_iso(iso: FunctorIso) -> Report:
     larger, so it is that atom: the atom loop reports the same first failure,
     with the same text, and likewise for an undefinable pullback of a least
     morphism.  The report, `checked` included, is the member-wise one.
+
+    A composable pair builds no morphism: its composite, that composite's
+    transport and the composite of the images are image dicts, checked as
+    `after` and transport check morphisms, in that order, and compared with
+    their substitutions as morphisms are.  Each conjugate is made once.
     """
     sig = iso.kb1.model.sig
     sizes = range(1, iso.n_max + 1)
@@ -495,31 +504,34 @@ def build_description_iso(iso: FunctorIso) -> Report:
     objs1 = {n: iso.kb1.description(n) for n in sizes}
     objs2 = {n: iso.kb2.description(n) for n in sizes}
     inverse = iso.inverse_alphas()
-    phi_inv = iso.phi.inverse()
+    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
     # Each object, keyed by identity, goes to its alpha and its counterpart.
     ends1 = {objs1[n]: (iso.alphas[n], objs2[n]) for n in sizes}
     ends2 = {objs2[n]: (inverse[n], objs1[n]) for n in sizes}
+    phi_inv = iso.phi.inverse()
+    conjugates1 = _Memo(lambda s: geometry2.intern(iso.phi.map_subst(s)))
+    conjugates2 = _Memo(lambda s: geometry1.intern(phi_inv.map_subst(s)))
     checked = 0
     failures: list[str] = []
 
-    def transport(m: DescMorphism, ends: dict, phi: FormulaAutomorphism) -> DescMorphism:
+    def transport(m: DescMorphism, ends: dict, conjugates: _Memo) -> DescMorphism:
         alpha_a, source = ends[m.source]
         alpha_b, target = ends[m.target]
         images = {alpha_a[k]: alpha_b[v] for k, v in m.images.items()}
-        return DescMorphism(source, target, phi.map_subst(m.subst), images, atoms)
+        return DescMorphism(source, target, conjugates[m.subst], images, atoms)
 
     def forward(m: DescMorphism) -> DescMorphism:
-        return transport(m, ends1, iso.phi)
+        return transport(m, ends1, conjugates1)
 
     def backward(m: DescMorphism) -> DescMorphism:
-        return transport(m, ends2, phi_inv)
+        return transport(m, ends2, conjugates2)
 
     family1: dict[tuple[int, int], list[DescMorphism]] = {}
     family2: dict[tuple[int, int], list[DescMorphism]] = {}
     images1: dict[tuple[int, int], list[Optional[DescMorphism]]] = {}
     for a in sizes:
         for b in sizes:
-            lst1, lst2, img = [], [], []
+            lst1, lst2, img = family1[(a, b)], family2[(a, b)], images1[(a, b)] = [], [], []
             for subst in enumerate_substitutions(sig, canonical_varset(a),
                                                  canonical_varset(b), iso.depth):
                 m1 = DescMorphism._least(objs1[a], objs1[b], subst, atoms)
@@ -532,9 +544,6 @@ def build_description_iso(iso: FunctorIso) -> Report:
                     img.append(None)
                 m2 = DescMorphism._least(objs2[a], objs2[b], subst, atoms)
                 lst2.append(m2)
-            family1[(a, b)] = lst1
-            family2[(a, b)] = lst2
-            images1[(a, b)] = img
 
     identity = DescMorphism._identity
     for n in sizes:
@@ -542,25 +551,28 @@ def build_description_iso(iso: FunctorIso) -> Report:
         if forward(identity(objs1[n], atoms)) != identity(objs2[n], atoms):
             failures.append(f"identity over |X|={n} is not preserved")
 
-    # Each composite substitution is made once per pair and interned, and
-    # shared by the image side when phi left both factors as they were.
-    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
-    for a in sizes:
-        for b in sizes:
-            for c in sizes:
-                for m1, f1 in zip(family1[(a, b)], images1[(a, b)]):
-                    for m2, f2 in zip(family1[(b, c)], images1[(b, c)]):
-                        if f1 is None or f2 is None:
-                            continue
-                        checked += 1
-                        subst = geometry1.intern(compose_subst(m1.subst, m2.subst))
-                        if f1.subst is m1.subst and f2.subst is m2.subst:
-                            mapped = subst
-                        else:
-                            mapped = geometry2.intern(compose_subst(f1.subst, f2.subst))
-                        if forward(m2.after(m1, subst)) != f2.after(f1, mapped):
-                            failures.append(
-                                f"composition not preserved for {m1.subst} then {m2.subst}")
+    # Without renamings the composite of the images is the transported composite.
+    composite = Substitution._composite
+    for a, b, c in itertools.product(sizes, repeat=3):
+        alpha_a, alpha_c = iso.alphas[a], iso.alphas[c]
+        members1, members2 = objs1[c].algebra.index, objs2[c].algebra.index
+        for m1, f1 in zip(family1[(a, b)], images1[(a, b)]):
+            for m2, f2 in zip(family1[(b, c)], images1[(b, c)]):
+                if f1 is None or f2 is None:
+                    continue
+                checked += 1
+                subst = geometry1.intern(composite(m1.subst, m2.subst))
+                transported = conjugates1[subst]
+                mapped = composite(f1.subst, f2.subst) if iso.phi.var_images else transported
+                same = mapped == transported
+                left = {k: m2.assignment[v] for k, v in m1.images.items()}
+                _check_pairs(left, subst, members1, geometry1, True)
+                image = {alpha_a[k]: alpha_c[v] for k, v in left.items()}
+                _check_pairs(image, transported, members2, geometry2, True)
+                right = {k: f2.assignment[v] for k, v in f1.images.items()}
+                _check_pairs(right, transported if same else mapped, members2, geometry2, True)
+                if not same or image != right:
+                    failures.append(f"composition not preserved for {m1.subst} then {m2.subst}")
 
     for key, morphisms in family1.items():
         for m1, f1 in zip(morphisms, images1[key]):

@@ -227,6 +227,10 @@ class DefinableAlgebra:
         """Masks of the atoms, ascending; every member is a union of these."""
         return self._blocks
 
+    def _close(self, mask: int) -> int:
+        """The least member containing `mask`: the sum of the atoms it meets."""
+        return sum(b for b in self._blocks if b & mask)
+
     def dump_lines(self) -> list[str]:
         """One line per member, sorted by mask: hex mask, cardinality, witness;
         each subformula the witnesses share is rendered once per call."""
@@ -339,11 +343,10 @@ def generate_definable_algebra(model: Model, varset: VarSet,
 
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:
-    """The least definable superset: the union of the atoms the set meets,
-    summed since atoms are disjoint."""
+    """The least definable superset: the union of the atoms the set meets."""
     if pset.space.varset != algebra.varset or pset.space.model != algebra.model:
         raise MismatchError("point set does not live over the algebra's space")
-    return algebra.member(sum(b for b in algebra.block_masks() if b & pset.mask))
+    return algebra.member(algebra._close(pset.mask))
 
 
 class ClosedFilter:

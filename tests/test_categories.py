@@ -510,3 +510,21 @@ def test_a_composite_whose_dual_differs_on_the_first_atom():
     assert duality.render() == memberwise_check_duality(kb, 1).render()
     assert len(duality.failures) == 2
     assert all(f.startswith("dual of a composite differs") for f in duality.failures)
+
+
+def test_a_composite_moving_points_everywhere_raises_as_the_member_loops_do():
+    """A composite's table sends the images of the first and last points to
+    every point, so the composite of two least morphisms is not admissible
+    along it on the atoms holding them; the sweep raises on the first such
+    atom, as the member loops do."""
+    texts = []
+    for sweep in (KnowledgeBase.check_duality, memberwise_check_duality):
+        kb = KnowledgeBase(model_neg(), 2)
+        table = tampered_composite_table(kb)
+        table.bits[0] = table.bits[-1] = (1 << len(table.fibers)) - 1
+        table.images.clear()
+        with pytest.raises(AdmissibilityError) as info:
+            sweep(kb, 1)
+        texts.append(str(info.value))
+    assert texts == ["assignment 0x1 -> 0x1 is not admissible"
+                     " for {x1 := neg(neg(x1)), x2 := x2}"] * 2

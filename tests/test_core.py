@@ -1,9 +1,12 @@
 """Signatures, terms, substitutions, models, and term-function clones."""
 
+import itertools
+
 import pytest
 
 from kbgeo import (
     BoundError,
+    Geometry,
     MismatchError,
     Model,
     ModelError,
@@ -107,6 +110,33 @@ def test_substitution_apply_and_compose():
     assert term_to_text(both.image_of("y")) == "y"
     assert Substitution.identity(xs).is_identity
     assert not s.is_identity
+
+
+def test_trusted_composite_equals_compose_subst():
+    """The unchecked composite of every composable pair equals the checked
+    one, hashes and prints alike, and interns to the same key: over the
+    seeded models with a unary op at depth 2, and over a model with a binary
+    op at depth 1, and at depth 2 over one variable."""
+    g = {(a, b): (a + 2 * b) % 3 for a in range(3) for b in range(3)}
+    binary = Model(Signature((("g", 2),), (("P", 1),)), (0, 1, 2), {"g": g}, {"P": [(0,)]})
+    cases = [(m, 2, 2) for name, m in seeded_models() if m.sig.ops]
+    cases += [(binary, 2, 1), (binary, 1, 2)]
+    pairs = 0
+    for model, n_max, depth in cases:
+        geometry = Geometry(model)
+        subs = {(a, b): enumerate_substitutions(model.sig, canonical_varset(a),
+                                                canonical_varset(b), depth)
+                for a in range(1, n_max + 1) for b in range(1, n_max + 1)}
+        for (a, b), (c, d) in itertools.product(subs, repeat=2):
+            if b != c:
+                continue
+            for s1, s2 in itertools.product(subs[a, b], subs[c, d]):
+                checked, trusted = compose_subst(s1, s2), Substitution._composite(s1, s2)
+                assert trusted == checked and hash(trusted) == hash(checked)
+                assert str(trusted) == str(checked)
+                assert geometry.intern(trusted) is geometry.intern(checked)
+                pairs += 1
+    assert pairs > 5000
 
 
 def test_substitution_renaming_inverts():

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from kbgeo import (
+    AdmissibilityError,
     Atom,
     BoundError,
     FormulaAutomorphism,
@@ -51,6 +52,7 @@ from kbgeo.equivalence import (
     _squares_commute,
 )
 from kbgeo.lattice import UndefinablePullbackError
+from test_categories import tampered_composite_table
 from helpers import (
     all_fixtures,
     brute_atomic_classes,
@@ -628,3 +630,30 @@ def test_transport_relabels_each_point_once(monkeypatch):
     transport_model_iso(mmap, *kbs(model_p(), model_p_relabeled()))
     assert sorted(calls) == sorted([(a,) for a in (0, 1)]
                                    + list(itertools.product((0, 1), repeat=2)))
+
+
+def test_a_tampered_composite_fails_the_functor_as_the_member_loops_do():
+    """A composite's table in either model of a relabelling pair sends the
+    first and last points' images to every point, so two atom pairs along
+    the composite are not admissible, in the model the composite was checked
+    in or in its image.  The composite loop raises on the first of them, in
+    the first model's atom order, with the text of the member loops."""
+    def raised(fn, iso):
+        try:
+            return outcome(fn, iso)
+        except AdmissibilityError as exc:
+            return f"not admissible: {exc}"
+
+    swapped_neg = relabeled(model_neg(), (1, 0))
+    texts = []
+    for side in (0, 1):
+        kbs = (KnowledgeBase(model_neg(), 2), KnowledgeBase(swapped_neg, 2))
+        iso = transport_model_iso(model_isomorphisms(*(kb.model for kb in kbs))[0], *kbs, 1)
+        assert build_description_iso(iso).passed
+        table = tampered_composite_table(kbs[side])
+        table.bits[0] = table.bits[-1] = (1 << len(table.fibers)) - 1
+        table.images.clear()
+        texts.append(raised(build_description_iso, iso))
+        assert texts[-1] == raised(memberwise_description_iso, iso)
+    assert texts == [f"not admissible: assignment {mask} -> {mask} is not admissible"
+                     " for {x1 := neg(neg(x1)), x2 := x2}" for mask in ("0x1", "0x8")]
