@@ -154,7 +154,7 @@ class UnionMap(Mapping[int, int]):
 
     def __iter__(self) -> Iterator[int]:
         if self._keys is None:
-            _listable(len(self))
+            _listable(1 << len(self.atoms))
             self._keys = [0]
             for atom in sorted(self.atoms):
                 self._keys += [union | atom for union in self._keys]
@@ -174,7 +174,9 @@ class DefinableAlgebra:
     """The definable algebra over one space, held by its atoms; `index` maps
     every member to itself, and a member is built when first asked for.
     `size` is the member count, 2^k for k atoms, which `len` cannot return
-    past 62 atoms."""
+    past 62 atoms: Python's `len` is bounded by the index size, so it raises
+    `OverflowError` there.  Listings bound the count by the atoms instead,
+    so past that bound they raise `BoundError`."""
 
     def __init__(self, model: Model, varset: VarSet, space: PointSpace,
                  blocks: tuple[int, ...], witness: Callable[[int], Formula],

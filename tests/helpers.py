@@ -312,7 +312,11 @@ def brute_image(composites: list, mask: int) -> int:
 
 def memberwise_description_iso(iso) -> Report:
     """`build_description_iso` with every morphism a `DescMorphism` over all
-    members: the same checks, in the same order, with the same messages."""
+    members: the same checks, in the same order, with the same messages.  It
+    also makes the three comparisons that `build_description_iso` leaves out
+    as holding by construction (identities, composites and the forward
+    inverse), none of which adds to `checked`, so a report that differs
+    shows a proof that does not hold."""
     sig = iso.kb1.model.sig
     objects1, objects2 = iso.kb1.description, iso.kb2.description
     inverse = iso.inverse_alphas()
@@ -362,13 +366,6 @@ def memberwise_description_iso(iso) -> Report:
                 if forward(compose_desc(m2, m1)) != compose_desc(f2, f1):
                     failures.append(f"composition not preserved for {m1.subst} then {m2.subst}")
 
-    for key, morphisms in family1.items():
-        for m1, f1 in zip(morphisms, images1[key]):
-            if f1 is None:
-                continue
-            checked += 1
-            if backward(f1) != m1:
-                failures.append(f"backward functor does not invert {m1.subst}")
     for morphisms in family2.values():
         for m2 in morphisms:
             checked += 1
@@ -505,11 +502,6 @@ def memberwise_check_duality(kb, depth: int) -> Report:
             pairs.append(morphism)
             dual_pairs.append(content_morphism(morphism))
         morphisms[(a, b)], duals[(a, b)] = pairs, dual_pairs
-        for i, m1 in enumerate(pairs):
-            for j, m2 in enumerate(pairs):
-                checked += 1
-                if (dual_pairs[i] == dual_pairs[j]) != (m1 == m2):
-                    failures.append(f"duality not injective between sizes {a}->{b}")
 
     for n in sizes:
         dual = content_morphism(identity_desc(kb.description(n)))

@@ -44,7 +44,7 @@ from kbgeo import (
     transport_model_iso,
     verify_admissibility_transfer,
 )
-from kbgeo import lattice, semantics
+from kbgeo import equivalence, lattice, semantics
 from kbgeo.equivalence import (
     _atom_constraints,
     _candidate_alphas,
@@ -315,8 +315,8 @@ def backward_failures(lines: tuple) -> tuple:
 
 
 @pytest.mark.parametrize("n,checked,failures", [
-    (1, 40, CORRUPTED_FIRST_FAILURES + backward_failures(CORRUPTED_FIRST_FAILURES)),
-    (2, 26, CORRUPTED_FIRST_FAILURES + CORRUPTED_SECOND_FAILURES
+    (1, 35, CORRUPTED_FIRST_FAILURES + backward_failures(CORRUPTED_FIRST_FAILURES)),
+    (2, 23, CORRUPTED_FIRST_FAILURES + CORRUPTED_SECOND_FAILURES
      + backward_failures(CORRUPTED_FIRST_FAILURES + CORRUPTED_SECOND_FAILURES)),
 ])
 def test_description_functor_rejects_a_corrupted_witness(n, checked, failures):
@@ -557,6 +557,23 @@ def corrupted(iso: FunctorIso, n: int) -> list:
             for alphas in ({**iso.alphas, n: swapped}, {**iso.alphas, n: merged}, missing)]
 
 
+def test_an_alpha_that_is_not_injective_is_refused():
+    """An alpha that sends two members to one mask has no inverse, and both
+    description functors refuse it before any transport: a member table with
+    two equal images, or a `UnionMap` whose atom images meet or are empty."""
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())
+    for n in (1, 2):
+        atoms = iso.alphas[n].atoms
+        first, second = list(atoms)[:2]
+        variants = [corrupted(iso, n)[1]]
+        variants += [dataclasses.replace(iso, alphas={**iso.alphas, n: lattice.UnionMap(table)})
+                     for table in ({**atoms, second: atoms[first]}, {**atoms, first: 0})]
+        for variant, build in itertools.product(variants, (build_description_iso,
+                                                           memberwise_description_iso)):
+            with pytest.raises(MismatchError, match=rf"^alpha over \|X\|={n} is not injective$"):
+                build(variant)
+
+
 def items(table: dict) -> list:
     return list(table.items())
 
@@ -657,3 +674,25 @@ def test_a_tampered_composite_fails_the_functor_as_the_member_loops_do():
         assert texts[-1] == raised(memberwise_description_iso, iso)
     assert texts == [f"not admissible: assignment {mask} -> {mask} is not admissible"
                      " for {x1 := neg(neg(x1)), x2 := x2}" for mask in ("0x1", "0x8")]
+
+
+def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
+    """On this 4-element self-pair, with x1 and x2 swapped over two variables,
+    candidate alphas fail naturality squares during the search, which drops
+    them and goes on, and a witness still comes back.  Its description
+    functor report is the member loops' report, over 2^16 members."""
+    sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
+    model = Model(sig, (0, 1, 2, 3), {"f": {(0,): 3, (1,): 3, (2,): 1, (3,): 2}},
+                  {"P": [], "Q": [(0,), (1,)]})
+    phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
+    assert phi.describe() == "renamevars[2] x1:x2,x2:x1"
+    squares = []
+
+    def recording(*args):
+        squares.append(_squares_commute(*args))
+        return squares[-1]
+
+    monkeypatch.setattr(equivalence, "_squares_commute", recording)
+    iso = find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, depth=1)
+    assert False in squares and iso is not None
+    assert build_description_iso(iso) == memberwise_description_iso(iso)

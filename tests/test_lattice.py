@@ -11,6 +11,7 @@ from kbgeo import (
     FilterLattice,
     FormulaContext,
     Geometry,
+    KnowledgeBase,
     MismatchError,
     Model,
     PointSet,
@@ -26,6 +27,7 @@ from kbgeo import (
     formula_to_text,
     generate_definable_algebra,
     lattice_profile,
+    least_desc_morphism,
     parse_formula,
     parse_term,
     satisfying_points,
@@ -382,6 +384,21 @@ def test_listings_past_the_member_bound_raise():
             listing()
     top = algebra.space.full_mask
     assert algebra.member(top).mask == top and lat.bottom.mask == top
+
+
+def test_listings_past_sixty_two_atoms_raise_the_bound_not_an_overflow():
+    """Over six variables `m_p` has 64 atoms, so 2^64 members, a count `len`
+    cannot return.  Each listing bounds that count by the atoms and raises
+    the member bound's BoundError, as the lattice dump does."""
+    obj = KnowledgeBase(model_p(), 6).description(6)
+    assert len(obj.algebra.block_masks()) == 64
+    ident = Substitution.identity(obj.varset)
+    listings = [lambda: obj.algebra.masks, lambda: obj.algebra.members,
+                lambda: list(obj.lattice), lambda: least_desc_morphism(obj, obj, ident)]
+    for listing in listings:
+        with pytest.raises(BoundError,
+                           match="^18446744073709551616 members exceed the bound 1048576$"):
+            listing()
 
 
 @pytest.mark.parametrize("build", [generate_definable_algebra, build_filter_lattice,
