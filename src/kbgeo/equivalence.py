@@ -10,7 +10,11 @@ bounds that were tried.
 Supported automorphisms are generated by relation permutations and by
 variable renamings; in a free term setting the invertible substitutions are
 exactly the renamings, so this covers every automorphism built from symbol
-shuffles.  Every report says so.
+shuffles.  Every report says so.  The default search tries the identity,
+then the relation permutations, and no renaming: renamings are inner, so a
+phi with a renaming has a witness exactly when its relation part has one
+(`enumerate_automorphisms` gives the proof).  A pinned phi is searched as
+it is.
 
 A decision builds one `KnowledgeBase` per model, so each lattice is built
 once, and passes the pair to `find_functor_iso` (once per candidate
@@ -81,15 +85,17 @@ class FormulaAutomorphism:
                 raise SignatureError(f"relation map {name} -> {image} changes arity")
         object.__setattr__(self, "rel_images", tuple(sorted(rel_map.items())))
         var_map = {}
+        conjugators = {}  # size: (inverse renaming, renaming)
         for n, images in self.var_images:
-            expected = canonical_varset(n).names
-            if sorted(images) != sorted(expected):
-                raise SignatureError(f"size {n} images must permute {expected}")
-            if images != expected:
+            varset = canonical_varset(n)
+            if sorted(images) != sorted(varset.names):
+                raise SignatureError(f"size {n} images must permute {varset.names}")
+            if images != varset.names:
                 var_map[n] = tuple(images)
+                u = Substitution(varset, varset, tuple(Var(v) for v in images))
+                conjugators[n] = (u.inverted(), u)
         object.__setattr__(self, "var_images", tuple(sorted(var_map.items())))
-        object.__setattr__(self, "_conjugators", {  # size: (inverse renaming, renaming)
-            n: (u.inverted(), u) for n in var_map for u in (self.renaming_for(n),)})
+        object.__setattr__(self, "_conjugators", conjugators)
 
     @classmethod
     def identity(cls, sig: Signature) -> "FormulaAutomorphism":
@@ -114,11 +120,8 @@ class FormulaAutomorphism:
         raise SignatureError(f"unknown relation {name}")
 
     def renaming_for(self, n: int) -> Substitution:
-        varset = canonical_varset(n)
-        for size, images in self.var_images:
-            if size == n:
-                return Substitution(varset, varset, tuple(Var(v) for v in images))
-        return Substitution.identity(varset)
+        pair = self._conjugators.get(n)
+        return pair[1] if pair else Substitution.identity(canonical_varset(n))
 
     @property
     def is_identity(self) -> bool:
@@ -146,12 +149,14 @@ class FormulaAutomorphism:
         return subst
 
     def map_formula(self, f: Formula, n: int) -> Formula:
-        """Act on an atomic formula over the canonical variable set of size n."""
-        u = self.renaming_for(n)
+        """Act on an atomic formula over the canonical variable set of size n.
+        A size without a renaming leaves the terms as they are."""
+        u = self._conjugators.get(n, (None, None))[1]
         if isinstance(f, Atom):
-            return Atom(self.rel_image(f.rel), tuple(u.apply_to_term(t) for t in f.args))
+            args = f.args if u is None else tuple(map(u.apply_to_term, f.args))
+            return Atom(self.rel_image(f.rel), args)
         if isinstance(f, Equal):
-            return Equal(u.apply_to_term(f.left), u.apply_to_term(f.right))
+            return f if u is None else Equal(u.apply_to_term(f.left), u.apply_to_term(f.right))
         raise MismatchError("only atomic formulas are mapped directly")
 
     def describe(self) -> str:
@@ -175,9 +180,40 @@ class FormulaAutomorphism:
         return "; ".join(parts)
 
 
-def enumerate_automorphisms(sig: Signature, n_max: int) -> list[FormulaAutomorphism]:
-    """The supported search order: identity first, then relation permutations
-    lexicographically, then variable renaming families."""
+def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
+    """The default search order: the identity, then the relation permutations
+    lexicographically.
+
+    Variable renamings are supported but not searched, because they are
+    inner: within the bounds, a phi that only renames variables has a witness
+    exactly when the identity has one.  This is the bounded form of the
+    theorem that automorphisms of the category of free algebras are inner
+    (Mashevitzky, Plotkin & Plotkin, ERA-AMS 2002).  Write u_n for phi's
+    renaming over size n, and pre2_s for `kb2.geometry.preimage(s, .)`, so
+    that pre2_{x;y} = pre2_y . pre2_x and each pre2_{u_n} permutes the
+    members and the atoms of the second model's algebra.  Then
+    beta -> alpha with alpha_n = pre2_{u_n^-1} . beta_n is a bijection from
+    phi's block-bijection candidates to the identity's:
+    - Constraints: phi sends an atomic formula A to A[u_n], and
+      mask2(A[u_n]) = pre2_{u_n}(mask2(A)).  So an atom b of the second
+      model lies inside phi's constraint masks exactly where pre2_{u_n^-1}(b)
+      lies inside the identity's: the clashes, the constraint classes and
+      their sizes agree.
+    - Squares: phi(s) = u_a^-1; s; u_b, so pre2_{phi(s)} is
+      pre2_{u_b} . pre2_s . pre2_{u_a^-1}.  Applying pre2_{u_b^-1} to both
+      sides of beta's square at (s, m) gives alpha's square at (s, m), so
+      each square in the same (substitution, atom) order has the same
+      outcome.
+    - An undefinable pullback, pre1_s(m) not a member, depends on the first
+      model alone.
+    So the two backtracking trees are isomorphic.  Either both searches give
+    a witness, or both give None, or both raise the same
+    `UndefinablePullbackError`: a search raises only at the first size whose
+    squares meet an undefinable pullback, and there at its first one.  The
+    identity is searched first, so no renaming family can change a report;
+    with a relation part, the same map pairs phi with that part alone.  A
+    pinned renaming (`--phi renamevars`) still runs its own search.
+    """
     out = [FormulaAutomorphism.identity(sig)]
     names = list(sig.rel_names)
     for perm in itertools.permutations(names):
@@ -186,14 +222,6 @@ def enumerate_automorphisms(sig: Signature, n_max: int) -> list[FormulaAutomorph
         if any(sig.rel_arity(a) != sig.rel_arity(b) for a, b in zip(names, perm)):
             continue
         out.append(FormulaAutomorphism(sig, tuple(zip(names, perm))))
-    per_size = []
-    for n in range(1, n_max + 1):
-        per_size.append(list(itertools.permutations(canonical_varset(n).names)))
-    for family in itertools.product(*per_size):
-        renamings = {n + 1: images for n, images in enumerate(family)}
-        if all(tuple(images) == canonical_varset(n).names for n, images in renamings.items()):
-            continue
-        out.append(FormulaAutomorphism.variable_renaming(sig, renamings))
     return out
 
 
@@ -713,7 +741,7 @@ def check_informational_equivalence(model1: Model, model2: Model,
                 return EquivReport(VERDICT_WITNESSED, mode, bounds, witness, None, tuple(notes))
 
         if saturated:
-            candidates = enumerate_automorphisms(model1.sig, n_max) if phis is None else phis
+            candidates = enumerate_automorphisms(model1.sig) if phis is None else phis
             for phi in candidates:
                 iso = find_functor_iso(kb1, kb2, phi, depth)
                 if iso is None:

@@ -24,6 +24,7 @@ from kbgeo import (
     AdmissibilityError,
     DefinabilityError,
     DescMorphism,
+    FormulaAutomorphism,
     KnowledgeBase,
     Model,
     Report,
@@ -163,6 +164,17 @@ def seeded_pairs() -> list:
         if p != q and small(pq):
             break
     return [("fp relabel", fp, relabeled(fp, (2, 0, 1))), ("pq swap", pq, swapped(pq, "P", "Q"))]
+
+
+def renaming_families(sig: Signature, n_max: int) -> list:
+    """Every family of per-size variable permutations over sizes 1..n_max but
+    the identity, as pure renamings in product order: the automorphisms the
+    default witness search once tried after the relation permutations, and
+    the reference that the search without them is tested against."""
+    per_size = [itertools.permutations(canonical_varset(n).names) for n in range(1, n_max + 1)]
+    return [FormulaAutomorphism.variable_renaming(sig, dict(enumerate(family, 1)))
+            for family in itertools.product(*per_size)
+            if any(images != canonical_varset(n).names for n, images in enumerate(family, 1))]
 
 
 def brute_rows(model: Model, k: int) -> list:

@@ -70,6 +70,7 @@ from helpers import (
     model_pq2,
     named_pair,
     relabeled,
+    renaming_families,
     seeded_models,
     seeded_pairs,
 )
@@ -133,7 +134,7 @@ def test_automorphism_conjugates_substitutions():
 
 
 def test_map_subst_is_conjugation_by_the_renamings():
-    phis = enumerate_automorphisms(PQ_SIG, 2)
+    phis = enumerate_automorphisms(PQ_SIG) + renaming_families(PQ_SIG, 2)
     assert any(phi.var_images for phi in phis) and any(not phi.var_images for phi in phis)
     for a in (1, 2):
         for b in (1, 2):
@@ -147,12 +148,16 @@ def test_map_subst_is_conjugation_by_the_renamings():
 
 
 def test_enumerate_automorphisms_order():
-    autos = enumerate_automorphisms(PQ_SIG, 2)
-    descriptions = [a.describe() for a in autos]
-    assert descriptions[0] == "identity"
-    assert "swap P Q" in descriptions
-    assert any(d.startswith("renamevars[2]") for d in descriptions)
-    assert len(descriptions) == len(set(descriptions))
+    """The identity, then the arity-preserving relation permutations; no
+    variable renaming, since renamings are inner.  The reference families
+    are every nonidentity product of per-size permutations, each once."""
+    assert [a.describe() for a in enumerate_automorphisms(PQ_SIG)] == ["identity", "swap P Q"]
+    mixed = Signature((), (("P", 1), ("Q", 1), ("R", 2)))
+    assert [a.describe() for a in enumerate_automorphisms(mixed)] == ["identity", "swap P Q"]
+    for n_max, count in ((1, 0), (2, 1), (3, 11), (4, 287)):
+        descriptions = [a.describe() for a in renaming_families(PQ_SIG, n_max)]
+        assert len(descriptions) == len(set(descriptions)) == count
+        assert all(d.startswith("renamevars[") for d in descriptions)
 
 
 def test_find_functor_iso_needs_matching_signatures():
@@ -478,7 +483,7 @@ def reported_witnesses(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int) -> li
     mmaps = model_isomorphisms(kb1.model, kb2.model)
     if mmaps:
         out.append(outcome(transport_model_iso, mmaps[0], kb1, kb2, depth))
-    for phi in enumerate_automorphisms(kb1.model.sig, kb1.n_max):
+    for phi in enumerate_automorphisms(kb1.model.sig):
         iso = outcome(find_functor_iso, kb1, kb2, phi, depth)
         if iso is not None:
             out.append(iso)
@@ -502,7 +507,7 @@ def test_atom_path_matches_the_member_loops():
     for label, m1, m2, n_max, depth in decider_pairs():
         kb1, kb2 = KnowledgeBase(m1, n_max), KnowledgeBase(m2, n_max)
         sizes = range(1, n_max + 1)
-        phis = enumerate_automorphisms(m1.sig, n_max)
+        phis = enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max)
         isos = reported_witnesses(kb1, kb2, depth)
         if not m1.sig.ops:
             renaming = next(phi for phi in phis if phi.var_images)
@@ -597,7 +602,7 @@ def test_atom_tables_match_the_member_loops():
     for (m1, m2), n_max in itertools.product(pairs, (1, 2)):
         kb1, kb2 = kbs(m1, m2, n_max)
         sizes = range(1, n_max + 1)
-        for phi in enumerate_automorphisms(m1.sig, n_max):
+        for phi in enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max):
             for n in sizes:
                 lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
                 constraints = _atom_constraints(kb1, kb2, phi, n, 2)
@@ -677,13 +682,13 @@ def test_a_tampered_composite_fails_the_functor_as_the_member_loops_do():
 
 
 def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
-    """On this 4-element self-pair, with x1 and x2 swapped over two variables,
+    """On this 3-element self-pair, with x1 and x2 swapped over two variables,
     candidate alphas fail naturality squares during the search, which drops
     them and goes on, and a witness still comes back.  Its description
-    functor report is the member loops' report, over 2^16 members."""
+    functor report is the member loops' report, over 2^9 members."""
     sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
-    model = Model(sig, (0, 1, 2, 3), {"f": {(0,): 3, (1,): 3, (2,): 1, (3,): 2}},
-                  {"P": [], "Q": [(0,), (1,)]})
+    model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
+                  {"P": [], "Q": [(0,)]})
     phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
     assert phi.describe() == "renamevars[2] x1:x2,x2:x1"
     squares = []
@@ -696,3 +701,91 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
     iso = find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, depth=1)
     assert False in squares and iso is not None
     assert build_description_iso(iso) == memberwise_description_iso(iso)
+
+
+def conjugated(iso: FunctorIso, renaming: FormulaAutomorphism, phi: FormulaAutomorphism,
+               inverse: bool) -> FunctorIso:
+    """The witness as a family for `phi`: each alpha followed by the second
+    model's pullback along the renaming over its size, or along that
+    renaming's inverse."""
+    alphas = {}
+    for n, alpha in iso.alphas.items():
+        u = renaming.renaming_for(n)
+        u = u.inverted() if inverse else u
+        alphas[n] = lattice.UnionMap({atom: iso.kb2.geometry.preimage(u, image)
+                                      for atom, image in alpha.atoms.items()})
+    return dataclasses.replace(iso, phi=phi, alphas=alphas)
+
+
+def natural(iso: FunctorIso) -> bool:
+    """Whether a family meets its automorphism's atom constraints and every
+    naturality square, and passes the description functor construction."""
+    kb1, kb2, depth = iso.kb1, iso.kb2, iso.depth
+    sizes = range(1, iso.n_max + 1)
+    constraints = {n: _atom_constraints(kb1, kb2, iso.phi, n, depth) for n in sizes}
+    if None in constraints.values() or any(iso.alphas[n][m1] != m2 for n in sizes
+                                           for m1, m2 in constraints[n]):
+        return False
+    if not all(_squares_commute(iso.alphas, iso.phi, kb1, kb2, depth, a, b)
+               for a, b in itertools.product(sizes, repeat=2)):
+        return False
+    try:
+        return build_description_iso(iso).passed
+    except AdmissibilityError:
+        return False
+
+
+def test_renamings_are_inner():
+    """Conjugating by the second model's pullbacks along a renaming family u
+    carries witnesses both ways: alpha_n followed by pre2 along u_n is a
+    witness for phi with the renaming added, and a renaming witness followed
+    by pre2 along u_n^-1 is one without it.  So a phi with a renaming finds
+    a witness, finds none, or raises the same error exactly when its
+    relation part does.  Pulling back along u_n instead fails for some
+    renamings that are not involutions, so the direction matters."""
+    pairs = [(m1, m2, n_max, depth) for _, m1, m2, n_max, depth in decider_pairs()]
+    pairs += [(model_p(), model_p_relabeled(), 3, 1), (model_pq1(), model_pq2(), 3, 1)]
+    counts = {"found": 0, "none": 0, "raised": 0, "conjugates": 0, "wrong way": 0}
+    for m1, m2, n_max, depth in pairs:
+        kb1, kb2 = kbs(m1, m2, n_max)
+        families = renaming_families(m1.sig, n_max)
+        for iso, family in itertools.product(reported_witnesses(kb1, kb2, depth), families):
+            if isinstance(iso, FunctorIso):
+                phi = FormulaAutomorphism(m1.sig, iso.phi.rel_images, family.var_images)
+                assert natural(conjugated(iso, family, phi, inverse=False))
+                counts["conjugates"] += 1
+        for relation_part, family in itertools.product(enumerate_automorphisms(m1.sig),
+                                                       families):
+            phi = FormulaAutomorphism(m1.sig, relation_part.rel_images, family.var_images)
+            renamed = outcome(find_functor_iso, kb1, kb2, phi, depth)
+            plain = outcome(find_functor_iso, kb1, kb2, relation_part, depth)
+            if isinstance(renamed, str) or renamed is None:
+                assert renamed == plain
+                counts["raised" if renamed else "none"] += 1
+                continue
+            assert isinstance(plain, FunctorIso)
+            counts["found"] += 1
+            back, wrong = (conjugated(renamed, family, relation_part, inverse)
+                           for inverse in (True, False))
+            assert natural(back)
+            counts["wrong way"] += wrong.alphas != back.alphas and not natural(wrong)
+    assert all(counts.values()), counts
+
+
+def test_the_renaming_families_change_no_report():
+    """Both deciders give the same report with the default automorphisms as
+    with every variable renaming family added after them, on every
+    same-signature pair of the fixtures and the seeded models, self-pairs
+    included.  Some decisions try every automorphism and end UNKNOWN, so the
+    families are reached."""
+    models = [m for _, m in all_fixtures() + seeded_models()]
+    pairs = [(m1, m2) for m1, m2 in itertools.combinations_with_replacement(models, 2)
+             if m1.sig == m2.sig]
+    exhausted = 0
+    for (m1, m2), decide in itertools.product(pairs, (check_informational_equivalence,
+                                                      check_automorphic_equivalence)):
+        phis = enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, 2)
+        report = decide(m1, m2, n_max=2, depth=1)
+        assert report == decide(m1, m2, n_max=2, depth=1, phis=phis)
+        exhausted += report.verdict == VERDICT_UNKNOWN and len(report.notes) == 1
+    assert len(pairs) == 32 and exhausted > 0
