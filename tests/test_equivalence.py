@@ -789,3 +789,51 @@ def test_the_renaming_families_change_no_report():
         assert report == decide(m1, m2, n_max=2, depth=1, phis=phis)
         exhausted += report.verdict == VERDICT_UNKNOWN and len(report.notes) == 1
     assert len(pairs) == 32 and exhausted > 0
+
+
+def model_fp() -> Model:
+    """The 3-element model with f the 3-cycle and P = {1}."""
+    return Model(Signature((("f", 1),), (("P", 1),)), (0, 1, 2),
+                 {"f": {(0,): 1, (1,): 2, (2,): 0}}, {"P": [(1,)]})
+
+
+def test_the_squares_are_the_functor(monkeypatch):
+    """Every witness the deciders report passes the description functor
+    construction and the admissibility transfer, on the decider pairs, the
+    27-atom relabelling pair and the `fp` and `m_p` self-pairs, and so does
+    the witness of a pinned phi that swaps x1 and x2.  Each meets the
+    proof's premises: it is Boolean, and its phi permutes the bounded
+    substitution sets.  With the construction made to raise, both deciders
+    give the same reports, so neither runs it."""
+    pairs = decider_pairs() + [("named pair", *named_pair(), 2, 1),
+                               ("fp self", model_fp(), model_fp(), 2, 1),
+                               ("m_p self", model_p(), model_p(), 2, 1)]
+    swap = FormulaAutomorphism.variable_renaming(model_neg().sig, {2: ("x2", "x1")})
+    assert swap.describe() == "renamevars[2] x1:x2,x2:x1"
+    sizes = (canonical_varset(1), canonical_varset(2))
+    for source, target in itertools.product(sizes, repeat=2):
+        bounded = set(enumerate_substitutions(swap.sig, source, target, 1))
+        assert {swap.map_subst(s) for s in bounded} == bounded
+    isos = [iso for label, m1, m2, n_max, depth in pairs
+            for iso in reported_witnesses(*kbs(m1, m2, n_max), depth)
+            if isinstance(iso, FunctorIso)]
+    isos.append(find_functor_iso(*kbs(model_neg(), model_neg()), swap, depth=1))
+    for iso in isos:
+        assert _is_boolean(iso), iso.phi.describe()
+        assert build_description_iso(iso).passed, iso.phi.describe()
+        assert verify_admissibility_transfer(iso).passed, iso.phi.describe()
+    deciders = (check_informational_equivalence, check_automorphic_equivalence)
+    runs = [(decide, m1, m2, dict(n_max=n_max, depth=depth))
+            for _, m1, m2, n_max, depth in pairs for decide in deciders]
+    runs.append((check_automorphic_equivalence, model_neg(), model_neg(),
+                 dict(n_max=2, depth=1, phis=[swap])))
+    reports = [decide(m1, m2, **bounds) for decide, m1, m2, bounds in runs]
+
+    def refused(iso):
+        raise AssertionError("the description functor ran on a reported witness")
+
+    monkeypatch.setattr(equivalence, "build_description_iso", refused)
+    assert [decide(m1, m2, **bounds) for decide, m1, m2, bounds in runs] == reports
+    assert all(report.verdict == VERDICT_WITNESSED for report in reports[-7:])
+    assert dict(reports[-1].witness)["phi"] == swap.describe()
+    assert len(isos) > 7 and sum(r.verdict == VERDICT_WITNESSED for r in reports) > 7
