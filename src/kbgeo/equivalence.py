@@ -22,7 +22,10 @@ automorphism) or `transport_model_iso`.  Each alpha is the lattice layer's
 `UnionMap` of its atom images, which reads a member's image on lookup: a
 candidate sends the atoms along a block bijection, and a carrier map
 relabels the points of each atom.  So a decision lists no member.  The
-naturality squares are checked on atoms.
+search checks the naturality squares on atoms; the carrier witness's
+squares hold by the isomorphism, and its transport checks only that the
+first model's pullbacks are members (`transport_model_iso` gives the
+proof).
 
 The squares are the functor.  A witness from either search is reported as
 it is: every check of `build_description_iso` then holds, by the proof
@@ -35,13 +38,14 @@ by renamings keeps term depth.  `build_description_iso` stays public as a
 test oracle, with `verify_admissibility_transfer`.
 
 Proof.  Write pre_s for a model's pullback along s, x;y for "x, then y",
-and k for an atom over X_a.  Both searches check the square
+and k for an atom over X_a.  Every witness meets the square
 alpha_b(pre1_s(k)) = pre2_phi(s)(alpha_a(k)) for every a, b <= n_max and
-every s: X_a -> X_b within the depth, and raise when pre1_s(k) is not a
-member.  Pullbacks and Boolean alphas preserve unions, so both sides of a
-square do, and the squares hold on every member.  A pair (K, T) along t is
-admissible when the image of T along t lies inside K, so (K, pre_t(K))
-always is.
+every s: X_a -> X_b within the depth, and both searches raise when
+pre1_s(k) is not a member: `find_functor_iso` checks each square, and a
+carrier witness meets them all.  Pullbacks and Boolean alphas preserve
+unions, so both sides of a square do, and the squares hold on every
+member.  A pair (K, T) along t is admissible when the image of T along t
+lies inside K, so (K, pre_t(K)) always is.
 - Forward images: F of the least morphism along s pairs alpha_a(k) with
   alpha_b(pre1_s(k)) along phi(s), which the square at s makes
   pre2_phi(s)(alpha_a(k)): a member, and an admissible pair.
@@ -86,9 +90,9 @@ from .core import (
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula, atomic_formulas
-from .lattice import DefinabilityError, FilterLattice, UndefinablePullbackError, UnionMap
+from .lattice import FilterLattice, UndefinablePullbackError, UnionMap
 from .categories import (AdmissibilityError, DescMorphism, KnowledgeBase, Report, _Memo,
-                         _check_pairs)
+                         _check_pairs, _pullback)
 from .semantics import _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
@@ -359,15 +363,16 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     pushing along the mapped substitution.
 
     The squares are checked on the atoms of the source lattice, ascending.
-    Both callers pass alphas that preserve unions (block bijections, or a
-    carrier map acting pointwise), and so do pullbacks, so both sides of a
-    square preserve unions: a member's pullback is definable and its square
-    commutes when that holds for each of its atoms.  The member loop in
-    ascending order stops at the first member where a pullback is not
-    definable (raise) or a square fails (False).  That member has an atom
-    where one of the two happens, and the atom, a submask, is no larger; so
-    the first such member is an atom, the first such atom, and the atom loop
-    stops there in the same way, with the same error text.
+    The one caller, `find_functor_iso`, passes block bijections, which
+    preserve unions, and so do pullbacks, so both sides of a square preserve
+    unions: a member's pullback is definable and its square commutes when
+    that holds for each of its atoms.  A carrier witness needs no square
+    check (`transport_model_iso`).  The member loop in ascending order
+    stops at the first member where a pullback is not definable (raise) or
+    a square fails (False).  That member has an atom where one of the two
+    happens, and the atom, a submask, is no larger; so the first such member
+    is an atom, the first such atom, and the atom loop stops there in the
+    same way, with the same error text.
     """
     source = canonical_varset(source_n)
     target = canonical_varset(target_n)
@@ -444,49 +449,52 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
 def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
                         depth: int = 2) -> FunctorIso:
     """Turn a carrier isomorphism between the two knowledge bases' models into
-    the induced lattice-family bijection, with the identity automorphism, and
-    verify its defining conditions.
+    the induced lattice-family bijection, with the identity automorphism.
 
-    Each point is relabelled once, and each atom goes to the union of its
-    points' images; the alpha, a `UnionMap`, sends each member to the union
-    of its atoms' images.  A member's image is a member when each of its
-    atoms' images is one, since the target algebra is closed under union.
-    Members ascend, so the first member whose image is missing has an atom
-    whose image is missing and is no larger: it is that atom, the first such
-    atom, and the error names the same mask a member loop would.
+    Each point is relabelled once, and each atom of the first model goes to
+    the union of its points' images; the alpha, a `UnionMap`, sends each
+    member to the union of its atoms' images.  The one check left is the
+    first model's pullbacks: for every a, b <= n_max, every s: X_a -> X_b
+    within the depth and every atom k over X_a, in that order, pre1_s(k)
+    must be a member, and the first one that is not raises
+    `UndefinablePullbackError`, as the squares of `find_functor_iso` do.
+    The two knowledge bases must have equal n_max and equal term depth caps.
+    Of the second, only its point spaces are read.
 
-    The atom constraints are checked by relabelling their masks' points the
-    same way.  On a saturated lattice those masks are members, and this is
-    the alpha's value; on a lattice capped by the term depth they need not
-    be members, and the alpha has no value for them."""
+    Proof that the rest holds.  Write h for the carrier map and H_n for the
+    relabelling of points over X_n, so H_n(mu) = h . mu.  Since h is an
+    isomorphism, t^M2(h . mu) = h(t^M1(mu)) for every term t, and every
+    atomic formula A has mask2(A) = H_n(mask1(A)): the atom constraints hold.
+    With equal caps, the second model's term closure, atom seeds and
+    refinement are the first's relabelled by H_n, so its atoms are the
+    images of the first's: each alpha is a Boolean isomorphism, and every
+    relabelled member is a member.  A point mu lies in pre2_s(H_a(K))
+    exactly when (h . mu) composed with s, which is h . (mu composed with s),
+    lies in H_a(K), that is when mu composed with s lies in K.  So
+    pre2_s(H_a(K)) = H_b(pre1_s(K)), which is the naturality square at s
+    for the identity phi.  The isomorphism leaves open only whether
+    pre1_s(K) is a member of the first lattice, the one check; on atoms it
+    suffices, since pullbacks preserve unions."""
     if mmap.source != kb1.model or mmap.target != kb2.model:
         raise MismatchError("the carrier map does not run between the knowledge bases' models")
     if kb1.n_max != kb2.n_max:
         raise MismatchError("knowledge bases have different n_max")
-    n_max = kb1.n_max
-    bits: dict[int, list[int]] = {}
+    if kb1.max_term_depth != kb2.max_term_depth:
+        raise MismatchError("knowledge bases have different term depth caps")
+    sizes = range(1, kb1.n_max + 1)
     alphas: dict[int, UnionMap] = {}
-    for n in range(1, n_max + 1):
-        algebra1 = kb1.description(n).lattice.algebra
-        algebra2 = kb2.description(n).lattice.algebra
-        index_of = algebra2.space.index_of
-        bits[n] = [1 << index_of(mmap.apply_values(row)) for row in algebra1.space.value_rows]
-        images = {}
-        for atom in algebra1.block_masks():
-            image = images[atom] = _gather(atom, bits[n])
-            if not algebra2.contains_mask(image):
-                raise DefinabilityError(f"relabeled member {image:#x} is missing over size {n}")
-        alphas[n] = UnionMap(images)
-    phi = FormulaAutomorphism.identity(kb1.model.sig)
-    for n in range(1, n_max + 1):
-        constraints = _atom_constraints(kb1, kb2, phi, n, depth)
-        if constraints is None or any(_gather(a, bits[n]) != b for a, b in constraints):
-            raise DefinabilityError("carrier transport violates an atom constraint")
-    for a in range(1, n_max + 1):
-        for b in range(1, n_max + 1):
-            if not _squares_commute(alphas, phi, kb1, kb2, depth, a, b):
-                raise DefinabilityError("carrier transport violates a naturality square")
-    return FunctorIso(phi, depth, alphas, kb1, kb2)
+    for n in sizes:
+        algebra = kb1.description(n).algebra
+        index_of = kb2.geometry.space(canonical_varset(n)).index_of
+        bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
+        alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
+    sig = kb1.model.sig
+    for a, b in itertools.product(sizes, repeat=2):
+        atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
+        for subst in enumerate_substitutions(sig, canonical_varset(a), canonical_varset(b), depth):
+            for atom in atoms:
+                _pullback(subst, atom, target)
+    return FunctorIso(FormulaAutomorphism.identity(sig), depth, alphas, kb1, kb2)
 
 
 def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
@@ -738,12 +746,12 @@ def check_informational_equivalence(model1: Model, model2: Model,
 
     A witness is either a carrier isomorphism transported to the lattice
     families or a found functor isomorphism for one of the candidate
-    automorphisms.  Either search checks the witness's naturality squares,
-    and a witness is reported as soon as they pass: for the Boolean
-    witnesses the searches return, they imply the functor laws (module
-    docstring).  A substitution whose pullback of some dual is not
-    definable over its target stops the search: the verdict is UNKNOWN,
-    with a note naming that pullback.
+    automorphisms.  The search checks a candidate's naturality squares, a
+    carrier witness meets them by the isomorphism, and a witness is reported
+    as it is: for the Boolean witnesses the searches return, the squares
+    imply the functor laws (module docstring).  A substitution whose
+    pullback of some dual is not definable over its target stops the
+    search: the verdict is UNKNOWN, with a note naming that pullback.
     """
     if model1.sig != model2.sig:
         raise MismatchError("models have different signatures")

@@ -108,6 +108,28 @@ def seeded_models() -> list:
     return out
 
 
+def relabel_pairs() -> list:
+    """24 models from a fixed seed, each paired with itself under a carrier
+    permutation other than the identity.  A model has 2 to 4
+    elements and a unary P, and at even odds a binary R and a unary op f;
+    each table row is kept at even odds, and each op value is uniform."""
+    rng = random.Random(2017)
+    out = []
+    for i in range(24):
+        carrier = tuple(range(rng.randint(2, 4)))
+        rels = (("P", 1),) + ((("R", 2),) if rng.random() < 0.5 else ())
+        ops = (("f", 1),) if rng.random() < 0.5 else ()
+        rel_tables = {name: [row for row in itertools.product(carrier, repeat=arity)
+                             if rng.random() < 0.5] for name, arity in rels}
+        op_tables = {name: {(a,): rng.choice(carrier) for a in carrier} for name, _ in ops}
+        model = Model(Signature(ops, rels), carrier, op_tables or None, rel_tables)
+        perm = carrier
+        while perm == carrier:
+            perm = tuple(rng.sample(carrier, len(carrier)))
+        out.append((f"relabel{i} {perm}", model, relabeled(model, perm)))
+    return out
+
+
 def named_pair() -> tuple:
     """Two 3-element models with P = {1}, Q = {0} and P = {2}, Q = {0}: a
     relabelling pair in which atomic formulas name every element, so every
@@ -443,20 +465,26 @@ def memberwise_candidate_alphas(lat1, lat2, constraints):
         yield alpha
 
 
+def relabeled_mask(mmap, space1, space2, mask: int) -> int:
+    """The mask over `space2` of the carrier map's images of the points of
+    `mask` over `space1`, point by point."""
+    image = 0
+    for idx in range(space1.size):
+        if mask >> idx & 1:
+            image |= 1 << space2.index_of(mmap.apply_values(space1.value_rows[idx]))
+    return image
+
+
 def memberwise_transport_tables(mmap, kb1, kb2) -> dict:
-    """The alphas of `transport_model_iso` before its checks, with every
-    point of every member relabelled."""
+    """The alphas of `transport_model_iso`, with every point of every member
+    relabelled, each image checked to be a member of the second lattice."""
     alphas = {}
     for n in range(1, kb1.n_max + 1):
         algebra1 = kb1.description(n).lattice.algebra
         algebra2 = kb2.description(n).lattice.algebra
         table = {}
         for mask in algebra1.masks:
-            image = 0
-            for idx in range(algebra1.space.size):
-                if mask >> idx & 1:
-                    image |= 1 << algebra2.space.index_of(
-                        mmap.apply_values(algebra1.space.value_rows[idx]))
+            image = relabeled_mask(mmap, algebra1.space, algebra2.space, mask)
             if not algebra2.contains_mask(image):
                 raise DefinabilityError(f"relabeled member {image:#x} is missing over size {n}")
             table[mask] = image

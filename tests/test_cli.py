@@ -321,9 +321,10 @@ rel P: 0
 
 
 def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path):
-    """The atom constraints of a depth-capped lattice need not be members; the
-    carrier transport relabels them instead of looking them up, and the
-    search stops at the first undefinable pullback."""
+    """Both knowledge bases have the same term depth cap, so the carrier
+    transport relabels the capped lattice's atoms onto the other's atoms.
+    It then walks the first model's pullbacks and stops at the first one
+    that is not definable."""
     path = tmp_path / "cycle.kbm"
     path.write_text(CYCLE)
     code, text = run_command(["equiv", str(path), str(path), "--max-term-depth", "0",

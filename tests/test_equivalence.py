@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import itertools
 import random
-import re
 
 import pytest
 
@@ -14,7 +13,6 @@ from kbgeo import (
     BoundError,
     FormulaAutomorphism,
     FunctorIso,
-    DefinabilityError,
     DefinableSet,
     KnowledgeBase,
     MismatchError,
@@ -69,7 +67,9 @@ from helpers import (
     model_pq1,
     model_pq2,
     named_pair,
+    relabel_pairs,
     relabeled,
+    relabeled_mask,
     renaming_families,
     seeded_models,
     seeded_pairs,
@@ -583,11 +583,14 @@ def items(table: dict) -> list:
     return list(table.items())
 
 
+CAPS_DIFFER = "knowledge bases have different term depth caps"
+
+
 def test_atom_tables_match_the_member_loops():
     """The alphas extended from atom images equal the member loops' tables,
     key order included: every candidate of every automorphism, and the
-    carrier transport of every model isomorphism, which names the same first
-    missing member when a coarser lattice lacks one.  The Boolean check
+    carrier transport of every model isomorphism, which refuses a coarser
+    lattice as the second: its term depth cap differs.  The Boolean check
     agrees with the member-wise induction on the reported witnesses, their
     rotations and their corruptions."""
     fixtures = all_fixtures() + [("m_p_relabeled", model_p_relabeled())]
@@ -597,7 +600,7 @@ def test_atom_tables_match_the_member_loops():
     cycle = Model(Signature((("f", 1),), (("P", 1),), False), (0, 1, 2),
                   {"f": {(0,): 1, (1,): 2, (2,): 0}}, {"P": [(0,)]})
     coarse = [(KnowledgeBase(cycle, 1), KnowledgeBase(cycle, 1, max_term_depth=0))]
-    transported = missing = candidates = 0
+    transported = mismatched = candidates = 0
     booleans = set()
     for (m1, m2), n_max in itertools.product(pairs, (1, 2)):
         kb1, kb2 = kbs(m1, m2, n_max)
@@ -622,21 +625,105 @@ def test_atom_tables_match_the_member_loops():
         coarse.append((kb1, kb2))
     for kb1, kb2 in coarse:
         for mmap in model_isomorphisms(kb1.model, kb2.model):
+            if kb1.max_term_depth != kb2.max_term_depth:
+                with pytest.raises(MismatchError, match=f"^{CAPS_DIFFER}$"):
+                    transport_model_iso(mmap, kb1, kb2, 2)
+                mismatched += 1
+                continue
             try:
                 alphas = transport_model_iso(mmap, kb1, kb2, 2).alphas
-            except DefinabilityError as exc:
-                if "relabeled member" not in str(exc):
-                    continue
-                with pytest.raises(DefinabilityError, match=f"^{re.escape(str(exc))}$"):
-                    memberwise_transport_tables(mmap, kb1, kb2)
-                missing += 1
+            except UndefinablePullbackError:
                 continue
             oracle = memberwise_transport_tables(mmap, kb1, kb2)
             assert {n: items(t) for n, t in alphas.items()} == \
                 {n: items(t) for n, t in oracle.items()}
             transported += 1
-    assert transported > 0 and missing > 0 and candidates > 0
+    assert transported > 0 and mismatched > 0 and candidates > 0
     assert booleans == {True, False}
+
+
+def carrier_transport_cases() -> list:
+    """(label, model1, model2, n_max, depth, cap): the decider pairs, and the
+    seeded self-pairs at n_max 1 and 2, depth 0 to 2 and the term depth caps
+    None, 0 and 1, the same cap on both sides."""
+    out = [(label, m1, m2, n_max, depth, None) for label, m1, m2, n_max, depth in decider_pairs()]
+    out += [(f"{name} self {bounds}", m, m, *bounds) for name, m in seeded_models()
+            for bounds in itertools.product((1, 2), (0, 1, 2), (None, 0, 1))]
+    return out
+
+
+def test_the_carrier_transport_checks_only_what_can_fail():
+    """Every carrier transport meets the checks it no longer makes.  Its atom
+    constraints pair each mask with its relabelling; its alphas are the
+    member loops' relabelling, and Boolean; and every naturality square
+    commutes, up to the first undefinable pullback in the transport's
+    order, which is the one the transport raises on.  On fresh knowledge
+    bases it builds neither a lattice nor a pullback table of the second."""
+    counts = {"witnessed": 0, "raised": 0}
+    for label, m1, m2, n_max, depth, cap in carrier_transport_cases():
+        sizes = range(1, n_max + 1)
+        phi = FormulaAutomorphism.identity(m1.sig)
+        for mmap in model_isomorphisms(m1, m2):
+            kb1, kb2 = KnowledgeBase(m1, n_max, cap), KnowledgeBase(m2, n_max, cap)
+            iso = outcome(transport_model_iso, mmap, kb1, kb2, depth)
+            assert not kb2.geometry._tables and not kb2._descriptions, label
+            for n in sizes:
+                spaces = [kb.geometry.space(canonical_varset(n)) for kb in (kb1, kb2)]
+                constraints = _atom_constraints(kb1, kb2, phi, n, depth)
+                assert constraints is not None, label
+                assert all(relabeled_mask(mmap, *spaces, a) == b for a, b in constraints), label
+            oracle = memberwise_transport_tables(mmap, kb1, kb2)
+            squares = [outcome(_squares_commute, oracle, phi, kb1, kb2, depth, a, b)
+                       for a, b in itertools.product(sizes, repeat=2)]
+            if isinstance(iso, str):
+                assert next(square for square in squares if square is not True) == iso, label
+                counts["raised"] += 1
+                continue
+            assert all(square is True for square in squares), label
+            assert {n: items(t) for n, t in iso.alphas.items()} == \
+                {n: items(t) for n, t in oracle.items()}, label
+            assert _is_boolean(iso), label
+            counts["witnessed"] += 1
+    assert all(counts.values()), counts
+
+
+def test_the_carrier_transport_refuses_unequal_term_depth_caps():
+    """The seeded `fp0` model over one variable has 2 atoms with the term
+    depth capped at 0 and 3 without a cap.  Relabelled, the capped atoms are
+    unions of the others, not atoms, so the family a transport between the
+    two would report is not Boolean: the transport refuses the pair."""
+    model = dict(seeded_models())["fp0"]
+    kb1, kb2 = KnowledgeBase(model, 1, 0), KnowledgeBase(model, 1)
+    mmap = model_isomorphisms(model, model)[0]
+    with pytest.raises(MismatchError, match=f"^{CAPS_DIFFER}$"):
+        transport_model_iso(mmap, kb1, kb2, 0)
+    assert [len(kb.description(1).algebra.block_masks()) for kb in (kb1, kb2)] == [2, 3]
+    family = FunctorIso(FormulaAutomorphism.identity(model.sig), 0,
+                        memberwise_transport_tables(mmap, kb1, kb2), kb1, kb2)
+    assert not _is_boolean(family)
+
+
+def test_a_carrier_relabelling_is_never_refuted():
+    """Each generated model against its relabelling: neither decider refutes
+    it.  The informational decider gives the carrier witness, or stops at
+    the undefinable pullback of the model's own self-pair, with its note;
+    the automorphic decider gives the self-pair's report, since the
+    relabelling carries its search tree onto the self-pair's."""
+    verdicts = set()
+    for label, model, image in relabel_pairs():
+        informational, automorphic = (decide(model, image, n_max=2, depth=1) for decide in
+                                      (check_informational_equivalence,
+                                       check_automorphic_equivalence))
+        assert automorphic == check_automorphic_equivalence(model, model, n_max=2, depth=1)
+        assert VERDICT_INEQUIVALENT not in (informational.verdict, automorphic.verdict), label
+        if informational.verdict == VERDICT_WITNESSED:
+            assert dict(informational.witness)["kind"] == "model isomorphism", label
+        else:
+            own = check_informational_equivalence(model, model, n_max=2, depth=1)
+            assert (informational.verdict, own.verdict) == (VERDICT_UNKNOWN,) * 2, label
+            assert informational.notes[-1] == own.notes[-1], label
+        verdicts.add(informational.verdict)
+    assert verdicts == {VERDICT_WITNESSED, VERDICT_UNKNOWN}
 
 
 def test_transport_relabels_each_point_once(monkeypatch):
