@@ -10,12 +10,16 @@ pointwise image required to land inside the assigned set.
 The duality swaps the two sides object by object (a filter and its dual set)
 and morphism by morphism, reversing direction.
 
-Every pointwise preimage and image along a substitution goes through the
-`Geometry` of the spaces involved, which computes each pullback table once.
-A `KnowledgeBase` is one model's context: one geometry, whose point bound is
-the only bound on its transport, and each object built once.  Its two sweeps,
-`check_duality` and `verify_push_functoriality`, share spaces and tables
-across every substitution they visit, and an equivalence decision builds one
+Every pointwise preimage and image along a substitution is read from the
+substitution's pullback table in the `Geometry` of the spaces involved,
+which builds each table once; a loop that moves several masks along one
+substitution fetches its table once and holds it.  A `KnowledgeBase` is one
+model's context: one geometry, whose point bound is the only bound on its
+transport, each object built once, and each bounded substitution set
+enumerated once (`KnowledgeBase.substitutions`), so that the tables are
+keyed by those objects.  Its two sweeps, `check_duality` and
+`verify_push_functoriality`, share spaces, substitutions and tables across
+every substitution they visit, and an equivalence decision builds one
 knowledge base per model and runs its whole witness search over the pair.
 
 The sweeps and the witness check run on lattice atoms.  Every map they
@@ -63,6 +67,7 @@ from .lattice import (
 from .formulas import Formula
 from .semantics import (
     Geometry,
+    _Table,
     satisfying_points,
     subst_image_points,
     subst_preimage_points,
@@ -193,8 +198,8 @@ class _Morphism:
             images, keys = dict(assignment), index.keys()
         if images.keys() != keys:
             raise MismatchError("assignment is not total on its source")
-        _check_pairs(images, subst, target.algebra.index,
-                     (target if along else source).algebra.space.geometry, along)
+        _check_pairs(images, (target if along else source).algebra.space.geometry.table(subst),
+                     target.algebra.index, along)
         self.source = source
         self.target = target
         self.subst = subst
@@ -226,18 +231,21 @@ class _Morphism:
         return f"{type(self).__name__}({self.subst}, {self.source.varset} -> {self.target.varset})"
 
 
-def _check_pairs(images: Mapping[int, int], subst: Substitution, members: UnionMap,
-                 geometry: Geometry, along: bool) -> None:
-    """`_Morphism`'s checks of its held pairs, in order, reading moved masks
-    from the substitution's table as `geometry.image` would."""
-    moved, image = geometry._table(subst).images, geometry.image
+def _check_pairs(images: Mapping[int, int], table: _Table, members: UnionMap,
+                 along: bool) -> None:
+    """`_Morphism`'s checks of its held pairs, in order, along the pullback
+    table of its substitution: each dual mask must be a member, and the
+    image of a pair's mask over the substitution's target must lie inside
+    its other mask.  A failure names the table's key, which equals the
+    substitution."""
+    image = table.image
     for src_mask, dst_mask in images.items():
         if dst_mask not in members:
             raise DefinabilityError(f"mask {dst_mask:#x} is not definable over the target")
         mask, bound = (dst_mask, src_mask) if along else (src_mask, dst_mask)
-        if (moved[mask] if mask in moved else image(subst, mask)) & ~bound:
+        if image(mask) & ~bound:
             raise AdmissibilityError(
-                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {subst}")
+                f"assignment {src_mask:#x} -> {dst_mask:#x} is not admissible for {table.key}")
 
 
 class _Memo(dict):
@@ -264,8 +272,9 @@ class DescMorphism(_Morphism):
         """Each generator goes to its full pullback along the substitution, in
         order; the first pullback that is not a dual of the target raises."""
         masks = source.algebra.block_masks() if on_atoms else source.algebra.masks
+        table = target.algebra.space.geometry.table(subst)
         return cls(source, target, subst,
-                   {mask: _pullback(subst, mask, target.algebra) for mask in masks}, on_atoms)
+                   {mask: _pullback(table, mask, target.algebra) for mask in masks}, on_atoms)
 
     @classmethod
     def _identity(cls, obj: DescriptionObject, on_atoms: bool = False) -> "DescMorphism":
@@ -295,8 +304,8 @@ class ContMorphism(_Morphism):
         """Each generator goes to the closure of its pointwise image: the
         union of the target atoms it meets."""
         algebra = source.algebra
-        image, close = algebra.space.geometry.image, target.algebra._close
-        images = {mask: close(image(subst, mask))
+        image, close = algebra.space.geometry.table(subst).image, target.algebra._close
+        images = {mask: close(image(mask))
                   for mask in (algebra.block_masks() if on_atoms else algebra.masks)}
         return cls(source, target, subst, images, on_atoms)
 
@@ -332,12 +341,13 @@ def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
     return DescMorphism._least(source, target, subst)
 
 
-def _pullback(subst: Substitution, mask: int, target: DefinableAlgebra) -> int:
-    """The pullback of a dual mask along the substitution, which must be a
-    member of `target`, over the substitution's target: a pushed filter's dual."""
-    pullback = target.space.geometry.preimage(subst, mask)
+def _pullback(table: _Table, mask: int, target: DefinableAlgebra) -> int:
+    """The pullback of a dual mask along a substitution's table, which must
+    be a member of `target`, over the substitution's target: a pushed
+    filter's dual.  The error names the table's key."""
+    pullback = table.preimage(mask)
     if pullback not in target.index:
-        raise UndefinablePullbackError(subst, mask, pullback)
+        raise UndefinablePullbackError(table.key, mask, pullback)
     return pullback
 
 
@@ -380,6 +390,7 @@ class KnowledgeBase:
         self.geometry = Geometry(model, max_points)
         self._descriptions: dict[int, DescriptionObject] = {}
         self._atom_masks: dict[tuple[int, Formula], int] = {}
+        self._substitutions: dict[tuple[int, int, int], tuple[Substitution, ...]] = {}
 
     def description(self, n: int) -> DescriptionObject:
         if not 1 <= n <= self.n_max:
@@ -402,6 +413,18 @@ class KnowledgeBase:
             mask = self._atom_masks[key] = satisfying_points(
                 atom, self.model, canonical_varset(n), geometry=self.geometry).mask
         return mask
+
+    def substitutions(self, a: int, b: int, depth: int) -> tuple[Substitution, ...]:
+        """The substitutions from the canonical variable set of size a to that
+        of size b with images of depth up to depth, in `enumerate_substitutions`
+        order, enumerated once.  The sweeps and searches look up pullback
+        tables with these objects, so the tables are keyed by them."""
+        key = (a, b, depth)
+        subs = self._substitutions.get(key)
+        if subs is None:
+            subs = self._substitutions[key] = tuple(enumerate_substitutions(
+                self.model.sig, canonical_varset(a), canonical_varset(b), depth))
+        return subs
 
     @property
     def saturated(self) -> bool:
@@ -437,8 +460,7 @@ class KnowledgeBase:
             for b in range(1, n_max + 1):
                 pairs = morphisms[(a, b)] = []
                 dual_pairs = duals[(a, b)] = []
-                for subst in enumerate_substitutions(self.model.sig, canonical_varset(a),
-                                                     canonical_varset(b), depth):
+                for subst in self.substitutions(a, b, depth):
                     checked += 1
                     try:
                         morphism = DescMorphism._least(objs[a], objs[b], subst, True)
@@ -454,22 +476,23 @@ class KnowledgeBase:
             if any(image != atom for atom, image in dual.images.items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
 
-        # Each composite substitution is made once per pair and interned, and
-        # both sides of the check share it.
-        geometry = self.geometry
-        least_duals = _Memo(lambda s: ContMorphism._least(
-            objs[len(s.target)]._content, objs[len(s.source)]._content, s, True).images)
+        # Each composite's table is fetched once per pair, and both sides of
+        # the check, and the composite's least dual, are keyed by it.
+        table = self.geometry.table
+        least_duals = _Memo(lambda t: ContMorphism._least(
+            objs[len(t.key.target)]._content, objs[len(t.key.source)]._content, t.key,
+            True).images)
         for a, b, c in itertools.product(range(1, n_max + 1), repeat=3):
             members_a, members_c = objs[a].algebra.index, objs[c].algebra.index
             for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
                 for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
-                    subst = geometry.intern(Substitution._composite(m1.subst, m2.subst))
+                    composite = table(Substitution._composite(m1.subst, m2.subst))
                     second, first = m2.assignment, d1.assignment
                     _check_pairs({k: second[v] for k, v in m1.images.items()},
-                                 subst, members_c, geometry, True)
-                    left = least_duals[subst]
+                                 composite, members_c, True)
+                    left = least_duals[composite]
                     right = {k: first[v] for k, v in d2.images.items()}
-                    _check_pairs(right, subst, members_a, geometry, False)
+                    _check_pairs(right, composite, members_a, False)
                     checked += 1
                     if left != right:
                         failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
@@ -486,7 +509,8 @@ class KnowledgeBase:
         """The sweep of the module-level `verify_push_functoriality` over these
         objects.
 
-        A composable pair (s1, s2) is one block: when every atom of the source
+        A composable pair (s1, s2) is one block, which holds three pullback
+        tables: s1's, s2's and the composite's.  When every atom of the source
         lattice pushes definably along the composite, along s1 and along s2
         after s1, and its direct and staged pushes agree, every member does.
         A block whose atom run records a failure runs again over every member,
@@ -498,9 +522,10 @@ class KnowledgeBase:
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
+        table = self.geometry.table
         for n in range(1, n_max + 1):
             algebra = self.description(n).algebra
-            ident = Substitution.identity(algebra.varset)
+            ident = table(Substitution.identity(algebra.varset))
             if any(_pullback(ident, atom, algebra) != atom for atom in algebra.block_masks()):
                 failures += [f"identity push moved a filter over |X|={n}"
                              for mask in algebra.masks if _pullback(ident, mask, algebra) != mask]
@@ -509,20 +534,17 @@ class KnowledgeBase:
         triples = 0
         undefinable: set[Substitution] = set()
         sizes = range(1, n_max + 1)
-        # Every substitution and composite is interned once, so each push
-        # finds its pullback table by identity.
-        intern = self.geometry.intern
-        subs = {(a, b): [intern(s) for s in enumerate_substitutions(
-                    self.model.sig, canonical_varset(a), canonical_varset(b), depth)]
-                for a in sizes for b in sizes}
         composite = Substitution._composite
         for a, b, c in itertools.product(sizes, repeat=3):
             algebra_a = self.description(a).lattice.algebra
             algebra_b = self.description(b).lattice.algebra
             algebra_c = self.description(c).lattice.algebra
-            for s1 in subs[a, b]:
-                for s2 in subs[b, c]:
-                    block = (s1, s2, intern(composite(s1, s2)), algebra_b, algebra_c)
+            tables2 = [table(s2) for s2 in self.substitutions(b, c, depth)]
+            for s1 in self.substitutions(a, b, depth):
+                table1 = table(s1)
+                for table2 in tables2:
+                    block = (table1, table2, table(composite(s1, table2.key)),
+                             algebra_b, algebra_c)
                     probe: list[str] = []
                     _push_block(algebra_a.block_masks(), *block, probe, set())
                     if probe:
@@ -538,17 +560,18 @@ class KnowledgeBase:
         return Report("push functoriality", entries, checked, tuple(failures))
 
 
-def _push_block(masks, s1: Substitution, s2: Substitution, composite: Substitution,
+def _push_block(masks, table1: _Table, table2: _Table, composite: _Table,
                 algebra_b: DefinableAlgebra, algebra_c: DefinableAlgebra,
                 failures: list[str], undefinable: set[Substitution]) -> None:
-    """Push each dual mask along the composite, then along s1 and s2 after
-    it, and record a failure for the first undefinable push of each
-    substitution not in `undefinable`, and for each mask whose direct and
-    staged pushes differ."""
+    """Push each dual mask along the composite's table, then along s1's and
+    s2's after it, and record a failure for the first undefinable push of
+    each substitution not in `undefinable`, and for each mask whose direct
+    and staged pushes differ."""
+    s1, s2 = table1.key, table2.key
     for mask in masks:
         try:
             direct = _pullback(composite, mask, algebra_c)
-            staged = _pullback(s2, _pullback(s1, mask, algebra_b), algebra_c)
+            staged = _pullback(table2, _pullback(table1, mask, algebra_b), algebra_c)
         except UndefinablePullbackError as exc:
             if exc.subst not in undefinable:
                 undefinable.add(exc.subst)

@@ -314,7 +314,9 @@ class Substitution:
 
     Images are stored in source order, so two substitutions are equal exactly
     when they agree on every source variable.  The hash is computed once, on
-    first use, since substitutions key the pullback tables of a geometry.
+    first use, and cached: substitutions key the pullback tables of a
+    geometry, and every table lookup hashes its key, so an uncached hash
+    would walk every image term on each lookup.
     """
 
     source: VarSet

@@ -86,7 +86,6 @@ from .core import (
     Substitution,
     Var,
     canonical_varset,
-    enumerate_substitutions,
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula, atomic_formulas
@@ -374,19 +373,16 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     is an atom, the first such atom, and the atom loop stops there in the
     same way, with the same error text.
     """
-    source = canonical_varset(source_n)
-    target = canonical_varset(target_n)
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
-    for subst in enumerate_substitutions(kb1.model.sig, source, target, depth):
-        mapped = phi.map_subst(subst)
-        for mask in kb1.description(source_n).lattice.algebra.block_masks():
-            push1 = kb1.geometry.preimage(subst, mask)
+    atoms = kb1.description(source_n).lattice.algebra.block_masks()
+    for subst in kb1.substitutions(source_n, target_n, depth):
+        table1, table2 = kb1.geometry.table(subst), kb2.geometry.table(phi.map_subst(subst))
+        for mask in atoms:
+            push1 = table1.preimage(mask)
             if push1 not in alpha_b:
                 raise UndefinablePullbackError(subst, mask, push1)
-            lhs = alpha_b[push1]
-            rhs = kb2.geometry.preimage(mapped, alpha_a[mask])
-            if lhs != rhs:
+            if alpha_b[push1] != table2.preimage(alpha_a[mask]):
                 return False
     return True
 
@@ -488,13 +484,13 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
         index_of = kb2.geometry.space(canonical_varset(n)).index_of
         bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
         alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
-    sig = kb1.model.sig
     for a, b in itertools.product(sizes, repeat=2):
         atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
-        for subst in enumerate_substitutions(sig, canonical_varset(a), canonical_varset(b), depth):
+        for subst in kb1.substitutions(a, b, depth):
+            table = kb1.geometry.table(subst)
             for atom in atoms:
-                _pullback(subst, atom, target)
-    return FunctorIso(FormulaAutomorphism.identity(sig), depth, alphas, kb1, kb2)
+                _pullback(table, atom, target)
+    return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), depth, alphas, kb1, kb2)
 
 
 def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
@@ -515,12 +511,12 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
         for b in range(1, n_max + 1):
             masks_a = iso.kb1.description(a).lattice.algebra.masks
             masks_b = iso.kb1.description(b).lattice.algebra.masks
-            for subst in enumerate_substitutions(iso.kb1.model.sig, canonical_varset(a),
-                                                 canonical_varset(b), depth):
-                mapped = iso.phi.map_subst(subst)
+            for subst in iso.kb1.substitutions(a, b, depth):
+                table1 = geometry1.table(subst)
+                table2 = geometry2.table(iso.phi.map_subst(subst))
                 for t1 in masks_a:
-                    pre1 = geometry1.preimage(subst, t1)
-                    pre2 = geometry2.preimage(mapped, iso.alphas[a][t1])
+                    pre1 = table1.preimage(t1)
+                    pre2 = table2.preimage(iso.alphas[a][t1])
                     for t2 in masks_b:
                         checked += 1
                         before = t2 & ~pre1 == 0
@@ -606,7 +602,6 @@ def build_description_iso(iso: FunctorIso) -> Report:
       with m2(k) along phi(phi^-1(s)) = s, so it is m2, and its checks are
       m2's.  The backward image of F(m1) is m1 in the same way.
     """
-    sig = iso.kb1.model.sig
     sizes = range(1, iso.n_max + 1)
     atoms = _is_boolean(iso)
     objs1 = {n: iso.kb1.description(n) for n in sizes}
@@ -617,8 +612,9 @@ def build_description_iso(iso: FunctorIso) -> Report:
     ends1 = {objs1[n]: (iso.alphas[n], objs2[n]) for n in sizes}
     ends2 = {objs2[n]: (inverse[n], objs1[n]) for n in sizes}
     phi_inv = iso.phi.inverse()
-    conjugates1 = _Memo(lambda s: geometry2.intern(iso.phi.map_subst(s)))
-    conjugates2 = _Memo(lambda s: geometry1.intern(phi_inv.map_subst(s)))
+    # Each substitution's conjugate's table, in the other model's geometry.
+    conjugates1 = _Memo(lambda s: geometry2.table(iso.phi.map_subst(s)))
+    conjugates2 = _Memo(lambda s: geometry1.table(phi_inv.map_subst(s)))
     checked = 0
     failures: list[str] = []
 
@@ -628,15 +624,14 @@ def build_description_iso(iso: FunctorIso) -> Report:
         alpha_a, source = ends[m.source]
         alpha_b, target = ends[m.target]
         images = {alpha_a[k]: alpha_b[v] for k, v in m.images.items()}
-        DescMorphism(source, target, conjugates[m.subst], images, atoms)
+        DescMorphism(source, target, conjugates[m.subst].key, images, atoms)
 
     # The first model's least morphisms with admissible images; every one of the second's.
     admissible: dict[tuple[int, int], list[DescMorphism]] = {}
     family2: list[DescMorphism] = []
     for a, b in itertools.product(sizes, repeat=2):
         lst = admissible[(a, b)] = []
-        for subst in enumerate_substitutions(sig, canonical_varset(a),
-                                             canonical_varset(b), iso.depth):
+        for subst in iso.kb1.substitutions(a, b, iso.depth):
             m1 = DescMorphism._least(objs1[a], objs1[b], subst, atoms)
             checked += 1
             try:
@@ -657,11 +652,11 @@ def build_description_iso(iso: FunctorIso) -> Report:
         for m1 in admissible[(a, b)]:
             for m2 in admissible[(b, c)]:
                 checked += 1
-                subst = geometry1.intern(composite(m1.subst, m2.subst))
+                table = geometry1.table(composite(m1.subst, m2.subst))
                 left = {k: m2.assignment[v] for k, v in m1.images.items()}
-                _check_pairs(left, subst, members1, geometry1, True)
+                _check_pairs(left, table, members1, True)
                 image = {alpha_a[k]: alpha_c[v] for k, v in left.items()}
-                _check_pairs(image, conjugates1[subst], members2, geometry2, True)
+                _check_pairs(image, conjugates1[table.key], members2, True)
 
     for m2 in family2:
         checked += 1

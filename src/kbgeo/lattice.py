@@ -265,14 +265,15 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     """Generate the definable algebra from its atoms, found by partition
     refinement.
 
-    Seeds are every relation atom over tuples of term functions, and every
-    equality between term functions when the signature has equality.  Starting
-    from the whole space, each seed splits the blocks it cuts; then the
-    projection of each block along each variable splits the blocks until
-    nothing splits.  Projection distributes over union, so the blocks are the
-    atoms of the closure of the seeds under complement, intersection, union,
-    and projection.  Each member is a union of atoms, witnessed by its
-    choices at the splits; a block's witness is checked before it projects.
+    Seeds are every relation atom over tuples of term functions, and, when
+    the signature has equality, the equality of each unordered pair of
+    distinct term functions, in clone order.  Starting from the whole space,
+    each seed splits the blocks it cuts; then the projection of each block
+    along each variable splits the blocks until nothing splits.  Projection
+    distributes over union, so the blocks are the atoms of the closure of
+    the seeds under complement, intersection, union, and projection.  Each
+    member is a union of atoms, witnessed by its choices at the splits; a
+    block's witness is checked before it projects.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from a fresh geometry under the default bound.
@@ -320,13 +321,13 @@ def generate_definable_algebra(model: Model, varset: VarSet,
                     mask |= 1 << p
             split(mask, Atom(rel, tuple(f.witness for f in combo)))
     if model.sig.with_equality:
-        for f1 in clone.functions:
-            for f2 in clone.functions:
-                mask = 0
-                for p in range(space.size):
-                    if f1.values[p] == f2.values[p]:
-                        mask |= 1 << p
-                split(mask, Equal(f1.witness, f2.witness))
+        # (f, f) holds everywhere, and (f2, f1) cuts what (f1, f2) already did.
+        for f1, f2 in itertools.combinations(clone.functions, 2):
+            mask = 0
+            for p in range(space.size):
+                if f1.values[p] == f2.values[p]:
+                    mask |= 1 << p
+            split(mask, Equal(f1.witness, f2.witness))
 
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.  The

@@ -6,9 +6,12 @@ from the varset, element order from the carrier.  Point sets are immutable
 bitmasks over that enumeration, so all boolean structure is integer work.
 
 A `Geometry` holds one model's spaces under one point bound: one space per
-varset, and one pullback table per substitution, computed on first use.  Its
-`preimage` and `image` are the only loops that move masks along a
-substitution; every space knows its geometry, so a point set reaches the
+varset, and one pullback table per substitution, computed on first use.  A
+table is the one transport primitive: its `preimage` and `image` are the
+only loops that move masks along a substitution.  A caller that moves many
+masks along one substitution holds its table, from `Geometry.table`; one
+that moves a single mask goes through `Geometry.preimage` or
+`Geometry.image`.  Every space knows its geometry, so a point set reaches the
 other end of a substitution through `pset.space.geometry`.  Each table also
 memoizes transport per mask, so a mask moves along a substitution once per
 direction and later calls are dict lookups.  The memo grows with the distinct
@@ -129,7 +132,8 @@ class _Table:
     """One substitution's pullback table: the substitution it is keyed by,
     per target point the bit of its composite's source index, per source
     point the mask of target points composing onto it, and the masks already
-    moved each way."""
+    moved each way.  Its `preimage` and `image` are the package's only loops
+    that move a mask along a substitution."""
 
     __slots__ = ("key", "bits", "fibers", "preimages", "images")
 
@@ -142,16 +146,35 @@ class _Table:
         self.preimages: dict[int, int] = {}
         self.images: dict[int, int] = {}
 
+    def preimage(self, mask: int) -> int:
+        """Target-space mask of the points whose composite with the
+        substitution lands in the source-space mask."""
+        out = self.preimages.get(mask)
+        if out is None:
+            out = self.preimages[mask] = _gather(mask, self.fibers)
+        return out
+
+    def image(self, mask: int) -> int:
+        """Source-space mask of the composites of the target-space mask's
+        points with the substitution."""
+        out = self.images.get(mask)
+        if out is None:
+            out = self.images[mask] = _gather(mask, self.bits)
+        return out
+
 
 class Geometry:
     """One model's point spaces and pullback tables under one point bound.
 
     Spaces and tables are built on first use and live as long as the
-    geometry.  Each table memoizes `preimage` and `image` per mask, so its
-    memory grows with the distinct masks moved along its substitution; every
-    caller inside the package moves lattice members only.  Masks over equal
-    spaces of different geometries are interchangeable, since the enumeration
-    order is fixed by model and varset.
+    geometry.  Equal substitutions share one table, keyed by the first of
+    them looked up; a lookup with that object finds it by identity, without
+    comparing terms.  Each table memoizes `preimage` and `image` per mask,
+    so its memory grows with the distinct masks moved along its
+    substitution; every caller inside the package moves lattice members
+    only.  Masks over equal spaces of different geometries are
+    interchangeable, since the enumeration order is fixed by model and
+    varset.
     """
 
     def __init__(self, model: Model, max_points: int = DEFAULT_MAX_POINTS):
@@ -159,10 +182,6 @@ class Geometry:
         self.max_points = max_points
         self._spaces: dict[tuple[str, ...], PointSpace] = {}
         self._tables: dict[Substitution, _Table] = {}
-        # The last substitution looked up and its table: callers transport many
-        # masks along one substitution object, and comparing equal but distinct
-        # substitutions in the dict costs more than the transport.
-        self._last: Optional[tuple[Substitution, _Table]] = None
 
     def space(self, varset: VarSet) -> PointSpace:
         """The space over varset, refusing to enumerate past the bound."""
@@ -171,42 +190,22 @@ class Geometry:
             space = PointSpace(self.model, varset, self)
         return space
 
-    def _table(self, subst: Substitution) -> _Table:
-        if self._last is not None and self._last[0] is subst:
-            return self._last[1]
+    def table(self, subst: Substitution) -> _Table:
+        """The substitution's pullback table, built on first use."""
         table = self._tables.get(subst)
         if table is None:
             source = self.space(subst.source)
             pull = pullback_indices(subst, source, self.space(subst.target))
             table = self._tables[subst] = _Table(subst, pull, source.size)
-        self._last = subst, table
         return table
 
-    def intern(self, subst: Substitution) -> Substitution:
-        """The substitution equal to `subst` that keys its pullback table:
-        `subst` itself if no equal one was seen before.  Later lookups with
-        the result find the table by identity, without comparing terms."""
-        table = self._table(subst)
-        self._last = table.key, table
-        return table.key
-
     def preimage(self, subst: Substitution, mask: int) -> int:
-        """Target-space mask of the points whose composite with the
-        substitution lands in the source-space mask."""
-        table = self._table(subst)
-        out = table.preimages.get(mask)
-        if out is None:
-            out = table.preimages[mask] = _gather(mask, table.fibers)
-        return out
+        """One mask's preimage along the substitution, read from its table."""
+        return self.table(subst).preimage(mask)
 
     def image(self, subst: Substitution, mask: int) -> int:
-        """Source-space mask of the composites of the target-space mask's
-        points with the substitution."""
-        table = self._table(subst)
-        out = table.images.get(mask)
-        if out is None:
-            out = table.images[mask] = _gather(mask, table.bits)
-        return out
+        """One mask's image along the substitution, read from its table."""
+        return self.table(subst).image(mask)
 
 
 def enumerate_points(model: Model, varset: VarSet,

@@ -130,6 +130,25 @@ def relabel_pairs() -> list:
     return out
 
 
+def swap_pairs() -> list:
+    """24 models from a fixed seed, each paired with itself with the tables of
+    P and Q exchanged.  A model has 2 to 4 elements, unary P and Q with
+    different tables, and at even odds a unary op f; each table row is kept
+    at even odds, and each op value is uniform."""
+    rng = random.Random(2017)
+    out = []
+    for i in range(24):
+        carrier = tuple(range(rng.randint(2, 4)))
+        ops = (("f", 1),) if rng.random() < 0.5 else ()
+        p = q = []
+        while p == q:
+            p, q = ([(a,) for a in carrier if rng.random() < 0.5] for _ in "PQ")
+        op_tables = {"f": {(a,): rng.choice(carrier) for a in carrier}} if ops else None
+        model = Model(Signature(ops, (("P", 1), ("Q", 1))), carrier, op_tables, {"P": p, "Q": q})
+        out.append((f"swap{i}", model, swapped(model, "P", "Q")))
+    return out
+
+
 def named_pair() -> tuple:
     """Two 3-element models with P = {1}, Q = {0} and P = {2}, Q = {0}: a
     relabelling pair in which atomic formulas name every element, so every

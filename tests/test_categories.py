@@ -271,14 +271,14 @@ def test_filter_transport_honours_the_lattice_bound():
         push_filter(up, narrow.bottom, wide)
 
 
-def test_geometry_interns_substitutions_by_their_table():
+def test_equal_substitutions_share_one_table():
     m = model_neg()
     geometry = KnowledgeBase(m, 1).geometry
     first = neg_subst(m)
     again = neg_subst(m)
     assert again == first and again is not first
-    assert geometry.intern(first) is first
-    assert geometry.intern(again) is first
+    table = geometry.table(first)
+    assert geometry.table(again) is table and table.key is first
     assert geometry.preimage(again, 0b01) == geometry.preimage(first, 0b01)
     assert len(geometry._tables) == 1
 
@@ -464,7 +464,7 @@ def tampered_composite_table(kb):
     sig, two = kb.model.sig, canonical_varset(2)
     step = Substitution.of(two, two, {"x1": parse_term("neg(x1)", sig, two),
                                       "x2": parse_term("x2", sig, two)})
-    return kb.geometry._table(kb.geometry.intern(compose_subst(step, step)))
+    return kb.geometry.table(compose_subst(step, step))
 
 
 def test_a_block_failing_on_atoms_reruns_over_every_member():
@@ -490,7 +490,7 @@ def test_an_identity_moving_an_atom_reruns_over_every_member():
     the member sweep's report."""
     kb = KnowledgeBase(model_neg(), 2)
     algebra = kb.description(2).algebra
-    table = kb.geometry._table(Substitution.identity(algebra.varset))
+    table = kb.geometry.table(Substitution.identity(algebra.varset))
     first = algebra.block_masks()[0]
     table.fibers = [0 if first >> p & 1 else fiber for p, fiber in enumerate(table.fibers)]
     push = kb.verify_push_functoriality(1)

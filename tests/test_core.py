@@ -114,7 +114,7 @@ def test_substitution_apply_and_compose():
 
 def test_trusted_composite_equals_compose_subst():
     """The unchecked composite of every composable pair equals the checked
-    one, hashes and prints alike, and interns to the same key: over the
+    one, hashes and prints alike, and finds the same pullback table: over the
     seeded models with a unary op at depth 2, and over a model with a binary
     op at depth 1, and at depth 2 over one variable."""
     g = {(a, b): (a + 2 * b) % 3 for a in range(3) for b in range(3)}
@@ -134,7 +134,7 @@ def test_trusted_composite_equals_compose_subst():
                 checked, trusted = compose_subst(s1, s2), Substitution._composite(s1, s2)
                 assert trusted == checked and hash(trusted) == hash(checked)
                 assert str(trusted) == str(checked)
-                assert geometry.intern(trusted) is geometry.intern(checked)
+                assert geometry.table(trusted) is geometry.table(checked)
                 pairs += 1
     assert pairs > 5000
 

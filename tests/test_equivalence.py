@@ -42,7 +42,7 @@ from kbgeo import (
     transport_model_iso,
     verify_admissibility_transfer,
 )
-from kbgeo import equivalence, lattice, semantics
+from kbgeo import categories, equivalence, lattice, semantics
 from kbgeo.equivalence import (
     _atom_constraints,
     _candidate_alphas,
@@ -73,6 +73,7 @@ from helpers import (
     renaming_families,
     seeded_models,
     seeded_pairs,
+    swap_pairs,
 )
 
 
@@ -726,6 +727,27 @@ def test_a_carrier_relabelling_is_never_refuted():
     assert verdicts == {VERDICT_WITNESSED, VERDICT_UNKNOWN}
 
 
+def test_a_relation_swap_is_never_refuted():
+    """Each model paired with its P/Q swap.  Neither decider refutes the
+    pair.  The automorphic decider under phi = swap P Q gives the self-pair's
+    verdict and notes under the identity, since the swap carries the
+    self-pair's atom constraints and squares onto the pair's, and each
+    witness it reports names that phi."""
+    verdicts = []
+    for label, model, image in swap_pairs():
+        swap = FormulaAutomorphism.relation_permutation(model.sig, {"P": "Q", "Q": "P"})
+        identity = FormulaAutomorphism.identity(model.sig)
+        informational = check_informational_equivalence(model, image, n_max=2, depth=1)
+        automorphic = check_automorphic_equivalence(model, image, [swap], n_max=2, depth=1)
+        own = check_automorphic_equivalence(model, model, [identity], n_max=2, depth=1)
+        assert VERDICT_INEQUIVALENT not in (informational.verdict, automorphic.verdict), label
+        assert (automorphic.verdict, automorphic.notes) == (own.verdict, own.notes), label
+        if automorphic.verdict == VERDICT_WITNESSED:
+            assert dict(automorphic.witness)["phi"] == "swap P Q", label
+        verdicts.append(automorphic.verdict)
+    assert verdicts.count(VERDICT_WITNESSED) > len(verdicts) // 2
+
+
 def test_transport_relabels_each_point_once(monkeypatch):
     calls = []
     apply_values = ModelMap.apply_values
@@ -788,6 +810,31 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
     iso = find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, depth=1)
     assert False in squares and iso is not None
     assert build_description_iso(iso) == memberwise_description_iso(iso)
+
+
+def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
+    """Only `KnowledgeBase.substitutions` enumerates substitutions, once per
+    bounded set: the backtracking search above, over two sizes, makes one
+    enumeration per pair of sizes, and so do both sweeps over one knowledge
+    base together."""
+    assert not hasattr(equivalence, "enumerate_substitutions")
+    calls = []
+    enumerate_substitutions = categories.enumerate_substitutions
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_substitutions(*args)
+
+    monkeypatch.setattr(categories, "enumerate_substitutions", counting)
+    sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
+    model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
+                  {"P": [], "Q": [(0,)]})
+    phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
+    assert find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, 1) is not None
+    assert len(calls) == 4
+    kb = KnowledgeBase(model_neg(), 2)
+    assert kb.check_duality(1).passed and kb.verify_push_functoriality(1).passed
+    assert len(calls) == 8
 
 
 def conjugated(iso: FunctorIso, renaming: FormulaAutomorphism, phi: FormulaAutomorphism,
