@@ -15,6 +15,7 @@ set.  The witnesses come from the split tree that made the atoms, so they
 share subformulas.  An algebra keeps that tree, its witness memo and one
 valuation memo keyed on node identity; a member is built and checked through
 them when first asked for, then cached, so each shared node is checked once.
+It also keeps its dump lines, rendered on the first dump.
 A closed filter is represented by its dual definable set.
 """
 
@@ -191,6 +192,7 @@ class DefinableAlgebra:
         self._witness = witness
         self._valuation = valuation
         self._members: dict[int, DefinableSet] = {}
+        self._lines: Optional[tuple[str, ...]] = None
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -234,11 +236,15 @@ class DefinableAlgebra:
         return sum(b for b in self._blocks if b & mask)
 
     def dump_lines(self) -> list[str]:
-        """One line per member, sorted by mask: hex mask, cardinality, witness;
-        each subformula the witnesses share is rendered once per call."""
-        texts: dict[tuple[int, int], str] = {}  # (node id, min_prec) -> text
-        return [f"{m.mask:#x} {m.points.cardinality} {_render(m.witness, 0, texts)}"
-                for m in self.members]
+        """One line per member, sorted by mask: hex mask, cardinality, witness.
+        The lines are rendered once per algebra, each shared subformula once,
+        and each call returns a fresh list of them."""
+        if self._lines is None:
+            texts: dict[tuple[int, int], str] = {}  # (node id, min_prec) -> text
+            self._lines = tuple(
+                f"{m.mask:#x} {m.points.cardinality} {_render(m.witness, 0, texts)}"
+                for m in self.members)
+        return list(self._lines)
 
     def __repr__(self) -> str:
         return (f"DefinableAlgebra({self.varset}, {self.size} sets,"

@@ -38,6 +38,7 @@ from kbgeo import (
     content_morphism,
     enumerate_substitutions,
     eval_term,
+    generate_definable_algebra,
     identity_desc,
     least_desc_morphism,
     push_filter,
@@ -146,6 +147,38 @@ def swap_pairs() -> list:
         op_tables = {"f": {(a,): rng.choice(carrier) for a in carrier}} if ops else None
         model = Model(Signature(ops, (("P", 1), ("Q", 1))), carrier, op_tables, {"P": p, "Q": q})
         out.append((f"swap{i}", model, swapped(model, "P", "Q")))
+    return out
+
+
+def atom_count_pairs() -> list:
+    """24 pairs from a fixed seed of two models with one signature and one
+    carrier whose definable algebras have different atom counts over one or
+    two variables.  A carrier has 2 to 4 elements, a signature a unary P, and
+    at even odds a unary Q and a unary op f; each table row is kept at even
+    odds, and each op value is uniform.  The second model is redrawn until
+    its counts differ."""
+    rng = random.Random(2017)
+
+    def draw(sig: Signature, carrier: tuple) -> Model:
+        rels = {name: [(a,) for a in carrier if rng.random() < 0.5] for name, _ in sig.rels}
+        ops = {name: {(a,): rng.choice(carrier) for a in carrier} for name, _ in sig.ops}
+        return Model(sig, carrier, ops or None, rels)
+
+    def atom_counts(model: Model) -> tuple:
+        return tuple(len(generate_definable_algebra(model, canonical_varset(n)).block_masks())
+                     for n in (1, 2))
+
+    out = []
+    for i in range(24):
+        rels = (("P", 1),) + ((("Q", 1),) if rng.random() < 0.5 else ())
+        ops = (("f", 1),) if rng.random() < 0.5 else ()
+        sig, carrier = Signature(ops, rels), tuple(range(rng.randint(2, 4)))
+        model = draw(sig, carrier)
+        counts = atom_counts(model)
+        other = draw(sig, carrier)
+        while atom_counts(other) == counts:
+            other = draw(sig, carrier)
+        out.append((f"atoms{i}", model, other))
     return out
 
 

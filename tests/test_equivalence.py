@@ -36,6 +36,7 @@ from kbgeo import (
     enumerate_automorphisms,
     enumerate_substitutions,
     find_functor_iso,
+    generate_definable_algebra,
     lattice_profile,
     model_isomorphisms,
     parse_term,
@@ -53,6 +54,7 @@ from kbgeo.lattice import UndefinablePullbackError
 from test_categories import tampered_composite_table
 from helpers import (
     all_fixtures,
+    atom_count_pairs,
     brute_atomic_classes,
     memberwise_candidate_alphas,
     memberwise_description_iso,
@@ -746,6 +748,24 @@ def test_a_relation_swap_is_never_refuted():
             assert dict(automorphic.witness)["phi"] == "swap P Q", label
         verdicts.append(automorphic.verdict)
     assert verdicts.count(VERDICT_WITNESSED) > len(verdicts) // 2
+
+
+def test_different_atom_counts_are_refuted():
+    """Each generated pair whose algebras have different atom counts over one
+    or two variables: both deciders refute it by lattice size, at the first
+    variable count where the sizes differ, with the sizes the algebras
+    give."""
+    for label, model, other in atom_count_pairs():
+        sizes = [[generate_definable_algebra(m, canonical_varset(n)).size for n in (1, 2)]
+                 for m in (model, other)]
+        n = 1 if sizes[0][0] != sizes[1][0] else 2
+        for decide in (check_informational_equivalence, check_automorphic_equivalence):
+            report = decide(model, other, n_max=2, depth=1)
+            assert report.verdict == VERDICT_INEQUIVALENT, label
+            refutation = dict(report.refutation)
+            assert refutation["invariant"] == "lattice size", label
+            assert (refutation["var_count"], refutation["left"], refutation["right"]) == \
+                (str(n), str(sizes[0][n - 1]), str(sizes[1][n - 1])), label
 
 
 def test_transport_relabels_each_point_once(monkeypatch):
