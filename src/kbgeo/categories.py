@@ -179,18 +179,16 @@ class _Morphism:
     on the atoms of their sources (the private `_on_atoms`), and `assignment`
     is then the `UnionMap` of the atom images.  Construction checks the held
     pairs in order: the image of a pair's mask over the substitution's target
-    must lie inside its other mask, along the substitution's pullback table,
-    which the least morphisms hand over (the private `_table`) since they
-    have just read it.  A composite is held on atoms when both factors are.
-    Two morphisms are equal when their substitutions, which fix both
-    variable sets, and their member tables are.
+    must lie inside its other mask.  A composite is held on atoms when both
+    factors are.  Two morphisms are equal when their substitutions, which fix
+    both variable sets, and their member tables are.
     """
 
     __slots__ = ("source", "target", "subst", "images", "assignment", "_on_atoms")
     _along: bool  # whether the source lies over the substitution's source
 
     def __init__(self, source, target, subst: Substitution, assignment: Mapping[int, int],
-                 _on_atoms: bool = False, *, _table: Optional[_Table] = None):
+                 _on_atoms: bool = False):
         along = self._along
         index = source.algebra.index
         if _on_atoms:
@@ -200,9 +198,8 @@ class _Morphism:
             images, keys = dict(assignment), index.keys()
         if images.keys() != keys:
             raise MismatchError("assignment is not total on its source")
-        if _table is None:
-            _table = (target if along else source).algebra.space.geometry.table(subst)
-        _check_pairs(images, _table, target.algebra.index, along)
+        _check_pairs(images, (target if along else source).algebra.space.geometry.table(subst),
+                     target.algebra.index, along)
         self.source = source
         self.target = target
         self.subst = subst
@@ -277,8 +274,7 @@ class DescMorphism(_Morphism):
         masks = source.algebra.block_masks() if on_atoms else source.algebra.masks
         table = target.algebra.space.geometry.table(subst)
         return cls(source, target, subst,
-                   {mask: _pullback(table, mask, target.algebra) for mask in masks}, on_atoms,
-                   _table=table)
+                   {mask: _pullback(table, mask, target.algebra) for mask in masks}, on_atoms)
 
     @classmethod
     def _identity(cls, obj: DescriptionObject, on_atoms: bool = False) -> "DescMorphism":
@@ -308,11 +304,10 @@ class ContMorphism(_Morphism):
         """Each generator goes to the closure of its pointwise image: the
         union of the target atoms it meets."""
         algebra = source.algebra
-        table = algebra.space.geometry.table(subst)
-        image, close = table.image, target.algebra._close
+        image, close = algebra.space.geometry.table(subst).image, target.algebra._close
         images = {mask: close(image(mask))
                   for mask in (algebra.block_masks() if on_atoms else algebra.masks)}
-        return cls(source, target, subst, images, on_atoms, _table=table)
+        return cls(source, target, subst, images, on_atoms)
 
     def map_set(self, dset: DefinableSet) -> DefinableSet:
         self.source.algebra.own(dset)

@@ -126,18 +126,8 @@ _PREC_NOT = 90
 _PREC_ATOM = 100
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, (TrueF, FalseF, Atom, Equal)):
-        return _PREC_ATOM
-    if isinstance(f, Not):
-        return _PREC_NOT
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, Implies):
-        return _PREC_IMPLIES
-    return _PREC_BINDER
+_PRECS = {TrueF: _PREC_ATOM, FalseF: _PREC_ATOM, Atom: _PREC_ATOM, Equal: _PREC_ATOM,
+          Not: _PREC_NOT, And: _PREC_AND, Or: _PREC_OR, Implies: _PREC_IMPLIES}
 
 
 def formula_to_text(f: Formula) -> str:
@@ -145,48 +135,43 @@ def formula_to_text(f: Formula) -> str:
 
 
 def _render(f: Formula, min_prec: int, memo: dict) -> str:
-    """The text of `f` where the context binds at `min_prec`.  `memo` maps
-    (node identity, min_prec) to text, and its owner keeps the keyed nodes
-    alive, so a subformula shared within or between calls is rendered once."""
-    key = (id(f), min_prec)
-    text = memo.get(key)
+    """The text of `f` where the context binds at `min_prec`.  `memo` maps a
+    node's identity to its text without parentheses, and its owner keeps the
+    keyed nodes alive, so a subformula shared within or between calls is
+    rendered once and each context only adds its parentheses.  Dispatch is on
+    the exact node class, the classes most frequent in witnesses first."""
+    text = memo.get(id(f))
+    kind = type(f)
     if text is None:
-        text = memo[key] = _render_node(f, min_prec, memo)
-    return text
-
-
-def _render_node(f: Formula, min_prec: int, memo: dict) -> str:
-    prec = _prec(f)
-    if isinstance(f, TrueF):
-        text = "true"
-    elif isinstance(f, FalseF):
-        text = "false"
-    elif isinstance(f, Atom):
-        text = f.rel + "(" + ",".join(term_to_text(t) for t in f.args) + ")"
-    elif isinstance(f, Equal):
-        text = f"{term_to_text(f.left)} = {term_to_text(f.right)}"
-    elif isinstance(f, Not):
-        text = "!" + _render(f.body, _PREC_NOT, memo)
-    elif isinstance(f, And):
-        text = _render(f.left, _PREC_AND, memo) + " & " + _render(f.right, _PREC_AND + 1, memo)
-    elif isinstance(f, Or):
-        text = _render(f.left, _PREC_OR, memo) + " | " + _render(f.right, _PREC_OR + 1, memo)
-    elif isinstance(f, Implies):
-        text = (_render(f.left, _PREC_IMPLIES + 1, memo) + " -> "
-                + _render(f.right, _PREC_IMPLIES, memo))
-    elif isinstance(f, Exists):
-        text = f"exists {f.var}. " + _render(f.body, 0, memo)
-    elif isinstance(f, Forall):
-        text = f"forall {f.var}. " + _render(f.body, 0, memo)
-    elif isinstance(f, SubstNode):
-        inner = ", ".join(f"{n} := {term_to_text(t)}"
-                          for n, t in zip(f.subst.source.names, f.subst.images))
-        text = "subst {" + inner + "} " + _render(f.body, 0, memo)
-    else:
-        raise SignatureError(f"not a formula: {f!r}")
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+        if kind is And:
+            text = _render(f.left, _PREC_AND, memo) + " & " + _render(f.right, _PREC_AND + 1, memo)
+        elif kind is Or:
+            text = _render(f.left, _PREC_OR, memo) + " | " + _render(f.right, _PREC_OR + 1, memo)
+        elif kind is Not:
+            text = "!" + _render(f.body, _PREC_NOT, memo)
+        elif kind is Atom:
+            text = f.rel + "(" + ",".join(map(term_to_text, f.args)) + ")"
+        elif kind is Exists:
+            text = f"exists {f.var}. " + _render(f.body, 0, memo)
+        elif kind is Equal:
+            text = f"{term_to_text(f.left)} = {term_to_text(f.right)}"
+        elif kind is TrueF:
+            text = "true"
+        elif kind is FalseF:
+            text = "false"
+        elif kind is Implies:
+            text = (_render(f.left, _PREC_IMPLIES + 1, memo) + " -> "
+                    + _render(f.right, _PREC_IMPLIES, memo))
+        elif kind is Forall:
+            text = f"forall {f.var}. " + _render(f.body, 0, memo)
+        elif kind is SubstNode:
+            inner = ", ".join(f"{n} := {term_to_text(t)}"
+                              for n, t in zip(f.subst.source.names, f.subst.images))
+            text = "subst {" + inner + "} " + _render(f.body, 0, memo)
+        else:
+            raise SignatureError(f"not a formula: {f!r}")
+        memo[id(f)] = text
+    return "(" + text + ")" if _PRECS.get(kind, _PREC_BINDER) < min_prec else text
 
 
 def parse_formula(text: str, ctx: FormulaContext) -> Formula:

@@ -12,10 +12,11 @@ held on atoms.  Listing more than `MAX_MEMBERS` members is a `BoundError`.
 
 Every member carries a witness formula that evaluates exactly to its point
 set.  The witnesses come from the split tree that made the atoms, so they
-share subformulas.  An algebra keeps that tree, its witness memo and one
-valuation memo keyed on node identity; a member is built and checked through
-them when first asked for, then cached, so each shared node is checked once.
-It also keeps its dump lines, rendered on the first dump.
+share subformulas: a cut's negation is one node, and so is its conjunction,
+or its negation's, with a witness.  An algebra keeps that tree, its witness
+memo and one valuation memo keyed on node identity; a member is built and
+checked through them when first asked for, then cached, so each shared node
+is checked once.
 A closed filter is represented by its dual definable set.
 """
 
@@ -192,7 +193,6 @@ class DefinableAlgebra:
         self._witness = witness
         self._valuation = valuation
         self._members: dict[int, DefinableSet] = {}
-        self._lines: Optional[tuple[str, ...]] = None
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -236,33 +236,32 @@ class DefinableAlgebra:
         return sum(b for b in self._blocks if b & mask)
 
     def dump_lines(self) -> list[str]:
-        """One line per member, sorted by mask: hex mask, cardinality, witness.
-        The lines are rendered once per algebra, each shared subformula once,
-        and each call returns a fresh list of them."""
-        if self._lines is None:
-            texts: dict[tuple[int, int], str] = {}  # (node id, min_prec) -> text
-            self._lines = tuple(
-                f"{m.mask:#x} {m.points.cardinality} {_render(m.witness, 0, texts)}"
-                for m in self.members)
-        return list(self._lines)
+        """One line per member, sorted by mask: hex mask, cardinality, witness;
+        each subformula the witnesses share is rendered once per call."""
+        member, texts = self.member, {}  # node id -> text without parentheses
+        return [f"{hex(mask)} {mask.bit_count()} {_render(member(mask).witness, 0, texts)}"
+                for mask in self.index]
 
     def __repr__(self) -> str:
         return (f"DefinableAlgebra({self.varset}, {self.size} sets,"
                 f" saturated={self.saturated})")
 
 
-def _select(cut: Formula, when: Formula, otherwise: Formula) -> Formula:
+def _select(cut: Formula, uncut: Formula, when: Formula, otherwise: Formula,
+            conj: Callable[[Formula, Formula], Formula]) -> Formula:
     """A formula agreeing with `when` inside `cut` and with `otherwise` outside
-    it, without constant parts; the two are not the same constant."""
+    it, without constant parts; `uncut` is the negation of `cut`, `conj`
+    builds the conjunctions, and `when` and `otherwise` are not the same
+    constant."""
     if when is TRUE:
         return cut if otherwise is FALSE else Or(cut, otherwise)
     if when is FALSE:
-        return Not(cut) if otherwise is TRUE else And(Not(cut), otherwise)
+        return uncut if otherwise is TRUE else conj(uncut, otherwise)
     if otherwise is FALSE:
-        return And(cut, when)
+        return conj(cut, when)
     if otherwise is TRUE:
-        return Or(Not(cut), when)
-    return Or(And(cut, when), And(Not(cut), otherwise))
+        return Or(uncut, when)
+    return Or(conj(cut, when), conj(uncut, otherwise))
 
 
 def generate_definable_algebra(model: Model, varset: VarSet,
@@ -291,8 +290,9 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     space = geometry.space(varset)
     clone = term_functions(model, varset, max_term_depth, geometry.max_points)
     blocks = [space.full_mask]
-    splits: dict[int, tuple[Formula, int, int]] = {}  # block -> (cut, inside, outside)
+    splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # block -> (cut, !cut, in, out)
     memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
+    conjunctions: dict[tuple[int, int], Formula] = {}  # conjunct identities -> And
 
     def split(by: int, cut: Formula) -> list[int]:
         """Split every block that the set `by` of `cut` cuts; returns the parts."""
@@ -300,22 +300,32 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         for block in blocks:
             inside = block & by
             if inside and inside != block:
-                splits[block] = (cut, inside, block ^ inside)
+                if not parts:  # one negation node for every block the cut splits
+                    uncut = Not(cut)
+                splits[block] = (cut, uncut, inside, block ^ inside)
                 parts += (inside, block ^ inside)
         blocks[:] = [b for b in blocks if b not in splits] + parts
         return parts
 
+    def conj(left: Formula, right: Formula) -> Formula:
+        """One node for each pair of conjuncts, a cut or its negation and a
+        witness, which the split tree and the witness memo keep alive."""
+        key = (id(left), id(right))
+        if key not in conjunctions:
+            conjunctions[key] = And(left, right)
+        return conjunctions[key]
+
     def witness(part: int, node: int = space.full_mask) -> Formula:
         """A formula whose set meets the split tree's `node` exactly in `part`;
-        members share subformulas through the memo."""
+        members share subformulas through the memos."""
         if part == 0:
             return FALSE
         if part == node:
             return TRUE
         if (node, part) not in memo:
-            cut, inside, outside = splits[node]
-            memo[node, part] = _select(cut, witness(part & inside, inside),
-                                       witness(part & outside, outside))
+            cut, uncut, inside, outside = splits[node]
+            memo[node, part] = _select(cut, uncut, witness(part & inside, inside),
+                                       witness(part & outside, outside), conj)
         return memo[node, part]
 
     for rel, arity in model.sig.rels:

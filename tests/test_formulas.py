@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from kbgeo import formulas
 from kbgeo import (
     And,
     Atom,
@@ -81,6 +82,35 @@ def test_parse_precedence():
     assert isinstance(f, Exists) and isinstance(f.body, And)
     assert parse_formula(f"({a} | {b}) & {a}", ctx) == And(
         Or(Atom("P", (Var("x1"),)), Atom("Q", (Var("x1"),))), Atom("P", (Var("x1"),)))
+
+
+def test_a_shared_node_takes_each_context_s_parentheses():
+    """The printer's memo holds each node's text without parentheses, so a
+    node shared under connectives of every precedence, through one memo as
+    a dump shares it, prints as each formula does on its own, and the text
+    parses back to the formula."""
+    ctx = ctx_pq()
+    f = parse_formula("P(x1) | Q(x1)", ctx)
+    memo = {}
+    expected = [
+        (f, "P(x1) | Q(x1)"),
+        (Not(f), "!(P(x1) | Q(x1))"),
+        (And(f, f), "(P(x1) | Q(x1)) & (P(x1) | Q(x1))"),
+        (Or(f, f), "P(x1) | Q(x1) | (P(x1) | Q(x1))"),
+        (Implies(f, f), "P(x1) | Q(x1) -> P(x1) | Q(x1)"),
+        (Exists("x1", f), "exists x1. P(x1) | Q(x1)"),
+    ]
+    for whole, text in expected:
+        assert formulas._render(whole, 0, memo) == formula_to_text(whole) == text
+    assert len(memo) == 8  # P(x1), Q(x1), f and the five formulas over it
+    held = [whole for whole, _ in expected]  # the memo's keys are the identities of live nodes
+    for g in itertools.islice(enumerate_formulas(ctx, 1), 0, None, 7):
+        held += (g, Not(g), And(g, f), And(f, g), Or(g, g), Implies(g, f), Implies(f, g),
+                 Forall("x2", g), And(Exists("x1", g), g))
+    for whole in held:
+        text = formulas._render(whole, 0, memo)
+        assert text == formula_to_text(whole)
+        assert parse_formula(text, ctx) == whole
 
 
 def test_parse_errors():

@@ -315,21 +315,28 @@ def test_dump_lines_are_sorted_and_witnessed():
     assert any("P(x1)" in line for line in lines)
 
 
-def test_a_dump_is_rendered_once_per_algebra(monkeypatch):
-    """The first dump renders the lines and the algebra holds them: a later
-    dump renders nothing and returns an equal, fresh list, so a caller that
-    changes its list does not change the next dump."""
-    algebra = generate_definable_algebra(model_neg(), canonical_varset(2))
-    first = algebra.dump_lines()
-
-    def render(*args):
-        raise AssertionError("a held dump was rendered again")
-
-    monkeypatch.setattr(lattice, "_render", render)
-    second = algebra.dump_lines()
-    assert second == first and second is not first
-    first.append("0x0 0 false")
-    assert algebra.dump_lines() == second
+def test_witnesses_share_negations_and_conjunctions():
+    """A cut's negation is one node for every block the cut splits, and a
+    conjunction of a cut, or its negation, with a witness is one node for
+    every member that has it, so a dump renders each, and the valuation memo
+    checks each, once.  Over two variables the named pair's first model has
+    512 members, whose witnesses negate 4 cuts and hold 90 conjunctions: the
+    lines print the same text as a fresh rendering of each witness."""
+    algebra = generate_definable_algebra(named_pair()[0], canonical_varset(2))
+    nodes, todo = {}, [m.witness for m in algebra.members]
+    while todo:
+        f = todo.pop()
+        if id(f) not in nodes:
+            nodes[id(f)] = f
+            todo += [getattr(f, side) for side in ("left", "right", "body") if hasattr(f, side)]
+    negations = [f for f in nodes.values() if isinstance(f, Not)]
+    assert len(negations) == len({id(f.body) for f in negations}) == 4
+    conjunctions = [f for f in nodes.values() if isinstance(f, And)]
+    assert len(conjunctions) == len({(id(f.left), id(f.right)) for f in conjunctions}) == 90
+    lines = algebra.dump_lines()
+    assert len(lines) == 512
+    assert lines == [f"{m.mask:#x} {m.points.cardinality} {formula_to_text(m.witness)}"
+                     for m in algebra.members]
 
 
 def test_union_map_matches_brute_force_or():
@@ -388,19 +395,17 @@ def test_member_is_built_on_first_use_checked_and_cached(monkeypatch):
 
 def test_listings_past_the_member_bound_raise():
     """Over three variables the named pair's first model has 2^27 members:
-    every listing of members, filters or degrees is a BoundError, a second
-    dump as well as the first, so no dump is held, while lookups and the
-    size stay answered."""
+    every listing of members, filters or degrees is a BoundError, while
+    lookups and the size stay answered."""
     lat = build_filter_lattice(named_pair()[0], canonical_varset(3))
     algebra = lat.algebra
     assert len(algebra) == len(lat) == 1 << 27 > lattice.MAX_MEMBERS
     listings = [lambda: algebra.masks, lambda: algebra.members, lambda: list(algebra),
                 algebra.dump_lines, lambda: lat.filters, lambda: list(lat),
                 lambda: list(algebra.index), lambda: lattice_profile(lat)]
-    for listing in listings + [algebra.dump_lines]:
+    for listing in listings:
         with pytest.raises(BoundError, match="^134217728 members exceed the bound 1048576$"):
             listing()
-    assert algebra._lines is None
     top = algebra.space.full_mask
     assert algebra.member(top).mask == top and lat.bottom.mask == top
 
