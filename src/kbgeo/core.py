@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
@@ -131,8 +132,10 @@ class VarSet:
         return "{" + ", ".join(self.names) + "}"
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_varset(n: int) -> VarSet:
-    """The standard variable set x1..xn used for size-indexed sweeps."""
+    """The standard variable set x1..xn used for size-indexed sweeps; built
+    once per n, since a VarSet is frozen."""
     if n < 1:
         raise SignatureError("canonical variable set needs n >= 1")
     return VarSet(tuple(f"x{i}" for i in range(1, n + 1)))
@@ -583,6 +586,21 @@ class TermFunctionSet:
     saturated: bool
 
 
+def _axis_column(carrier: tuple, arity: int, axis: int) -> tuple:
+    """The value column of one axis over all `arity`-variable assignments in
+    lexicographic order: each element repeated once per point of the later
+    axes, and that run repeated once per point of the earlier ones."""
+    run = tuple(itertools.chain.from_iterable(
+        map(itertools.repeat, carrier, itertools.repeat(len(carrier) ** (arity - 1 - axis)))))
+    return run * len(carrier) ** axis
+
+
+def _column_rows(columns: list, size: int) -> Iterator[tuple]:
+    """The argument tuple at each of `size` points, read across the columns;
+    without columns (a constant's) the empty tuple at every point."""
+    return zip(*columns) if columns else itertools.repeat((), size)
+
+
 def term_functions(model: Model, varset: VarSet, max_term_depth: Optional[int] = None,
                    max_points: int = DEFAULT_MAX_POINTS) -> TermFunctionSet:
     """Close the projections under the model's operations.
@@ -590,18 +608,18 @@ def term_functions(model: Model, varset: VarSet, max_term_depth: Optional[int] =
     Functions are found in rounds; the round number equals the depth of the
     witness term, and the first witness for a table wins.  With a finite
     ``max_term_depth`` the closure stops after that many rounds and reports
-    saturation by probing one further round.
+    saturation by probing one further round.  Each candidate's values are
+    its operation table read across its arguments' value columns.
     """
     npoints = len(model.carrier) ** len(varset)
     if npoints > max_points:
         raise BoundError(f"{npoints} assignments exceed the bound {max_points}")
-    points = list(itertools.product(model.carrier, repeat=len(varset)))
 
     funcs: list[TermFunction] = []
     depths: list[int] = []
     seen: dict[tuple, int] = {}
     for i, name in enumerate(varset.names):
-        values = tuple(p[i] for p in points)
+        values = _axis_column(model.carrier, len(varset), i)
         if values not in seen:
             seen[values] = len(funcs)
             funcs.append(TermFunction(values, Var(name)))
@@ -614,8 +632,8 @@ def term_functions(model: Model, varset: VarSet, max_term_depth: Optional[int] =
             for combo in itertools.product(range(base), repeat=arity):
                 if max((depths[k] for k in combo), default=0) != target_depth - 1:
                     continue
-                values = tuple(table[tuple(funcs[k].values[p] for k in combo)]
-                               for p in range(npoints))
+                columns = [funcs[k].values for k in combo]
+                values = tuple(map(table.__getitem__, _column_rows(columns, npoints)))
                 witness = OpApp(op, tuple(funcs[k].witness for k in combo))
                 yield values, witness
 

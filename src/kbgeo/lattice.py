@@ -44,6 +44,8 @@ from .semantics import (
     PointSet,
     PointSpace,
     _Valuation,
+    _atom_mask,
+    _equal_mask,
     _exists_mask,
     satisfying_points,
     subst_image_points,
@@ -272,13 +274,17 @@ def generate_definable_algebra(model: Model, varset: VarSet,
 
     Seeds are every relation atom over tuples of term functions, and, when
     the signature has equality, the equality of each unordered pair of
-    distinct term functions, in clone order.  Starting from the whole space,
-    each seed splits the blocks it cuts; then the projection of each block
-    along each variable splits the blocks until nothing splits.  Projection
-    distributes over union, so the blocks are the atoms of the closure of
-    the seeds under complement, intersection, union, and projection.  Each
-    member is a union of atoms, witnessed by its choices at the splits; a
-    block's witness is checked before it projects.
+    distinct term functions, in clone order.  A seed's set is its relation
+    or `==` read across the functions' value columns, by the helpers that
+    value `Atom` and `Equal` nodes; a witness check reads the same helpers
+    across columns of the witness's terms, evaluated over the space, so a
+    wrong clone column still fails the check.  Starting from the whole
+    space, each seed splits the blocks it cuts; then the projection of each
+    block along each variable splits the blocks until nothing splits.
+    Projection distributes over union, so the blocks are the atoms of the
+    closure of the seeds under complement, intersection, union, and
+    projection.  Each member is a union of atoms, witnessed by its choices
+    at the splits; a block's witness is checked before it projects.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from a fresh geometry under the default bound.
@@ -331,19 +337,12 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     for rel, arity in model.sig.rels:
         rows = model.rel_tables[rel]
         for combo in itertools.product(clone.functions, repeat=arity):
-            mask = 0
-            for p in range(space.size):
-                if tuple(f.values[p] for f in combo) in rows:
-                    mask |= 1 << p
-            split(mask, Atom(rel, tuple(f.witness for f in combo)))
+            split(_atom_mask(rows, [f.values for f in combo]),
+                  Atom(rel, tuple(f.witness for f in combo)))
     if model.sig.with_equality:
         # (f, f) holds everywhere, and (f2, f1) cuts what (f1, f2) already did.
         for f1, f2 in itertools.combinations(clone.functions, 2):
-            mask = 0
-            for p in range(space.size):
-                if f1.values[p] == f2.values[p]:
-                    mask |= 1 << p
-            split(mask, Equal(f1.witness, f2.witness))
+            split(_equal_mask(f1.values, f2.values), Equal(f1.witness, f2.witness))
 
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.  The

@@ -5,6 +5,17 @@ over (model, varset) is enumerated lexicographically: variable order comes
 from the varset, element order from the carrier.  Point sets are immutable
 bitmasks over that enumeration, so all boolean structure is integer work.
 
+Valuation runs a column at a time, with no Python loop over points.  A
+space holds each variable's value column; a term's column is its operation
+table mapped over its arguments' columns zipped (a constant, with no
+arguments, reads the empty tuple at every point), and an atom's or an
+equality's mask is its relation or `==` read across those columns in one
+pass, turned into an integer as one binary numeral.  Projection along an
+axis works on whole masks through the space's digit masks, one per carrier
+element, in O(|M|) big-integer operations.  A space builds each axis's
+column and digit masks on first use and holds them: per axis valued, |M|^n
+column entries and |M| masks of |M|^n bits.
+
 A `Geometry` holds one model's spaces under one point bound: one space per
 varset, and one pullback table per substitution, computed on first use.  A
 table is the one transport primitive: its `preimage` and `image` are the
@@ -22,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional
+from operator import eq
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     BoundError,
@@ -33,6 +45,8 @@ from .core import (
     Term,
     Var,
     VarSet,
+    _axis_column,
+    _column_rows,
 )
 from .formulas import (
     And,
@@ -75,6 +89,11 @@ class PointSpace:
     The space belongs to `geometry`; without one it starts a geometry of its
     own under the default bound.  It refuses to enumerate past the geometry's
     bound.
+
+    `column(axis)` and `digit_masks(axis)` are an axis's value column and
+    digit masks, derived from the carrier on first use and then held: a
+    space never valued holds neither, and a valued one at most one column of
+    `size` entries and |M| masks of `size` bits per axis.
     """
 
     def __init__(self, model: Model, varset: VarSet, geometry: Optional["Geometry"] = None):
@@ -87,7 +106,30 @@ class PointSpace:
         self._row_index = {row: i for i, row in enumerate(self.value_rows)}
         self.size = len(self.value_rows)
         self.full_mask = (1 << self.size) - 1
+        self._columns: list[Optional[tuple]] = [None] * len(varset)
+        self._digits: list[Optional[tuple[int, ...]]] = [None] * len(varset)
         self.geometry._spaces.setdefault(varset.names, self)
+
+    def column(self, axis: int) -> tuple:
+        """Each point's value on the axis, in enumeration order."""
+        column = self._columns[axis]
+        if column is None:
+            column = self._columns[axis] = _axis_column(self.model.carrier, len(self.varset), axis)
+        return column
+
+    def digit_masks(self, axis: int) -> tuple[int, ...]:
+        """Per carrier position d, the mask of the points whose value on the
+        axis is the d-th element: with w the axis weight, a run of w bits at
+        offset d*w of every period of |M|*w bits."""
+        masks = self._digits[axis]
+        if masks is None:
+            base = len(self.model.carrier)
+            weight = base ** (len(self.varset) - 1 - axis)
+            periods = self.full_mask // ((1 << base * weight) - 1)  # bit 0 of each period
+            run = (1 << weight) - 1
+            masks = self._digits[axis] = tuple((run << d * weight) * periods
+                                               for d in range(base))
+        return masks
 
     def point(self, index: int) -> Point:
         return Point(self.varset, self.value_rows[index])
@@ -139,7 +181,7 @@ class _Table:
 
     def __init__(self, key: Substitution, pull: list[int], source_size: int):
         self.key = key
-        self.bits = [1 << q for q in pull]
+        self.bits = list(map((1).__lshift__, pull))
         self.fibers = [0] * source_size
         for p, q in enumerate(pull):
             self.fibers[q] |= 1 << p
@@ -293,14 +335,35 @@ class PointSet:
         return f"PointSet({self.space.varset}, mask={self.mask:#x})"
 
 
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _truth_mask(truths: Iterable[bool]) -> int:
+    """The mask of the points whose entry of a truth column is true, read
+    as one binary numeral, the last point first."""
+    return int(bytes(truths)[::-1].translate(_BINARY), 2)
+
+
+def _atom_mask(rows: frozenset, columns: list) -> int:
+    """The points whose argument tuple, read across the columns, is a row of
+    the relation."""
+    return _truth_mask(map(rows.__contains__, zip(*columns)))
+
+
+def _equal_mask(left: tuple, right: tuple) -> int:
+    """The points where two value columns agree."""
+    return _truth_mask(map(eq, left, right))
+
+
 def _term_columns(term: Term, space: PointSpace) -> tuple:
-    """Evaluate a term at every point of the space, as a value column."""
+    """Evaluate a term at every point of the space, as a value column: a
+    variable's is held by the space, an application's is its operation table
+    read across its arguments' columns."""
     if isinstance(term, Var):
-        i = space.varset.index(term.name)
-        return tuple(row[i] for row in space.value_rows)
-    table = space.model.op_tables[term.op]
+        return space.column(space.varset.index(term.name))
     columns = [_term_columns(a, space) for a in term.args]
-    return tuple(table[tuple(col[p] for col in columns)] for p in range(space.size))
+    return tuple(map(space.model.op_tables[term.op].__getitem__,
+                     _column_rows(columns, space.size)))
 
 
 def pullback_indices(subst: Substitution, source_space: PointSpace,
@@ -316,28 +379,28 @@ def pullback_indices(subst: Substitution, source_space: PointSpace,
     if source_space.model != target_space.model:
         raise MismatchError("spaces live over different models")
     columns = [_term_columns(t, target_space) for t in subst.images]
-    return [source_space.index_of(tuple(col[p] for col in columns))
-            for p in range(target_space.size)]
+    try:
+        return list(map(source_space._row_index.__getitem__, zip(*columns)))
+    except KeyError as missing:
+        raise MismatchError(f"{missing.args[0]!r} is not a point of this space") from None
 
 
 def _exists_mask(mask: int, space: PointSpace, var: str) -> int:
-    """Cylindrify along one axis: keep every point whose fiber meets the mask."""
+    """Cylindrify along one axis: keep every point whose fiber meets the mask.
+
+    A fiber's root is its point of axis digit 0.  With w the axis weight,
+    each digit d's part of the mask shifts down by d*w onto the roots, and
+    the roots hit shift back up onto every digit: O(|M|) big-integer
+    operations, whatever the space's size."""
     axis = space.varset.index(var)
-    base = len(space.model.carrier)
-    weight = base ** (len(space.varset) - 1 - axis)
-    hit_roots = set()
-    rest = mask
-    while rest:
-        low = rest & -rest
-        idx = low.bit_length() - 1
-        rest ^= low
-        digit = (idx // weight) % base
-        hit_roots.add(idx - digit * weight)
+    weight = len(space.model.carrier) ** (len(space.varset) - 1 - axis)
+    digits = space.digit_masks(axis)
+    roots = 0
+    for d, digit in enumerate(digits):
+        roots |= (mask & digit) >> d * weight
     out = 0
-    for idx in range(space.size):
-        digit = (idx // weight) % base
-        if idx - digit * weight in hit_roots:
-            out |= 1 << idx
+    for d in range(len(digits)):
+        out |= roots << d * weight
     return out
 
 
@@ -372,21 +435,10 @@ def _node_mask(f: Formula, space: PointSpace, memo: dict) -> int:
     if isinstance(f, FalseF):
         return 0
     if isinstance(f, Atom):
-        rows = space.model.rel_tables[f.rel]
-        columns = [_term_columns(t, space) for t in f.args]
-        out = 0
-        for p in range(space.size):
-            if tuple(col[p] for col in columns) in rows:
-                out |= 1 << p
-        return out
+        return _atom_mask(space.model.rel_tables[f.rel],
+                          [_term_columns(t, space) for t in f.args])
     if isinstance(f, Equal):
-        left = _term_columns(f.left, space)
-        right = _term_columns(f.right, space)
-        out = 0
-        for p in range(space.size):
-            if left[p] == right[p]:
-                out |= 1 << p
-        return out
+        return _equal_mask(_term_columns(f.left, space), _term_columns(f.right, space))
     if isinstance(f, Not):
         return space.full_mask & ~_formula_mask(f.body, space, memo)
     if isinstance(f, And):

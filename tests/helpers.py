@@ -109,6 +109,30 @@ def seeded_models() -> list:
     return out
 
 
+def constant_models() -> list:
+    """Two random models of each size 2 to 4 with a constant c, from a fixed
+    seed: c and a unary op f with relations P and binary R, and c and a
+    binary op g with P alone and no equality, which keeps the depth-2 atoms
+    over three variables few."""
+    rng = random.Random(2020)
+    out = []
+    for size in (2, 3, 4):
+        carrier = tuple(range(size))
+
+        def table(arity: int) -> dict:
+            return {row: rng.choice(carrier) for row in itertools.product(carrier, repeat=arity)}
+
+        def rows(arity: int) -> list:
+            return [row for row in itertools.product(carrier, repeat=arity) if rng.random() < 0.5]
+
+        out.append((f"cf{size}", Model(Signature((("c", 0), ("f", 1)), (("P", 1), ("R", 2))),
+                                       carrier, {"c": table(0), "f": table(1)},
+                                       {"P": rows(1), "R": rows(2)})))
+        out.append((f"cg{size}", Model(Signature((("c", 0), ("g", 2)), (("P", 1),), False),
+                                       carrier, {"c": table(0), "g": table(2)}, {"P": rows(1)})))
+    return out
+
+
 def relabel_pairs() -> list:
     """24 models from a fixed seed, each paired with itself under a carrier
     permutation other than the identity.  A model has 2 to 4

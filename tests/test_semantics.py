@@ -1,19 +1,23 @@
 """Point spaces, formula valuations, quantifiers, and substitution actions."""
 
 import itertools
+import random
 
 import pytest
 
 from kbgeo import (
+    Atom,
     BoundError,
     FormulaContext,
     Geometry,
+    OpApp,
     PointSet,
     PointSpace,
     Substitution,
     canonical_varset,
     enumerate_points,
     enumerate_substitutions,
+    eval_term,
     holds_at,
     holds_on_all,
     parse_formula,
@@ -22,12 +26,18 @@ from kbgeo import (
     satisfying_points,
     subst_image_points,
     subst_preimage_points,
+    term_functions,
 )
+from kbgeo.formulas import atomic_formulas
+from kbgeo.semantics import _exists_mask, pullback_indices
 from helpers import (
     all_fixtures,
     brute_composites,
     brute_image,
     brute_preimage,
+    brute_rows,
+    brute_term_functions,
+    constant_models,
     model_eq,
     model_neg,
     model_p,
@@ -234,3 +244,41 @@ def test_point_space_refuses_to_pass_its_geometry_bound():
     with pytest.raises(BoundError):
         g.space(canonical_varset(3))
     assert g.space(canonical_varset(2)).size == 4
+
+
+@pytest.mark.parametrize("name,model", constant_models())
+def test_value_columns_match_pointwise_evaluation(name, model):
+    """Term functions, atoms, projections and pullbacks, all read off value
+    columns, agree with evaluation one point at a time, constants included."""
+    rng = random.Random(name)
+    g = Geometry(model)
+    for n in (1, 2, 3):
+        varset = canonical_varset(n)
+        space, rows = g.space(varset), brute_rows(model, n)
+        envs = [dict(zip(varset.names, row)) for row in rows]
+        assert ({f.values for f in term_functions(model, varset, 2).functions}
+                == brute_term_functions(model, n, 2))
+        for atom in atomic_formulas(model.sig, varset, 2):
+            if isinstance(atom, Atom):
+                table = model.rel_tables[atom.rel]
+                holds = [tuple(eval_term(t, env, model) for t in atom.args) in table
+                         for env in envs]
+            else:
+                holds = [eval_term(atom.left, env, model) == eval_term(atom.right, env, model)
+                         for env in envs]
+            expected = sum(1 << p for p, hit in enumerate(holds) if hit)
+            assert satisfying_points(atom, model, varset, geometry=g).mask == expected, atom
+        for axis, var in enumerate(varset.names):
+            fibre = [row[:axis] + row[axis + 1:] for row in rows]
+            for mask in (0, space.full_mask, *(rng.getrandbits(space.size) for _ in range(4))):
+                hit = {fibre[p] for p in range(space.size) if mask >> p & 1}
+                expected = sum(1 << p for p in range(space.size) if fibre[p] in hit)
+                assert _exists_mask(mask, space, var) == expected
+    constant = OpApp("c", ())
+    for a, b in itertools.product((1, 2, 3), repeat=2):
+        source, target = canonical_varset(a), canonical_varset(b)
+        substs = enumerate_substitutions(model.sig, source, target, 1)
+        sample = rng.sample(substs, min(6, len(substs)))
+        for s in [Substitution(source, target, (constant,) * a)] + sample:
+            assert pullback_indices(s, g.space(source), g.space(target)) \
+                == brute_composites(model, s)
