@@ -53,6 +53,7 @@ from .core import (
     canonical_varset,
     compose_subst,
     enumerate_substitutions,
+    substitution_generators,
 )
 from .lattice import (
     ClosedFilter,
@@ -391,6 +392,7 @@ class KnowledgeBase:
         self._descriptions: dict[int, DescriptionObject] = {}
         self._atom_masks: dict[tuple[int, Formula], int] = {}
         self._substitutions: dict[tuple[int, int, int], tuple[Substitution, ...]] = {}
+        self._generators: dict[int, Optional[tuple[Substitution, ...]]] = {}
 
     def description(self, n: int) -> DescriptionObject:
         if not 1 <= n <= self.n_max:
@@ -425,6 +427,26 @@ class KnowledgeBase:
             subs = self._substitutions[key] = tuple(enumerate_substitutions(
                 self.model.sig, canonical_varset(a), canonical_varset(b), depth))
         return subs
+
+    def generators(self, depth: int) -> Optional[tuple[Substitution, ...]]:
+        """`substitution_generators` over sizes 1..n_max within the depth,
+        when the pullback of every atom along every generator is a member;
+        otherwise, or when an op has arity 2 or more, None.  Checked once per
+        depth.  Given the generators, every bounded pullback of a member is a
+        member, since pre_(s;t) = pre_t . pre_s and pullbacks preserve
+        unions; so a search or transport reads this instead of walking the
+        bounded sets."""
+        if depth not in self._generators:
+            gens = None
+            if all(arity <= 1 for _, arity in self.model.sig.ops):
+                gens = tuple(substitution_generators(self.model.sig, self.n_max, depth))
+                algebras = {n: self.description(n).algebra for n in range(1, self.n_max + 1)}
+                table = self.geometry.table
+                if not all(table(g).preimage(atom) in algebras[len(g.target)].index
+                           for g in gens for atom in algebras[len(g.source)].block_masks()):
+                    gens = None
+            self._generators[depth] = gens
+        return self._generators[depth]
 
     @property
     def saturated(self) -> bool:

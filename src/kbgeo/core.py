@@ -680,3 +680,42 @@ def enumerate_substitutions(sig: Signature, source: VarSet, target: VarSet,
     for images in itertools.product(terms, repeat=len(source)):
         subs.append(Substitution(source, target, images))
     return subs
+
+
+def substitution_generators(sig: Signature, n_max: int, depth: int) -> list[Substitution]:
+    """Bounded substitutions between canonical variable sets of sizes
+    1..n_max whose composites with intermediate sizes up to n_max give every
+    substitution that `enumerate_substitutions` gives between those sizes,
+    for signatures whose ops have arity at most 1.
+
+    Per size a, in this order: for a >= 2 the transposition x1 <-> x2 and
+    the cycle x_i -> x_(i+1) (one map at a = 2); for a < n_max the inclusion
+    X_a -> X_(a+1) and the diagonal X_(a+1) -> X_a, x_(a+1) -> x_a; for
+    depth >= 1, x1 -> f(x1) per unary op f and x1 -> c per constant c, the
+    other variables fixed.  A bounded s: X_a -> X_b factors as
+    coordinatewise unary steps at size a, each a conjugate of an op
+    generator by a permutation, then a variable map.  A variable map
+    factors through its image size into degeneracies, then faces, each a
+    diagonal or an inclusion between permutations (Mac Lane, "Categories
+    for the Working Mathematician", VII.5), and every intermediate size is
+    at most max(a, b).  An op of arity >= 2 breaks the first step: a
+    depth-1 image g(x_i, x_j) needs one more variable to factor, which the
+    top size does not have, so such signatures raise `SignatureError`."""
+    if any(arity > 1 for _, arity in sig.ops):
+        raise SignatureError("substitution generators need ops of arity at most 1")
+    out = []
+    for a in range(1, n_max + 1):
+        here = canonical_varset(a)
+        xs = tuple(map(Var, here.names))
+        if a >= 2:
+            out.append(Substitution(here, here, (xs[1], xs[0]) + xs[2:]))
+            if a > 2:
+                out.append(Substitution(here, here, xs[1:] + xs[:1]))
+        if a < n_max:
+            up = canonical_varset(a + 1)
+            out.append(Substitution(here, up, xs))
+            out.append(Substitution(up, here, xs + xs[-1:]))
+        if depth >= 1:
+            for op, arity in sig.ops:
+                out.append(Substitution(here, here, (OpApp(op, xs[:arity]),) + xs[1:]))
+    return out

@@ -27,6 +27,24 @@ squares hold by the isomorphism, and its transport checks only that the
 first model's pullbacks are members (`transport_model_iso` gives the
 proof).
 
+Generators.  Neither search visits every bounded substitution when it need
+not.  Squares compose: pre_(s;t) = pre_t . pre_s in each model, and every
+supported phi sends s;t to phi(s);phi(t), so a family whose squares
+commute at s and at t, with pre1_s of each member a member, commutes at
+s;t; likewise pre1 along s;t keeps members when pre1 along s and along t
+do.  When every op has arity at most 1, every bounded s: X_a -> X_b is a
+composite of `substitution_generators` among sizes up to max(a, b), and
+each generator is bounded.  So when the first model's pullback of every
+atom along every generator is a member (`KnowledgeBase.generators`,
+checked once per depth for every phi and the transport), no bounded
+pullback is undefinable: `find_functor_iso` checks the generator squares
+alone and accepts exactly the candidates the full loops accept, and
+`transport_model_iso` has nothing left to check.  Otherwise, or with an op
+of arity 2 or more, whose images need one more variable to factor, both
+walk every bounded substitution in order, so an undefinable pullback note
+names the first one that walk meets.  The sweeps `check_duality` and
+`verify_push_functoriality` still visit every bounded substitution.
+
 The squares are the functor.  A witness from either search is reported as
 it is: every check of `build_description_iso` then holds, by the proof
 below, which needs two facts that hold by construction.  Its alphas are
@@ -41,8 +59,9 @@ Proof.  Write pre_s for a model's pullback along s, x;y for "x, then y",
 and k for an atom over X_a.  Every witness meets the square
 alpha_b(pre1_s(k)) = pre2_phi(s)(alpha_a(k)) for every a, b <= n_max and
 every s: X_a -> X_b within the depth, and both searches raise when
-pre1_s(k) is not a member: `find_functor_iso` checks each square, and a
-carrier witness meets them all.  Pullbacks and Boolean alphas preserve
+pre1_s(k) is not a member: `find_functor_iso` checks each square, or the
+generator squares, which imply the rest, and a carrier witness meets them
+all.  Pullbacks and Boolean alphas preserve
 unions, so both sides of a square do, and the squares hold on every
 member.  A pair (K, T) along t is admissible when the image of T along t
 lies inside K, so (K, pre_t(K)) always is.
@@ -356,10 +375,12 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
 
 def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorphism,
                      kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
-                     source_n: int, target_n: int) -> bool:
+                     source_n: int, target_n: int,
+                     substs: Optional[Iterable[Substitution]] = None) -> bool:
     """Check the naturality squares for all bounded substitutions between two
-    assigned sizes: pushing then transporting equals transporting then
-    pushing along the mapped substitution.
+    assigned sizes, or for `substs` among them when given: pushing then
+    transporting equals transporting then pushing along the mapped
+    substitution.
 
     The squares are checked on the atoms of the source lattice, ascending.
     The one caller, `find_functor_iso`, passes block bijections, which
@@ -371,12 +392,16 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     a square fails (False).  That member has an atom where one of the two
     happens, and the atom, a submask, is no larger; so the first such member
     is an atom, the first such atom, and the atom loop stops there in the
-    same way, with the same error text.
+    same way, with the same error text.  `find_functor_iso` passes the
+    generators between the two sizes (`KnowledgeBase.generators`) when it
+    has them; their pullbacks are members, so nothing raises.
     """
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
     atoms = kb1.description(source_n).lattice.algebra.block_masks()
-    for subst in kb1.substitutions(source_n, target_n, depth):
+    if substs is None:
+        substs = kb1.substitutions(source_n, target_n, depth)
+    for subst in substs:
         table1, table2 = kb1.geometry.table(subst), kb2.geometry.table(phi.map_subst(subst))
         for mask in atoms:
             push1 = table1.preimage(mask)
@@ -396,6 +421,15 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
     assignment only when every naturality square between assigned sizes
     commutes for every substitution within the depth bound.  Partial lattices
     never certify: the search requires saturated generation.
+
+    When the first model has its generators (`KnowledgeBase.generators`),
+    step n checks only the generator squares between n and the sizes up to
+    it.  Given the sizes below n, a candidate passes them exactly when it
+    passes every bounded square between sizes up to n (module docstring,
+    "Generators"), so the search accepts the same candidates in the same
+    order.  Otherwise, with an undefinable generator pullback or an op of
+    arity 2 or more, the squares run over every bounded substitution, and
+    the first undefinable pullback in that order raises.
     """
     if kb1.model.sig != kb2.model.sig:
         raise MismatchError("models have different signatures")
@@ -417,22 +451,21 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
             return None
         candidate_lists.append(candidates)
 
+    gens = kb1.generators(depth)
     alphas: dict[int, UnionMap] = {}
+
+    def commute(a: int, b: int) -> bool:
+        substs = None if gens is None else [
+            g for g in gens if (len(g.source), len(g.target)) == (a, b)]
+        return _squares_commute(alphas, phi, kb1, kb2, depth, a, b, substs)
 
     def assign(n: int) -> bool:
         if n > n_max:
             return True
         for candidate in candidate_lists[n - 1]:
             alphas[n] = candidate
-            ok = True
-            for other in range(1, n + 1):
-                if not _squares_commute(alphas, phi, kb1, kb2, depth, other, n):
-                    ok = False
-                    break
-                if other != n and not _squares_commute(alphas, phi, kb1, kb2, depth, n, other):
-                    ok = False
-                    break
-            if ok and assign(n + 1):
+            if all(commute(other, n) and (other == n or commute(n, other))
+                   for other in range(1, n + 1)) and assign(n + 1):
                 return True
             del alphas[n]
         return False
@@ -454,6 +487,11 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     within the depth and every atom k over X_a, in that order, pre1_s(k)
     must be a member, and the first one that is not raises
     `UndefinablePullbackError`, as the squares of `find_functor_iso` do.
+    When the first model has its generators (`KnowledgeBase.generators`),
+    every generator pullback of an atom is a member, so every bounded one
+    is (module docstring), and the walk is skipped; otherwise, with an op of
+    arity 2 or more or an undefinable generator pullback, it runs in that
+    order.
     The two knowledge bases must have equal n_max and equal term depth caps.
     Of the second, only its point spaces are read.
 
@@ -484,12 +522,13 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
         index_of = kb2.geometry.space(canonical_varset(n)).index_of
         bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
         alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
-    for a, b in itertools.product(sizes, repeat=2):
-        atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
-        for subst in kb1.substitutions(a, b, depth):
-            table = kb1.geometry.table(subst)
-            for atom in atoms:
-                _pullback(table, atom, target)
+    if kb1.generators(depth) is None:
+        for a, b in itertools.product(sizes, repeat=2):
+            atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
+            for subst in kb1.substitutions(a, b, depth):
+                table = kb1.geometry.table(subst)
+                for atom in atoms:
+                    _pullback(table, atom, target)
     return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), depth, alphas, kb1, kb2)
 
 

@@ -25,6 +25,7 @@ from kbgeo import (
     eval_term,
     model_isomorphisms,
     parse_term,
+    substitution_generators,
     term_depth,
     term_to_text,
     term_vars,
@@ -235,6 +236,54 @@ def test_enumerate_substitutions_counts():
     for s in enumerate_substitutions(m.sig, two, one, 2):
         assert s.source.names == ("x1", "x2")
         assert s.target.names == ("x1",)
+
+
+def chain(term) -> tuple:
+    """A term whose ops have arity at most 1, as its op names from the
+    outside in, then its variable's index or its constant's name."""
+    if isinstance(term, Var):
+        return (int(term.name[1:]),)
+    return (term.op,) + (chain(term.args[0]) if term.args else ())
+
+
+def test_generators_compose_to_every_bounded_substitution():
+    """Breadth first from the identities, appending one generator at a time
+    and dropping composites deeper than the bound, the generators reach
+    exactly the bounded substitutions between sizes up to n: each is a
+    composite whose intermediate sizes and depths stay within the bounds.
+    A substitution is held as its sizes and its images' chains, so a
+    composite replaces each image's variable by the second map's image of
+    it.  An op of arity 2 has no generators."""
+    def code(s: Substitution) -> tuple:
+        return len(s.source), len(s.target), tuple(map(chain, s.images))
+
+    def depth_of(image: tuple) -> int:
+        return len(image) - isinstance(image[-1], int)
+
+    signatures = [(), (("f", 1),), (("c", 0), ("f", 1)), (("f", 1), ("h", 1))]
+    for ops, (n, depth) in itertools.product(signatures, [(1, 1), (2, 0), (2, 1), (2, 2),
+                                                         (3, 1), (3, 2), (4, 1)]):
+        sig = Signature(ops, (("P", 1),))
+        gens = [code(g) for g in substitution_generators(sig, n, depth)]
+        reached = {code(Substitution.identity(canonical_varset(a))) for a in range(1, n + 1)}
+        frontier = list(reached)
+        while frontier:
+            step = []
+            for a, b, images in frontier:
+                for _, c, second in (g for g in gens if g[0] == b):
+                    t = (a, c, tuple(s[:-1] + second[s[-1] - 1] if isinstance(s[-1], int) else s
+                                     for s in images))
+                    if t not in reached and max(map(depth_of, t[2])) <= depth:
+                        reached.add(t)
+                        step.append(t)
+            frontier = step
+        bounded = {code(s) for a, b in itertools.product(range(1, n + 1), repeat=2)
+                   for s in enumerate_substitutions(sig, canonical_varset(a),
+                                                    canonical_varset(b), depth)}
+        assert set(gens) <= bounded, (ops, n, depth)
+        assert reached == bounded, (ops, n, depth)
+    with pytest.raises(SignatureError):
+        substitution_generators(Signature((("g", 2),), ()), 2, 1)
 
 
 def test_point_bound_is_enforced():

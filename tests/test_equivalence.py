@@ -768,6 +768,75 @@ def test_different_atom_counts_are_refuted():
                 (str(n), str(sizes[0][n - 1]), str(sizes[1][n - 1])), label
 
 
+DECIDERS = (check_informational_equivalence, check_automorphic_equivalence)
+
+
+def generated_pairs() -> list:
+    return relabel_pairs() + swap_pairs() + atom_count_pairs()
+
+
+def searches(model1: Model, model2: Model) -> list:
+    """At (2, 1), the search of each default phi, then the carrier transport
+    of the first model isomorphism, if any: each as its alphas' atom images,
+    None, or the text of the pullback it raised on."""
+    kb1, kb2 = kbs(model1, model2)
+    calls = [(find_functor_iso, kb1, kb2, phi, 1) for phi in enumerate_automorphisms(model1.sig)]
+    calls += [(transport_model_iso, mmap, kb1, kb2, 1)
+              for mmap in model_isomorphisms(model1, model2)[:1]]
+    out = []
+    for call in calls:
+        iso = outcome(*call)
+        out.append({n: a.atoms for n, a in iso.alphas.items()} if isinstance(iso, FunctorIso)
+                   else iso)
+    return out
+
+
+def test_generator_squares_decide_as_every_bounded_square(monkeypatch):
+    """On the generated pairs at (2, 1), checking the first model's
+    generators gives what walking every bounded substitution gives, with
+    `KnowledgeBase.generators` forced to None: equal reports from both
+    deciders, verdict, witness and notes, and from every search the same
+    alphas, the same None or the same raise.  Both paths are taken, and
+    every verdict occurs."""
+    pairs = generated_pairs()
+    generators = KnowledgeBase.generators
+    taken = set()
+
+    def recording(kb, depth):
+        gens = generators(kb, depth)
+        taken.add(gens is not None)
+        return gens
+
+    def run() -> list:
+        return [([decide(m1, m2, n_max=2, depth=1) for decide in DECIDERS], searches(m1, m2))
+                for _, m1, m2 in pairs]
+
+    monkeypatch.setattr(KnowledgeBase, "generators", recording)
+    fast = run()
+    monkeypatch.setattr(KnowledgeBase, "generators", lambda kb, depth: None)
+    full = run()
+    for (label, _, _), left, right in zip(pairs, fast, full):
+        assert left == right, label
+    assert taken == {True, False}
+    assert {report.verdict for reports, _ in full for report in reports} == \
+        {VERDICT_WITNESSED, VERDICT_INEQUIVALENT, VERDICT_UNKNOWN}
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_a_decision_is_symmetric(monkeypatch, bounded):
+    """decide(A, B) and decide(B, A) give the same verdict from both
+    deciders on the generated pairs at (2, 1), with the generators and with
+    every bounded substitution.  A search stops on an undefinable pullback
+    of its first model only, but when a pair is witnessed the second
+    model's pullbacks are members too."""
+    if bounded:
+        monkeypatch.setattr(KnowledgeBase, "generators", lambda kb, depth: None)
+    for label, m1, m2 in generated_pairs():
+        for decide in DECIDERS:
+            there, back = decide(m1, m2, n_max=2, depth=1), decide(m2, m1, n_max=2, depth=1)
+            assert there.verdict == back.verdict, label
+
+
 def test_transport_relabels_each_point_once(monkeypatch):
     calls = []
     apply_values = ModelMap.apply_values
@@ -834,9 +903,11 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
 
 def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
     """Only `KnowledgeBase.substitutions` enumerates substitutions, once per
-    bounded set: the backtracking search above, over two sizes, makes one
-    enumeration per pair of sizes, and so do both sweeps over one knowledge
-    base together."""
+    bounded set.  The backtracking search above checks its squares on the
+    generators alone and enumerates none.  The same search on a model with a
+    binary op has no generators, and makes one enumeration per pair of
+    sizes, over two sizes; so do both sweeps over one knowledge base
+    together."""
     assert not hasattr(equivalence, "enumerate_substitutions")
     calls = []
     enumerate_substitutions = categories.enumerate_substitutions
@@ -851,6 +922,13 @@ def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
                   {"P": [], "Q": [(0,)]})
     phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
     assert find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, 1) is not None
+    assert len(calls) == 0
+    sig = Signature((("g", 2),), (("P", 1),))
+    binary = Model(sig, (0, 1), {"g": {(a, b): a * b for a in (0, 1) for b in (0, 1)}},
+                   {"P": [(0,)]})
+    pair = kbs(binary, binary)
+    assert pair[0].generators(1) is None
+    assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig), 1) is not None
     assert len(calls) == 4
     kb = KnowledgeBase(model_neg(), 2)
     assert kb.check_duality(1).passed and kb.verify_push_functoriality(1).passed
