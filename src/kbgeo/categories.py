@@ -374,10 +374,13 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
 class KnowledgeBase:
     """A model with its description and content objects for sizes 1..n_max.
 
-    Objects are built over the canonical variable sets of one geometry and
-    cached, and so are the masks of atomic formulas.  An object's content
-    dual is built on its own algebra, so filters and definable sets are in
-    mask-for-mask bijection by construction.
+    It holds the model's bounds: n_max, the term-depth cap, and its
+    geometry, which holds the point bound.  The module-level sweeps and
+    deciders build theirs under the default point bound.  Objects are built
+    over the canonical variable sets of the geometry and cached, and so are
+    the masks of atomic formulas.  An object's content dual is built on its
+    own algebra, so filters and definable sets are in mask-for-mask
+    bijection by construction.
     """
 
     def __init__(self, model: Model, n_max: int,
@@ -619,8 +622,7 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
 
 
 def check_duality(model: Model, n_max: int, depth: int = 1,
-                  max_term_depth: Optional[int] = None,
-                  max_points: int = DEFAULT_MAX_POINTS) -> Report:
+                  max_term_depth: Optional[int] = None) -> Report:
     """Verify the object and morphism duality up to the given bounds.
 
     Objects are dual by construction: each content object is built on its
@@ -635,12 +637,11 @@ def check_duality(model: Model, n_max: int, depth: int = 1,
     not definable has no least morphism; it is reported as a failure with
     that dual.
     """
-    return KnowledgeBase(model, n_max, max_term_depth, max_points).check_duality(depth)
+    return KnowledgeBase(model, n_max, max_term_depth).check_duality(depth)
 
 
 def verify_push_functoriality(model: Model, depth: int, n_max: int,
-                              max_term_depth: Optional[int] = None,
-                              max_points: int = DEFAULT_MAX_POINTS) -> Report:
+                              max_term_depth: Optional[int] = None) -> Report:
     """Check that pushing filters forward respects identity and composition.
 
     Sweeps all composable substitution pairs between canonical variable sets
@@ -649,4 +650,4 @@ def verify_push_functoriality(model: Model, depth: int, n_max: int,
     definable pullback is reported once, as a failure naming the first such
     dual.
     """
-    return KnowledgeBase(model, n_max, max_term_depth, max_points).verify_push_functoriality(depth)
+    return KnowledgeBase(model, n_max, max_term_depth).verify_push_functoriality(depth)

@@ -45,15 +45,9 @@ from .lattice import (
     generate_definable_algebra,
     lattice_profile,
 )
-from .semantics import Geometry, PointSet, satisfying_points
-from .categories import Report, check_duality, verify_push_functoriality
-from .equivalence import (
-    EquivReport,
-    FormulaAutomorphism,
-    check_automorphic_equivalence,
-    check_informational_equivalence,
-    check_isomorphic,
-)
+from .semantics import PointSet, satisfying_points
+from .categories import KnowledgeBase, Report
+from .equivalence import EquivReport, FormulaAutomorphism, check_isomorphic, decide_equivalence
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -409,12 +403,18 @@ def _apply_config(args, config: RunConfig) -> RunConfig:
     return replace(config, **updates)
 
 
+def _knowledge_base(path: str, config: RunConfig) -> KnowledgeBase:
+    """The model at `path` in a knowledge base under the run's bounds; every
+    command reads its bounds from it."""
+    return KnowledgeBase(load_model(path), config.n_max, config.max_term_depth,
+                         config.max_points)
+
+
 def _run_eval(args, config: RunConfig) -> tuple[int, str]:
-    model = load_model(args.model)
+    kb = _knowledge_base(args.model, config)
     varset = parse_var_list(args.vars)
-    f = parse_formula(args.formula, FormulaContext(model.sig, varset))
-    points = satisfying_points(f, model, varset,
-                               geometry=Geometry(model, config.max_points))
+    f = parse_formula(args.formula, FormulaContext(kb.model.sig, varset))
+    points = satisfying_points(f, kb.model, varset, geometry=kb.geometry)
     lines = [
         f"formula: {formula_to_text(f)}",
         f"vars: {', '.join(varset.names)}",
@@ -425,12 +425,11 @@ def _run_eval(args, config: RunConfig) -> tuple[int, str]:
 
 
 def _run_closure(args, config: RunConfig) -> tuple[int, str]:
-    model = load_model(args.model)
+    kb = _knowledge_base(args.model, config)
     varset = parse_var_list(args.vars)
-    geometry = Geometry(model, config.max_points)
-    pset = PointSet.of_rows(geometry.space(varset), parse_point_rows(args.points))
-    algebra = generate_definable_algebra(model, varset, config.max_term_depth,
-                                         geometry=geometry)
+    pset = PointSet.of_rows(kb.geometry.space(varset), parse_point_rows(args.points))
+    algebra = generate_definable_algebra(kb.model, varset, kb.max_term_depth,
+                                         geometry=kb.geometry)
     closed = closure(pset, algebra)
     lines = [
         f"vars: {', '.join(varset.names)}",
@@ -444,10 +443,9 @@ def _run_closure(args, config: RunConfig) -> tuple[int, str]:
 
 
 def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
-    model = load_model(args.model)
+    kb = _knowledge_base(args.model, config)
     varset = parse_var_list(args.vars)
-    lattice = build_filter_lattice(model, varset, config.max_term_depth,
-                                   geometry=Geometry(model, config.max_points))
+    lattice = build_filter_lattice(kb.model, varset, kb.max_term_depth, geometry=kb.geometry)
     size, height, degrees = lattice_profile(lattice)
     lines = [
         f"vars: {', '.join(varset.names)}",
@@ -463,40 +461,28 @@ def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
 
 
 def _run_duality(args, config: RunConfig) -> tuple[int, str]:
-    model = load_model(args.model)
-    report = check_duality(model, config.n_max, args.depth,
-                           config.max_term_depth, config.max_points)
+    report = _knowledge_base(args.model, config).check_duality(args.depth)
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
 
 
 def _run_functor(args, config: RunConfig) -> tuple[int, str]:
-    model = load_model(args.model)
-    report = verify_push_functoriality(model, config.depth, config.n_max,
-                                       config.max_term_depth, config.max_points)
+    report = _knowledge_base(args.model, config).verify_push_functoriality(config.depth)
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
 
 
 def _run_equiv(args, config: RunConfig) -> tuple[int, str]:
-    model1 = load_model(args.model1)
-    model2 = load_model(args.model2)
+    kb1, kb2 = _knowledge_base(args.model1, config), _knowledge_base(args.model2, config)
     if args.mode == "iso":
         if args.phi is not None:
             raise UsageError("--phi applies to modes lae and info only")
-        report = check_isomorphic(model1, model2)
+        report = check_isomorphic(kb1.model, kb2.model)
         return report.exit_code, write_report(report, config.fmt)
     phis = None
     if args.phi is not None:
-        phis = [parse_phi_spec(args.phi, model1.sig, config.n_max)]
-    if args.mode == "lae" or phis is not None:
-        report = check_automorphic_equivalence(
-            model1, model2, phis, config.n_max, config.depth,
-            config.max_term_depth, config.max_points)
-        if args.mode == "info":
-            report = replace(report, mode="informational")
-    else:
-        report = check_informational_equivalence(
-            model1, model2, config.n_max, config.depth,
-            config.max_term_depth, config.max_points)
+        phis = [parse_phi_spec(args.phi, kb1.model.sig, config.n_max)]
+    mode = "automorphic" if args.mode == "lae" else "informational"
+    report = decide_equivalence(kb1, kb2, config.depth, phis, mode=mode,
+                                use_model_iso=mode == "informational" and phis is None)
     return report.exit_code, write_report(report, config.fmt)
 
 

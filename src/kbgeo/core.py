@@ -586,40 +586,30 @@ class TermFunctionSet:
     saturated: bool
 
 
-def _axis_column(carrier: tuple, arity: int, axis: int) -> tuple:
-    """The value column of one axis over all `arity`-variable assignments in
-    lexicographic order: each element repeated once per point of the later
-    axes, and that run repeated once per point of the earlier ones."""
-    run = tuple(itertools.chain.from_iterable(
-        map(itertools.repeat, carrier, itertools.repeat(len(carrier) ** (arity - 1 - axis)))))
-    return run * len(carrier) ** axis
-
-
 def _column_rows(columns: list, size: int) -> Iterator[tuple]:
     """The argument tuple at each of `size` points, read across the columns;
     without columns (a constant's) the empty tuple at every point."""
     return zip(*columns) if columns else itertools.repeat((), size)
 
 
-def term_functions(model: Model, varset: VarSet, max_term_depth: Optional[int] = None,
-                   max_points: int = DEFAULT_MAX_POINTS) -> TermFunctionSet:
-    """Close the projections under the model's operations.
+def term_functions(space, max_term_depth: Optional[int] = None) -> TermFunctionSet:
+    """Close the projections over a point space (`semantics.PointSpace`,
+    which its geometry admitted under the point bound) under its model's
+    operations.
 
     Functions are found in rounds; the round number equals the depth of the
     witness term, and the first witness for a table wins.  With a finite
     ``max_term_depth`` the closure stops after that many rounds and reports
-    saturation by probing one further round.  Each candidate's values are
-    its operation table read across its arguments' value columns.
+    saturation by probing one further round.  A variable's values are the
+    space's column; each candidate's are its operation table read across its
+    arguments' value columns.
     """
-    npoints = len(model.carrier) ** len(varset)
-    if npoints > max_points:
-        raise BoundError(f"{npoints} assignments exceed the bound {max_points}")
-
+    model, npoints = space.model, space.size
     funcs: list[TermFunction] = []
     depths: list[int] = []
     seen: dict[tuple, int] = {}
-    for i, name in enumerate(varset.names):
-        values = _axis_column(model.carrier, len(varset), i)
+    for i, name in enumerate(space.varset.names):
+        values = space.column(i)
         if values not in seen:
             seen[values] = len(funcs)
             funcs.append(TermFunction(values, Var(name)))

@@ -16,9 +16,10 @@ phi with a renaming has a witness exactly when its relation part has one
 (`enumerate_automorphisms` gives the proof).  A pinned phi is searched as
 it is.
 
-A decision builds one `KnowledgeBase` per model, so each lattice is built
-once, and passes the pair to `find_functor_iso` (once per candidate
-automorphism) or `transport_model_iso`.  Each alpha is the lattice layer's
+A decision (`decide_equivalence`) runs over one `KnowledgeBase` per
+model, which holds its bounds, so each lattice is built once; it passes
+the pair to `find_functor_iso` (once per candidate automorphism) or
+`transport_model_iso`.  Each alpha is the lattice layer's
 `UnionMap` of its atom images, which reads a member's image on lookup: a
 candidate sends the atoms along a block bijection, and a carrier map
 relabels the points of each atom.  So a decision lists no member.  The
@@ -96,7 +97,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional
 
 from .core import (
-    DEFAULT_MAX_POINTS,
     MismatchError,
     Model,
     ModelMap,
@@ -768,33 +768,33 @@ def _invariant_refutation(kb1: KnowledgeBase,
     return None
 
 
-def check_informational_equivalence(model1: Model, model2: Model,
-                                    n_max: int = 2, depth: int = 2,
-                                    max_term_depth: Optional[int] = None,
-                                    max_points: int = DEFAULT_MAX_POINTS,
-                                    phis: Optional[list[FormulaAutomorphism]] = None,
-                                    mode: str = "informational",
-                                    use_model_iso: bool = True) -> EquivReport:
-    """The bounded pipeline: refute by lattice invariants, then search for a
-    verified witness, otherwise report UNKNOWN with the bounds.
+def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
+                       phis: Optional[list[FormulaAutomorphism]] = None, *,
+                       mode: str = "informational",
+                       use_model_iso: bool = True) -> EquivReport:
+    """The bounded pipeline over two knowledge bases, under their bounds:
+    refute by lattice invariants, then search for a verified witness,
+    otherwise report UNKNOWN with the bounds.  `mode` labels the report.
 
     A witness is either a carrier isomorphism transported to the lattice
-    families or a found functor isomorphism for one of the candidate
-    automorphisms.  The search checks a candidate's naturality squares, a
-    carrier witness meets them by the isomorphism, and a witness is reported
-    as it is: for the Boolean witnesses the searches return, the squares
-    imply the functor laws (module docstring).  A substitution whose
+    families (unless `use_model_iso` is false) or a found functor
+    isomorphism for one of the candidate automorphisms, `phis` or else
+    every supported one.  The search checks a candidate's naturality
+    squares, a carrier witness meets them by the isomorphism, and a witness
+    is reported as it is: for the Boolean witnesses the searches return, the
+    squares imply the functor laws (module docstring).  A substitution whose
     pullback of some dual is not definable over its target stops the
     search: the verdict is UNKNOWN, with a note naming that pullback.
     """
+    model1, model2 = kb1.model, kb2.model
     if model1.sig != model2.sig:
         raise MismatchError("models have different signatures")
-    kb1 = KnowledgeBase(model1, n_max, max_term_depth, max_points)
-    kb2 = KnowledgeBase(model2, n_max, max_term_depth, max_points)
+    if kb1.n_max != kb2.n_max:
+        raise MismatchError("knowledge bases have different n_max")
     # Both families are built in full, the first model's first, before any verdict.
     saturated = all([kb1.saturated, kb2.saturated])
     notes = [f"supported automorphism class: {SUPPORTED_CLASS}"]
-    bounds = _bounds(n_max, depth)
+    bounds = _bounds(kb1.n_max, depth)
 
     if saturated:
         refutation = _invariant_refutation(kb1, kb2)
@@ -826,12 +826,20 @@ def check_informational_equivalence(model1: Model, model2: Model,
     return EquivReport(VERDICT_UNKNOWN, mode, bounds, None, None, tuple(notes))
 
 
+def check_informational_equivalence(model1: Model, model2: Model,
+                                    n_max: int = 2, depth: int = 2,
+                                    max_term_depth: Optional[int] = None,
+                                    phis: Optional[list[FormulaAutomorphism]] = None
+                                    ) -> EquivReport:
+    """`decide_equivalence` over the models' knowledge bases."""
+    kb1, kb2 = (KnowledgeBase(m, n_max, max_term_depth) for m in (model1, model2))
+    return decide_equivalence(kb1, kb2, depth, phis)
+
+
 def check_automorphic_equivalence(model1: Model, model2: Model,
                                   phis: Optional[list[FormulaAutomorphism]] = None,
                                   n_max: int = 2, depth: int = 2,
-                                  max_term_depth: Optional[int] = None,
-                                  max_points: int = DEFAULT_MAX_POINTS) -> EquivReport:
+                                  max_term_depth: Optional[int] = None) -> EquivReport:
     """Witness search over automorphisms only, without the carrier fast path."""
-    return check_informational_equivalence(
-        model1, model2, n_max, depth, max_term_depth, max_points,
-        phis=phis, mode="automorphic", use_model_iso=False)
+    kb1, kb2 = (KnowledgeBase(m, n_max, max_term_depth) for m in (model1, model2))
+    return decide_equivalence(kb1, kb2, depth, phis, mode="automorphic", use_model_iso=False)

@@ -47,6 +47,7 @@ from .semantics import (
     _atom_mask,
     _equal_mask,
     _exists_mask,
+    _model_geometry,
     satisfying_points,
     subst_image_points,
 )
@@ -289,12 +290,8 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from a fresh geometry under the default bound.
     """
-    if geometry is None:
-        geometry = Geometry(model)
-    elif geometry.model != model:
-        raise MismatchError("geometry belongs to another model")
-    space = geometry.space(varset)
-    clone = term_functions(model, varset, max_term_depth, geometry.max_points)
+    space = _model_geometry(model, geometry).space(varset)
+    clone = term_functions(space, max_term_depth)
     blocks = [space.full_mask]
     splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # block -> (cut, !cut, in, out)
     memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness

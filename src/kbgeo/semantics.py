@@ -32,7 +32,7 @@ masks moved; inside the package those are lattice members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product, repeat
 from operator import eq
 from typing import Iterable, Iterator, Optional
 
@@ -45,7 +45,6 @@ from .core import (
     Term,
     Var,
     VarSet,
-    _axis_column,
     _column_rows,
 )
 from .formulas import (
@@ -98,7 +97,9 @@ class PointSpace:
 
     def __init__(self, model: Model, varset: VarSet, geometry: Optional["Geometry"] = None):
         self.geometry = Geometry(model) if geometry is None else geometry
-        _check_bound(model, varset, self.geometry.max_points)
+        count, bound = len(model.carrier) ** len(varset), self.geometry.max_points
+        if count > bound:
+            raise BoundError(f"{count} points exceed the bound {bound}")
         self.model = model
         self.varset = varset
         self.value_rows: tuple[tuple, ...] = tuple(
@@ -111,10 +112,15 @@ class PointSpace:
         self.geometry._spaces.setdefault(varset.names, self)
 
     def column(self, axis: int) -> tuple:
-        """Each point's value on the axis, in enumeration order."""
+        """Each point's value on the axis, in enumeration order: each element
+        repeated once per point of the later axes, and that run repeated once
+        per point of the earlier ones."""
         column = self._columns[axis]
         if column is None:
-            column = self._columns[axis] = _axis_column(self.model.carrier, len(self.varset), axis)
+            carrier = self.model.carrier
+            run = tuple(chain.from_iterable(
+                map(repeat, carrier, repeat(len(carrier) ** (len(self.varset) - 1 - axis)))))
+            column = self._columns[axis] = run * len(carrier) ** axis
         return column
 
     def digit_masks(self, axis: int) -> tuple[int, ...]:
@@ -152,12 +158,6 @@ class PointSpace:
 
     def __repr__(self) -> str:
         return f"PointSpace({self.varset}, {self.size} points)"
-
-
-def _check_bound(model: Model, varset: VarSet, max_points: int) -> None:
-    count = len(model.carrier) ** len(varset)
-    if count > max_points:
-        raise BoundError(f"{count} points exceed the bound {max_points}")
 
 
 def _gather(mask: int, bits: list[int]) -> int:
@@ -250,11 +250,20 @@ class Geometry:
         return self.table(subst).image(mask)
 
 
-def enumerate_points(model: Model, varset: VarSet,
-                     max_points: int = DEFAULT_MAX_POINTS) -> PointSpace:
-    """Build the assignment space in a fresh geometry, refusing to enumerate
-    past max_points."""
-    return Geometry(model, max_points).space(varset)
+def enumerate_points(model: Model, varset: VarSet) -> PointSpace:
+    """Build the assignment space in a fresh geometry under the default
+    bound; a caller with a bound of its own asks its `Geometry.space`."""
+    return Geometry(model).space(varset)
+
+
+def _model_geometry(model: Model, geometry: Optional[Geometry]) -> Geometry:
+    """`geometry`, which must be the model's; without one, a fresh geometry
+    under the default bound."""
+    if geometry is None:
+        return Geometry(model)
+    if geometry.model != model:
+        raise MismatchError("geometry belongs to another model")
+    return geometry
 
 
 class PointSet:
@@ -473,26 +482,24 @@ def satisfying_points(f: Formula, model: Model, varset: VarSet, *,
     if _valuation is None:
         _valuation = _Valuation()
     check_formula(f, FormulaContext(model.sig, varset), _valuation.checked)
-    if geometry is None:
-        geometry = Geometry(model)
-    elif geometry.model != model:
-        raise MismatchError("geometry belongs to another model")
-    space = geometry.space(varset)
+    space = _model_geometry(model, geometry).space(varset)
     return PointSet(space, _formula_mask(f, space, _valuation.masks))
 
 
-def holds_at(point: Point, f: Formula, model: Model,
-             max_points: int = DEFAULT_MAX_POINTS) -> bool:
-    """Truth of the formula at one assignment."""
-    sat = satisfying_points(f, model, point.varset, geometry=Geometry(model, max_points))
+def holds_at(point: Point, f: Formula, model: Model, *,
+             geometry: Optional[Geometry] = None) -> bool:
+    """Truth of the formula at one assignment, valued as `satisfying_points`
+    values it."""
+    sat = satisfying_points(f, model, point.varset, geometry=geometry)
     return sat.contains_values(point.values)
 
 
-def points_satisfying_all(formulas, model: Model, varset: VarSet,
-                          max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
-    """Common solutions of a formula collection; the empty collection gives
-    the full space."""
-    geometry = Geometry(model, max_points)
+def points_satisfying_all(formulas, model: Model, varset: VarSet, *,
+                          geometry: Optional[Geometry] = None) -> PointSet:
+    """Common solutions of a formula collection, valued as
+    `satisfying_points` values them; the empty collection gives the full
+    space."""
+    geometry = _model_geometry(model, geometry)
     space = geometry.space(varset)
     mask = space.full_mask
     for f in formulas:

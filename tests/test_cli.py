@@ -200,6 +200,57 @@ def test_equiv_modes_and_phi():
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("mode,label", [("info", "informational"), ("lae", "automorphic")])
+def test_a_pinned_phi_skips_the_carrier_path_in_both_modes(mode, label):
+    """With --phi both modes search that phi alone, so even a self-pair is
+    witnessed by a functor isomorphism, not a carrier map; the report names
+    the mode asked for."""
+    code, text = run_command(["equiv", fixture("m_eq.kbm"), fixture("m_eq.kbm"), "--mode", mode,
+                              "--phi", "identity", "--format", "machine"])
+    assert code == EXIT_PASS
+    assert text.splitlines() == [
+        "verdict: EQUIVALENT_WITNESSED",
+        f"mode: {label}",
+        "bounds.n_max: 2",
+        "bounds.depth: 2",
+        "witness.kind: functor isomorphism",
+        "witness.phi: identity",
+        "witness.alphas: |X|=1: 2 filters; |X|=2: 4 filters",
+        "note.1: supported automorphism class: relation permutations and variable renamings",
+    ]
+
+
+BOUNDED_RUNS = {
+    "eval": ["eval", "m_p.kbm", "--vars", "x1,x2", "--formula", "true"],
+    "closure": ["closure", "m_p.kbm", "--vars", "x1,x2", "--points", "1,0"],
+    "lattice": ["lattice", "m_p.kbm", "--vars", "x1,x2"],
+    "duality": ["duality", "m_p.kbm"],
+    "functor": ["functor", "m_p.kbm"],
+    "equiv": ["equiv", "m_p.kbm", "m_p.kbm"],
+    "equiv-lae": ["equiv", "m_p.kbm", "m_p.kbm", "--mode", "lae"],
+    "equiv-phi": ["equiv", "m_p.kbm", "m_p.kbm", "--phi", "identity"],
+}
+
+
+@pytest.mark.parametrize("run,by_env", [(run, False) for run in BOUNDED_RUNS] + [("equiv", True)])
+def test_every_command_honours_the_point_bound(run, by_env, monkeypatch):
+    """Each command reads the point bound from its knowledge base: m_p over
+    two variables has 4 points, past a bound of 3, from the flag or from
+    KBGEO_MAX_POINTS."""
+    argv = [fixture(a) if a.endswith(".kbm") else a for a in BOUNDED_RUNS[run]]
+    if by_env:
+        monkeypatch.setenv("KBGEO_MAX_POINTS", "3")
+    else:
+        argv += ["--max-points", "3"]
+    assert run_command(argv) == (EXIT_DATA, "error: 4 points exceed the bound 3")
+
+
+def test_carrier_isomorphism_builds_no_space():
+    code, text = run_command(["equiv", fixture("m_p.kbm"), fixture("m_p.kbm"), "--mode", "iso",
+                              "--max-points", "3"])
+    assert code == EXIT_PASS and "verdict: EQUIVALENT_WITNESSED" in text
+
+
 def lattice_dump_runs() -> str:
     """`lattice --dump` on every fixture over x1, x1,x2 and x1,x2,x3 under the
     default bounds: per run a header line naming the file, the variables and

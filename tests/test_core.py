@@ -204,16 +204,16 @@ def test_model_isomorphisms_enumeration():
 
 
 def test_term_functions_clone():
-    clone = term_functions(model_neg(), canonical_varset(1))
+    clone = term_functions(Geometry(model_neg()).space(canonical_varset(1)))
     values = sorted(f.values for f in clone.functions)
     assert values == [(0, 1), (1, 0)]
     assert clone.saturated
-    plain = term_functions(model_eq(), canonical_varset(2))
+    plain = term_functions(Geometry(model_eq()).space(canonical_varset(2)))
     assert sorted(f.values for f in plain.functions) == [(0, 0, 1, 1), (0, 1, 0, 1)]
 
 
 def test_term_functions_partial_when_depth_capped():
-    capped = term_functions(model_neg(), canonical_varset(1), max_term_depth=0)
+    capped = term_functions(Geometry(model_neg()).space(canonical_varset(1)), max_term_depth=0)
     assert not capped.saturated
     assert [f.values for f in capped.functions] == [(0, 1)]
 
@@ -288,6 +288,5 @@ def test_generators_compose_to_every_bounded_substitution():
 
 def test_point_bound_is_enforced():
     m = model_eq()
-    with pytest.raises(BoundError):
-        from kbgeo import enumerate_points
-        enumerate_points(m, canonical_varset(3), max_points=4)
+    with pytest.raises(BoundError, match="^8 points exceed the bound 4$"):
+        Geometry(m, 4).space(canonical_varset(3))

@@ -33,6 +33,7 @@ from kbgeo import (
     check_informational_equivalence,
     check_isomorphic,
     compose_subst,
+    decide_equivalence,
     enumerate_automorphisms,
     enumerate_substitutions,
     find_functor_iso,
@@ -414,6 +415,24 @@ def test_informational_equivalence_needs_a_variable():
 def test_automorphic_equivalence_needs_a_variable():
     with pytest.raises(MismatchError, match="n_max must be at least 1"):
         check_automorphic_equivalence(model_pq1(), model_pq2(), n_max=0)
+
+
+def test_the_knowledge_base_bounds_every_path():
+    """The point bound lives on the knowledge base: both sweeps and both
+    decisions stop at its first space past it, m_p over two variables."""
+    def kb():
+        return KnowledgeBase(model_p(), 2, None, 3)
+    runs = (lambda: kb().check_duality(1), lambda: kb().verify_push_functoriality(1),
+            lambda: decide_equivalence(kb(), kb(), 1),
+            lambda: decide_equivalence(kb(), kb(), 1, mode="automorphic", use_model_iso=False))
+    for run in runs:
+        with pytest.raises(BoundError, match="^4 points exceed the bound 3$"):
+            run()
+
+
+def test_a_decision_needs_equal_object_ranges():
+    with pytest.raises(MismatchError, match="knowledge bases have different n_max"):
+        decide_equivalence(KnowledgeBase(model_p(), 1), KnowledgeBase(model_p(), 2), 1)
 
 
 def test_admissibility_transfer_needs_a_variable():

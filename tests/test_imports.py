@@ -1,4 +1,5 @@
-"""Import hygiene of the package: no module imports a name it never uses.
+"""Hygiene of the package: no module imports a name it never uses, and
+only the per-model contexts take a point bound.
 
 A name counts as used when the module reads it, names it in a quoted
 annotation, lists it in `__all__`, or when another module of the package
@@ -6,7 +7,10 @@ imports it from this one (the package's `__init__.py` re-exports that way).
 """
 
 import ast
+import inspect
 from pathlib import Path
+
+import kbgeo
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kbgeo"
 
@@ -100,3 +104,20 @@ def test_the_check_finds_an_unused_import():
         "two": ast.parse("from .one import Passed\n"),
     }
     assert unused_imports(trees) == ["one.py:4: Mapping"]
+
+
+def test_only_the_contexts_take_a_point_bound():
+    """A point bound is given to a `Geometry` or a `KnowledgeBase`, which
+    hands it to its geometry; every other public callable reads it from
+    one of them.  Classes are checked through `__init__`."""
+    takers = set()
+    for name in kbgeo.__all__:
+        obj = getattr(kbgeo, name)
+        if callable(obj):
+            try:
+                params = inspect.signature(obj.__init__ if inspect.isclass(obj) else obj).parameters
+            except ValueError:  # a builtin __init__ without a signature
+                continue
+            if "max_points" in params:
+                takers.add(name)
+    assert takers == {"Geometry", "KnowledgeBase"}

@@ -14,6 +14,7 @@ from kbgeo import (
     KnowledgeBase,
     MismatchError,
     Model,
+    Point,
     PointSet,
     Signature,
     SignatureError,
@@ -26,10 +27,12 @@ from kbgeo import (
     filter_preimage,
     formula_to_text,
     generate_definable_algebra,
+    holds_at,
     lattice_profile,
     least_desc_morphism,
     parse_formula,
     parse_term,
+    points_satisfying_all,
     satisfying_points,
 )
 from kbgeo import lattice
@@ -426,12 +429,15 @@ def test_listings_past_sixty_two_atoms_raise_the_bound_not_an_overflow():
 
 
 @pytest.mark.parametrize("build", [generate_definable_algebra, build_filter_lattice,
-                                   satisfying_points], ids=lambda fn: fn.__name__)
+                                   satisfying_points, holds_at, points_satisfying_all],
+                         ids=lambda fn: fn.__name__)
 def test_the_geometry_is_the_only_point_bound(build):
     m = model_p()
     three = canonical_varset(3)
     first = parse_formula("P(x1)", FormulaContext(m.sig, three))
-    args = (first, m, three) if build is satisfying_points else (m, three, None)
+    args = {satisfying_points: (first, m, three),
+            holds_at: (Point(three, (1, 0, 0)), first, m),
+            points_satisfying_all: ([first], m, three)}.get(build, (m, three, None))
     with pytest.raises(TypeError):
         build(*args, max_points=4)
     with pytest.raises(TypeError):

@@ -224,7 +224,7 @@ def test_geometry_transport_matches_pointwise_oracle(name, model):
 def test_transport_honours_the_space_bound():
     m = model_p()
     one, two = canonical_varset(1), canonical_varset(2)
-    narrow = enumerate_points(m, one, max_points=2)
+    narrow = Geometry(m, 2).space(one)
     up = Substitution.of(one, two, {"x1": parse_term("x2", m.sig, two)})
     with pytest.raises(BoundError):
         subst_preimage_points(up, PointSet.full(narrow))
@@ -256,7 +256,7 @@ def test_value_columns_match_pointwise_evaluation(name, model):
         varset = canonical_varset(n)
         space, rows = g.space(varset), brute_rows(model, n)
         envs = [dict(zip(varset.names, row)) for row in rows]
-        assert ({f.values for f in term_functions(model, varset, 2).functions}
+        assert ({f.values for f in term_functions(space, 2).functions}
                 == brute_term_functions(model, n, 2))
         for atom in atomic_formulas(model.sig, varset, 2):
             if isinstance(atom, Atom):
