@@ -21,6 +21,12 @@ keyed by those objects.  Its two sweeps, `check_duality` and
 `verify_push_functoriality`, share spaces, substitutions and tables across
 every substitution they visit, and an equivalence decision builds one
 knowledge base per model and runs its whole witness search over the pair.
+Every composable pair of these loops, and of the description functor's,
+finds its composite's table through `KnowledgeBase.composite_table`, by the
+composite's variable sets and interned images, each image term composed
+once per second substitution; the table itself is still built from the
+composite substitution's own terms, never from its factors' tables, so a
+composite check compares two independent computations.
 
 The sweeps and the witness check run on lattice atoms.  Every map they
 compare preserves unions (pullbacks, closures of images and their
@@ -41,6 +47,7 @@ their morphisms are.  A report's `checked` counts the checks a sweep makes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -50,6 +57,7 @@ from .core import (
     MismatchError,
     Model,
     Substitution,
+    Term,
     canonical_varset,
     compose_subst,
     enumerate_substitutions,
@@ -451,6 +459,51 @@ class KnowledgeBase:
             self._generators[depth] = gens
         return self._generators[depth]
 
+    @functools.cached_property
+    def _composite_memos(self) -> tuple[_Memo, _Memo, dict[tuple, _Table]]:
+        """`composite_table`'s memos, made on its first call: each
+        substitution's images as ids of interned terms, per second
+        substitution the id of each term after it, and each composite's table
+        by its variable sets and image ids.  They do not refer back to the
+        knowledge base, which stays acyclic."""
+        terms: list[Term] = []
+        term_ids: dict[Term, int] = {}
+
+        def intern(term: Term) -> int:
+            i = term_ids.get(term)
+            if i is None:
+                i = term_ids[term] = len(terms)
+                terms.append(term)
+            return i
+
+        return (_Memo(lambda s: tuple(map(intern, s.images))),
+                _Memo(lambda s: _Memo(lambda i: intern(s.apply_to_term(terms[i])))),
+                {})
+
+    def composite_table(self, first: Substitution, second: Substitution) -> _Table:
+        """The pullback table of `first` then `second`, which must compose.
+
+        The composite is found by its variable sets and the ids of its
+        interned images, each the image of one interned term after `second`,
+        computed once per term and `second`; so a pair whose images have met
+        `second` builds no term and hashes no composite.  A composite's first
+        lookup fetches its table from the geometry, which builds it from the
+        composite substitution itself, never from its factors' tables.  The
+        memos hold every term and substitution they are keyed by, and live as
+        long as the knowledge base, as its tables do.
+        """
+        if first.target is not second.source and first.target != second.source:
+            raise MismatchError(
+                f"cannot compose: first targets {first.target}, second starts at {second.source}")
+        image_ids, after, composites = self._composite_memos
+        key = (first.source.names, second.target.names,
+               tuple(map(after[second].__getitem__, image_ids[first])))
+        table = composites.get(key)
+        if table is None:
+            table = composites[key] = self.geometry.table(
+                Substitution._composite(first, second))
+        return table
+
     @property
     def saturated(self) -> bool:
         """Whether every lattice is complete; builds every object."""
@@ -503,7 +556,7 @@ class KnowledgeBase:
 
         # Each composite's table is fetched once per pair, and both sides of
         # the check, and the composite's least dual, are keyed by it.
-        table = self.geometry.table
+        composite_table = self.composite_table
         least_duals = _Memo(lambda t: ContMorphism._least(
             objs[len(t.key.target)]._content, objs[len(t.key.source)]._content, t.key,
             True).images)
@@ -511,7 +564,7 @@ class KnowledgeBase:
             members_a, members_c = objs[a].algebra.index, objs[c].algebra.index
             for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
                 for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
-                    composite = table(Substitution._composite(m1.subst, m2.subst))
+                    composite = composite_table(m1.subst, m2.subst)
                     second, first = m2.assignment, d1.assignment
                     _check_pairs({k: second[v] for k, v in m1.images.items()},
                                  composite, members_c, True)
@@ -559,7 +612,7 @@ class KnowledgeBase:
         triples = 0
         undefinable: set[Substitution] = set()
         sizes = range(1, n_max + 1)
-        composite = Substitution._composite
+        composite_table = self.composite_table
         for a, b, c in itertools.product(sizes, repeat=3):
             algebra_a = self.description(a).lattice.algebra
             algebra_b = self.description(b).lattice.algebra
@@ -568,7 +621,7 @@ class KnowledgeBase:
             for s1 in self.substitutions(a, b, depth):
                 table1 = table(s1)
                 for table2 in tables2:
-                    block = (table1, table2, table(composite(s1, table2.key)),
+                    block = (table1, table2, composite_table(s1, table2.key),
                              algebra_b, algebra_c)
                     probe: list[str] = []
                     _push_block(algebra_a.block_masks(), *block, probe, set())

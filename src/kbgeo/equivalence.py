@@ -684,14 +684,14 @@ def build_description_iso(iso: FunctorIso) -> Report:
         checked += 1
         transport(DescMorphism._identity(objs1[n], atoms), ends1, conjugates1)
 
-    composite = Substitution._composite
+    composite_table = iso.kb1.composite_table
     for a, b, c in itertools.product(sizes, repeat=3):
         alpha_a, alpha_c = iso.alphas[a], iso.alphas[c]
         members1, members2 = objs1[c].algebra.index, objs2[c].algebra.index
         for m1 in admissible[(a, b)]:
             for m2 in admissible[(b, c)]:
                 checked += 1
-                table = geometry1.table(composite(m1.subst, m2.subst))
+                table = composite_table(m1.subst, m2.subst)
                 left = {k: m2.assignment[v] for k, v in m1.images.items()}
                 _check_pairs(left, table, members1, True)
                 image = {alpha_a[k]: alpha_c[v] for k, v in left.items()}

@@ -1,5 +1,7 @@
 """Description and content categories, their duality, and pushforwards."""
 
+import itertools
+
 import pytest
 
 from kbgeo import (
@@ -13,6 +15,7 @@ from kbgeo import (
     MismatchError,
     Report,
     Substitution,
+    VarSet,
     build_filter_lattice,
     canonical_varset,
     check_duality,
@@ -37,6 +40,7 @@ from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
 from helpers import (
     all_fixtures,
+    constant_models,
     memberwise_check_duality,
     memberwise_push_functoriality,
     model_eq,
@@ -281,6 +285,54 @@ def test_equal_substitutions_share_one_table():
     assert geometry.table(again) is table and table.key is first
     assert geometry.preimage(again, 0b01) == geometry.preimage(first, 0b01)
     assert len(geometry._tables) == 1
+
+
+# The unary op at depth 2, and the binary op with a constant at depth 1:
+# their images nest once more in a composite.
+COMPOSITE_MODELS = {"m_neg": model_neg, "cg2": lambda: dict(constant_models())["cg2"]}
+COMPOSITE_CASES = [("m_neg", 2), ("cg2", 1)]
+
+
+@pytest.mark.parametrize("name,depth", COMPOSITE_CASES)
+def test_a_composite_table_is_the_composite_substitutions_own(name, depth):
+    """For every composable pair of bounded substitutions, the knowledge
+    base's composite table is the geometry's table of the checked composite,
+    keyed by an equal substitution; fresh equal factors find the same table,
+    a factor over other variables finds its own, and factors that do not
+    compose are refused."""
+    kb = KnowledgeBase(COMPOSITE_MODELS[name](), 2)
+    sizes = (1, 2)
+    pairs = 0
+    for a, b, c in itertools.product(sizes, repeat=3):
+        for s1 in kb.substitutions(a, b, depth):
+            for s2 in kb.substitutions(b, c, depth):
+                composite = compose_subst(s1, s2)
+                table = kb.composite_table(s1, s2)
+                assert table is kb.geometry.table(composite)
+                assert str(table.key) == str(composite)
+                pairs += 1
+    assert pairs == sum(len(kb.substitutions(a, b, depth)) * len(kb.substitutions(b, c, depth))
+                        for a, b, c in itertools.product(sizes, repeat=3))
+    s1, s2 = kb.substitutions(2, 1, depth)[-1], kb.substitutions(1, 2, depth)[-1]
+    fresh1 = Substitution(s1.source, s1.target, s1.images)
+    fresh2 = Substitution(s2.source, s2.target, s2.images)
+    assert kb.composite_table(fresh1, fresh2) is kb.composite_table(s1, s2)
+    renamed = Substitution(VarSet.of("y1", "y2"), s1.target, s1.images)
+    assert kb.composite_table(renamed, s2) is kb.geometry.table(compose_subst(renamed, s2))
+    with pytest.raises(MismatchError):
+        kb.composite_table(s1, s1)
+
+
+@pytest.mark.parametrize("name,depth", COMPOSITE_CASES)
+def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
+    """Both sweeps at two depths, alternated on one knowledge base, report
+    what each reports on a fresh one: no composite memo answers for another
+    size or depth."""
+    make = COMPOSITE_MODELS[name]
+    kb = KnowledgeBase(make(), 2)
+    duality, push = KnowledgeBase.check_duality, KnowledgeBase.verify_push_functoriality
+    for sweep, d in ((duality, depth), (push, depth - 1), (duality, depth - 1), (push, depth)):
+        assert sweep(kb, d).render() == sweep(KnowledgeBase(make(), 2), d).render()
 
 
 def held_or_error(source, target, subst):
