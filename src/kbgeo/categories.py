@@ -14,13 +14,15 @@ Every pointwise preimage and image along a substitution is read from the
 substitution's pullback table in the `Geometry` of the spaces involved,
 which builds each table once; a loop that moves several masks along one
 substitution fetches its table once and holds it.  A `KnowledgeBase` is one
-model's context: one geometry, whose point bound is the only bound on its
-transport, each object built once, and each bounded substitution set
-enumerated once (`KnowledgeBase.substitutions`), so that the tables are
-keyed by those objects.  Its two sweeps, `check_duality` and
-`verify_push_functoriality`, share spaces, substitutions and tables across
-every substitution they visit, and an equivalence decision builds one
-knowledge base per model and runs its whole witness search over the pair.
+model's context: it holds the bounds n_max and depth, which fix its objects
+and its morphisms' substitutions, and one geometry, whose point bound is
+the only bound on its transport; each object is built once, and each
+bounded substitution set enumerated once (`KnowledgeBase.substitutions`),
+so that the tables are keyed by those objects.  Its two sweeps,
+`check_duality` and `verify_push_functoriality`, share spaces,
+substitutions and tables across every substitution they visit, and an
+equivalence decision builds one knowledge base per model and runs its
+whole witness search over the pair.
 Every composable pair of these loops, and of the description functor's,
 finds its composite's table through `KnowledgeBase.composite_table`, by the
 composite's variable sets and interned images, each image term composed
@@ -382,28 +384,32 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
 class KnowledgeBase:
     """A model with its description and content objects for sizes 1..n_max.
 
-    It holds the model's bounds: n_max, the term-depth cap, and its
-    geometry, which holds the point bound.  The module-level sweeps and
-    deciders build theirs under the default point bound.  Objects are built
-    over the canonical variable sets of the geometry and cached, and so are
-    the masks of atomic formulas.  An object's content dual is built on its
-    own algebra, so filters and definable sets are in mask-for-mask
-    bijection by construction.
+    It holds the model's bounds: n_max, the substitution depth, the
+    term-depth cap, and its geometry, which holds the point bound.  Its
+    morphisms run along the substitutions between sizes 1..n_max whose
+    images have depth up to the depth (`substitutions`), and every sweep
+    and witness check over it reads that set, or its generators
+    (`naturality`), from it.  The module-level sweeps and deciders build
+    theirs under the default point bound.  Objects are built over the
+    canonical variable sets of the geometry and cached, and so are the masks
+    of atomic formulas.  An object's content dual is built on its own
+    algebra, so filters and definable sets are in mask-for-mask bijection by
+    construction.
     """
 
-    def __init__(self, model: Model, n_max: int,
+    def __init__(self, model: Model, n_max: int, depth: int,
                  max_term_depth: Optional[int] = None,
                  max_points: int = DEFAULT_MAX_POINTS):
         if n_max < 1:
             raise MismatchError("n_max must be at least 1")
         self.model = model
         self.n_max = n_max
+        self.depth = depth
         self.max_term_depth = max_term_depth
         self.geometry = Geometry(model, max_points)
         self._descriptions: dict[int, DescriptionObject] = {}
         self._atom_masks: dict[tuple[int, Formula], int] = {}
-        self._substitutions: dict[tuple[int, int, int], tuple[Substitution, ...]] = {}
-        self._generators: dict[int, Optional[tuple[Substitution, ...]]] = {}
+        self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
 
     def description(self, n: int) -> DescriptionObject:
         if not 1 <= n <= self.n_max:
@@ -427,37 +433,52 @@ class KnowledgeBase:
                 atom, self.model, canonical_varset(n), geometry=self.geometry).mask
         return mask
 
-    def substitutions(self, a: int, b: int, depth: int) -> tuple[Substitution, ...]:
+    def substitutions(self, a: int, b: int) -> tuple[Substitution, ...]:
         """The substitutions from the canonical variable set of size a to that
-        of size b with images of depth up to depth, in `enumerate_substitutions`
-        order, enumerated once.  The sweeps and searches look up pullback
-        tables with these objects, so the tables are keyed by them."""
-        key = (a, b, depth)
-        subs = self._substitutions.get(key)
+        of size b with images of depth up to the depth, in
+        `enumerate_substitutions` order, enumerated once.  The sweeps and
+        searches look up pullback tables with these objects, so the tables
+        are keyed by them."""
+        subs = self._substitutions.get((a, b))
         if subs is None:
-            subs = self._substitutions[key] = tuple(enumerate_substitutions(
-                self.model.sig, canonical_varset(a), canonical_varset(b), depth))
+            subs = self._substitutions[(a, b)] = tuple(enumerate_substitutions(
+                self.model.sig, canonical_varset(a), canonical_varset(b), self.depth))
         return subs
 
-    def generators(self, depth: int) -> Optional[tuple[Substitution, ...]]:
+    @functools.cached_property
+    def generators(self) -> Optional[tuple[Substitution, ...]]:
         """`substitution_generators` over sizes 1..n_max within the depth,
         when the pullback of every atom along every generator is a member;
-        otherwise, or when an op has arity 2 or more, None.  Checked once per
-        depth.  Given the generators, every bounded pullback of a member is a
+        otherwise, or when an op has arity 2 or more, None.  Checked on
+        first use."""
+        if any(arity > 1 for _, arity in self.model.sig.ops):
+            return None
+        gens = tuple(substitution_generators(self.model.sig, self.n_max, self.depth))
+        algebras = {n: self.description(n).algebra for n in range(1, self.n_max + 1)}
+        table = self.geometry.table
+        if all(table(g).preimage(atom) in algebras[len(g.target)].index
+               for g in gens for atom in algebras[len(g.source)].block_masks()):
+            return gens
+        return None
+
+    def naturality(self, a: int, b: int) -> tuple[Substitution, ...]:
+        """The substitutions from size a to size b that a witness's squares
+        and pullbacks are checked on: the generators between the two sizes,
+        in `generators` order, when there are generators, and otherwise
+        every bounded substitution, in `substitutions` order.
+
+        Given the generators, every bounded pullback of a member is a
         member, since pre_(s;t) = pre_t . pre_s and pullbacks preserve
-        unions; so a search or transport reads this instead of walking the
-        bounded sets."""
-        if depth not in self._generators:
-            gens = None
-            if all(arity <= 1 for _, arity in self.model.sig.ops):
-                gens = tuple(substitution_generators(self.model.sig, self.n_max, depth))
-                algebras = {n: self.description(n).algebra for n in range(1, self.n_max + 1)}
-                table = self.geometry.table
-                if not all(table(g).preimage(atom) in algebras[len(g.target)].index
-                           for g in gens for atom in algebras[len(g.source)].block_masks()):
-                    gens = None
-            self._generators[depth] = gens
-        return self._generators[depth]
+        unions, and the squares at the generators imply every bounded square
+        (`equivalence`'s module docstring, "Generators").  Otherwise, with an
+        op of arity 2 or more, whose images need one more variable to
+        factor, or with an undefinable generator pullback, the checks walk
+        the bounded set in order, so the first undefinable pullback they meet
+        is the first in that order."""
+        gens = self.generators
+        if gens is None:
+            return self.substitutions(a, b)
+        return tuple(g for g in gens if len(g.source) == a and len(g.target) == b)
 
     @functools.cached_property
     def _composite_memos(self) -> tuple[_Memo, _Memo, dict[tuple, _Table]]:
@@ -509,7 +530,7 @@ class KnowledgeBase:
         """Whether every lattice is complete; builds every object."""
         return all([self.description(n).lattice.saturated for n in range(1, self.n_max + 1)])
 
-    def check_duality(self, depth: int = 1) -> Report:
+    def check_duality(self) -> Report:
         """The sweep of the module-level `check_duality` over these objects.
 
         It checks no object, since each is dual to its content object by
@@ -538,7 +559,7 @@ class KnowledgeBase:
             for b in range(1, n_max + 1):
                 pairs = morphisms[(a, b)] = []
                 dual_pairs = duals[(a, b)] = []
-                for subst in self.substitutions(a, b, depth):
+                for subst in self.substitutions(a, b):
                     checked += 1
                     try:
                         morphism = DescMorphism._least(objs[a], objs[b], subst, True)
@@ -579,11 +600,11 @@ class KnowledgeBase:
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
             ("sizes", " ".join(str(obj.algebra.size) for obj in objs.values())),
-            ("morphism family", f"least assignments for substitutions of depth <= {depth}"),
+            ("morphism family", f"least assignments for substitutions of depth <= {self.depth}"),
         )
         return Report("duality", entries, checked, tuple(failures))
 
-    def verify_push_functoriality(self, depth: int) -> Report:
+    def verify_push_functoriality(self) -> Report:
         """The sweep of the module-level `verify_push_functoriality` over these
         objects.
 
@@ -617,8 +638,8 @@ class KnowledgeBase:
             algebra_a = self.description(a).lattice.algebra
             algebra_b = self.description(b).lattice.algebra
             algebra_c = self.description(c).lattice.algebra
-            tables2 = [table(s2) for s2 in self.substitutions(b, c, depth)]
-            for s1 in self.substitutions(a, b, depth):
+            tables2 = [table(s2) for s2 in self.substitutions(b, c)]
+            for s1 in self.substitutions(a, b):
                 table1 = table(s1)
                 for table2 in tables2:
                     block = (table1, table2, composite_table(s1, table2.key),
@@ -632,7 +653,7 @@ class KnowledgeBase:
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
-            ("substitution depth", str(depth)),
+            ("substitution depth", str(self.depth)),
             ("triples", str(triples)),
         )
         return Report("push functoriality", entries, checked, tuple(failures))
@@ -690,7 +711,7 @@ def check_duality(model: Model, n_max: int, depth: int = 1,
     not definable has no least morphism; it is reported as a failure with
     that dual.
     """
-    return KnowledgeBase(model, n_max, max_term_depth).check_duality(depth)
+    return KnowledgeBase(model, n_max, depth, max_term_depth).check_duality()
 
 
 def verify_push_functoriality(model: Model, depth: int, n_max: int,
@@ -703,4 +724,4 @@ def verify_push_functoriality(model: Model, depth: int, n_max: int,
     definable pullback is reported once, as a failure naming the first such
     dual.
     """
-    return KnowledgeBase(model, n_max, max_term_depth).verify_push_functoriality(depth)
+    return KnowledgeBase(model, n_max, depth, max_term_depth).verify_push_functoriality()

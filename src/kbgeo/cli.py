@@ -406,8 +406,8 @@ def _apply_config(args, config: RunConfig) -> RunConfig:
 def _knowledge_base(path: str, config: RunConfig) -> KnowledgeBase:
     """The model at `path` in a knowledge base under the run's bounds; every
     command reads its bounds from it."""
-    return KnowledgeBase(load_model(path), config.n_max, config.max_term_depth,
-                         config.max_points)
+    return KnowledgeBase(load_model(path), config.n_max, config.depth,
+                         config.max_term_depth, config.max_points)
 
 
 def _run_eval(args, config: RunConfig) -> tuple[int, str]:
@@ -461,12 +461,12 @@ def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
 
 
 def _run_duality(args, config: RunConfig) -> tuple[int, str]:
-    report = _knowledge_base(args.model, config).check_duality(args.depth)
+    report = _knowledge_base(args.model, config).check_duality()
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
 
 
 def _run_functor(args, config: RunConfig) -> tuple[int, str]:
-    report = _knowledge_base(args.model, config).verify_push_functoriality(config.depth)
+    report = _knowledge_base(args.model, config).verify_push_functoriality()
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
 
 
@@ -481,8 +481,7 @@ def _run_equiv(args, config: RunConfig) -> tuple[int, str]:
     if args.phi is not None:
         phis = [parse_phi_spec(args.phi, kb1.model.sig, config.n_max)]
     mode = "automorphic" if args.mode == "lae" else "informational"
-    report = decide_equivalence(kb1, kb2, config.depth, phis, mode=mode,
-                                use_model_iso=mode == "informational" and phis is None)
+    report = decide_equivalence(kb1, kb2, phis, mode=mode)
     return report.exit_code, write_report(report, config.fmt)
 
 

@@ -472,12 +472,6 @@ class Model:
         except KeyError:
             raise ModelError(f"element {element!r} not in carrier") from None
 
-    def op_table(self, name: str) -> dict:
-        return self.op_tables[name]
-
-    def rel_table(self, name: str) -> frozenset:
-        return self.rel_tables[name]
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True

@@ -17,16 +17,18 @@ phi with a renaming has a witness exactly when its relation part has one
 it is.
 
 A decision (`decide_equivalence`) runs over one `KnowledgeBase` per
-model, which holds its bounds, so each lattice is built once; it passes
-the pair to `find_functor_iso` (once per candidate automorphism) or
-`transport_model_iso`.  Each alpha is the lattice layer's
-`UnionMap` of its atom images, which reads a member's image on lookup: a
-candidate sends the atoms along a block bijection, and a carrier map
-relabels the points of each atom.  So a decision lists no member.  The
-search checks the naturality squares on atoms; the carrier witness's
-squares hold by the isomorphism, and its transport checks only that the
-first model's pullbacks are members (`transport_model_iso` gives the
-proof).
+model, which holds its bounds, n_max and the substitution depth among
+them, so each lattice is built once; it passes the pair to
+`find_functor_iso` (once per candidate automorphism) or
+`transport_model_iso`, which read their bounds from it.  The two
+knowledge bases must have equal signatures, n_max and depth.  Each alpha
+is the lattice layer's `UnionMap` of its atom images, which reads a
+member's image on lookup: a candidate sends the atoms along a block
+bijection, and a carrier map relabels the points of each atom.  So a
+decision lists no member.  The search checks the naturality squares on
+atoms; the carrier witness's squares hold by the isomorphism, and its
+transport checks only that the first model's pullbacks are members
+(`transport_model_iso` gives the proof).
 
 Generators.  Neither search visits every bounded substitution when it need
 not.  Squares compose: pre_(s;t) = pre_t . pre_s in each model, and every
@@ -37,14 +39,13 @@ do.  When every op has arity at most 1, every bounded s: X_a -> X_b is a
 composite of `substitution_generators` among sizes up to max(a, b), and
 each generator is bounded.  So when the first model's pullback of every
 atom along every generator is a member (`KnowledgeBase.generators`,
-checked once per depth for every phi and the transport), no bounded
-pullback is undefinable: `find_functor_iso` checks the generator squares
-alone and accepts exactly the candidates the full loops accept, and
-`transport_model_iso` has nothing left to check.  Otherwise, or with an op
-of arity 2 or more, whose images need one more variable to factor, both
-walk every bounded substitution in order, so an undefinable pullback note
-names the first one that walk meets.  The sweeps `check_duality` and
-`verify_push_functoriality` still visit every bounded substitution.
+checked once per knowledge base for every phi and the transport), no
+bounded pullback is undefinable: `find_functor_iso` checks the generator
+squares alone and accepts exactly the candidates the full loops accept,
+and `transport_model_iso` finds nothing left to fail.  Both read the
+substitutions they check from `KnowledgeBase.naturality`, which makes
+this choice.  The sweeps `check_duality` and `verify_push_functoriality`
+still visit every bounded substitution.
 
 The squares are the functor.  A witness from either search is reported as
 it is: every check of `build_description_iso` then holds, by the proof
@@ -289,11 +290,11 @@ class FunctorIso:
 
     ``alphas[n]`` maps dual masks of the first knowledge base's lattice over
     x1..xn to dual masks of the second's, a `UnionMap` when found or
-    transported.  The bounds record how far the conditions were checked.
+    transported.  The first knowledge base's bounds record how far the
+    conditions were checked.
     """
 
     phi: FormulaAutomorphism
-    depth: int
     alphas: dict[int, Mapping[int, int]]
     kb1: KnowledgeBase
     kb2: KnowledgeBase
@@ -301,6 +302,10 @@ class FunctorIso:
     @property
     def n_max(self) -> int:
         return self.kb1.n_max
+
+    @property
+    def depth(self) -> int:
+        return self.kb1.depth
 
     def inverse_alphas(self) -> dict[int, Mapping[int, int]]:
         """Each alpha's inverse.  An alpha must be injective on members: a
@@ -329,15 +334,26 @@ class FunctorIso:
         return replace(self, alphas={n: dict(alpha.items()) for n, alpha in self.alphas.items()})
 
 
+def _check_bounds(kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
+    """Raise unless the two knowledge bases have one signature, n_max and
+    depth."""
+    if kb1.model.sig != kb2.model.sig:
+        raise MismatchError("models have different signatures")
+    if kb1.n_max != kb2.n_max:
+        raise MismatchError("knowledge bases have different n_max")
+    if kb1.depth != kb2.depth:
+        raise MismatchError("knowledge bases have different depths")
+
+
 def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
-                      n: int, depth: int) -> Optional[list[tuple[int, int]]]:
+                      n: int) -> Optional[list[tuple[int, int]]]:
     """Pairs (mask over kb1's model, required image mask over kb2's) forced by
-    the automorphism's action on atomic formulas, or None when they already
-    clash.
+    the automorphism's action on atomic formulas within the depth, or None
+    when they already clash.
     """
     forward: dict[int, int] = {}
     backward: dict[int, int] = {}
-    for atom in atomic_formulas(kb1.model.sig, canonical_varset(n), depth):
+    for atom in atomic_formulas(kb1.model.sig, canonical_varset(n), kb1.depth):
         mask1 = kb1.atom_mask(atom, n)
         mask2 = kb2.atom_mask(phi.map_formula(atom, n), n)
         if forward.get(mask1, mask2) != mask2 or backward.get(mask2, mask1) != mask1:
@@ -374,13 +390,11 @@ def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
 
 
 def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorphism,
-                     kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
-                     source_n: int, target_n: int,
-                     substs: Optional[Iterable[Substitution]] = None) -> bool:
-    """Check the naturality squares for all bounded substitutions between two
-    assigned sizes, or for `substs` among them when given: pushing then
-    transporting equals transporting then pushing along the mapped
-    substitution.
+                     kb1: KnowledgeBase, kb2: KnowledgeBase,
+                     source_n: int, target_n: int) -> bool:
+    """Check the naturality squares along `kb1.naturality` between two
+    assigned sizes: pushing then transporting equals transporting then
+    pushing along the mapped substitution.
 
     The squares are checked on the atoms of the source lattice, ascending.
     The one caller, `find_functor_iso`, passes block bijections, which
@@ -392,16 +406,13 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     a square fails (False).  That member has an atom where one of the two
     happens, and the atom, a submask, is no larger; so the first such member
     is an atom, the first such atom, and the atom loop stops there in the
-    same way, with the same error text.  `find_functor_iso` passes the
-    generators between the two sizes (`KnowledgeBase.generators`) when it
-    has them; their pullbacks are members, so nothing raises.
+    same way, with the same error text.  Along generators the pullbacks
+    are members, so nothing raises.
     """
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
     atoms = kb1.description(source_n).lattice.algebra.block_masks()
-    if substs is None:
-        substs = kb1.substitutions(source_n, target_n, depth)
-    for subst in substs:
+    for subst in kb1.naturality(source_n, target_n):
         table1, table2 = kb1.geometry.table(subst), kb2.geometry.table(phi.map_subst(subst))
         for mask in atoms:
             push1 = table1.preimage(mask)
@@ -412,8 +423,8 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     return True
 
 
-def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
-                     depth: int = 2) -> Optional[FunctorIso]:
+def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
+                     phi: FormulaAutomorphism) -> Optional[FunctorIso]:
     """Search for lattice bijections realizing the automorphism, or None.
 
     Candidates for each size are block bijections pinned down by the
@@ -422,19 +433,13 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
     commutes for every substitution within the depth bound.  Partial lattices
     never certify: the search requires saturated generation.
 
-    When the first model has its generators (`KnowledgeBase.generators`),
-    step n checks only the generator squares between n and the sizes up to
-    it.  Given the sizes below n, a candidate passes them exactly when it
-    passes every bounded square between sizes up to n (module docstring,
-    "Generators"), so the search accepts the same candidates in the same
-    order.  Otherwise, with an undefinable generator pullback or an op of
-    arity 2 or more, the squares run over every bounded substitution, and
-    the first undefinable pullback in that order raises.
+    Step n checks the squares along `KnowledgeBase.naturality` between n
+    and the sizes up to it.  On generators, given the sizes below n, a
+    candidate passes them exactly when it passes every bounded square
+    between sizes up to n (module docstring, "Generators"), so the search
+    accepts the same candidates in the same order as over the bounded sets.
     """
-    if kb1.model.sig != kb2.model.sig:
-        raise MismatchError("models have different signatures")
-    if kb1.n_max != kb2.n_max:
-        raise MismatchError("knowledge bases have different n_max")
+    _check_bounds(kb1, kb2)
     n_max = kb1.n_max
     if not (kb1.saturated and kb2.saturated):
         return None
@@ -443,7 +448,7 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
         if kb1.description(n).algebra.size != kb2.description(n).algebra.size:
             return None
         lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
-        constraints = _atom_constraints(kb1, kb2, phi, n, depth)
+        constraints = _atom_constraints(kb1, kb2, phi, n)
         if constraints is None:
             return None
         candidates = list(_candidate_alphas(lat1, lat2, constraints))
@@ -451,13 +456,10 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
             return None
         candidate_lists.append(candidates)
 
-    gens = kb1.generators(depth)
     alphas: dict[int, UnionMap] = {}
 
     def commute(a: int, b: int) -> bool:
-        substs = None if gens is None else [
-            g for g in gens if (len(g.source), len(g.target)) == (a, b)]
-        return _squares_commute(alphas, phi, kb1, kb2, depth, a, b, substs)
+        return _squares_commute(alphas, phi, kb1, kb2, a, b)
 
     def assign(n: int) -> bool:
         if n > n_max:
@@ -472,11 +474,10 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomor
 
     if not assign(1):
         return None
-    return FunctorIso(phi, depth, dict(alphas), kb1, kb2)
+    return FunctorIso(phi, dict(alphas), kb1, kb2)
 
 
-def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
-                        depth: int = 2) -> FunctorIso:
+def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) -> FunctorIso:
     """Turn a carrier isomorphism between the two knowledge bases' models into
     the induced lattice-family bijection, with the identity automorphism.
 
@@ -484,16 +485,13 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     the union of its points' images; the alpha, a `UnionMap`, sends each
     member to the union of its atoms' images.  The one check left is the
     first model's pullbacks: for every a, b <= n_max, every s: X_a -> X_b
-    within the depth and every atom k over X_a, in that order, pre1_s(k)
-    must be a member, and the first one that is not raises
+    of `KnowledgeBase.naturality` and every atom k over X_a, in that order,
+    pre1_s(k) must be a member, and the first one that is not raises
     `UndefinablePullbackError`, as the squares of `find_functor_iso` do.
-    When the first model has its generators (`KnowledgeBase.generators`),
-    every generator pullback of an atom is a member, so every bounded one
-    is (module docstring), and the walk is skipped; otherwise, with an op of
-    arity 2 or more or an undefinable generator pullback, it runs in that
-    order.
-    The two knowledge bases must have equal n_max and equal term depth caps.
-    Of the second, only its point spaces are read.
+    Along generators every pullback of an atom is a member, so every
+    bounded one is (module docstring), and the walk cannot raise.
+    The two knowledge bases must have equal bounds and equal term depth
+    caps.  Of the second, only its point spaces are read.
 
     Proof that the rest holds.  Write h for the carrier map and H_n for the
     relabelling of points over X_n, so H_n(mu) = h . mu.  Since h is an
@@ -511,8 +509,7 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
     suffices, since pullbacks preserve unions."""
     if mmap.source != kb1.model or mmap.target != kb2.model:
         raise MismatchError("the carrier map does not run between the knowledge bases' models")
-    if kb1.n_max != kb2.n_max:
-        raise MismatchError("knowledge bases have different n_max")
+    _check_bounds(kb1, kb2)
     if kb1.max_term_depth != kb2.max_term_depth:
         raise MismatchError("knowledge bases have different term depth caps")
     sizes = range(1, kb1.n_max + 1)
@@ -522,23 +519,21 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase,
         index_of = kb2.geometry.space(canonical_varset(n)).index_of
         bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
         alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
-    if kb1.generators(depth) is None:
-        for a, b in itertools.product(sizes, repeat=2):
-            atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
-            for subst in kb1.substitutions(a, b, depth):
-                table = kb1.geometry.table(subst)
-                for atom in atoms:
-                    _pullback(table, atom, target)
-    return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), depth, alphas, kb1, kb2)
+    for a, b in itertools.product(sizes, repeat=2):
+        atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
+        for subst in kb1.naturality(a, b):
+            table = kb1.geometry.table(subst)
+            for atom in atoms:
+                _pullback(table, atom, target)
+    return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), alphas, kb1, kb2)
 
 
-def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
-                                  depth: Optional[int] = None) -> Report:
+def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None) -> Report:
     """Exhaustively confirm that a filter pair is admissible along a
     substitution exactly when its transported pair is admissible along the
-    mapped substitution."""
+    mapped substitution, for every bounded substitution of the witness's
+    depth between sizes up to n_max, by default the witness's."""
     n_max = iso.n_max if n_max is None else n_max
-    depth = iso.depth if depth is None else depth
     if n_max < 1:
         raise MismatchError("n_max must be at least 1")
     if n_max > iso.n_max:
@@ -550,7 +545,7 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
         for b in range(1, n_max + 1):
             masks_a = iso.kb1.description(a).lattice.algebra.masks
             masks_b = iso.kb1.description(b).lattice.algebra.masks
-            for subst in iso.kb1.substitutions(a, b, depth):
+            for subst in iso.kb1.substitutions(a, b):
                 table1 = geometry1.table(subst)
                 table2 = geometry2.table(iso.phi.map_subst(subst))
                 for t1 in masks_a:
@@ -566,7 +561,7 @@ def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None,
                                 f"{t1:#x}, {t2:#x}: {before} vs {after}")
     entries = (
         ("object", f"canonical variable sets of sizes 1..{n_max}"),
-        ("substitution depth", str(depth)),
+        ("substitution depth", str(iso.depth)),
         ("phi", iso.phi.describe()),
     )
     return Report("admissibility transfer", entries, checked, tuple(failures))
@@ -670,7 +665,7 @@ def build_description_iso(iso: FunctorIso) -> Report:
     family2: list[DescMorphism] = []
     for a, b in itertools.product(sizes, repeat=2):
         lst = admissible[(a, b)] = []
-        for subst in iso.kb1.substitutions(a, b, iso.depth):
+        for subst in iso.kb1.substitutions(a, b):
             m1 = DescMorphism._least(objs1[a], objs1[b], subst, atoms)
             checked += 1
             try:
@@ -748,10 +743,6 @@ def check_isomorphic(model1: Model, model2: Model) -> EquivReport:
     return EquivReport(VERDICT_INEQUIVALENT, "isomorphism", (), None, refutation, ())
 
 
-def _bounds(n_max: int, depth: int) -> tuple[tuple[str, str], ...]:
-    return (("n_max", str(n_max)), ("depth", str(depth)))
-
-
 def _invariant_refutation(kb1: KnowledgeBase,
                           kb2: KnowledgeBase) -> Optional[tuple[tuple[str, str], ...]]:
     for n in range(1, kb1.n_max + 1):
@@ -768,33 +759,29 @@ def _invariant_refutation(kb1: KnowledgeBase,
     return None
 
 
-def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
+def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase,
                        phis: Optional[list[FormulaAutomorphism]] = None, *,
-                       mode: str = "informational",
-                       use_model_iso: bool = True) -> EquivReport:
+                       mode: str = "informational") -> EquivReport:
     """The bounded pipeline over two knowledge bases, under their bounds:
     refute by lattice invariants, then search for a verified witness,
     otherwise report UNKNOWN with the bounds.  `mode` labels the report.
 
     A witness is either a carrier isomorphism transported to the lattice
-    families (unless `use_model_iso` is false) or a found functor
-    isomorphism for one of the candidate automorphisms, `phis` or else
-    every supported one.  The search checks a candidate's naturality
+    families, tried only in the informational mode without pinned `phis`,
+    or a found functor isomorphism for one of the candidate automorphisms,
+    `phis` or else every supported one.  The search checks a candidate's naturality
     squares, a carrier witness meets them by the isomorphism, and a witness
     is reported as it is: for the Boolean witnesses the searches return, the
     squares imply the functor laws (module docstring).  A substitution whose
     pullback of some dual is not definable over its target stops the
     search: the verdict is UNKNOWN, with a note naming that pullback.
     """
+    _check_bounds(kb1, kb2)
     model1, model2 = kb1.model, kb2.model
-    if model1.sig != model2.sig:
-        raise MismatchError("models have different signatures")
-    if kb1.n_max != kb2.n_max:
-        raise MismatchError("knowledge bases have different n_max")
     # Both families are built in full, the first model's first, before any verdict.
     saturated = all([kb1.saturated, kb2.saturated])
     notes = [f"supported automorphism class: {SUPPORTED_CLASS}"]
-    bounds = _bounds(kb1.n_max, depth)
+    bounds = (("n_max", str(kb1.n_max)), ("depth", str(kb1.depth)))
 
     if saturated:
         refutation = _invariant_refutation(kb1, kb2)
@@ -807,13 +794,14 @@ def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int,
 
     iso = None
     try:
-        isos = model_isomorphisms(model1, model2) if use_model_iso else []
+        carrier = mode == "informational" and phis is None
+        isos = model_isomorphisms(model1, model2) if carrier else []
         if isos:
-            iso = transport_model_iso(isos[0], kb1, kb2, depth)
+            iso = transport_model_iso(isos[0], kb1, kb2)
             witness = (("kind", "model isomorphism"), ("map", isos[0].describe()))
         elif saturated:
             for phi in enumerate_automorphisms(model1.sig) if phis is None else phis:
-                iso = find_functor_iso(kb1, kb2, phi, depth)
+                iso = find_functor_iso(kb1, kb2, phi)
                 if iso is not None:
                     break
             witness = (("kind", "functor isomorphism"),)
@@ -832,8 +820,8 @@ def check_informational_equivalence(model1: Model, model2: Model,
                                     phis: Optional[list[FormulaAutomorphism]] = None
                                     ) -> EquivReport:
     """`decide_equivalence` over the models' knowledge bases."""
-    kb1, kb2 = (KnowledgeBase(m, n_max, max_term_depth) for m in (model1, model2))
-    return decide_equivalence(kb1, kb2, depth, phis)
+    kb1, kb2 = (KnowledgeBase(m, n_max, depth, max_term_depth) for m in (model1, model2))
+    return decide_equivalence(kb1, kb2, phis)
 
 
 def check_automorphic_equivalence(model1: Model, model2: Model,
@@ -841,5 +829,5 @@ def check_automorphic_equivalence(model1: Model, model2: Model,
                                   n_max: int = 2, depth: int = 2,
                                   max_term_depth: Optional[int] = None) -> EquivReport:
     """Witness search over automorphisms only, without the carrier fast path."""
-    kb1, kb2 = (KnowledgeBase(m, n_max, max_term_depth) for m in (model1, model2))
-    return decide_equivalence(kb1, kb2, depth, phis, mode="automorphic", use_model_iso=False)
+    kb1, kb2 = (KnowledgeBase(m, n_max, depth, max_term_depth) for m in (model1, model2))
+    return decide_equivalence(kb1, kb2, phis, mode="automorphic")

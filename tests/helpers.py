@@ -249,7 +249,7 @@ def seeded_pairs() -> list:
                 return out
 
     def small(model: Model) -> bool:
-        return len(KnowledgeBase(model, 2).description(2)) <= 32
+        return len(KnowledgeBase(model, 2, 1).description(2)) <= 32
 
     while True:
         op = {(a,): rng.choice(carrier) for a in carrier}
@@ -493,12 +493,12 @@ def memberwise_description_iso(iso) -> Report:
     return Report("description functor", entries, checked, tuple(failures))
 
 
-def memberwise_squares_commute(alphas, phi, kb1, kb2, depth: int,
-                               source_n: int, target_n: int) -> bool:
-    """The naturality squares between two sizes, checked on every member."""
+def memberwise_squares_commute(alphas, phi, kb1, kb2, source_n: int, target_n: int) -> bool:
+    """The naturality squares between two sizes, checked on every member and
+    every bounded substitution of the first knowledge base's depth."""
     alpha_a, alpha_b = alphas[source_n], alphas[target_n]
     for subst in enumerate_substitutions(kb1.model.sig, canonical_varset(source_n),
-                                         canonical_varset(target_n), depth):
+                                         canonical_varset(target_n), kb1.depth):
         mapped = phi.map_subst(subst)
         for mask in kb1.description(source_n).lattice.algebra.masks:
             push1 = kb1.geometry.preimage(subst, mask)
@@ -596,11 +596,11 @@ def memberwise_is_boolean(iso) -> bool:
     return True
 
 
-def memberwise_check_duality(kb, depth: int) -> Report:
+def memberwise_check_duality(kb) -> Report:
     """`KnowledgeBase.check_duality` with every morphism built over all
     members by the public constructors: the same checks, in the same order,
     with the same messages."""
-    n_max = kb.n_max
+    n_max, depth = kb.n_max, kb.depth
     sizes = range(1, n_max + 1)
     checked = 0
     failures = []
@@ -643,10 +643,10 @@ def memberwise_check_duality(kb, depth: int) -> Report:
     return Report("duality", entries, checked, tuple(failures))
 
 
-def memberwise_push_functoriality(kb, depth: int) -> Report:
+def memberwise_push_functoriality(kb) -> Report:
     """`KnowledgeBase.verify_push_functoriality` with every filter of every
     source lattice pushed by `push_filter`, directly and in two stages."""
-    n_max = kb.n_max
+    n_max, depth = kb.n_max, kb.depth
     sizes = range(1, n_max + 1)
     checked = 0
     failures = []

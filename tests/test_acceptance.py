@@ -266,20 +266,22 @@ def model_neg_relabeled():
                  {"neg": {("a",): "b", ("b",): "a"}}, {"P": [("b",)]})
 
 
-def kbs(model1, model2) -> tuple:
-    """The two knowledge bases at the default bounds (n_max 2)."""
-    return KnowledgeBase(model1, 2), KnowledgeBase(model2, 2)
+def kbs(model1, model2, depth: int = 2) -> tuple:
+    """The two knowledge bases at n_max 2 and, by default, depth 2: the
+    deciders' default bounds."""
+    return KnowledgeBase(model1, 2, depth), KnowledgeBase(model2, 2, depth)
 
 
-def transport(model1, model2):
-    return transport_model_iso(ModelMap(model1, model2, ("a", "b")), *kbs(model1, model2))
+def transport(model1, model2, depth: int):
+    return transport_model_iso(ModelMap(model1, model2, ("a", "b")), *kbs(model1, model2, depth))
 
 
-def criterion_7_witnesses() -> list:
-    """The functor isomorphisms behind every witnessed verdict of criterion 7."""
-    witnesses = [find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())]
-    witnesses.append(transport(model_p(), model_p_relabeled()))
-    witnesses.append(transport(model_neg(), model_neg_relabeled()))
+def criterion_7_witnesses(depth: int) -> list:
+    """The functor isomorphisms behind every witnessed verdict of criterion 7,
+    found within the depth."""
+    witnesses = [find_functor_iso(*kbs(model_pq1(), model_pq2(), depth), swap_pq())]
+    witnesses.append(transport(model_p(), model_p_relabeled(), depth))
+    witnesses.append(transport(model_neg(), model_neg_relabeled(), depth))
     return witnesses
 
 
@@ -340,8 +342,8 @@ def test_criterion_7_equivalence_chain():
 
 def test_criterion_8_admissibility_transfer():
     violations = []
-    for i, iso in enumerate(criterion_7_witnesses()):
-        report = verify_admissibility_transfer(iso, n_max=1, depth=1)
+    for i, iso in enumerate(criterion_7_witnesses(1)):
+        report = verify_admissibility_transfer(iso, n_max=1)
         if not report.passed:
             violations.append(f"witness {i}: transfer failed: {report.failures[0]}")
         if report.checked == 0:
@@ -350,7 +352,7 @@ def test_criterion_8_admissibility_transfer():
         alpha = corrupted.alphas[1]
         masks = sorted(alpha)
         alpha[masks[0]], alpha[masks[-1]] = alpha[masks[-1]], alpha[masks[0]]
-        control = verify_admissibility_transfer(corrupted, n_max=1, depth=1)
+        control = verify_admissibility_transfer(corrupted, n_max=1)
         if control.passed or len(control.failures) < 1:
             violations.append(f"witness {i}: corrupted control reported no violation")
     conclude(8, "admissibility transfer", violations)

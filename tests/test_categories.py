@@ -139,7 +139,7 @@ def test_content_composition_is_contravariant():
 
 
 def test_knowledge_base_objects_are_cached_and_dual():
-    kb = KnowledgeBase(model_p(), 2)
+    kb = KnowledgeBase(model_p(), 2, 1)
     d1 = kb.description(1)
     assert kb.description(1) is d1
     assert len(d1) == 4 and len(kb.description(2)) == 16
@@ -199,7 +199,7 @@ def test_report_render_shape():
 
 def test_least_morphisms_between_sizes():
     m = model_p()
-    kb = KnowledgeBase(m, 2)
+    kb = KnowledgeBase(m, 2, 1)
     for a in (1, 2):
         for b in (1, 2):
             for s in enumerate_substitutions(m.sig, canonical_varset(a),
@@ -220,12 +220,12 @@ def test_second_sweep_over_one_knowledge_base_computes_no_pullback(monkeypatch):
         return original(subst, source_space, target_space)
 
     monkeypatch.setattr(semantics, "pullback_indices", counting)
-    kb = KnowledgeBase(model_neg(), 2)
-    first = kb.check_duality(1)
+    kb = KnowledgeBase(model_neg(), 2, 1)
+    first = kb.check_duality()
     computed = len(calls)
     assert computed > 0
     assert len(set(calls)) == computed
-    assert kb.check_duality(1) == first
+    assert kb.check_duality() == first
     assert len(calls) == computed
     assert first == check_duality(model_neg(), 2, 1)
 
@@ -235,13 +235,13 @@ def test_second_sweep_over_one_knowledge_base_computes_no_pullback(monkeypatch):
 @pytest.mark.parametrize("name,model", [(name, m) for name, m in seeded_models()
                                         if not m.sig.ops])
 def test_sweeps_report_undefinable_pullbacks(name, model):
-    kb = KnowledgeBase(model, 2)
-    duality = kb.check_duality(1)
-    push = kb.verify_push_functoriality(1)
+    kb = KnowledgeBase(model, 2, 1)
+    duality = kb.check_duality()
+    push = kb.verify_push_functoriality()
     # The sweeps on atoms report what the member sweeps do; failing pushes
     # take the member rerun of their blocks.
-    assert duality.render() == memberwise_check_duality(kb, 1).render()
-    assert push.render() == memberwise_push_functoriality(kb, 1).render()
+    assert duality.render() == memberwise_check_duality(kb).render()
+    assert push.render() == memberwise_push_functoriality(kb).render()
     if name not in UNDEFINABLE_PULLBACKS:
         assert duality.passed and push.passed
         return
@@ -277,7 +277,7 @@ def test_filter_transport_honours_the_lattice_bound():
 
 def test_equal_substitutions_share_one_table():
     m = model_neg()
-    geometry = KnowledgeBase(m, 1).geometry
+    geometry = KnowledgeBase(m, 1, 1).geometry
     first = neg_subst(m)
     again = neg_subst(m)
     assert again == first and again is not first
@@ -300,20 +300,20 @@ def test_a_composite_table_is_the_composite_substitutions_own(name, depth):
     keyed by an equal substitution; fresh equal factors find the same table,
     a factor over other variables finds its own, and factors that do not
     compose are refused."""
-    kb = KnowledgeBase(COMPOSITE_MODELS[name](), 2)
+    kb = KnowledgeBase(COMPOSITE_MODELS[name](), 2, depth)
     sizes = (1, 2)
     pairs = 0
     for a, b, c in itertools.product(sizes, repeat=3):
-        for s1 in kb.substitutions(a, b, depth):
-            for s2 in kb.substitutions(b, c, depth):
+        for s1 in kb.substitutions(a, b):
+            for s2 in kb.substitutions(b, c):
                 composite = compose_subst(s1, s2)
                 table = kb.composite_table(s1, s2)
                 assert table is kb.geometry.table(composite)
                 assert str(table.key) == str(composite)
                 pairs += 1
-    assert pairs == sum(len(kb.substitutions(a, b, depth)) * len(kb.substitutions(b, c, depth))
+    assert pairs == sum(len(kb.substitutions(a, b)) * len(kb.substitutions(b, c))
                         for a, b, c in itertools.product(sizes, repeat=3))
-    s1, s2 = kb.substitutions(2, 1, depth)[-1], kb.substitutions(1, 2, depth)[-1]
+    s1, s2 = kb.substitutions(2, 1)[-1], kb.substitutions(1, 2)[-1]
     fresh1 = Substitution(s1.source, s1.target, s1.images)
     fresh2 = Substitution(s2.source, s2.target, s2.images)
     assert kb.composite_table(fresh1, fresh2) is kb.composite_table(s1, s2)
@@ -325,14 +325,14 @@ def test_a_composite_table_is_the_composite_substitutions_own(name, depth):
 
 @pytest.mark.parametrize("name,depth", COMPOSITE_CASES)
 def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
-    """Both sweeps at two depths, alternated on one knowledge base, report
-    what each reports on a fresh one: no composite memo answers for another
-    size or depth."""
+    """Both sweeps at two depths, alternated over one knowledge base per
+    depth, report what each reports on a fresh one: no composite memo
+    answers for another size, or for the other sweep's pairs."""
     make = COMPOSITE_MODELS[name]
-    kb = KnowledgeBase(make(), 2)
+    kbs = {d: KnowledgeBase(make(), 2, d) for d in (depth, depth - 1)}
     duality, push = KnowledgeBase.check_duality, KnowledgeBase.verify_push_functoriality
     for sweep, d in ((duality, depth), (push, depth - 1), (duality, depth - 1), (push, depth)):
-        assert sweep(kb, d).render() == sweep(KnowledgeBase(make(), 2), d).render()
+        assert sweep(kbs[d]).render() == sweep(KnowledgeBase(make(), 2, d)).render()
 
 
 def held_or_error(source, target, subst):
@@ -357,7 +357,7 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
     does its content dual; held composites give every member the member-wise
     composite's image; and held morphisms are equal exactly when the
     member-wise ones are."""
-    kb = KnowledgeBase(model, 2)
+    kb = KnowledgeBase(model, 2, 1)
     sizes = (1, 2)
     objs = {n: kb.description(n) for n in sizes}
     subs = {(a, b): enumerate_substitutions(model.sig, canonical_varset(a),
@@ -412,7 +412,7 @@ def test_morphisms_held_on_atoms_equal_their_member_forms():
     held on every member; and a description morphism never equals a content
     morphism, even with the same substitution and table."""
     model = model_neg()
-    kb = KnowledgeBase(model, 2)
+    kb = KnowledgeBase(model, 2, 1)
     two = kb.description(2)
     members = two.lattice.filters
     sets = kb.content(2).algebra.members
@@ -458,7 +458,7 @@ def test_morphisms_refuse_arguments_from_other_objects():
     """A morphism maps only the filters or sets of its own source, in either
     holding: a filter over {x1, x2} given to a morphism from {x1}, or a set
     over {x1} given to its content dual from {x1, x2}, is a MismatchError."""
-    kb = KnowledgeBase(model_pq1(), 2)
+    kb = KnowledgeBase(model_pq1(), 2, 1)
     one, two = kb.description(1), kb.description(2)
     subst = next(iter(enumerate_substitutions(model_pq1().sig, one.varset, two.varset, 1)))
     foreign_filter = two.lattice.filter_for_mask(0xc)
@@ -475,10 +475,10 @@ def test_morphisms_refuse_arguments_from_other_objects():
 
 
 def assert_sweeps_match_the_member_sweeps(model, n_max, depth):
-    kb = KnowledgeBase(model, n_max)
-    assert kb.check_duality(depth).render() == memberwise_check_duality(kb, depth).render()
-    assert (kb.verify_push_functoriality(depth).render()
-            == memberwise_push_functoriality(kb, depth).render())
+    kb = KnowledgeBase(model, n_max, depth)
+    assert kb.check_duality().render() == memberwise_check_duality(kb).render()
+    assert (kb.verify_push_functoriality().render()
+            == memberwise_push_functoriality(kb).render())
 
 
 # Depth 2 on the fixtures is pinned by tests/sweeps_machine.golden.
@@ -505,9 +505,9 @@ def test_a_passing_sweep_lists_no_member(monkeypatch):
     monkeypatch.setattr(UnionMap, "__iter__", refuse)
     cases = [(named_pair()[0], 3)] + [(model, 2) for _, model in all_fixtures()]
     for model, n_max in cases:
-        kb = KnowledgeBase(model, n_max)
-        assert kb.check_duality(2).passed
-        assert kb.verify_push_functoriality(2).passed
+        kb = KnowledgeBase(model, n_max, 2)
+        assert kb.check_duality().passed
+        assert kb.verify_push_functoriality().passed
 
 
 def tampered_composite_table(kb):
@@ -524,12 +524,12 @@ def test_a_block_failing_on_atoms_reruns_over_every_member():
     the direct push differs from the staged one on every member holding that
     point: the first atom alone, and unions of it with the others.  The
     failing blocks rerun over their members."""
-    kb = KnowledgeBase(model_neg(), 2)
+    kb = KnowledgeBase(model_neg(), 2, 1)
     table = tampered_composite_table(kb)
     table.fibers[0] = 0
     table.preimages.clear()
-    push = kb.verify_push_functoriality(1)
-    assert push.render() == memberwise_push_functoriality(kb, 1).render()
+    push = kb.verify_push_functoriality()
+    assert push.render() == memberwise_push_functoriality(kb).render()
     atoms = kb.description(2).lattice.algebra.block_masks()
     masks = [int(f.rsplit(" ", 1)[1], 16) for f in push.failures if "disagrees" in f]
     assert any(mask not in atoms for mask in masks)
@@ -540,13 +540,13 @@ def test_an_identity_moving_an_atom_reruns_over_every_member():
     first atom's points, so the identity push moves every member holding
     that atom: the atoms find it, and the size reruns over its members with
     the member sweep's report."""
-    kb = KnowledgeBase(model_neg(), 2)
+    kb = KnowledgeBase(model_neg(), 2, 1)
     algebra = kb.description(2).algebra
     table = kb.geometry.table(Substitution.identity(algebra.varset))
     first = algebra.block_masks()[0]
     table.fibers = [0 if first >> p & 1 else fiber for p, fiber in enumerate(table.fibers)]
-    push = kb.verify_push_functoriality(1)
-    assert push.render() == memberwise_push_functoriality(kb, 1).render()
+    push = kb.verify_push_functoriality()
+    assert push.render() == memberwise_push_functoriality(kb).render()
     assert push.failures.count("identity push moved a filter over |X|=2") == algebra.size // 2
 
 
@@ -554,12 +554,12 @@ def test_a_composite_whose_dual_differs_on_the_first_atom():
     """A composite's table loses the image of the first point, so the least
     content morphism along it differs from the composed duals on the first
     atom alone; the admissibility checks still pass."""
-    kb = KnowledgeBase(model_neg(), 2)
+    kb = KnowledgeBase(model_neg(), 2, 1)
     table = tampered_composite_table(kb)
     table.bits[0] = 0
     table.images.clear()
-    duality = kb.check_duality(1)
-    assert duality.render() == memberwise_check_duality(kb, 1).render()
+    duality = kb.check_duality()
+    assert duality.render() == memberwise_check_duality(kb).render()
     assert len(duality.failures) == 2
     assert all(f.startswith("dual of a composite differs") for f in duality.failures)
 
@@ -571,12 +571,12 @@ def test_a_composite_moving_points_everywhere_raises_as_the_member_loops_do():
     atom, as the member loops do."""
     texts = []
     for sweep in (KnowledgeBase.check_duality, memberwise_check_duality):
-        kb = KnowledgeBase(model_neg(), 2)
+        kb = KnowledgeBase(model_neg(), 2, 1)
         table = tampered_composite_table(kb)
         table.bits[0] = table.bits[-1] = (1 << len(table.fibers)) - 1
         table.images.clear()
         with pytest.raises(AdmissibilityError) as info:
-            sweep(kb, 1)
+            sweep(kb)
         texts.append(str(info.value))
     assert texts == ["assignment 0x1 -> 0x1 is not admissible"
                      " for {x1 := neg(neg(x1)), x2 := x2}"] * 2

@@ -169,6 +169,63 @@ def test_duality_and_functor_subcommands():
     assert code == EXIT_PASS
 
 
+# The model with f: 0->0, 1->1, 2->0 and P everything: over {x1} its algebra
+# cannot tell 0 from 2, so pulling {(0, 0)} back along x1 := x1, x2 := x1 and
+# along the substitutions through f is not definable.
+FU = ("carrier: 0 1 2\nop f 1\nrel P 1\nop f: 0 -> 0\nop f: 1 -> 1\nop f: 2 -> 0\n"
+      "rel P: 0\nrel P: 1\nrel P: 2\n")
+
+FU_DUALITY = """report: duality
+object: canonical variable sets of sizes 1..2
+sizes: 4 512
+morphism family: least assignments for substitutions of depth <= 1
+checked: 360
+failures: 4
+failure.1: no least morphism between sizes 2->1: pullback 0x1 of 0x1 along {x1 := x1, x2 := x1} \
+is not definable over {x1}
+failure.2: no least morphism between sizes 2->1: pullback 0x1 of 0x1 along {x1 := x1, x2 := f(x1)} \
+is not definable over {x1}
+failure.3: no least morphism between sizes 2->1: pullback 0x1 of 0x1 along {x1 := f(x1), x2 := x1} \
+is not definable over {x1}
+failure.4: no least morphism between sizes 2->1: pullback 0x5 of 0x1 along \
+{x1 := f(x1), x2 := f(x1)} is not definable over {x1}"""
+
+FU_FUNCTOR = """report: push functoriality
+object: canonical variable sets of sizes 1..2
+substitution depth: 1
+triples: 176496
+checked: 177012
+failures: 9
+failure.1: push along {x1 := x1, x2 := x1} then {x1 := x1}: pullback 0x1 of 0x1 along \
+{x1 := x1, x2 := x1} is not definable over {x1}
+failure.2: push along {x1 := x1, x2 := x1} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
+{x1 := f(x1), x2 := f(x1)} is not definable over {x1}
+failure.3: push along {x1 := x1, x2 := f(x1)} then {x1 := x1}: pullback 0x1 of 0x1 along \
+{x1 := x1, x2 := f(x1)} is not definable over {x1}
+failure.4: push along {x1 := x1, x2 := f(x1)} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
+{x1 := f(x1), x2 := f(f(x1))} is not definable over {x1}
+failure.5: push along {x1 := f(x1), x2 := x1} then {x1 := x1}: pullback 0x1 of 0x1 along \
+{x1 := f(x1), x2 := x1} is not definable over {x1}
+failure.6: push along {x1 := f(x1), x2 := x1} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
+{x1 := f(f(x1)), x2 := f(x1)} is not definable over {x1}
+failure.7: push along {x1 := f(x1), x2 := f(x1)} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
+{x1 := f(f(x1)), x2 := f(f(x1))} is not definable over {x1}
+failure.8: push along {x1 := x1, x2 := f(x2)} then {x1 := x1, x2 := f(x1)}: pullback 0x1 of 0x1 \
+along {x1 := x1, x2 := f(f(x1))} is not definable over {x1}
+failure.9: push along {x1 := f(x1), x2 := x2} then {x1 := f(x1), x2 := x1}: pullback 0x1 of 0x1 \
+along {x1 := f(f(x1)), x2 := x1} is not definable over {x1}"""
+
+
+@pytest.mark.parametrize("command,expected", [("duality", FU_DUALITY), ("functor", FU_FUNCTOR)])
+def test_a_failing_sweep_numbers_its_failures_in_machine_format(tmp_path, command, expected):
+    """Both sweeps fail on the `fu` model at (2, 1) with exit 1, and the
+    machine format numbers each failure from 1."""
+    path = tmp_path / "fu.kbm"
+    path.write_text(FU)
+    assert run_command([command, str(path), "--max-vars", "2", "--depth", "1",
+                        "--format", "machine"], RunConfig()) == (EXIT_FAIL, expected)
+
+
 def test_equiv_pinned_witness_output():
     code, text = run_command(["equiv", fixture("m_pq1.kbm"), fixture("m_pq2.kbm")])
     assert code == EXIT_PASS

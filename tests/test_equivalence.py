@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -87,8 +88,8 @@ def swap_pq() -> FormulaAutomorphism:
     return FormulaAutomorphism.relation_permutation(PQ_SIG, {"P": "Q", "Q": "P"})
 
 
-def kbs(model1, model2, n_max: int = 2) -> tuple[KnowledgeBase, KnowledgeBase]:
-    return KnowledgeBase(model1, n_max), KnowledgeBase(model2, n_max)
+def kbs(model1, model2, n_max: int = 2, depth: int = 2) -> tuple[KnowledgeBase, KnowledgeBase]:
+    return KnowledgeBase(model1, n_max, depth), KnowledgeBase(model2, n_max, depth)
 
 
 def test_automorphism_validation():
@@ -171,7 +172,7 @@ def test_find_functor_iso_needs_matching_signatures():
 
 def test_find_functor_iso_identity_fails_on_swapped_relations():
     phi = FormulaAutomorphism.identity(PQ_SIG)
-    assert find_functor_iso(*kbs(model_pq1(), model_pq2(), 1), phi, depth=1) is None
+    assert find_functor_iso(*kbs(model_pq1(), model_pq2(), 1, 1), phi) is None
 
 
 def test_find_functor_iso_swap_witnesses():
@@ -203,7 +204,8 @@ def test_transport_model_iso():
 
 def test_search_functions_need_matching_knowledge_bases():
     with pytest.raises(MismatchError):
-        find_functor_iso(KnowledgeBase(model_pq1(), 1), KnowledgeBase(model_pq2(), 2), swap_pq())
+        find_functor_iso(KnowledgeBase(model_pq1(), 1, 2), KnowledgeBase(model_pq2(), 2, 2),
+                         swap_pq())
     mmap = ModelMap(model_p(), model_p_relabeled(), ("a", "b"))
     with pytest.raises(MismatchError):
         transport_model_iso(mmap, *kbs(model_p0(), model_p_relabeled()))
@@ -255,7 +257,7 @@ def test_decisions_at_three_variables():
         assert report.verdict == VERDICT_WITNESSED
         assert dict(report.witness)["kind"] == kind
         assert dict(report.witness)["alphas"] == line
-    lat = KnowledgeBase(first, 3).description(3).lattice
+    lat = KnowledgeBase(first, 3, 1).description(3).lattice
     assert len(lat) == 1 << 27
     with pytest.raises(BoundError, match="^134217728 members exceed the bound 1048576$"):
         lattice_profile(lat)
@@ -289,18 +291,18 @@ def test_decisions_past_sixty_two_atoms():
 
 
 def test_admissibility_transfer_and_corruption():
-    iso = find_functor_iso(*kbs(model_pq1(), model_pq2()), swap_pq())
-    report = verify_admissibility_transfer(iso, n_max=1, depth=1)
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2(), 2, 1), swap_pq())
+    report = verify_admissibility_transfer(iso, n_max=1)
     assert report.passed and report.checked > 0
     bad = copy.deepcopy(iso)
     alpha = bad.alphas[1]
     masks = sorted(alpha)
     alpha[masks[0]], alpha[masks[-1]] = alpha[masks[-1]], alpha[masks[0]]
-    broken = verify_admissibility_transfer(bad, n_max=1, depth=1)
+    broken = verify_admissibility_transfer(bad, n_max=1)
     assert not broken.passed
     assert len(broken.failures) >= 1
     with pytest.raises(MismatchError):
-        verify_admissibility_transfer(iso, n_max=iso.n_max + 1, depth=1)
+        verify_admissibility_transfer(iso, n_max=iso.n_max + 1)
 
 
 CORRUPTED_FIRST_FAILURES = (
@@ -421,10 +423,10 @@ def test_the_knowledge_base_bounds_every_path():
     """The point bound lives on the knowledge base: both sweeps and both
     decisions stop at its first space past it, m_p over two variables."""
     def kb():
-        return KnowledgeBase(model_p(), 2, None, 3)
-    runs = (lambda: kb().check_duality(1), lambda: kb().verify_push_functoriality(1),
-            lambda: decide_equivalence(kb(), kb(), 1),
-            lambda: decide_equivalence(kb(), kb(), 1, mode="automorphic", use_model_iso=False))
+        return KnowledgeBase(model_p(), 2, 1, None, 3)
+    runs = (lambda: kb().check_duality(), lambda: kb().verify_push_functoriality(),
+            lambda: decide_equivalence(kb(), kb()),
+            lambda: decide_equivalence(kb(), kb(), mode="automorphic"))
     for run in runs:
         with pytest.raises(BoundError, match="^4 points exceed the bound 3$"):
             run()
@@ -432,11 +434,45 @@ def test_the_knowledge_base_bounds_every_path():
 
 def test_a_decision_needs_equal_object_ranges():
     with pytest.raises(MismatchError, match="knowledge bases have different n_max"):
-        decide_equivalence(KnowledgeBase(model_p(), 1), KnowledgeBase(model_p(), 2), 1)
+        decide_equivalence(KnowledgeBase(model_p(), 1, 1), KnowledgeBase(model_p(), 2, 1))
+
+
+def test_the_searches_need_equal_depths():
+    """The depth is a bound of each knowledge base: the decider in both
+    modes, the functor search and the carrier transport refuse two whose
+    depths differ."""
+    deep, shallow = KnowledgeBase(model_p(), 2, 2), KnowledgeBase(model_p_relabeled(), 2, 1)
+    mmap = ModelMap(model_p(), model_p_relabeled(), ("a", "b"))
+    runs = (lambda: decide_equivalence(deep, shallow),
+            lambda: decide_equivalence(deep, shallow, mode="automorphic"),
+            lambda: find_functor_iso(deep, shallow, FormulaAutomorphism.identity(model_p().sig)),
+            lambda: transport_model_iso(mmap, deep, shallow))
+    for run in runs:
+        with pytest.raises(MismatchError, match="^knowledge bases have different depths$"):
+            run()
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_a_pinned_phi_skips_the_carrier_path_in_the_library(n_max):
+    """`check_informational_equivalence` with pinned phis searches those phis
+    alone, as `equiv --phi` does.  The relabelled `m_pq1` has a carrier
+    witness unpinned; under the identity a functor isomorphism witnesses it,
+    and under the swap of P and Q nothing does."""
+    model = model_pq1()
+    image = relabeled(model, (1, 0))
+    report = check_informational_equivalence(model, image, n_max=n_max)
+    assert dict(report.witness)["kind"] == "model isomorphism"
+    identity = FormulaAutomorphism.identity(model.sig)
+    report = check_informational_equivalence(model, image, n_max=n_max, phis=[identity])
+    assert report.verdict == VERDICT_WITNESSED and report.mode == "informational"
+    assert dict(report.witness)["kind"] == "functor isomorphism"
+    assert dict(report.witness)["phi"] == "identity"
+    report = check_informational_equivalence(model, image, n_max=n_max, phis=[swap_pq()])
+    assert report.verdict == VERDICT_UNKNOWN and report.witness is None
 
 
 def test_admissibility_transfer_needs_a_variable():
-    iso = find_functor_iso(*kbs(model_pq1(), model_pq2(), 1), swap_pq(), depth=1)
+    iso = find_functor_iso(*kbs(model_pq1(), model_pq2(), 1, 1), swap_pq())
     with pytest.raises(MismatchError, match="n_max must be at least 1"):
         verify_admissibility_transfer(iso, n_max=0)
 
@@ -496,7 +532,7 @@ def rotated(iso: FunctorIso, n: int) -> FunctorIso:
     return dataclasses.replace(iso, alphas={**iso.alphas, n: table})
 
 
-def reported_witnesses(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int) -> list:
+def reported_witnesses(kb1: KnowledgeBase, kb2: KnowledgeBase) -> list:
     """The witnesses the two deciders report on a pair, each once: the
     transported first carrier isomorphism and the first automorphism's
     functor isomorphism.  A search stopped by an undefinable pullback gives
@@ -504,9 +540,9 @@ def reported_witnesses(kb1: KnowledgeBase, kb2: KnowledgeBase, depth: int) -> li
     out = []
     mmaps = model_isomorphisms(kb1.model, kb2.model)
     if mmaps:
-        out.append(outcome(transport_model_iso, mmaps[0], kb1, kb2, depth))
+        out.append(outcome(transport_model_iso, mmaps[0], kb1, kb2))
     for phi in enumerate_automorphisms(kb1.model.sig):
-        iso = outcome(find_functor_iso, kb1, kb2, phi, depth)
+        iso = outcome(find_functor_iso, kb1, kb2, phi)
         if iso is not None:
             out.append(iso)
             break
@@ -527,17 +563,17 @@ def test_atom_path_matches_the_member_loops():
     witnesses = renamed = failing = raised = 0
     square_outcomes = set()
     for label, m1, m2, n_max, depth in decider_pairs():
-        kb1, kb2 = KnowledgeBase(m1, n_max), KnowledgeBase(m2, n_max)
+        kb1, kb2 = kbs(m1, m2, n_max, depth)
         sizes = range(1, n_max + 1)
         phis = enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max)
-        isos = reported_witnesses(kb1, kb2, depth)
+        isos = reported_witnesses(kb1, kb2)
         if not m1.sig.ops:
             renaming = next(phi for phi in phis if phi.var_images)
-            isos.append(outcome(find_functor_iso, kb1, kb2, renaming, depth))
+            isos.append(outcome(find_functor_iso, kb1, kb2, renaming))
         if m1 is m2 and not any(isinstance(iso, FunctorIso) for iso in isos):
             identity = {n: {m: m for m in kb1.description(n).lattice.algebra.masks}
                         for n in sizes}
-            isos.append(FunctorIso(phis[0], depth, identity, kb1, kb2))
+            isos.append(FunctorIso(phis[0], identity, kb1, kb2))
         for iso in isos:
             if not isinstance(iso, FunctorIso):
                 continue
@@ -555,7 +591,7 @@ def test_atom_path_matches_the_member_loops():
             candidates = {}
             for n in sizes:
                 lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
-                constraints = _atom_constraints(kb1, kb2, phi, n, depth)
+                constraints = _atom_constraints(kb1, kb2, phi, n)
                 if len(lat1) != len(lat2) or constraints is None:
                     break
                 candidates[n] = list(_candidate_alphas(lat1, lat2, constraints))
@@ -563,7 +599,7 @@ def test_atom_path_matches_the_member_loops():
                 for alpha_a, alpha_b in itertools.product(candidates[a], candidates[b]):
                     if a == b and alpha_a is not alpha_b:
                         continue
-                    args = ({a: alpha_a, b: alpha_b}, phi, kb1, kb2, depth, a, b)
+                    args = ({a: alpha_a, b: alpha_b}, phi, kb1, kb2, a, b)
                     result = outcome(_squares_commute, *args)
                     assert result == outcome(memberwise_squares_commute, *args), label
                     square_outcomes.add(result if isinstance(result, bool) else "raised")
@@ -621,23 +657,23 @@ def test_atom_tables_match_the_member_loops():
     pairs += [(m1, m2) for _, m1, m2 in seeded_pairs()]
     cycle = Model(Signature((("f", 1),), (("P", 1),), False), (0, 1, 2),
                   {"f": {(0,): 1, (1,): 2, (2,): 0}}, {"P": [(0,)]})
-    coarse = [(KnowledgeBase(cycle, 1), KnowledgeBase(cycle, 1, max_term_depth=0))]
+    coarse = [(KnowledgeBase(cycle, 1, 2), KnowledgeBase(cycle, 1, 2, max_term_depth=0))]
     transported = mismatched = candidates = 0
     booleans = set()
     for (m1, m2), n_max in itertools.product(pairs, (1, 2)):
-        kb1, kb2 = kbs(m1, m2, n_max)
+        kb1, kb2 = kbs(m1, m2, n_max, 2)
         sizes = range(1, n_max + 1)
         for phi in enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max):
             for n in sizes:
                 lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
-                constraints = _atom_constraints(kb1, kb2, phi, n, 2)
+                constraints = _atom_constraints(kb1, kb2, phi, n)
                 if constraints is None:
                     continue
                 new = list(map(items, _candidate_alphas(lat1, lat2, constraints)))
                 assert new == list(map(items, memberwise_candidate_alphas(lat1, lat2,
                                                                           constraints)))
                 candidates += len(new)
-        for iso in reported_witnesses(kb1, kb2, 2):
+        for iso in reported_witnesses(kb1, kb2):
             if isinstance(iso, FunctorIso):
                 variants = [iso] + [rotated(iso, n) for n in sizes]
                 variants += [bad for n in sizes for bad in corrupted(iso, n)]
@@ -649,11 +685,11 @@ def test_atom_tables_match_the_member_loops():
         for mmap in model_isomorphisms(kb1.model, kb2.model):
             if kb1.max_term_depth != kb2.max_term_depth:
                 with pytest.raises(MismatchError, match=f"^{CAPS_DIFFER}$"):
-                    transport_model_iso(mmap, kb1, kb2, 2)
+                    transport_model_iso(mmap, kb1, kb2)
                 mismatched += 1
                 continue
             try:
-                alphas = transport_model_iso(mmap, kb1, kb2, 2).alphas
+                alphas = transport_model_iso(mmap, kb1, kb2).alphas
             except UndefinablePullbackError:
                 continue
             oracle = memberwise_transport_tables(mmap, kb1, kb2)
@@ -686,16 +722,16 @@ def test_the_carrier_transport_checks_only_what_can_fail():
         sizes = range(1, n_max + 1)
         phi = FormulaAutomorphism.identity(m1.sig)
         for mmap in model_isomorphisms(m1, m2):
-            kb1, kb2 = KnowledgeBase(m1, n_max, cap), KnowledgeBase(m2, n_max, cap)
-            iso = outcome(transport_model_iso, mmap, kb1, kb2, depth)
+            kb1, kb2 = KnowledgeBase(m1, n_max, depth, cap), KnowledgeBase(m2, n_max, depth, cap)
+            iso = outcome(transport_model_iso, mmap, kb1, kb2)
             assert not kb2.geometry._tables and not kb2._descriptions, label
             for n in sizes:
                 spaces = [kb.geometry.space(canonical_varset(n)) for kb in (kb1, kb2)]
-                constraints = _atom_constraints(kb1, kb2, phi, n, depth)
+                constraints = _atom_constraints(kb1, kb2, phi, n)
                 assert constraints is not None, label
                 assert all(relabeled_mask(mmap, *spaces, a) == b for a, b in constraints), label
             oracle = memberwise_transport_tables(mmap, kb1, kb2)
-            squares = [outcome(_squares_commute, oracle, phi, kb1, kb2, depth, a, b)
+            squares = [outcome(_squares_commute, oracle, phi, kb1, kb2, a, b)
                        for a, b in itertools.product(sizes, repeat=2)]
             if isinstance(iso, str):
                 assert next(square for square in squares if square is not True) == iso, label
@@ -715,12 +751,12 @@ def test_the_carrier_transport_refuses_unequal_term_depth_caps():
     unions of the others, not atoms, so the family a transport between the
     two would report is not Boolean: the transport refuses the pair."""
     model = dict(seeded_models())["fp0"]
-    kb1, kb2 = KnowledgeBase(model, 1, 0), KnowledgeBase(model, 1)
+    kb1, kb2 = KnowledgeBase(model, 1, 0, 0), KnowledgeBase(model, 1, 0)
     mmap = model_isomorphisms(model, model)[0]
     with pytest.raises(MismatchError, match=f"^{CAPS_DIFFER}$"):
-        transport_model_iso(mmap, kb1, kb2, 0)
+        transport_model_iso(mmap, kb1, kb2)
     assert [len(kb.description(1).algebra.block_masks()) for kb in (kb1, kb2)] == [2, 3]
-    family = FunctorIso(FormulaAutomorphism.identity(model.sig), 0,
+    family = FunctorIso(FormulaAutomorphism.identity(model.sig),
                         memberwise_transport_tables(mmap, kb1, kb2), kb1, kb2)
     assert not _is_boolean(family)
 
@@ -798,9 +834,9 @@ def searches(model1: Model, model2: Model) -> list:
     """At (2, 1), the search of each default phi, then the carrier transport
     of the first model isomorphism, if any: each as its alphas' atom images,
     None, or the text of the pullback it raised on."""
-    kb1, kb2 = kbs(model1, model2)
-    calls = [(find_functor_iso, kb1, kb2, phi, 1) for phi in enumerate_automorphisms(model1.sig)]
-    calls += [(transport_model_iso, mmap, kb1, kb2, 1)
+    kb1, kb2 = kbs(model1, model2, 2, 1)
+    calls = [(find_functor_iso, kb1, kb2, phi) for phi in enumerate_automorphisms(model1.sig)]
+    calls += [(transport_model_iso, mmap, kb1, kb2)
               for mmap in model_isomorphisms(model1, model2)[:1]]
     out = []
     for call in calls:
@@ -818,21 +854,24 @@ def test_generator_squares_decide_as_every_bounded_square(monkeypatch):
     alphas, the same None or the same raise.  Both paths are taken, and
     every verdict occurs."""
     pairs = generated_pairs()
-    generators = KnowledgeBase.generators
+    generators = KnowledgeBase.generators.func
     taken = set()
 
-    def recording(kb, depth):
-        gens = generators(kb, depth)
+    def recording(kb):
+        gens = generators(kb)
         taken.add(gens is not None)
         return gens
+
+    recorded = functools.cached_property(recording)
+    recorded.__set_name__(KnowledgeBase, "generators")
 
     def run() -> list:
         return [([decide(m1, m2, n_max=2, depth=1) for decide in DECIDERS], searches(m1, m2))
                 for _, m1, m2 in pairs]
 
-    monkeypatch.setattr(KnowledgeBase, "generators", recording)
+    monkeypatch.setattr(KnowledgeBase, "generators", recorded)
     fast = run()
-    monkeypatch.setattr(KnowledgeBase, "generators", lambda kb, depth: None)
+    monkeypatch.setattr(KnowledgeBase, "generators", property(lambda kb: None))
     full = run()
     for (label, _, _), left, right in zip(pairs, fast, full):
         assert left == right, label
@@ -849,7 +888,7 @@ def test_a_decision_is_symmetric(monkeypatch, bounded):
     of its first model only, but when a pair is witnessed the second
     model's pullbacks are members too."""
     if bounded:
-        monkeypatch.setattr(KnowledgeBase, "generators", lambda kb, depth: None)
+        monkeypatch.setattr(KnowledgeBase, "generators", property(lambda kb: None))
     for label, m1, m2 in generated_pairs():
         for decide in DECIDERS:
             there, back = decide(m1, m2, n_max=2, depth=1), decide(m2, m1, n_max=2, depth=1)
@@ -886,8 +925,8 @@ def test_a_tampered_composite_fails_the_functor_as_the_member_loops_do():
     swapped_neg = relabeled(model_neg(), (1, 0))
     texts = []
     for side in (0, 1):
-        kbs = (KnowledgeBase(model_neg(), 2), KnowledgeBase(swapped_neg, 2))
-        iso = transport_model_iso(model_isomorphisms(*(kb.model for kb in kbs))[0], *kbs, 1)
+        kbs = (KnowledgeBase(model_neg(), 2, 1), KnowledgeBase(swapped_neg, 2, 1))
+        iso = transport_model_iso(model_isomorphisms(*(kb.model for kb in kbs))[0], *kbs)
         assert build_description_iso(iso).passed
         table = tampered_composite_table(kbs[side])
         table.bits[0] = table.bits[-1] = (1 << len(table.fibers)) - 1
@@ -915,7 +954,7 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
         return squares[-1]
 
     monkeypatch.setattr(equivalence, "_squares_commute", recording)
-    iso = find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, depth=1)
+    iso = find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1), phi)
     assert False in squares and iso is not None
     assert build_description_iso(iso) == memberwise_description_iso(iso)
 
@@ -940,17 +979,17 @@ def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
     model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
                   {"P": [], "Q": [(0,)]})
     phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
-    assert find_functor_iso(KnowledgeBase(model, 2), KnowledgeBase(model, 2), phi, 1) is not None
+    assert find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1), phi) is not None
     assert len(calls) == 0
     sig = Signature((("g", 2),), (("P", 1),))
     binary = Model(sig, (0, 1), {"g": {(a, b): a * b for a in (0, 1) for b in (0, 1)}},
                    {"P": [(0,)]})
-    pair = kbs(binary, binary)
-    assert pair[0].generators(1) is None
-    assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig), 1) is not None
+    pair = kbs(binary, binary, 2, 1)
+    assert pair[0].generators is None
+    assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig)) is not None
     assert len(calls) == 4
-    kb = KnowledgeBase(model_neg(), 2)
-    assert kb.check_duality(1).passed and kb.verify_push_functoriality(1).passed
+    kb = KnowledgeBase(model_neg(), 2, 1)
+    assert kb.check_duality().passed and kb.verify_push_functoriality().passed
     assert len(calls) == 8
 
 
@@ -971,13 +1010,13 @@ def conjugated(iso: FunctorIso, renaming: FormulaAutomorphism, phi: FormulaAutom
 def natural(iso: FunctorIso) -> bool:
     """Whether a family meets its automorphism's atom constraints and every
     naturality square, and passes the description functor construction."""
-    kb1, kb2, depth = iso.kb1, iso.kb2, iso.depth
+    kb1, kb2 = iso.kb1, iso.kb2
     sizes = range(1, iso.n_max + 1)
-    constraints = {n: _atom_constraints(kb1, kb2, iso.phi, n, depth) for n in sizes}
+    constraints = {n: _atom_constraints(kb1, kb2, iso.phi, n) for n in sizes}
     if None in constraints.values() or any(iso.alphas[n][m1] != m2 for n in sizes
                                            for m1, m2 in constraints[n]):
         return False
-    if not all(_squares_commute(iso.alphas, iso.phi, kb1, kb2, depth, a, b)
+    if not all(_squares_commute(iso.alphas, iso.phi, kb1, kb2, a, b)
                for a, b in itertools.product(sizes, repeat=2)):
         return False
     try:
@@ -998,9 +1037,9 @@ def test_renamings_are_inner():
     pairs += [(model_p(), model_p_relabeled(), 3, 1), (model_pq1(), model_pq2(), 3, 1)]
     counts = {"found": 0, "none": 0, "raised": 0, "conjugates": 0, "wrong way": 0}
     for m1, m2, n_max, depth in pairs:
-        kb1, kb2 = kbs(m1, m2, n_max)
+        kb1, kb2 = kbs(m1, m2, n_max, depth)
         families = renaming_families(m1.sig, n_max)
-        for iso, family in itertools.product(reported_witnesses(kb1, kb2, depth), families):
+        for iso, family in itertools.product(reported_witnesses(kb1, kb2), families):
             if isinstance(iso, FunctorIso):
                 phi = FormulaAutomorphism(m1.sig, iso.phi.rel_images, family.var_images)
                 assert natural(conjugated(iso, family, phi, inverse=False))
@@ -1008,8 +1047,8 @@ def test_renamings_are_inner():
         for relation_part, family in itertools.product(enumerate_automorphisms(m1.sig),
                                                        families):
             phi = FormulaAutomorphism(m1.sig, relation_part.rel_images, family.var_images)
-            renamed = outcome(find_functor_iso, kb1, kb2, phi, depth)
-            plain = outcome(find_functor_iso, kb1, kb2, relation_part, depth)
+            renamed = outcome(find_functor_iso, kb1, kb2, phi)
+            plain = outcome(find_functor_iso, kb1, kb2, relation_part)
             if isinstance(renamed, str) or renamed is None:
                 assert renamed == plain
                 counts["raised" if renamed else "none"] += 1
@@ -1024,20 +1063,25 @@ def test_renamings_are_inner():
 
 
 def test_the_renaming_families_change_no_report():
-    """Both deciders give the same report with the default automorphisms as
-    with every variable renaming family added after them, on every
+    """Both deciders give the same report with the default automorphisms
+    pinned as with every variable renaming family added after them, on every
     same-signature pair of the fixtures and the seeded models, self-pairs
-    included.  Some decisions try every automorphism and end UNKNOWN, so the
-    families are reached."""
+    included.  Pinned phis skip the carrier path, so both deciders search
+    them alone; unpinned, the automorphic decider searches the defaults and
+    gives the same report.  Some decisions try every automorphism and end
+    UNKNOWN, so the families are reached."""
     models = [m for _, m in all_fixtures() + seeded_models()]
     pairs = [(m1, m2) for m1, m2 in itertools.combinations_with_replacement(models, 2)
              if m1.sig == m2.sig]
     exhausted = 0
     for (m1, m2), decide in itertools.product(pairs, (check_informational_equivalence,
                                                       check_automorphic_equivalence)):
-        phis = enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, 2)
-        report = decide(m1, m2, n_max=2, depth=1)
+        defaults = enumerate_automorphisms(m1.sig)
+        phis = defaults + renaming_families(m1.sig, 2)
+        report = decide(m1, m2, n_max=2, depth=1, phis=defaults)
         assert report == decide(m1, m2, n_max=2, depth=1, phis=phis)
+        if decide is check_automorphic_equivalence:
+            assert report == decide(m1, m2, n_max=2, depth=1)
         exhausted += report.verdict == VERDICT_UNKNOWN and len(report.notes) == 1
     assert len(pairs) == 32 and exhausted > 0
 
@@ -1066,9 +1110,9 @@ def test_the_squares_are_the_functor(monkeypatch):
         bounded = set(enumerate_substitutions(swap.sig, source, target, 1))
         assert {swap.map_subst(s) for s in bounded} == bounded
     isos = [iso for label, m1, m2, n_max, depth in pairs
-            for iso in reported_witnesses(*kbs(m1, m2, n_max), depth)
+            for iso in reported_witnesses(*kbs(m1, m2, n_max, depth))
             if isinstance(iso, FunctorIso)]
-    isos.append(find_functor_iso(*kbs(model_neg(), model_neg()), swap, depth=1))
+    isos.append(find_functor_iso(*kbs(model_neg(), model_neg(), 2, 1), swap))
     for iso in isos:
         assert _is_boolean(iso), iso.phi.describe()
         assert build_description_iso(iso).passed, iso.phi.describe()

@@ -1,5 +1,5 @@
 """Hygiene of the package: no module imports a name it never uses, and
-only the per-model contexts take a point bound.
+only the per-model contexts take a point bound or a substitution depth.
 
 A name counts as used when the module reads it, names it in a quoted
 annotation, lists it in `__all__`, or when another module of the package
@@ -106,18 +106,38 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(trees) == ["one.py:4: Mapping"]
 
 
-def test_only_the_contexts_take_a_point_bound():
-    """A point bound is given to a `Geometry` or a `KnowledgeBase`, which
-    hands it to its geometry; every other public callable reads it from
-    one of them.  Classes are checked through `__init__`."""
-    takers = set()
-    for name in kbgeo.__all__:
-        obj = getattr(kbgeo, name)
+def takers(param: str) -> set[str]:
+    """The public callables of the package that take a parameter named
+    `param`: the callables of `kbgeo.__all__`, classes checked through
+    `__init__`, and the methods of `KnowledgeBase`."""
+    found = set()
+    methods = [(f"KnowledgeBase.{name}", attr)
+               for name, attr in vars(kbgeo.KnowledgeBase).items()
+               if inspect.isfunction(attr) and name != "__init__"]
+    for name, obj in [(name, getattr(kbgeo, name)) for name in kbgeo.__all__] + methods:
         if callable(obj):
             try:
                 params = inspect.signature(obj.__init__ if inspect.isclass(obj) else obj).parameters
             except ValueError:  # a builtin __init__ without a signature
                 continue
-            if "max_points" in params:
-                takers.add(name)
-    assert takers == {"Geometry", "KnowledgeBase"}
+            if param in params:
+                found.add(name)
+    return found
+
+
+def test_only_the_contexts_take_a_point_bound():
+    """A point bound is given to a `Geometry` or a `KnowledgeBase`, which
+    hands it to its geometry; every other public callable reads it from
+    one of them."""
+    assert takers("max_points") == {"Geometry", "KnowledgeBase"}
+
+
+def test_only_the_knowledge_base_and_the_wrappers_take_a_depth():
+    """The substitution depth is a bound of the knowledge base: besides its
+    constructor, only the four module-level sweeps and deciders, which build
+    their knowledge bases, and `substitution_generators` take one.  No
+    caller picks the carrier path; the decider's mode and pinned phis do."""
+    assert takers("depth") == {"KnowledgeBase", "check_duality", "verify_push_functoriality",
+                               "check_informational_equivalence",
+                               "check_automorphic_equivalence", "substitution_generators"}
+    assert takers("use_model_iso") == set()

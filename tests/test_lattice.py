@@ -417,7 +417,7 @@ def test_listings_past_sixty_two_atoms_raise_the_bound_not_an_overflow():
     """Over six variables `m_p` has 64 atoms, so 2^64 members, a count `len`
     cannot return.  Each listing bounds that count by the atoms and raises
     the member bound's BoundError, as the lattice dump does."""
-    obj = KnowledgeBase(model_p(), 6).description(6)
+    obj = KnowledgeBase(model_p(), 6, 1).description(6)
     assert len(obj.algebra.block_masks()) == 64
     ident = Substitution.identity(obj.varset)
     listings = [lambda: obj.algebra.masks, lambda: obj.algebra.members,
