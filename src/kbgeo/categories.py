@@ -91,7 +91,8 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a structural verification sweep."""
+    """Outcome of a structural verification sweep; `cli.write_report`
+    renders it."""
 
     title: str
     entries: tuple[tuple[str, str], ...]
@@ -101,19 +102,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def render(self) -> str:
-        lines = [f"report: {self.title}"]
-        for key, value in self.entries:
-            lines.append(f"{key}: {value}")
-        lines.append(f"checked: {self.checked}")
-        if self.failures:
-            lines.append(f"failures: {len(self.failures)}")
-            for i, failure in enumerate(self.failures):
-                lines.append(f"failure[{i}]: {failure}")
-        else:
-            lines.append("failures: none")
-        return "\n".join(lines)
 
 
 class DescriptionObject:
@@ -402,6 +390,10 @@ class KnowledgeBase:
                  max_points: int = DEFAULT_MAX_POINTS):
         if n_max < 1:
             raise MismatchError("n_max must be at least 1")
+        if depth < 0:
+            raise MismatchError("depth must be nonnegative")
+        if max_term_depth is not None and max_term_depth < 0:
+            raise MismatchError("max_term_depth must be nonnegative")
         self.model = model
         self.n_max = n_max
         self.depth = depth

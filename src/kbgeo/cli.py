@@ -13,7 +13,9 @@ Model files are line oriented with '#' comments:
 Subcommands: eval, closure, lattice, duality, functor, equiv.  Exit codes:
 0 pass/witnessed, 1 failure/inequivalent, 2 unknown, 64 usage error, 65
 bad input data or an exceeded bound, memory included.  The KBGEO_MAX_POINTS
-environment variable overrides the point-space bound.
+environment variable sets the point-space bound, and --max-points overrides
+it.  Each command builds one context per model from its flags: eval, closure
+and lattice a `Geometry`, the others a `KnowledgeBase`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import (
@@ -45,7 +46,7 @@ from .lattice import (
     generate_definable_algebra,
     lattice_profile,
 )
-from .semantics import PointSet, satisfying_points
+from .semantics import Geometry, PointSet, satisfying_points
 from .categories import KnowledgeBase, Report
 from .equivalence import EquivReport, FormulaAutomorphism, check_isomorphic, decide_equivalence
 
@@ -62,31 +63,6 @@ class UsageError(Exception):
 
 class DataError(Exception):
     """Unreadable or invalid input data; exits with code 65."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Defaults shared by all subcommands; flags override per run."""
-
-    n_max: int = 2
-    depth: int = 2
-    max_term_depth: Optional[int] = None
-    max_points: int = DEFAULT_MAX_POINTS
-    fmt: str = "text"
-
-    @classmethod
-    def from_env(cls, environ=None) -> "RunConfig":
-        environ = os.environ if environ is None else environ
-        raw = environ.get("KBGEO_MAX_POINTS")
-        if raw is None:
-            return cls()
-        try:
-            bound = int(raw)
-            if bound < 1:
-                raise ValueError
-        except ValueError:
-            raise DataError(f"KBGEO_MAX_POINTS must be a positive integer, got {raw!r}") from None
-        return cls(max_points=bound)
 
 
 # --- model files ---
@@ -269,18 +245,22 @@ def parse_phi_spec(spec: str, sig: Signature, n_max: int) -> FormulaAutomorphism
 
 
 def write_report(report, fmt: str) -> str:
-    """Render a verification report or an equivalence report.  The machine
-    format is flat 'key: value' lines with stable names."""
+    """Render a verification report or an equivalence report in the "text"
+    or the "machine" format.  The machine format is flat 'key: value' lines
+    with stable names, numbering failures and notes from 1."""
     if isinstance(report, Report):
-        if fmt == "text":
-            return report.render()
         lines = [f"report: {report.title}"]
         for key, value in report.entries:
             lines.append(f"{key}: {value}")
         lines.append(f"checked: {report.checked}")
-        lines.append(f"failures: {len(report.failures)}")
-        for i, failure in enumerate(report.failures, 1):
-            lines.append(f"failure.{i}: {failure}")
+        if fmt == "text":
+            lines.append(f"failures: {len(report.failures) or 'none'}")
+            for i, failure in enumerate(report.failures):
+                lines.append(f"failure[{i}]: {failure}")
+        else:
+            lines.append(f"failures: {len(report.failures)}")
+            for i, failure in enumerate(report.failures, 1):
+                lines.append(f"failure.{i}: {failure}")
         return "\n".join(lines)
     if isinstance(report, EquivReport):
         if fmt == "text":
@@ -328,7 +308,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--format", choices=("text", "machine"), default=None,
+        p.add_argument("--format", choices=("text", "machine"), default="text",
                        help="output format (default text)")
         p.add_argument("--max-points", type=int, default=None,
                        help="point-space enumeration bound")
@@ -357,14 +337,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("duality", help="verify the description/content duality")
     p.add_argument("model")
-    p.add_argument("--max-vars", type=int, default=None)
+    p.add_argument("--max-vars", type=int, default=2)
     p.add_argument("--depth", type=int, default=1)
     add_common(p)
 
     p = sub.add_parser("functor", help="verify pushforward identity and composition laws")
     p.add_argument("model")
-    p.add_argument("--max-vars", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--max-vars", type=int, default=2)
+    p.add_argument("--depth", type=int, default=2)
     add_common(p)
 
     p = sub.add_parser("equiv", help="decide a knowledge-base equivalence")
@@ -373,48 +353,47 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("iso", "lae", "info"), default="info")
     p.add_argument("--phi", default=None,
                    help="pin one automorphism: identity | swaprel P Q ... | renamevars x1:x2,...")
-    p.add_argument("--max-vars", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--max-vars", type=int, default=2)
+    p.add_argument("--depth", type=int, default=2)
     add_common(p)
 
     return parser
 
 
-def _apply_config(args, config: RunConfig) -> RunConfig:
-    updates = {}
-    if getattr(args, "max_points", None) is not None:
-        if args.max_points < 1:
-            raise UsageError("--max-points must be positive")
-        updates["max_points"] = args.max_points
-    if getattr(args, "max_term_depth", None) is not None:
-        if args.max_term_depth < 0:
-            raise UsageError("--max-term-depth must be nonnegative")
-        updates["max_term_depth"] = args.max_term_depth
-    if getattr(args, "format", None) is not None:
-        updates["fmt"] = args.format
-    if getattr(args, "max_vars", None) is not None:
-        if args.max_vars < 1:
-            raise UsageError("--max-vars must be positive")
-        updates["n_max"] = args.max_vars
-    if getattr(args, "depth", None) is not None:
-        if args.depth < 0:
-            raise UsageError("--depth must be nonnegative")
-        updates["depth"] = args.depth
-    return replace(config, **updates)
+def _env_max_points() -> int:
+    """The point bound KBGEO_MAX_POINTS sets, or the default when unset."""
+    raw = os.environ.get("KBGEO_MAX_POINTS")
+    if raw is None:
+        return DEFAULT_MAX_POINTS
+    try:
+        bound = int(raw)
+        if bound < 1:
+            raise ValueError
+    except ValueError:
+        raise DataError(f"KBGEO_MAX_POINTS must be a positive integer, got {raw!r}") from None
+    return bound
 
 
-def _knowledge_base(path: str, config: RunConfig) -> KnowledgeBase:
-    """The model at `path` in a knowledge base under the run's bounds; every
-    command reads its bounds from it."""
-    return KnowledgeBase(load_model(path), config.n_max, config.depth,
-                         config.max_term_depth, config.max_points)
+def _check_bounds(args) -> None:
+    """Refuse the first bound flag, in this order, below its least value."""
+    for name, least in (("max_points", 1), ("max_term_depth", 0), ("max_vars", 1), ("depth", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be {'positive' if least else 'nonnegative'}")
 
 
-def _run_eval(args, config: RunConfig) -> tuple[int, str]:
-    kb = _knowledge_base(args.model, config)
+def _knowledge_base(path: str, args) -> KnowledgeBase:
+    """The model at `path` in a knowledge base under the flags' bounds."""
+    return KnowledgeBase(load_model(path), args.max_vars, args.depth,
+                         args.max_term_depth, args.max_points)
+
+
+def _run_eval(args) -> tuple[int, str]:
+    geometry = Geometry(load_model(args.model), args.max_points)
     varset = parse_var_list(args.vars)
-    f = parse_formula(args.formula, FormulaContext(kb.model.sig, varset))
-    points = satisfying_points(f, kb.model, varset, geometry=kb.geometry)
+    f = parse_formula(args.formula, FormulaContext(geometry.model.sig, varset))
+    points = satisfying_points(f, geometry.model, varset, geometry=geometry)
     lines = [
         f"formula: {formula_to_text(f)}",
         f"vars: {', '.join(varset.names)}",
@@ -424,12 +403,12 @@ def _run_eval(args, config: RunConfig) -> tuple[int, str]:
     return EXIT_PASS, "\n".join(lines)
 
 
-def _run_closure(args, config: RunConfig) -> tuple[int, str]:
-    kb = _knowledge_base(args.model, config)
+def _run_closure(args) -> tuple[int, str]:
+    geometry = Geometry(load_model(args.model), args.max_points)
     varset = parse_var_list(args.vars)
-    pset = PointSet.of_rows(kb.geometry.space(varset), parse_point_rows(args.points))
-    algebra = generate_definable_algebra(kb.model, varset, kb.max_term_depth,
-                                         geometry=kb.geometry)
+    pset = PointSet.of_rows(geometry.space(varset), parse_point_rows(args.points))
+    algebra = generate_definable_algebra(geometry.model, varset, args.max_term_depth,
+                                         geometry=geometry)
     closed = closure(pset, algebra)
     lines = [
         f"vars: {', '.join(varset.names)}",
@@ -442,10 +421,11 @@ def _run_closure(args, config: RunConfig) -> tuple[int, str]:
     return EXIT_PASS, "\n".join(lines)
 
 
-def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
-    kb = _knowledge_base(args.model, config)
+def _run_lattice(args) -> tuple[int, str]:
+    geometry = Geometry(load_model(args.model), args.max_points)
     varset = parse_var_list(args.vars)
-    lattice = build_filter_lattice(kb.model, varset, kb.max_term_depth, geometry=kb.geometry)
+    lattice = build_filter_lattice(geometry.model, varset, args.max_term_depth,
+                                   geometry=geometry)
     size, height, degrees = lattice_profile(lattice)
     lines = [
         f"vars: {', '.join(varset.names)}",
@@ -460,29 +440,29 @@ def _run_lattice(args, config: RunConfig) -> tuple[int, str]:
     return EXIT_PASS, "\n".join(lines)
 
 
-def _run_duality(args, config: RunConfig) -> tuple[int, str]:
-    report = _knowledge_base(args.model, config).check_duality()
-    return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
+def _run_duality(args) -> tuple[int, str]:
+    report = _knowledge_base(args.model, args).check_duality()
+    return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, args.format)
 
 
-def _run_functor(args, config: RunConfig) -> tuple[int, str]:
-    report = _knowledge_base(args.model, config).verify_push_functoriality()
-    return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, config.fmt)
+def _run_functor(args) -> tuple[int, str]:
+    report = _knowledge_base(args.model, args).verify_push_functoriality()
+    return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, args.format)
 
 
-def _run_equiv(args, config: RunConfig) -> tuple[int, str]:
-    kb1, kb2 = _knowledge_base(args.model1, config), _knowledge_base(args.model2, config)
+def _run_equiv(args) -> tuple[int, str]:
+    kb1, kb2 = _knowledge_base(args.model1, args), _knowledge_base(args.model2, args)
     if args.mode == "iso":
         if args.phi is not None:
             raise UsageError("--phi applies to modes lae and info only")
         report = check_isomorphic(kb1.model, kb2.model)
-        return report.exit_code, write_report(report, config.fmt)
+        return report.exit_code, write_report(report, args.format)
     phis = None
     if args.phi is not None:
-        phis = [parse_phi_spec(args.phi, kb1.model.sig, config.n_max)]
+        phis = [parse_phi_spec(args.phi, kb1.model.sig, kb1.n_max)]
     mode = "automorphic" if args.mode == "lae" else "informational"
     report = decide_equivalence(kb1, kb2, phis, mode=mode)
-    return report.exit_code, write_report(report, config.fmt)
+    return report.exit_code, write_report(report, args.format)
 
 
 _RUNNERS = {
@@ -495,15 +475,16 @@ _RUNNERS = {
 }
 
 
-def run_command(argv, config: Optional[RunConfig] = None) -> tuple[int, str]:
-    """Run one subcommand; returns (exit code, output text)."""
-    parser = build_parser()
+def run_command(argv) -> tuple[int, str]:
+    """Run one subcommand; returns (exit code, output text).  The point bound
+    is KBGEO_MAX_POINTS when set, and `--max-points` overrides it."""
     try:
-        if config is None:
-            config = RunConfig.from_env()
-        args = parser.parse_args(argv)
-        config = _apply_config(args, config)
-        return _RUNNERS[args.command](args, config)
+        max_points = _env_max_points()
+        args = build_parser().parse_args(argv)
+        _check_bounds(args)
+        if args.max_points is None:
+            args.max_points = max_points
+        return _RUNNERS[args.command](args)
     except UsageError as exc:
         return EXIT_USAGE, f"usage error: {exc}"
     except (DataError, DefinabilityError, BoundError, MismatchError, ParseError,

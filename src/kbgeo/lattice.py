@@ -176,18 +176,18 @@ class UnionMap(Mapping[int, int]):
 
 
 class DefinableAlgebra:
-    """The definable algebra over one space, held by its atoms; `index` maps
-    every member to itself, and a member is built when first asked for.
+    """The definable algebra over one space, whose model and variable set it
+    reads, held by its atoms; `index` maps every member to itself, and a
+    member is built when first asked for.
     `size` is the member count, 2^k for k atoms, which `len` cannot return
     past 62 atoms: Python's `len` is bounded by the index size, so it raises
     `OverflowError` there.  Listings bound the count by the atoms instead,
     so past that bound they raise `BoundError`."""
 
-    def __init__(self, model: Model, varset: VarSet, space: PointSpace,
-                 blocks: tuple[int, ...], witness: Callable[[int], Formula],
-                 valuation: _Valuation, saturated: bool):
-        self.model = model
-        self.varset = varset
+    def __init__(self, space: PointSpace, blocks: tuple[int, ...],
+                 witness: Callable[[int], Formula], valuation: _Valuation, saturated: bool):
+        self.model = space.model
+        self.varset = space.varset
         self.space = space
         self.saturated = saturated
         self.size = 1 << len(blocks)
@@ -353,8 +353,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         for var in varset.names:
             pending += split(_exists_mask(block, space, var), Exists(var, body))
 
-    return DefinableAlgebra(model, varset, space, tuple(sorted(blocks)), witness, valuation,
-                            clone.saturated)
+    return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
 
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:

@@ -36,6 +36,7 @@ from kbgeo import (
     verify_push_functoriality,
 )
 from kbgeo import semantics
+from kbgeo.cli import write_report
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
 from helpers import (
@@ -138,6 +139,21 @@ def test_content_composition_is_contravariant():
     assert dual_of_composite == composed_duals
 
 
+def test_a_knowledge_base_refuses_a_negative_depth():
+    """A negative substitution depth or term-depth cap is refused, as n_max
+    below 1 is, by the constructor and by the wrappers that build one; zero
+    is a bound like any other."""
+    with pytest.raises(MismatchError, match="^depth must be nonnegative$"):
+        KnowledgeBase(model_neg(), 2, -1)
+    with pytest.raises(MismatchError, match="^max_term_depth must be nonnegative$"):
+        KnowledgeBase(model_neg(), 2, 1, -1)
+    with pytest.raises(MismatchError, match="^depth must be nonnegative$"):
+        check_duality(model_neg(), 2, -1)
+    with pytest.raises(MismatchError, match="^max_term_depth must be nonnegative$"):
+        check_duality(model_neg(), 2, 1, -1)
+    assert KnowledgeBase(model_neg(), 2, 0, 0).substitutions(2, 2)
+
+
 def test_knowledge_base_objects_are_cached_and_dual():
     kb = KnowledgeBase(model_p(), 2, 1)
     d1 = kb.description(1)
@@ -187,11 +203,11 @@ def test_push_functoriality_on_fixtures():
 
 def test_report_render_shape():
     report = check_duality(model_eq(), 1)
-    text = report.render()
+    text = write_report(report, "text")
     assert text.splitlines()[0] == "report: duality"
     assert "failures: none" in text
     bad = Report("demo", (("key", "value"),), 3, ("first", "second"))
-    rendered = bad.render()
+    rendered = write_report(bad, "text")
     assert "failures: 2" in rendered
     assert "failure[0]: first" in rendered
     assert not bad.passed
@@ -240,8 +256,8 @@ def test_sweeps_report_undefinable_pullbacks(name, model):
     push = kb.verify_push_functoriality()
     # The sweeps on atoms report what the member sweeps do; failing pushes
     # take the member rerun of their blocks.
-    assert duality.render() == memberwise_check_duality(kb).render()
-    assert push.render() == memberwise_push_functoriality(kb).render()
+    assert duality == memberwise_check_duality(kb)
+    assert push == memberwise_push_functoriality(kb)
     if name not in UNDEFINABLE_PULLBACKS:
         assert duality.passed and push.passed
         return
@@ -332,7 +348,7 @@ def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
     kbs = {d: KnowledgeBase(make(), 2, d) for d in (depth, depth - 1)}
     duality, push = KnowledgeBase.check_duality, KnowledgeBase.verify_push_functoriality
     for sweep, d in ((duality, depth), (push, depth - 1), (duality, depth - 1), (push, depth)):
-        assert sweep(kbs[d]).render() == sweep(KnowledgeBase(make(), 2, d)).render()
+        assert sweep(kbs[d]) == sweep(KnowledgeBase(make(), 2, d))
 
 
 def held_or_error(source, target, subst):
@@ -476,9 +492,8 @@ def test_morphisms_refuse_arguments_from_other_objects():
 
 def assert_sweeps_match_the_member_sweeps(model, n_max, depth):
     kb = KnowledgeBase(model, n_max, depth)
-    assert kb.check_duality().render() == memberwise_check_duality(kb).render()
-    assert (kb.verify_push_functoriality().render()
-            == memberwise_push_functoriality(kb).render())
+    assert kb.check_duality() == memberwise_check_duality(kb)
+    assert kb.verify_push_functoriality() == memberwise_push_functoriality(kb)
 
 
 # Depth 2 on the fixtures is pinned by tests/sweeps_machine.golden.
@@ -529,7 +544,7 @@ def test_a_block_failing_on_atoms_reruns_over_every_member():
     table.fibers[0] = 0
     table.preimages.clear()
     push = kb.verify_push_functoriality()
-    assert push.render() == memberwise_push_functoriality(kb).render()
+    assert push == memberwise_push_functoriality(kb)
     atoms = kb.description(2).lattice.algebra.block_masks()
     masks = [int(f.rsplit(" ", 1)[1], 16) for f in push.failures if "disagrees" in f]
     assert any(mask not in atoms for mask in masks)
@@ -546,7 +561,7 @@ def test_an_identity_moving_an_atom_reruns_over_every_member():
     first = algebra.block_masks()[0]
     table.fibers = [0 if first >> p & 1 else fiber for p, fiber in enumerate(table.fibers)]
     push = kb.verify_push_functoriality()
-    assert push.render() == memberwise_push_functoriality(kb).render()
+    assert push == memberwise_push_functoriality(kb)
     assert push.failures.count("identity push moved a filter over |X|=2") == algebra.size // 2
 
 
@@ -559,7 +574,7 @@ def test_a_composite_whose_dual_differs_on_the_first_atom():
     table.bits[0] = 0
     table.images.clear()
     duality = kb.check_duality()
-    assert duality.render() == memberwise_check_duality(kb).render()
+    assert duality == memberwise_check_duality(kb)
     assert len(duality.failures) == 2
     assert all(f.startswith("dual of a composite differs") for f in duality.failures)
 

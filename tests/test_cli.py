@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from kbgeo import Signature, VERDICT_WITNESSED, cli
+from kbgeo import DEFAULT_MAX_POINTS, Signature, VERDICT_WITNESSED, cli
 from kbgeo.cli import (
     DataError,
     EXIT_DATA,
@@ -13,7 +13,6 @@ from kbgeo.cli import (
     EXIT_PASS,
     EXIT_UNKNOWN,
     EXIT_USAGE,
-    RunConfig,
     UsageError,
     load_model,
     load_model_text,
@@ -33,6 +32,12 @@ SWEEPS_GOLDEN = pathlib.Path(__file__).resolve().parent / "sweeps_machine.golden
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
+
+
+@pytest.fixture
+def default_point_bound(monkeypatch):
+    """Runs under the default point bound, whatever KBGEO_MAX_POINTS says."""
+    monkeypatch.delenv("KBGEO_MAX_POINTS", raising=False)
 
 
 def test_load_fixture_files_match_programmatic_models():
@@ -217,13 +222,14 @@ along {x1 := f(f(x1)), x2 := x1} is not definable over {x1}"""
 
 
 @pytest.mark.parametrize("command,expected", [("duality", FU_DUALITY), ("functor", FU_FUNCTOR)])
-def test_a_failing_sweep_numbers_its_failures_in_machine_format(tmp_path, command, expected):
+def test_a_failing_sweep_numbers_its_failures_in_machine_format(tmp_path, command, expected,
+                                                                 default_point_bound):
     """Both sweeps fail on the `fu` model at (2, 1) with exit 1, and the
     machine format numbers each failure from 1."""
     path = tmp_path / "fu.kbm"
     path.write_text(FU)
     assert run_command([command, str(path), "--max-vars", "2", "--depth", "1",
-                        "--format", "machine"], RunConfig()) == (EXIT_FAIL, expected)
+                        "--format", "machine"]) == (EXIT_FAIL, expected)
 
 
 def test_equiv_pinned_witness_output():
@@ -315,13 +321,12 @@ def lattice_dump_runs() -> str:
     names = sorted(path.name for path in FIXTURES.glob("*.kbm"))
     blocks = []
     for name, varlist in itertools.product(names, ("x1", "x1,x2", "x1,x2,x3")):
-        code, text = run_command(["lattice", fixture(name), "--vars", varlist, "--dump"],
-                                 RunConfig())
+        code, text = run_command(["lattice", fixture(name), "--vars", varlist, "--dump"])
         blocks.append(f"## {name} {varlist} -> {code}\n{text}\n")
     return "".join(blocks)
 
 
-def test_lattice_dump_on_all_fixtures():
+def test_lattice_dump_on_all_fixtures(default_point_bound):
     assert lattice_dump_runs().splitlines() == DUMP_GOLDEN.read_text().splitlines()
 
 
@@ -353,12 +358,12 @@ def equiv_machine_runs() -> str:
     blocks = []
     for first, second, mode in itertools.product(names, names, ("iso", "lae", "info")):
         code, text = run_command(["equiv", fixture(first), fixture(second),
-                                  "--mode", mode, "--format", "machine"], RunConfig())
+                                  "--mode", mode, "--format", "machine"])
         blocks.append(f"## {first} {second} {mode} -> {code}\n{text}\n")
     return "".join(blocks)
 
 
-def test_equiv_machine_output_on_all_fixture_pairs():
+def test_equiv_machine_output_on_all_fixture_pairs(default_point_bound):
     assert equiv_machine_runs().splitlines() == EQUIV_GOLDEN.read_text().splitlines()
 
 
@@ -371,12 +376,12 @@ def sweeps_machine_runs() -> str:
     for name, command, n_max, depth in itertools.product(
             names, ("duality", "functor"), ("1", "2"), ("0", "1", "2")):
         code, text = run_command([command, fixture(name), "--max-vars", n_max,
-                                  "--depth", depth, "--format", "machine"], RunConfig())
+                                  "--depth", depth, "--format", "machine"])
         blocks.append(f"## {command} {name} {n_max} {depth} -> {code}\n{text}\n")
     return "".join(blocks)
 
 
-def test_sweeps_machine_output_on_all_fixtures():
+def test_sweeps_machine_output_on_all_fixtures(default_point_bound):
     assert sweeps_machine_runs().splitlines() == SWEEPS_GOLDEN.read_text().splitlines()
 
 
@@ -394,15 +399,30 @@ def test_usage_errors_exit_above_two():
     assert code == EXIT_DATA
 
 
-def test_point_bound_env_override():
-    config = RunConfig.from_env({"KBGEO_MAX_POINTS": "2"})
-    assert config.max_points == 2
+def test_point_bound_env_override(monkeypatch):
+    monkeypatch.setenv("KBGEO_MAX_POINTS", "2")
+    assert cli._env_max_points() == 2
     code, text = run_command(["eval", fixture("m_p.kbm"), "--vars", "x1,x2",
-                              "--formula", "true"], config)
+                              "--formula", "true"])
     assert code == EXIT_DATA
+    monkeypatch.setenv("KBGEO_MAX_POINTS", "soon")
     with pytest.raises(DataError):
-        RunConfig.from_env({"KBGEO_MAX_POINTS": "soon"})
-    assert RunConfig.from_env({}).max_points == RunConfig().max_points
+        cli._env_max_points()
+    monkeypatch.delenv("KBGEO_MAX_POINTS")
+    assert cli._env_max_points() == DEFAULT_MAX_POINTS
+
+
+def test_the_point_bound_flag_overrides_the_environment(monkeypatch):
+    """`--max-points` replaces the bound KBGEO_MAX_POINTS sets, but the
+    variable is still read, so a bad value is an error even beside the flag."""
+    argv = ["eval", fixture("m_p.kbm"), "--vars", "x1,x2", "--formula", "true"]
+    monkeypatch.setenv("KBGEO_MAX_POINTS", "2")
+    assert run_command(argv) == (EXIT_DATA, "error: 4 points exceed the bound 2")
+    code, text = run_command(argv + ["--max-points", "4"])
+    assert code == EXIT_PASS and "count: 4" in text.splitlines()
+    monkeypatch.setenv("KBGEO_MAX_POINTS", "soon")
+    assert run_command(argv + ["--max-points", "4"]) == \
+        (EXIT_DATA, "error: KBGEO_MAX_POINTS must be a positive integer, got 'soon'")
 
 
 def test_signature_mismatch_is_data_error():
@@ -428,7 +448,7 @@ rel P: 0
 """
 
 
-def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path):
+def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path, default_point_bound):
     """Both knowledge bases have the same term depth cap, so the carrier
     transport relabels the capped lattice's atoms onto the other's atoms.
     It then walks the first model's pullbacks and stops at the first one
@@ -436,7 +456,7 @@ def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path):
     path = tmp_path / "cycle.kbm"
     path.write_text(CYCLE)
     code, text = run_command(["equiv", str(path), str(path), "--max-term-depth", "0",
-                              "--format", "machine"], RunConfig())
+                              "--format", "machine"])
     assert code == EXIT_UNKNOWN
     assert text.splitlines()[-1] == ("note.3: witness search stopped: pullback 0x4 of 0x1 "
                                      "along {x1 := f(x1)} is not definable over {x1}")
@@ -445,7 +465,7 @@ def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path):
 NAMED = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 1\nrel Q: 0\n"
 
 
-def test_listing_past_the_member_bound_is_a_data_error(tmp_path):
+def test_listing_past_the_member_bound_is_a_data_error(tmp_path, default_point_bound):
     """Over three variables the model has 2^27 members: the decision and both
     sweeps, which list none, pass, while the dump and the profile's degree
     line, which list them all, stop with exit 65 and the bound.  The triple
@@ -454,18 +474,18 @@ def test_listing_past_the_member_bound_is_a_data_error(tmp_path):
     path = tmp_path / "named.kbm"
     path.write_text(NAMED)
     code, text = run_command(["equiv", str(path), str(path), "--max-vars", "3",
-                              "--depth", "1", "--format", "machine"], RunConfig())
+                              "--depth", "1", "--format", "machine"])
     assert code == EXIT_PASS
     assert "witness.alphas: |X|=1: 8 filters; |X|=2: 512 filters; |X|=3: 134217728 filters" \
         in text.splitlines()
     error = "error: 134217728 members exceed the bound 1048576"
     for argv in (["lattice", str(path), "--vars", "x1,x2,x3", "--dump"],
                  ["lattice", str(path), "--vars", "x1,x2,x3"]):
-        assert run_command(argv, RunConfig()) == (EXIT_DATA, error)
+        assert run_command(argv) == (EXIT_DATA, error)
     for argv, line in ((["duality", str(path), "--max-vars", "3"], "sizes: 8 512 134217728"),
                        (["functor", str(path), "--max-vars", "3", "--depth", "1"],
                         "triples: 146297522288")):
-        code, text = run_command(argv, RunConfig())
+        code, text = run_command(argv)
         assert code == EXIT_PASS
         assert line in text.splitlines()
 
@@ -473,16 +493,17 @@ def test_listing_past_the_member_bound_is_a_data_error(tmp_path):
 def test_running_out_of_memory_is_a_data_error(monkeypatch):
     """A MemoryError is an exceeded bound (exit 65), never a traceback whose
     exit code 1 would read as "inequivalent"."""
-    def exhausted(args, config):
+    def exhausted(args):
         raise MemoryError
+    monkeypatch.delenv("KBGEO_MAX_POINTS", raising=False)
     monkeypatch.setitem(cli._RUNNERS, "equiv", exhausted)
-    assert run_command(["equiv", fixture("m_p.kbm"), fixture("m_p.kbm")], RunConfig()) \
+    assert run_command(["equiv", fixture("m_p.kbm"), fixture("m_p.kbm")]) \
         == (EXIT_DATA, "error: out of memory within the given bounds")
 
 
-def test_partial_lattice_note_leaves_the_carrier_witness_standing():
+def test_partial_lattice_note_leaves_the_carrier_witness_standing(default_point_bound):
     code, text = run_command(["equiv", fixture("m_neg.kbm"), fixture("m_neg.kbm"),
-                              "--max-term-depth", "0", "--format", "machine"], RunConfig())
+                              "--max-term-depth", "0", "--format", "machine"])
     assert code == EXIT_PASS
     assert text.splitlines() == [
         "verdict: EQUIVALENT_WITNESSED",

@@ -827,7 +827,14 @@ DECIDERS = (check_informational_equivalence, check_automorphic_equivalence)
 
 
 def generated_pairs() -> list:
-    return relabel_pairs() + swap_pairs() + atom_count_pairs()
+    """The drawn relabelling, swap and atom-count pairs, every ordered pair
+    of fixtures with equal signatures, self-pairs included, and the two
+    seeded pairs."""
+    fixtures = all_fixtures()
+    same_signature = [(f"{name1} {name2}", m1, m2)
+                      for (name1, m1), (name2, m2) in itertools.product(fixtures, repeat=2)
+                      if m1.sig == m2.sig]
+    return relabel_pairs() + swap_pairs() + atom_count_pairs() + same_signature + seeded_pairs()
 
 
 def searches(model1: Model, model2: Model) -> list:
