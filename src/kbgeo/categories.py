@@ -454,8 +454,8 @@ class KnowledgeBase:
         return None
 
     def naturality(self, a: int, b: int) -> tuple[Substitution, ...]:
-        """The substitutions from size a to size b that a witness's squares
-        and pullbacks are checked on: the generators between the two sizes,
+        """The substitutions from size a to size b that a candidate's squares
+        are checked on: the generators between the two sizes,
         in `generators` order, when there are generators, and otherwise
         every bounded substitution, in `substitutions` order.
 

@@ -548,17 +548,16 @@ class ModelMap:
         return f"ModelMap({self.describe()})"
 
 
-def model_isomorphisms(source: Model, target: Model) -> list[ModelMap]:
-    """All isomorphisms source -> target, in lexicographic carrier order."""
+def model_isomorphisms(source: Model, target: Model) -> Iterator[ModelMap]:
+    """The isomorphisms source -> target, in lexicographic carrier order, as
+    a lazy iterator: a caller that needs one stops at the first.  The
+    signatures are compared on the call."""
     if source.sig != target.sig:
         raise MismatchError("models have different signatures")
     if len(source.carrier) != len(target.carrier):
-        return []
-    found = []
-    for images in itertools.permutations(target.carrier):
-        if _preserves_structure(source, target, images):
-            found.append(ModelMap(source, target, images))
-    return found
+        return iter(())
+    return (ModelMap(source, target, images) for images in itertools.permutations(target.carrier)
+            if _preserves_structure(source, target, images))
 
 
 @dataclass(frozen=True)

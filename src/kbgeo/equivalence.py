@@ -28,7 +28,9 @@ bijection, and a carrier map relabels the points of each atom.  So a
 decision lists no member.  The search checks the naturality squares on
 atoms; the carrier witness's squares hold by the isomorphism, and its
 transport checks only that the first model's pullbacks are members
-(`transport_model_iso` gives the proof).
+(`transport_model_iso` gives the proof).  Both searches stream: the
+carrier maps and each size's candidates are generated lazily, so a
+decision stops at its first witness and holds no list of either.
 
 Generators.  Neither search visits every bounded substitution when it need
 not.  Squares compose: pre_(s;t) = pre_t . pre_s in each model, and every
@@ -41,11 +43,11 @@ each generator is bounded.  So when the first model's pullback of every
 atom along every generator is a member (`KnowledgeBase.generators`,
 checked once per knowledge base for every phi and the transport), no
 bounded pullback is undefinable: `find_functor_iso` checks the generator
-squares alone and accepts exactly the candidates the full loops accept,
-and `transport_model_iso` finds nothing left to fail.  Both read the
-substitutions they check from `KnowledgeBase.naturality`, which makes
-this choice.  The sweeps `check_duality` and `verify_push_functoriality`
-still visit every bounded substitution.
+squares alone, which `KnowledgeBase.naturality` picks, and accepts
+exactly the candidates the full loops accept, and `transport_model_iso`
+finds nothing left to fail and skips its walk.  The sweeps
+`check_duality` and `verify_push_functoriality` still visit every
+bounded substitution.
 
 The squares are the functor.  A witness from either search is reported as
 it is: every check of `build_description_iso` then holds, by the proof
@@ -55,7 +57,7 @@ and a carrier map sends the atoms onto the atoms, since it relabels every
 formula's extension.  And phi permutes each bounded substitution set: a
 relation permutation leaves each substitution as it is, and conjugating
 by renamings keeps term depth.  `build_description_iso` stays public as a
-test oracle, with `verify_admissibility_transfer`.
+test oracle.
 
 Proof.  Write pre_s for a model's pullback along s, x;y for "x, then y",
 and k for an atom over X_a.  Every witness meets the square
@@ -84,9 +86,6 @@ lies inside K, so (K, pre_t(K)) always is.
   pre2_s(alpha_a(k)), which the square at s' = phi^-1(s) makes
   alpha_b(pre1_s'(k)), a member; its backward image pairs k with
   pre1_s'(k) along s', an admissible pair.
-`verify_admissibility_transfer` is a corollary: t2 lies inside pre1_s(t1)
-exactly when alpha_b(t2) lies inside alpha_b(pre1_s(t1)), which is
-pre2_phi(s)(alpha_a(t1)), because alpha_b is a Boolean isomorphism.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .core import (
     MismatchError,
@@ -363,29 +362,34 @@ def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomo
     return sorted(forward.items())
 
 
-def _candidate_alphas(lat1: FilterLattice, lat2: FilterLattice,
-                      constraints: list[tuple[int, int]]) -> Iterable[UnionMap]:
-    """All mask bijections induced by block bijections compatible with the
-    constraints, in deterministic order."""
-    blocks1 = lat1.algebra.block_masks()
-    blocks2 = lat2.algebra.block_masks()
-    sig1 = {b: tuple(b & ~a == 0 for a, _ in constraints) for b in blocks1}
-    sig2 = {b: tuple(b & ~a == 0 for _, a in constraints) for b in blocks2}
-    classes1: dict[tuple, list[int]] = {}
-    classes2: dict[tuple, list[int]] = {}
-    for b in blocks1:
-        classes1.setdefault(sig1[b], []).append(b)
-    for b in blocks2:
-        classes2.setdefault(sig2[b], []).append(b)
-    if sorted(classes1) != sorted(classes2):
-        return
+def _constraint_classes(lat1: FilterLattice, lat2: FilterLattice,
+                        constraints: list[tuple[int, int]]
+                        ) -> Optional[list[tuple[list[int], list[int]]]]:
+    """Each lattice's blocks grouped by the constraint masks that contain
+    them: the pairs of matching classes in key order, or None when the keys
+    or the class sizes differ, so that no block bijection keeps the
+    constraints."""
+    def classes(lat: FilterLattice, side: int) -> dict[tuple, list[int]]:
+        out: dict[tuple, list[int]] = {}
+        for b in lat.algebra.block_masks():
+            out.setdefault(tuple(b & ~pair[side] == 0 for pair in constraints), []).append(b)
+        return out
+
+    classes1, classes2 = classes(lat1, 0), classes(lat2, 1)
     keys = sorted(classes1)
-    if any(len(classes1[k]) != len(classes2[k]) for k in keys):
-        return
-    for choice in itertools.product(*(itertools.permutations(classes2[k]) for k in keys)):
+    if keys != sorted(classes2) or any(len(classes1[k]) != len(classes2[k]) for k in keys):
+        return None
+    return [(classes1[k], classes2[k]) for k in keys]
+
+
+def _candidate_alphas(classes: list[tuple[list[int], list[int]]]) -> Iterator[UnionMap]:
+    """The mask bijections induced by block bijections that map each class
+    of `_constraint_classes` onto its partner, lazily, in deterministic
+    order."""
+    for choice in itertools.product(*(itertools.permutations(images) for _, images in classes)):
         block_map: dict[int, int] = {}
-        for key, images in zip(keys, choice):
-            block_map.update(zip(classes1[key], images))
+        for (blocks, _), images in zip(classes, choice):
+            block_map.update(zip(blocks, images))
         yield UnionMap(block_map)
 
 
@@ -430,8 +434,11 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     Candidates for each size are block bijections pinned down by the
     automorphism's action on atomic formulas; a backtracking pass accepts an
     assignment only when every naturality square between assigned sizes
-    commutes for every substitution within the depth bound.  Partial lattices
-    never certify: the search requires saturated generation.
+    commutes for every substitution within the depth bound.  Each size's
+    blocks are grouped into constraint classes once, and each visit of the
+    size streams its candidates from them afresh, so no candidate list is
+    held.  Partial lattices never certify: the search requires saturated
+    generation.
 
     Step n checks the squares along `KnowledgeBase.naturality` between n
     and the sizes up to it.  On generators, given the sizes below n, a
@@ -443,7 +450,7 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     n_max = kb1.n_max
     if not (kb1.saturated and kb2.saturated):
         return None
-    candidate_lists: list[list[UnionMap]] = []
+    groupings: list[list[tuple[list[int], list[int]]]] = []
     for n in range(1, n_max + 1):
         if kb1.description(n).algebra.size != kb2.description(n).algebra.size:
             return None
@@ -451,10 +458,10 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
         constraints = _atom_constraints(kb1, kb2, phi, n)
         if constraints is None:
             return None
-        candidates = list(_candidate_alphas(lat1, lat2, constraints))
-        if not candidates:
+        classes = _constraint_classes(lat1, lat2, constraints)
+        if classes is None:
             return None
-        candidate_lists.append(candidates)
+        groupings.append(classes)
 
     alphas: dict[int, UnionMap] = {}
 
@@ -464,7 +471,7 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     def assign(n: int) -> bool:
         if n > n_max:
             return True
-        for candidate in candidate_lists[n - 1]:
+        for candidate in _candidate_alphas(groupings[n - 1]):
             alphas[n] = candidate
             if all(commute(other, n) and (other == n or commute(n, other))
                    for other in range(1, n + 1)) and assign(n + 1):
@@ -484,12 +491,13 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
     Each point is relabelled once, and each atom of the first model goes to
     the union of its points' images; the alpha, a `UnionMap`, sends each
     member to the union of its atoms' images.  The one check left is the
-    first model's pullbacks: for every a, b <= n_max, every s: X_a -> X_b
-    of `KnowledgeBase.naturality` and every atom k over X_a, in that order,
-    pre1_s(k) must be a member, and the first one that is not raises
+    first model's pullbacks: for every a, b <= n_max, every bounded
+    s: X_a -> X_b and every atom k over X_a, in that order, pre1_s(k) must
+    be a member, and the first one that is not raises
     `UndefinablePullbackError`, as the squares of `find_functor_iso` do.
-    Along generators every pullback of an atom is a member, so every
-    bounded one is (module docstring), and the walk cannot raise.
+    When `KnowledgeBase.generators` is not None, it has found every
+    generator pullback of every atom a member, so every bounded one is
+    (module docstring), and the walk is skipped.
     The two knowledge bases must have equal bounds and equal term depth
     caps.  Of the second, only its point spaces are read.
 
@@ -519,52 +527,14 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
         index_of = kb2.geometry.space(canonical_varset(n)).index_of
         bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
         alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
-    for a, b in itertools.product(sizes, repeat=2):
-        atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
-        for subst in kb1.naturality(a, b):
-            table = kb1.geometry.table(subst)
-            for atom in atoms:
-                _pullback(table, atom, target)
+    if kb1.generators is None:
+        for a, b in itertools.product(sizes, repeat=2):
+            atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
+            for subst in kb1.substitutions(a, b):
+                table = kb1.geometry.table(subst)
+                for atom in atoms:
+                    _pullback(table, atom, target)
     return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), alphas, kb1, kb2)
-
-
-def verify_admissibility_transfer(iso: FunctorIso, n_max: Optional[int] = None) -> Report:
-    """Exhaustively confirm that a filter pair is admissible along a
-    substitution exactly when its transported pair is admissible along the
-    mapped substitution, for every bounded substitution of the witness's
-    depth between sizes up to n_max, by default the witness's."""
-    n_max = iso.n_max if n_max is None else n_max
-    if n_max < 1:
-        raise MismatchError("n_max must be at least 1")
-    if n_max > iso.n_max:
-        raise MismatchError("cannot verify beyond the witness bounds")
-    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
-    checked = 0
-    failures: list[str] = []
-    for a in range(1, n_max + 1):
-        for b in range(1, n_max + 1):
-            masks_a = iso.kb1.description(a).lattice.algebra.masks
-            masks_b = iso.kb1.description(b).lattice.algebra.masks
-            for subst in iso.kb1.substitutions(a, b):
-                table1 = geometry1.table(subst)
-                table2 = geometry2.table(iso.phi.map_subst(subst))
-                for t1 in masks_a:
-                    pre1 = table1.preimage(t1)
-                    pre2 = table2.preimage(iso.alphas[a][t1])
-                    for t2 in masks_b:
-                        checked += 1
-                        before = t2 & ~pre1 == 0
-                        after = iso.alphas[b][t2] & ~pre2 == 0
-                        if before != after:
-                            failures.append(
-                                f"transfer broken for {subst} on duals "
-                                f"{t1:#x}, {t2:#x}: {before} vs {after}")
-    entries = (
-        ("object", f"canonical variable sets of sizes 1..{n_max}"),
-        ("substitution depth", str(iso.depth)),
-        ("phi", iso.phi.describe()),
-    )
-    return Report("admissibility transfer", entries, checked, tuple(failures))
 
 
 def _is_boolean(iso: FunctorIso) -> bool:
@@ -728,12 +698,13 @@ class EquivReport:
 
 
 def check_isomorphic(model1: Model, model2: Model) -> EquivReport:
-    """Exact decision of carrier isomorphism by exhaustive bijection search."""
-    isos = model_isomorphisms(model1, model2)
-    if isos:
+    """Exact decision of carrier isomorphism: the bijection search stops at
+    the first isomorphism."""
+    mmap = next(model_isomorphisms(model1, model2), None)
+    if mmap is not None:
         witness = (
             ("kind", "model isomorphism"),
-            ("map", isos[0].describe()),
+            ("map", mmap.describe()),
         )
         return EquivReport(VERDICT_WITNESSED, "isomorphism", (), witness, None, ())
     refutation = (
@@ -795,10 +766,10 @@ def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase,
     iso = None
     try:
         carrier = mode == "informational" and phis is None
-        isos = model_isomorphisms(model1, model2) if carrier else []
-        if isos:
-            iso = transport_model_iso(isos[0], kb1, kb2)
-            witness = (("kind", "model isomorphism"), ("map", isos[0].describe()))
+        mmap = next(model_isomorphisms(model1, model2), None) if carrier else None
+        if mmap is not None:
+            iso = transport_model_iso(mmap, kb1, kb2)
+            witness = (("kind", "model isomorphism"), ("map", mmap.describe()))
         elif saturated:
             for phi in enumerate_automorphisms(model1.sig) if phis is None else phis:
                 iso = find_functor_iso(kb1, kb2, phi)

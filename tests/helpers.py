@@ -14,7 +14,8 @@ description morphism is a `DescMorphism` and every content morphism a
 `ContMorphism` over all lattice members, every push moves a `ClosedFilter`,
 every naturality square is checked on every member, and the alphas, their
 Boolean check and the carrier transport walk every member point by point
-instead of extending atom images.
+instead of extending atom images.  Beside them, the admissibility transfer
+of a witness is checked on every pair of members.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from kbgeo import (
     DescMorphism,
     FormulaAutomorphism,
     KnowledgeBase,
+    MismatchError,
     Model,
     Report,
     Signature,
@@ -510,8 +512,9 @@ def memberwise_squares_commute(alphas, phi, kb1, kb2, source_n: int, target_n: i
 
 
 def memberwise_candidate_alphas(lat1, lat2, constraints):
-    """`_candidate_alphas` with each member's image summed over the blocks
-    inside it."""
+    """`_candidate_alphas` over `_constraint_classes`, with each member's
+    image summed over the blocks inside it; nothing where
+    `_constraint_classes` gives None."""
     blocks1 = lat1.algebra.block_masks()
     blocks2 = lat2.algebra.block_masks()
     sig1 = {b: tuple(b & ~a == 0 for a, _ in constraints) for b in blocks1}
@@ -594,6 +597,50 @@ def memberwise_is_boolean(iso) -> bool:
             if alpha[mask] != alpha[mask ^ atom] | alpha[atom]:
                 return False
     return True
+
+
+def verify_admissibility_transfer(iso, n_max=None) -> Report:
+    """Exhaustively confirm that a filter pair is admissible along a
+    substitution exactly when its transported pair is admissible along the
+    mapped substitution, for every bounded substitution of the witness's
+    depth between sizes up to n_max, by default the witness's.
+
+    On a witness the deciders report it is a corollary of the squares
+    (`kbgeo.equivalence`'s module docstring): t2 lies inside pre1_s(t1)
+    exactly when alpha_b(t2) lies inside alpha_b(pre1_s(t1)), which is
+    pre2_phi(s)(alpha_a(t1)), because alpha_b is a Boolean isomorphism."""
+    n_max = iso.n_max if n_max is None else n_max
+    if n_max < 1:
+        raise MismatchError("n_max must be at least 1")
+    if n_max > iso.n_max:
+        raise MismatchError("cannot verify beyond the witness bounds")
+    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
+    checked = 0
+    failures = []
+    for a in range(1, n_max + 1):
+        for b in range(1, n_max + 1):
+            masks_a = iso.kb1.description(a).lattice.algebra.masks
+            masks_b = iso.kb1.description(b).lattice.algebra.masks
+            for subst in iso.kb1.substitutions(a, b):
+                table1 = geometry1.table(subst)
+                table2 = geometry2.table(iso.phi.map_subst(subst))
+                for t1 in masks_a:
+                    pre1 = table1.preimage(t1)
+                    pre2 = table2.preimage(iso.alphas[a][t1])
+                    for t2 in masks_b:
+                        checked += 1
+                        before = t2 & ~pre1 == 0
+                        after = iso.alphas[b][t2] & ~pre2 == 0
+                        if before != after:
+                            failures.append(
+                                f"transfer broken for {subst} on duals "
+                                f"{t1:#x}, {t2:#x}: {before} vs {after}")
+    entries = (
+        ("object", f"canonical variable sets of sizes 1..{n_max}"),
+        ("substitution depth", str(iso.depth)),
+        ("phi", iso.phi.describe()),
+    )
+    return Report("admissibility transfer", entries, checked, tuple(failures))
 
 
 def memberwise_check_duality(kb) -> Report:

@@ -38,7 +38,6 @@ from kbgeo import (
     subst_image_points,
     subst_preimage_points,
     transport_model_iso,
-    verify_admissibility_transfer,
     verify_push_functoriality,
     VERDICT_INEQUIVALENT,
     VERDICT_UNKNOWN,
@@ -54,6 +53,7 @@ from helpers import (
     model_p_relabeled,
     model_pq1,
     model_pq2,
+    verify_admissibility_transfer,
 )
 
 import pathlib
