@@ -31,7 +31,15 @@ from kbgeo import (
     term_vars,
     term_functions,
 )
-from helpers import model_eq, model_neg, model_p, model_p_relabeled, seeded_models
+from helpers import (
+    brute_term_functions,
+    constant_models,
+    model_eq,
+    model_neg,
+    model_p,
+    model_p_relabeled,
+    seeded_models,
+)
 
 
 def test_signature_basic():
@@ -216,6 +224,25 @@ def test_term_functions_partial_when_depth_capped():
     capped = term_functions(Geometry(model_neg()).space(canonical_varset(1)), max_term_depth=0)
     assert not capped.saturated
     assert [f.values for f in capped.functions] == [(0, 1)]
+
+
+def test_capped_closure_matches_brute_rounds_and_probes_saturation():
+    """Under caps 0 to 3 the closure holds exactly the brute functions of
+    term depth at most the cap, and is saturated exactly when one more
+    round adds none: on the constant models with a binary g beside a
+    constant c, where a constant is a depth-1 term, and on the seeded
+    unary-f models."""
+    cases = [(name, model, 1) for name, model in constant_models() if name.startswith("cg")]
+    cases += [("cg2", dict(constant_models())["cg2"], 2)]
+    cases += [(name, model, k) for name, model in seeded_models() if name.startswith("fp")
+              for k in (1, 2)]
+    for name, model, k in cases:
+        space = Geometry(model).space(canonical_varset(k))
+        brute = [brute_term_functions(model, k, depth) for depth in range(5)]
+        for cap in range(4):
+            clone = term_functions(space, cap)
+            assert {f.values for f in clone.functions} == brute[cap], (name, k, cap)
+            assert clone.saturated == (brute[cap + 1] == brute[cap]), (name, k, cap)
 
 
 def test_enumerate_terms_by_depth():

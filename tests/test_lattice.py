@@ -1,6 +1,8 @@
 """Definable-set algebras, closure, and the filter lattices dual to them."""
 
+import hashlib
 import itertools
+import pathlib
 
 import pytest
 
@@ -36,19 +38,24 @@ from kbgeo import (
     satisfying_points,
 )
 from kbgeo import lattice
+from kbgeo.core import TermFunction, TermFunctionSet, term_functions
 from kbgeo.formulas import And, Atom, Formula, Not
 from helpers import (
     all_fixtures,
     brute_closure,
     brute_definable_family,
     brute_lattice_profile,
+    constant_models,
     model_eq,
     model_neg,
     model_p,
     model_p0,
     named_pair,
+    relabel_pairs,
     seeded_models,
 )
+
+DIGESTS_GOLDEN = pathlib.Path(__file__).resolve().parent / "build_digests.golden"
 
 
 def member_rows(algebra) -> set:
@@ -97,6 +104,64 @@ def test_every_member_checks_its_witness():
             recomputed = DefinableSet(member.points, member.witness)
             assert recomputed.mask == member.mask, (name, k)
             assert line.endswith(" " + formula_to_text(member.witness)), (name, k)
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def build_digests() -> str:
+    """One line per generated model and variable count 1 and 2: the name, n,
+    the algebra's size, a digest of its dump and a digest of its clone, the
+    term functions (values and witness) and saturation under caps 0, 1, 2
+    and none.  The models are `seeded_models`, `constant_models` and the
+    first model of each `relabel_pairs` entry; cg3 and cg4 over two
+    variables are left out, since their clones do not finish.  The dump
+    digest covers every dump line up to 2^10 members; past that, the lines
+    of the atoms, whose witnesses spell out the split tree that every
+    member's witness is read from."""
+    models = seeded_models() + constant_models()
+    models += [(name.split()[0], model) for name, model, _ in relabel_pairs()]
+    out = []
+    for (name, model), n in itertools.product(models, (1, 2)):
+        if n == 2 and name in ("cg3", "cg4"):
+            continue
+        space = Geometry(model).space(canonical_varset(n))
+        algebra = generate_definable_algebra(model, space.varset, geometry=space.geometry)
+        if algebra.size <= 1 << 10:
+            dump = algebra.dump_lines()
+        else:
+            dump = [f"{mask:#x} {mask.bit_count()} {formula_to_text(algebra.member(mask).witness)}"
+                    for mask in algebra.block_masks()]
+        clone = []
+        for cap in (0, 1, 2, None):
+            found = term_functions(space, cap)
+            clone += [f"{cap} {f.values} {f.witness}" for f in found.functions]
+            clone.append(f"{cap} saturated={found.saturated}")
+        out.append(f"{name} {n} {algebra.size} {_sha256(dump)} {_sha256(clone)}\n")
+    return "".join(out)
+
+
+def test_builds_of_generated_models_match_their_digests():
+    assert build_digests().splitlines() == DIGESTS_GOLDEN.read_text().splitlines()
+
+
+def test_a_wrong_clone_column_fails_the_build(monkeypatch):
+    """A build reads its seeds off the clone's value columns, but checks each
+    block's witness by evaluating the witness terms: with two functions'
+    columns swapped, the first block checked has a witness that evaluates
+    elsewhere, and the build stops there."""
+    def swapped(space, max_term_depth=None):
+        found = term_functions(space, max_term_depth)
+        first, second, *rest = found.functions
+        return TermFunctionSet((TermFunction(second.values, first.witness),
+                                TermFunction(first.values, second.witness), *rest),
+                               found.saturated)
+
+    monkeypatch.setattr(lattice, "term_functions", swapped)
+    for model, n in ((model_neg(), 1), (model_neg(), 2), (dict(seeded_models())["fp0"], 2)):
+        with pytest.raises(DefinabilityError, match=r"^witness .+ evaluates to \{.*\}, not \{.*\}$"):
+            generate_definable_algebra(model, canonical_varset(n))
 
 
 def _node_ids(f, seen: set) -> None:
