@@ -585,6 +585,19 @@ def _column_rows(columns: list, size: int) -> Iterator[tuple]:
     return zip(*columns) if columns else itertools.repeat((), size)
 
 
+def _combos_from(base: int, start: int, arity: int) -> Iterator[tuple]:
+    """The `arity`-tuples of indices below `base` with an entry at or after
+    `start`, in `itertools.product` order."""
+    if arity == 1:
+        yield from ((k,) for k in range(start, base))
+        return
+    for first in range(base):
+        rests = (itertools.product(range(base), repeat=arity - 1) if first >= start
+                 else _combos_from(base, start, arity - 1))
+        for rest in rests:
+            yield (first,) + rest
+
+
 def term_functions(space, max_term_depth: Optional[int] = None) -> TermFunctionSet:
     """Close the projections over a point space (`semantics.PointSpace`,
     which its geometry admitted under the point bound) under its model's
@@ -595,47 +608,48 @@ def term_functions(space, max_term_depth: Optional[int] = None) -> TermFunctionS
     ``max_term_depth`` the closure stops after that many rounds and reports
     saturation by probing one further round.  A variable's values are the
     space's column; each candidate's are its operation table read across its
-    arguments' value columns.
+    arguments' value columns.  Depths never decrease along the functions, so
+    a round's candidates are the argument tuples with an entry among the
+    previous round's functions, and a constant is a candidate of the first
+    round only; a candidate's witness term is built only for a new table.
     """
     model, npoints = space.model, space.size
     funcs: list[TermFunction] = []
-    depths: list[int] = []
-    seen: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     for i, name in enumerate(space.varset.names):
         values = space.column(i)
         if values not in seen:
-            seen[values] = len(funcs)
+            seen.add(values)
             funcs.append(TermFunction(values, Var(name)))
-            depths.append(0)
 
-    def round_candidates(target_depth: int):
-        base = len(funcs)
+    def round_candidates(depth: int, start: int, base: int):
+        """(op, argument indices, values) of round `depth`, whose previous
+        round found the functions from `start` to `base`."""
         for op, arity in model.sig.ops:
             table = model.op_tables[op]
-            for combo in itertools.product(range(base), repeat=arity):
-                if max((depths[k] for k in combo), default=0) != target_depth - 1:
-                    continue
+            if arity:
+                combos = _combos_from(base, start, arity)
+            else:
+                combos = [()] if depth == 1 else []
+            for combo in combos:
                 columns = [funcs[k].values for k in combo]
-                values = tuple(map(table.__getitem__, _column_rows(columns, npoints)))
-                witness = OpApp(op, tuple(funcs[k].witness for k in combo))
-                yield values, witness
+                yield op, combo, tuple(map(table.__getitem__, _column_rows(columns, npoints)))
 
-    saturated = True
-    depth = 0
-    while True:
-        depth += 1
+    saturated, start = True, 0
+    for depth in itertools.count(1):
+        base = len(funcs)
         if max_term_depth is not None and depth > max_term_depth:
-            saturated = all(values in seen for values, _ in round_candidates(depth))
+            saturated = all(values in seen
+                            for _, _, values in round_candidates(depth, start, base))
             break
-        added = False
-        for values, witness in round_candidates(depth):
+        for op, combo, values in round_candidates(depth, start, base):
             if values not in seen:
-                seen[values] = len(funcs)
+                seen.add(values)
+                witness = OpApp(op, tuple(funcs[k].witness for k in combo))
                 funcs.append(TermFunction(values, witness))
-                depths.append(depth)
-                added = True
-        if not added:
+        if len(funcs) == base:
             break
+        start = base
     return TermFunctionSet(tuple(funcs), saturated)
 
 

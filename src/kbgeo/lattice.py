@@ -5,7 +5,10 @@ all atomic formulas (relation atoms over term-definable argument tuples, plus
 equalities between them when the signature has equality) under complement,
 intersection, union, and one-variable projection.  It is a finite Boolean
 algebra, so its atoms fix it, and a build, by partition refinement, stores
-nothing else.  A map that preserves unions is fixed by its atom images:
+nothing else.  Its splits form a tree whose leaves are the atoms; a cut
+descends only into the nodes it cuts, so it visits only the blocks it
+splits, and a cut that splits none builds no formula and moves no block.
+A map that preserves unions is fixed by its atom images:
 `UnionMap` reads it lazily.  It is each algebra's member index, every lattice
 bijection of the equivalence layer and the member table of every morphism
 held on atoms.  Listing more than `MAX_MEMBERS` members is a `BoundError`.
@@ -14,9 +17,10 @@ Every member carries a witness formula that evaluates exactly to its point
 set.  The witnesses come from the split tree that made the atoms, so they
 share subformulas: a cut's negation is one node, and so is its conjunction,
 or its negation's, with a witness.  An algebra keeps that tree, its witness
-memo and one valuation memo keyed on node identity; a member is built and
-checked through them when first asked for, then cached, so each shared node
-is checked once.
+memo and one valuation memo keyed on node identity.  A build checks each
+block's witness through that memo, and a member is built and checked
+through it when first asked for, then cached, so each shared node is
+checked once.
 A closed filter is represented by its dual definable set.
 """
 
@@ -33,10 +37,12 @@ from .formulas import (
     Exists,
     FALSE,
     Formula,
+    FormulaContext,
     Not,
     Or,
     TRUE,
     _render,
+    check_formula,
     formula_to_text,
 )
 from .semantics import (
@@ -47,6 +53,7 @@ from .semantics import (
     _atom_mask,
     _equal_mask,
     _exists_mask,
+    _formula_mask,
     _model_geometry,
     satisfying_points,
     subst_image_points,
@@ -74,13 +81,17 @@ class UndefinablePullbackError(DefinabilityError):
         self.subst = subst
 
 
+def _mismatch(witness: Formula, actual: PointSet, points: PointSet) -> DefinabilityError:
+    return DefinabilityError(
+        f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
+
+
 def _check_witness(points: PointSet, witness: Formula, valuation: Optional[_Valuation]) -> None:
     space = points.space
     actual = satisfying_points(witness, space.model, space.varset,
                                geometry=space.geometry, _valuation=valuation)
     if actual.mask != points.mask:
-        raise DefinabilityError(
-            f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
+        raise _mismatch(witness, actual, points)
 
 
 class DefinableSet:
@@ -287,27 +298,52 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     projection.  Each member is a union of atoms, witnessed by its choices
     at the splits; a block's witness is checked before it projects.
 
+    The splits form a tree whose leaves are the blocks, so a cut descends
+    only into the nodes it cuts and visits no block it misses; a cut node is
+    built only when it splits a block.  The blocks it splits are split in
+    the order they were made, and their parts are appended in that order,
+    which fixes the witnesses.
+
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from a fresh geometry under the default bound.
     """
     space = _model_geometry(model, geometry).space(varset)
     clone = term_functions(space, max_term_depth)
-    blocks = [space.full_mask]
-    splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # block -> (cut, !cut, in, out)
+    root = space.full_mask
+    made = itertools.count()
+    blocks = {root: next(made)}  # leaf -> its creation number, in creation order
+    splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # node -> (cut, !cut, in, out)
     memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
     conjunctions: dict[tuple[int, int], Formula] = {}  # conjunct identities -> And
 
-    def split(by: int, cut: Formula) -> list[int]:
-        """Split every block that the set `by` of `cut` cuts; returns the parts."""
+    def split(by: int, make_cut: Callable[[], Formula]) -> list[int]:
+        """Split every block that the set `by` cuts, by the node `make_cut()`,
+        built only if `by` cuts one; returns the parts."""
+        if not by or by == root:
+            return []
+        leaves, nodes = [], [root]
+        for node in nodes:  # the nodes `by` cuts, grown as it is walked
+            entry = splits.get(node)
+            if entry is None:
+                leaves.append(node)
+                continue
+            for kid in entry[2:]:
+                inside = kid & by
+                if inside and inside != kid:
+                    nodes.append(kid)
+        if not leaves:
+            return []
+        leaves.sort(key=blocks.__getitem__)
+        cut = make_cut()
+        uncut = Not(cut)  # one negation node for every block the cut splits
         parts = []
-        for block in blocks:
-            inside = block & by
-            if inside and inside != block:
-                if not parts:  # one negation node for every block the cut splits
-                    uncut = Not(cut)
-                splits[block] = (cut, uncut, inside, block ^ inside)
-                parts += (inside, block ^ inside)
-        blocks[:] = [b for b in blocks if b not in splits] + parts
+        for leaf in leaves:
+            del blocks[leaf]
+            inside = leaf & by
+            splits[leaf] = (cut, uncut, inside, leaf ^ inside)
+            parts += (inside, leaf ^ inside)
+        for part in parts:
+            blocks[part] = next(made)
         return parts
 
     def conj(left: Formula, right: Formula) -> Formula:
@@ -318,7 +354,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
             conjunctions[key] = And(left, right)
         return conjunctions[key]
 
-    def witness(part: int, node: int = space.full_mask) -> Formula:
+    def witness(part: int, node: int = root) -> Formula:
         """A formula whose set meets the split tree's `node` exactly in `part`;
         members share subformulas through the memos."""
         if part == 0:
@@ -335,23 +371,26 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         rows = model.rel_tables[rel]
         for combo in itertools.product(clone.functions, repeat=arity):
             split(_atom_mask(rows, [f.values for f in combo]),
-                  Atom(rel, tuple(f.witness for f in combo)))
+                  lambda: Atom(rel, tuple(f.witness for f in combo)))
     if model.sig.with_equality:
         # (f, f) holds everywhere, and (f2, f1) cuts what (f1, f2) already did.
         for f1, f2 in itertools.combinations(clone.functions, 2):
-            split(_equal_mask(f1.values, f2.values), Equal(f1.witness, f2.witness))
+            split(_equal_mask(f1.values, f2.values), lambda: Equal(f1.witness, f2.witness))
 
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.  The
     # witness memo and the split tree keep every node the valuation keys alive.
-    valuation = _Valuation()
+    ctx, valuation = FormulaContext(model.sig, varset), _Valuation()
     pending = list(blocks)
     while pending:
         block = pending.pop()
         body = witness(block)
-        _check_witness(PointSet(space, block), body, valuation)
+        check_formula(body, ctx, valuation.checked)
+        mask = _formula_mask(body, space, valuation.masks)
+        if mask != block:
+            raise _mismatch(body, PointSet(space, mask), PointSet(space, block))
         for var in varset.names:
-            pending += split(_exists_mask(block, space, var), Exists(var, body))
+            pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
 
     return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
 

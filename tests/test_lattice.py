@@ -160,7 +160,8 @@ def test_a_wrong_clone_column_fails_the_build(monkeypatch):
 
     monkeypatch.setattr(lattice, "term_functions", swapped)
     for model, n in ((model_neg(), 1), (model_neg(), 2), (dict(seeded_models())["fp0"], 2)):
-        with pytest.raises(DefinabilityError, match=r"^witness .+ evaluates to \{.*\}, not \{.*\}$"):
+        with pytest.raises(DefinabilityError,
+                           match=r"^witness .+ evaluates to \{.*\}, not \{.*\}$"):
             generate_definable_algebra(model, canonical_varset(n))
 
 
