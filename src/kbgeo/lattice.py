@@ -37,12 +37,10 @@ from .formulas import (
     Exists,
     FALSE,
     Formula,
-    FormulaContext,
     Not,
     Or,
     TRUE,
     _render,
-    check_formula,
     formula_to_text,
 )
 from .semantics import (
@@ -53,7 +51,6 @@ from .semantics import (
     _atom_mask,
     _equal_mask,
     _exists_mask,
-    _formula_mask,
     _model_geometry,
     satisfying_points,
     subst_image_points,
@@ -81,17 +78,13 @@ class UndefinablePullbackError(DefinabilityError):
         self.subst = subst
 
 
-def _mismatch(witness: Formula, actual: PointSet, points: PointSet) -> DefinabilityError:
-    return DefinabilityError(
-        f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
-
-
 def _check_witness(points: PointSet, witness: Formula, valuation: Optional[_Valuation]) -> None:
     space = points.space
     actual = satisfying_points(witness, space.model, space.varset,
                                geometry=space.geometry, _valuation=valuation)
     if actual.mask != points.mask:
-        raise _mismatch(witness, actual, points)
+        raise DefinabilityError(
+            f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
 
 
 class DefinableSet:
@@ -380,15 +373,12 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.  The
     # witness memo and the split tree keep every node the valuation keys alive.
-    ctx, valuation = FormulaContext(model.sig, varset), _Valuation()
+    valuation = _Valuation()
     pending = list(blocks)
     while pending:
         block = pending.pop()
         body = witness(block)
-        check_formula(body, ctx, valuation.checked)
-        mask = _formula_mask(body, space, valuation.masks)
-        if mask != block:
-            raise _mismatch(body, PointSet(space, mask), PointSet(space, block))
+        _check_witness(PointSet(space, block), body, valuation)
         for var in varset.names:
             pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
 
