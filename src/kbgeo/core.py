@@ -266,9 +266,6 @@ class TokenStream:
             return True
         return False
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def require_done(self) -> None:
         tok = self.peek()
         if tok is not None:

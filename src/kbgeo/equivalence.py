@@ -272,15 +272,20 @@ def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
     with a relation part, the same map pairs phi with that part alone.  A
     pinned renaming (`--phi renamevars`) still runs its own search.
     """
-    out = [FormulaAutomorphism.identity(sig)]
+    return list(_automorphisms(sig))
+
+
+def _automorphisms(sig: Signature) -> Iterator[FormulaAutomorphism]:
+    """`enumerate_automorphisms` as a stream, so a search that stops at its
+    first witness builds no later phi."""
+    yield FormulaAutomorphism.identity(sig)
     names = list(sig.rel_names)
     for perm in itertools.permutations(names):
         if list(perm) == names:
             continue
         if any(sig.rel_arity(a) != sig.rel_arity(b) for a, b in zip(names, perm)):
             continue
-        out.append(FormulaAutomorphism(sig, tuple(zip(names, perm))))
-    return out
+        yield FormulaAutomorphism(sig, tuple(zip(names, perm)))
 
 
 @dataclass
@@ -771,7 +776,7 @@ def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase,
             iso = transport_model_iso(mmap, kb1, kb2)
             witness = (("kind", "model isomorphism"), ("map", mmap.describe()))
         elif saturated:
-            for phi in enumerate_automorphisms(model1.sig) if phis is None else phis:
+            for phi in _automorphisms(model1.sig) if phis is None else phis:
                 iso = find_functor_iso(kb1, kb2, phi)
                 if iso is not None:
                     break

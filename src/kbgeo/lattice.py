@@ -17,10 +17,10 @@ Every member carries a witness formula that evaluates exactly to its point
 set.  The witnesses come from the split tree that made the atoms, so they
 share subformulas: a cut's negation is one node, and so is its conjunction,
 or its negation's, with a witness.  An algebra keeps that tree, its witness
-memo and one valuation memo keyed on node identity.  A build checks each
-block's witness through that memo, and a member is built and checked
+memo and one valuation of its space, keyed on node identity.  A build
+checks each block's witness through it, and a member is built and checked
 through it when first asked for, then cached, so each shared node is
-checked once.
+checked and valued once.
 A closed filter is represented by its dual definable set.
 """
 
@@ -52,7 +52,7 @@ from .semantics import (
     _equal_mask,
     _exists_mask,
     _model_geometry,
-    satisfying_points,
+    holds_on_all,
     subst_image_points,
 )
 
@@ -78,23 +78,24 @@ class UndefinablePullbackError(DefinabilityError):
         self.subst = subst
 
 
-def _check_witness(points: PointSet, witness: Formula, valuation: Optional[_Valuation]) -> None:
-    space = points.space
-    actual = satisfying_points(witness, space.model, space.varset,
-                               geometry=space.geometry, _valuation=valuation)
-    if actual.mask != points.mask:
-        raise DefinabilityError(
-            f"witness {formula_to_text(witness)} evaluates to {actual}, not {points}")
+def _check_witness(mask: int, witness: Formula, valuation: _Valuation) -> None:
+    """Raise `DefinabilityError` unless the witness, checked and valued over
+    the valuation's space, has exactly the points of `mask`."""
+    actual = valuation.mask(witness)
+    if actual != mask:
+        space = valuation.space
+        raise DefinabilityError(f"witness {formula_to_text(witness)} evaluates to"
+                                f" {PointSet(space, actual)}, not {PointSet(space, mask)}")
 
 
 class DefinableSet:
     """A definable point set together with a defining witness formula.
 
-    Construction re-evaluates the witness over the space's geometry and
+    Construction checks and values the witness over the set's space and
     refuses a mismatch, so a DefinableSet is definable by checked evidence,
-    not by promise.  A set built on its own is checked from scratch; the
-    members of one algebra are checked through that algebra's valuation
-    memo, which answers the subformulas they share from their first check.
+    not by promise.  A set built on its own is checked through a fresh
+    valuation; the members of one algebra through that algebra's, which
+    answers the subformulas they share from their first check.
     Equality and hashing ignore the witness: two members with the same points
     are the same set.
     """
@@ -103,7 +104,7 @@ class DefinableSet:
 
     def __init__(self, points: PointSet, witness: Formula,
                  _valuation: Optional[_Valuation] = None):
-        _check_witness(points, witness, _valuation)
+        _check_witness(points.mask, witness, _valuation or _Valuation(points.space))
         self.points = points
         self.witness = witness
 
@@ -229,9 +230,7 @@ class DefinableAlgebra:
 
     def own(self, dset: DefinableSet) -> None:
         """Raise `MismatchError` unless `dset` is a member of this algebra."""
-        space = dset.points.space
-        if dset.mask not in self.index or space.varset != self.varset \
-                or space.model != self.model:
+        if dset.mask not in self.index or dset.points.space != self.space:
             raise MismatchError("set does not belong to this algebra")
 
     def block_masks(self) -> tuple[int, ...]:
@@ -373,12 +372,12 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.  The
     # witness memo and the split tree keep every node the valuation keys alive.
-    valuation = _Valuation()
+    valuation = _Valuation(space)
     pending = list(blocks)
     while pending:
         block = pending.pop()
         body = witness(block)
-        _check_witness(PointSet(space, block), body, valuation)
+        _check_witness(block, body, valuation)
         for var in varset.names:
             pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
 
@@ -387,7 +386,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:
     """The least definable superset: the union of the atoms the set meets."""
-    if pset.space.varset != algebra.varset or pset.space.model != algebra.model:
+    if pset.space != algebra.space:
         raise MismatchError("point set does not live over the algebra's space")
     return algebra.member(algebra._close(pset.mask))
 
@@ -414,13 +413,10 @@ class ClosedFilter:
         return self.dual.mask
 
     def member_formula(self, f: Formula) -> bool:
-        from .semantics import holds_on_all
-
         return holds_on_all(self.points, f)
 
     def is_leq(self, other: "ClosedFilter") -> bool:
-        if self.points.space.varset != other.points.space.varset \
-                or self.points.space.model != other.points.space.model:
+        if self.points.space != other.points.space:
             raise MismatchError("filters live over different spaces")
         return other.mask & ~self.mask == 0
 

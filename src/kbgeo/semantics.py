@@ -27,6 +27,11 @@ other end of a substitution through `pset.space.geometry`.  Each table also
 memoizes transport per mask, so a mask moves along a substitution once per
 direction and later calls are dict lookups.  The memo grows with the distinct
 masks moved; inside the package those are lattice members.
+
+A space is also the one context for valuing formulas and comparing sets: a
+valuation of a space checks each formula before it values it, and every
+entry values through one, so none values an unchecked formula.  Two point
+sets share a space exactly when their `PointSpace`s are equal.
 """
 
 from __future__ import annotations
@@ -74,9 +79,6 @@ class Point:
 
     def __getitem__(self, name: str):
         return self.values[self.varset.index(name)]
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.varset.names, self.values))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(v) for v in self.values) + ")"
@@ -293,7 +295,7 @@ class PointSet:
         return cls(space, mask)
 
     def _check_same_space(self, other: "PointSet") -> None:
-        if self.space.varset != other.space.varset or self.space.model != other.space.model:
+        if self.space != other.space:
             raise MismatchError("point sets live over different spaces")
 
     def union(self, other: "PointSet") -> "PointSet":
@@ -331,8 +333,7 @@ class PointSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
-        return (self.mask == other.mask and self.space.varset == other.space.varset
-                and self.space.model == other.space.model)
+        return self.mask == other.mask and self.space == other.space
 
     def __hash__(self) -> int:
         return hash((self.space.varset.names, self.mask))
@@ -414,17 +415,24 @@ def _exists_mask(mask: int, space: PointSpace, var: str) -> int:
 
 
 class _Valuation:
-    """The formula nodes checked and valued over one space, keyed on node
-    identity: one call's or one algebra's memo, so that witnesses sharing
-    subformulas have each shared node checked and valued once.  Its owner
-    keeps every keyed node alive while it uses the memo, so no identity is
-    reused."""
+    """Formula valuation over one space: the space, its formula context, and
+    the nodes checked and valued over it, keyed on node identity.  One call
+    or one algebra owns it, so that formulas sharing subformulas have each
+    shared node checked and valued once.  The owner keeps every keyed node
+    alive while it uses the valuation, so no identity is reused."""
 
-    __slots__ = ("checked", "masks")
+    __slots__ = ("space", "context", "checked", "masks")
 
-    def __init__(self):
+    def __init__(self, space: PointSpace):
+        self.space = space
+        self.context = FormulaContext(space.model.sig, space.varset)
         self.checked: set[int] = set()
         self.masks: dict[int, int] = {}
+
+    def mask(self, f: Formula) -> int:
+        """Check the formula over the space, then its mask there."""
+        check_formula(f, self.context, self.checked)
+        return _formula_mask(f, self.space, self.masks)
 
 
 def _formula_mask(f: Formula, space: PointSpace, memo: dict) -> int:
@@ -470,20 +478,15 @@ def _node_mask(f: Formula, space: PointSpace, memo: dict) -> int:
 
 
 def satisfying_points(f: Formula, model: Model, varset: VarSet, *,
-                      geometry: Optional[Geometry] = None,
-                      _valuation: Optional[_Valuation] = None) -> PointSet:
-    """The set of assignments over varset at which the formula holds.
+                      geometry: Optional[Geometry] = None) -> PointSet:
+    """The set of assignments over varset at which the formula holds,
+    checked and valued from scratch over the space.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from a fresh geometry under the default bound.
-    Without `_valuation` the formula is checked and valued through a fresh
-    memo, so from scratch.
     """
-    if _valuation is None:
-        _valuation = _Valuation()
-    check_formula(f, FormulaContext(model.sig, varset), _valuation.checked)
     space = _model_geometry(model, geometry).space(varset)
-    return PointSet(space, _formula_mask(f, space, _valuation.masks))
+    return PointSet(space, _Valuation(space).mask(f))
 
 
 def holds_at(point: Point, f: Formula, model: Model, *,
@@ -496,24 +499,21 @@ def holds_at(point: Point, f: Formula, model: Model, *,
 
 def points_satisfying_all(formulas, model: Model, varset: VarSet, *,
                           geometry: Optional[Geometry] = None) -> PointSet:
-    """Common solutions of a formula collection, valued as
-    `satisfying_points` values them; the empty collection gives the full
-    space."""
-    geometry = _model_geometry(model, geometry)
-    space = geometry.space(varset)
-    mask = space.full_mask
-    for f in formulas:
-        mask &= satisfying_points(f, model, varset, geometry=geometry).mask
-    return PointSet(space, mask)
+    """Common solutions of a formula collection, checked and valued through
+    one valuation of the space, so a subformula the formulas share is valued
+    once; the empty collection gives the full space."""
+    valuation = _Valuation(_model_geometry(model, geometry).space(varset))
+    mask = valuation.space.full_mask
+    for f in tuple(formulas):  # held, so no valued node's identity is reused
+        mask &= valuation.mask(f)
+    return PointSet(valuation.space, mask)
 
 
 def holds_on_all(pset: PointSet, f: Formula) -> bool:
     """True when the formula is satisfied by every point of the set.  This is
     membership of the formula in the filter cut out by the set.  The formula
-    is evaluated over the set's geometry."""
-    space = pset.space
-    return pset.is_subset_of(satisfying_points(f, space.model, space.varset,
-                                               geometry=space.geometry))
+    is checked and valued over the set's space."""
+    return pset.mask & ~_Valuation(pset.space).mask(f) == 0
 
 
 def subst_preimage_points(subst: Substitution, pset: PointSet) -> PointSet:

@@ -153,6 +153,27 @@ def test_map_subst_is_conjugation_by_the_renamings():
                         assert phi.map_subst(s) is s
 
 
+def test_a_decision_streams_the_automorphisms(monkeypatch):
+    """A 2-element self-pair with ten unary relations, Ri = {i mod 2}, has
+    10! relation permutations.  The automorphic decision stops at the
+    identity, its first phi, and builds no other."""
+    rels = tuple((f"R{i}", 1) for i in range(1, 11))
+    model = Model(Signature((), rels), (0, 1), None,
+                  {name: [(i % 2,)] for i, (name, _) in enumerate(rels, 1)})
+    built = []
+    post_init = FormulaAutomorphism.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FormulaAutomorphism, "__post_init__", counting)
+    report = check_automorphic_equivalence(model, model, n_max=1, depth=0)
+    assert report.verdict == VERDICT_WITNESSED
+    assert dict(report.witness)["phi"] == "identity"
+    assert len(built) == 1  # the identity alone
+
+
 def test_enumerate_automorphisms_order():
     """The identity, then the arity-preserving relation permutations; no
     variable renaming, since renamings are inner.  The reference families

@@ -30,6 +30,7 @@ from kbgeo import (
     formula_to_text,
     generate_definable_algebra,
     holds_at,
+    holds_on_all,
     lattice_profile,
     least_desc_morphism,
     parse_formula,
@@ -70,7 +71,8 @@ def test_definable_set_witness_must_match():
     ctx = FormulaContext(m.sig, space.varset)
     good = DefinableSet(PointSet.of_rows(space, [(1,)]), parse_formula("P(x1)", ctx))
     assert good.mask == 0b10
-    with pytest.raises(DefinabilityError):
+    with pytest.raises(DefinabilityError,
+                       match=r"^witness P\(x1\) evaluates to \{\(1\)\}, not \{\(0\)\}$"):
         DefinableSet(PointSet.of_rows(space, [(0,)]), parse_formula("P(x1)", ctx))
 
 
@@ -449,8 +451,7 @@ def test_member_is_built_on_first_use_checked_and_cached(monkeypatch):
     assert built == []
     mask = algebra.block_masks()[0] | algebra.block_masks()[-1]
     with monkeypatch.context() as patch:
-        patch.setattr(lattice, "satisfying_points",
-                      lambda f, model, varset, **kw: PointSet(algebra.space, 0))
+        patch.setattr(lattice._Valuation, "mask", lambda self, f: 0)
         with pytest.raises(DefinabilityError):
             algebra.member(mask)
     first = algebra.member(mask)
@@ -460,6 +461,32 @@ def test_member_is_built_on_first_use_checked_and_cached(monkeypatch):
     assert DefinableSet(first.points, first.witness).mask == mask
     with pytest.raises(DefinabilityError):
         algebra.member(algebra.block_masks()[0] | 1 << algebra.space.size)
+
+
+def _corrupted_member(algebra, f):
+    """Ask the algebra for a member whose witness is `f`, not the one its
+    split tree gives."""
+    algebra._witness = lambda mask: f
+    return algebra.member(algebra.block_masks()[0])
+
+
+@pytest.mark.parametrize("entry", [
+    lambda f, m, two: satisfying_points(f, m, two),
+    lambda f, m, two: holds_at(Point(two, (1, 0)), f, m),
+    lambda f, m, two: holds_on_all(PointSet.full(enumerate_points(m, two)), f),
+    lambda f, m, two: points_satisfying_all([f], m, two),
+    lambda f, m, two: build_filter_lattice(m, two).bottom.member_formula(f),
+    lambda f, m, two: DefinableSet(PointSet.full(enumerate_points(m, two)), f),
+    lambda f, m, two: _corrupted_member(generate_definable_algebra(m, two), f),
+], ids=["satisfying_points", "holds_at", "holds_on_all", "points_satisfying_all",
+        "member_formula", "definable_set", "algebra_member"])
+def test_every_entry_checks_a_formula_before_valuing_it(entry):
+    """A formula with an undeclared relation is refused by every entry that
+    values formulas: each checks through its space's valuation first."""
+    m = model_p()
+    undeclared = Not(Atom("Z", (Var("x1"),)))
+    with pytest.raises(SignatureError, match="^unknown relation Z$"):
+        entry(undeclared, m, canonical_varset(2))
 
 
 def test_listings_past_the_member_bound_raise():
