@@ -30,14 +30,15 @@ once per second substitution; the table itself is still built from the
 composite substitution's own terms, never from its factors' tables, so a
 composite check compares two independent computations.
 
-The sweeps and the witness check run on lattice atoms.  Every map they
-compare preserves unions (pullbacks, closures of images and their
-composites), so it is fixed by its atom images, and a morphism built by them
-holds only those; its member table is the lattice layer's `UnionMap`.  A
-check passes on a member when it passes on the member's atoms, and the first
-member to fail is an atom, so atom loops report what member loops would.
-A composable pair builds no morphism: its composites are image dicts,
-checked by `_check_pairs`, the constructor's own loop, in the same order.
+A morphism holds every member of its source.  The sweeps and the witness
+check build none: every map they compare preserves unions (pullbacks,
+closures of images and their composites), so it is fixed by its atom
+images, which `_least_images` makes and checks as a morphism's constructor
+checks its pairs (`_check_pairs`), and its member table is the lattice
+layer's `UnionMap` of them.  A check passes on a member when it passes on
+the member's atoms, and the first member to fail is an atom, so atom loops
+report what member loops would.  A composable pair's composites are image
+dicts, checked by `_check_pairs` in the same order.
 A passing sweep lists no member; only the rerun of a push block or
 an identity whose atoms fail does, within the lattice layer's bound.
 Objects need no check: a description object's content dual is built on its
@@ -170,41 +171,29 @@ def _check_ends(subst: Substitution, source, target) -> None:
 
 class _Morphism:
     """An admissible, total assignment of dual masks along one substitution,
-    held by its images on a generating set of its source.
+    held on every member of its source.
 
-    A morphism built from an assignment holds every member.  The least
-    morphisms, their duals, the identities and the composites of these
-    preserve unions, and the sweeps and the description functor build them
-    on the atoms of their sources (the private `_on_atoms`), and `assignment`
-    is then the `UnionMap` of the atom images.  Construction checks the held
-    pairs in order: the image of a pair's mask over the substitution's target
-    must lie inside its other mask.  A composite is held on atoms when both
-    factors are.  Two morphisms are equal when their substitutions, which fix
-    both variable sets, and their member tables are.
+    Construction checks the ends and that the assignment is total, then the
+    pairs in the assignment's order (`_check_pairs`).  Two morphisms are
+    equal when their substitutions, which fix both variable sets, and their
+    member tables are.
     """
 
-    __slots__ = ("source", "target", "subst", "images", "assignment", "_on_atoms")
+    __slots__ = ("source", "target", "subst", "assignment")
     _along: bool  # whether the source lies over the substitution's source
 
-    def __init__(self, source, target, subst: Substitution, assignment: Mapping[int, int],
-                 _on_atoms: bool = False):
+    def __init__(self, source, target, subst: Substitution, assignment: Mapping[int, int]):
         along = self._along
-        index = source.algebra.index
-        if _on_atoms:
-            images, keys = assignment, index.atoms.keys()
-        else:
-            _check_ends(subst, *((source, target) if along else (target, source)))
-            images, keys = dict(assignment), index.keys()
-        if images.keys() != keys:
+        _check_ends(subst, *((source, target) if along else (target, source)))
+        assignment = dict(assignment)
+        if assignment.keys() != source.algebra.index.keys():
             raise MismatchError("assignment is not total on its source")
-        _check_pairs(images, (target if along else source).algebra.space.geometry.table(subst),
+        _check_pairs(assignment, (target if along else source).algebra.space.geometry.table(subst),
                      target.algebra.index, along)
         self.source = source
         self.target = target
         self.subst = subst
-        self.images = images
-        self.assignment = UnionMap(images) if _on_atoms else images
-        self._on_atoms = _on_atoms
+        self.assignment = assignment
 
     def image(self, mask: int) -> int:
         """The image of a member of the source."""
@@ -213,11 +202,9 @@ class _Morphism:
     def after(self, first, subst: Substitution):
         """`first`, then this morphism, along their composite `subst`, checked
         as this morphism's kind is."""
-        on_atoms = first._on_atoms and self._on_atoms
         assignment = self.assignment
-        images = {k: assignment[v]
-                  for k, v in (first.images if on_atoms else first.assignment).items()}
-        return type(self)(first.source, self.target, subst, images, on_atoms)
+        return type(self)(first.source, self.target, subst,
+                          {k: assignment[v] for k, v in first.assignment.items()})
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -232,8 +219,8 @@ class _Morphism:
 
 def _check_pairs(images: Mapping[int, int], table: _Table, members: UnionMap,
                  along: bool) -> None:
-    """`_Morphism`'s checks of its held pairs, in order, along the pullback
-    table of its substitution: each dual mask must be a member, and the
+    """A morphism's checks of its pairs, in order, along the pullback table
+    of its substitution: each dual mask must be a member, and the
     image of a pair's mask over the substitution's target must lie inside
     its other mask.  A failure names the table's key, which equals the
     substitution."""
@@ -265,26 +252,6 @@ class DescMorphism(_Morphism):
     __slots__ = ()
     _along = True
 
-    @classmethod
-    def _least(cls, source: DescriptionObject, target: DescriptionObject, subst: Substitution,
-               on_atoms: bool = False) -> "DescMorphism":
-        """Each generator goes to its full pullback along the substitution, in
-        order; the first pullback that is not a dual of the target raises."""
-        masks = source.algebra.block_masks() if on_atoms else source.algebra.masks
-        table = target.algebra.space.geometry.table(subst)
-        return cls(source, target, subst,
-                   {mask: _pullback(table, mask, target.algebra) for mask in masks}, on_atoms)
-
-    @classmethod
-    def _identity(cls, obj: DescriptionObject, on_atoms: bool = False) -> "DescMorphism":
-        masks = obj.algebra.block_masks() if on_atoms else obj.algebra.masks
-        return cls(obj, obj, Substitution.identity(obj.varset), {m: m for m in masks}, on_atoms)
-
-    def _dual(self) -> "ContMorphism":
-        """`content_morphism`, held on the same kind of generators."""
-        return ContMorphism._least(self.target._content, self.source._content, self.subst,
-                                   self._on_atoms)
-
     def map_filter(self, filt: ClosedFilter) -> ClosedFilter:
         self.source.algebra.own(filt.dual)
         return self.target.lattice.filter_for_mask(self.image(filt.mask))
@@ -296,17 +263,6 @@ class ContMorphism(_Morphism):
 
     __slots__ = ()
     _along = False
-
-    @classmethod
-    def _least(cls, source: ContentObject, target: ContentObject, subst: Substitution,
-               on_atoms: bool = False) -> "ContMorphism":
-        """Each generator goes to the closure of its pointwise image: the
-        union of the target atoms it meets."""
-        algebra = source.algebra
-        image, close = algebra.space.geometry.table(subst).image, target.algebra._close
-        images = {mask: close(image(mask))
-                  for mask in (algebra.block_masks() if on_atoms else algebra.masks)}
-        return cls(source, target, subst, images, on_atoms)
 
     def map_set(self, dset: DefinableSet) -> DefinableSet:
         self.source.algebra.own(dset)
@@ -329,15 +285,19 @@ def compose_cont(second: ContMorphism, first: ContMorphism) -> ContMorphism:
 
 
 def identity_desc(obj: DescriptionObject) -> DescMorphism:
-    return DescMorphism._identity(obj)
+    return DescMorphism(obj, obj, Substitution.identity(obj.varset),
+                        {m: m for m in obj.algebra.masks})
 
 
 def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
                         subst: Substitution) -> DescMorphism:
     """The pointwise least admissible assignment along a substitution: each
-    filter goes to the filter whose dual is the full pullback of its dual."""
+    filter goes to the filter whose dual is the full pullback of its dual,
+    in order; the first pullback that is not a dual of the target raises."""
     _check_ends(subst, source, target)
-    return DescMorphism._least(source, target, subst)
+    table = target.algebra.space.geometry.table(subst)
+    return DescMorphism(source, target, subst,
+                        _least_images(source.algebra.masks, table, target.algebra, True))
 
 
 def _pullback(table: _Table, mask: int, target: DefinableAlgebra) -> int:
@@ -350,11 +310,29 @@ def _pullback(table: _Table, mask: int, target: DefinableAlgebra) -> int:
     return pullback
 
 
+def _least_images(masks, table: _Table, target: DefinableAlgebra,
+                  along: bool) -> dict[int, int]:
+    """The images of `masks` under the least morphism along (`along`) or
+    against the substitution of `table`, checked as a morphism's constructor
+    checks its pairs: their pullbacks, the first undefinable one raising, or
+    the closures in `target` of their pointwise images."""
+    if along:
+        images = {mask: _pullback(table, mask, target) for mask in masks}
+    else:
+        image, close = table.image, target._close
+        images = {mask: close(image(mask)) for mask in masks}
+    _check_pairs(images, table, target.index, along)
+    return images
+
+
 def least_cont_morphism(source: ContentObject, target: ContentObject,
                         subst: Substitution) -> ContMorphism:
-    """Each definable set goes to the closure of its pointwise image."""
+    """Each definable set goes to the closure of its pointwise image: the
+    union of the target atoms it meets."""
     _check_ends(subst, target, source)
-    return ContMorphism._least(source, target, subst)
+    table = source.algebra.space.geometry.table(subst)
+    return ContMorphism(source, target, subst,
+                        _least_images(source.algebra.masks, table, target.algebra, False))
 
 
 def content_of(obj: DescriptionObject) -> ContentObject:
@@ -366,7 +344,8 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
     """The dual of a description morphism: the least content assignment against
     the same substitution.  Both sides check a pair as the same image
     inclusion, so each pair of the input is admissible read the other way."""
-    return morphism._dual()
+    return least_cont_morphism(morphism.target._content, morphism.source._content,
+                               morphism.subst)
 
 
 class KnowledgeBase:
@@ -528,70 +507,73 @@ class KnowledgeBase:
         It checks no object, since each is dual to its content object by
         construction, and it does not compare the duals of two least
         morphisms: the least morphism along s and its dual, the least content
-        morphism along s, are functions of s and hold it, so m_i == m_j and
-        d_i == d_j both say s_i == s_j.  `checked` counts one check per
-        substitution (its least morphism and dual are built and checked),
-        per identity and per composable pair.
+        morphism along s, are functions of s, so m_i == m_j and d_i == d_j
+        both say s_i == s_j.  `checked` counts one check per substitution
+        (its least morphism and dual are made and checked), per identity
+        and per composable pair.
 
-        Every morphism is held on the atoms of its source, so two of them are
-        equal when they agree on the atoms, and by the argument in
+        It builds no morphism.  Each least morphism and its dual are the
+        `UnionMap`s of their atom images (`_least_images`), so two of them
+        are equal when they agree on the atoms, and by the argument in
         `build_description_iso` the first member to fail a check, or to have
-        an undefinable pullback, is an atom.  A composable pair builds no
-        morphism: its composites are image dicts checked as `after` checks
-        them.  The composite's dual depends on its substitution alone, as the
-        least content morphism along it, so it is built once for each.
+        an undefinable pullback, is an atom.  A composable pair's composites
+        are image dicts, checked as a morphism's constructor checks its pairs.
+        The composite's dual depends on its substitution alone, as the least
+        content morphism along it, so it is made once for each.
         """
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
-        objs = {n: self.description(n) for n in range(1, n_max + 1)}
-        morphisms: dict[tuple[int, int], list[DescMorphism]] = {}
-        duals: dict[tuple[int, int], list[ContMorphism]] = {}
-        for a in range(1, n_max + 1):
-            for b in range(1, n_max + 1):
-                pairs = morphisms[(a, b)] = []
-                dual_pairs = duals[(a, b)] = []
-                for subst in self.substitutions(a, b):
-                    checked += 1
-                    try:
-                        morphism = DescMorphism._least(objs[a], objs[b], subst, True)
-                    except UndefinablePullbackError as exc:
-                        failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
-                        continue
-                    pairs.append(morphism)
-                    dual_pairs.append(morphism._dual())
+        sizes = range(1, n_max + 1)
+        algebras = {n: self.description(n).algebra for n in sizes}
+        atoms = {n: algebras[n].block_masks() for n in sizes}
+        table = self.geometry.table
+        # Each substitution with the member tables of its least morphism and its dual.
+        least: dict[tuple[int, int], list[tuple[Substitution, UnionMap, UnionMap]]] = {}
+        for a, b in itertools.product(sizes, repeat=2):
+            pairs = least[(a, b)] = []
+            for subst in self.substitutions(a, b):
+                checked += 1
+                t = table(subst)
+                try:
+                    push = _least_images(atoms[a], t, algebras[b], True)
+                except UndefinablePullbackError as exc:
+                    failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
+                    continue
+                pairs.append((subst, UnionMap(push),
+                              UnionMap(_least_images(atoms[b], t, algebras[a], False))))
 
-        for n in range(1, n_max + 1):
-            dual = DescMorphism._identity(objs[n], True)._dual()
+        for n in sizes:
+            ident = table(Substitution.identity(algebras[n].varset))
+            _check_pairs({atom: atom for atom in atoms[n]}, ident, algebras[n].index, True)
+            dual = _least_images(atoms[n], ident, algebras[n], False)
             checked += 1
-            if any(image != atom for atom, image in dual.images.items()):
+            if any(image != atom for atom, image in dual.items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
 
         # Each composite's table is fetched once per pair, and both sides of
         # the check, and the composite's least dual, are keyed by it.
         composite_table = self.composite_table
-        least_duals = _Memo(lambda t: ContMorphism._least(
-            objs[len(t.key.target)]._content, objs[len(t.key.source)]._content, t.key,
-            True).images)
-        for a, b, c in itertools.product(range(1, n_max + 1), repeat=3):
-            members_a, members_c = objs[a].algebra.index, objs[c].algebra.index
-            for m1, d1 in zip(morphisms[(a, b)], duals[(a, b)]):
-                for m2, d2 in zip(morphisms[(b, c)], duals[(b, c)]):
-                    composite = composite_table(m1.subst, m2.subst)
-                    second, first = m2.assignment, d1.assignment
-                    _check_pairs({k: second[v] for k, v in m1.images.items()},
+        least_duals = _Memo(lambda t: _least_images(
+            atoms[len(t.key.target)], t, algebras[len(t.key.source)], False))
+        for a, b, c in itertools.product(sizes, repeat=3):
+            members_a, members_c = algebras[a].index, algebras[c].index
+            for s1, push1, dual1 in least[(a, b)]:
+                for s2, push2, dual2 in least[(b, c)]:
+                    composite = composite_table(s1, s2)
+                    _check_pairs({k: push2[v] for k, v in push1.atoms.items()},
                                  composite, members_c, True)
                     left = least_duals[composite]
-                    right = {k: first[v] for k, v in d2.images.items()}
+                    right = {k: dual1[v] for k, v in dual2.atoms.items()}
                     _check_pairs(right, composite, members_a, False)
                     checked += 1
                     if left != right:
                         failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
-                                        f"subs {m1.subst} then {m2.subst}")
+                                        f"subs {s1} then {s2}")
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
-            ("sizes", " ".join(str(obj.algebra.size) for obj in objs.values())),
+            ("sizes", " ".join(str(algebras[n].size) for n in sizes)),
             ("morphism family", f"least assignments for substitutions of depth <= {self.depth}"),
         )
         return Report("duality", entries, checked, tuple(failures))

@@ -383,10 +383,9 @@ def _check_bounds(args) -> None:
             raise UsageError(f"{flag} must be {'positive' if least else 'nonnegative'}")
 
 
-def _knowledge_base(path: str, args) -> KnowledgeBase:
-    """The model at `path` in a knowledge base under the flags' bounds."""
-    return KnowledgeBase(load_model(path), args.max_vars, args.depth,
-                         args.max_term_depth, args.max_points)
+def _knowledge_base(model: Model, args) -> KnowledgeBase:
+    """The model in a knowledge base under the flags' bounds."""
+    return KnowledgeBase(model, args.max_vars, args.depth, args.max_term_depth, args.max_points)
 
 
 def _run_eval(args) -> tuple[int, str]:
@@ -441,17 +440,19 @@ def _run_lattice(args) -> tuple[int, str]:
 
 
 def _run_duality(args) -> tuple[int, str]:
-    report = _knowledge_base(args.model, args).check_duality()
+    report = _knowledge_base(load_model(args.model), args).check_duality()
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, args.format)
 
 
 def _run_functor(args) -> tuple[int, str]:
-    report = _knowledge_base(args.model, args).verify_push_functoriality()
+    report = _knowledge_base(load_model(args.model), args).verify_push_functoriality()
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, args.format)
 
 
 def _run_equiv(args) -> tuple[int, str]:
-    kb1, kb2 = _knowledge_base(args.model1, args), _knowledge_base(args.model2, args)
+    model1, model2 = load_model(args.model1), load_model(args.model2)
+    kb1 = _knowledge_base(model1, args)
+    kb2 = kb1 if model2 == model1 else _knowledge_base(model2, args)
     if args.mode == "iso":
         if args.phi is not None:
             raise UsageError("--phi applies to modes lae and info only")
@@ -477,11 +478,12 @@ _RUNNERS = {
 
 def run_command(argv) -> tuple[int, str]:
     """Run one subcommand; returns (exit code, output text).  The point bound
-    is KBGEO_MAX_POINTS when set, and `--max-points` overrides it."""
+    is KBGEO_MAX_POINTS when set, read once the arguments parse, and
+    `--max-points` overrides it."""
     try:
-        max_points = _env_max_points()
         args = build_parser().parse_args(argv)
         _check_bounds(args)
+        max_points = _env_max_points()
         if args.max_points is None:
             args.max_points = max_points
         return _RUNNERS[args.command](args)

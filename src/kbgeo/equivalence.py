@@ -109,8 +109,8 @@ from .core import (
 )
 from .formulas import Atom, Equal, Formula, atomic_formulas
 from .lattice import FilterLattice, UndefinablePullbackError, UnionMap
-from .categories import (AdmissibilityError, DescMorphism, KnowledgeBase, Report, _Memo,
-                         _check_pairs, _pullback)
+from .categories import (AdmissibilityError, KnowledgeBase, Report, _Memo, _check_pairs,
+                         _least_images, _pullback)
 from .semantics import _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
@@ -420,14 +420,12 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     """
     alpha_a = alphas[source_n]
     alpha_b = alphas[target_n]
-    atoms = kb1.description(source_n).lattice.algebra.block_masks()
+    atoms = kb1.description(source_n).algebra.block_masks()
+    target = kb1.description(target_n).algebra
     for subst in kb1.naturality(source_n, target_n):
         table1, table2 = kb1.geometry.table(subst), kb2.geometry.table(phi.map_subst(subst))
         for mask in atoms:
-            push1 = table1.preimage(mask)
-            if push1 not in alpha_b:
-                raise UndefinablePullbackError(subst, mask, push1)
-            if alpha_b[push1] != table2.preimage(alpha_a[mask]):
+            if alpha_b[_pullback(table1, mask, target)] != table2.preimage(alpha_a[mask]):
                 return False
     return True
 
@@ -574,30 +572,33 @@ def build_description_iso(iso: FunctorIso) -> Report:
     `checked` counts these checks.  The laws they leave out hold by
     construction, as below.
 
-    Each morphism is a `DescMorphism` held by its images on a generating set
-    of its source lattice, and transport moves those images.  When every
+    It builds no morphism.  Each least morphism is its images on a
+    generating set of its source lattice (`_least_images`), and transport
+    moves those images: a totality test, then the pairs checked on the
+    conjugate's table as a morphism's constructor checks them.  When every
     alpha is a Boolean isomorphism, which the witnesses of `find_functor_iso`
-    and `transport_model_iso` are, the generators are the atoms; otherwise
+    and `transport_model_iso` are, the generators are the atoms, and a least
+    morphism's member table is the `UnionMap` of its atom images; otherwise
     they are all the members, and every check is made member by member.  The
     atoms suffice: least morphisms, alphas and pullbacks preserve unions, so
-    every morphism built here does, and two such morphisms are equal when
-    they agree on the atoms.  A pair (k, t) is admissible when the image of t
+    every map compared here does, and two such maps are equal when they
+    agree on the atoms.  A pair (k, t) is admissible when the image of t
     lies inside k, and both sides preserve unions in k, so a member passes
     when each of its atoms does.  Pairs are checked in ascending order of the
-    members of the lattice a morphism was first built on, which transport
+    members of the lattice a morphism was first made on, which transport
     keeps.  The first member that fails has an atom that fails and is no
     larger, so it is that atom: the atom loop reports the same first failure,
     with the same text, and likewise for an undefinable pullback of a least
     morphism.  The report, `checked` included, is the member-wise one.
 
-    A composable pair builds no morphism: its composite and that composite's
-    transport are image dicts, checked as `after` and transport check
-    morphisms, in that order.  Each conjugate is made once.
+    A composable pair's composite is an image dict, checked, then
+    transported.  Its totality test repeats its first factor's, which it
+    passed.  Each conjugate is made once.
 
     The rest holds for alphas injective on members, which `inverse_alphas`
     requires first.  Write u_n for phi's renaming over size n.
     - Identities: F sends the identity over size n to the pairs
-      (alpha(k), alpha(k)) along phi(id) = id, and its constructor requires
+      (alpha(k), alpha(k)) along phi(id) = id, and its totality test requires
       the alpha(k) to be all of the target's generators.  So it holds the
       target identity's pairs, checked on the same table.
     - Composition: for m1 along s1 and m2 along s2, F(m2) after F(m1) sends
@@ -612,67 +613,73 @@ def build_description_iso(iso: FunctorIso) -> Report:
       m2's.  The backward image of F(m1) is m1 in the same way.
     """
     sizes = range(1, iso.n_max + 1)
-    atoms = _is_boolean(iso)
-    objs1 = {n: iso.kb1.description(n) for n in sizes}
-    objs2 = {n: iso.kb2.description(n) for n in sizes}
+    boolean = _is_boolean(iso)
+    algebras1 = {n: iso.kb1.description(n).algebra for n in sizes}
+    algebras2 = {n: iso.kb2.description(n).algebra for n in sizes}
     inverse = iso.inverse_alphas()
-    geometry1, geometry2 = iso.kb1.geometry, iso.kb2.geometry
-    # Each object, keyed by identity, goes to its alpha and its counterpart.
-    ends1 = {objs1[n]: (iso.alphas[n], objs2[n]) for n in sizes}
-    ends2 = {objs2[n]: (inverse[n], objs1[n]) for n in sizes}
+    table1, table2 = iso.kb1.geometry.table, iso.kb2.geometry.table
     phi_inv = iso.phi.inverse()
-    # Each substitution's conjugate's table, in the other model's geometry.
-    conjugates1 = _Memo(lambda s: geometry2.table(iso.phi.map_subst(s)))
-    conjugates2 = _Memo(lambda s: geometry1.table(phi_inv.map_subst(s)))
+    # Each direction's alphas, target algebras and conjugates' tables, keyed
+    # by substitution, in the other model's geometry.
+    forward = (iso.alphas, algebras2, _Memo(lambda s: table2(iso.phi.map_subst(s))))
+    backward = (inverse, algebras1, _Memo(lambda s: table1(phi_inv.map_subst(s))))
     checked = 0
     failures: list[str] = []
 
-    def transport(m: DescMorphism, ends: dict, conjugates: _Memo) -> None:
-        """Check the image of `m`: its pairs moved by the alphas, along the
-        conjugate of its substitution."""
-        alpha_a, source = ends[m.source]
-        alpha_b, target = ends[m.target]
-        images = {alpha_a[k]: alpha_b[v] for k, v in m.images.items()}
-        DescMorphism(source, target, conjugates[m.subst].key, images, atoms)
+    def generators(algebra):
+        return algebra.index.atoms.keys() if boolean else algebra.index.keys()
 
-    # The first model's least morphisms with admissible images; every one of the second's.
-    admissible: dict[tuple[int, int], list[DescMorphism]] = {}
-    family2: list[DescMorphism] = []
+    def transport(subst: Substitution, images: Mapping[int, int], direction) -> None:
+        """Check the image of a morphism's pairs moved by the alphas, along
+        the conjugate of its substitution."""
+        alphas, algebras, conjugates = direction
+        a, b = len(subst.source), len(subst.target)
+        moved = {alphas[a][k]: alphas[b][v] for k, v in images.items()}
+        if moved.keys() != generators(algebras[a]):
+            raise MismatchError("assignment is not total on its source")
+        _check_pairs(moved, conjugates[subst], algebras[b].index, True)
+
+    # The first model's least morphisms with admissible images, each with its
+    # member table; every one of the second's.
+    admissible: dict[tuple[int, int], list[tuple[Substitution, dict, Mapping]]] = {}
+    family2: list[tuple[Substitution, dict]] = []
     for a, b in itertools.product(sizes, repeat=2):
         lst = admissible[(a, b)] = []
         for subst in iso.kb1.substitutions(a, b):
-            m1 = DescMorphism._least(objs1[a], objs1[b], subst, atoms)
+            images = _least_images(generators(algebras1[a]), table1(subst), algebras1[b], True)
             checked += 1
             try:
-                transport(m1, ends1, conjugates1)
-                lst.append(m1)
+                transport(subst, images, forward)
+                lst.append((subst, images, UnionMap(images) if boolean else images))
             except AdmissibilityError as exc:
                 failures.append(f"image of {subst} is not admissible: {exc}")
-            family2.append(DescMorphism._least(objs2[a], objs2[b], subst, atoms))
+            family2.append((subst, _least_images(generators(algebras2[a]), table2(subst),
+                                                 algebras2[b], True)))
 
     for n in sizes:
         checked += 1
-        transport(DescMorphism._identity(objs1[n], atoms), ends1, conjugates1)
+        ident = Substitution.identity(algebras1[n].varset)
+        images = {mask: mask for mask in generators(algebras1[n])}
+        _check_pairs(images, table1(ident), algebras1[n].index, True)
+        transport(ident, images, forward)
 
     composite_table = iso.kb1.composite_table
     for a, b, c in itertools.product(sizes, repeat=3):
-        alpha_a, alpha_c = iso.alphas[a], iso.alphas[c]
-        members1, members2 = objs1[c].algebra.index, objs2[c].algebra.index
-        for m1 in admissible[(a, b)]:
-            for m2 in admissible[(b, c)]:
+        members = algebras1[c].index
+        for s1, images1, _ in admissible[(a, b)]:
+            for s2, _, assignment2 in admissible[(b, c)]:
                 checked += 1
-                table = composite_table(m1.subst, m2.subst)
-                left = {k: m2.assignment[v] for k, v in m1.images.items()}
-                _check_pairs(left, table, members1, True)
-                image = {alpha_a[k]: alpha_c[v] for k, v in left.items()}
-                _check_pairs(image, conjugates1[table.key], members2, True)
+                table = composite_table(s1, s2)
+                composite = {k: assignment2[v] for k, v in images1.items()}
+                _check_pairs(composite, table, members, True)
+                transport(table.key, composite, forward)
 
-    for m2 in family2:
+    for subst, images in family2:
         checked += 1
         try:
-            transport(m2, ends2, conjugates2)
+            transport(subst, images, backward)
         except AdmissibilityError as exc:
-            failures.append(f"backward image of {m2.subst} is not admissible: {exc}")
+            failures.append(f"backward image of {subst} is not admissible: {exc}")
 
     entries = (
         ("object", f"canonical variable sets of sizes 1..{iso.n_max}"),
@@ -795,8 +802,10 @@ def check_informational_equivalence(model1: Model, model2: Model,
                                     max_term_depth: Optional[int] = None,
                                     phis: Optional[list[FormulaAutomorphism]] = None
                                     ) -> EquivReport:
-    """`decide_equivalence` over the models' knowledge bases."""
-    kb1, kb2 = (KnowledgeBase(m, n_max, depth, max_term_depth) for m in (model1, model2))
+    """`decide_equivalence` over the models' knowledge bases, one for both
+    when the models are equal."""
+    kb1 = KnowledgeBase(model1, n_max, depth, max_term_depth)
+    kb2 = kb1 if model2 == model1 else KnowledgeBase(model2, n_max, depth, max_term_depth)
     return decide_equivalence(kb1, kb2, phis)
 
 
@@ -804,6 +813,8 @@ def check_automorphic_equivalence(model1: Model, model2: Model,
                                   phis: Optional[list[FormulaAutomorphism]] = None,
                                   n_max: int = 2, depth: int = 2,
                                   max_term_depth: Optional[int] = None) -> EquivReport:
-    """Witness search over automorphisms only, without the carrier fast path."""
-    kb1, kb2 = (KnowledgeBase(m, n_max, depth, max_term_depth) for m in (model1, model2))
+    """Witness search over automorphisms only, without the carrier fast path,
+    over one knowledge base per model, or one for both when they are equal."""
+    kb1 = KnowledgeBase(model1, n_max, depth, max_term_depth)
+    kb2 = kb1 if model2 == model1 else KnowledgeBase(model2, n_max, depth, max_term_depth)
     return decide_equivalence(kb1, kb2, phis, mode="automorphic")

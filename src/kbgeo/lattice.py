@@ -10,8 +10,9 @@ descends only into the nodes it cuts, so it visits only the blocks it
 splits, and a cut that splits none builds no formula and moves no block.
 A map that preserves unions is fixed by its atom images:
 `UnionMap` reads it lazily.  It is each algebra's member index, every lattice
-bijection of the equivalence layer and the member table of every morphism
-held on atoms.  Listing more than `MAX_MEMBERS` members is a `BoundError`.
+bijection of the equivalence layer, and the member table of each least
+morphism and dual that the sweeps and the description functor hold by their
+atom images.  Listing more than `MAX_MEMBERS` members is a `BoundError`.
 
 Every member carries a witness formula that evaluates exactly to its point
 set.  The witnesses come from the split tree that made the atoms, so they

@@ -36,6 +36,7 @@ from kbgeo import (
     verify_push_functoriality,
 )
 from kbgeo import semantics
+from kbgeo.categories import _least_images
 from kbgeo.cli import write_report
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
@@ -351,9 +352,9 @@ def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
         assert sweep(kbs[d]) == sweep(KnowledgeBase(make(), 2, d))
 
 
-def held_or_error(source, target, subst):
+def least_images_or_error(masks, table, target, along):
     try:
-        return DescMorphism._least(source, target, subst, True)
+        return _least_images(masks, table, target, along)
     except UndefinablePullbackError as exc:
         return str(exc)
 
@@ -368,102 +369,98 @@ def desc_or_error(source, target, subst):
 @pytest.mark.parametrize("name,model", all_fixtures() + [
     (name, m) for name, m in seeded_models() if not m.sig.ops])
 def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
-    """A least morphism held on atoms gives every member the image the
-    member-wise least morphism assigns, or fails with the same error, and so
-    does its content dual; held composites give every member the member-wise
-    composite's image; and held morphisms are equal exactly when the
-    member-wise ones are."""
+    """The least images of the atoms along a substitution give every member
+    the image the member-wise least morphism assigns, or fail with the same
+    error, and the least images against it give every member the image of
+    that morphism's content dual; composites of the atom images give every
+    member the member-wise composite's image; and atom images along equal
+    substitutions are equal exactly when the member-wise morphisms are."""
     kb = KnowledgeBase(model, 2, 1)
     sizes = (1, 2)
     objs = {n: kb.description(n) for n in sizes}
-    subs = {(a, b): enumerate_substitutions(model.sig, canonical_varset(a),
-                                            canonical_varset(b), 1)
-            for a in sizes for b in sizes}
-    held, desc = {}, {}
-    for (a, b), substs in subs.items():
+    atoms = {n: objs[n].algebra.block_masks() for n in sizes}
+    held = {}
+    for a, b in itertools.product(sizes, repeat=2):
         pairs = []
-        for s in substs:
-            h = held_or_error(objs[a], objs[b], s)
+        for s in enumerate_substitutions(model.sig, canonical_varset(a), canonical_varset(b), 1):
+            table = kb.geometry.table(s)
+            h = least_images_or_error(atoms[a], table, objs[b].algebra, True)
             d = desc_or_error(objs[a], objs[b], s)
             if isinstance(d, str):
                 assert h == d
                 continue
-            assert sorted(h.images) == list(objs[a].lattice.algebra.block_masks())
-            assert {k: h.image(k) for k in d.assignment} == d.assignment
+            assert list(h) == list(atoms[a])
+            push = UnionMap(h)
+            assert {k: push[k] for k in d.assignment} == d.assignment
             dual = content_morphism(d)
-            held_dual = content_morphism(h)
-            assert {k: held_dual.image(k) for k in dual.assignment} == dual.assignment
-            pairs.append((h, d))
-        for h1, d1 in pairs:
-            for h2, d2 in pairs:
-                assert (h1 == h2) == (d1 == d2)
+            against = UnionMap(_least_images(atoms[b], table, objs[a].algebra, False))
+            assert {k: against[k] for k in dual.assignment} == dual.assignment
+            pairs.append((s, push, d))
+        for s1, h1, d1 in pairs:
+            for s2, h2, d2 in pairs:
+                assert (s1 == s2 and h1 == h2) == (d1 == d2)
         held[(a, b)] = pairs
-    for a in sizes:
-        for b in sizes:
-            for c in sizes:
-                for h1, d1 in held[(a, b)]:
-                    for h2, d2 in held[(b, c)]:
-                        composite = compose_desc(d2, d1)
-                        h = h2.after(h1, compose_subst(d1.subst, d2.subst))
-                        assert ({k: h.image(k) for k in composite.assignment}
-                                == composite.assignment)
+    for a, b, c in itertools.product(sizes, repeat=3):
+        for _, h1, d1 in held[(a, b)]:
+            for _, h2, d2 in held[(b, c)]:
+                composite = compose_desc(d2, d1)
+                h = UnionMap({k: h2[v] for k, v in h1.atoms.items()})
+                assert {k: h[k] for k in composite.assignment} == composite.assignment
 
 
-def assert_same_morphism(held, member, apply, sources):
-    """`held` (on atoms) and `member` (on every member) are one morphism:
-    equal in both orders, with one member table, mapping every member
-    alike."""
-    assert held._on_atoms and not member._on_atoms
-    assert held == member and member == held
-    assert not held != member and not member != held
-    assert held.assignment == member.assignment
-    assert list(held.assignment) == sorted(member.assignment)
-    assert ([apply(held, x).mask for x in sources]
-            == [apply(member, x).mask for x in sources])
+def assert_same_morphism(morphism, atom_images, apply, sources):
+    """`morphism`, held on every member, is the map its atom images fix:
+    equal in both orders to its rebuild from its own assignment, with a
+    member table listed ascending that equals the atom images' `UnionMap`,
+    mapping every member as that map does."""
+    rebuilt = type(morphism)(morphism.source, morphism.target, morphism.subst,
+                             morphism.assignment)
+    assert rebuilt == morphism and morphism == rebuilt
+    assert not rebuilt != morphism and not morphism != rebuilt
+    held = UnionMap(atom_images)
+    assert list(held) == list(morphism.assignment) == sorted(morphism.assignment)
+    assert {k: held[k] for k in held} == morphism.assignment
+    assert [apply(morphism, x).mask for x in sources] == [held[x.mask] for x in sources]
 
 
 def test_morphisms_held_on_atoms_equal_their_member_forms():
-    """The two holdings of a least morphism, an identity, a composite and
-    their content duals compare equal and map alike; mixed composites are
-    held on every member; and a description morphism never equals a content
-    morphism, even with the same substitution and table."""
+    """A least morphism, an identity, a composite and their content duals,
+    each held on every member, are the maps their atom images fix; a
+    description morphism never equals a content morphism, even with the
+    same substitution and table; and an assignment held on the atoms alone
+    is not total."""
     model = model_neg()
     kb = KnowledgeBase(model, 2, 1)
     two = kb.description(2)
+    algebra = two.algebra
     members = two.lattice.filters
     sets = kb.content(2).algebra.members
     map_filter, map_set = DescMorphism.map_filter, ContMorphism.map_set
-    atoms = two.lattice.algebra.block_masks()
+    atoms = algebra.block_masks()
     assert len(atoms) < len(members)
 
-    ident = DescMorphism._identity(two, True)
-    assert_same_morphism(ident, identity_desc(two), map_filter, members)
-    assert_same_morphism(content_morphism(ident), content_morphism(identity_desc(two)),
-                         map_set, sets)
-    assert ident != content_morphism(ident)
-    assert identity_desc(two) != content_morphism(identity_desc(two))
+    def least(subst, along):
+        return _least_images(atoms, kb.geometry.table(subst), algebra, along)
+
+    ident = identity_desc(two)
+    assert_same_morphism(ident, {atom: atom for atom in atoms}, map_filter, members)
+    assert_same_morphism(content_morphism(ident), least(ident.subst, False), map_set, sets)
+    assert ident != content_morphism(ident) and content_morphism(ident) != ident
 
     substs = list(enumerate_substitutions(model.sig, two.varset, two.varset, 1))
     assert len(substs) > 2
     for s1 in substs:
-        held1 = DescMorphism._least(two, two, s1, True)
-        member1 = least_desc_morphism(two, two, s1)
-        assert_same_morphism(held1, member1, map_filter, members)
-        assert_same_morphism(content_morphism(held1), content_morphism(member1),
-                             map_set, sets)
-        assert held1 != content_morphism(held1) and content_morphism(held1) != held1
+        m1, push1, dual1 = least_desc_morphism(two, two, s1), least(s1, True), least(s1, False)
+        assert_same_morphism(m1, push1, map_filter, members)
+        assert_same_morphism(content_morphism(m1), dual1, map_set, sets)
+        assert m1 != content_morphism(m1) and content_morphism(m1) != m1
         for s2 in substs[:3]:
-            held2 = DescMorphism._least(two, two, s2, True)
-            member2 = least_desc_morphism(two, two, s2)
-            composite = compose_desc(member2, member1)
-            assert_same_morphism(compose_desc(held2, held1), composite, map_filter, members)
-            for mixed in (compose_desc(held2, member1), compose_desc(member2, held1)):
-                assert mixed.images == composite.assignment
-                assert mixed == composite
-            assert_same_morphism(
-                compose_cont(content_morphism(held1), content_morphism(held2)),
-                compose_cont(content_morphism(member1), content_morphism(member2)),
-                map_set, sets)
+            m2, push2, dual2 = least_desc_morphism(two, two, s2), least(s2, True), least(s2, False)
+            second, first = UnionMap(push2), UnionMap(dual1)
+            assert_same_morphism(compose_desc(m2, m1), {k: second[v] for k, v in push1.items()},
+                                 map_filter, members)
+            assert_same_morphism(compose_cont(content_morphism(m1), content_morphism(m2)),
+                                 {k: first[v] for k, v in dual2.items()}, map_set, sets)
 
     partial = {atom: atom for atom in atoms}
     with pytest.raises(MismatchError):
@@ -471,23 +468,23 @@ def test_morphisms_held_on_atoms_equal_their_member_forms():
 
 
 def test_morphisms_refuse_arguments_from_other_objects():
-    """A morphism maps only the filters or sets of its own source, in either
-    holding: a filter over {x1, x2} given to a morphism from {x1}, or a set
-    over {x1} given to its content dual from {x1, x2}, is a MismatchError."""
+    """A morphism maps only the filters or sets of its own source: a filter
+    over {x1, x2} given to a morphism from {x1}, or a set over {x1} given to
+    its content dual from {x1, x2}, is a MismatchError."""
     kb = KnowledgeBase(model_pq1(), 2, 1)
     one, two = kb.description(1), kb.description(2)
     subst = next(iter(enumerate_substitutions(model_pq1().sig, one.varset, two.varset, 1)))
     foreign_filter = two.lattice.filter_for_mask(0xc)
     foreign_set = kb.content(1).algebra.member(0b10)
-    for held in (least_desc_morphism(one, two, subst), DescMorphism._least(one, two, subst, True)):
-        dual = content_morphism(held)
-        with pytest.raises(MismatchError, match="set does not belong to this algebra"):
-            held.map_filter(foreign_filter)
-        with pytest.raises(MismatchError, match="set does not belong to this algebra"):
-            dual.map_set(foreign_set)
-        own = one.lattice.filter_for_mask(0b10)
-        assert held.map_filter(own).mask == subst_preimage_points(subst, own.points).mask
-        assert dual.map_set(kb.content(2).algebra.member(0xc)).mask == 0b10
+    morphism = least_desc_morphism(one, two, subst)
+    dual = content_morphism(morphism)
+    with pytest.raises(MismatchError, match="set does not belong to this algebra"):
+        morphism.map_filter(foreign_filter)
+    with pytest.raises(MismatchError, match="set does not belong to this algebra"):
+        dual.map_set(foreign_set)
+    own = one.lattice.filter_for_mask(0b10)
+    assert morphism.map_filter(own).mask == subst_preimage_points(subst, own.points).mask
+    assert dual.map_set(kb.content(2).algebra.member(0xc)).mask == 0b10
 
 
 def assert_sweeps_match_the_member_sweeps(model, n_max, depth):

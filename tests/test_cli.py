@@ -5,7 +5,15 @@ import pathlib
 
 import pytest
 
-from kbgeo import DEFAULT_MAX_POINTS, Signature, VERDICT_WITNESSED, cli
+from kbgeo import (
+    DEFAULT_MAX_POINTS,
+    Signature,
+    VERDICT_WITNESSED,
+    check_automorphic_equivalence,
+    check_informational_equivalence,
+    cli,
+    lattice,
+)
 from kbgeo.cli import (
     DataError,
     EXIT_DATA,
@@ -435,6 +443,44 @@ def test_bad_point_bound_env_is_a_data_error(monkeypatch):
     code, text = run_command(["eval", fixture("m_p.kbm"), "--vars", "x", "--formula", "P(x)"])
     assert code == EXIT_DATA
     assert text == "error: KBGEO_MAX_POINTS must be a positive integer, got 'abc'"
+
+
+def test_arguments_are_parsed_before_the_point_bound_is_read(monkeypatch, capsys):
+    """A malformed KBGEO_MAX_POINTS is read only after the arguments parse:
+    help still prints with exit 0, and a usage error, from the parser or a
+    bound flag, wins over the bad value."""
+    monkeypatch.setenv("KBGEO_MAX_POINTS", "abc")
+    assert cli.main(["--help"]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("usage: kbgeo")
+    pair = [fixture("m_p.kbm"), fixture("m_p.kbm")]
+    assert run_command(["equiv", *pair, "--bogus"]) == \
+        (EXIT_USAGE, "usage error: unrecognized arguments: --bogus")
+    assert run_command(["equiv", *pair, "--max-vars", "0"]) == \
+        (EXIT_USAGE, "usage error: --max-vars must be positive")
+    assert run_command(["equiv", *pair]) == \
+        (EXIT_DATA, "error: KBGEO_MAX_POINTS must be a positive integer, got 'abc'")
+
+
+def test_a_self_pair_builds_each_lattice_once(monkeypatch, default_point_bound):
+    """Equal models share one knowledge base: a self-pair decision at
+    (3, 1) builds one algebra per size, through both deciders and through
+    `equiv`, whose two files load to equal models."""
+    builds = []
+    build = lattice.generate_definable_algebra
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "generate_definable_algebra", counting)
+    runs = [lambda: check_informational_equivalence(model_p(), model_p(), 3, 1).exit_code,
+            lambda: check_automorphic_equivalence(model_p(), model_p(), None, 3, 1).exit_code,
+            lambda: run_command(["equiv", fixture("m_p.kbm"), fixture("m_p.kbm"),
+                                 "--max-vars", "3", "--depth", "1"])[0]]
+    for run in runs:
+        builds.clear()
+        assert run() == EXIT_PASS
+        assert [len(varset) for varset in builds] == [1, 2, 3]
 
 
 CYCLE = """carrier: 0 1 2

@@ -1190,3 +1190,27 @@ def test_the_squares_are_the_functor(monkeypatch):
     assert all(report.verdict == VERDICT_WITNESSED for report in reports[-7:])
     assert dict(reports[-1].witness)["phi"] == swap.describe()
     assert len(isos) > 7 and sum(r.verdict == VERDICT_WITNESSED for r in reports) > 7
+
+
+def test_the_duality_sweep_and_the_description_functor_build_no_morphism(monkeypatch):
+    """Both move atom images through pullback tables: with the morphism
+    constructor refusing, the duality sweep passes on every fixture at
+    (2, 1), and the description functor on the deciders' witnesses of a
+    swapped pair, a self-pair and a renaming phi."""
+    def refused(self, *args):
+        raise AssertionError("a morphism was built")
+
+    monkeypatch.setattr(categories._Morphism, "__init__", refused)
+    one = KnowledgeBase(model_p(), 1, 1).description(1)
+    with pytest.raises(AssertionError, match="^a morphism was built$"):
+        categories.identity_desc(one)
+    for _, model in all_fixtures():
+        assert KnowledgeBase(model, 2, 1).check_duality().passed
+    swap = FormulaAutomorphism.variable_renaming(model_neg().sig, {2: ("x2", "x1")})
+    isos = [iso for m1, m2 in ((model_pq1(), model_pq2()), (model_neg(), model_neg()))
+            for iso in reported_witnesses(KnowledgeBase(m1, 2, 1), KnowledgeBase(m2, 2, 1))]
+    isos.append(find_functor_iso(KnowledgeBase(model_neg(), 2, 1),
+                                 KnowledgeBase(model_neg(), 2, 1), swap))
+    assert len(isos) == 3 and all(isinstance(iso, FunctorIso) for iso in isos)
+    for iso in isos:
+        assert build_description_iso(iso).passed, iso.phi.describe()
