@@ -1,7 +1,8 @@
 """Filter-side and set-side categories over one model, and their duality.
 
-Objects pair a variable set with its filter lattice (description side) or its
-definable algebra (content side).  A description morphism along a substitution
+An object is a variable set's filter lattice, which holds the set's definable
+algebra: description morphisms read its members as filters, content morphisms
+as the filters' dual sets.  A description morphism along a substitution
 s: X -> Y sends each filter over X to a filter over Y admissibly: the dual of
 the image must sit inside the pointwise preimage of the dual of the argument.
 Content morphisms run the other way, from sets over Y to sets over X, with the
@@ -41,11 +42,12 @@ report what member loops would.  A composable pair's composites are image
 dicts, checked by `_check_pairs` in the same order.
 A passing sweep lists no member; only the rerun of a push block or
 an identity whose atoms fail does, within the lattice layer's bound.
-Objects need no check: a description object's content dual is built on its
-own algebra, and a filter's order is its dual's reverse inclusion.  Nor does
-dualization's injectivity: a least morphism and its dual are both functions
-of their substitution, which each holds, so two duals are equal exactly when
-their morphisms are.  A report's `checked` counts the checks a sweep makes.
+Objects need no check: a filter and its dual set are one member of the
+object's algebra, and a filter's order is its dual's reverse inclusion.  Nor
+does dualization's injectivity: a least morphism and its dual are both
+functions of their substitution, which each holds, so two duals are equal
+exactly when their morphisms are.  A report's `checked` counts the checks a
+sweep makes.
 """
 
 from __future__ import annotations
@@ -103,39 +105,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-class DescriptionObject:
-    """A variable set together with its lattice of closed filters, and the
-    content object dual to it."""
-
-    def __init__(self, lattice: FilterLattice):
-        self.lattice = lattice
-        self.algebra = lattice.algebra
-        self.model = lattice.model
-        self.varset = lattice.varset
-        self._content = ContentObject(lattice.algebra)
-
-    def __len__(self) -> int:
-        return len(self.lattice)
-
-    def __repr__(self) -> str:
-        return f"DescriptionObject({self.varset}, {self.algebra.size} filters)"
-
-
-class ContentObject:
-    """A variable set together with its algebra of definable sets."""
-
-    def __init__(self, algebra: DefinableAlgebra):
-        self.algebra = algebra
-        self.model = algebra.model
-        self.varset = algebra.varset
-
-    def __len__(self) -> int:
-        return len(self.algebra)
-
-    def __repr__(self) -> str:
-        return f"ContentObject({self.varset}, {self.algebra.size} sets)"
 
 
 def is_admissible_desc(subst: Substitution, source_filter: ClosedFilter,
@@ -254,7 +223,7 @@ class DescMorphism(_Morphism):
 
     def map_filter(self, filt: ClosedFilter) -> ClosedFilter:
         self.source.algebra.own(filt.dual)
-        return self.target.lattice.filter_for_mask(self.image(filt.mask))
+        return self.target.filter_for_mask(self.image(filt.mask))
 
 
 class ContMorphism(_Morphism):
@@ -284,12 +253,12 @@ def compose_cont(second: ContMorphism, first: ContMorphism) -> ContMorphism:
     return second.after(first, compose_subst(second.subst, first.subst))
 
 
-def identity_desc(obj: DescriptionObject) -> DescMorphism:
+def identity_desc(obj: FilterLattice) -> DescMorphism:
     return DescMorphism(obj, obj, Substitution.identity(obj.varset),
                         {m: m for m in obj.algebra.masks})
 
 
-def least_desc_morphism(source: DescriptionObject, target: DescriptionObject,
+def least_desc_morphism(source: FilterLattice, target: FilterLattice,
                         subst: Substitution) -> DescMorphism:
     """The pointwise least admissible assignment along a substitution: each
     filter goes to the filter whose dual is the full pullback of its dual,
@@ -325,7 +294,7 @@ def _least_images(masks, table: _Table, target: DefinableAlgebra,
     return images
 
 
-def least_cont_morphism(source: ContentObject, target: ContentObject,
+def least_cont_morphism(source: FilterLattice, target: FilterLattice,
                         subst: Substitution) -> ContMorphism:
     """Each definable set goes to the closure of its pointwise image: the
     union of the target atoms it meets."""
@@ -335,21 +304,15 @@ def least_cont_morphism(source: ContentObject, target: ContentObject,
                         _least_images(source.algebra.masks, table, target.algebra, False))
 
 
-def content_of(obj: DescriptionObject) -> ContentObject:
-    """The dual object: same variable set, the algebra of filter duals."""
-    return obj._content
-
-
 def content_morphism(morphism: DescMorphism) -> ContMorphism:
     """The dual of a description morphism: the least content assignment against
     the same substitution.  Both sides check a pair as the same image
     inclusion, so each pair of the input is admissible read the other way."""
-    return least_cont_morphism(morphism.target._content, morphism.source._content,
-                               morphism.subst)
+    return least_cont_morphism(morphism.target, morphism.source, morphism.subst)
 
 
 class KnowledgeBase:
-    """A model with its description and content objects for sizes 1..n_max.
+    """A model with its objects, the filter lattices of sizes 1..n_max.
 
     It holds the model's bounds: n_max, the substitution depth, the
     term-depth cap, and its geometry, which holds the point bound.  Its
@@ -359,9 +322,9 @@ class KnowledgeBase:
     (`naturality`), from it.  The module-level sweeps and deciders build
     theirs under the default point bound.  Objects are built over the
     canonical variable sets of the geometry and cached, and so are the masks
-    of atomic formulas.  An object's content dual is built on its own
-    algebra, so filters and definable sets are in mask-for-mask bijection by
-    construction.
+    of atomic formulas.  Description and content morphisms both run between
+    these lattices, whose filters and definable sets are the same masks of
+    their algebras.
     """
 
     def __init__(self, model: Model, n_max: int, depth: int,
@@ -378,21 +341,18 @@ class KnowledgeBase:
         self.depth = depth
         self.max_term_depth = max_term_depth
         self.geometry = Geometry(model, max_points)
-        self._descriptions: dict[int, DescriptionObject] = {}
+        self._descriptions: dict[int, FilterLattice] = {}
         self._atom_masks: dict[tuple[int, Formula], int] = {}
         self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
 
-    def description(self, n: int) -> DescriptionObject:
+    def description(self, n: int) -> FilterLattice:
+        """The object of size n: the filter lattice over x1..xn, built once."""
         if not 1 <= n <= self.n_max:
             raise MismatchError(f"object size {n} outside 1..{self.n_max}")
         if n not in self._descriptions:
-            lattice = build_filter_lattice(self.model, canonical_varset(n),
-                                           self.max_term_depth, geometry=self.geometry)
-            self._descriptions[n] = DescriptionObject(lattice)
+            self._descriptions[n] = build_filter_lattice(
+                self.model, canonical_varset(n), self.max_term_depth, geometry=self.geometry)
         return self._descriptions[n]
-
-    def content(self, n: int) -> ContentObject:
-        return content_of(self.description(n))
 
     def atom_mask(self, atom: Formula, n: int) -> int:
         """The points over the canonical variable set of size n satisfying an
@@ -499,14 +459,14 @@ class KnowledgeBase:
     @property
     def saturated(self) -> bool:
         """Whether every lattice is complete; builds every object."""
-        return all([self.description(n).lattice.saturated for n in range(1, self.n_max + 1)])
+        return all([self.description(n).saturated for n in range(1, self.n_max + 1)])
 
     def check_duality(self) -> Report:
         """The sweep of the module-level `check_duality` over these objects.
 
-        It checks no object, since each is dual to its content object by
-        construction, and it does not compare the duals of two least
-        morphisms: the least morphism along s and its dual, the least content
+        It checks no object, since a filter and its dual set are one member
+        of the object's algebra, and it does not compare the duals of two
+        least morphisms: the least morphism along s and its dual, the least content
         morphism along s, are functions of s, so m_i == m_j and d_i == d_j
         both say s_i == s_j.  `checked` counts one check per substitution
         (its least morphism and dual are made and checked), per identity
@@ -609,9 +569,9 @@ class KnowledgeBase:
         sizes = range(1, n_max + 1)
         composite_table = self.composite_table
         for a, b, c in itertools.product(sizes, repeat=3):
-            algebra_a = self.description(a).lattice.algebra
-            algebra_b = self.description(b).lattice.algebra
-            algebra_c = self.description(c).lattice.algebra
+            algebra_a = self.description(a).algebra
+            algebra_b = self.description(b).algebra
+            algebra_c = self.description(c).algebra
             tables2 = [table(s2) for s2 in self.substitutions(b, c)]
             for s1 in self.substitutions(a, b):
                 table1 = table(s1)
@@ -673,12 +633,12 @@ def check_duality(model: Model, n_max: int, depth: int = 1,
                   max_term_depth: Optional[int] = None) -> Report:
     """Verify the object and morphism duality up to the given bounds.
 
-    Objects are dual by construction: each content object is built on its
-    description object's algebra, and a filter's order is its dual's reverse
-    inclusion.  Morphisms: for every substitution between canonical variable
-    sets of sizes up to n_max with image depth up to depth, the least
-    description morphism dualizes admissibly, duals compose contravariantly,
-    and identities map to identities.  Dualization is injective on the
+    Objects are dual by construction: each is one filter lattice, whose
+    filters are the members of its algebra read as duals, and a filter's
+    order is its dual's reverse inclusion.  Morphisms: for every substitution
+    between canonical variable sets of sizes up to n_max with image depth up
+    to depth, the least description morphism dualizes admissibly, duals
+    compose contravariantly, and identities map to identities.  Dualization is injective on the
     sampled family by construction, since a least morphism and its dual are
     both functions of their substitution, so it is not compared; `checked`
     counts the checks made.  A substitution whose pullback of some dual is

@@ -45,7 +45,7 @@ checked once per knowledge base for every phi and the transport), no
 bounded pullback is undefinable: `find_functor_iso` checks the generator
 squares alone, which `KnowledgeBase.naturality` picks, and accepts
 exactly the candidates the full loops accept, and `transport_model_iso`
-finds nothing left to fail and skips its walk.  The sweeps
+walks the same generators, where nothing is left to fail.  The sweeps
 `check_duality` and `verify_push_functoriality` still visit every
 bounded substitution.
 
@@ -455,9 +455,9 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
         return None
     groupings: list[list[tuple[list[int], list[int]]]] = []
     for n in range(1, n_max + 1):
-        if kb1.description(n).algebra.size != kb2.description(n).algebra.size:
+        lat1, lat2 = kb1.description(n), kb2.description(n)
+        if lat1.algebra.size != lat2.algebra.size:
             return None
-        lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
         constraints = _atom_constraints(kb1, kb2, phi, n)
         if constraints is None:
             return None
@@ -494,13 +494,14 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
     Each point is relabelled once, and each atom of the first model goes to
     the union of its points' images; the alpha, a `UnionMap`, sends each
     member to the union of its atoms' images.  The one check left is the
-    first model's pullbacks: for every a, b <= n_max, every bounded
-    s: X_a -> X_b and every atom k over X_a, in that order, pre1_s(k) must
-    be a member, and the first one that is not raises
+    first model's pullbacks: for every a, b <= n_max, every s: X_a -> X_b
+    of `kb1.naturality(a, b)` and every atom k over X_a, in that order,
+    pre1_s(k) must be a member, and the first one that is not raises
     `UndefinablePullbackError`, as the squares of `find_functor_iso` do.
-    When `KnowledgeBase.generators` is not None, it has found every
-    generator pullback of every atom a member, so every bounded one is
-    (module docstring), and the walk is skipped.
+    Along generators the walk cannot raise, since `KnowledgeBase.generators`
+    has found every generator pullback of every atom a member, and then
+    every bounded one is (module docstring); otherwise it walks every
+    bounded substitution.
     The two knowledge bases must have equal bounds and equal term depth
     caps.  Of the second, only its point spaces are read.
 
@@ -530,13 +531,12 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
         index_of = kb2.geometry.space(canonical_varset(n)).index_of
         bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
         alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
-    if kb1.generators is None:
-        for a, b in itertools.product(sizes, repeat=2):
-            atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
-            for subst in kb1.substitutions(a, b):
-                table = kb1.geometry.table(subst)
-                for atom in atoms:
-                    _pullback(table, atom, target)
+    for a, b in itertools.product(sizes, repeat=2):
+        atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
+        for subst in kb1.naturality(a, b):
+            table = kb1.geometry.table(subst)
+            for atom in atoms:
+                _pullback(table, atom, target)
     return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), alphas, kb1, kb2)
 
 
@@ -546,8 +546,8 @@ def _is_boolean(iso: FunctorIso) -> bool:
     of its atoms' images."""
     for n in range(1, iso.n_max + 1):
         alpha = iso.alphas.get(n)
-        atoms1 = iso.kb1.description(n).lattice.algebra.block_masks()
-        atoms2 = iso.kb2.description(n).lattice.algebra.block_masks()
+        atoms1 = iso.kb1.description(n).algebra.block_masks()
+        atoms2 = iso.kb2.description(n).algebra.block_masks()
         if alpha is None or not all(atom in alpha for atom in atoms1):
             return False
         images = {atom: alpha[atom] for atom in atoms1}

@@ -87,9 +87,8 @@ class Point:
 class PointSpace:
     """All assignments varset -> carrier for one model, in enumeration order.
 
-    The space belongs to `geometry`; without one it starts a geometry of its
-    own under the default bound.  It refuses to enumerate past the geometry's
-    bound.
+    The space belongs to `geometry`, and it refuses to enumerate past the
+    geometry's bound.
 
     `column(axis)` and `digit_masks(axis)` are an axis's value column and
     digit masks, derived from the carrier on first use and then held: a
@@ -97,8 +96,8 @@ class PointSpace:
     `size` entries and |M| masks of `size` bits per axis.
     """
 
-    def __init__(self, model: Model, varset: VarSet, geometry: Optional["Geometry"] = None):
-        self.geometry = Geometry(model) if geometry is None else geometry
+    def __init__(self, model: Model, varset: VarSet, geometry: "Geometry"):
+        self.geometry = geometry
         count, bound = len(model.carrier) ** len(varset), self.geometry.max_points
         if count > bound:
             raise BoundError(f"{count} points exceed the bound {bound}")

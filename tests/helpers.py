@@ -502,7 +502,7 @@ def memberwise_squares_commute(alphas, phi, kb1, kb2, source_n: int, target_n: i
     for subst in enumerate_substitutions(kb1.model.sig, canonical_varset(source_n),
                                          canonical_varset(target_n), kb1.depth):
         mapped = phi.map_subst(subst)
-        for mask in kb1.description(source_n).lattice.algebra.masks:
+        for mask in kb1.description(source_n).algebra.masks:
             push1 = kb1.geometry.preimage(subst, mask)
             if push1 not in alpha_b:
                 raise UndefinablePullbackError(subst, mask, push1)
@@ -559,8 +559,8 @@ def memberwise_transport_tables(mmap, kb1, kb2) -> dict:
     relabelled, each image checked to be a member of the second lattice."""
     alphas = {}
     for n in range(1, kb1.n_max + 1):
-        algebra1 = kb1.description(n).lattice.algebra
-        algebra2 = kb2.description(n).lattice.algebra
+        algebra1 = kb1.description(n).algebra
+        algebra2 = kb2.description(n).algebra
         table = {}
         for mask in algebra1.masks:
             image = relabeled_mask(mmap, algebra1.space, algebra2.space, mask)
@@ -576,8 +576,8 @@ def memberwise_is_boolean(iso) -> bool:
     itself without the atom holding its lowest point."""
     for n in range(1, iso.n_max + 1):
         alpha = iso.alphas.get(n)
-        algebra1 = iso.kb1.description(n).lattice.algebra
-        algebra2 = iso.kb2.description(n).lattice.algebra
+        algebra1 = iso.kb1.description(n).algebra
+        algebra2 = iso.kb2.description(n).algebra
         if (alpha is None or sorted(alpha) != list(algebra1.masks)
                 or sorted(alpha.values()) != list(algebra2.masks)
                 or sorted(alpha[x] for x in algebra1.block_masks())
@@ -619,8 +619,8 @@ def verify_admissibility_transfer(iso, n_max=None) -> Report:
     failures = []
     for a in range(1, n_max + 1):
         for b in range(1, n_max + 1):
-            masks_a = iso.kb1.description(a).lattice.algebra.masks
-            masks_b = iso.kb1.description(b).lattice.algebra.masks
+            masks_a = iso.kb1.description(a).algebra.masks
+            masks_b = iso.kb1.description(b).algebra.masks
             for subst in iso.kb1.substitutions(a, b):
                 table1 = geometry1.table(subst)
                 table2 = geometry2.table(iso.phi.map_subst(subst))
@@ -698,7 +698,7 @@ def memberwise_push_functoriality(kb) -> Report:
     checked = 0
     failures = []
     for n in sizes:
-        lattice = kb.description(n).lattice
+        lattice = kb.description(n)
         ident = Substitution.identity(lattice.varset)
         for filt in lattice:
             checked += 1
@@ -708,7 +708,7 @@ def memberwise_push_functoriality(kb) -> Report:
     triples = 0
     undefinable = set()
     for a, b, c in itertools.product(sizes, repeat=3):
-        lat_a, lat_b, lat_c = (kb.description(n).lattice for n in (a, b, c))
+        lat_a, lat_b, lat_c = (kb.description(n) for n in (a, b, c))
         for s1 in enumerate_substitutions(kb.model.sig, lat_a.varset, lat_b.varset, depth):
             for s2 in enumerate_substitutions(kb.model.sig, lat_b.varset, lat_c.varset, depth):
                 composite = compose_subst(s1, s2)

@@ -9,7 +9,7 @@ from kbgeo import (
     BoundError,
     ContMorphism,
     DescMorphism,
-    DescriptionObject,
+    FilterLattice,
     Geometry,
     KnowledgeBase,
     MismatchError,
@@ -22,7 +22,6 @@ from kbgeo import (
     compose_cont,
     compose_desc,
     content_morphism,
-    content_of,
     enumerate_substitutions,
     filter_preimage,
     identity_desc,
@@ -35,6 +34,7 @@ from kbgeo import (
     subst_preimage_points,
     verify_push_functoriality,
 )
+import kbgeo
 from kbgeo import semantics
 from kbgeo.categories import _least_images
 from kbgeo.cli import write_report
@@ -59,7 +59,7 @@ UNDEFINABLE_PULLBACKS = ("r0", "r2")
 
 
 def desc_obj(model, n):
-    return DescriptionObject(build_filter_lattice(model, canonical_varset(n)))
+    return build_filter_lattice(model, canonical_varset(n))
 
 
 def neg_subst(model, n=1):
@@ -72,8 +72,8 @@ def test_admissibility_on_duals():
     m = model_p()
     obj = desc_obj(m, 1)
     s = Substitution.identity(canonical_varset(1))
-    for fa in obj.lattice.filters:
-        for fb in obj.lattice.filters:
+    for fa in obj.filters:
+        for fb in obj.filters:
             assert is_admissible_desc(s, fa, fb) == fb.points.is_subset_of(fa.points)
 
 
@@ -82,7 +82,7 @@ def test_least_desc_morphism_takes_full_pullback():
     one = desc_obj(m, 1)
     s = neg_subst(m)
     morphism = least_desc_morphism(one, one, s)
-    for filt in one.lattice.filters:
+    for filt in one.filters:
         mapped = morphism.map_filter(filt)
         assert mapped.points == subst_preimage_points(s, filt.points)
 
@@ -91,8 +91,8 @@ def test_desc_morphism_rejects_inadmissible_assignment():
     m = model_p()
     obj = desc_obj(m, 1)
     s = Substitution.identity(canonical_varset(1))
-    full = obj.lattice.algebra.space.full_mask
-    bad = {mask: full for mask in obj.lattice.algebra.masks}
+    full = obj.algebra.space.full_mask
+    bad = {mask: full for mask in obj.algebra.masks}
     with pytest.raises(AdmissibilityError):
         DescMorphism(obj, obj, s, bad)
     partial = {0: 0}
@@ -110,7 +110,7 @@ def test_identity_and_composition():
     assert compose_desc(ident, morphism) == morphism
     twice = compose_desc(morphism, morphism)
     assert twice.subst.image_of("x1") == parse_term("neg(neg(x1))", m.sig, obj.varset)
-    for mask in obj.lattice.algebra.masks:
+    for mask in obj.algebra.masks:
         assert twice.assignment[mask] == morphism.assignment[morphism.assignment[mask]]
 
 
@@ -160,11 +160,33 @@ def test_knowledge_base_objects_are_cached_and_dual():
     d1 = kb.description(1)
     assert kb.description(1) is d1
     assert len(d1) == 4 and len(kb.description(2)) == 16
-    c1 = kb.content(1)
-    assert sorted(m.mask for m in c1.algebra) == sorted(f.mask for f in d1.lattice)
+    c1 = kb.description(1)
+    assert sorted(m.mask for m in c1.algebra) == sorted(f.mask for f in d1)
     assert kb.saturated
     with pytest.raises(MismatchError):
         kb.description(3)
+
+
+def test_knowledge_base_objects_are_its_filter_lattices():
+    """Each object is the filter lattice itself, built once per size:
+    description morphisms start at it, a content dual starts at the
+    description morphism's target and maps that lattice's members to the
+    source's, and no wrapper object is exported."""
+    model = model_neg()
+    kb = KnowledgeBase(model, 2, 1)
+    one, two = kb.description(1), kb.description(2)
+    assert isinstance(one, FilterLattice) and isinstance(two, FilterLattice)
+    assert kb.description(1) is one and kb.description(2) is two
+    for subst in enumerate_substitutions(model.sig, one.varset, two.varset, 1):
+        morphism = least_desc_morphism(one, two, subst)
+        assert morphism.source is one and morphism.target is two
+        dual = content_morphism(morphism)
+        assert dual.source is morphism.target and dual.target is morphism.source
+        for dset in morphism.target.algebra:
+            image = dual.map_set(dset)
+            assert image is morphism.source.algebra.member(image.mask)
+    for name in ("DescriptionObject", "ContentObject", "content_of"):
+        assert not hasattr(kbgeo, name) and name not in kbgeo.__all__
 
 
 def test_push_filter_is_least_admissible():
@@ -224,7 +246,7 @@ def test_least_morphisms_between_sizes():
                 morphism = least_desc_morphism(kb.description(a), kb.description(b), s)
                 dual = content_morphism(morphism)
                 assert dual.subst == s
-                cont = least_cont_morphism(kb.content(b), kb.content(a), s)
+                cont = least_cont_morphism(kb.description(b), kb.description(a), s)
                 assert cont == dual
 
 
@@ -285,8 +307,7 @@ def test_filter_transport_honours_the_lattice_bound():
     with pytest.raises(BoundError):
         filter_preimage(down, narrow.bottom, wide)
     with pytest.raises(BoundError):
-        least_cont_morphism(content_of(DescriptionObject(narrow)),
-                            content_of(DescriptionObject(wide)), down)
+        least_cont_morphism(narrow, wide, down)
     up = Substitution.of(one, two, {"x1": parse_term("x2", m.sig, two)})
     with pytest.raises(BoundError):
         push_filter(up, narrow.bottom, wide)
@@ -433,8 +454,8 @@ def test_morphisms_held_on_atoms_equal_their_member_forms():
     kb = KnowledgeBase(model, 2, 1)
     two = kb.description(2)
     algebra = two.algebra
-    members = two.lattice.filters
-    sets = kb.content(2).algebra.members
+    members = two.filters
+    sets = kb.description(2).algebra.members
     map_filter, map_set = DescMorphism.map_filter, ContMorphism.map_set
     atoms = algebra.block_masks()
     assert len(atoms) < len(members)
@@ -474,17 +495,17 @@ def test_morphisms_refuse_arguments_from_other_objects():
     kb = KnowledgeBase(model_pq1(), 2, 1)
     one, two = kb.description(1), kb.description(2)
     subst = next(iter(enumerate_substitutions(model_pq1().sig, one.varset, two.varset, 1)))
-    foreign_filter = two.lattice.filter_for_mask(0xc)
-    foreign_set = kb.content(1).algebra.member(0b10)
+    foreign_filter = two.filter_for_mask(0xc)
+    foreign_set = kb.description(1).algebra.member(0b10)
     morphism = least_desc_morphism(one, two, subst)
     dual = content_morphism(morphism)
     with pytest.raises(MismatchError, match="set does not belong to this algebra"):
         morphism.map_filter(foreign_filter)
     with pytest.raises(MismatchError, match="set does not belong to this algebra"):
         dual.map_set(foreign_set)
-    own = one.lattice.filter_for_mask(0b10)
+    own = one.filter_for_mask(0b10)
     assert morphism.map_filter(own).mask == subst_preimage_points(subst, own.points).mask
-    assert dual.map_set(kb.content(2).algebra.member(0xc)).mask == 0b10
+    assert dual.map_set(kb.description(2).algebra.member(0xc)).mask == 0b10
 
 
 def assert_sweeps_match_the_member_sweeps(model, n_max, depth):
@@ -542,7 +563,7 @@ def test_a_block_failing_on_atoms_reruns_over_every_member():
     table.preimages.clear()
     push = kb.verify_push_functoriality()
     assert push == memberwise_push_functoriality(kb)
-    atoms = kb.description(2).lattice.algebra.block_masks()
+    atoms = kb.description(2).algebra.block_masks()
     masks = [int(f.rsplit(" ", 1)[1], 16) for f in push.failures if "disagrees" in f]
     assert any(mask not in atoms for mask in masks)
 

@@ -279,7 +279,7 @@ def test_decisions_at_three_variables():
         assert report.verdict == VERDICT_WITNESSED
         assert dict(report.witness)["kind"] == kind
         assert dict(report.witness)["alphas"] == line
-    lat = KnowledgeBase(first, 3, 1).description(3).lattice
+    lat = KnowledgeBase(first, 3, 1).description(3)
     assert len(lat) == 1 << 27
     with pytest.raises(BoundError, match="^134217728 members exceed the bound 1048576$"):
         lattice_profile(lat)
@@ -545,7 +545,7 @@ def outcome(fn, *args):
 def rotated(iso: FunctorIso, n: int) -> FunctorIso:
     """The witness with its atom images over size n rotated by one: still a
     Boolean isomorphism, but no longer natural when the atoms differ."""
-    algebra = iso.kb1.description(n).lattice.algebra
+    algebra = iso.kb1.description(n).algebra
     atoms = algebra.block_masks()
     images = [iso.alphas[n][a] for a in atoms]
     images = images[1:] + images[:1]
@@ -593,7 +593,7 @@ def test_atom_path_matches_the_member_loops():
             renaming = next(phi for phi in phis if phi.var_images)
             isos.append(outcome(find_functor_iso, kb1, kb2, renaming))
         if m1 is m2 and not any(isinstance(iso, FunctorIso) for iso in isos):
-            identity = {n: {m: m for m in kb1.description(n).lattice.algebra.masks}
+            identity = {n: {m: m for m in kb1.description(n).algebra.masks}
                         for n in sizes}
             isos.append(FunctorIso(phis[0], identity, kb1, kb2))
         for iso in isos:
@@ -612,7 +612,7 @@ def test_atom_path_matches_the_member_loops():
         for phi in phis:
             candidates = {}
             for n in sizes:
-                lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
+                lat1, lat2 = kb1.description(n), kb2.description(n)
                 constraints = _atom_constraints(kb1, kb2, phi, n)
                 if len(lat1) != len(lat2) or constraints is None:
                     break
@@ -688,7 +688,7 @@ def test_atom_tables_match_the_member_loops():
         sizes = range(1, n_max + 1)
         for phi in enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max):
             for n in sizes:
-                lat1, lat2 = kb1.description(n).lattice, kb2.description(n).lattice
+                lat1, lat2 = kb1.description(n), kb2.description(n)
                 constraints = _atom_constraints(kb1, kb2, phi, n)
                 if constraints is None:
                     continue

@@ -514,7 +514,7 @@ def test_listings_past_sixty_two_atoms_raise_the_bound_not_an_overflow():
     assert len(obj.algebra.block_masks()) == 64
     ident = Substitution.identity(obj.varset)
     listings = [lambda: obj.algebra.masks, lambda: obj.algebra.members,
-                lambda: list(obj.lattice), lambda: least_desc_morphism(obj, obj, ident)]
+                lambda: list(obj), lambda: least_desc_morphism(obj, obj, ident)]
     for listing in listings:
         with pytest.raises(BoundError,
                            match="^18446744073709551616 members exceed the bound 1048576$"):
