@@ -478,8 +478,9 @@ class KnowledgeBase:
         `build_description_iso` the first member to fail a check, or to have
         an undefinable pullback, is an atom.  A composable pair's composites
         are image dicts, checked as a morphism's constructor checks its pairs.
-        The composite's dual depends on its substitution alone, as the least
-        content morphism along it, so it is made once for each.
+        A least dual depends on its substitution alone, as the least content
+        morphism along it, so one memo keyed by pullback table makes each
+        once: a substitution's, an identity's and a composite's alike.
         """
         n_max = self.n_max
         checked = 0
@@ -488,6 +489,10 @@ class KnowledgeBase:
         algebras = {n: self.description(n).algebra for n in sizes}
         atoms = {n: algebras[n].block_masks() for n in sizes}
         table = self.geometry.table
+        # The only maker of least duals, keyed by pullback table: an identity
+        # or a composite whose table is a substitution's reuses its dual.
+        least_duals = _Memo(lambda t: _least_images(
+            atoms[len(t.key.target)], t, algebras[len(t.key.source)], False))
         # Each substitution with the member tables of its least morphism and its dual.
         least: dict[tuple[int, int], list[tuple[Substitution, UnionMap, UnionMap]]] = {}
         for a, b in itertools.product(sizes, repeat=2):
@@ -500,22 +505,18 @@ class KnowledgeBase:
                 except UndefinablePullbackError as exc:
                     failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
                     continue
-                pairs.append((subst, UnionMap(push),
-                              UnionMap(_least_images(atoms[b], t, algebras[a], False))))
+                pairs.append((subst, UnionMap(push), UnionMap(least_duals[t])))
 
         for n in sizes:
             ident = table(Substitution.identity(algebras[n].varset))
             _check_pairs({atom: atom for atom in atoms[n]}, ident, algebras[n].index, True)
-            dual = _least_images(atoms[n], ident, algebras[n], False)
             checked += 1
-            if any(image != atom for atom, image in dual.items()):
+            if any(image != atom for atom, image in least_duals[ident].items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
 
         # Each composite's table is fetched once per pair, and both sides of
-        # the check, and the composite's least dual, are keyed by it.
+        # the check are keyed by it.
         composite_table = self.composite_table
-        least_duals = _Memo(lambda t: _least_images(
-            atoms[len(t.key.target)], t, algebras[len(t.key.source)], False))
         for a, b, c in itertools.product(sizes, repeat=3):
             members_a, members_c = algebras[a].index, algebras[c].index
             for s1, push1, dual1 in least[(a, b)]:
@@ -623,10 +624,8 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
         raise MismatchError("filter is not over the substitution's source")
     if target_lattice.varset != subst.target or target_lattice.model != filt.points.space.model:
         raise MismatchError("lattice does not match the substitution's target")
-    preimage = subst_preimage_points(subst, filt.points)
-    if not target_lattice.algebra.contains_mask(preimage.mask):
-        raise UndefinablePullbackError(subst, filt.mask, preimage.mask)
-    return target_lattice.filter_for_mask(preimage.mask)
+    table = filt.points.space.geometry.table(subst)
+    return target_lattice.filter_for_mask(_pullback(table, filt.mask, target_lattice.algebra))
 
 
 def check_duality(model: Model, n_max: int, depth: int = 1,

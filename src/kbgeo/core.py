@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 DEFAULT_MAX_POINTS = 10 ** 6
 EQUALITY_NAME = "≡"
@@ -356,8 +356,9 @@ class Substitution:
 
     @classmethod
     def _composite(cls, first: "Substitution", second: "Substitution") -> "Substitution":
-        """`compose_subst` of two valid substitutions known to compose, without
-        its checks: the images of `second` use only its target's variables."""
+        """`first` then `second`, valid and known to compose, without the
+        constructor's checks: the images of `second` use only its target's
+        variables.  `compose_subst` checks that the two compose, then calls it."""
         out = object.__new__(cls)
         out.__dict__.update(source=first.source, target=second.target,
                             images=tuple(map(second.apply_to_term, first.images)))
@@ -409,8 +410,7 @@ def compose_subst(first: Substitution, second: Substitution) -> Substitution:
     if first.target != second.source:
         raise MismatchError(
             f"cannot compose: first targets {first.target}, second starts at {second.source}")
-    images = tuple(second.apply_to_term(t) for t in first.images)
-    return Substitution(first.source, second.target, images)
+    return Substitution._composite(first, second)
 
 
 class Model:
@@ -582,6 +582,15 @@ def _column_rows(columns: list, size: int) -> Iterator[tuple]:
     return zip(*columns) if columns else itertools.repeat((), size)
 
 
+def _round_combos(depth: int, start: int, base: int, arity: int) -> Iterable[tuple]:
+    """An op's argument tuples in closure round `depth`, whose previous round
+    made the entries from `start` to `base`: those with an entry among them,
+    and for a constant the empty tuple in the first round only."""
+    if arity:
+        return _combos_from(base, start, arity)
+    return [()] if depth == 1 else []
+
+
 def _combos_from(base: int, start: int, arity: int) -> Iterator[tuple]:
     """The `arity`-tuples of indices below `base` with an entry at or after
     `start`, in `itertools.product` order."""
@@ -624,11 +633,7 @@ def term_functions(space, max_term_depth: Optional[int] = None) -> TermFunctionS
         round found the functions from `start` to `base`."""
         for op, arity in model.sig.ops:
             table = model.op_tables[op]
-            if arity:
-                combos = _combos_from(base, start, arity)
-            else:
-                combos = [()] if depth == 1 else []
-            for combo in combos:
+            for combo in _round_combos(depth, start, base, arity):
                 columns = [funcs[k].values for k in combo]
                 yield op, combo, tuple(map(table.__getitem__, _column_rows(columns, npoints)))
 
@@ -651,19 +656,18 @@ def term_functions(space, max_term_depth: Optional[int] = None) -> TermFunctionS
 
 
 def enumerate_terms(sig: Signature, varset: VarSet, max_depth: int) -> list[Term]:
-    """All terms of depth <= max_depth, ordered by depth then construction order."""
-    layers: list[list[Term]] = [[Var(n) for n in varset.names]]
-    flat: list[Term] = list(layers[0])
+    """All terms of depth <= max_depth, ordered by depth then construction
+    order: round d applies each op to the argument tuples of `_round_combos`,
+    as `term_functions` does."""
+    terms: list[Term] = [Var(n) for n in varset.names]
+    start = 0
     for depth in range(1, max_depth + 1):
-        layer: list[Term] = []
+        base = len(terms)
         for op, arity in sig.ops:
-            for combo in itertools.product(flat, repeat=arity):
-                if max((term_depth(t) for t in combo), default=0) != depth - 1:
-                    continue
-                layer.append(OpApp(op, combo))
-        layers.append(layer)
-        flat.extend(layer)
-    return flat
+            terms += [OpApp(op, tuple(terms[k] for k in combo))
+                      for combo in _round_combos(depth, start, base, arity)]
+        start = base
+    return terms
 
 
 def enumerate_substitutions(sig: Signature, source: VarSet, target: VarSet,

@@ -247,7 +247,7 @@ def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
     exactly when the identity has one.  This is the bounded form of the
     theorem that automorphisms of the category of free algebras are inner
     (Mashevitzky, Plotkin & Plotkin, ERA-AMS 2002).  Write u_n for phi's
-    renaming over size n, and pre2_s for `kb2.geometry.preimage(s, .)`, so
+    renaming over size n, and pre2_s for `kb2.geometry.table(s).preimage`, so
     that pre2_{x;y} = pre2_y . pre2_x and each pre2_{u_n} permutes the
     members and the atoms of the second model's algebra.  Then
     beta -> alpha with alpha_n = pre2_{u_n^-1} . beta_n is a bijection from

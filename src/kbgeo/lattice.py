@@ -217,9 +217,6 @@ class DefinableAlgebra:
     def __iter__(self) -> Iterator[DefinableSet]:
         return map(self.member, self.index)
 
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self.index
-
     def member(self, mask: int) -> DefinableSet:
         dset = self._members.get(mask)
         if dset is None:

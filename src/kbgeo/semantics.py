@@ -19,13 +19,12 @@ column entries and |M| masks of |M|^n bits.
 A `Geometry` holds one model's spaces under one point bound: one space per
 varset, and one pullback table per substitution, computed on first use.  A
 table is the one transport primitive: its `preimage` and `image` are the
-only loops that move masks along a substitution.  A caller that moves many
-masks along one substitution holds its table, from `Geometry.table`; one
-that moves a single mask goes through `Geometry.preimage` or
-`Geometry.image`.  Every space knows its geometry, so a point set reaches the
-other end of a substitution through `pset.space.geometry`.  Each table also
-memoizes transport per mask, so a mask moves along a substitution once per
-direction and later calls are dict lookups.  The memo grows with the distinct
+only loops that move masks along a substitution, and every caller reads
+them from the substitution's table, `Geometry.table(subst)`, whether it
+moves one mask or many.  Every space knows its geometry, so a point set
+reaches the other end of a substitution through `pset.space.geometry`.
+Each table also memoizes transport per mask, so a mask moves along a
+substitution once per direction and later calls are dict lookups.  The memo grows with the distinct
 masks moved; inside the package those are lattice members.
 
 A space is also the one context for valuing formulas and comparing sets: a
@@ -210,14 +209,15 @@ class Geometry:
     """One model's point spaces and pullback tables under one point bound.
 
     Spaces and tables are built on first use and live as long as the
-    geometry.  Equal substitutions share one table, keyed by the first of
-    them looked up; a lookup with that object finds it by identity, without
-    comparing terms.  Each table memoizes `preimage` and `image` per mask,
-    so its memory grows with the distinct masks moved along its
-    substitution; every caller inside the package moves lattice members
-    only.  Masks over equal spaces of different geometries are
-    interchangeable, since the enumeration order is fixed by model and
-    varset.
+    geometry.  Masks move along a substitution only through its table:
+    `table(subst).preimage(mask)` and `table(subst).image(mask)`.  Equal
+    substitutions share one table, keyed by the first of them looked up; a
+    lookup with that object finds it by identity, without comparing terms.
+    Each table memoizes `preimage` and `image` per mask, so its memory
+    grows with the distinct masks moved along its substitution; every
+    caller inside the package moves lattice members only.  Masks over
+    equal spaces of different geometries are interchangeable, since the
+    enumeration order is fixed by model and varset.
     """
 
     def __init__(self, model: Model, max_points: int = DEFAULT_MAX_POINTS):
@@ -241,14 +241,6 @@ class Geometry:
             pull = pullback_indices(subst, source, self.space(subst.target))
             table = self._tables[subst] = _Table(subst, pull, source.size)
         return table
-
-    def preimage(self, subst: Substitution, mask: int) -> int:
-        """One mask's preimage along the substitution, read from its table."""
-        return self.table(subst).preimage(mask)
-
-    def image(self, subst: Substitution, mask: int) -> int:
-        """One mask's image along the substitution, read from its table."""
-        return self.table(subst).image(mask)
 
 
 def enumerate_points(model: Model, varset: VarSet) -> PointSpace:
@@ -472,7 +464,7 @@ def _node_mask(f: Formula, space: PointSpace, memo: dict) -> int:
     if isinstance(f, SubstNode):
         geometry = space.geometry
         inner = _formula_mask(f.body, geometry.space(f.subst.source), {})
-        return geometry.preimage(f.subst, inner)
+        return geometry.table(f.subst).preimage(inner)
     raise MismatchError(f"not a formula: {f!r}")
 
 
@@ -522,7 +514,7 @@ def subst_preimage_points(subst: Substitution, pset: PointSet) -> PointSet:
         raise MismatchError(
             f"point set is over {pset.space.varset}, substitution starts at {subst.source}")
     geometry = pset.space.geometry
-    return PointSet(geometry.space(subst.target), geometry.preimage(subst, pset.mask))
+    return PointSet(geometry.space(subst.target), geometry.table(subst).preimage(pset.mask))
 
 
 def subst_image_points(subst: Substitution, pset: PointSet) -> PointSet:
@@ -532,7 +524,7 @@ def subst_image_points(subst: Substitution, pset: PointSet) -> PointSet:
         raise MismatchError(
             f"point set is over {pset.space.varset}, substitution targets {subst.target}")
     geometry = pset.space.geometry
-    return PointSet(geometry.space(subst.source), geometry.image(subst, pset.mask))
+    return PointSet(geometry.space(subst.source), geometry.table(subst).image(pset.mask))
 
 
 __all__ = [

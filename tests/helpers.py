@@ -503,10 +503,10 @@ def memberwise_squares_commute(alphas, phi, kb1, kb2, source_n: int, target_n: i
                                          canonical_varset(target_n), kb1.depth):
         mapped = phi.map_subst(subst)
         for mask in kb1.description(source_n).algebra.masks:
-            push1 = kb1.geometry.preimage(subst, mask)
+            push1 = kb1.geometry.table(subst).preimage(mask)
             if push1 not in alpha_b:
                 raise UndefinablePullbackError(subst, mask, push1)
-            if alpha_b[push1] != kb2.geometry.preimage(mapped, alpha_a[mask]):
+            if alpha_b[push1] != kb2.geometry.table(mapped).preimage(alpha_a[mask]):
                 return False
     return True
 
@@ -564,7 +564,7 @@ def memberwise_transport_tables(mmap, kb1, kb2) -> dict:
         table = {}
         for mask in algebra1.masks:
             image = relabeled_mask(mmap, algebra1.space, algebra2.space, mask)
-            if not algebra2.contains_mask(image):
+            if image not in algebra2.index:
                 raise DefinabilityError(f"relabeled member {image:#x} is missing over size {n}")
             table[mask] = image
         alphas[n] = table

@@ -8,6 +8,7 @@ from kbgeo import (
     AdmissibilityError,
     BoundError,
     ContMorphism,
+    DefinabilityError,
     DescMorphism,
     FilterLattice,
     Geometry,
@@ -98,6 +99,15 @@ def test_desc_morphism_rejects_inadmissible_assignment():
     partial = {0: 0}
     with pytest.raises(MismatchError):
         DescMorphism(obj, obj, s, partial)
+
+
+def test_desc_morphism_rejects_an_image_that_is_not_a_member():
+    """Equality alone defines only the empty and the full set over one
+    variable, so sending the full set to {0} leaves the target's members."""
+    obj = desc_obj(model_eq(), 1)
+    assert obj.algebra.masks == (0b00, 0b11)
+    with pytest.raises(DefinabilityError, match="^mask 0x1 is not definable over the target$"):
+        DescMorphism(obj, obj, Substitution.identity(obj.varset), {0b00: 0b00, 0b11: 0b01})
 
 
 def test_identity_and_composition():
@@ -321,7 +331,7 @@ def test_equal_substitutions_share_one_table():
     assert again == first and again is not first
     table = geometry.table(first)
     assert geometry.table(again) is table and table.key is first
-    assert geometry.preimage(again, 0b01) == geometry.preimage(first, 0b01)
+    assert geometry.table(again).preimage(0b01) == geometry.table(first).preimage(0b01)
     assert len(geometry._tables) == 1
 
 

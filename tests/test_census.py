@@ -1,0 +1,135 @@
+"""The census of small models: every model of five small signatures, reduced
+to one representative per isomorphism class, and the informational verdict
+of every pair of representatives at (n_max, depth) = (2, 1).
+
+`tests/census.golden` pins one line per family: its representative count,
+each verdict's count over the unordered pairs of distinct representatives,
+and each verdict's count over the self-pairs.  The other tests here check
+relations between the verdicts rather than their counts: the order of a
+pair does not matter, witnessed verdicts are transitive, an `INEQUIVALENT`
+verdict is the same on both members of a witnessed pair, and every pair
+gets the same verdict at depth 2.
+"""
+
+import functools
+import itertools
+import pathlib
+from collections import Counter
+
+from kbgeo import (
+    Model,
+    Signature,
+    VERDICT_INEQUIVALENT,
+    VERDICT_UNKNOWN,
+    VERDICT_WITNESSED,
+    check_informational_equivalence,
+    model_isomorphisms,
+)
+
+CENSUS_GOLDEN = pathlib.Path(__file__).resolve().parent / "census.golden"
+
+# (label, carrier size, ops, relations)
+FAMILIES = (
+    ("2 P,Q", 2, (), (("P", 1), ("Q", 1))),
+    ("2 f,P", 2, (("f", 1),), (("P", 1),)),
+    ("2 R", 2, (), (("R", 2),)),
+    ("3 P,Q", 3, (), (("P", 1), ("Q", 1))),
+    ("3 f,P", 3, (("f", 1),), (("P", 1),)),
+)
+VERDICTS = (VERDICT_INEQUIVALENT, VERDICT_UNKNOWN, VERDICT_WITNESSED)
+
+
+def all_models(size: int, ops: tuple, rels: tuple):
+    """Every model of the signature over carrier 0..size-1: op tables in
+    `itertools.product` order, then relation tables, each a bit per row."""
+    carrier = tuple(range(size))
+    sig = Signature(ops, rels)
+    op_rows = [list(itertools.product(carrier, repeat=arity)) for _, arity in ops]
+    rel_rows = [list(itertools.product(carrier, repeat=arity)) for _, arity in rels]
+    for values in itertools.product(*(itertools.product(carrier, repeat=len(rows))
+                                      for rows in op_rows)):
+        op_tables = {name: dict(zip(rows, vals))
+                     for (name, _), rows, vals in zip(ops, op_rows, values)}
+        for bits in itertools.product(*(range(1 << len(rows)) for rows in rel_rows)):
+            rel_tables = {name: [row for i, row in enumerate(rows) if bit >> i & 1]
+                          for (name, _), rows, bit in zip(rels, rel_rows, bits)}
+            yield Model(sig, carrier, op_tables or None, rel_tables)
+
+
+def representatives(models) -> list:
+    """The first model of each isomorphism class, in the given order."""
+    out: list = []
+    for model in models:
+        if all(next(model_isomorphisms(model, rep), None) is None for rep in out):
+            out.append(model)
+    return out
+
+
+@functools.cache
+def census() -> tuple:
+    """Per family, its label, its representatives and the verdict at (2, 1)
+    of every ordered pair of them, self-pairs included, keyed by indices."""
+    out = []
+    for label, size, ops, rels in FAMILIES:
+        reps = representatives(all_models(size, ops, rels))
+        verdicts = {(i, j): check_informational_equivalence(reps[i], reps[j], 2, 1).verdict
+                    for i, j in itertools.product(range(len(reps)), repeat=2)}
+        out.append((label, reps, verdicts))
+    return tuple(out)
+
+
+def census_lines() -> list:
+    """The golden's lines: one per family, then the totals."""
+    lines, total_reps, total_pairs, total_selves = [], 0, Counter(), Counter()
+    for label, reps, verdicts in census():
+        pairs = Counter(verdicts[i, j] for i, j in itertools.combinations(range(len(reps)), 2))
+        selves = Counter(verdicts[i, i] for i in range(len(reps)))
+        lines.append(_line(label, len(reps), pairs, selves))
+        total_reps += len(reps)
+        total_pairs += pairs
+        total_selves += selves
+    return lines + [_line("all", total_reps, total_pairs, total_selves)]
+
+
+def _line(label: str, reps: int, pairs: Counter, selves: Counter) -> str:
+    def counts(verdicts: Counter) -> str:
+        return ", ".join(f"{v} {verdicts[v]}" for v in VERDICTS)
+    return f"{label}: {reps} representatives; pairs {counts(pairs)}; self {counts(selves)}"
+
+
+def test_the_census_matches_its_golden():
+    assert census_lines() == CENSUS_GOLDEN.read_text().splitlines()
+
+
+def test_reversing_a_census_pair_keeps_its_verdict():
+    for label, reps, verdicts in census():
+        for i, j in itertools.combinations(range(len(reps)), 2):
+            assert verdicts[i, j] == verdicts[j, i], (label, i, j)
+
+
+def test_witnessed_census_verdicts_are_transitive():
+    for label, reps, verdicts in census():
+        for i, j, k in itertools.permutations(range(len(reps)), 3):
+            if verdicts[i, j] == verdicts[j, k] == VERDICT_WITNESSED:
+                assert verdicts[i, k] == VERDICT_WITNESSED, (label, i, j, k)
+
+
+def test_an_inequivalent_verdict_is_the_same_on_both_members_of_a_witnessed_pair():
+    for label, reps, verdicts in census():
+        for i, j in itertools.permutations(range(len(reps)), 2):
+            if verdicts[i, j] != VERDICT_WITNESSED:
+                continue
+            for k in range(len(reps)):
+                assert ((verdicts[i, k] == VERDICT_INEQUIVALENT)
+                        == (verdicts[j, k] == VERDICT_INEQUIVALENT)), (label, i, j, k)
+
+
+def test_census_verdicts_agree_at_depths_1_and_2():
+    """Every op of the census is unary and n_max = 2 covers every relation's
+    arity, where deeper terms are expected to add no constraint that removes
+    a witness.  One order of each pair of distinct representatives is
+    decided again at depth 2."""
+    for label, reps, verdicts in census():
+        for i, j in itertools.combinations(range(len(reps)), 2):
+            deeper = check_informational_equivalence(reps[i], reps[j], 2, 2).verdict
+            assert deeper == verdicts[i, j], (label, i, j)

@@ -98,6 +98,36 @@ def test_missing_file_is_data_error():
         load_model(fixture("no_such.kbm"))
 
 
+@pytest.mark.parametrize("text,phi,code,message", [
+    ("carrier: 0 1\ncarrier: 0 1\n", None, EXIT_DATA, "error: {path}:2: carrier declared twice"),
+    ("carrier:\n", None, EXIT_DATA, "error: {path}:1: carrier must list at least one element"),
+    ("carrier: 0 1\nop f\n", None, EXIT_DATA,
+     "error: {path}:2: expected 'op NAME ARITY', got 'op f'"),
+    ("carrier: 0 1\nrel P one\n", None, EXIT_DATA,
+     "error: {path}:2: arity 'one' is not an integer"),
+    ("carrier: 0 1\nrel P 1\nrel P Q: 0\n", None, EXIT_DATA,
+     "error: {path}:3: expected 'rel NAME: row', got 'rel P Q: 0'"),
+    ("carrier: 0 1\nop f 1\nop f: 0\n", None, EXIT_DATA,
+     "error: {path}:3: operation row needs 'args -> value'"),
+    ("carrier: 0 1\nop f 1\nop f: 0 -> 1\nop f: 0 -> 0\n", None, EXIT_DATA,
+     "error: {path}:4: op f row ('0',) given twice"),
+    ("carrier: 0 1\nrel P 1\nrel P:\n", None, EXIT_DATA,
+     "error: {path}:3: relation row needs at least one element"),
+    (None, "swaprel P P", EXIT_USAGE, "usage error: swaprel names must be distinct"),
+    (None, "renamevars x1", EXIT_USAGE, "usage error: renamevars entry 'x1' is not 'var:var'"),
+    (None, "renamevars x1:x3,x3:x1", EXIT_USAGE,
+     "usage error: renamed variables do not fit within x1..x2"),
+])
+def test_malformed_input_exits_with_its_message(tmp_path, default_point_bound, text, phi, code,
+                                                message):
+    """A malformed model file names its line and exits 65; a malformed phi
+    spec is a usage error, exit 64.  A file without a fault is m_pq1."""
+    path = tmp_path / "model.kbm"
+    path.write_text(text or (FIXTURES / "m_pq1.kbm").read_text())
+    argv = ["equiv", str(path), str(path), "--max-vars", "2"] + (["--phi", phi] if phi else [])
+    assert run_command(argv) == (code, message.format(path=path))
+
+
 def test_parse_var_list():
     assert parse_var_list("x, y").names == ("x", "y")
     with pytest.raises(UsageError):

@@ -290,8 +290,8 @@ def test_decisions_at_three_variables():
     rng = random.Random(3)
     for _ in range(200):
         mask = rng.getrandbits(27)
-        assert algebra.contains_mask(mask)
-        assert not algebra.contains_mask(mask | 1 << 27 + rng.randrange(4))
+        assert mask in algebra.index
+        assert mask | 1 << 27 + rng.randrange(4) not in algebra.index
         assert closure(PointSet(algebra.space, mask), algebra).mask == mask
 
 
@@ -1017,6 +1017,36 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
     assert build_description_iso(iso) == memberwise_description_iso(iso)
 
 
+def test_the_witness_search_runs_out_of_candidates():
+    """A constant f = 1 against f swapping 0 and 2, both with P everywhere.
+    Over one variable the lattice sizes and the constraint classes agree, so
+    the identity has one candidate, and it fails the square along
+    x1 := f(x1): the preimage of {1} is the whole carrier in the first model
+    and {1} in the second.  The search runs out of candidates, and both
+    modes decide UNKNOWN with the class note alone."""
+    sig = Signature((("f", 1),), (("P", 1),))
+    everywhere = {"P": [(0,), (1,), (2,)]}
+    fc = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 1, (2,): 1}}, everywhere)
+    fi = Model(sig, (0, 1, 2), {"f": {(0,): 2, (1,): 1, (2,): 0}}, everywhere)
+    kb1, kb2 = kbs(fc, fi, 1, 1)
+    phi = FormulaAutomorphism.identity(sig)
+    lat1, lat2 = kb1.description(1), kb2.description(1)
+    assert len(lat1) == len(lat2) == 4
+    classes = _constraint_classes(lat1, lat2, _atom_constraints(kb1, kb2, phi, 1))
+    [candidate] = _candidate_alphas(classes)
+    assert not _squares_commute({1: candidate}, phi, kb1, kb2, 1, 1)
+    x1 = canonical_varset(1)
+    step = Substitution(x1, x1, (parse_term("f(x1)", sig, x1),))
+    assert kb1.geometry.table(step).preimage(0b010) == 0b111
+    assert kb2.geometry.table(step).preimage(0b010) == 0b010
+    assert find_functor_iso(kb1, kb2, phi) is None
+    for decide in (check_informational_equivalence, check_automorphic_equivalence):
+        report = decide(fc, fi, n_max=1, depth=1)
+        assert report.verdict == VERDICT_UNKNOWN
+        assert report.notes == (
+            "supported automorphism class: relation permutations and variable renamings",)
+
+
 def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
     """Only `KnowledgeBase.substitutions` enumerates substitutions, once per
     bounded set.  The backtracking search above checks its squares on the
@@ -1060,7 +1090,7 @@ def conjugated(iso: FunctorIso, renaming: FormulaAutomorphism, phi: FormulaAutom
     for n, alpha in iso.alphas.items():
         u = renaming.renaming_for(n)
         u = u.inverted() if inverse else u
-        alphas[n] = lattice.UnionMap({atom: iso.kb2.geometry.preimage(u, image)
+        alphas[n] = lattice.UnionMap({atom: iso.kb2.geometry.table(u).preimage(image)
                                       for atom, image in alpha.atoms.items()})
     return dataclasses.replace(iso, phi=phi, alphas=alphas)
 
