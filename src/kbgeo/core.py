@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 DEFAULT_MAX_POINTS = 10 ** 6
-EQUALITY_NAME = "≡"
 RESERVED_WORDS = frozenset({"true", "false", "exists", "forall", "subst"})
 
 
@@ -50,8 +50,7 @@ class Signature:
     """Operation and relation symbols with arities, plus the equality flag.
 
     Operation arities may be zero (constants); relation arities must be
-    positive.  The name ``EQUALITY_NAME`` is reserved for built-in equality
-    and may not be declared.
+    positive.  Equality is built in, written ``=``, and needs no symbol.
     """
 
     ops: tuple[tuple[str, int], ...] = ()
@@ -202,44 +201,38 @@ def check_term(term: Term, sig: Signature, varset: VarSet) -> None:
         check_term(a, sig, varset)
 
 
-# --- tokenizer shared by the term and formula parsers ---
-
-_SYMBOLS = ("->", ":=", "(", ")", ",", "=", ".", "&", "|", "!", "{", "}")
+# --- scanner shared by the term and formula parsers ---
+# One pattern reads a name, a symbol or whitespace; any other character is an
+# error.  \w and \s match exactly str.isalnum()-or-"_" and str.isspace(), and
+# a name must start with a letter or "_", so "x²" is a name and "²x" an error
+# at its first character.
+_TOKEN = re.compile(r"(?P<name>\w+)|(?P<symbol>->|:=|[(),=.&|!{}])|\s+|(?P<bad>.)", re.S)
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split text into (kind, value, offset) tokens; kind is 'name' or the symbol itself."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((sym, sym, i))
-                i += len(sym)
-                break
+        value, pos = m.group(), m.start()
+        if kind == "symbol":
+            tokens.append((value, value, pos))
+        elif kind == "name" and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(("name", value, pos))
         else:
-            raise ParseError(f"unexpected character {ch!r}", position=i)
+            raise ParseError(f"unexpected character {value[0]!r}", position=pos)
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with one-token lookahead."""
+    """Cursor over the tokens of a text, with one-token lookahead."""
 
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.length = length
+        self.length = len(text)
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         if self.pos < len(self.tokens):
@@ -266,6 +259,16 @@ class TokenStream:
             return True
         return False
 
+    def items(self, read_item: Callable[[], object], open_kind: str, close_kind: str) -> list:
+        """Read `open item (, item)* close`: one item at least, each read by
+        `read_item()`."""
+        self.expect(open_kind)
+        items = [read_item()]
+        while self.match(","):
+            items.append(read_item())
+        self.expect(close_kind)
+        return items
+
     def require_done(self) -> None:
         tok = self.peek()
         if tok is not None:
@@ -282,11 +285,7 @@ def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
         arity = sig.op_arity(name)
         if arity is None:
             raise ParseError(f"unknown operation {name}", position=pos)
-        ts.expect("(")
-        args = [parse_term_stream(ts, sig, varset)]
-        while ts.match(","):
-            args.append(parse_term_stream(ts, sig, varset))
-        ts.expect(")")
+        args = ts.items(lambda: parse_term_stream(ts, sig, varset), "(", ")")
         if len(args) != arity:
             raise ParseError(f"operation {name} expects {arity} arguments, got {len(args)}", position=pos)
         return OpApp(name, tuple(args))
@@ -302,7 +301,7 @@ def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
 
 def parse_term(text: str, sig: Signature, varset: VarSet) -> Term:
     """Parse a full term; the entire text must be consumed."""
-    ts = TokenStream(tokenize(text), len(text))
+    ts = TokenStream(text)
     term = parse_term_stream(ts, sig, varset)
     ts.require_done()
     return term

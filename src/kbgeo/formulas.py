@@ -28,7 +28,6 @@ from .core import (
     parse_term_stream,
     term_to_text,
     term_vars,
-    tokenize,
 )
 
 
@@ -175,44 +174,47 @@ def _render(f: Formula, min_prec: int, memo: dict) -> str:
 
 
 def parse_formula(text: str, ctx: FormulaContext) -> Formula:
-    """Parse a formula; ! binds tighter than &, & than |, | than ->, and -> is
-    right associative.  Binders (quantifiers and subst blocks) scope maximally
-    to the right."""
-    ts = TokenStream(tokenize(text), len(text))
-    f = _parse_implies(ts, ctx)
+    """Parse a formula.  The connectives bind as the printer's `_PRECS` says:
+    ! tighter than &, & than |, | than ->; & and | group to the left and ->
+    to the right.  Binders (quantifiers and subst blocks) scope maximally to
+    the right."""
+    ts = TokenStream(text)
+    f = _parse_binary(ts, ctx)
     ts.require_done()
     return f
 
 
-def _parse_implies(ts: TokenStream, ctx: FormulaContext) -> Formula:
-    left = _parse_or(ts, ctx)
-    if ts.match("->"):
-        return Implies(left, _parse_implies(ts, ctx))
-    return left
+_INFIX = {"&": And, "|": Or, "->": Implies}
 
 
-def _parse_or(ts: TokenStream, ctx: FormulaContext) -> Formula:
-    f = _parse_and(ts, ctx)
-    while ts.match("|"):
-        f = Or(f, _parse_and(ts, ctx))
-    return f
-
-
-def _parse_and(ts: TokenStream, ctx: FormulaContext) -> Formula:
-    f = _parse_unary(ts, ctx)
-    while ts.match("&"):
-        f = And(f, _parse_unary(ts, ctx))
-    return f
+def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int = 0) -> Formula:
+    """A prefix formula, then each infix connective that binds at `min_prec`
+    or tighter, with its right operand read at the next strength up; at the
+    same strength for ->, which groups to the right."""
+    left = _parse_unary(ts, ctx)
+    while True:
+        tok = ts.peek()
+        node = _INFIX.get(tok[0]) if tok is not None else None
+        if node is None or _PRECS[node] < min_prec:
+            return left
+        ts.next()
+        prec = _PRECS[node]
+        left = node(left, _parse_binary(ts, ctx, prec if node is Implies else prec + 1))
 
 
 def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
     tok = ts.peek()
     if tok is None:
-        raise ParseError("unexpected end of input")
+        raise ParseError("unexpected end of input", position=ts.length)
     kind, value, pos = tok
     if kind == "!":
         ts.next()
         return Not(_parse_unary(ts, ctx))
+    if kind == "(":
+        ts.next()
+        f = _parse_binary(ts, ctx)
+        ts.expect(")")
+        return f
     if kind == "name" and value in ("exists", "forall"):
         ts.next()
         var_tok = ts.expect("name")
@@ -220,56 +222,35 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
             raise ParseError(f"quantified variable {var_tok[1]} not in {ctx.varset}",
                              position=var_tok[2])
         ts.expect(".")
-        body = _parse_implies(ts, ctx)
+        body = _parse_binary(ts, ctx)
         node = Exists if value == "exists" else Forall
         return node(var_tok[1], body)
     if kind == "name" and value == "subst":
         ts.next()
-        ts.expect("{")
-        names: list[str] = []
-        images: list[Term] = []
-        while True:
-            name_tok = ts.expect("name")
+
+        def binding() -> tuple[str, Term]:
+            name = ts.expect("name")[1]
             ts.expect(":=")
-            names.append(name_tok[1])
-            images.append(parse_term_stream(ts, ctx.sig, ctx.varset))
-            if not ts.match(","):
-                break
-        ts.expect("}")
+            return name, parse_term_stream(ts, ctx.sig, ctx.varset)
+
+        names, images = zip(*ts.items(binding, "{", "}"))
         try:
-            source = VarSet(tuple(names))
+            source = VarSet(names)
         except SignatureError as exc:
             raise ParseError(f"bad substitution block: {exc}", position=pos) from None
-        subst = Substitution(source, ctx.varset, tuple(images))
-        body = _parse_implies(ts, FormulaContext(ctx.sig, source))
+        subst = Substitution(source, ctx.varset, images)
+        body = _parse_binary(ts, FormulaContext(ctx.sig, source))
         return SubstNode(subst, body)
-    return _parse_primary(ts, ctx)
-
-
-def _parse_primary(ts: TokenStream, ctx: FormulaContext) -> Formula:
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input")
-    kind, value, pos = tok
-    if kind == "(":
-        ts.next()
-        f = _parse_implies(ts, ctx)
-        ts.expect(")")
-        return f
     if kind == "name" and value == "true":
         ts.next()
         return TRUE
     if kind == "name" and value == "false":
         ts.next()
         return FALSE
-    if kind == "name" and ctx.sig.rel_arity(value) is not None:
+    arity = ctx.sig.rel_arity(value)
+    if arity is not None:
         ts.next()
-        arity = ctx.sig.rel_arity(value)
-        ts.expect("(")
-        args = [parse_term_stream(ts, ctx.sig, ctx.varset)]
-        while ts.match(","):
-            args.append(parse_term_stream(ts, ctx.sig, ctx.varset))
-        ts.expect(")")
+        args = ts.items(lambda: parse_term_stream(ts, ctx.sig, ctx.varset), "(", ")")
         if len(args) != arity:
             raise ParseError(f"relation {value} expects {arity} arguments, got {len(args)}",
                              position=pos)

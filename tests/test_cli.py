@@ -594,3 +594,77 @@ def test_partial_lattice_note_leaves_the_carrier_witness_standing(default_point_
         "note.2: lattice generation hit the term depth bound; no refutation or automorphism"
         " witness is drawn from partial lattices",
     ]
+
+
+@pytest.mark.parametrize("phi, env, code, line", [
+    ("renamevars x1:x2,,x2:x1", None, EXIT_PASS, "witness.phi: renamevars[2] x1:x2,x2:x1"),
+    ("identity", "0", EXIT_DATA, "error: KBGEO_MAX_POINTS must be a positive integer, got '0'"),
+])
+def test_an_empty_renaming_entry_is_skipped_and_a_zero_point_bound_refused(
+        monkeypatch, phi, env, code, line):
+    """An empty entry between two commas of a renaming is skipped; a point
+    bound of 0 in the environment is refused as a malformed one is."""
+    if env is None:
+        monkeypatch.delenv("KBGEO_MAX_POINTS", raising=False)
+    else:
+        monkeypatch.setenv("KBGEO_MAX_POINTS", env)
+    got, text = run_command(["equiv", fixture("m_neg.kbm"), fixture("m_neg.kbm"), "--phi", phi,
+                             "--format", "machine"])
+    assert got == code
+    assert line in text.splitlines()
+
+
+R1 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"
+R2 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel Q: 0\nrel R: 0\nrel R: 1\n"
+
+
+@pytest.mark.parametrize("mode, label", [("lae", "automorphic"), ("info", "informational")])
+def test_a_relation_cycle_is_witnessed_by_its_relperm(tmp_path, default_point_bound, mode, label):
+    """P, Q, R = {0}, {0, 1}, {} against {}, {0}, {0, 1}: the 3-cycle of the
+    relations is the only phi that matches the atoms, and it is no swap, so
+    the witness names it as a relation permutation."""
+    (tmp_path / "r1.kbm").write_text(R1)
+    (tmp_path / "r2.kbm").write_text(R2)
+    code, text = run_command(["equiv", str(tmp_path / "r1.kbm"), str(tmp_path / "r2.kbm"),
+                              "--mode", mode, "--format", "machine"])
+    assert code == EXIT_PASS
+    assert text.splitlines() == [
+        "verdict: EQUIVALENT_WITNESSED",
+        f"mode: {label}",
+        "bounds.n_max: 2",
+        "bounds.depth: 2",
+        "witness.kind: functor isomorphism",
+        "witness.phi: relperm P->Q,Q->R,R->P",
+        "witness.alphas: |X|=1: 8 filters; |X|=2: 512 filters",
+        "note.1: supported automorphism class: relation permutations and variable renamings",
+    ]
+
+
+P3 = "carrier: 0 1 2\nrel P 1\nrel P: 0\n"
+
+
+@pytest.mark.parametrize("mode, lines", [
+    ("iso", ["verdict: INEQUIVALENT",
+             "mode: isomorphism",
+             "refutation.invariant: model isomorphism",
+             "refutation.detail: no carrier bijection preserves every table"]),
+    ("info", ["verdict: INEQUIVALENT",
+              "mode: informational",
+              "bounds.n_max: 2",
+              "bounds.depth: 2",
+              "refutation.invariant: lattice size",
+              "refutation.var_count: 2",
+              "refutation.left: 16",
+              "refutation.right: 32",
+              "refutation.values: 16 vs 32 at |X|=2",
+              "refutation.summary: lattice size 16 vs 32 at X={x1, x2}",
+              "note.1: supported automorphism class: relation permutations and variable renamings"]),
+])
+def test_carriers_of_different_sizes_are_refuted(tmp_path, default_point_bound, mode, lines):
+    """m_p against P = {0} on three elements: no carrier bijection exists, and
+    the lattices first differ in size over two variables."""
+    (tmp_path / "p3.kbm").write_text(P3)
+    code, text = run_command(["equiv", fixture("m_p.kbm"), str(tmp_path / "p3.kbm"),
+                              "--mode", mode, "--format", "machine"])
+    assert code == EXIT_FAIL
+    assert text.splitlines() == lines

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from kbgeo import formulas
+from kbgeo.core import tokenize
 from kbgeo import (
     And,
     Atom,
@@ -127,6 +128,71 @@ def test_parse_errors():
         parse_formula("P(x1) &", ctx)
     with pytest.raises(ParseError):
         parse_formula("P(x1)) ", ctx)
+
+
+def _p(v: str) -> Atom:
+    return Atom("P", (Var(v),))
+
+
+def _q(v: str) -> Atom:
+    return Atom("Q", (Var(v),))
+
+
+# (function, text, expected): the tokens or the formula it gives, or the
+# message and offset of the ParseError it raises.  Formulas are over ctx_pq().
+PARSER_EDGES = [
+    # names: letters of any script, and digits or numerals after the first
+    # character; a numeral or digit in first place is refused there
+    ("tokenize", "é1 = x²", [("name", "é1", 0), ("=", "=", 3), ("name", "x²", 5)]),
+    ("tokenize", "αβ_١", [("name", "αβ_١", 0)]),
+    ("tokenize", "x1 ²x", ("unexpected character '²'", 3)),
+    ("tokenize", "١x", ("unexpected character '١'", 0)),
+    ("tokenize", "x-1", ("unexpected character '-'", 1)),
+    # NBSP and U+3000 separate tokens
+    ("tokenize", "x1\u00a0&\u3000x2", [("name", "x1", 0), ("&", "&", 3), ("name", "x2", 5)]),
+    # two-character symbols, adjacent
+    ("tokenize", "->:=", [("->", "->", 0), (":=", ":=", 2)]),
+    ("tokenize", ":=->", [(":=", ":=", 0), ("->", "->", 2)]),
+    # binding order: -> groups to the right, & binds tighter than |, | than ->
+    ("parse_formula", "P(x1) -> Q(x1) -> P(x2)", Implies(_p("x1"), Implies(_q("x1"), _p("x2")))),
+    ("parse_formula", "P(x1) | Q(x1) -> P(x2)", Implies(Or(_p("x1"), _q("x1")), _p("x2"))),
+    ("parse_formula", "P(x1) & Q(x1) | P(x2)", Or(And(_p("x1"), _q("x1")), _p("x2"))),
+    # a binder's body reaches to the end of the text or of its parentheses
+    ("parse_formula", "exists x1. P(x1) | Q(x1) -> P(x2)",
+     Exists("x1", Implies(Or(_p("x1"), _q("x1")), _p("x2")))),
+    ("parse_formula", "P(x2) & forall x1. P(x1) | Q(x1)",
+     And(_p("x2"), Forall("x1", Or(_p("x1"), _q("x1"))))),
+    ("parse_formula", "(exists x1. P(x1)) | Q(x1)", Or(Exists("x1", _p("x1")), _q("x1"))),
+    # subst blocks and bare terms
+    ("parse_formula", "subst {x1 := x2, x1 := x1} P(x1)",
+     ("bad substitution block: duplicate variable in ('x1', 'x1')", 0)),
+    ("parse_formula", "P(x1) & x1 | P(x2)", ("expected '=' after a bare term", 11)),
+    ("parse_formula", "x1", ("expected '=' after a bare term", 2)),
+    # early ends name the offset of the end
+    ("parse_formula", "", ("unexpected end of input", 0)),
+    ("parse_formula", "P(x1) &", ("unexpected end of input", 7)),
+    ("parse_formula", "!", ("unexpected end of input", 1)),
+    ("parse_formula", "exists x1. ", ("unexpected end of input", 11)),
+    ("parse_formula", "subst {x1 := x2}", ("unexpected end of input", 16)),
+    ("parse_formula", "P(x1", ("unexpected end of input", 4)),
+    ("parse_term", "x1\u3000", Var("x1")),
+]
+
+
+@pytest.mark.parametrize("function, text, expected", PARSER_EDGES)
+def test_parser_edges(function, text, expected):
+    ctx = ctx_pq()
+    run = {"tokenize": lambda: tokenize(text),
+           "parse_term": lambda: parse_term(text, ctx.sig, ctx.varset),
+           "parse_formula": lambda: parse_formula(text, ctx)}[function]
+    if isinstance(expected, tuple):
+        message, position = expected
+        with pytest.raises(ParseError) as info:
+            run()
+        assert str(info.value) == f"{message} (at offset {position})"
+        assert info.value.position == position
+    else:
+        assert run() == expected
 
 
 def test_equality_requires_flag():

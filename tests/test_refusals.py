@@ -1,0 +1,135 @@
+"""The library's refusals of mismatched arguments, each with its exception
+type and exact message.  No other test reaches these raises: the package's
+own callers never pass such arguments."""
+
+import pytest
+
+from kbgeo import (
+    Atom,
+    FormulaAutomorphism,
+    Geometry,
+    MismatchError,
+    Not,
+    PointSet,
+    SignatureError,
+    Substitution,
+    TRUE,
+    Var,
+    build_filter_lattice,
+    canonical_varset,
+    compose_cont,
+    compose_desc,
+    content_morphism,
+    filter_preimage,
+    identity_desc,
+    is_admissible_cont,
+    is_admissible_desc,
+    least_desc_morphism,
+    push_filter,
+    satisfying_points,
+    subst_image_points,
+    subst_preimage_points,
+)
+from kbgeo.semantics import pullback_indices
+from helpers import model_neg, model_p
+
+
+def lattice(n: int, model=None):
+    """The filter lattice of m_p, or of `model`, over x1..xn."""
+    return build_filter_lattice(model or model_p(), canonical_varset(n))
+
+
+def identity(n: int) -> Substitution:
+    return Substitution.identity(canonical_varset(n))
+
+
+def full_filter(n: int, model=None):
+    """The filter of the lattice over x1..xn whose dual is every point."""
+    return lattice(n, model).filters[-1]
+
+
+def space(n: int, model=None):
+    return full_filter(n, model).points.space
+
+
+REFUSALS = {
+    "least morphism with mismatched ends":
+        (lambda: least_desc_morphism(lattice(1), lattice(2), identity(1)),
+         MismatchError, "substitution endpoints do not match the objects"),
+    "least morphism across models":
+        (lambda: least_desc_morphism(lattice(1), lattice(1, model_neg()), identity(1)),
+         MismatchError, "objects live over different models"),
+    "compose_desc of non-composable morphisms":
+        (lambda: compose_desc(identity_desc(lattice(2)), identity_desc(lattice(1))),
+         MismatchError, "morphisms do not compose"),
+    "compose_cont of non-composable morphisms":
+        (lambda: compose_cont(content_morphism(identity_desc(lattice(2))),
+                              content_morphism(identity_desc(lattice(1)))),
+         MismatchError, "morphisms do not compose"),
+    "is_admissible_desc across models":
+        (lambda: is_admissible_desc(identity(1), full_filter(1), full_filter(1, model_neg())),
+         MismatchError, "filters live over different models"),
+    "is_admissible_cont across models":
+        (lambda: is_admissible_cont(identity(1), lattice(1).algebra.member(0b11),
+                                    lattice(1, model_neg()).algebra.member(0b11)),
+         MismatchError, "sets live over different models"),
+    "push_filter from another variable set":
+        (lambda: push_filter(identity(2), full_filter(1), lattice(2)),
+         MismatchError, "filter is not over the substitution's source"),
+    "push_filter to another lattice":
+        (lambda: push_filter(identity(1), full_filter(1), lattice(2)),
+         MismatchError, "lattice does not match the substitution's target"),
+    "filter_preimage from another variable set":
+        (lambda: filter_preimage(identity(2), full_filter(1), lattice(2)),
+         MismatchError, "filter is not over the substitution's target"),
+    "filter_preimage to another lattice":
+        (lambda: filter_preimage(identity(1), full_filter(1), lattice(2)),
+         MismatchError, "lattice does not match the substitution's source"),
+    "is_leq across spaces":
+        (lambda: full_filter(1).is_leq(full_filter(2)),
+         MismatchError, "filters live over different spaces"),
+    "a geometry of another model":
+        (lambda: satisfying_points(TRUE, model_p(), canonical_varset(1),
+                                   geometry=Geometry(model_neg())),
+         MismatchError, "geometry belongs to another model"),
+    "a mask past the space":
+        (lambda: PointSet(space(1), 0b100),
+         MismatchError, "mask 0x4 outside space of 2 points"),
+    "a negative mask":
+        (lambda: PointSet(space(1), -1),
+         MismatchError, "mask -0x1 outside space of 2 points"),
+    "union across spaces":
+        (lambda: PointSet.full(space(1)).union(PointSet.full(space(2))),
+         MismatchError, "point sets live over different spaces"),
+    "pullback indices with mismatched ends":
+        (lambda: pullback_indices(identity(1), space(1), space(2)),
+         MismatchError, "substitution endpoints do not match the given spaces"),
+    "pullback indices across models":
+        (lambda: pullback_indices(identity(1), space(1), space(1, model_neg())),
+         MismatchError, "spaces live over different models"),
+    "preimage from another variable set":
+        (lambda: subst_preimage_points(identity(1), PointSet.full(space(2))),
+         MismatchError, "point set is over {x1, x2}, substitution starts at {x1}"),
+    "image from another variable set":
+        (lambda: subst_image_points(identity(2), PointSet.full(space(1))),
+         MismatchError, "point set is over {x1}, substitution targets {x1, x2}"),
+    "a row outside the space":
+        (lambda: space(1).index_of((9,)),
+         MismatchError, "(9,) is not a point of this space"),
+    "the image of an unknown relation":
+        (lambda: FormulaAutomorphism.identity(model_p().sig).rel_image("Q"),
+         SignatureError, "unknown relation Q"),
+    "a non-atomic formula mapped directly":
+        (lambda: FormulaAutomorphism.identity(model_p().sig).map_formula(
+            Not(Atom("P", (Var("x1"),))), 1),
+         MismatchError, "only atomic formulas are mapped directly"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_raises_its_error(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
