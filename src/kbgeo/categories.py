@@ -22,14 +22,22 @@ bounded substitution set enumerated once (`KnowledgeBase.substitutions`),
 so that the tables are keyed by those objects.  Its two sweeps,
 `check_duality` and `verify_push_functoriality`, share spaces,
 substitutions and tables across every substitution they visit, and an
-equivalence decision builds one knowledge base per model and runs its
-whole witness search over the pair.
+equivalence decision runs its whole witness search over one knowledge base
+per model.
 Every composable pair of these loops, and of the description functor's,
 finds its composite's table through `KnowledgeBase.composite_table`, by the
 composite's variable sets and interned images, each image term composed
 once per second substitution; the table itself is still built from the
 composite substitution's own terms, never from its factors' tables, so a
 composite check compares two independent computations.
+
+The module-level sweeps and deciders, and the CLI, take their knowledge
+bases from `knowledge_base`, which keeps the two most recently resolved in
+each thread: the sweeps, then the deciders, called on the same model object
+(`is`) and bounds share one, and equal models in one decision share one
+(`knowledge_bases`).  The two kept knowledge bases live until evicted; a
+caller who needs to control that lifetime constructs `KnowledgeBase`
+itself and calls its sweeps, or `decide_equivalence` over the pair.
 
 A morphism holds every member of its source.  The sweeps and the witness
 check build none: every map they compare preserves unions (pullbacks,
@@ -54,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -319,8 +328,10 @@ class KnowledgeBase:
     morphisms run along the substitutions between sizes 1..n_max whose
     images have depth up to the depth (`substitutions`), and every sweep
     and witness check over it reads that set, or its generators
-    (`naturality`), from it.  The module-level sweeps and deciders build
-    theirs under the default point bound.  Objects are built over the
+    (`naturality`), from it.  The module-level sweeps and deciders take
+    theirs from `knowledge_base` under the default point bound, so a call
+    on the model object and bounds of one of the last two resolved reuses
+    it, with every object and table it has built.  Objects are built over the
     canonical variable sets of the geometry and cached, and so are the masks
     of atomic formulas.  Description and content morphisms both run between
     these lattices, whose filters and definable sets are the same masks of
@@ -628,6 +639,64 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
     return target_lattice.filter_for_mask(_pullback(table, filt.mask, target_lattice.algebra))
 
 
+# How many knowledge bases `knowledge_base` keeps: one call takes at most two
+# models.
+RESOLVED_KNOWLEDGE_BASES = 2
+
+
+class _Resolved(threading.local):
+    """Each thread's resolved knowledge bases, least recently resolved
+    first, so that no two threads share one through the resolver."""
+
+    def __init__(self):
+        self.kbs: list[KnowledgeBase] = []
+
+
+_resolved = _Resolved()
+
+
+def knowledge_base(model: Model, n_max: int, depth: int,
+                   max_term_depth: Optional[int] = None,
+                   max_points: int = DEFAULT_MAX_POINTS) -> KnowledgeBase:
+    """The knowledge base of `model` under these bounds: one of the
+    `RESOLVED_KNOWLEDGE_BASES` most recently resolved in this thread, when
+    its model is this very object (`is`, not `Model.__eq__`) and its bounds
+    are these, and otherwise a new one, which evicts the least recently
+    resolved.
+
+    A knowledge base holds only memos of pure functions of its model and
+    bounds, and a model is not mutated after construction, so a reused one
+    gives the reports a new one would.  Keying on identity keeps the reuse
+    within a caller's own model objects and compares no tables.  The kept
+    knowledge bases outlive their calls; once evicted, they are freed when
+    the cyclic collector runs (a geometry and its spaces refer to each
+    other).  A caller who controls their lifetime constructs
+    `KnowledgeBase` itself."""
+    kbs, bounds = _resolved.kbs, (n_max, depth, max_term_depth, max_points)
+    for i, kb in enumerate(kbs):
+        if kb.model is model and (kb.n_max, kb.depth, kb.max_term_depth,
+                                  kb.geometry.max_points) == bounds:
+            del kbs[i]
+            break
+    else:
+        kb = KnowledgeBase(model, *bounds)
+    kbs.append(kb)
+    del kbs[:-RESOLVED_KNOWLEDGE_BASES]
+    return kb
+
+
+def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,
+                    max_term_depth: Optional[int] = None,
+                    max_points: int = DEFAULT_MAX_POINTS
+                    ) -> tuple[KnowledgeBase, KnowledgeBase]:
+    """The pair's knowledge bases, resolved by `knowledge_base`: one for both
+    when the models are equal, so a self-pair builds each lattice once."""
+    kb1 = knowledge_base(model1, n_max, depth, max_term_depth, max_points)
+    if model2 == model1:
+        return kb1, kb1
+    return kb1, knowledge_base(model2, n_max, depth, max_term_depth, max_points)
+
+
 def check_duality(model: Model, n_max: int, depth: int = 1,
                   max_term_depth: Optional[int] = None) -> Report:
     """Verify the object and morphism duality up to the given bounds.
@@ -642,9 +711,11 @@ def check_duality(model: Model, n_max: int, depth: int = 1,
     both functions of their substitution, so it is not compared; `checked`
     counts the checks made.  A substitution whose pullback of some dual is
     not definable has no least morphism; it is reported as a failure with
-    that dual.
+    that dual.  The knowledge base comes from `knowledge_base`, so
+    `verify_push_functoriality` on the same model object and bounds reuses
+    it.
     """
-    return KnowledgeBase(model, n_max, depth, max_term_depth).check_duality()
+    return knowledge_base(model, n_max, depth, max_term_depth).check_duality()
 
 
 def verify_push_functoriality(model: Model, depth: int, n_max: int,
@@ -655,6 +726,7 @@ def verify_push_functoriality(model: Model, depth: int, n_max: int,
     of sizes up to n_max with image depth up to depth, applied to every filter
     of the source lattice.  A substitution along which some push has no
     definable pullback is reported once, as a failure naming the first such
-    dual.
+    dual.  The knowledge base comes from `knowledge_base`, as in
+    `check_duality`.
     """
-    return KnowledgeBase(model, n_max, depth, max_term_depth).verify_push_functoriality()
+    return knowledge_base(model, n_max, depth, max_term_depth).verify_push_functoriality()

@@ -15,7 +15,9 @@ Subcommands: eval, closure, lattice, duality, functor, equiv.  Exit codes:
 bad input data or an exceeded bound, memory included.  The KBGEO_MAX_POINTS
 environment variable sets the point-space bound, and --max-points overrides
 it.  Each command builds one context per model from its flags: eval, closure
-and lattice a `Geometry`, the others a `KnowledgeBase`.
+and lattice a `Geometry`, the others a `KnowledgeBase`, resolved through
+`categories.knowledge_base`.  A term or formula nested deeper than
+`core.MAX_NESTING` levels is bad input data.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .lattice import (
     lattice_profile,
 )
 from .semantics import Geometry, PointSet, satisfying_points
-from .categories import KnowledgeBase, Report
+from .categories import Report, knowledge_base, knowledge_bases
 from .equivalence import EquivReport, FormulaAutomorphism, check_isomorphic, decide_equivalence
 
 EXIT_PASS = 0
@@ -383,9 +385,10 @@ def _check_bounds(args) -> None:
             raise UsageError(f"{flag} must be {'positive' if least else 'nonnegative'}")
 
 
-def _knowledge_base(model: Model, args) -> KnowledgeBase:
-    """The model in a knowledge base under the flags' bounds."""
-    return KnowledgeBase(model, args.max_vars, args.depth, args.max_term_depth, args.max_points)
+def _bounds(args) -> tuple:
+    """The knowledge-base bounds the flags set: n_max, depth, term-depth cap
+    and point bound."""
+    return args.max_vars, args.depth, args.max_term_depth, args.max_points
 
 
 def _run_eval(args) -> tuple[int, str]:
@@ -440,19 +443,18 @@ def _run_lattice(args) -> tuple[int, str]:
 
 
 def _run_duality(args) -> tuple[int, str]:
-    report = _knowledge_base(load_model(args.model), args).check_duality()
+    report = knowledge_base(load_model(args.model), *_bounds(args)).check_duality()
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, args.format)
 
 
 def _run_functor(args) -> tuple[int, str]:
-    report = _knowledge_base(load_model(args.model), args).verify_push_functoriality()
+    report = knowledge_base(load_model(args.model), *_bounds(args)).verify_push_functoriality()
     return (EXIT_PASS if report.passed else EXIT_FAIL), write_report(report, args.format)
 
 
 def _run_equiv(args) -> tuple[int, str]:
     model1, model2 = load_model(args.model1), load_model(args.model2)
-    kb1 = _knowledge_base(model1, args)
-    kb2 = kb1 if model2 == model1 else _knowledge_base(model2, args)
+    kb1, kb2 = knowledge_bases(model1, model2, *_bounds(args))
     if args.mode == "iso":
         if args.phi is not None:
             raise UsageError("--phi applies to modes lae and info only")

@@ -226,13 +226,42 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The deepest nesting the term and formula parsers accept, with connectives,
+# parentheses and term applications counted together.  Reading, checking,
+# printing and valuing a parsed text recurse once per level, in at most
+# three frames, and reach Python's default limit of 1,000 frames near 490
+# nested negations or 330 nested term applications; the bound leaves a
+# margin below both.
+MAX_NESTING = 200
+
+
+def too_deep(position: int) -> ParseError:
+    """The error for a text that passes `MAX_NESTING` at `position`."""
+    return ParseError(f"input nested deeper than {MAX_NESTING} levels", position=position)
+
+
 class TokenStream:
-    """Cursor over the tokens of a text, with one-token lookahead."""
+    """Cursor over the tokens of a text, with one-token lookahead.
+
+    `depth` is the nesting level at the cursor, and `deepest` the deepest
+    level the term parser has entered since a caller last set it; the
+    formula parser sets both before it reads terms."""
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
         self.length = len(text)
+        self.depth = 0
+        self.deepest = 0
+
+    def enter(self, position: int) -> None:
+        """Go one level deeper at the token at `position`, which past
+        `MAX_NESTING` refuses the text; `depth -= 1` leaves the level."""
+        self.depth += 1
+        if self.depth > self.deepest:
+            if self.depth > MAX_NESTING:
+                raise too_deep(position)
+            self.deepest = self.depth
 
     def peek(self) -> Optional[tuple[str, str, int]]:
         if self.pos < len(self.tokens):
@@ -285,7 +314,9 @@ def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
         arity = sig.op_arity(name)
         if arity is None:
             raise ParseError(f"unknown operation {name}", position=pos)
+        ts.enter(pos)
         args = ts.items(lambda: parse_term_stream(ts, sig, varset), "(", ")")
+        ts.depth -= 1
         if len(args) != arity:
             raise ParseError(f"operation {name} expects {arity} arguments, got {len(args)}", position=pos)
         return OpApp(name, tuple(args))
@@ -417,7 +448,9 @@ class Model:
 
     Carrier elements are opaque hashable labels ordered by their position in
     the carrier tuple.  Operation tables must be total and closed; relation
-    tables default to empty.
+    tables default to empty.  A model is not mutated after construction:
+    its knowledge bases, geometries and lattices are memos of its tables,
+    and `categories.knowledge_base` reuses them by the model's identity.
     """
 
     def __init__(self, sig: Signature, carrier, op_tables=None, rel_tables=None):

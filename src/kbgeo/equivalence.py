@@ -30,7 +30,11 @@ atoms; the carrier witness's squares hold by the isomorphism, and its
 transport checks only that the first model's pullbacks are members
 (`transport_model_iso` gives the proof).  Both searches stream: the
 carrier maps and each size's candidates are generated lazily, so a
-decision stops at its first witness and holds no list of either.
+decision stops at its first witness and holds no list of either.  The
+model-level deciders take their pair from `categories.knowledge_bases`:
+one knowledge base for equal models, and the pair the last call on the same
+model objects and bounds resolved, so `check_informational_equivalence`
+then `check_automorphic_equivalence` on one pair builds each lattice once.
 
 Generators.  Neither search visits every bounded substitution when it need
 not.  Squares compose: pre_(s;t) = pre_t . pre_s in each model, and every
@@ -48,6 +52,25 @@ exactly the candidates the full loops accept, and `transport_model_iso`
 walks the same generators, where nothing is left to fail.  The sweeps
 `check_duality` and `verify_push_functoriality` still visit every
 bounded substitution.
+
+Depth.  When every op has arity at most 1 and n_max is at least every
+relation's arity, equality's 2 included, a decision at depth d >= 1 gives
+the verdict and the witness lines of depth 1.  `substitution_generators`
+is the same set at every d >= 1.  When its pullbacks are members, the
+squares at the generators imply the squares at every composite, which
+covers every bounded substitution of every depth between sizes up to
+n_max.  A deeper atomic formula R(t1, ..., tk) over X_n is the pullback of
+R(x1, ..., xk) over X_k along x_i := t_i, a bounded substitution since
+k <= n_max, and phi maps it to the pullback of phi's image of R along
+phi's image of that substitution; so its atom constraint follows from a
+depth-0 constraint and that square.  Deeper constraints thus remove no
+witness: the same phi is the first to have one, and the witness lines
+name only phi and the lattice sizes, which the depth does not change.
+When a generator pullback is undefinable, both depths give UNKNOWN, but
+the note may name another pullback: at depth d the first undefinable one
+in `enumerate_substitutions` order may be deeper, or a deeper constraint
+may clash first.  The census checks the agreement on one order of every
+pair of its representatives (`test_census_verdicts_agree_at_depths_1_and_2`).
 
 The squares are the functor.  A witness from either search is reported as
 it is: every check of `build_description_iso` then holds, by the proof
@@ -110,7 +133,7 @@ from .core import (
 from .formulas import Atom, Equal, Formula, atomic_formulas
 from .lattice import FilterLattice, UndefinablePullbackError, UnionMap
 from .categories import (AdmissibilityError, KnowledgeBase, Report, _Memo, _check_pairs,
-                         _least_images, _pullback)
+                         _least_images, _pullback, knowledge_bases)
 from .semantics import _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
@@ -802,10 +825,10 @@ def check_informational_equivalence(model1: Model, model2: Model,
                                     max_term_depth: Optional[int] = None,
                                     phis: Optional[list[FormulaAutomorphism]] = None
                                     ) -> EquivReport:
-    """`decide_equivalence` over the models' knowledge bases, one for both
-    when the models are equal."""
-    kb1 = KnowledgeBase(model1, n_max, depth, max_term_depth)
-    kb2 = kb1 if model2 == model1 else KnowledgeBase(model2, n_max, depth, max_term_depth)
+    """`decide_equivalence` over the models' knowledge bases from
+    `knowledge_bases`: one for both when the models are equal, and reused by
+    the next decider called on the same model objects and bounds."""
+    kb1, kb2 = knowledge_bases(model1, model2, n_max, depth, max_term_depth)
     return decide_equivalence(kb1, kb2, phis)
 
 
@@ -814,7 +837,6 @@ def check_automorphic_equivalence(model1: Model, model2: Model,
                                   n_max: int = 2, depth: int = 2,
                                   max_term_depth: Optional[int] = None) -> EquivReport:
     """Witness search over automorphisms only, without the carrier fast path,
-    over one knowledge base per model, or one for both when they are equal."""
-    kb1 = KnowledgeBase(model1, n_max, depth, max_term_depth)
-    kb2 = kb1 if model2 == model1 else KnowledgeBase(model2, n_max, depth, max_term_depth)
+    over the knowledge bases that `check_informational_equivalence` resolves."""
+    kb1, kb2 = knowledge_bases(model1, model2, n_max, depth, max_term_depth)
     return decide_equivalence(kb1, kb2, phis, mode="automorphic")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
+    MAX_NESTING,
     MismatchError,
     ParseError,
     Signature,
@@ -28,6 +29,7 @@ from .core import (
     parse_term_stream,
     term_to_text,
     term_vars,
+    too_deep,
 )
 
 
@@ -177,9 +179,11 @@ def parse_formula(text: str, ctx: FormulaContext) -> Formula:
     """Parse a formula.  The connectives bind as the printer's `_PRECS` says:
     ! tighter than &, & than |, | than ->; & and | group to the left and ->
     to the right.  Binders (quantifiers and subst blocks) scope maximally to
-    the right."""
+    the right.  A text nested deeper than `core.MAX_NESTING` levels, each
+    connective, parenthesis and term application one level, is refused with
+    a `ParseError` at the token that passes the bound."""
     ts = TokenStream(text)
-    f = _parse_binary(ts, ctx)
+    f, _ = _parse_binary(ts, ctx, 0, 0)
     ts.require_done()
     return f
 
@@ -187,34 +191,49 @@ def parse_formula(text: str, ctx: FormulaContext) -> Formula:
 _INFIX = {"&": And, "|": Or, "->": Implies}
 
 
-def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int = 0) -> Formula:
+def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int,
+                  depth: int) -> tuple[Formula, int]:
     """A prefix formula, then each infix connective that binds at `min_prec`
     or tighter, with its right operand read at the next strength up; at the
-    same strength for ->, which groups to the right."""
-    left = _parse_unary(ts, ctx)
+    same strength for ->, which groups to the right.
+
+    The formula sits at nesting level `depth`, and is returned with its
+    height, the levels below `depth` that it reaches.  Each connective puts
+    the formula read so far one level under it, and its right operand one
+    level down."""
+    left, height = _parse_unary(ts, ctx, depth)
     while True:
         tok = ts.peek()
         node = _INFIX.get(tok[0]) if tok is not None else None
         if node is None or _PRECS[node] < min_prec:
-            return left
+            return left, height
+        if depth + height >= MAX_NESTING:
+            raise too_deep(tok[2])
         ts.next()
         prec = _PRECS[node]
-        left = node(left, _parse_binary(ts, ctx, prec if node is Implies else prec + 1))
+        right, right_height = _parse_binary(ts, ctx, prec if node is Implies else prec + 1,
+                                            depth + 1)
+        left = node(left, right)
+        height = 1 + (height if height > right_height else right_height)
 
 
-def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
+def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Formula, int]:
+    """A prefix formula at nesting level `depth`, with its height."""
     tok = ts.peek()
     if tok is None:
         raise ParseError("unexpected end of input", position=ts.length)
     kind, value, pos = tok
+    if depth >= MAX_NESTING and (kind in ("!", "(") or value in ("exists", "forall", "subst")):
+        raise too_deep(pos)
     if kind == "!":
         ts.next()
-        return Not(_parse_unary(ts, ctx))
+        body, height = _parse_unary(ts, ctx, depth + 1)
+        return Not(body), height + 1
     if kind == "(":
         ts.next()
-        f = _parse_binary(ts, ctx)
+        f, height = _parse_binary(ts, ctx, 0, depth + 1)
         ts.expect(")")
-        return f
+        return f, height + 1
     if kind == "name" and value in ("exists", "forall"):
         ts.next()
         var_tok = ts.expect("name")
@@ -222,11 +241,12 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
             raise ParseError(f"quantified variable {var_tok[1]} not in {ctx.varset}",
                              position=var_tok[2])
         ts.expect(".")
-        body = _parse_binary(ts, ctx)
+        body, height = _parse_binary(ts, ctx, 0, depth + 1)
         node = Exists if value == "exists" else Forall
-        return node(var_tok[1], body)
+        return node(var_tok[1], body), height + 1
     if kind == "name" and value == "subst":
         ts.next()
+        ts.depth = ts.deepest = depth + 1
 
         def binding() -> tuple[str, Term]:
             name = ts.expect("name")[1]
@@ -234,19 +254,22 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
             return name, parse_term_stream(ts, ctx.sig, ctx.varset)
 
         names, images = zip(*ts.items(binding, "{", "}"))
+        terms_height = ts.deepest - depth
         try:
             source = VarSet(names)
         except SignatureError as exc:
             raise ParseError(f"bad substitution block: {exc}", position=pos) from None
         subst = Substitution(source, ctx.varset, images)
-        body = _parse_binary(ts, FormulaContext(ctx.sig, source))
-        return SubstNode(subst, body)
+        body, height = _parse_binary(ts, FormulaContext(ctx.sig, source), 0, depth + 1)
+        return SubstNode(subst, body), max(height + 1, terms_height)
     if kind == "name" and value == "true":
         ts.next()
-        return TRUE
+        return TRUE, 0
     if kind == "name" and value == "false":
         ts.next()
-        return FALSE
+        return FALSE, 0
+    # an atom or an equality, whose terms the term parser reads from `depth`
+    ts.depth = ts.deepest = depth
     arity = ctx.sig.rel_arity(value)
     if arity is not None:
         ts.next()
@@ -254,7 +277,7 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
         if len(args) != arity:
             raise ParseError(f"relation {value} expects {arity} arguments, got {len(args)}",
                              position=pos)
-        return Atom(value, tuple(args))
+        return Atom(value, tuple(args)), ts.deepest - depth
     # anything else must start an equality between terms
     left = parse_term_stream(ts, ctx.sig, ctx.varset)
     eq = ts.peek()
@@ -265,7 +288,7 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext) -> Formula:
         raise ParseError("equality is not enabled in this signature", position=eq[2])
     ts.next()
     right = parse_term_stream(ts, ctx.sig, ctx.varset)
-    return Equal(left, right)
+    return Equal(left, right), ts.deepest - depth
 
 
 def free_vars(f: Formula) -> frozenset[str]:

@@ -1,6 +1,7 @@
 """Description and content categories, their duality, and pushforwards."""
 
 import itertools
+import threading
 
 import pytest
 
@@ -36,8 +37,8 @@ from kbgeo import (
     verify_push_functoriality,
 )
 import kbgeo
-from kbgeo import semantics
-from kbgeo.categories import _least_images
+from kbgeo import lattice, semantics
+from kbgeo.categories import _least_images, knowledge_base
 from kbgeo.cli import write_report
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
@@ -623,3 +624,69 @@ def test_a_composite_moving_points_everywhere_raises_as_the_member_loops_do():
         texts.append(str(info.value))
     assert texts == ["assignment 0x1 -> 0x1 is not admissible"
                      " for {x1 := neg(neg(x1)), x2 := x2}"] * 2
+
+
+def counted_builds(monkeypatch) -> list:
+    """The (model, size) of each algebra built from now on."""
+    builds = []
+    build = lattice.generate_definable_algebra
+
+    def counting(*args, **kwargs):
+        builds.append((args[0], len(args[1])))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "generate_definable_algebra", counting)
+    return builds
+
+
+def test_both_sweeps_on_one_model_object_build_each_size_once(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    model = model_neg()
+    check_duality(model, 2, 1)
+    verify_push_functoriality(model, 1, 2)
+    assert [n for _, n in builds] == [1, 2]
+
+
+def test_the_resolver_keeps_the_two_most_recent_knowledge_bases(monkeypatch):
+    """Other bounds, an equal but distinct model object, two other models
+    resolved in between, or another thread build again; a model resolved
+    since does not."""
+    builds = counted_builds(monkeypatch)
+
+    def sizes_built(model, n_max=2, depth=1, max_term_depth=None) -> list:
+        builds.clear()
+        check_duality(model, n_max, depth, max_term_depth)
+        return [n for _, n in builds]
+
+    a, b, c = model_neg(), model_p(), model_eq()
+    assert sizes_built(a) == [1, 2]
+    assert sizes_built(a) == []
+    assert sizes_built(a, n_max=1) == [1]
+    assert sizes_built(a, depth=0) == [1, 2]
+    assert sizes_built(a, max_term_depth=1) == [1, 2]
+    assert sizes_built(model_neg()) == [1, 2]
+    assert sizes_built(a) == [1, 2]
+    assert sizes_built(b) == [1, 2]
+    assert sizes_built(a) == []
+    assert sizes_built(c) == [1, 2]
+    assert sizes_built(a) == []
+    assert sizes_built(b) == [1, 2]
+    kb = knowledge_base(a, 2, 1)
+    assert knowledge_base(a, 2, 1) is kb
+    assert knowledge_base(a, 2, 1, None, 100) is not kb
+    other = []
+    thread = threading.Thread(target=lambda: other.append(knowledge_base(a, 2, 1)))
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert other[0] is not knowledge_base(a, 2, 1)
+
+
+@pytest.mark.parametrize("name,model", all_fixtures() + seeded_models())
+def test_resolved_sweeps_report_as_a_fresh_knowledge_base(name, model):
+    for depth in (1, 2):
+        duality = KnowledgeBase(model, 2, depth).check_duality()
+        push = KnowledgeBase(model, 2, depth).verify_push_functoriality()
+        for _ in range(2):
+            assert check_duality(model, 2, depth) == duality
+            assert verify_push_functoriality(model, depth, 2) == push

@@ -25,6 +25,7 @@ from kbgeo import (
     check_informational_equivalence,
     model_isomorphisms,
 )
+from helpers import relabeled
 
 CENSUS_GOLDEN = pathlib.Path(__file__).resolve().parent / "census.golden"
 
@@ -133,3 +134,18 @@ def test_census_verdicts_agree_at_depths_1_and_2():
         for i, j in itertools.combinations(range(len(reps)), 2):
             deeper = check_informational_equivalence(reps[i], reps[j], 2, 2).verdict
             assert deeper == verdicts[i, j], (label, i, j)
+
+
+def test_each_representative_against_its_shifted_copy_decides_as_against_itself():
+    """A representative and its copy with the carrier shifted cyclically are
+    isomorphic, so their verdicts at (2, 1) total the self-pairs' of the
+    golden: 84 witnessed, and `UNKNOWN` for the 10 whose pullbacks along
+    some bounded substitution are not definable."""
+    totals = Counter()
+    for label, reps, verdicts in census():
+        for i, rep in enumerate(reps):
+            shifted = relabeled(rep, rep.carrier[1:] + rep.carrier[:1])
+            verdict = check_informational_equivalence(rep, shifted, 2, 1).verdict
+            assert verdict == verdicts[i, i], (label, i)
+            totals[verdict] += 1
+    assert totals == {VERDICT_WITNESSED: 84, VERDICT_UNKNOWN: 10}

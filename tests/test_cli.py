@@ -174,6 +174,14 @@ def test_eval_rejects_bad_formula():
     assert text.startswith("error:")
 
 
+@pytest.mark.parametrize("count", [600, 1200])
+def test_eval_refuses_a_formula_nested_too_deeply(count):
+    """A data error, not a `RecursionError` traceback."""
+    assert run_command(["eval", fixture("m_p.kbm"), "--vars", "x1",
+                        "--formula", "!" * count + "P(x1)"]) == \
+        (EXIT_DATA, "error: input nested deeper than 200 levels (at offset 200)")
+
+
 def test_closure_subcommand():
     code, text = run_command(["closure", fixture("m_p.kbm"),
                               "--vars", "x1,x2", "--points", "1,0"])

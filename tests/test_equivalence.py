@@ -53,7 +53,7 @@ from kbgeo.equivalence import (
     _squares_commute,
 )
 from kbgeo.lattice import UndefinablePullbackError
-from test_categories import tampered_composite_table
+from test_categories import counted_builds, tampered_composite_table
 from helpers import (
     all_fixtures,
     atom_count_pairs,
@@ -1244,3 +1244,33 @@ def test_the_duality_sweep_and_the_description_functor_build_no_morphism(monkeyp
     assert len(isos) == 3 and all(isinstance(iso, FunctorIso) for iso in isos)
     for iso in isos:
         assert build_description_iso(iso).passed, iso.phi.describe()
+
+
+def test_both_deciders_on_one_pair_build_each_model_s_sizes_once(monkeypatch):
+    builds = counted_builds(monkeypatch)
+    m1 = model_p()
+    m2 = relabeled(m1, (1, 0))
+    assert m2 != m1
+    check_informational_equivalence(m1, m2, 2, 1)
+    check_automorphic_equivalence(m1, m2, None, 2, 1)
+    assert sorted((model is m2, n) for model, n in builds) == \
+        [(False, 1), (False, 2), (True, 1), (True, 2)]
+
+
+def resolver_pairs() -> list:
+    """Each fixture and seeded model against its carrier's cyclic shift, and
+    every ordered pair of them with one signature."""
+    models = [(name, m) for name, m in all_fixtures() + seeded_models()]
+    out = [(f"{name} shifted", m, relabeled(m, m.carrier[1:] + m.carrier[:1]))
+           for name, m in models]
+    return out + [(f"{name1} {name2}", m1, m2) for name1, m1 in models
+                  for name2, m2 in models if m1.sig == m2.sig]
+
+
+@pytest.mark.parametrize("label,model1,model2", resolver_pairs())
+def test_resolved_deciders_report_as_fresh_knowledge_bases(label, model1, model2):
+    fresh = {mode: decide_equivalence(*kbs(model1, model2, 2, 2), mode=mode)
+             for mode in ("informational", "automorphic")}
+    for _ in range(2):
+        assert check_informational_equivalence(model1, model2, 2, 2) == fresh["informational"]
+        assert check_automorphic_equivalence(model1, model2, None, 2, 2) == fresh["automorphic"]

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from kbgeo import formulas
+from kbgeo import core, formulas
 from kbgeo.core import tokenize
 from kbgeo import (
     And,
@@ -34,7 +34,9 @@ from kbgeo import (
     free_vars,
     parse_formula,
     parse_term,
+    satisfying_points,
 )
+from helpers import model_neg
 
 
 def ctx_neg(n: int = 2) -> FormulaContext:
@@ -193,6 +195,69 @@ def test_parser_edges(function, text, expected):
         assert info.value.position == position
     else:
         assert run() == expected
+
+
+def _neg(k: int) -> str:
+    return "neg(" * k + "x1" + ")" * k
+
+
+def _chain(head: str, k: int) -> str:
+    return head + " & P(x1)" * k
+
+
+# (text over ctx_neg(), offset of the token past the bound, or None): each
+# connective, parenthesis and term application is one level, and a left
+# chain puts its first operand one level deeper per connective.
+NESTED = [
+    ("!" * 200 + "P(x1)", None),
+    ("!" * 201 + "P(x1)", 200),
+    ("!" * 600 + "P(x1)", 200),
+    ("!" * 1200 + "P(x1)", 200),
+    ("(" * 200 + "P(x1)" + ")" * 200, None),
+    ("(" * 201 + "P(x1)" + ")" * 201, 200),
+    ("P(" + _neg(200) + ")", None),
+    ("P(" + _neg(400) + ")", 2 + 200 * 4),
+    ("!" * 100 + "P(" + _neg(100) + ")", None),
+    ("!" * 101 + "P(" + _neg(100) + ")", 101 + 2 + 99 * 4),
+    (_chain("!" * 150 + "P(x1)", 50), None),
+    (_chain("!" * 150 + "P(x1)", 51), 155 + 50 * 8 + 1),
+    (_chain("(" + "!" * 150 + "P(x1) & P(x1))", 48), None),
+    (_chain("(" + "!" * 150 + "P(x1) & P(x1))", 49), 165 + 48 * 8 + 1),
+    ("!P(x1) -> " * 199 + "P(x1)", None),
+    ("!P(x1) -> " * 200 + "P(x1)", 199 * 10 + 7),
+    ("exists x2. " * 200 + "P(x1)", None),
+    ("exists x2. " * 201 + "P(x1)", 200 * 11),
+    ("subst {x1 := " + _neg(198) + "} P(x1)", None),
+    ("subst {x1 := " + _neg(200) + "} P(x1)", 13 + 199 * 4),
+]
+
+
+@pytest.mark.parametrize("text, offset", NESTED)
+def test_input_nested_past_the_bound_is_refused(text, offset):
+    """Up to `MAX_NESTING` levels a text parses, prints, parses back and
+    evaluates (each text says P(x1): the negations and `neg`s pair up, and
+    x2 is not free); past it the parser refuses the text at the first token
+    too deep."""
+    assert core.MAX_NESTING == 200
+    ctx = ctx_neg()
+    if offset is not None:
+        with pytest.raises(ParseError) as info:
+            parse_formula(text, ctx)
+        assert str(info.value) == f"input nested deeper than 200 levels (at offset {offset})"
+        return
+    f = parse_formula(text, ctx)
+    assert parse_formula(formula_to_text(f), ctx) == f
+    check_formula(f, ctx)
+    model = model_neg()
+    assert (satisfying_points(f, model, ctx.varset)
+            == satisfying_points(parse_formula("P(x1)", ctx), model, ctx.varset))
+
+
+def test_a_term_nested_past_the_bound_is_refused():
+    sig = ctx_neg(1).sig
+    assert parse_term(_neg(200), sig, canonical_varset(1)) is not None
+    with pytest.raises(ParseError, match=r"deeper than 200 levels \(at offset 800\)"):
+        parse_term(_neg(400), sig, canonical_varset(1))
 
 
 def test_equality_requires_flag():
