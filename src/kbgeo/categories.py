@@ -42,11 +42,11 @@ itself and calls its sweeps, or `decide_equivalence` over the pair.
 A morphism holds every member of its source.  The sweeps and the witness
 check build none: every map they compare preserves unions (pullbacks,
 closures of images and their composites), so it is fixed by its atom
-images, which `_least_images` makes and checks as a morphism's constructor
-checks its pairs (`_check_pairs`), and its member table is the lattice
-layer's `UnionMap` of them.  A check passes on a member when it passes on
-the member's atoms, and the first member to fail is an atom, so atom loops
-report what member loops would.  A composable pair's composites are image
+images, and its member table is the lattice layer's `UnionMap` of them.
+Least images are admissible by construction (`DefinableAlgebra.pullback`).
+A check passes on a member when it passes on the member's atoms, and the
+first member to fail is an atom, so atom loops report what member loops
+would.  A composable pair's composites are image
 dicts, checked by `_check_pairs` in the same order.
 A passing sweep lists no member; only the rerun of a push block or
 an identity whose atoms fail does, within the lattice layer's bound.
@@ -273,34 +273,9 @@ def least_desc_morphism(source: FilterLattice, target: FilterLattice,
     filter goes to the filter whose dual is the full pullback of its dual,
     in order; the first pullback that is not a dual of the target raises."""
     _check_ends(subst, source, target)
-    table = target.algebra.space.geometry.table(subst)
+    table, pullback = target.algebra.space.geometry.table(subst), target.algebra.pullback
     return DescMorphism(source, target, subst,
-                        _least_images(source.algebra.masks, table, target.algebra, True))
-
-
-def _pullback(table: _Table, mask: int, target: DefinableAlgebra) -> int:
-    """The pullback of a dual mask along a substitution's table, which must
-    be a member of `target`, over the substitution's target: a pushed
-    filter's dual.  The error names the table's key."""
-    pullback = table.preimage(mask)
-    if pullback not in target.index:
-        raise UndefinablePullbackError(table.key, mask, pullback)
-    return pullback
-
-
-def _least_images(masks, table: _Table, target: DefinableAlgebra,
-                  along: bool) -> dict[int, int]:
-    """The images of `masks` under the least morphism along (`along`) or
-    against the substitution of `table`, checked as a morphism's constructor
-    checks its pairs: their pullbacks, the first undefinable one raising, or
-    the closures in `target` of their pointwise images."""
-    if along:
-        images = {mask: _pullback(table, mask, target) for mask in masks}
-    else:
-        image, close = table.image, target._close
-        images = {mask: close(image(mask)) for mask in masks}
-    _check_pairs(images, table, target.index, along)
-    return images
+                        {mask: pullback(table, mask) for mask in source.algebra.masks})
 
 
 def least_cont_morphism(source: FilterLattice, target: FilterLattice,
@@ -308,9 +283,9 @@ def least_cont_morphism(source: FilterLattice, target: FilterLattice,
     """Each definable set goes to the closure of its pointwise image: the
     union of the target atoms it meets."""
     _check_ends(subst, target, source)
-    table = source.algebra.space.geometry.table(subst)
+    image, close = source.algebra.space.geometry.table(subst).image, target.algebra.close
     return ContMorphism(source, target, subst,
-                        _least_images(source.algebra.masks, table, target.algebra, False))
+                        {mask: close(image(mask)) for mask in source.algebra.masks})
 
 
 def content_morphism(morphism: DescMorphism) -> ContMorphism:
@@ -484,11 +459,12 @@ class KnowledgeBase:
         and per composable pair.
 
         It builds no morphism.  Each least morphism and its dual are the
-        `UnionMap`s of their atom images (`_least_images`), so two of them
-        are equal when they agree on the atoms, and by the argument in
-        `build_description_iso` the first member to fail a check, or to have
-        an undefinable pullback, is an atom.  A composable pair's composites
-        are image dicts, checked as a morphism's constructor checks its pairs.
+        `UnionMap`s of their atom images, pullbacks and closed images, which
+        are admissible by construction (`DefinableAlgebra.pullback`), so two
+        of them are equal when they agree on the atoms, and by the argument
+        in `build_description_iso` the first member to have an undefinable
+        pullback is an atom.  A composable pair's composites are image dicts,
+        checked as a morphism's constructor checks its pairs.
         A least dual depends on its substitution alone, as the least content
         morphism along it, so one memo keyed by pullback table makes each
         once: a substitution's, an identity's and a composite's alike.
@@ -502,8 +478,8 @@ class KnowledgeBase:
         table = self.geometry.table
         # The only maker of least duals, keyed by pullback table: an identity
         # or a composite whose table is a substitution's reuses its dual.
-        least_duals = _Memo(lambda t: _least_images(
-            atoms[len(t.key.target)], t, algebras[len(t.key.source)], False))
+        least_duals = _Memo(lambda t: {atom: algebras[len(t.key.source)].close(t.image(atom))
+                                       for atom in atoms[len(t.key.target)]})
         # Each substitution with the member tables of its least morphism and its dual.
         least: dict[tuple[int, int], list[tuple[Substitution, UnionMap, UnionMap]]] = {}
         for a, b in itertools.product(sizes, repeat=2):
@@ -512,7 +488,7 @@ class KnowledgeBase:
                 checked += 1
                 t = table(subst)
                 try:
-                    push = _least_images(atoms[a], t, algebras[b], True)
+                    push = {atom: algebras[b].pullback(t, atom) for atom in atoms[a]}
                 except UndefinablePullbackError as exc:
                     failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
                     continue
@@ -571,9 +547,9 @@ class KnowledgeBase:
         for n in range(1, n_max + 1):
             algebra = self.description(n).algebra
             ident = table(Substitution.identity(algebra.varset))
-            if any(_pullback(ident, atom, algebra) != atom for atom in algebra.block_masks()):
+            if any(algebra.pullback(ident, atom) != atom for atom in algebra.block_masks()):
                 failures += [f"identity push moved a filter over |X|={n}"
-                             for mask in algebra.masks if _pullback(ident, mask, algebra) != mask]
+                             for mask in algebra.masks if algebra.pullback(ident, mask) != mask]
             checked += algebra.size
 
         triples = 0
@@ -615,8 +591,8 @@ def _push_block(masks, table1: _Table, table2: _Table, composite: _Table,
     s1, s2 = table1.key, table2.key
     for mask in masks:
         try:
-            direct = _pullback(composite, mask, algebra_c)
-            staged = _pullback(table2, _pullback(table1, mask, algebra_b), algebra_c)
+            direct = algebra_c.pullback(composite, mask)
+            staged = algebra_c.pullback(table2, algebra_b.pullback(table1, mask))
         except UndefinablePullbackError as exc:
             if exc.subst not in undefinable:
                 undefinable.add(exc.subst)
@@ -636,7 +612,7 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
     if target_lattice.varset != subst.target or target_lattice.model != filt.points.space.model:
         raise MismatchError("lattice does not match the substitution's target")
     table = filt.points.space.geometry.table(subst)
-    return target_lattice.filter_for_mask(_pullback(table, filt.mask, target_lattice.algebra))
+    return target_lattice.filter_for_mask(target_lattice.algebra.pullback(table, filt.mask))
 
 
 # How many knowledge bases `knowledge_base` keeps: one call takes at most two
@@ -665,8 +641,8 @@ def knowledge_base(model: Model, n_max: int, depth: int,
     resolved.
 
     A knowledge base holds only memos of pure functions of its model and
-    bounds, and a model is not mutated after construction, so a reused one
-    gives the reports a new one would.  Keying on identity keeps the reuse
+    bounds, and a model's tables are read-only, so a reused one gives the
+    reports a new one would.  Keying on identity keeps the reuse
     within a caller's own model objects and compares no tables.  The kept
     knowledge bases outlive their calls; once evicted, they are freed when
     the cyclic collector runs (a geometry and its spaces refer to each

@@ -250,47 +250,29 @@ def write_report(report, fmt: str) -> str:
     """Render a verification report or an equivalence report in the "text"
     or the "machine" format.  The machine format is flat 'key: value' lines
     with stable names, numbering failures and notes from 1."""
+    text = fmt == "text"
     if isinstance(report, Report):
-        lines = [f"report: {report.title}"]
-        for key, value in report.entries:
-            lines.append(f"{key}: {value}")
-        lines.append(f"checked: {report.checked}")
-        if fmt == "text":
-            lines.append(f"failures: {len(report.failures) or 'none'}")
-            for i, failure in enumerate(report.failures):
-                lines.append(f"failure[{i}]: {failure}")
-        else:
-            lines.append(f"failures: {len(report.failures)}")
-            for i, failure in enumerate(report.failures, 1):
-                lines.append(f"failure.{i}: {failure}")
+        failures = report.failures
+        lines = [f"report: {report.title}", *(f"{k}: {v}" for k, v in report.entries),
+                 f"checked: {report.checked}",
+                 f"failures: {len(failures) or ('none' if text else 0)}"]
+        lines += (f"failure[{i}]: {failure}" if text else f"failure.{i + 1}: {failure}"
+                  for i, failure in enumerate(failures))
         return "\n".join(lines)
     if isinstance(report, EquivReport):
-        if fmt == "text":
-            lines = [f"verdict: {report.verdict}", f"mode: {report.mode}"]
-            if report.bounds:
-                lines.append("bounds: " + " ".join(f"{k}={v}" for k, v in report.bounds))
-            if report.witness is not None:
-                lines.append("witness:")
-                for key, value in report.witness:
-                    lines.append(f"  {key}: {value}")
-            if report.refutation is not None:
-                lines.append("refutation:")
-                for key, value in report.refutation:
-                    lines.append(f"  {key}: {value}")
-            for note in report.notes:
-                lines.append(f"note: {note}")
-            return "\n".join(lines)
         lines = [f"verdict: {report.verdict}", f"mode: {report.mode}"]
-        for key, value in report.bounds:
-            lines.append(f"bounds.{key}: {value}")
-        if report.witness is not None:
-            for key, value in report.witness:
-                lines.append(f"witness.{key}: {value}")
-        if report.refutation is not None:
-            for key, value in report.refutation:
-                lines.append(f"refutation.{key}: {value}")
-        for i, note in enumerate(report.notes, 1):
-            lines.append(f"note.{i}: {note}")
+        if not text:
+            lines += (f"bounds.{k}: {v}" for k, v in report.bounds)
+        elif report.bounds:
+            lines.append("bounds: " + " ".join(f"{k}={v}" for k, v in report.bounds))
+        for name, section in (("witness", report.witness), ("refutation", report.refutation)):
+            if section is None:
+                continue
+            if text:
+                lines.append(f"{name}:")
+            lines += (f"  {k}: {v}" if text else f"{name}.{k}: {v}" for k, v in section)
+        lines += (f"note: {note}" if text else f"note.{i}: {note}"
+                  for i, note in enumerate(report.notes, 1))
         return "\n".join(lines)
     raise TypeError(f"not a report: {report!r}")
 

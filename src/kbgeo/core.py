@@ -6,6 +6,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 DEFAULT_MAX_POINTS = 10 ** 6
@@ -443,13 +444,27 @@ def compose_subst(first: Substitution, second: Substitution) -> Substitution:
     return Substitution._composite(first, second)
 
 
+class _OpTable(dict):
+    """An operation table: a dict, so that lookups run at a dict's speed,
+    whose mutators raise `TypeError`."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a model's tables are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+
 class Model:
     """A finite model: carrier, total operation tables, and relation tables.
 
     Carrier elements are opaque hashable labels ordered by their position in
     the carrier tuple.  Operation tables must be total and closed; relation
-    tables default to empty.  A model is not mutated after construction:
-    its knowledge bases, geometries and lattices are memos of its tables,
+    tables default to empty.  A model's tables are read-only: `op_tables`
+    and `rel_tables` are mapping proxies, each op table refuses assignment,
+    and each relation table is a frozenset; any mutation raises `TypeError`.
+    Its knowledge bases, geometries and lattices are memos of its tables,
     and `categories.knowledge_base` reuses them by the model's identity.
     """
 
@@ -464,7 +479,7 @@ class Model:
         elems = set(self.carrier)
 
         op_tables = dict(op_tables or {})
-        self.op_tables: dict[str, dict[tuple, object]] = {}
+        ops: dict[str, _OpTable] = {}
         for name, arity in sig.ops:
             raw = op_tables.pop(name, None)
             if raw is None:
@@ -477,12 +492,13 @@ class Model:
                     raise ModelError(f"op {name} row {key} -> {value} leaves the carrier")
             if len(table) != len(self.carrier) ** arity:
                 raise ModelError(f"op {name} not total")
-            self.op_tables[name] = table
+            ops[name] = _OpTable(table)
         if op_tables:
             raise ModelError(f"table for undeclared op {sorted(op_tables)[0]}")
+        self.op_tables: Mapping[str, Mapping[tuple, object]] = MappingProxyType(ops)
 
         rel_tables = dict(rel_tables or {})
-        self.rel_tables: dict[str, frozenset] = {}
+        rels: dict[str, frozenset] = {}
         for name, arity in sig.rels:
             raw = rel_tables.pop(name, ())
             rows = frozenset(tuple(r) for r in raw)
@@ -491,9 +507,15 @@ class Model:
                     raise ModelError(f"rel {name} row {row} has wrong arity")
                 if any(e not in elems for e in row):
                     raise ModelError(f"rel {name} row {row} leaves the carrier")
-            self.rel_tables[name] = rows
+            rels[name] = rows
         if rel_tables:
             raise ModelError(f"table for undeclared rel {sorted(rel_tables)[0]}")
+        self.rel_tables: Mapping[str, frozenset] = MappingProxyType(rels)
+
+    def __reduce__(self):
+        """Copied and pickled as its constructor's arguments."""
+        ops = {name: dict(table) for name, table in self.op_tables.items()}
+        return Model, (self.sig, self.carrier, ops, dict(self.rel_tables))
 
     def element_index(self, element) -> int:
         try:

@@ -91,7 +91,7 @@ generator squares, which imply the rest, and a carrier witness meets them
 all.  Pullbacks and Boolean alphas preserve
 unions, so both sides of a square do, and the squares hold on every
 member.  A pair (K, T) along t is admissible when the image of T along t
-lies inside K, so (K, pre_t(K)) always is.
+lies inside K, so (K, pre_t(K)) always is (`DefinableAlgebra.pullback`).
 - Forward images: F of the least morphism along s pairs alpha_a(k) with
   alpha_b(pre1_s(k)) along phi(s), which the square at s makes
   pre2_phi(s)(alpha_a(k)): a member, and an admissible pair.
@@ -109,6 +109,25 @@ lies inside K, so (K, pre_t(K)) always is.
   pre2_s(alpha_a(k)), which the square at s' = phi^-1(s) makes
   alpha_b(pre1_s'(k)), a member; its backward image pairs k with
   pre1_s'(k) along s', an admissible pair.
+
+Queries.  A witness answers corresponding queries alike: for n <= n_max
+and every formula u over X_n built from the atomic formulas within the
+depth by !, &, |, ->, exists and forall, alpha_n(val1(u)) = val2(phi(u)),
+where phi acts on atoms and renames the variables, bound ones included, by
+its renaming over size n.  By induction on u:
+- Atoms hold by the atom constraints, which every witness meets.
+- Boolean steps hold because the alphas are Boolean isomorphisms; forall
+  is !exists!.
+- exists x_i for n >= 2: let s: X_n -> X_n be x_i := x_k for some k != i,
+  a bounded substitution of depth 0.  The image of A along s is
+  (exists x_i A) & {x_i = x_k}, so exists x_i A = pre_s(cl(img_s(A))),
+  where cl is the closure in the algebra.  The alphas commute with pre_s
+  by the square at s, and so with cl . img_s, its left adjoint on members.
+  With u phi's renaming over size n, phi(s) is x_u(i) := x_u(k), a
+  substitution of the same kind, and phi maps exists x_i to exists x_u(i).
+- exists x1 for n = 1: exists x1 A is empty when A is and full otherwise,
+  and a Boolean isomorphism keeps the empty set, the full one and the
+  nonempty ones.
 """
 
 from __future__ import annotations
@@ -133,7 +152,7 @@ from .core import (
 from .formulas import Atom, Equal, Formula, atomic_formulas
 from .lattice import FilterLattice, UndefinablePullbackError, UnionMap
 from .categories import (AdmissibilityError, KnowledgeBase, Report, _Memo, _check_pairs,
-                         _least_images, _pullback, knowledge_bases)
+                         knowledge_bases)
 from .semantics import _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
@@ -448,7 +467,7 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     for subst in kb1.naturality(source_n, target_n):
         table1, table2 = kb1.geometry.table(subst), kb2.geometry.table(phi.map_subst(subst))
         for mask in atoms:
-            if alpha_b[_pullback(table1, mask, target)] != table2.preimage(alpha_a[mask]):
+            if alpha_b[target.pullback(table1, mask)] != table2.preimage(alpha_a[mask]):
                 return False
     return True
 
@@ -559,7 +578,7 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
         for subst in kb1.naturality(a, b):
             table = kb1.geometry.table(subst)
             for atom in atoms:
-                _pullback(table, atom, target)
+                target.pullback(table, atom)
     return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), alphas, kb1, kb2)
 
 
@@ -595,10 +614,11 @@ def build_description_iso(iso: FunctorIso) -> Report:
     `checked` counts these checks.  The laws they leave out hold by
     construction, as below.
 
-    It builds no morphism.  Each least morphism is its images on a
-    generating set of its source lattice (`_least_images`), and transport
-    moves those images: a totality test, then the pairs checked on the
-    conjugate's table as a morphism's constructor checks them.  When every
+    It builds no morphism.  Each least morphism is its pullbacks of a
+    generating set of its source lattice, admissible by construction
+    (`DefinableAlgebra.pullback`), and transport moves those images: a
+    totality test, then the pairs checked on the conjugate's table as a
+    morphism's constructor checks them.  When every
     alpha is a Boolean isomorphism, which the witnesses of `find_functor_iso`
     and `transport_model_iso` are, the generators are the atoms, and a least
     morphism's member table is the `UnionMap` of its atom images; otherwise
@@ -669,15 +689,16 @@ def build_description_iso(iso: FunctorIso) -> Report:
     for a, b in itertools.product(sizes, repeat=2):
         lst = admissible[(a, b)] = []
         for subst in iso.kb1.substitutions(a, b):
-            images = _least_images(generators(algebras1[a]), table1(subst), algebras1[b], True)
+            t1, t2 = table1(subst), table2(subst)
+            images = {k: algebras1[b].pullback(t1, k) for k in generators(algebras1[a])}
             checked += 1
             try:
                 transport(subst, images, forward)
                 lst.append((subst, images, UnionMap(images) if boolean else images))
             except AdmissibilityError as exc:
                 failures.append(f"image of {subst} is not admissible: {exc}")
-            family2.append((subst, _least_images(generators(algebras2[a]), table2(subst),
-                                                 algebras2[b], True)))
+            family2.append((subst, {k: algebras2[b].pullback(t2, k)
+                                    for k in generators(algebras2[a])}))
 
     for n in sizes:
         checked += 1

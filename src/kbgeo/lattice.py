@@ -48,13 +48,13 @@ from .semantics import (
     Geometry,
     PointSet,
     PointSpace,
+    _Table,
     _Valuation,
     _atom_mask,
     _equal_mask,
     _exists_mask,
     _model_geometry,
     holds_on_all,
-    subst_image_points,
 )
 
 MAX_MEMBERS = 1 << 20  # the most members, filters or degrees one listing holds
@@ -235,7 +235,23 @@ class DefinableAlgebra:
         """Masks of the atoms, ascending; every member is a union of these."""
         return self._blocks
 
-    def _close(self, mask: int) -> int:
+    def pullback(self, table: _Table, mask: int) -> int:
+        """The pullback of `mask` along the substitution of `table`, which
+        targets this algebra: the dual of the least push of the filter with
+        dual `mask`.  One that is not a member raises
+        `UndefinablePullbackError`, naming the table's key.
+
+        Every least push is a `pullback`, and every least dual a `close` of
+        an image; neither needs an admissibility check.  A push pairs K with
+        pre_t(K), a member once this returns, and image_t(pre_t(K)) lies in
+        K for any table t.  A dual pairs T with close(image_t(T)), a sum of
+        atoms, so a member, that contains image_t(T)."""
+        pullback = table.preimage(mask)
+        if pullback not in self.index:
+            raise UndefinablePullbackError(table.key, mask, pullback)
+        return pullback
+
+    def close(self, mask: int) -> int:
         """The least member containing `mask`: the sum of the atoms it meets."""
         return sum(b for b in self._blocks if b & mask)
 
@@ -386,7 +402,7 @@ def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:
     """The least definable superset: the union of the atoms the set meets."""
     if pset.space != algebra.space:
         raise MismatchError("point set does not live over the algebra's space")
-    return algebra.member(algebra._close(pset.mask))
+    return algebra.member(algebra.close(pset.mask))
 
 
 class ClosedFilter:
@@ -507,9 +523,8 @@ def filter_preimage(subst: Substitution, filt: ClosedFilter,
         raise MismatchError("filter is not over the substitution's target")
     if source_lattice.varset != subst.source or source_lattice.model != filt.points.space.model:
         raise MismatchError("lattice does not match the substitution's source")
-    image = subst_image_points(subst, filt.points)
-    closed = closure(image, source_lattice.algebra)
-    return source_lattice.filter_for_mask(closed.mask)
+    image = filt.points.space.geometry.table(subst).image(filt.mask)
+    return source_lattice.filter_for_mask(source_lattice.algebra.close(image))
 
 
 def lattice_profile(lat: FilterLattice) -> tuple[int, int, tuple[int, ...]]:

@@ -45,6 +45,18 @@ from kbgeo import (
     least_desc_morphism,
     push_filter,
 )
+from kbgeo.formulas import (
+    And,
+    Atom,
+    Equal,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    atomic_formulas,
+)
 
 
 def model_eq() -> Model:
@@ -275,6 +287,48 @@ def renaming_families(sig: Signature, n_max: int) -> list:
     return [FormulaAutomorphism.variable_renaming(sig, dict(enumerate(family, 1)))
             for family in itertools.product(*per_size)
             if any(images != canonical_varset(n).names for n, images in enumerate(family, 1))]
+
+
+def random_query(rng: random.Random, sig: Signature, n: int, depth: int,
+                 connectives: int = 4) -> Formula:
+    """A seeded formula over the canonical variable set of size n: each leaf
+    an atomic formula of `atomic_formulas(sig, X_n, depth)`, each inner node
+    one of !, &, |, ->, exists and forall, at most `connectives` of them on
+    any path from the root, and no substitution node."""
+    atoms = atomic_formulas(sig, canonical_varset(n), depth)
+    names = canonical_varset(n).names
+
+    def grow(budget: int) -> Formula:
+        kind = rng.randrange(7) if budget else 0
+        if kind == 0:
+            return rng.choice(atoms)
+        if kind == 1:
+            return Not(grow(budget - 1))
+        if kind in (2, 3, 4):
+            return (And, Or, Implies)[kind - 2](grow(budget - 1), grow(budget - 1))
+        return (Exists, Forall)[kind - 5](rng.choice(names), grow(budget - 1))
+
+    return grow(connectives)
+
+
+def map_query(phi: FormulaAutomorphism, f: Formula, n: int) -> Formula:
+    """phi over a whole formula over the canonical variable set of size n:
+    its atomic formulas by `phi.map_formula`, and each quantified variable
+    by phi's renaming over size n, so that bound variables are renamed with
+    the free ones."""
+    renaming = phi.renaming_for(n)
+    rename = {name: image.name for name, image in zip(renaming.source.names, renaming.images)}
+
+    def go(f: Formula) -> Formula:
+        if isinstance(f, (Atom, Equal)):
+            return phi.map_formula(f, n)
+        if isinstance(f, Not):
+            return Not(go(f.body))
+        if isinstance(f, (And, Or, Implies)):
+            return type(f)(go(f.left), go(f.right))
+        return type(f)(rename[f.var], go(f.body))
+
+    return go(f)
 
 
 def brute_rows(model: Model, k: int) -> list:

@@ -1,6 +1,8 @@
 """Description and content categories, their duality, and pushforwards."""
 
+import copy
 import itertools
+import pickle
 import threading
 
 import pytest
@@ -38,7 +40,7 @@ from kbgeo import (
 )
 import kbgeo
 from kbgeo import lattice, semantics
-from kbgeo.categories import _least_images, knowledge_base
+from kbgeo.categories import knowledge_base
 from kbgeo.cli import write_report
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
@@ -384,9 +386,9 @@ def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
         assert sweep(kbs[d]) == sweep(KnowledgeBase(make(), 2, d))
 
 
-def least_images_or_error(masks, table, target, along):
+def pullbacks_or_error(masks, table, target):
     try:
-        return _least_images(masks, table, target, along)
+        return {mask: target.pullback(table, mask) for mask in masks}
     except UndefinablePullbackError as exc:
         return str(exc)
 
@@ -416,7 +418,7 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
         pairs = []
         for s in enumerate_substitutions(model.sig, canonical_varset(a), canonical_varset(b), 1):
             table = kb.geometry.table(s)
-            h = least_images_or_error(atoms[a], table, objs[b].algebra, True)
+            h = pullbacks_or_error(atoms[a], table, objs[b].algebra)
             d = desc_or_error(objs[a], objs[b], s)
             if isinstance(d, str):
                 assert h == d
@@ -425,7 +427,7 @@ def test_morphisms_held_on_atoms_agree_with_desc_morphisms(name, model):
             push = UnionMap(h)
             assert {k: push[k] for k in d.assignment} == d.assignment
             dual = content_morphism(d)
-            against = UnionMap(_least_images(atoms[b], table, objs[a].algebra, False))
+            against = UnionMap({k: objs[a].algebra.close(table.image(k)) for k in atoms[b]})
             assert {k: against[k] for k in dual.assignment} == dual.assignment
             pairs.append((s, push, d))
         for s1, h1, d1 in pairs:
@@ -472,7 +474,10 @@ def test_morphisms_held_on_atoms_equal_their_member_forms():
     assert len(atoms) < len(members)
 
     def least(subst, along):
-        return _least_images(atoms, kb.geometry.table(subst), algebra, along)
+        table = kb.geometry.table(subst)
+        if along:
+            return {atom: algebra.pullback(table, atom) for atom in atoms}
+        return {atom: algebra.close(table.image(atom)) for atom in atoms}
 
     ident = identity_desc(two)
     assert_same_morphism(ident, {atom: atom for atom in atoms}, map_filter, members)
@@ -690,3 +695,24 @@ def test_resolved_sweeps_report_as_a_fresh_knowledge_base(name, model):
         for _ in range(2):
             assert check_duality(model, 2, depth) == duality
             assert verify_push_functoriality(model, depth, 2) == push
+
+
+def test_a_models_tables_are_read_only():
+    """Assigning a relation table, or a row of an operation table, raises
+    `TypeError`; so after the attempt the resolved knowledge base reports
+    what a fresh one does, the sizes of the model as it was built.  A model
+    still copies and pickles, to an equal model with read-only tables."""
+    m = model_p()
+    sizes = dict(check_duality(m, 2, 1).entries)["sizes"]
+    with pytest.raises(TypeError):
+        m.rel_tables["P"] = frozenset({(0,), (1,)})
+    assert dict(check_duality(m, 2, 1).entries)["sizes"] == sizes == "4 16"
+    assert dict(KnowledgeBase(m, 2, 1).check_duality().entries)["sizes"] == sizes
+    neg = model_neg()
+    with pytest.raises(TypeError):
+        neg.op_tables["neg"][(0,)] = 0
+    assert neg.op_tables["neg"] == {(0,): 1, (1,): 0} and neg == model_neg()
+    for twin in (copy.copy(neg), copy.deepcopy(neg), pickle.loads(pickle.dumps(neg))):
+        assert twin == neg and twin is not neg
+        with pytest.raises(TypeError):
+            twin.op_tables["neg"][(0,)] = 0

@@ -6,13 +6,16 @@ import pytest
 
 from kbgeo import (
     BoundError,
+    FormulaContext,
     Geometry,
+    KnowledgeBase,
     MismatchError,
     Model,
     ModelError,
     ModelMap,
     OpApp,
     ParseError,
+    PointSet,
     Signature,
     SignatureError,
     Substitution,
@@ -20,10 +23,13 @@ from kbgeo import (
     VarSet,
     canonical_varset,
     compose_subst,
+    content_morphism,
     enumerate_substitutions,
     enumerate_terms,
     eval_term,
+    least_desc_morphism,
     model_isomorphisms,
+    parse_formula,
     parse_term,
     substitution_generators,
     term_depth,
@@ -317,3 +323,53 @@ def test_point_bound_is_enforced():
     m = model_eq()
     with pytest.raises(BoundError, match="^8 points exceed the bound 4$"):
         Geometry(m, 4).space(canonical_varset(3))
+
+
+def test_printed_forms_hashes_and_map_equality_on_m_p():
+    """The exact output, on m_p's objects, of the public methods no other
+    test calls: indexing a point, the point listing of a point set, each
+    repr and str, the hashes of equal point sets over two geometries and of
+    a member, its filter and its points, and both outcomes of
+    `ModelMap.__eq__`."""
+    m = model_p()
+    kb = KnowledgeBase(m, 2, 1)
+    one, two = kb.description(1), kb.description(2)
+    space = two.algebra.space
+    pset = PointSet(space, 0b0110)
+    member, filt = two.algebra.member(0b1010), two.filter_for_mask(0b1010)
+    identity = next(model_isomorphisms(m, m))
+    relabel = ModelMap(m, model_p_relabeled(), ("a", "b"))
+    subst = next(iter(enumerate_substitutions(m.sig, one.varset, two.varset, 1)))
+    morphism = least_desc_morphism(one, two, subst)
+    witness = "P(x1) & P(x2) | !P(x1) & P(x2)"
+    cases = [
+        ("Point.__getitem__", space.point(1)["x2"], 1),
+        ("PointSpace.__repr__", repr(space), "PointSpace({x1, x2}, 4 points)"),
+        ("PointSet.points", [str(p) for p in pset.points()], ["(0,1)", "(1,0)"]),
+        ("PointSet.__hash__", hash(pset), hash(PointSet(Geometry(m).space(two.varset), 0b0110))),
+        ("PointSet.__repr__", repr(pset), "PointSet({x1, x2}, mask=0x6)"),
+        ("DefinableSet.__hash__", hash(member), hash(member.points)),
+        ("DefinableSet.__str__", str(member), "{(0,1), (1,1)} by " + witness),
+        ("DefinableSet.__repr__", repr(member), f"DefinableSet(mask=0xa, witness={witness!r})"),
+        ("DefinableAlgebra.__repr__", repr(two.algebra),
+         "DefinableAlgebra({x1, x2}, 16 sets, saturated=True)"),
+        ("ClosedFilter.__hash__", hash(filt), hash(member)),
+        ("ClosedFilter.__str__", str(filt), "filter of {(0,1), (1,1)}"),
+        ("ClosedFilter.__repr__", repr(filt), "ClosedFilter(dual_mask=0xa)"),
+        ("FilterLattice.__repr__", repr(two), "FilterLattice({x1, x2}, 16 filters)"),
+        ("Model.__repr__", repr(m), "Model(carrier=(0, 1), ops=[], rels=['P'])"),
+        ("ModelMap.__eq__ equal", identity == ModelMap(m, model_p(), (0, 1)), True),
+        ("ModelMap.__eq__ unequal", identity == relabel, False),
+        ("ModelMap.__repr__", [repr(identity), repr(relabel)],
+         ["ModelMap(0->0 1->1)", "ModelMap(0->a 1->b)"]),
+        ("TermFunction.__str__", [str(f) for f in term_functions(space).functions],
+         ["x1: (0, 0, 1, 1)", "x2: (0, 1, 0, 1)"]),
+        ("Formula.__str__", str(parse_formula("exists x1. P(x1) & !P(x2)",
+                                              FormulaContext(m.sig, two.varset))),
+         "exists x1. P(x1) & !P(x2)"),
+        ("_Morphism.__repr__", [repr(morphism), repr(content_morphism(morphism))],
+         ["DescMorphism({x1 := x1}, {x1} -> {x1, x2})",
+          "ContMorphism({x1 := x1}, {x1, x2} -> {x1})"]),
+    ]
+    for name, got, expected in cases:
+        assert got == expected, name

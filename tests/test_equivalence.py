@@ -38,10 +38,12 @@ from kbgeo import (
     enumerate_automorphisms,
     enumerate_substitutions,
     find_functor_iso,
+    formula_to_text,
     generate_definable_algebra,
     lattice_profile,
     model_isomorphisms,
     parse_term,
+    satisfying_points,
     transport_model_iso,
 )
 from kbgeo import categories, equivalence, lattice, semantics
@@ -54,6 +56,7 @@ from kbgeo.equivalence import (
 )
 from kbgeo.lattice import UndefinablePullbackError
 from test_categories import counted_builds, tampered_composite_table
+from test_census import census
 from helpers import (
     all_fixtures,
     atom_count_pairs,
@@ -70,7 +73,9 @@ from helpers import (
     model_p_relabeled,
     model_pq1,
     model_pq2,
+    map_query,
     named_pair,
+    random_query,
     relabel_pairs,
     relabeled,
     relabeled_mask,
@@ -1274,3 +1279,49 @@ def test_resolved_deciders_report_as_fresh_knowledge_bases(label, model1, model2
     for _ in range(2):
         assert check_informational_equivalence(model1, model2, 2, 2) == fresh["informational"]
         assert check_automorphic_equivalence(model1, model2, None, 2, 2) == fresh["automorphic"]
+
+
+def query_witnesses() -> list:
+    """(label, witness) at (2, 1): every witness the searches give on the
+    relabel pairs (the carrier transport and the first automorphism's) and
+    on the swap pairs under swap P Q, the reported witnesses of the census's
+    witnessed pairs of distinct representatives, and m_neg against itself
+    under the renaming family that swaps x1 and x2."""
+    out = []
+    for label, model, image in relabel_pairs():
+        out += [(label, iso) for iso in reported_witnesses(*kbs(model, image, 2, 1))]
+    for label, model, image in swap_pairs():
+        swap = FormulaAutomorphism.relation_permutation(model.sig, {"P": "Q", "Q": "P"})
+        out.append((label, outcome(find_functor_iso, *kbs(model, image, 2, 1), swap)))
+    for family, reps, verdicts in census():
+        out += [(f"{family} {i} {j}", iso)
+                for i, j in itertools.combinations(range(len(reps)), 2)
+                if verdicts[i, j] == VERDICT_WITNESSED
+                for iso in reported_witnesses(*kbs(reps[i], reps[j], 2, 1))]
+    neg = model_neg()
+    renaming = FormulaAutomorphism.variable_renaming(neg.sig, {2: ("x2", "x1")})
+    out.append(("m_neg renamevars", find_functor_iso(*kbs(neg, neg, 2, 1), renaming)))
+    return [(label, iso) for label, iso in out if isinstance(iso, FunctorIso)]
+
+
+def test_witnesses_answer_queries_alike():
+    """The module docstring's "Queries": for every witness and n <= n_max,
+    alpha_n sends the first model's answer to a seeded query over X_n, with
+    quantifiers and terms within the depth, to the second model's answer to
+    its image under phi, bound variables renamed too."""
+    rng = random.Random(2017)
+    witnesses = query_witnesses()
+    assert len(witnesses) == 52
+    assert {iso.phi.describe() for _, iso in witnesses} == {
+        "identity", "swap P Q", "renamevars[2] x1:x2,x2:x1"}
+    for label, iso in witnesses:
+        sig = iso.kb1.model.sig
+        for n in range(1, iso.n_max + 1):
+            varset = canonical_varset(n)
+            for _ in range(40):
+                query = random_query(rng, sig, n, iso.depth)
+                answer1 = satisfying_points(query, iso.kb1.model, varset,
+                                            geometry=iso.kb1.geometry).mask
+                answer2 = satisfying_points(map_query(iso.phi, query, n), iso.kb2.model,
+                                            varset, geometry=iso.kb2.geometry).mask
+                assert iso.alphas[n][answer1] == answer2, (label, n, formula_to_text(query))
