@@ -24,12 +24,31 @@ so that the tables are keyed by those objects.  Its two sweeps,
 substitutions and tables across every substitution they visit, and an
 equivalence decision runs its whole witness search over one knowledge base
 per model.
-Every composable pair of these loops, and of the description functor's,
-finds its composite's table through `KnowledgeBase.composite_table`, by the
-composite's variable sets and interned images, each image term composed
-once per second substitution; the table itself is still built from the
-composite substitution's own terms, never from its factors' tables, so a
-composite check compares two independent computations.
+Every composable pair of these loops finds its composite's table in
+`KnowledgeBase._composite_rows`, one row per first factor, made once per
+knowledge base and read by both sweeps; the description functor's pairs
+find theirs one at a time (`KnowledgeBase.composite_table`).  Both find a
+composite by its variable sets and interned images, each image term
+composed once per second substitution; a row looks up its first factor's
+image ids once, and a run of rows each second factor's term memo once.  The
+table itself is still built from the composite substitution's own terms,
+never from its factors' tables, so a composite check compares two
+independent computations.
+
+Over a finite model these categories see a substitution only through its
+pullback table, so substitutions whose tables share a class
+(`semantics._Table.cls`), such as x1 := neg(neg(x1)) and x1 := x1, are one
+arrow.  A composable pair's checks read its two factors' tables and its
+composite's, and nothing else that depends on the pair, so their outcome is
+a function of the three tables' pull lists and the algebras: each sweep runs
+the atom checks once per triple of classes that passes, and skips the later
+pairs of that triple, which still count in `checked`.  A triple that fails
+is not kept, so each of its pairs runs and reports its own failure lines,
+which name its own substitutions.  A row whose classes no other
+substitution of their sizes has holds one pair per triple, and checks its
+pairs without a lookup.  A table changed after it was built keeps the class
+it was built with, so only a fault present when a table is built is sure to
+be checked on every triple it makes.
 
 The module-level sweeps and deciders, and the CLI, take their knowledge
 bases from `knowledge_base`, which keeps the two most recently resolved in
@@ -64,7 +83,7 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     DEFAULT_MAX_POINTS,
@@ -306,9 +325,9 @@ class KnowledgeBase:
     (`naturality`), from it.  The module-level sweeps and deciders take
     theirs from `knowledge_base` under the default point bound, so a call
     on the model object and bounds of one of the last two resolved reuses
-    it, with every object and table it has built.  Objects are built over the
-    canonical variable sets of the geometry and cached, and so are the masks
-    of atomic formulas.  Description and content morphisms both run between
+    it, with every object, table and row of composite tables it has built.
+    Objects are built over the canonical variable sets of the geometry and
+    cached, and so are the masks of atomic formulas.  Description and content morphisms both run between
     these lattices, whose filters and definable sets are the same masks of
     their algebras.
     """
@@ -330,6 +349,8 @@ class KnowledgeBase:
         self._descriptions: dict[int, FilterLattice] = {}
         self._atom_masks: dict[tuple[int, Formula], int] = {}
         self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
+        self._tables_by_sizes: dict[tuple[int, int], tuple[list[_Table], set[int]]] = {}
+        self._rows_by_sizes: dict[tuple[int, int, int], list[list[_Table]]] = {}
 
     def description(self, n: int) -> FilterLattice:
         """The object of size n: the filter lattice over x1..xn, built once."""
@@ -361,6 +382,23 @@ class KnowledgeBase:
             subs = self._substitutions[(a, b)] = tuple(enumerate_substitutions(
                 self.model.sig, canonical_varset(a), canonical_varset(b), self.depth))
         return subs
+
+    def _tables(self, a: int, b: int) -> tuple[list[_Table], set[int]]:
+        """The pullback tables of `substitutions(a, b)`, in order, and the
+        classes that two or more of them have (`_Table.cls`), made once.  A
+        sweep row whose classes are all outside these has one pair per
+        triple of classes, and needs no memo."""
+        found = self._tables_by_sizes.get((a, b))
+        if found is None:
+            tables = list(map(self.geometry.table, self.substitutions(a, b)))
+            seen: set[int] = set()
+            shared: set[int] = set()
+            for t in tables:
+                if t.cls in seen:
+                    shared.add(t.cls)
+                seen.add(t.cls)
+            found = self._tables_by_sizes[(a, b)] = tables, shared
+        return found
 
     @functools.cached_property
     def generators(self) -> Optional[tuple[Substitution, ...]]:
@@ -398,12 +436,12 @@ class KnowledgeBase:
         return tuple(g for g in gens if len(g.source) == a and len(g.target) == b)
 
     @functools.cached_property
-    def _composite_memos(self) -> tuple[_Memo, _Memo, dict[tuple, _Table]]:
-        """`composite_table`'s memos, made on its first call: each
+    def _composite_memos(self) -> tuple[_Memo, _Memo, _Memo]:
+        """`_composites`'s memos, made on its first call: each
         substitution's images as ids of interned terms, per second
         substitution the id of each term after it, and each composite's table
-        by its variable sets and image ids.  They do not refer back to the
-        knowledge base, which stays acyclic."""
+        by its variable sets, then its image ids.  They do not refer back to
+        the knowledge base, which stays acyclic."""
         terms: list[Term] = []
         term_ids: dict[Term, int] = {}
 
@@ -416,31 +454,60 @@ class KnowledgeBase:
 
         return (_Memo(lambda s: tuple(map(intern, s.images))),
                 _Memo(lambda s: _Memo(lambda i: intern(s.apply_to_term(terms[i])))),
-                {})
+                _Memo(lambda ends: {}))
+
+    def _composites(self, firsts: Sequence[Substitution], seconds: Sequence[Substitution]
+                    ) -> list[list[_Table]]:
+        """Per substitution of `firsts`, in order, its row: the pullback
+        tables of it then each of `seconds`, in order.  Neither sequence is
+        empty; `firsts` runs between one pair of variable sets, and `seconds`
+        from their target to one variable set.
+
+        A composite is found by its variable sets and the ids of its
+        interned images, each the image of one interned term after its
+        second factor, computed once per term and second factor; so a pair
+        whose images have met its second factor builds no term and hashes no
+        substitution.  Each second factor's term memo is looked up once per
+        call, and each first factor's image ids once per row.  A composite's
+        first lookup fetches its table from the geometry, which builds it
+        from the composite substitution itself, never from its factors'
+        tables.  The memos hold every term and substitution they are keyed
+        by, and live as long as the knowledge base, as its tables do.
+        """
+        image_ids, after, composites = self._composite_memos
+        afters = [after[second].__getitem__ for second in seconds]
+        found = composites[(firsts[0].source.names, seconds[0].target.names)]
+        table = self.geometry.table
+        rows = []
+        for first in firsts:
+            ids = image_ids[first]
+            row = []
+            for second, term_after in zip(seconds, afters):
+                key = tuple(map(term_after, ids))
+                composite = found.get(key)
+                if composite is None:
+                    composite = found[key] = table(Substitution._composite(first, second))
+                row.append(composite)
+            rows.append(row)
+        return rows
+
+    def _composite_rows(self, a: int, b: int, c: int) -> list[list[_Table]]:
+        """Per substitution of `substitutions(a, b)`, in order, its row: the
+        pullback tables of it then each of `substitutions(b, c)`, in order.
+        Made once (`_composites`), so the two sweeps share every row."""
+        rows = self._rows_by_sizes.get((a, b, c))
+        if rows is None:
+            rows = self._rows_by_sizes[(a, b, c)] = self._composites(
+                self.substitutions(a, b), self.substitutions(b, c))
+        return rows
 
     def composite_table(self, first: Substitution, second: Substitution) -> _Table:
-        """The pullback table of `first` then `second`, which must compose.
-
-        The composite is found by its variable sets and the ids of its
-        interned images, each the image of one interned term after `second`,
-        computed once per term and `second`; so a pair whose images have met
-        `second` builds no term and hashes no composite.  A composite's first
-        lookup fetches its table from the geometry, which builds it from the
-        composite substitution itself, never from its factors' tables.  The
-        memos hold every term and substitution they are keyed by, and live as
-        long as the knowledge base, as its tables do.
-        """
+        """The pullback table of `first` then `second`, which must compose:
+        the one-pair row of `_composites`."""
         if first.target is not second.source and first.target != second.source:
             raise MismatchError(
                 f"cannot compose: first targets {first.target}, second starts at {second.source}")
-        image_ids, after, composites = self._composite_memos
-        key = (first.source.names, second.target.names,
-               tuple(map(after[second].__getitem__, image_ids[first])))
-        table = composites.get(key)
-        if table is None:
-            table = composites[key] = self.geometry.table(
-                Substitution._composite(first, second))
-        return table
+        return self._composites((first,), (second,))[0][0]
 
     @property
     def saturated(self) -> bool:
@@ -468,6 +535,13 @@ class KnowledgeBase:
         A least dual depends on its substitution alone, as the least content
         morphism along it, so one memo keyed by pullback table makes each
         once: a substitution's, an identity's and a composite's alike.
+
+        A composable pair's checks read the pushes and duals of its factors,
+        made from their tables, and its composite's table, so their outcome
+        depends only on the three tables' pull lists and the algebras: the
+        pairs of one triple of classes (`_Table.cls`) are checked once, while
+        they pass.  A pair that fails is not kept, so each pair of its triple
+        runs and reports its own line.
         """
         n_max = self.n_max
         checked = 0
@@ -480,19 +554,23 @@ class KnowledgeBase:
         # or a composite whose table is a substitution's reuses its dual.
         least_duals = _Memo(lambda t: {atom: algebras[len(t.key.source)].close(t.image(atom))
                                        for atom in atoms[len(t.key.target)]})
-        # Each substitution with the member tables of its least morphism and its dual.
-        least: dict[tuple[int, int], list[tuple[Substitution, UnionMap, UnionMap]]] = {}
+        # Each substitution with its table and the member tables of its
+        # least morphism and its dual, or None when it has no least morphism.
+        least: dict[tuple[int, int],
+                    list[Optional[tuple[Substitution, _Table, UnionMap, UnionMap]]]] = {}
+        shared: dict[tuple[int, int], set[int]] = {}
         for a, b in itertools.product(sizes, repeat=2):
             pairs = least[(a, b)] = []
-            for subst in self.substitutions(a, b):
+            tables, shared[(a, b)] = self._tables(a, b)
+            for subst, t in zip(self.substitutions(a, b), tables):
                 checked += 1
-                t = table(subst)
                 try:
                     push = {atom: algebras[b].pullback(t, atom) for atom in atoms[a]}
                 except UndefinablePullbackError as exc:
                     failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
+                    pairs.append(None)
                     continue
-                pairs.append((subst, UnionMap(push), UnionMap(least_duals[t])))
+                pairs.append((subst, t, UnionMap(push), UnionMap(least_duals[t])))
 
         for n in sizes:
             ident = table(Substitution.identity(algebras[n].varset))
@@ -501,23 +579,37 @@ class KnowledgeBase:
             if any(image != atom for atom, image in least_duals[ident].items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
 
-        # Each composite's table is fetched once per pair, and both sides of
-        # the check are keyed by it.
-        composite_table = self.composite_table
+        # Each pair reads its composite's table from its row, and both sides
+        # of the check are keyed by it.  A row with a shared class keeps the
+        # triples that passed.
         for a, b, c in itertools.product(sizes, repeat=3):
             members_a, members_c = algebras[a].index, algebras[c].index
-            for s1, push1, dual1 in least[(a, b)]:
-                for s2, push2, dual2 in least[(b, c)]:
-                    composite = composite_table(s1, s2)
+            shared1, shared2 = shared[(a, b)], shared[(b, c)]
+            passed: set[tuple[int, int, int]] = set()
+            for least1, composites in zip(least[(a, b)], self._composite_rows(a, b, c)):
+                if least1 is None:
+                    continue
+                s1, t1, push1, dual1 = least1
+                memo = bool(shared2) or t1.cls in shared1
+                for least2, composite in zip(least[(b, c)], composites):
+                    if least2 is None:
+                        continue
+                    s2, t2, push2, dual2 = least2
+                    checked += 1
+                    if memo:
+                        triple = (t1.cls, t2.cls, composite.cls)
+                        if triple in passed:
+                            continue
                     _check_pairs({k: push2[v] for k, v in push1.atoms.items()},
                                  composite, members_c, True)
                     left = least_duals[composite]
                     right = {k: dual1[v] for k, v in dual2.atoms.items()}
                     _check_pairs(right, composite, members_a, False)
-                    checked += 1
                     if left != right:
                         failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
                                         f"subs {s1} then {s2}")
+                    elif memo:
+                        passed.add(triple)
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
@@ -539,6 +631,11 @@ class KnowledgeBase:
         de-duplication of undefinable substitutions are those of the member
         sweep.  Every member counts as a triple either way.  The identity
         pushes run on the atoms too, and over every member when one moves.
+
+        A block's outcome depends only on its three tables' pull lists and
+        the algebras, so the blocks of one triple of classes (`_Table.cls`)
+        run on the atoms once, while they pass; a block that fails is not
+        kept, so each block of its triple runs and reports its own lines.
         """
         n_max = self.n_max
         checked = 0
@@ -555,23 +652,29 @@ class KnowledgeBase:
         triples = 0
         undefinable: set[Substitution] = set()
         sizes = range(1, n_max + 1)
-        composite_table = self.composite_table
+        rows = {ends: self._tables(*ends) for ends in itertools.product(sizes, repeat=2)}
         for a, b, c in itertools.product(sizes, repeat=3):
             algebra_a = self.description(a).algebra
             algebra_b = self.description(b).algebra
             algebra_c = self.description(c).algebra
-            tables2 = [table(s2) for s2 in self.substitutions(b, c)]
-            for s1 in self.substitutions(a, b):
-                table1 = table(s1)
-                for table2 in tables2:
-                    block = (table1, table2, composite_table(s1, table2.key),
-                             algebra_b, algebra_c)
+            (tables1, shared1), (tables2, shared2) = rows[(a, b)], rows[(b, c)]
+            passed: set[tuple[int, int, int]] = set()
+            for table1, composites in zip(tables1, self._composite_rows(a, b, c)):
+                memo = bool(shared2) or table1.cls in shared1
+                for table2, composite in zip(tables2, composites):
+                    triples += algebra_a.size
+                    checked += algebra_a.size
+                    if memo:
+                        triple = (table1.cls, table2.cls, composite.cls)
+                        if triple in passed:
+                            continue
+                    block = (table1, table2, composite, algebra_b, algebra_c)
                     probe: list[str] = []
                     _push_block(algebra_a.block_masks(), *block, probe, set())
                     if probe:
                         _push_block(algebra_a.masks, *block, failures, undefinable)
-                    triples += algebra_a.size
-                    checked += algebra_a.size
+                    elif memo:
+                        passed.add(triple)
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),

@@ -172,15 +172,23 @@ def _gather(mask: int, bits: list[int]) -> int:
 
 class _Table:
     """One substitution's pullback table: the substitution it is keyed by,
-    per target point the bit of its composite's source index, per source
-    point the mask of target points composing onto it, and the masks already
-    moved each way.  Its `preimage` and `image` are the package's only loops
-    that move a mask along a substitution."""
+    its class, per target point the bit of its composite's source index, per
+    source point the mask of target points composing onto it, and the masks
+    already moved each way.  Its `preimage` and `image` are the package's
+    only loops that move a mask along a substitution.
 
-    __slots__ = ("key", "bits", "fibers", "preimages", "images")
+    The class is the ordinal, in its geometry, of the first table built with
+    the same ends and the same pull list, so two tables of one class move
+    every mask alike as built: their substitutions are one arrow of the
+    categories over the model.  Each table still holds its own key, lists
+    and memos, none shared with its class, so a table changed after it is
+    built changes no other, and keeps the class it was built with."""
 
-    def __init__(self, key: Substitution, pull: list[int], source_size: int):
+    __slots__ = ("key", "cls", "bits", "fibers", "preimages", "images")
+
+    def __init__(self, key: Substitution, pull: list[int], source_size: int, cls: int):
         self.key = key
+        self.cls = cls
         self.bits = list(map((1).__lshift__, pull))
         self.fibers = [0] * source_size
         for p, q in enumerate(pull):
@@ -213,6 +221,11 @@ class Geometry:
     `table(subst).preimage(mask)` and `table(subst).image(mask)`.  Equal
     substitutions share one table, keyed by the first of them looked up; a
     lookup with that object finds it by identity, without comparing terms.
+    Substitutions that differ but pull back alike, such as x1 := neg(neg(x1))
+    and x1 := x1, get tables of one class (`_Table.cls`), found as each table
+    is built through one dict keyed by its ends and pull list, which holds
+    one pull list per class for as long as the geometry lives; a sweep that
+    checks each class once reads it.
     Each table memoizes `preimage` and `image` per mask, so its memory
     grows with the distinct masks moved along its substitution; every
     caller inside the package moves lattice members only.  Masks over
@@ -225,6 +238,7 @@ class Geometry:
         self.max_points = max_points
         self._spaces: dict[tuple[str, ...], PointSpace] = {}
         self._tables: dict[Substitution, _Table] = {}
+        self._classes: dict[tuple, int] = {}
 
     def space(self, varset: VarSet) -> PointSpace:
         """The space over varset, refusing to enumerate past the bound."""
@@ -234,12 +248,16 @@ class Geometry:
         return space
 
     def table(self, subst: Substitution) -> _Table:
-        """The substitution's pullback table, built on first use."""
+        """The substitution's pullback table, built on first use with its
+        class (`_Table.cls`)."""
         table = self._tables.get(subst)
         if table is None:
             source = self.space(subst.source)
             pull = pullback_indices(subst, source, self.space(subst.target))
-            table = self._tables[subst] = _Table(subst, pull, source.size)
+            classes = self._classes
+            cls = classes.setdefault((subst.source.names, subst.target.names, tuple(pull)),
+                                     len(classes))
+            table = self._tables[subst] = _Table(subst, pull, source.size, cls)
         return table
 
 

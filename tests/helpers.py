@@ -147,6 +147,33 @@ def constant_models() -> list:
     return out
 
 
+def op_models() -> list:
+    """Six random 2-element models with one operation, from a fixed seed:
+    three with a unary op f beside a binary R, then three with a binary op g
+    beside a unary P.  Each table row is kept at even odds, and each op value
+    is uniform.  The seed gives one model of each shape whose sweeps fail
+    at n_max 2: f0, whose f is the identity, and g0, whose g is the meet, so
+    that x1 and f(x1), or x1 and g(x1,x1), pull back alike.  In both, the
+    pullback along x1, x2 := x1, x1 of a dual over two variables is not
+    definable over one."""
+    rng = random.Random(2034)
+    carrier = (0, 1)
+
+    def rows(arity: int) -> list:
+        return [row for row in itertools.product(carrier, repeat=arity) if rng.random() < 0.5]
+
+    out = []
+    for i in range(3):
+        f = {(a,): rng.choice(carrier) for a in carrier}
+        out.append((f"f{i}", Model(Signature((("f", 1),), (("R", 2),)), carrier,
+                                   {"f": f}, {"R": rows(2)})))
+    for i in range(3):
+        g = {row: rng.choice(carrier) for row in itertools.product(carrier, repeat=2)}
+        out.append((f"g{i}", Model(Signature((("g", 2),), (("P", 1),)), carrier,
+                                   {"g": g}, {"P": rows(1)})))
+    return out
+
+
 def relabel_pairs() -> list:
     """24 models from a fixed seed, each paired with itself under a carrier
     permutation other than the identity.  A model has 2 to 4

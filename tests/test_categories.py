@@ -39,13 +39,14 @@ from kbgeo import (
     verify_push_functoriality,
 )
 import kbgeo
-from kbgeo import lattice, semantics
+from kbgeo import categories, lattice, semantics
 from kbgeo.categories import knowledge_base
 from kbgeo.cli import write_report
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
 from helpers import (
     all_fixtures,
+    brute_composites,
     constant_models,
     memberwise_check_duality,
     memberwise_push_functoriality,
@@ -54,6 +55,7 @@ from helpers import (
     model_p,
     model_pq1,
     named_pair,
+    op_models,
     seeded_models,
 )
 
@@ -545,6 +547,64 @@ def test_atom_sweeps_match_the_member_sweeps_on_seeded_models(name, model):
     assert_sweeps_match_the_member_sweeps(model, 1, 1)
 
 
+def brute_triples(kb) -> list:
+    """Each composable pair of bounded substitutions, in sweep order, with
+    its triple of classes: the sizes, and the composites of both factors and
+    of their composite, found point by point by `brute_composites`."""
+    pulls = {}
+
+    def pull(subst) -> tuple:
+        if subst not in pulls:
+            pulls[subst] = tuple(brute_composites(kb.model, subst))
+        return pulls[subst]
+
+    out = []
+    for a, b, c in itertools.product(range(1, kb.n_max + 1), repeat=3):
+        for s1 in kb.substitutions(a, b):
+            for s2 in kb.substitutions(b, c):
+                out.append((s1, s2, (a, b, c, pull(s1), pull(s2), pull(compose_subst(s1, s2)))))
+    return out
+
+
+# The unary-op models at depths 1 and 2 over two variables; the binary-op
+# models at depth 1 over two variables, and at depth 2 over one, since over
+# two they have 1,444 substitutions per size pair.
+CLASS_CASES = ([("m_neg", model_neg(), 2, 2)]
+               + [(name, model, 2, depth) for name, model in op_models() for depth in (1, 2)
+                  if name.startswith("f")]
+               + [(name, model, n_max, depth) for name, model in op_models()
+                  for n_max, depth in ((2, 1), (1, 2)) if name.startswith("g")])
+
+
+@pytest.mark.parametrize("name,model,n_max,depth", CLASS_CASES,
+                         ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in CLASS_CASES])
+def test_sweeps_over_classes_match_the_member_sweeps(name, model, n_max, depth):
+    """Where substitutions share pullback tables, the sweeps, which check
+    each triple of classes once while it passes, report what the member
+    sweeps do, failures included."""
+    assert_sweeps_match_the_member_sweeps(model, n_max, depth)
+
+
+def test_a_failing_triple_reports_each_of_its_pairs():
+    """On the failing seeded op models, a triple of classes that fails
+    holds more than one pair, and each of its pairs has its own failure line
+    in the push sweep, which the member sweep matches."""
+    failing = 0
+    for name, model in op_models():
+        kb = KnowledgeBase(model, 2, 1)
+        push = kb.verify_push_functoriality()
+        if push.passed:
+            continue
+        failing += 1
+        assert push == memberwise_push_functoriality(kb), name
+        lines: dict[tuple, list[str]] = {}
+        for s1, s2, triple in brute_triples(kb):
+            prefix = f"push along {s1} then {s2}: "
+            lines.setdefault(triple, []).extend(f for f in push.failures if f.startswith(prefix))
+        assert any(len(found) > 1 for found in lines.values()), name
+    assert failing == 2
+
+
 def test_a_passing_sweep_lists_no_member(monkeypatch):
     """Both sweeps pass on atoms alone: on the 2^27-member lattice of the
     named 3-element model at n_max 3, and on every fixture at n_max 2,
@@ -613,6 +673,54 @@ def test_a_composite_whose_dual_differs_on_the_first_atom():
     assert all(f.startswith("dual of a composite differs") for f in duality.failures)
 
 
+def outcome(sweep, kb):
+    """A sweep's report, or the text of the admissibility error it raised."""
+    try:
+        return sweep(kb)
+    except AdmissibilityError as exc:
+        return f"not admissible: {exc}"
+
+
+# {x1 := neg(neg(x1)), x2 := x2} built with the pull list of
+# {x1 := neg(x1), x2 := x2}, whose class it joins, or with one that no
+# bounded substitution has.
+@pytest.mark.parametrize("pull,joins", [([2, 3, 0, 1], True), ([0, 0, 2, 3], False)])
+def test_a_wrong_table_among_equals_is_still_caught(monkeypatch, pull, joins):
+    """Over the model with neg at depth 2, {x1 := neg(neg(x1)), x2 := x2}
+    pulls back as the identity, so its class has other members.  Its table
+    is built wrong, so it lands in another class; each triple it makes
+    differs from its equals' by the composite's class, so both sweeps report
+    the fault as the member loops do over the same geometry."""
+    model = model_neg()
+    sig, two = model.sig, canonical_varset(2)
+    wrong = Substitution.of(two, two, {"x1": parse_term("neg(neg(x1))", sig, two),
+                                       "x2": parse_term("x2", sig, two)})
+    step = Substitution.of(two, two, {"x1": parse_term("neg(x1)", sig, two),
+                                      "x2": parse_term("x2", sig, two)})
+    identity = Substitution.identity(two)
+    geometry = KnowledgeBase(model, 2, 2).geometry
+    assert geometry.table(wrong).cls == geometry.table(identity).cls
+    original = semantics.pullback_indices
+
+    def corrupt(subst, source_space, target_space):
+        return list(pull) if subst == wrong else original(subst, source_space, target_space)
+
+    monkeypatch.setattr(semantics, "pullback_indices", corrupt)
+    texts = []
+    for sweep, oracle in ((KnowledgeBase.check_duality, memberwise_check_duality),
+                          (KnowledgeBase.verify_push_functoriality, memberwise_push_functoriality)):
+        kb = KnowledgeBase(model, 2, 2)
+        texts.append(outcome(sweep, kb))
+        assert texts[-1] == outcome(oracle, kb)
+        table = kb.geometry.table
+        assert (table(wrong).cls == table(step).cls) == joins
+        assert table(wrong).cls != table(identity).cls
+    duality, push = texts
+    assert duality.startswith("not admissible: assignment ")
+    assert not push.passed
+    assert any("{x1 := neg(neg(x1)), x2 := x2}" in f for f in push.failures)
+
+
 def test_a_composite_moving_points_everywhere_raises_as_the_member_loops_do():
     """A composite's table sends the images of the first and last points to
     every point, so the composite of two least morphisms is not admissible
@@ -629,6 +737,31 @@ def test_a_composite_moving_points_everywhere_raises_as_the_member_loops_do():
         texts.append(str(info.value))
     assert texts == ["assignment 0x1 -> 0x1 is not admissible"
                      " for {x1 := neg(neg(x1)), x2 := x2}"] * 2
+
+
+def test_the_sweeps_run_atoms_once_per_triple_of_classes(monkeypatch):
+    """`_check_pairs` and `_push_block` run once per distinct passing triple
+    of classes, found by brute force: on the model with neg at n_max 2 and
+    depth 2, fewer times than there are pairs; on the P model, whose
+    substitutions share no table, once per pair, as each did before the
+    sweeps read classes."""
+    calls = {"_check_pairs": 0, "_push_block": 0}
+    for name in calls:
+        def counting(*args, _name=name, _run=getattr(categories, name)):
+            calls[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(categories, name, counting)
+    for model, shares in ((model_neg(), True), (model_p(), False)):
+        kb = KnowledgeBase(model, 2, 2)
+        pairs = brute_triples(kb)
+        triples = len({triple for _, _, triple in pairs})
+        assert (triples < len(pairs)) == shares
+        calls.update(_check_pairs=0, _push_block=0)
+        assert kb.check_duality().passed
+        # Each triple checks its composites both ways; each identity once.
+        assert calls["_check_pairs"] == 2 * triples + 2
+        assert kb.verify_push_functoriality().passed
+        assert calls["_push_block"] == triples
 
 
 def counted_builds(monkeypatch) -> list:
