@@ -92,8 +92,10 @@ from .core import (
     Substitution,
     Term,
     canonical_varset,
+    check_term,
     compose_subst,
     enumerate_substitutions,
+    enumerate_terms,
     substitution_generators,
 )
 from .lattice import (
@@ -106,11 +108,12 @@ from .lattice import (
     UnionMap,
     build_filter_lattice,
 )
-from .formulas import Formula
 from .semantics import (
     Geometry,
     _Table,
-    satisfying_points,
+    _atom_mask,
+    _equal_mask,
+    _term_columns,
     subst_image_points,
     subst_preimage_points,
 )
@@ -327,9 +330,11 @@ class KnowledgeBase:
     on the model object and bounds of one of the last two resolved reuses
     it, with every object, table and row of composite tables it has built.
     Objects are built over the canonical variable sets of the geometry and
-    cached, and so are the masks of atomic formulas.  Description and content morphisms both run between
-    these lattices, whose filters and definable sets are the same masks of
-    their algebras.
+    cached, and so is one atom table per size (`atom_table`): the masks of
+    the atomic formulas within the depth, which the witness search pairs
+    without building a formula.  Description and content morphisms both
+    run between these lattices, whose filters and definable sets are the
+    same masks of their algebras.
     """
 
     def __init__(self, model: Model, n_max: int, depth: int,
@@ -347,7 +352,7 @@ class KnowledgeBase:
         self.max_term_depth = max_term_depth
         self.geometry = Geometry(model, max_points)
         self._descriptions: dict[int, FilterLattice] = {}
-        self._atom_masks: dict[tuple[int, Formula], int] = {}
+        self._atom_tables: dict[int, tuple[dict[str, list[int]], list[int]]] = {}
         self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
         self._tables_by_sizes: dict[tuple[int, int], tuple[list[_Table], set[int]]] = {}
         self._rows_by_sizes: dict[tuple[int, int, int], list[list[_Table]]] = {}
@@ -361,15 +366,29 @@ class KnowledgeBase:
                 self.model, canonical_varset(n), self.max_term_depth, geometry=self.geometry)
         return self._descriptions[n]
 
-    def atom_mask(self, atom: Formula, n: int) -> int:
-        """The points over the canonical variable set of size n satisfying an
-        atomic formula, evaluated once per formula and size."""
-        key = (n, atom)
-        mask = self._atom_masks.get(key)
-        if mask is None:
-            mask = self._atom_masks[key] = satisfying_points(
-                atom, self.model, canonical_varset(n), geometry=self.geometry).mask
-        return mask
+    def atom_table(self, n: int) -> tuple[dict[str, list[int]], list[int]]:
+        """The masks of the atomic formulas over the canonical variable set of
+        size n whose terms have depth up to the depth, in `atomic_formulas`
+        order, made once: per relation, its masks over the term tuples of
+        `itertools.product(terms, repeat=arity)`, and with equality the
+        masks over the ordered term pairs, with terms from `enumerate_terms`.
+        Each term is checked and evaluated to a value column once, and each
+        mask is read from the columns as the lattice build's seeds are."""
+        table = self._atom_tables.get(n)
+        if table is None:
+            sig, varset = self.model.sig, canonical_varset(n)
+            space = self.geometry.space(varset)
+            columns = []
+            for term in enumerate_terms(sig, varset, self.depth):
+                check_term(term, sig, varset)
+                columns.append(_term_columns(term, space))
+            relations = {rel: [_atom_mask(self.model.rel_tables[rel], list(combo))
+                               for combo in itertools.product(columns, repeat=arity)]
+                         for rel, arity in sig.rels}
+            equalities = ([_equal_mask(left, right) for left in columns for right in columns]
+                          if sig.with_equality else [])
+            table = self._atom_tables[n] = relations, equalities
+        return table
 
     def substitutions(self, a: int, b: int) -> tuple[Substitution, ...]:
         """The substitutions from the canonical variable set of size a to that

@@ -35,6 +35,8 @@ model-level deciders take their pair from `categories.knowledge_bases`:
 one knowledge base for equal models, and the pair the last call on the same
 model objects and bounds resolved, so `check_informational_equivalence`
 then `check_automorphic_equivalence` on one pair builds each lattice once.
+The atom constraints pair the two knowledge bases' atom tables
+(`_atom_constraints`), so the search builds and values no atomic formula.
 
 Generators.  Neither search visits every bounded substitution when it need
 not.  Squares compose: pre_(s;t) = pre_t . pre_s in each model, and every
@@ -128,6 +130,35 @@ its renaming over size n.  By induction on u:
 - exists x1 for n = 1: exists x1 A is empty when A is and full otherwise,
   and a Boolean isomorphism keeps the empty set, the full one and the
   nonempty ones.
+
+Carriers.  Assume the signature has equality, the depth is at least 1
+when there are ops, and n_max >= max(|M1|, |M2|).  Then a witness whose
+phi has relation part pi exists only if M1 is isomorphic to pi(M2), the
+second model with each relation R read as pi(R).  List M1 as a_1..a_m and
+let delta, over X_m, be the conjunction of its diagram:
+- x_i != x_j for i != j;
+- f(x_i1, ..., x_ik) = x_j for every op f and argument tuple, with a_j
+  the value of f at a_i1, ..., a_ik: atoms of depth 1;
+- R(x_i1, ..., x_ik) where R holds at a_i1, ..., a_ik, and its negation
+  where it does not, for every relation R.
+val1(delta) holds the point (a_1, ..., a_m), so it is not empty.  By
+"Queries", atoms and Boolean steps alone, m <= n_max gives
+alpha_m(val1(delta)) = val2(phi(delta)), and a Boolean isomorphism keeps
+the nonempty sets, so some point of M2 satisfies phi(delta): delta with
+each R read as pi(R) and the variables permuted by phi's renaming over
+size m.  Read in that order, its coordinates give a map from M1 into M2
+that is injective, keeps every op fact, and keeps and reflects each R
+in M1 as pi(R) in M2.  So |M1| <= |M2|.  The same step on M2's diagram
+delta2 over X_|M2|, with alpha(val1(phi^-1(delta2))) = val2(delta2) not
+empty, maps M2 injectively into M1, so the first map is a bijection,
+and a bijection with those properties is an isomorphism from M1 to
+pi(M2).  Without equality the inequalities are gone, and with ops at
+depth 0 the op facts, so the claim needs both assumptions.  The converse
+is not proved: on the census at n_max = |M| every pair isomorphic up to a
+relation permutation is witnessed, except the 10 self-pairs whose search
+meets an undefinable pullback, which stay UNKNOWN.  Below that bound the
+search witnesses pairs that no carrier map relates, such as the 6-cycle
+against two triangles over one and two variables.
 """
 
 from __future__ import annotations
@@ -149,7 +180,7 @@ from .core import (
     canonical_varset,
     model_isomorphisms,
 )
-from .formulas import Atom, Equal, Formula, atomic_formulas
+from .formulas import Atom, Equal, Formula
 from .lattice import FilterLattice, UndefinablePullbackError, UnionMap
 from .categories import (AdmissibilityError, KnowledgeBase, Report, _Memo, _check_pairs,
                          knowledge_bases)
@@ -394,18 +425,34 @@ def _check_bounds(kb1: KnowledgeBase, kb2: KnowledgeBase) -> None:
 def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomorphism,
                       n: int) -> Optional[list[tuple[int, int]]]:
     """Pairs (mask over kb1's model, required image mask over kb2's) forced by
-    the automorphism's action on atomic formulas within the depth, or None
-    when they already clash.
+    the automorphism's action on atomic formulas within the depth, sorted,
+    or None when they clash.
+
+    They pair the two knowledge bases' atom tables over size n
+    (`KnowledgeBase.atom_table`), entry by entry in `atomic_formulas` order:
+    kb1's masks of each relation R with kb2's of phi's image of R, and the
+    two equality tables.  phi sends an atomic formula A to A[u_n], with u_n
+    its renaming over size n, and mask2(A[u_n]) = pre2_{u_n}(mask2(A)), so
+    where phi renames at size n each of kb2's masks is moved by
+    pre2_{u_n}, `kb2.geometry.table(u_n).preimage`; no atomic formula is
+    built or valued.  The pairs clash when two of them share a mask on one
+    side and differ on the other, that is when they are not a partial
+    bijection.  Both that and the sorted pairs depend only on the set of
+    pairs, not on the order in which they are visited, so the result is
+    the one a loop over the formulas that stops at its first clash gives.
     """
-    forward: dict[int, int] = {}
-    backward: dict[int, int] = {}
-    for atom in atomic_formulas(kb1.model.sig, canonical_varset(n), kb1.depth):
-        mask1 = kb1.atom_mask(atom, n)
-        mask2 = kb2.atom_mask(phi.map_formula(atom, n), n)
-        if forward.get(mask1, mask2) != mask2 or backward.get(mask2, mask1) != mask1:
-            return None
-        forward[mask1] = mask2
-        backward[mask2] = mask1
+    relations1, equalities1 = kb1.atom_table(n)
+    relations2, equalities2 = kb2.atom_table(n)
+    if n in dict(phi.var_images):
+        move = kb2.geometry.table(phi.renaming_for(n)).preimage
+        relations2 = {rel: list(map(move, masks)) for rel, masks in relations2.items()}
+        equalities2 = list(map(move, equalities2))
+    pairs = set(zip(equalities1, equalities2))
+    for rel, masks in relations1.items():
+        pairs.update(zip(masks, relations2[phi.rel_image(rel)]))
+    forward = dict(pairs)
+    if len(forward) < len(pairs) or len(set(forward.values())) < len(pairs):
+        return None
     return sorted(forward.items())
 
 

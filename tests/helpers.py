@@ -15,7 +15,9 @@ description morphism is a `DescMorphism` and every content morphism a
 every naturality square is checked on every member, and the alphas, their
 Boolean check and the carrier transport walk every member point by point
 instead of extending atom images.  Beside them, the admissibility transfer
-of a witness is checked on every pair of members.
+of a witness is checked on every pair of members, and the atom constraints
+are made by building, mapping and valuing every atomic formula instead of
+pairing atom tables.
 """
 
 import itertools
@@ -44,6 +46,7 @@ from kbgeo import (
     identity_desc,
     least_desc_morphism,
     push_filter,
+    satisfying_points,
 )
 from kbgeo.formulas import (
     And,
@@ -254,6 +257,28 @@ def named_pair() -> tuple:
     sig = Signature((), (("P", 1), ("Q", 1)))
     return (Model(sig, (0, 1, 2), None, {"P": [(1,)], "Q": [(0,)]}),
             Model(sig, (0, 1, 2), None, {"P": [(2,)], "Q": [(0,)]}))
+
+
+def symmetric_graph(edges) -> Model:
+    """The 6-element model whose binary R holds on each edge in both
+    directions."""
+    rows = sorted({(a, b) for a, b in edges} | {(b, a) for a, b in edges})
+    return Model(Signature((), (("R", 2),)), tuple(range(6)), None, {"R": rows})
+
+
+def bounded_pairs() -> list:
+    """Two pairs of 6-element graphs, as a symmetric binary R, that two
+    variables do not tell apart and three do: the 6-cycle against two
+    triangles, and K_{3,3} against the triangular prism, each the other's
+    complement.  Neither pair is isomorphic under any relabelling, so a
+    witness of either is not a carrier map."""
+    triangles = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    return [
+        ("6-cycle / two triangles",
+         symmetric_graph([(i, (i + 1) % 6) for i in range(6)]), symmetric_graph(triangles)),
+        ("K33 / prism", symmetric_graph([(a, b) for a in range(3) for b in range(3, 6)]),
+         symmetric_graph(triangles + [(0, 3), (1, 4), (2, 5)])),
+    ]
 
 
 def relabeled(model: Model, perm) -> Model:
@@ -590,6 +615,25 @@ def memberwise_squares_commute(alphas, phi, kb1, kb2, source_n: int, target_n: i
             if alpha_b[push1] != kb2.geometry.table(mapped).preimage(alpha_a[mask]):
                 return False
     return True
+
+
+def formulawise_atom_constraints(kb1, kb2, phi, n: int):
+    """`_atom_constraints` by formulas: every atomic formula of
+    `atomic_formulas` over size n within the first knowledge base's depth is
+    built, mapped by `phi.map_formula` and valued by `satisfying_points`
+    over each knowledge base's geometry, in order, and the loop stops at the
+    first pair that clashes with one before it (None)."""
+    varset = canonical_varset(n)
+    forward, backward = {}, {}
+    for atom in atomic_formulas(kb1.model.sig, varset, kb1.depth):
+        mask1 = satisfying_points(atom, kb1.model, varset, geometry=kb1.geometry).mask
+        mask2 = satisfying_points(phi.map_formula(atom, n), kb2.model, varset,
+                                  geometry=kb2.geometry).mask
+        if forward.get(mask1, mask2) != mask2 or backward.get(mask2, mask1) != mask1:
+            return None
+        forward[mask1] = mask2
+        backward[mask2] = mask1
+    return sorted(forward.items())
 
 
 def memberwise_candidate_alphas(lat1, lat2, constraints):

@@ -7,8 +7,9 @@ each verdict's count over the unordered pairs of distinct representatives,
 and each verdict's count over the self-pairs.  The other tests here check
 relations between the verdicts rather than their counts: the order of a
 pair does not matter, witnessed verdicts are transitive, an `INEQUIVALENT`
-verdict is the same on both members of a witnessed pair, and every pair
-gets the same verdict at depth 2.
+verdict is the same on both members of a witnessed pair, every pair gets
+the same verdict at depth 2, and at n_max = |M| a pair is witnessed exactly
+when its models are isomorphic up to a relation permutation.
 """
 
 import functools
@@ -17,12 +18,15 @@ import pathlib
 from collections import Counter
 
 from kbgeo import (
+    KnowledgeBase,
     Model,
     Signature,
     VERDICT_INEQUIVALENT,
     VERDICT_UNKNOWN,
     VERDICT_WITNESSED,
     check_informational_equivalence,
+    decide_equivalence,
+    enumerate_automorphisms,
     model_isomorphisms,
 )
 from helpers import relabeled
@@ -149,3 +153,39 @@ def test_each_representative_against_its_shifted_copy_decides_as_against_itself(
             assert verdict == verdicts[i, i], (label, i)
             totals[verdict] += 1
     assert totals == {VERDICT_WITNESSED: 84, VERDICT_UNKNOWN: 10}
+
+
+def test_at_n_max_the_carrier_size_witnesses_are_the_permuted_isomorphisms():
+    """`kbgeo.equivalence`'s module docstring, "Carriers": each family at
+    n_max = |M| and depth 1, the 2-element ones at (2, 1) and the 3-element
+    ones at (3, 1).  In both the informational and the automorphic mode,
+    every pair of representatives, self-pairs included, is witnessed exactly
+    when the first model is isomorphic to the second with its relations
+    permuted by some phi's relation part, except for the 10 self-pairs
+    whose witness search stops at an undefinable pullback, which stay
+    `UNKNOWN` with that note.  The verdict counts at (3, 1) are those of
+    the golden at (2, 1)."""
+    undefinable = 0
+    for label, size, ops, rels in FAMILIES:
+        reps = representatives(all_models(size, ops, rels))
+        kbs = [KnowledgeBase(rep, size, 1) for rep in reps]
+        phis = enumerate_automorphisms(reps[0].sig)
+        counts = Counter()
+        for i, j in itertools.combinations_with_replacement(range(len(reps)), 2):
+            permuted = [Model(reps[j].sig, reps[j].carrier, reps[j].op_tables or None,
+                              {name: reps[j].rel_tables[phi.rel_image(name)]
+                               for name, _ in rels}) for phi in phis]
+            isomorphic = any(next(model_isomorphisms(reps[i], image), None) is not None
+                             for image in permuted)
+            for mode in ("automorphic", "informational"):
+                report = decide_equivalence(kbs[i], kbs[j], mode=mode)
+                if (report.verdict == VERDICT_WITNESSED) != isomorphic:
+                    assert i == j and report.verdict == VERDICT_UNKNOWN, (label, i, j, mode)
+                    assert "witness search stopped: pullback" in report.notes[-1], (label, i)
+                    undefinable += mode == "informational"
+            counts[report.verdict, i == j] += 1  # the informational verdict
+        if size == 3:
+            _, _, verdicts = next(family for family in census() if family[0] == label)
+            assert counts == Counter((verdicts[i, j], i == j) for i, j in
+                                     itertools.combinations_with_replacement(range(len(reps)), 2))
+    assert undefinable == 10

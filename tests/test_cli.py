@@ -676,3 +676,32 @@ def test_carriers_of_different_sizes_are_refuted(tmp_path, default_point_bound, 
                               "--mode", mode, "--format", "machine"])
     assert code == EXIT_FAIL
     assert text.splitlines() == lines
+
+
+C6 = ("carrier: 0 1 2 3 4 5\nrel R 2\n"
+      + "".join(f"rel R: {a},{b}\nrel R: {b},{a}\n" for a, b in
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]))
+TT = ("carrier: 0 1 2 3 4 5\nrel R 2\n"
+      + "".join(f"rel R: {a},{b}\nrel R: {b},{a}\n" for a, b in
+                [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+
+
+@pytest.mark.parametrize("max_vars, code, lines", [
+    ("2", EXIT_PASS, ["witness.kind: functor isomorphism",
+                      "witness.phi: identity",
+                      "witness.alphas: |X|=1: 2 filters; |X|=2: 8 filters"]),
+    ("3", EXIT_FAIL, ["refutation.invariant: lattice size",
+                      "refutation.summary: lattice size 1048576 vs 2048 at X={x1, x2, x3}"]),
+])
+def test_the_6_cycle_and_two_triangles_part_at_three_variables(tmp_path, default_point_bound,
+                                                                max_vars, code, lines):
+    """The 6-cycle against two triangles, as the CI step writes them: two
+    variables do not tell them apart, and the search witnesses the pair with
+    alphas no carrier map gives; three variables refute it by lattice
+    size."""
+    (tmp_path / "c6.kbm").write_text(C6)
+    (tmp_path / "tt.kbm").write_text(TT)
+    got, text = run_command(["equiv", str(tmp_path / "c6.kbm"), str(tmp_path / "tt.kbm"),
+                             "--max-vars", max_vars, "--depth", "1", "--format", "machine"])
+    assert got == code
+    assert set(lines) <= set(text.splitlines())

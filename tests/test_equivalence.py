@@ -56,11 +56,13 @@ from kbgeo.equivalence import (
 )
 from kbgeo.lattice import UndefinablePullbackError
 from test_categories import counted_builds, tampered_composite_table
-from test_census import census
+from test_census import FAMILIES, all_models, census, representatives
 from helpers import (
     all_fixtures,
     atom_count_pairs,
+    bounded_pairs,
     brute_atomic_classes,
+    formulawise_atom_constraints,
     memberwise_candidate_alphas,
     memberwise_description_iso,
     memberwise_is_boolean,
@@ -75,6 +77,7 @@ from helpers import (
     model_pq2,
     map_query,
     named_pair,
+    op_models,
     random_query,
     relabel_pairs,
     relabeled,
@@ -1325,3 +1328,84 @@ def test_witnesses_answer_queries_alike():
                 answer2 = satisfying_points(map_query(iso.phi, query, n), iso.kb2.model,
                                             varset, geometry=iso.kb2.geometry).mask
                 assert iso.alphas[n][answer1] == answer2, (label, n, formula_to_text(query))
+
+
+def test_atom_tables_pair_as_the_formulas_do():
+    """`_atom_constraints` pairs the knowledge bases' atom tables, moved
+    along phi's renaming; `formulawise_atom_constraints` builds, maps and
+    values every atomic formula and stops at its first clash.  They agree
+    for the identity, every relation permutation and every renaming family,
+    at every size, on: each census representative against the next one of
+    its family at n_max 2 and depths 1 and 2, and each 2-element one against
+    itself and the next at n_max 3 and depth 1, where renamings move the
+    variables at two sizes; the swap pairs at depths 1 and 2; and every
+    same-signature pair of `op_models()` (unary f, binary g) and of the
+    fixtures at n_max 2 and depth 1, the self-pairs at depth 2 too."""
+    cases = []  # (label, first model, second model, n_max, depth)
+    for label, size, ops, rels in FAMILIES:
+        reps = representatives(all_models(size, ops, rels))
+        for rep, after in zip(reps, reps[1:] + reps[:1]):
+            cases += [(label, rep, after, 2, depth) for depth in (1, 2)]
+            if size == 2:
+                cases += [(label, rep, other, 3, 1) for other in (rep, after)]
+    cases += [(label, m1, m2, 2, depth) for label, m1, m2 in swap_pairs() for depth in (1, 2)]
+    for (l1, m1), (l2, m2) in itertools.product(op_models() + all_fixtures(), repeat=2):
+        if m1.sig == m2.sig:
+            cases += [(f"{l1} {l2}", m1, m2, 2, depth) for depth in ((1, 2) if m1 is m2 else (1,))]
+    results = set()
+    renamed_at_two_sizes = 0
+    for label, m1, m2, n_max, depth in cases:
+        kb1, kb2 = kbs(m1, m2, n_max, depth)
+        for phi in enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max):
+            renamed_at_two_sizes += len(phi.var_images) == 2
+            for n in range(1, n_max + 1):
+                pairs = _atom_constraints(kb1, kb2, phi, n)
+                assert pairs == formulawise_atom_constraints(kb1, kb2, phi, n), (
+                    label, depth, phi.describe(), n)
+                results.add((pairs is None, bool(phi.var_images), n in dict(phi.var_images)))
+    assert results >= {(True, False, False), (False, False, False),
+                       (True, True, True), (False, True, True)}
+    assert renamed_at_two_sizes > 0
+
+
+def test_the_bounded_pairs_are_witnessed_below_three_variables():
+    """The 6-cycle against two triangles and K_{3,3} against the prism at
+    depth 1: witnessed by the identity phi over one and two variables, with
+    alphas that no carrier map gives, and refuted by lattice size over
+    three.  Each witness passes the member-wise oracles and answers seeded
+    queries alike."""
+    class_note = "supported automorphism class: relation permutations and variable renamings"
+    sizes = {1: "|X|=1: 2 filters", 2: "|X|=1: 2 filters; |X|=2: 8 filters"}
+    refuted = {"6-cycle / two triangles": (1048576, 2048), "K33 / prism": (2048, 1048576)}
+    rng = random.Random(2017)
+    for label, m1, m2 in bounded_pairs():
+        assert next(model_isomorphisms(m1, m2), None) is None, label
+        for n_max in (1, 2):
+            kb1, kb2 = kbs(m1, m2, n_max, 1)
+            report = decide_equivalence(kb1, kb2)
+            assert (report.verdict, report.witness, report.notes) == (
+                VERDICT_WITNESSED,
+                (("kind", "functor isomorphism"), ("phi", "identity"), ("alphas", sizes[n_max])),
+                (class_note,)), (label, n_max)
+            iso = find_functor_iso(kb1, kb2, FormulaAutomorphism.identity(m1.sig))
+            assert iso.sizes() == sizes[n_max]
+            assert memberwise_is_boolean(iso), label
+            for a, b in itertools.product(range(1, n_max + 1), repeat=2):
+                assert memberwise_squares_commute(iso.alphas, iso.phi, kb1, kb2, a, b), label
+            functor = memberwise_description_iso(iso)
+            assert functor.passed and functor == build_description_iso(iso), label
+            assert verify_admissibility_transfer(iso).passed, label
+            for n in range(1, n_max + 1):
+                for _ in range(20):
+                    query = random_query(rng, m1.sig, n, 1)
+                    answer1 = satisfying_points(query, m1, canonical_varset(n),
+                                                geometry=kb1.geometry).mask
+                    answer2 = satisfying_points(query, m2, canonical_varset(n),
+                                                geometry=kb2.geometry).mask
+                    assert iso.alphas[n][answer1] == answer2, (label, formula_to_text(query))
+        left, right = refuted[label]
+        report = decide_equivalence(*kbs(m1, m2, 3, 1))
+        assert (report.verdict, report.refutation) == (VERDICT_INEQUIVALENT, (
+            ("invariant", "lattice size"), ("var_count", "3"), ("left", str(left)),
+            ("right", str(right)), ("values", f"{left} vs {right} at |X|=3"),
+            ("summary", f"lattice size {left} vs {right} at X={{x1, x2, x3}}"))), label
