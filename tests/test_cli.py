@@ -174,14 +174,6 @@ def test_eval_rejects_bad_formula():
     assert text.startswith("error:")
 
 
-@pytest.mark.parametrize("count", [600, 1200])
-def test_eval_refuses_a_formula_nested_too_deeply(count):
-    """A data error, not a `RecursionError` traceback."""
-    assert run_command(["eval", fixture("m_p.kbm"), "--vars", "x1",
-                        "--formula", "!" * count + "P(x1)"]) == \
-        (EXIT_DATA, "error: input nested deeper than 200 levels (at offset 200)")
-
-
 def test_closure_subcommand():
     code, text = run_command(["closure", fixture("m_p.kbm"),
                               "--vars", "x1,x2", "--points", "1,0"])
@@ -218,64 +210,6 @@ def test_duality_and_functor_subcommands():
     code, text = run_command(["functor", fixture("m_neg.kbm"),
                               "--max-vars", "2", "--depth", "1"])
     assert code == EXIT_PASS
-
-
-# The model with f: 0->0, 1->1, 2->0 and P everything: over {x1} its algebra
-# cannot tell 0 from 2, so pulling {(0, 0)} back along x1 := x1, x2 := x1 and
-# along the substitutions through f is not definable.
-FU = ("carrier: 0 1 2\nop f 1\nrel P 1\nop f: 0 -> 0\nop f: 1 -> 1\nop f: 2 -> 0\n"
-      "rel P: 0\nrel P: 1\nrel P: 2\n")
-
-FU_DUALITY = """report: duality
-object: canonical variable sets of sizes 1..2
-sizes: 4 512
-morphism family: least assignments for substitutions of depth <= 1
-checked: 360
-failures: 4
-failure.1: no least morphism between sizes 2->1: pullback 0x1 of 0x1 along {x1 := x1, x2 := x1} \
-is not definable over {x1}
-failure.2: no least morphism between sizes 2->1: pullback 0x1 of 0x1 along {x1 := x1, x2 := f(x1)} \
-is not definable over {x1}
-failure.3: no least morphism between sizes 2->1: pullback 0x1 of 0x1 along {x1 := f(x1), x2 := x1} \
-is not definable over {x1}
-failure.4: no least morphism between sizes 2->1: pullback 0x5 of 0x1 along \
-{x1 := f(x1), x2 := f(x1)} is not definable over {x1}"""
-
-FU_FUNCTOR = """report: push functoriality
-object: canonical variable sets of sizes 1..2
-substitution depth: 1
-triples: 176496
-checked: 177012
-failures: 9
-failure.1: push along {x1 := x1, x2 := x1} then {x1 := x1}: pullback 0x1 of 0x1 along \
-{x1 := x1, x2 := x1} is not definable over {x1}
-failure.2: push along {x1 := x1, x2 := x1} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
-{x1 := f(x1), x2 := f(x1)} is not definable over {x1}
-failure.3: push along {x1 := x1, x2 := f(x1)} then {x1 := x1}: pullback 0x1 of 0x1 along \
-{x1 := x1, x2 := f(x1)} is not definable over {x1}
-failure.4: push along {x1 := x1, x2 := f(x1)} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
-{x1 := f(x1), x2 := f(f(x1))} is not definable over {x1}
-failure.5: push along {x1 := f(x1), x2 := x1} then {x1 := x1}: pullback 0x1 of 0x1 along \
-{x1 := f(x1), x2 := x1} is not definable over {x1}
-failure.6: push along {x1 := f(x1), x2 := x1} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
-{x1 := f(f(x1)), x2 := f(x1)} is not definable over {x1}
-failure.7: push along {x1 := f(x1), x2 := f(x1)} then {x1 := f(x1)}: pullback 0x5 of 0x1 along \
-{x1 := f(f(x1)), x2 := f(f(x1))} is not definable over {x1}
-failure.8: push along {x1 := x1, x2 := f(x2)} then {x1 := x1, x2 := f(x1)}: pullback 0x1 of 0x1 \
-along {x1 := x1, x2 := f(f(x1))} is not definable over {x1}
-failure.9: push along {x1 := f(x1), x2 := x2} then {x1 := f(x1), x2 := x1}: pullback 0x1 of 0x1 \
-along {x1 := f(f(x1)), x2 := x1} is not definable over {x1}"""
-
-
-@pytest.mark.parametrize("command,expected", [("duality", FU_DUALITY), ("functor", FU_FUNCTOR)])
-def test_a_failing_sweep_numbers_its_failures_in_machine_format(tmp_path, command, expected,
-                                                                 default_point_bound):
-    """Both sweeps fail on the `fu` model at (2, 1) with exit 1, and the
-    machine format numbers each failure from 1."""
-    path = tmp_path / "fu.kbm"
-    path.write_text(FU)
-    assert run_command([command, str(path), "--max-vars", "2", "--depth", "1",
-                        "--format", "machine"]) == (EXIT_FAIL, expected)
 
 
 def test_equiv_pinned_witness_output():
@@ -483,20 +417,12 @@ def test_bad_point_bound_env_is_a_data_error(monkeypatch):
     assert text == "error: KBGEO_MAX_POINTS must be a positive integer, got 'abc'"
 
 
-def test_arguments_are_parsed_before_the_point_bound_is_read(monkeypatch, capsys):
-    """A malformed KBGEO_MAX_POINTS is read only after the arguments parse:
-    help still prints with exit 0, and a usage error, from the parser or a
-    bound flag, wins over the bad value."""
+def test_help_prints_beside_a_malformed_point_bound(monkeypatch, capsys):
+    """A malformed KBGEO_MAX_POINTS is read only after the arguments parse,
+    so help still prints, from its first line, with exit 0."""
     monkeypatch.setenv("KBGEO_MAX_POINTS", "abc")
     assert cli.main(["--help"]) == EXIT_PASS
     assert capsys.readouterr().out.startswith("usage: kbgeo")
-    pair = [fixture("m_p.kbm"), fixture("m_p.kbm")]
-    assert run_command(["equiv", *pair, "--bogus"]) == \
-        (EXIT_USAGE, "usage error: unrecognized arguments: --bogus")
-    assert run_command(["equiv", *pair, "--max-vars", "0"]) == \
-        (EXIT_USAGE, "usage error: --max-vars must be positive")
-    assert run_command(["equiv", *pair]) == \
-        (EXIT_DATA, "error: KBGEO_MAX_POINTS must be a positive integer, got 'abc'")
 
 
 def test_a_self_pair_builds_each_lattice_once(monkeypatch, default_point_bound):
@@ -546,34 +472,6 @@ def test_carrier_transport_on_capped_lattices_stops_with_unknown(tmp_path, defau
                                      "along {x1 := f(x1)} is not definable over {x1}")
 
 
-NAMED = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 1\nrel Q: 0\n"
-
-
-def test_listing_past_the_member_bound_is_a_data_error(tmp_path, default_point_bound):
-    """Over three variables the model has 2^27 members: the decision and both
-    sweeps, which list none, pass, while the dump and the profile's degree
-    line, which list them all, stop with exit 65 and the bound.  The triple
-    count is the closed form of the sum over sizes a, b, c of b^a c^b 2^k_a,
-    with k = 3, 9, 27 atoms."""
-    path = tmp_path / "named.kbm"
-    path.write_text(NAMED)
-    code, text = run_command(["equiv", str(path), str(path), "--max-vars", "3",
-                              "--depth", "1", "--format", "machine"])
-    assert code == EXIT_PASS
-    assert "witness.alphas: |X|=1: 8 filters; |X|=2: 512 filters; |X|=3: 134217728 filters" \
-        in text.splitlines()
-    error = "error: 134217728 members exceed the bound 1048576"
-    for argv in (["lattice", str(path), "--vars", "x1,x2,x3", "--dump"],
-                 ["lattice", str(path), "--vars", "x1,x2,x3"]):
-        assert run_command(argv) == (EXIT_DATA, error)
-    for argv, line in ((["duality", str(path), "--max-vars", "3"], "sizes: 8 512 134217728"),
-                       (["functor", str(path), "--max-vars", "3", "--depth", "1"],
-                        "triples: 146297522288")):
-        code, text = run_command(argv)
-        assert code == EXIT_PASS
-        assert line in text.splitlines()
-
-
 def test_running_out_of_memory_is_a_data_error(monkeypatch):
     """A MemoryError is an exceeded bound (exit 65), never a traceback whose
     exit code 1 would read as "inequivalent"."""
@@ -620,88 +518,3 @@ def test_an_empty_renaming_entry_is_skipped_and_a_zero_point_bound_refused(
                              "--format", "machine"])
     assert got == code
     assert line in text.splitlines()
-
-
-R1 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"
-R2 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel Q: 0\nrel R: 0\nrel R: 1\n"
-
-
-@pytest.mark.parametrize("mode, label", [("lae", "automorphic"), ("info", "informational")])
-def test_a_relation_cycle_is_witnessed_by_its_relperm(tmp_path, default_point_bound, mode, label):
-    """P, Q, R = {0}, {0, 1}, {} against {}, {0}, {0, 1}: the 3-cycle of the
-    relations is the only phi that matches the atoms, and it is no swap, so
-    the witness names it as a relation permutation."""
-    (tmp_path / "r1.kbm").write_text(R1)
-    (tmp_path / "r2.kbm").write_text(R2)
-    code, text = run_command(["equiv", str(tmp_path / "r1.kbm"), str(tmp_path / "r2.kbm"),
-                              "--mode", mode, "--format", "machine"])
-    assert code == EXIT_PASS
-    assert text.splitlines() == [
-        "verdict: EQUIVALENT_WITNESSED",
-        f"mode: {label}",
-        "bounds.n_max: 2",
-        "bounds.depth: 2",
-        "witness.kind: functor isomorphism",
-        "witness.phi: relperm P->Q,Q->R,R->P",
-        "witness.alphas: |X|=1: 8 filters; |X|=2: 512 filters",
-        "note.1: supported automorphism class: relation permutations and variable renamings",
-    ]
-
-
-P3 = "carrier: 0 1 2\nrel P 1\nrel P: 0\n"
-
-
-@pytest.mark.parametrize("mode, lines", [
-    ("iso", ["verdict: INEQUIVALENT",
-             "mode: isomorphism",
-             "refutation.invariant: model isomorphism",
-             "refutation.detail: no carrier bijection preserves every table"]),
-    ("info", ["verdict: INEQUIVALENT",
-              "mode: informational",
-              "bounds.n_max: 2",
-              "bounds.depth: 2",
-              "refutation.invariant: lattice size",
-              "refutation.var_count: 2",
-              "refutation.left: 16",
-              "refutation.right: 32",
-              "refutation.values: 16 vs 32 at |X|=2",
-              "refutation.summary: lattice size 16 vs 32 at X={x1, x2}",
-              "note.1: supported automorphism class: relation permutations and variable renamings"]),
-])
-def test_carriers_of_different_sizes_are_refuted(tmp_path, default_point_bound, mode, lines):
-    """m_p against P = {0} on three elements: no carrier bijection exists, and
-    the lattices first differ in size over two variables."""
-    (tmp_path / "p3.kbm").write_text(P3)
-    code, text = run_command(["equiv", fixture("m_p.kbm"), str(tmp_path / "p3.kbm"),
-                              "--mode", mode, "--format", "machine"])
-    assert code == EXIT_FAIL
-    assert text.splitlines() == lines
-
-
-C6 = ("carrier: 0 1 2 3 4 5\nrel R 2\n"
-      + "".join(f"rel R: {a},{b}\nrel R: {b},{a}\n" for a, b in
-                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]))
-TT = ("carrier: 0 1 2 3 4 5\nrel R 2\n"
-      + "".join(f"rel R: {a},{b}\nrel R: {b},{a}\n" for a, b in
-                [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
-
-
-@pytest.mark.parametrize("max_vars, code, lines", [
-    ("2", EXIT_PASS, ["witness.kind: functor isomorphism",
-                      "witness.phi: identity",
-                      "witness.alphas: |X|=1: 2 filters; |X|=2: 8 filters"]),
-    ("3", EXIT_FAIL, ["refutation.invariant: lattice size",
-                      "refutation.summary: lattice size 1048576 vs 2048 at X={x1, x2, x3}"]),
-])
-def test_the_6_cycle_and_two_triangles_part_at_three_variables(tmp_path, default_point_bound,
-                                                                max_vars, code, lines):
-    """The 6-cycle against two triangles, as the CI step writes them: two
-    variables do not tell them apart, and the search witnesses the pair with
-    alphas no carrier map gives; three variables refute it by lattice
-    size."""
-    (tmp_path / "c6.kbm").write_text(C6)
-    (tmp_path / "tt.kbm").write_text(TT)
-    got, text = run_command(["equiv", str(tmp_path / "c6.kbm"), str(tmp_path / "tt.kbm"),
-                             "--max-vars", max_vars, "--depth", "1", "--format", "machine"])
-    assert got == code
-    assert set(lines) <= set(text.splitlines())
