@@ -24,16 +24,15 @@ so that the tables are keyed by those objects.  Its two sweeps,
 substitutions and tables across every substitution they visit, and an
 equivalence decision runs its whole witness search over one knowledge base
 per model.
-Every composable pair of these loops finds its composite's table in
+Every composable pair of these loops, and of the description functor
+(`equivalence.build_description_iso`), finds its composite's table in
 `KnowledgeBase._composite_rows`, one row per first factor, made once per
-knowledge base and read by both sweeps; the description functor's pairs
-find theirs one at a time (`KnowledgeBase.composite_table`).  Both find a
-composite by its variable sets and interned images, each image term
-composed once per second substitution; a row looks up its first factor's
-image ids once, and a run of rows each second factor's term memo once.  The
-table itself is still built from the composite substitution's own terms,
-never from its factors' tables, so a composite check compares two
-independent computations.
+knowledge base and indexed by the factors' places in
+`KnowledgeBase.substitutions`.  A row finds each composite by its sizes and
+interned images, each image term composed once per second substitution,
+and looks up its first factor's image ids once.  The table itself is still
+built from the composite substitution's own terms, never from its factors'
+tables, so a composite check compares two independent computations.
 
 Over a finite model these categories see a substitution only through its
 pullback table, so substitutions whose tables share a class
@@ -83,7 +82,7 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import (
     DEFAULT_MAX_POINTS,
@@ -328,7 +327,8 @@ class KnowledgeBase:
     (`naturality`), from it.  The module-level sweeps and deciders take
     theirs from `knowledge_base` under the default point bound, so a call
     on the model object and bounds of one of the last two resolved reuses
-    it, with every object, table and row of composite tables it has built.
+    it, with every object, table and row of composite tables it has built;
+    the rows (`_composite_rows`) are the only source of a composite's table.
     Objects are built over the canonical variable sets of the geometry and
     cached, and so is one atom table per size (`atom_table`): the masks of
     the atomic formulas within the depth, which the witness search pairs
@@ -456,10 +456,10 @@ class KnowledgeBase:
 
     @functools.cached_property
     def _composite_memos(self) -> tuple[_Memo, _Memo, _Memo]:
-        """`_composites`'s memos, made on its first call: each
+        """`_composite_rows`' memos, made on its first call: each
         substitution's images as ids of interned terms, per second
         substitution the id of each term after it, and each composite's table
-        by its variable sets, then its image ids.  They do not refer back to
+        by its sizes, then its image ids.  They do not refer back to
         the knowledge base, which stays acyclic."""
         terms: list[Term] = []
         term_ids: dict[Term, int] = {}
@@ -475,58 +475,43 @@ class KnowledgeBase:
                 _Memo(lambda s: _Memo(lambda i: intern(s.apply_to_term(terms[i])))),
                 _Memo(lambda ends: {}))
 
-    def _composites(self, firsts: Sequence[Substitution], seconds: Sequence[Substitution]
-                    ) -> list[list[_Table]]:
-        """Per substitution of `firsts`, in order, its row: the pullback
-        tables of it then each of `seconds`, in order.  Neither sequence is
-        empty; `firsts` runs between one pair of variable sets, and `seconds`
-        from their target to one variable set.
-
-        A composite is found by its variable sets and the ids of its
-        interned images, each the image of one interned term after its
-        second factor, computed once per term and second factor; so a pair
-        whose images have met its second factor builds no term and hashes no
-        substitution.  Each second factor's term memo is looked up once per
-        call, and each first factor's image ids once per row.  A composite's
-        first lookup fetches its table from the geometry, which builds it
-        from the composite substitution itself, never from its factors'
-        tables.  The memos hold every term and substitution they are keyed
-        by, and live as long as the knowledge base, as its tables do.
-        """
-        image_ids, after, composites = self._composite_memos
-        afters = [after[second].__getitem__ for second in seconds]
-        found = composites[(firsts[0].source.names, seconds[0].target.names)]
-        table = self.geometry.table
-        rows = []
-        for first in firsts:
-            ids = image_ids[first]
-            row = []
-            for second, term_after in zip(seconds, afters):
-                key = tuple(map(term_after, ids))
-                composite = found.get(key)
-                if composite is None:
-                    composite = found[key] = table(Substitution._composite(first, second))
-                row.append(composite)
-            rows.append(row)
-        return rows
-
     def _composite_rows(self, a: int, b: int, c: int) -> list[list[_Table]]:
         """Per substitution of `substitutions(a, b)`, in order, its row: the
         pullback tables of it then each of `substitutions(b, c)`, in order.
-        Made once (`_composites`), so the two sweeps share every row."""
+        Made once, so both sweeps and the description functor read every
+        composite's table here.
+
+        A composite is found by its sizes and the ids of its
+        interned images, each the image of one interned term after its
+        second factor, computed once per term and second factor; so a pair
+        whose images have met its second factor builds no term and hashes no
+        substitution.  Each second factor's term memo is looked up once, and
+        each first factor's image ids once per row.  A composite's first
+        lookup fetches its table from the geometry, which builds it from the
+        composite substitution itself, never from its factors' tables.  The
+        memos hold every term and substitution they are keyed by, and live
+        as long as the knowledge base, as its tables do.
+        """
         rows = self._rows_by_sizes.get((a, b, c))
         if rows is None:
-            rows = self._rows_by_sizes[(a, b, c)] = self._composites(
-                self.substitutions(a, b), self.substitutions(b, c))
+            image_ids, after, composites = self._composite_memos
+            seconds = self.substitutions(b, c)
+            afters = [after[second].__getitem__ for second in seconds]
+            found = composites[(a, c)]
+            table = self.geometry.table
+            rows = []
+            for first in self.substitutions(a, b):
+                ids = image_ids[first]
+                row = []
+                for second, term_after in zip(seconds, afters):
+                    key = tuple(map(term_after, ids))
+                    composite = found.get(key)
+                    if composite is None:
+                        composite = found[key] = table(Substitution._composite(first, second))
+                    row.append(composite)
+                rows.append(row)
+            self._rows_by_sizes[(a, b, c)] = rows
         return rows
-
-    def composite_table(self, first: Substitution, second: Substitution) -> _Table:
-        """The pullback table of `first` then `second`, which must compose:
-        the one-pair row of `_composites`."""
-        if first.target is not second.source and first.target != second.source:
-            raise MismatchError(
-                f"cannot compose: first targets {first.target}, second starts at {second.source}")
-        return self._composites((first,), (second,))[0][0]
 
     @property
     def saturated(self) -> bool:
@@ -642,14 +627,16 @@ class KnowledgeBase:
         objects.
 
         A composable pair (s1, s2) is one block, which holds three pullback
-        tables: s1's, s2's and the composite's.  When every atom of the source
-        lattice pushes definably along the composite, along s1 and along s2
-        after s1, and its direct and staged pushes agree, every member does.
-        A block whose atom run records a failure runs again over every member,
-        through the same loop, so its failure lines, their order and the
-        de-duplication of undefinable substitutions are those of the member
-        sweep.  Every member counts as a triple either way.  The identity
-        pushes run on the atoms too, and over every member when one moves.
+        tables: s1's, s2's and the composite's, from `_composite_rows`.  When
+        every atom of the source lattice pushes definably along the
+        composite, along s1 and along s2 after s1, and its direct and staged
+        pushes agree, every member does.  A block whose atom run records a
+        failure runs again over every member, through the same loop, so its
+        failure lines, their order and the de-duplication of undefinable
+        substitutions are those of the member sweep.  Every member counts as
+        a triple either way, so each triple of sizes adds pairs times
+        members to `triples` and `checked` at once.  The identity pushes run
+        on the atoms too, and over every member when one moves.
 
         A block's outcome depends only on its three tables' pull lists and
         the algebras, so the blocks of one triple of classes (`_Table.cls`)
@@ -677,12 +664,13 @@ class KnowledgeBase:
             algebra_b = self.description(b).algebra
             algebra_c = self.description(c).algebra
             (tables1, shared1), (tables2, shared2) = rows[(a, b)], rows[(b, c)]
+            count = len(tables1) * len(tables2) * algebra_a.size
+            triples += count
+            checked += count
             passed: set[tuple[int, int, int]] = set()
             for table1, composites in zip(tables1, self._composite_rows(a, b, c)):
                 memo = bool(shared2) or table1.cls in shared1
                 for table2, composite in zip(tables2, composites):
-                    triples += algebra_a.size
-                    checked += algebra_a.size
                     if memo:
                         triple = (table1.cls, table2.cls, composite.cls)
                         if triple in passed:

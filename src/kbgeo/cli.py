@@ -154,8 +154,14 @@ def load_model(path: str) -> Model:
 
 
 def print_model(model: Model) -> str:
-    """Canonical text form; the output loads back to an equal model."""
-    lines = ["carrier: " + " ".join(str(e) for e in model.carrier)]
+    """Canonical text form, which loads back to an equal model; a ModelError
+    names the first element that is not a non-empty str free of whitespace,
+    '#', ',' and '->', as the format reads elements."""
+    for e in model.carrier:
+        if not (isinstance(e, str) and e.split() == [e]
+                and not any(mark in e for mark in ("#", ",", "->"))):
+            raise ModelError(f"cannot write carrier element {e!r} in the model format")
+    lines = ["carrier: " + " ".join(model.carrier)]
     lines.append(f"flag with_equality {'on' if model.sig.with_equality else 'off'}")
     for name, arity in model.sig.ops:
         lines.append(f"op {name} {arity}")
@@ -164,11 +170,11 @@ def print_model(model: Model) -> str:
     for name, arity in model.sig.ops:
         table = model.op_tables[name]
         for key in itertools.product(model.carrier, repeat=arity):
-            lines.append(f"op {name}: {','.join(str(e) for e in key)} -> {table[key]}")
+            lines.append(f"op {name}: {','.join(key)} -> {table[key]}")
     index = model.element_index
     for name, _ in model.sig.rels:
         for row in sorted(model.rel_tables[name], key=lambda r: tuple(index(e) for e in r)):
-            lines.append(f"rel {name}: {','.join(str(e) for e in row)}")
+            lines.append(f"rel {name}: {','.join(row)}")
     return "\n".join(lines) + "\n"
 
 

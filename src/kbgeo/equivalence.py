@@ -682,8 +682,10 @@ def build_description_iso(iso: FunctorIso) -> Report:
     morphism.  The report, `checked` included, is the member-wise one.
 
     A composable pair's composite is an image dict, checked, then
-    transported.  Its totality test repeats its first factor's, which it
-    passed.  Each conjugate is made once.
+    transported, along the composite's table in the first model's rows
+    (`KnowledgeBase._composite_rows`), read at the factors' indices in
+    `substitutions`: the table the sweeps read.  Its totality test repeats
+    its first factor's, which it passed.  Each conjugate is made once.
 
     The rest holds for alphas injective on members, which `inverse_alphas`
     requires first.  Write u_n for phi's renaming over size n.
@@ -730,18 +732,19 @@ def build_description_iso(iso: FunctorIso) -> Report:
         _check_pairs(moved, conjugates[subst], algebras[b].index, True)
 
     # The first model's least morphisms with admissible images, each with its
-    # member table; every one of the second's.
-    admissible: dict[tuple[int, int], list[tuple[Substitution, dict, Mapping]]] = {}
+    # index in `kb1.substitutions` and its member table; every one of the
+    # second's.
+    admissible: dict[tuple[int, int], list[tuple[int, dict, Mapping]]] = {}
     family2: list[tuple[Substitution, dict]] = []
     for a, b in itertools.product(sizes, repeat=2):
         lst = admissible[(a, b)] = []
-        for subst in iso.kb1.substitutions(a, b):
+        for i, subst in enumerate(iso.kb1.substitutions(a, b)):
             t1, t2 = table1(subst), table2(subst)
             images = {k: algebras1[b].pullback(t1, k) for k in generators(algebras1[a])}
             checked += 1
             try:
                 transport(subst, images, forward)
-                lst.append((subst, images, UnionMap(images) if boolean else images))
+                lst.append((i, images, UnionMap(images) if boolean else images))
             except AdmissibilityError as exc:
                 failures.append(f"image of {subst} is not admissible: {exc}")
             family2.append((subst, {k: algebras2[b].pullback(t2, k)
@@ -754,13 +757,13 @@ def build_description_iso(iso: FunctorIso) -> Report:
         _check_pairs(images, table1(ident), algebras1[n].index, True)
         transport(ident, images, forward)
 
-    composite_table = iso.kb1.composite_table
     for a, b, c in itertools.product(sizes, repeat=3):
         members = algebras1[c].index
-        for s1, images1, _ in admissible[(a, b)]:
-            for s2, _, assignment2 in admissible[(b, c)]:
+        rows = iso.kb1._composite_rows(a, b, c)
+        for i, images1, _ in admissible[(a, b)]:
+            for j, _, assignment2 in admissible[(b, c)]:
                 checked += 1
-                table = composite_table(s1, s2)
+                table = rows[i][j]
                 composite = {k: assignment2[v] for k, v in images1.items()}
                 _check_pairs(composite, table, members, True)
                 transport(table.key, composite, forward)

@@ -2,11 +2,14 @@
 
 import itertools
 import pathlib
+import re
 
 import pytest
 
 from kbgeo import (
     DEFAULT_MAX_POINTS,
+    Model,
+    ModelError,
     Signature,
     VERDICT_WITNESSED,
     check_automorphic_equivalence,
@@ -56,11 +59,30 @@ def test_load_fixture_files_match_programmatic_models():
         assert tuple(str(e) for e in expected.carrier) == loaded.carrier
 
 
-def test_model_text_round_trip():
-    m = load_model(fixture("m_neg.kbm"))
+@pytest.mark.parametrize("name", sorted(name for name, _ in all_fixtures()))
+def test_model_text_round_trip(name):
+    m = load_model(fixture(f"{name}.kbm"))
     again = load_model_text(print_model(m), "round-trip")
     assert again == m
     assert print_model(again) == print_model(m)
+
+
+@pytest.mark.parametrize("carrier,bad", [
+    ((0, 1), 0),
+    (("a", "a#b"), "a#b"),
+    (("a,b", "c"), "a,b"),
+    (("a b", "c"), "a b"),
+    (("a", "a->b"), "a->b"),
+    (("", "a"), ""),
+    (("ok", "a b", "c#d"), "a b"),
+])
+def test_a_model_the_format_cannot_hold_is_refused(carrier, bad):
+    """An element that is not a non-empty string free of whitespace, '#',
+    ',' and '->' would not load back as itself: the first such is named."""
+    m = Model(Signature((("f", 1),), (("P", 1),)), carrier,
+              {"f": {(e,): e for e in carrier}}, {"P": [(carrier[-1],)]})
+    with pytest.raises(ModelError, match=f"^cannot write carrier element {re.escape(repr(bad))} "):
+        print_model(m)
 
 
 def test_loader_reports_line_numbers():

@@ -11,9 +11,11 @@ A new assertion about the command line goes here, as one more entry.
 """
 
 import dataclasses
+import os
 import pathlib
 import re
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -29,7 +31,8 @@ TIMEOUT = 60  # seconds, for an entry that sets none
 @dataclasses.dataclass(frozen=True)
 class Entry:
     """One run of `kbgeo ARGV` in a new directory holding `models` (file
-    name to text), with only PYTHONPATH and `env` in its environment.  It
+    name to text), with only PYTHONPATH, PYTHONDONTWRITEBYTECODE when the
+    test run has it set, and `env` in its environment.  It
     must exit with `code` within `timeout` seconds, and its output, stdout
     and stderr merged, must hold each of `lines` as a whole line.  If
     `output` is given it is the whole output, line for line, where a pattern
@@ -186,7 +189,7 @@ CONTRACT = [
     # over four variables, each checked on image dicts (exit 0: passed).
     Entry("duality-m_p-4-0", ("duality", fixture("m_p.kbm"), "--max-vars", "4", "--depth", "0",
                               "--format", "machine"),
-          lines=("failures: 0",)),
+          lines=("checked: 133798", "failures: 0")),
     # The widest push sweep the fixtures give: each composable pair over four
     # variables is one block that holds three pullback tables, its two
     # factors' and its composite's (exit 0: passed).
@@ -391,10 +394,13 @@ def check(entry: Entry, directory: pathlib.Path) -> None:
         limit = entry.address_space_kib * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    # A test run that writes no bytecode keeps its children from writing any.
+    passed = {name: value for name, value in os.environ.items()
+              if name == "PYTHONDONTWRITEBYTECODE"}
     try:
         done = subprocess.run(
             [sys.executable, "-m", "kbgeo.cli", *entry.argv], cwd=directory,
-            env={"PYTHONPATH": PACKAGE_ROOT, **entry.env}, timeout=entry.timeout,
+            env={"PYTHONPATH": PACKAGE_ROOT, **passed, **entry.env}, timeout=entry.timeout,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, encoding="utf-8",
             preexec_fn=None if entry.address_space_kib is None else limit_address_space)
     except subprocess.TimeoutExpired:
@@ -427,3 +433,21 @@ def test_a_broken_entry_fails(tmp_path, broken, message):
     entry = next(entry for entry in CONTRACT if entry.name == "renamevars")
     with pytest.raises(AssertionError, match=message):
         check(dataclasses.replace(entry, **broken), tmp_path)
+
+
+@pytest.mark.parametrize("setting, written", [("1", False), (None, True)])
+def test_a_run_that_writes_no_bytecode_keeps_its_children_from_writing_any(
+        tmp_path, monkeypatch, setting, written):
+    """With PYTHONDONTWRITEBYTECODE set, an entry run on a copy of the
+    package leaves no `__pycache__` in it; without, the child writes one."""
+    root = tmp_path / "root"
+    shutil.copytree(pathlib.Path(PACKAGE_ROOT) / "kbgeo", root / "kbgeo",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setitem(globals(), "PACKAGE_ROOT", str(root))
+    if setting is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+    (tmp_path / "run").mkdir()
+    check(next(entry for entry in CONTRACT if entry.name == "renamevars"), tmp_path / "run")
+    assert (root / "kbgeo" / "__pycache__").exists() == written

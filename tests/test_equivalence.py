@@ -1254,6 +1254,22 @@ def test_the_duality_sweep_and_the_description_functor_build_no_morphism(monkeyp
         assert build_description_iso(iso).passed, iso.phi.describe()
 
 
+def test_the_description_functor_reads_the_sweeps_composite_tables():
+    """After both sweeps over a knowledge base, the description functor of a
+    witness over it, with the identity phi or the renaming of x1 and x2,
+    adds no pullback table to its geometry: every composite it checks is
+    one the sweeps' rows hold."""
+    sig = model_neg().sig
+    for phi in (FormulaAutomorphism.identity(sig),
+                FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})):
+        kb = KnowledgeBase(model_neg(), 2, 1)
+        assert kb.check_duality().passed and kb.verify_push_functoriality().passed
+        iso = find_functor_iso(kb, kb, phi)
+        tables = len(kb.geometry._tables)
+        assert build_description_iso(iso).passed, phi.describe()
+        assert len(kb.geometry._tables) == tables
+
+
 def test_both_deciders_on_one_pair_build_each_model_s_sizes_once(monkeypatch):
     builds = counted_builds(monkeypatch)
     m1 = model_p()

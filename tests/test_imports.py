@@ -7,12 +7,15 @@ imports it from this one (the package's `__init__.py` re-exports that way).
 """
 
 import ast
+import functools
+import importlib
 import inspect
 from pathlib import Path
 
 import kbgeo
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kbgeo"
+PROBES = Path(__file__).resolve().parent.parent / "kbbench" / "probes.py"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -141,3 +144,21 @@ def test_only_the_knowledge_base_and_the_wrappers_take_a_depth():
                                "check_informational_equivalence",
                                "check_automorphic_equivalence", "substitution_generators"}
     assert takers("use_model_iso") == set()
+
+
+def test_every_benchmark_span_names_a_bound_function():
+    """Each (module, path) of the benchmark's `SPANS`, read from its source
+    without importing the benchmark, is bound on `kbgeo.<module>`, so a
+    renamed function fails here, not only in a traced benchmark run."""
+    tree = ast.parse(PROBES.read_text(), str(PROBES))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and any(
+                     isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets))
+    unbound = []
+    for name, module, path in spans:
+        try:
+            functools.reduce(getattr, path.split("."), importlib.import_module(f"kbgeo.{module}"))
+        except AttributeError:
+            unbound.append(name)
+    assert spans
+    assert unbound == []
