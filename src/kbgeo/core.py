@@ -236,6 +236,11 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 200
 
 
+# The kind of the sentinel token that ends every `TokenStream`; no text
+# token has it, since a token's kind is "name" or its symbol.
+END = "end"
+
+
 def too_deep(position: int) -> ParseError:
     """The error for a text that passes `MAX_NESTING` at `position`."""
     return ParseError(f"input nested deeper than {MAX_NESTING} levels", position=position)
@@ -244,14 +249,16 @@ def too_deep(position: int) -> ParseError:
 class TokenStream:
     """Cursor over the tokens of a text, with one-token lookahead.
 
-    `depth` is the nesting level at the cursor, and `deepest` the deepest
-    level the term parser has entered since a caller last set it; the
-    formula parser sets both before it reads terms."""
+    The token list ends with a sentinel, `END` at the text's length, so
+    `peek` never runs out and no token test needs a length check; `next`
+    refuses to pass it.  `depth` is the nesting level at the cursor, and
+    `deepest` the deepest level the term parser has entered since a caller
+    last set it; the formula parser sets both before it reads terms."""
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
+        self.tokens.append((END, "", len(text)))
         self.pos = 0
-        self.length = len(text)
         self.depth = 0
         self.deepest = 0
 
@@ -264,15 +271,13 @@ class TokenStream:
                 raise too_deep(position)
             self.deepest = self.depth
 
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
 
     def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", position=self.length)
+        tok = self.tokens[self.pos]
+        if tok[0] is END:
+            raise ParseError("unexpected end of input", position=tok[2])
         self.pos += 1
         return tok
 
@@ -283,8 +288,7 @@ class TokenStream:
         return tok
 
     def match(self, kind: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[0] == kind:
+        if self.tokens[self.pos][0] == kind:
             self.pos += 1
             return True
         return False
@@ -300,8 +304,8 @@ class TokenStream:
         return items
 
     def require_done(self) -> None:
-        tok = self.peek()
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok[0] is not END:
             raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
 
 
@@ -310,8 +314,7 @@ def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
     kind, name, pos = ts.next()
     if kind != "name":
         raise ParseError(f"expected a term, found {name!r}", position=pos)
-    nxt = ts.peek()
-    if nxt is not None and nxt[0] == "(":
+    if ts.peek()[0] == "(":
         arity = sig.op_arity(name)
         if arity is None:
             raise ParseError(f"unknown operation {name}", position=pos)
@@ -465,7 +468,8 @@ class Model:
     and `rel_tables` are mapping proxies, each op table refuses assignment,
     and each relation table is a frozenset; any mutation raises `TypeError`.
     Its knowledge bases, geometries and lattices are memos of its tables,
-    and `categories.knowledge_base` reuses them by the model's identity.
+    and `categories.knowledge_base` and the geometry resolver of
+    `semantics` reuse them by the model's identity.
     """
 
     def __init__(self, sig: Signature, carrier, op_tables=None, rel_tables=None):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
+    END,
     MAX_NESTING,
     MismatchError,
     ParseError,
@@ -204,7 +205,7 @@ def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int,
     left, height = _parse_unary(ts, ctx, depth)
     while True:
         tok = ts.peek()
-        node = _INFIX.get(tok[0]) if tok is not None else None
+        node = _INFIX.get(tok[0])
         if node is None or _PRECS[node] < min_prec:
             return left, height
         if depth + height >= MAX_NESTING:
@@ -219,10 +220,9 @@ def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int,
 
 def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Formula, int]:
     """A prefix formula at nesting level `depth`, with its height."""
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("unexpected end of input", position=ts.length)
-    kind, value, pos = tok
+    kind, value, pos = ts.peek()
+    if kind is END:
+        raise ParseError("unexpected end of input", position=pos)
     if depth >= MAX_NESTING and (kind in ("!", "(") or value in ("exists", "forall", "subst")):
         raise too_deep(pos)
     if kind == "!":
@@ -281,9 +281,8 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Form
     # anything else must start an equality between terms
     left = parse_term_stream(ts, ctx.sig, ctx.varset)
     eq = ts.peek()
-    if eq is None or eq[0] != "=":
-        raise ParseError("expected '=' after a bare term",
-                         position=eq[2] if eq else ts.length)
+    if eq[0] != "=":
+        raise ParseError("expected '=' after a bare term", position=eq[2])
     if not ctx.sig.with_equality:
         raise ParseError("equality is not enabled in this signature", position=eq[2])
     ts.next()
@@ -330,10 +329,15 @@ def _check_node(f: Formula, ctx: FormulaContext, checked: set) -> None:
     """check_formula on one node.  `checked` holds the identities of the nodes
     already validated in ctx, which its owner keeps alive: they are skipped,
     and a node joins once it passes.  A substitution body lives over another
-    context, so it starts a set of its own."""
-    if isinstance(f, (TrueF, FalseF)):
-        return
-    if isinstance(f, Atom):
+    context, so it starts a set of its own.  Dispatch is on the exact node
+    class, as in `_render`."""
+    kind = type(f)
+    if kind is And or kind is Or or kind is Implies:
+        check_formula(f.left, ctx, checked)
+        check_formula(f.right, ctx, checked)
+    elif kind is Not:
+        check_formula(f.body, ctx, checked)
+    elif kind is Atom:
         arity = ctx.sig.rel_arity(f.rel)
         if arity is None:
             raise SignatureError(f"unknown relation {f.rel}")
@@ -341,34 +345,24 @@ def _check_node(f: Formula, ctx: FormulaContext, checked: set) -> None:
             raise SignatureError(f"relation {f.rel} expects {arity} arguments, got {len(f.args)}")
         for t in f.args:
             check_term(t, ctx.sig, ctx.varset)
-        return
-    if isinstance(f, Equal):
+    elif kind is Exists or kind is Forall:
+        if f.var not in ctx.varset:
+            raise MismatchError(f"quantified variable {f.var} not in {ctx.varset}")
+        check_formula(f.body, ctx, checked)
+    elif kind is Equal:
         if not ctx.sig.with_equality:
             raise SignatureError("equality is not enabled in this signature")
         check_term(f.left, ctx.sig, ctx.varset)
         check_term(f.right, ctx.sig, ctx.varset)
-        return
-    if isinstance(f, Not):
-        check_formula(f.body, ctx, checked)
-        return
-    if isinstance(f, (And, Or, Implies)):
-        check_formula(f.left, ctx, checked)
-        check_formula(f.right, ctx, checked)
-        return
-    if isinstance(f, (Exists, Forall)):
-        if f.var not in ctx.varset:
-            raise MismatchError(f"quantified variable {f.var} not in {ctx.varset}")
-        check_formula(f.body, ctx, checked)
-        return
-    if isinstance(f, SubstNode):
+    elif kind is SubstNode:
         if f.subst.target != ctx.varset:
             raise MismatchError(
                 f"substitution targets {f.subst.target}, context is over {ctx.varset}")
         for t in f.subst.images:
             check_term(t, ctx.sig, ctx.varset)
         check_formula(f.body, FormulaContext(ctx.sig, f.subst.source), set())
-        return
-    raise SignatureError(f"not a formula: {f!r}")
+    elif kind is not TrueF and kind is not FalseF:
+        raise SignatureError(f"not a formula: {f!r}")
 
 
 def _mentions_quantifier(f: Formula) -> bool:

@@ -311,7 +311,8 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     which fixes the witnesses.
 
     The space comes from `geometry`, the model's geometry, which holds the
-    point bound; without one, from a fresh geometry under the default bound.
+    point bound; without one, from the model's kept geometry under the
+    default bound (`semantics._model_geometry`).
     """
     space = _model_geometry(model, geometry).space(varset)
     clone = term_functions(space, max_term_depth)

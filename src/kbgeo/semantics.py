@@ -24,17 +24,29 @@ them from the substitution's table, `Geometry.table(subst)`, whether it
 moves one mask or many.  Every space knows its geometry, so a point set
 reaches the other end of a substitution through `pset.space.geometry`.
 Each table also memoizes transport per mask, so a mask moves along a
-substitution once per direction and later calls are dict lookups.  The memo grows with the distinct
-masks moved; inside the package those are lattice members.
+substitution once per direction and later calls are dict lookups.  The
+memo grows with the distinct masks moved; inside the package those are
+lattice members and the masks of substitution nodes' bodies.
 
 A space is also the one context for valuing formulas and comparing sets: a
 valuation of a space checks each formula before it values it, and every
 entry values through one, so none values an unchecked formula.  Two point
 sets share a space exactly when their `PointSpace`s are equal.
+
+A call given no geometry values over its model's kept geometry under the
+default bound (`_model_geometry`): each thread keeps the geometries of the
+two models it most recently resolved, by identity, so queries on one model
+reuse its spaces, columns and tables, while each call still checks and
+values its formula through a valuation of its own.  A kept geometry keeps
+its model, spaces and tables alive, the memos of the tables its
+substitution nodes move masks through included, until two other models
+are resolved in its thread; then a set or lattice built over it keeps it
+alive as long as that lives, and otherwise the cyclic collector frees it.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import chain, product, repeat
 from operator import eq
@@ -227,8 +239,9 @@ class Geometry:
     one pull list per class for as long as the geometry lives; a sweep that
     checks each class once reads it.
     Each table memoizes `preimage` and `image` per mask, so its memory
-    grows with the distinct masks moved along its substitution; every
-    caller inside the package moves lattice members only.  Masks over
+    grows with the distinct masks moved along its substitution; inside the
+    package those are lattice members and the masks of substitution nodes'
+    bodies.  Masks over
     equal spaces of different geometries are interchangeable, since the
     enumeration order is fixed by model and varset.
     """
@@ -263,15 +276,44 @@ class Geometry:
 
 def enumerate_points(model: Model, varset: VarSet) -> PointSpace:
     """Build the assignment space in a fresh geometry under the default
-    bound; a caller with a bound of its own asks its `Geometry.space`."""
+    bound, which no later call shares; a caller with a bound of its own asks
+    its `Geometry.space`."""
     return Geometry(model).space(varset)
 
 
+# How many geometries `_model_geometry` keeps per thread: one call values
+# over one model, and a caller alternating two models keeps both.
+RESOLVED_GEOMETRIES = 2
+
+
+class _Resolved(threading.local):
+    """Each thread's kept geometries, least recently resolved first, so that
+    no two threads share one through the resolver."""
+
+    def __init__(self):
+        self.geometries: list[Geometry] = []
+
+
+_resolved = _Resolved()
+
+
 def _model_geometry(model: Model, geometry: Optional[Geometry]) -> Geometry:
-    """`geometry`, which must be the model's; without one, a fresh geometry
-    under the default bound."""
+    """`geometry`, which must be the model's.  Without one, the geometry
+    under the default bound of one of the `RESOLVED_GEOMETRIES` models most
+    recently resolved in this thread, when it is this very object (`is`, not
+    `Model.__eq__`), and otherwise a new one, which evicts the least
+    recently resolved."""
     if geometry is None:
-        return Geometry(model)
+        kept = _resolved.geometries
+        for i, geometry in enumerate(kept):
+            if geometry.model is model:
+                del kept[i]
+                break
+        else:
+            geometry = Geometry(model)
+        kept.append(geometry)
+        del kept[:-RESOLVED_GEOMETRIES]
+        return geometry
     if geometry.model != model:
         raise MismatchError("geometry belongs to another model")
     return geometry
@@ -456,30 +498,33 @@ def _formula_mask(f: Formula, space: PointSpace, memo: dict) -> int:
 
 
 def _node_mask(f: Formula, space: PointSpace, memo: dict) -> int:
-    if isinstance(f, TrueF):
-        return space.full_mask
-    if isinstance(f, FalseF):
-        return 0
-    if isinstance(f, Atom):
+    """One node's mask, its children's from `memo`.  Dispatch is on the
+    exact node class, as in `formulas._render`."""
+    kind = type(f)
+    if kind is And:
+        return _formula_mask(f.left, space, memo) & _formula_mask(f.right, space, memo)
+    if kind is Or:
+        return _formula_mask(f.left, space, memo) | _formula_mask(f.right, space, memo)
+    if kind is Not:
+        return space.full_mask & ~_formula_mask(f.body, space, memo)
+    if kind is Atom:
         return _atom_mask(space.model.rel_tables[f.rel],
                           [_term_columns(t, space) for t in f.args])
-    if isinstance(f, Equal):
+    if kind is Exists:
+        return _exists_mask(_formula_mask(f.body, space, memo), space, f.var)
+    if kind is Equal:
         return _equal_mask(_term_columns(f.left, space), _term_columns(f.right, space))
-    if isinstance(f, Not):
-        return space.full_mask & ~_formula_mask(f.body, space, memo)
-    if isinstance(f, And):
-        return _formula_mask(f.left, space, memo) & _formula_mask(f.right, space, memo)
-    if isinstance(f, Or):
-        return _formula_mask(f.left, space, memo) | _formula_mask(f.right, space, memo)
-    if isinstance(f, Implies):
+    if kind is TrueF:
+        return space.full_mask
+    if kind is FalseF:
+        return 0
+    if kind is Implies:
         return ((space.full_mask & ~_formula_mask(f.left, space, memo))
                 | _formula_mask(f.right, space, memo))
-    if isinstance(f, Exists):
-        return _exists_mask(_formula_mask(f.body, space, memo), space, f.var)
-    if isinstance(f, Forall):
+    if kind is Forall:
         inner = space.full_mask & ~_formula_mask(f.body, space, memo)
         return space.full_mask & ~_exists_mask(inner, space, f.var)
-    if isinstance(f, SubstNode):
+    if kind is SubstNode:
         geometry = space.geometry
         inner = _formula_mask(f.body, geometry.space(f.subst.source), {})
         return geometry.table(f.subst).preimage(inner)
@@ -492,7 +537,8 @@ def satisfying_points(f: Formula, model: Model, varset: VarSet, *,
     checked and valued from scratch over the space.
 
     The space comes from `geometry`, the model's geometry, which holds the
-    point bound; without one, from a fresh geometry under the default bound.
+    point bound; without one, from the model's kept geometry under the
+    default bound (`_model_geometry`).
     """
     space = _model_geometry(model, geometry).space(varset)
     return PointSet(space, _Valuation(space).mask(f))
@@ -510,7 +556,8 @@ def points_satisfying_all(formulas, model: Model, varset: VarSet, *,
                           geometry: Optional[Geometry] = None) -> PointSet:
     """Common solutions of a formula collection, checked and valued through
     one valuation of the space, so a subformula the formulas share is valued
-    once; the empty collection gives the full space."""
+    once; the empty collection gives the full space.  The space comes from
+    `geometry` or the model's kept geometry, as in `satisfying_points`."""
     valuation = _Valuation(_model_geometry(model, geometry).space(varset))
     mask = valuation.space.full_mask
     for f in tuple(formulas):  # held, so no valued node's identity is reused

@@ -53,11 +53,14 @@ from kbgeo.formulas import (
     Atom,
     Equal,
     Exists,
+    FalseF,
     Forall,
     Formula,
     Implies,
     Not,
     Or,
+    SubstNode,
+    TrueF,
     atomic_formulas,
 )
 
@@ -516,6 +519,41 @@ def brute_composites(model: Model, subst) -> list:
         env = dict(zip(subst.target.names, row))
         out.append(source_rows.index(tuple(eval_term(t, env, model) for t in subst.images)))
     return out
+
+
+def brute_holds(f: Formula, env: dict, model: Model) -> bool:
+    """Truth of a formula at one assignment, one node at a time: terms by
+    eval_term, a quantifier by trying every carrier element, and a
+    substitution node at the assignment its images evaluate to."""
+    if isinstance(f, Atom):
+        return tuple(eval_term(t, env, model) for t in f.args) in model.rel_tables[f.rel]
+    if isinstance(f, Equal):
+        return eval_term(f.left, env, model) == eval_term(f.right, env, model)
+    if isinstance(f, Not):
+        return not brute_holds(f.body, env, model)
+    if isinstance(f, And):
+        return brute_holds(f.left, env, model) and brute_holds(f.right, env, model)
+    if isinstance(f, Or):
+        return brute_holds(f.left, env, model) or brute_holds(f.right, env, model)
+    if isinstance(f, Implies):
+        return not brute_holds(f.left, env, model) or brute_holds(f.right, env, model)
+    if isinstance(f, (Exists, Forall)):
+        found = (brute_holds(f.body, {**env, f.var: e}, model) for e in model.carrier)
+        return any(found) if isinstance(f, Exists) else all(found)
+    if isinstance(f, SubstNode):
+        return brute_holds(f.body, {name: eval_term(t, env, model) for name, t
+                                    in zip(f.subst.source.names, f.subst.images)}, model)
+    if isinstance(f, (TrueF, FalseF)):
+        return isinstance(f, TrueF)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def brute_formula_mask(f: Formula, model: Model, n: int) -> int:
+    """The points over the canonical variable set of size n, in enumeration
+    order, at which `brute_holds` finds the formula true."""
+    names = canonical_varset(n).names
+    return sum(1 << p for p, row in enumerate(brute_rows(model, n))
+               if brute_holds(f, dict(zip(names, row)), model))
 
 
 def brute_preimage(composites: list, mask: int) -> int:

@@ -180,6 +180,17 @@ CONTRACT = [
                                 "--formula", "!" * count + "P(x1)"),
             code=65, output=("error: input nested deeper than 200 levels (at offset 200)",))
       for count in (600, 1200)),
+    # eval values a substitution node's body over its source space in the
+    # flag's bound: three variables over m_p are 8 points, past a bound of 4
+    # (exit 65, with the bound named) and within one of 8 (exit 0).
+    Entry("subst-source-past-bound",
+          ("eval", fixture("m_p.kbm"), "--vars", "x1", "--formula",
+           "subst {x1 := x1, x2 := x1, x3 := x1} P(x3)", "--max-points", "4"),
+          code=65, output=("error: 8 points exceed the bound 4",)),
+    Entry("subst-source-within-bound",
+          ("eval", fixture("m_p.kbm"), "--vars", "x1", "--formula",
+           "subst {x1 := x1, x2 := x1, x3 := x1} P(x3)", "--max-points", "8"),
+          lines=("count: 1", "points: {(1)}")),
     # The two category sweeps (exit 0: passed).
     Entry("duality-m_p", ("duality", fixture("m_p.kbm"), "--format", "machine"),
           lines=("failures: 0",)),

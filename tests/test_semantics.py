@@ -1,23 +1,35 @@
 """Point spaces, formula valuations, quantifiers, and substitution actions."""
 
+import functools
 import itertools
 import random
+import threading
 
 import pytest
 
 from kbgeo import (
+    And,
     Atom,
     BoundError,
     FormulaContext,
     Geometry,
+    Not,
     OpApp,
+    Point,
     PointSet,
     PointSpace,
+    SignatureError,
     Substitution,
+    SubstNode,
+    TRUE,
+    Var,
+    build_filter_lattice,
     canonical_varset,
     enumerate_points,
     enumerate_substitutions,
     eval_term,
+    filter_preimage,
+    generate_definable_algebra,
     holds_at,
     holds_on_all,
     parse_formula,
@@ -33,6 +45,7 @@ from kbgeo.semantics import _exists_mask, pullback_indices
 from helpers import (
     all_fixtures,
     brute_composites,
+    brute_formula_mask,
     brute_image,
     brute_preimage,
     brute_rows,
@@ -42,6 +55,7 @@ from helpers import (
     model_neg,
     model_p,
     model_pq1,
+    random_query,
     seeded_models,
 )
 
@@ -282,3 +296,146 @@ def test_value_columns_match_pointwise_evaluation(name, model):
         for s in [Substitution(source, target, (constant,) * a)] + sample:
             assert pullback_indices(s, g.space(source), g.space(target)) \
                 == brute_composites(model, s)
+
+
+def _subst_queries(rng, model, n: int, count: int) -> list:
+    """Substitution nodes into the canonical variable set of size n, each
+    over a random query of one to three variables."""
+    target, out = canonical_varset(n), []
+    for _ in range(count):
+        a = rng.randint(1, 3)
+        substs = enumerate_substitutions(model.sig, canonical_varset(a), target, 1)
+        out.append(SubstNode(rng.choice(substs), random_query(rng, model.sig, a, 1, 3)))
+    return out
+
+
+@pytest.mark.parametrize("name,model", all_fixtures() + seeded_models())
+def test_kept_geometry_values_as_a_fresh_one_and_the_pointwise_oracle(name, model):
+    """The module-level calls, which value over the model's kept geometry,
+    give what a fresh geometry and evaluation one point at a time give, with
+    the kept geometry evicted now and then by two other models."""
+    rng = random.Random(name)
+    others = (model_p(), model_neg())
+    for n in (1, 2, 3):
+        varset = canonical_varset(n)
+        queries = [random_query(rng, model.sig, n, 1) for _ in range(30)]
+        queries += _subst_queries(rng, model, n, 6)
+        expected = [brute_formula_mask(f, model, n) for f in queries]
+        for i, (f, want) in enumerate(zip(queries, expected)):
+            if i % 7 == 6:
+                for other in others:
+                    satisfying_points(TRUE, other, varset)
+            assert satisfying_points(f, model, varset).mask == want, str(f)
+            assert satisfying_points(f, model, varset, geometry=Geometry(model)).mask == want
+            index = rng.randrange(len(model.carrier) ** n)
+            point = Point(varset, brute_rows(model, n)[index])
+            assert holds_at(point, f, model) == bool(want >> index & 1)
+        common = functools.reduce(int.__and__, expected[::6])  # the last a substitution node
+        assert points_satisfying_all(queries[::6], model, varset).mask == common
+        assert points_satisfying_all(queries[::6], model, varset,
+                                     geometry=Geometry(model)).mask == common
+
+
+def _geometry_of(model, n: int = 1) -> Geometry:
+    return satisfying_points(TRUE, model, canonical_varset(n)).space.geometry
+
+
+def test_calls_on_one_model_object_share_its_kept_geometry():
+    m = model_p()
+    one, two = canonical_varset(1), canonical_varset(2)
+    f = parse_formula("P(x1)", FormulaContext(m.sig, one))
+    first = satisfying_points(f, m, one)
+    assert satisfying_points(f, m, one).space is first.space
+    assert points_satisfying_all([f], m, one).space is first.space
+    assert _geometry_of(m, 2) is first.space.geometry
+    assert generate_definable_algebra(m, two).space is first.space.geometry.space(two)
+    twin = model_p()
+    assert twin == m
+    assert _geometry_of(twin) is not first.space.geometry
+    assert _geometry_of(twin).space(one) is not first.space
+
+
+def test_a_third_model_evicts_the_least_recently_resolved_geometry():
+    m1, m2, m3 = model_p(), model_neg(), model_eq()
+    g1, g2 = _geometry_of(m1), _geometry_of(m2)
+    assert _geometry_of(m1) is g1  # m2 is now the least recently resolved
+    g3 = _geometry_of(m3)
+    assert _geometry_of(m1) is g1
+    assert _geometry_of(m3) is g3
+    assert _geometry_of(m2) is not g2
+
+
+def test_another_thread_resolves_its_own_geometry():
+    m = model_p()
+    mine = _geometry_of(m)
+    theirs = []
+    thread = threading.Thread(target=lambda: theirs.append(_geometry_of(m)))
+    thread.start()
+    thread.join()
+    assert theirs[0] is not mine and theirs[0].model is m
+    assert _geometry_of(m) is mine
+
+
+def test_a_lattice_outlives_the_eviction_of_its_kept_geometry():
+    m = model_neg()
+    one, two = canonical_varset(1), canonical_varset(2)
+    s = Substitution.of(one, two, {"x1": parse_term("neg(x2)", m.sig, two)})
+    source, target = build_filter_lattice(m, one), build_filter_lattice(m, two)
+    for other in (model_p(), model_eq()):
+        _geometry_of(other)
+    assert _geometry_of(m) is not source.algebra.space.geometry
+    g = Geometry(m)
+    fresh_source = build_filter_lattice(m, one, geometry=g)
+    fresh_target = build_filter_lattice(m, two, geometry=g)
+    for mask in target.algebra.masks:
+        got = filter_preimage(s, target.filter_for_mask(mask), source)
+        want = filter_preimage(s, fresh_target.filter_for_mask(mask), fresh_source)
+        assert got.mask == want.mask
+
+
+def test_a_given_bound_holds_after_the_default_geometry_is_kept():
+    """No path falls back to the kept geometry's default bound when the
+    caller passes a geometry of its own."""
+    m = model_p()
+    three = canonical_varset(3)
+    f = parse_formula("P(x3)", FormulaContext(m.sig, three))
+    assert satisfying_points(f, m, three).space.size == 8
+    narrow = Geometry(m, 4)
+    calls = (lambda: satisfying_points(f, m, three, geometry=narrow),
+             lambda: points_satisfying_all([f], m, three, geometry=narrow),
+             lambda: holds_at(_geometry_of(m, 3).space(three).point(0), f, m, geometry=narrow),
+             lambda: generate_definable_algebra(m, three, geometry=narrow),
+             lambda: build_filter_lattice(m, three, geometry=narrow))
+    for call in calls:
+        with pytest.raises(BoundError, match="^8 points exceed the bound 4$"):
+            call()
+
+
+def test_a_check_error_comes_before_a_bound_error_of_a_substitution_source():
+    m = model_p()
+    one = canonical_varset(1)
+    x1 = Var("x1")
+    spread = SubstNode(Substitution(canonical_varset(3), one, (x1, x1, x1)),
+                       Atom("P", (Var("x3"),)))
+    with pytest.raises(BoundError, match="^8 points exceed the bound 4$"):
+        satisfying_points(spread, m, one, geometry=Geometry(m, 4))
+    with pytest.raises(SignatureError, match="^unknown relation Q$"):
+        satisfying_points(And(spread, Atom("Q", (x1,))), m, one, geometry=Geometry(m, 4))
+
+
+@pytest.mark.parametrize("f", ["P(x1)", And(TRUE, 42), Not(None)])
+def test_a_non_formula_is_refused_by_the_check(f):
+    m = model_p()
+    with pytest.raises(SignatureError, match="^not a formula: "):
+        satisfying_points(f, m, canonical_varset(1))
+
+
+def test_a_failed_check_leaves_the_algebras_masks_unchanged():
+    m = model_neg()
+    algebra = generate_definable_algebra(m, canonical_varset(2), geometry=Geometry(m))
+    valuation = algebra._valuation
+    witness = algebra.member(algebra.masks[-1]).witness
+    before = dict(valuation.masks)
+    with pytest.raises(SignatureError, match="^unknown relation Q$"):
+        valuation.mask(And(Not(witness), Atom("Q", (Var("x1"),))))
+    assert valuation.masks == before
