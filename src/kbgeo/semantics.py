@@ -34,14 +34,15 @@ entry values through one, so none values an unchecked formula.  Two point
 sets share a space exactly when their `PointSpace`s are equal.
 
 A call given no geometry values over its model's kept geometry under the
-default bound (`_model_geometry`): each thread keeps the geometries of the
-two models it most recently resolved, by identity, so queries on one model
-reuse its spaces, columns and tables, while each call still checks and
-values its formula through a valuation of its own.  A kept geometry keeps
-its model, spaces and tables alive, the memos of the tables its
-substitution nodes move masks through included, until two other models
-are resolved in its thread; then a set or lattice built over it keeps it
-alive as long as that lives, and otherwise the cyclic collector frees it.
+default bound (`_model_geometry`): each thread keeps the geometry of the
+last model object it resolved, by identity, so queries on one model reuse
+its spaces, columns and tables, while each call still checks and values
+its formula through a valuation of its own.  A kept geometry keeps its
+model, spaces and tables alive, the memos of the tables its substitution
+nodes move masks through included, until another model is resolved in its
+thread; then a set or lattice built over it keeps it alive as long as that
+lives, and otherwise the cyclic collector frees it.  A caller who wants
+them freed with its results passes a `Geometry` of its own.
 """
 
 from __future__ import annotations
@@ -281,38 +282,20 @@ def enumerate_points(model: Model, varset: VarSet) -> PointSpace:
     return Geometry(model).space(varset)
 
 
-# How many geometries `_model_geometry` keeps per thread: one call values
-# over one model, and a caller alternating two models keeps both.
-RESOLVED_GEOMETRIES = 2
-
-
-class _Resolved(threading.local):
-    """Each thread's kept geometries, least recently resolved first, so that
-    no two threads share one through the resolver."""
-
-    def __init__(self):
-        self.geometries: list[Geometry] = []
-
-
-_resolved = _Resolved()
+# Each thread's kept geometry, so that no two threads share one through
+# `_model_geometry`.
+_kept = threading.local()
 
 
 def _model_geometry(model: Model, geometry: Optional[Geometry]) -> Geometry:
     """`geometry`, which must be the model's.  Without one, the geometry
-    under the default bound of one of the `RESOLVED_GEOMETRIES` models most
-    recently resolved in this thread, when it is this very object (`is`, not
-    `Model.__eq__`), and otherwise a new one, which evicts the least
-    recently resolved."""
+    under the default bound this thread keeps for this very model object
+    (`is`, not `Model.__eq__`), and otherwise a new one, which replaces the
+    kept one."""
     if geometry is None:
-        kept = _resolved.geometries
-        for i, geometry in enumerate(kept):
-            if geometry.model is model:
-                del kept[i]
-                break
-        else:
-            geometry = Geometry(model)
-        kept.append(geometry)
-        del kept[:-RESOLVED_GEOMETRIES]
+        geometry = getattr(_kept, "geometry", None)
+        if geometry is None or geometry.model is not model:
+            geometry = _kept.geometry = Geometry(model)
         return geometry
     if geometry.model != model:
         raise MismatchError("geometry belongs to another model")

@@ -313,9 +313,9 @@ def _subst_queries(rng, model, n: int, count: int) -> list:
 def test_kept_geometry_values_as_a_fresh_one_and_the_pointwise_oracle(name, model):
     """The module-level calls, which value over the model's kept geometry,
     give what a fresh geometry and evaluation one point at a time give, with
-    the kept geometry evicted now and then by two other models."""
+    the kept geometry replaced now and then by another model."""
     rng = random.Random(name)
-    others = (model_p(), model_neg())
+    other = model_neg()
     for n in (1, 2, 3):
         varset = canonical_varset(n)
         queries = [random_query(rng, model.sig, n, 1) for _ in range(30)]
@@ -323,8 +323,7 @@ def test_kept_geometry_values_as_a_fresh_one_and_the_pointwise_oracle(name, mode
         expected = [brute_formula_mask(f, model, n) for f in queries]
         for i, (f, want) in enumerate(zip(queries, expected)):
             if i % 7 == 6:
-                for other in others:
-                    satisfying_points(TRUE, other, varset)
+                satisfying_points(TRUE, other, varset)
             assert satisfying_points(f, model, varset).mask == want, str(f)
             assert satisfying_points(f, model, varset, geometry=Geometry(model)).mask == want
             index = rng.randrange(len(model.carrier) ** n)
@@ -355,14 +354,14 @@ def test_calls_on_one_model_object_share_its_kept_geometry():
     assert _geometry_of(twin).space(one) is not first.space
 
 
-def test_a_third_model_evicts_the_least_recently_resolved_geometry():
-    m1, m2, m3 = model_p(), model_neg(), model_eq()
-    g1, g2 = _geometry_of(m1), _geometry_of(m2)
-    assert _geometry_of(m1) is g1  # m2 is now the least recently resolved
-    g3 = _geometry_of(m3)
+def test_another_model_replaces_the_kept_geometry():
+    m1, m2 = model_p(), model_neg()
+    g1 = _geometry_of(m1)
     assert _geometry_of(m1) is g1
-    assert _geometry_of(m3) is g3
-    assert _geometry_of(m2) is not g2
+    g2 = _geometry_of(m2)
+    assert g2 is not g1 and g2.model is m2
+    assert _geometry_of(m2) is g2
+    assert _geometry_of(m1) is not g1
 
 
 def test_another_thread_resolves_its_own_geometry():
@@ -381,8 +380,7 @@ def test_a_lattice_outlives_the_eviction_of_its_kept_geometry():
     one, two = canonical_varset(1), canonical_varset(2)
     s = Substitution.of(one, two, {"x1": parse_term("neg(x2)", m.sig, two)})
     source, target = build_filter_lattice(m, one), build_filter_lattice(m, two)
-    for other in (model_p(), model_eq()):
-        _geometry_of(other)
+    _geometry_of(model_p())
     assert _geometry_of(m) is not source.algebra.space.geometry
     g = Geometry(m)
     fresh_source = build_filter_lattice(m, one, geometry=g)
