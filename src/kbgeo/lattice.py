@@ -18,10 +18,13 @@ Every member carries a witness formula that evaluates exactly to its point
 set.  The witnesses come from the split tree that made the atoms, so they
 share subformulas: a cut's negation is one node, and so is its conjunction,
 or its negation's, with a witness.  An algebra keeps that tree, its witness
-memo and one valuation of its space, keyed on node identity.  A build
-checks each block's witness through it, and a member is built and checked
-through it when first asked for, then cached, so each shared node is
-checked and valued once.
+memo, one valuation of its space and one text per rendered node, the last
+two keyed on node identity; the tree and the memo keep every keyed node
+alive as long as the algebra, so no identity is reused.  A build checks
+each block's witness through the valuation, a member is built and checked
+through it when first asked for, then cached, and a dump renders through
+the texts, so each shared node is checked, valued and rendered once per
+algebra.
 A closed filter is represented by its dual definable set.
 """
 
@@ -202,6 +205,7 @@ class DefinableAlgebra:
         self._witness = witness
         self._valuation = valuation
         self._members: dict[int, DefinableSet] = {}
+        self._texts: dict[int, str] = {}  # node id -> text without parentheses
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -220,7 +224,7 @@ class DefinableAlgebra:
     def member(self, mask: int) -> DefinableSet:
         dset = self._members.get(mask)
         if dset is None:
-            if mask not in self.index:
+            if self.close(mask) != mask:
                 raise DefinabilityError(f"mask {mask:#x} is not definable here")
             dset = self._members[mask] = DefinableSet(PointSet(self.space, mask),
                                                       self._witness(mask), self._valuation)
@@ -257,8 +261,8 @@ class DefinableAlgebra:
 
     def dump_lines(self) -> list[str]:
         """One line per member, sorted by mask: hex mask, cardinality, witness;
-        each subformula the witnesses share is rendered once per call."""
-        member, texts = self.member, {}  # node id -> text without parentheses
+        each subformula the witnesses share is rendered once per algebra."""
+        member, texts = self.member, self._texts
         return [f"{hex(mask)} {mask.bit_count()} {_render(member(mask).witness, 0, texts)}"
                 for mask in self.index]
 
@@ -309,6 +313,11 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     built only when it splits a block.  The blocks it splits are split in
     the order they were made, and their parts are appended in that order,
     which fixes the witnesses.
+
+    Two kinds of projection cut are never made, since neither can split: one
+    along the only variable, whose projection of a nonempty block is the
+    whole space, and any once the partition is discrete, every point its own
+    block.  Each block's witness is still checked.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from the model's kept geometry under the
@@ -393,8 +402,9 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         block = pending.pop()
         body = witness(block)
         _check_witness(block, body, valuation)
-        for var in varset.names:
-            pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
+        if len(varset) > 1 and len(blocks) < space.size:
+            for var in varset.names:
+                pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
 
     return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
 

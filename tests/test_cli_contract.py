@@ -74,6 +74,9 @@ NAMED_IMAGE = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 2\nrel Q: 0\n"
 R1 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"
 R2 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel Q: 0\nrel R: 0\nrel R: 1\n"
 P3 = "carrier: 0 1 2\nrel P 1\nrel P: 0\n"
+# Four elements, each with its own pair of P and Q values, so over two
+# variables the seeds alone make each of the 16 points an atom.
+PQ4 = "carrier: 0 1 2 3\nrel P 1\nrel Q 1\nrel P: 0\nrel P: 1\nrel Q: 1\nrel Q: 2\n"
 C6 = graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
 TT = graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 # The model with f: 0->0, 1->1, 2->0 and P everything: over {x1} its algebra
@@ -263,6 +266,14 @@ CONTRACT = [
                   "saturated: yes", "members:", "0x0 0 false",
                   *(re.compile(rf"0x{mask:x} {mask.bit_count()} \S.*") for mask in range(1, 511)),
                   "0x1ff 9 true")),
+    # A discrete partition from the seeds: the build makes no projection cut,
+    # and the dump lists all 65,536 members within 900 MB of address space
+    # (exit 0).
+    Entry("discrete-dump-2", ("lattice", "pq.kbm", "--vars", "x1,x2", "--dump"),
+          models={"pq.kbm": PQ4},
+          lines=("size: 65536", "0x0 0 false", "0x1 1 P(x1) & (P(x2) & (!Q(x1) & !Q(x2)))",
+                 "0xffff 16 true"),
+          address_space_kib=900000),
     # A constant c = 1 beside P = {0}: the constant's value column holds c
     # at every point, so x1 = c cuts the complement of P (exit 0).
     Entry("constant-dump", ("lattice", "c.kbm", "--vars", "x1", "--dump"),

@@ -1,5 +1,6 @@
 """Definable-set algebras, closure, and the filter lattices dual to them."""
 
+import gc
 import hashlib
 import itertools
 import pathlib
@@ -38,7 +39,7 @@ from kbgeo import (
     points_satisfying_all,
     satisfying_points,
 )
-from kbgeo import lattice
+from kbgeo import formulas, lattice
 from kbgeo.core import TermFunction, TermFunctionSet, term_functions
 from kbgeo.formulas import And, Atom, Formula, Not
 from helpers import (
@@ -386,6 +387,12 @@ def test_dump_lines_are_sorted_and_witnessed():
     assert any("P(x1)" in line for line in lines)
 
 
+def fresh_lines(algebra) -> list:
+    """The dump lines of `algebra`, each witness rendered from scratch."""
+    return [f"{m.mask:#x} {m.points.cardinality} {formula_to_text(m.witness)}"
+            for m in algebra.members]
+
+
 def test_witnesses_share_negations_and_conjunctions():
     """A cut's negation is one node for every block the cut splits, and a
     conjunction of a cut, or its negation, with a witness is one node for
@@ -406,8 +413,66 @@ def test_witnesses_share_negations_and_conjunctions():
     assert len(conjunctions) == len({(id(f.left), id(f.right)) for f in conjunctions}) == 90
     lines = algebra.dump_lines()
     assert len(lines) == 512
-    assert lines == [f"{m.mask:#x} {m.points.cardinality} {formula_to_text(m.witness)}"
-                     for m in algebra.members]
+    assert lines == fresh_lines(algebra)
+
+
+def test_a_second_dump_renders_each_line_from_the_kept_texts(monkeypatch):
+    """An algebra keeps the text of every node its dumps render, so a second
+    dump finds each line's witness whole: one `_render` call per line, none
+    for a subformula, and the same lines."""
+    algebra = generate_definable_algebra(named_pair()[0], canonical_varset(2))
+    first = algebra.dump_lines()
+    calls = []
+    render = formulas._render
+
+    def counting(f, min_prec, memo):
+        calls.append(f)
+        return render(f, min_prec, memo)
+
+    monkeypatch.setattr(formulas, "_render", counting)
+    monkeypatch.setattr(lattice, "_render", counting)
+    assert algebra.dump_lines() == first
+    assert len(calls) == len(first) == 512
+
+
+def test_a_dump_after_other_algebras_are_freed_matches_a_fresh_rendering():
+    """The kept texts are keyed on node identity, and an algebra keeps its
+    nodes alive, so algebras built, dumped and freed beside it, whose
+    identities later nodes may reuse, change neither its next dump nor the
+    dump of an algebra built after them."""
+    model = named_pair()[0]
+    kept = generate_definable_algebra(model, canonical_varset(2))
+    kept.dump_lines()
+    for _, other in all_fixtures() + seeded_models():
+        for k in (1, 2):
+            generate_definable_algebra(other, canonical_varset(k)).dump_lines()
+    gc.collect()
+    later = generate_definable_algebra(model, canonical_varset(2))
+    assert later.dump_lines() == fresh_lines(later)
+    assert kept.dump_lines() == fresh_lines(kept) == fresh_lines(later)
+
+
+def test_builds_that_no_projection_can_split_make_no_projection(monkeypatch):
+    """Over one variable the projection of a nonempty block is the whole
+    space, and a discrete partition has no block to split, so these builds
+    project nothing; each still checks every block's witness once, and
+    their members are the brute-force family."""
+    cases = [(name, model, 1) for name, model in all_fixtures() + seeded_models()]
+    cases += [("m_p", model_p(), 2), ("m_p", model_p(), 3), ("named", named_pair()[0], 2)]
+    for name, model, k in cases:
+        calls = {"_exists_mask": 0, "_check_witness": 0}
+        with monkeypatch.context() as patch:
+            for called in calls:
+                def counting(*args, called=called, original=getattr(lattice, called)):
+                    calls[called] += 1
+                    return original(*args)
+                patch.setattr(lattice, called, counting)
+            algebra = generate_definable_algebra(model, canonical_varset(k))
+        if k > 1:
+            assert len(algebra.block_masks()) == algebra.space.size, (name, k)
+        assert calls == {"_exists_mask": 0, "_check_witness": len(algebra.block_masks())}, \
+            (name, k)
+        assert member_rows(algebra) == brute_definable_family(model, k), (name, k)
 
 
 def test_union_map_matches_brute_force_or():
