@@ -36,26 +36,18 @@ tables, so a composite check compares two independent computations.
 
 Over a finite model these categories see a substitution only through its
 pullback table, so substitutions whose tables share a class
-(`semantics._Table.cls`), such as x1 := neg(neg(x1)) and x1 := x1, are one
-arrow.  A composable pair's checks read its two factors' tables and its
-composite's, and nothing else that depends on the pair, so their outcome is
-a function of the three tables' pull lists and the algebras: each sweep runs
-the atom checks once per triple of classes that passes, and skips the later
-pairs of that triple, which still count in `checked`.  A triple that fails
-is not kept, so each of its pairs runs and reports its own failure lines,
-which name its own substitutions.  A row whose classes no other
-substitution of their sizes has holds one pair per triple, and checks its
-pairs without a lookup.  A table changed after it was built keeps the class
-it was built with, so only a fault present when a table is built is sure to
-be checked on every triple it makes.
+(`semantics._Table.cls`) are one arrow.  Both sweeps walk their composable
+pairs through `KnowledgeBase._unsettled_pairs`, which skips the pairs of a
+triple of classes that has passed; its docstring gives the rule.
 
 The module-level sweeps and deciders, and the CLI, take their knowledge
-bases from `knowledge_base`, which keeps the two most recently resolved in
-each thread: the sweeps, then the deciders, called on the same model object
-(`is`) and bounds share one, and equal models in one decision share one
-(`knowledge_bases`).  The two kept knowledge bases live until evicted; a
-caller who needs to control that lifetime constructs `KnowledgeBase`
-itself and calls its sweeps, or `decide_equivalence` over the pair.
+bases from `knowledge_bases` (`knowledge_base` asks it for a model paired
+with itself), which keeps in each thread the pair of its last call: the
+sweeps, then the deciders, called on the same model object (`is`) and
+bounds share one, and equal models in one call share one.  The kept pair
+lives until the thread's next call on other models or bounds; a caller who
+needs to control that lifetime constructs `KnowledgeBase` itself and calls
+its sweeps, or `decide_equivalence` over the pair.
 
 A morphism holds every member of its source.  The sweeps and the witness
 check build none: every map they compare preserves unions (pullbacks,
@@ -82,7 +74,7 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .core import (
     DEFAULT_MAX_POINTS,
@@ -325,9 +317,9 @@ class KnowledgeBase:
     images have depth up to the depth (`substitutions`), and every sweep
     and witness check over it reads that set, or its generators
     (`naturality`), from it.  The module-level sweeps and deciders take
-    theirs from `knowledge_base` under the default point bound, so a call
-    on the model object and bounds of one of the last two resolved reuses
-    it, with every object, table and row of composite tables it has built;
+    theirs from `knowledge_bases` under the default point bound, so a call
+    on the model object and bounds of the thread's last pair reuses it,
+    with every object, table and row of composite tables it has built;
     the rows (`_composite_rows`) are the only source of a composite's table.
     Objects are built over the canonical variable sets of the geometry and
     cached, and so is one atom table per size (`atom_table`): the masks of
@@ -354,7 +346,7 @@ class KnowledgeBase:
         self._descriptions: dict[int, FilterLattice] = {}
         self._atom_tables: dict[int, tuple[dict[str, list[int]], list[int]]] = {}
         self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
-        self._tables_by_sizes: dict[tuple[int, int], tuple[list[_Table], set[int]]] = {}
+        self._tables_by_sizes: dict[tuple[int, int], list[_Table]] = {}
         self._rows_by_sizes: dict[tuple[int, int, int], list[list[_Table]]] = {}
 
     def description(self, n: int) -> FilterLattice:
@@ -402,22 +394,13 @@ class KnowledgeBase:
                 self.model.sig, canonical_varset(a), canonical_varset(b), self.depth))
         return subs
 
-    def _tables(self, a: int, b: int) -> tuple[list[_Table], set[int]]:
-        """The pullback tables of `substitutions(a, b)`, in order, and the
-        classes that two or more of them have (`_Table.cls`), made once.  A
-        sweep row whose classes are all outside these has one pair per
-        triple of classes, and needs no memo."""
-        found = self._tables_by_sizes.get((a, b))
-        if found is None:
-            tables = list(map(self.geometry.table, self.substitutions(a, b)))
-            seen: set[int] = set()
-            shared: set[int] = set()
-            for t in tables:
-                if t.cls in seen:
-                    shared.add(t.cls)
-                seen.add(t.cls)
-            found = self._tables_by_sizes[(a, b)] = tables, shared
-        return found
+    def _tables(self, a: int, b: int) -> list[_Table]:
+        """The pullback tables of `substitutions(a, b)`, in order, made once."""
+        tables = self._tables_by_sizes.get((a, b))
+        if tables is None:
+            tables = self._tables_by_sizes[(a, b)] = list(
+                map(self.geometry.table, self.substitutions(a, b)))
+        return tables
 
     @functools.cached_property
     def generators(self) -> Optional[tuple[Substitution, ...]]:
@@ -513,6 +496,33 @@ class KnowledgeBase:
             self._rows_by_sizes[(a, b, c)] = rows
         return rows
 
+    def _unsettled_pairs(self, a: int, b: int, c: int, settled: set[tuple[int, int, int]]
+                         ) -> Iterator[tuple[int, int, _Table, tuple[int, int, int]]]:
+        """The composable pairs of sizes a -> b -> c whose triples are not in
+        `settled`, in row order: per pair, its places i and j in
+        `substitutions(a, b)` and `substitutions(b, c)`, its composite's
+        table, from `_composite_rows`, and its triple, the classes
+        (`_Table.cls`) of its two factors' tables and of its composite's.
+
+        Over a finite model these categories see a substitution only through
+        its pullback table, so substitutions whose tables share a class, such
+        as x1 := neg(neg(x1)) and x1 := x1, are one arrow.  A pair's checks
+        read its two factors' tables and its composite's, and nothing else
+        that depends on the pair, so their outcome is a function of its
+        triple and the algebras.  A sweep adds a triple to `settled` once a
+        pair of it passes, and the later pairs of that triple are skipped,
+        though they still count in `checked`.  A triple that fails is never
+        settled, so each of its pairs runs and reports its own lines, which
+        name its own substitutions.  A table changed after it was built
+        keeps the class it was built with, so only a fault present when a
+        table is built is sure to be checked on every triple it makes."""
+        seconds = self._tables(b, c)
+        for i, (t1, row) in enumerate(zip(self._tables(a, b), self._composite_rows(a, b, c))):
+            for j, (t2, composite) in enumerate(zip(seconds, row)):
+                triple = (t1.cls, t2.cls, composite.cls)
+                if triple not in settled:
+                    yield i, j, composite, triple
+
     @property
     def saturated(self) -> bool:
         """Whether every lattice is complete; builds every object."""
@@ -527,7 +537,7 @@ class KnowledgeBase:
         morphism along s, are functions of s, so m_i == m_j and d_i == d_j
         both say s_i == s_j.  `checked` counts one check per substitution
         (its least morphism and dual are made and checked), per identity
-        and per composable pair.
+        and per composable pair of two substitutions with least morphisms.
 
         It builds no morphism.  Each least morphism and its dual are the
         `UnionMap`s of their atom images, pullbacks and closed images, which
@@ -541,11 +551,9 @@ class KnowledgeBase:
         once: a substitution's, an identity's and a composite's alike.
 
         A composable pair's checks read the pushes and duals of its factors,
-        made from their tables, and its composite's table, so their outcome
-        depends only on the three tables' pull lists and the algebras: the
-        pairs of one triple of classes (`_Table.cls`) are checked once, while
-        they pass.  A pair that fails is not kept, so each pair of its triple
-        runs and reports its own line.
+        made from their tables, and its composite's table, so the pairs come
+        from `_unsettled_pairs`, which checks each triple of classes once
+        while it passes.
         """
         n_max = self.n_max
         checked = 0
@@ -558,15 +566,12 @@ class KnowledgeBase:
         # or a composite whose table is a substitution's reuses its dual.
         least_duals = _Memo(lambda t: {atom: algebras[len(t.key.source)].close(t.image(atom))
                                        for atom in atoms[len(t.key.target)]})
-        # Each substitution with its table and the member tables of its
-        # least morphism and its dual, or None when it has no least morphism.
-        least: dict[tuple[int, int],
-                    list[Optional[tuple[Substitution, _Table, UnionMap, UnionMap]]]] = {}
-        shared: dict[tuple[int, int], set[int]] = {}
+        # Each substitution with the member tables of its least morphism and
+        # its dual, or None when it has no least morphism.
+        least: dict[tuple[int, int], list[Optional[tuple[Substitution, UnionMap, UnionMap]]]] = {}
         for a, b in itertools.product(sizes, repeat=2):
             pairs = least[(a, b)] = []
-            tables, shared[(a, b)] = self._tables(a, b)
-            for subst, t in zip(self.substitutions(a, b), tables):
+            for subst, t in zip(self.substitutions(a, b), self._tables(a, b)):
                 checked += 1
                 try:
                     push = {atom: algebras[b].pullback(t, atom) for atom in atoms[a]}
@@ -574,7 +579,8 @@ class KnowledgeBase:
                     failures.append(f"no least morphism between sizes {a}->{b}: {exc}")
                     pairs.append(None)
                     continue
-                pairs.append((subst, t, UnionMap(push), UnionMap(least_duals[t])))
+                pairs.append((subst, UnionMap(push), UnionMap(least_duals[t])))
+        made = {ends: sum(pair is not None for pair in pairs) for ends, pairs in least.items()}
 
         for n in sizes:
             ident = table(Substitution.identity(algebras[n].varset))
@@ -583,37 +589,26 @@ class KnowledgeBase:
             if any(image != atom for atom, image in least_duals[ident].items()):
                 failures.append(f"identity over |X|={n} does not dualize to the identity")
 
-        # Each pair reads its composite's table from its row, and both sides
-        # of the check are keyed by it.  A row with a shared class keeps the
-        # triples that passed.
+        # Both sides of a pair's check are keyed by its composite's table.
         for a, b, c in itertools.product(sizes, repeat=3):
             members_a, members_c = algebras[a].index, algebras[c].index
-            shared1, shared2 = shared[(a, b)], shared[(b, c)]
-            passed: set[tuple[int, int, int]] = set()
-            for least1, composites in zip(least[(a, b)], self._composite_rows(a, b, c)):
-                if least1 is None:
+            firsts, seconds = least[(a, b)], least[(b, c)]
+            checked += made[(a, b)] * made[(b, c)]
+            settled: set[tuple[int, int, int]] = set()
+            for i, j, composite, triple in self._unsettled_pairs(a, b, c, settled):
+                if firsts[i] is None or seconds[j] is None:
                     continue
-                s1, t1, push1, dual1 = least1
-                memo = bool(shared2) or t1.cls in shared1
-                for least2, composite in zip(least[(b, c)], composites):
-                    if least2 is None:
-                        continue
-                    s2, t2, push2, dual2 = least2
-                    checked += 1
-                    if memo:
-                        triple = (t1.cls, t2.cls, composite.cls)
-                        if triple in passed:
-                            continue
-                    _check_pairs({k: push2[v] for k, v in push1.atoms.items()},
-                                 composite, members_c, True)
-                    left = least_duals[composite]
-                    right = {k: dual1[v] for k, v in dual2.atoms.items()}
-                    _check_pairs(right, composite, members_a, False)
-                    if left != right:
-                        failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
-                                        f"subs {s1} then {s2}")
-                    elif memo:
-                        passed.add(triple)
+                (s1, push1, dual1), (s2, push2, dual2) = firsts[i], seconds[j]
+                _check_pairs({k: push2[v] for k, v in push1.atoms.items()},
+                             composite, members_c, True)
+                left = least_duals[composite]
+                right = {k: dual1[v] for k, v in dual2.atoms.items()}
+                _check_pairs(right, composite, members_a, False)
+                if left != right:
+                    failures.append(f"dual of a composite differs: sizes {a}->{b}->{c}, "
+                                    f"subs {s1} then {s2}")
+                else:
+                    settled.add(triple)
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
@@ -638,10 +633,8 @@ class KnowledgeBase:
         members to `triples` and `checked` at once.  The identity pushes run
         on the atoms too, and over every member when one moves.
 
-        A block's outcome depends only on its three tables' pull lists and
-        the algebras, so the blocks of one triple of classes (`_Table.cls`)
-        run on the atoms once, while they pass; a block that fails is not
-        kept, so each block of its triple runs and reports its own lines.
+        The blocks come from `_unsettled_pairs`, so the blocks of one triple
+        of classes run on the atoms once while they pass.
         """
         n_max = self.n_max
         checked = 0
@@ -657,31 +650,21 @@ class KnowledgeBase:
 
         triples = 0
         undefinable: set[Substitution] = set()
-        sizes = range(1, n_max + 1)
-        rows = {ends: self._tables(*ends) for ends in itertools.product(sizes, repeat=2)}
-        for a, b, c in itertools.product(sizes, repeat=3):
-            algebra_a = self.description(a).algebra
-            algebra_b = self.description(b).algebra
-            algebra_c = self.description(c).algebra
-            (tables1, shared1), (tables2, shared2) = rows[(a, b)], rows[(b, c)]
+        for a, b, c in itertools.product(range(1, n_max + 1), repeat=3):
+            algebra_a, algebra_b, algebra_c = (self.description(n).algebra for n in (a, b, c))
+            tables1, tables2 = self._tables(a, b), self._tables(b, c)
             count = len(tables1) * len(tables2) * algebra_a.size
             triples += count
             checked += count
-            passed: set[tuple[int, int, int]] = set()
-            for table1, composites in zip(tables1, self._composite_rows(a, b, c)):
-                memo = bool(shared2) or table1.cls in shared1
-                for table2, composite in zip(tables2, composites):
-                    if memo:
-                        triple = (table1.cls, table2.cls, composite.cls)
-                        if triple in passed:
-                            continue
-                    block = (table1, table2, composite, algebra_b, algebra_c)
-                    probe: list[str] = []
-                    _push_block(algebra_a.block_masks(), *block, probe, set())
-                    if probe:
-                        _push_block(algebra_a.masks, *block, failures, undefinable)
-                    elif memo:
-                        passed.add(triple)
+            settled: set[tuple[int, int, int]] = set()
+            for i, j, composite, triple in self._unsettled_pairs(a, b, c, settled):
+                block = (tables1[i], tables2[j], composite, algebra_b, algebra_c)
+                probe: list[str] = []
+                _push_block(algebra_a.block_masks(), *block, probe, set())
+                if probe:
+                    _push_block(algebra_a.masks, *block, failures, undefinable)
+                else:
+                    settled.add(triple)
 
         entries = (
             ("object", f"canonical variable sets of sizes 1..{n_max}"),
@@ -725,62 +708,50 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
     return target_lattice.filter_for_mask(target_lattice.algebra.pullback(table, filt.mask))
 
 
-# How many knowledge bases `knowledge_base` keeps: one call takes at most two
-# models.
-RESOLVED_KNOWLEDGE_BASES = 2
-
-
-class _Resolved(threading.local):
-    """Each thread's resolved knowledge bases, least recently resolved
-    first, so that no two threads share one through the resolver."""
-
-    def __init__(self):
-        self.kbs: list[KnowledgeBase] = []
-
-
-_resolved = _Resolved()
-
-
-def knowledge_base(model: Model, n_max: int, depth: int,
-                   max_term_depth: Optional[int] = None,
-                   max_points: int = DEFAULT_MAX_POINTS) -> KnowledgeBase:
-    """The knowledge base of `model` under these bounds: one of the
-    `RESOLVED_KNOWLEDGE_BASES` most recently resolved in this thread, when
-    its model is this very object (`is`, not `Model.__eq__`) and its bounds
-    are these, and otherwise a new one, which evicts the least recently
-    resolved.
-
-    A knowledge base holds only memos of pure functions of its model and
-    bounds, and a model's tables are read-only, so a reused one gives the
-    reports a new one would.  Keying on identity keeps the reuse
-    within a caller's own model objects and compares no tables.  The kept
-    knowledge bases outlive their calls; once evicted, they are freed when
-    the cyclic collector runs (a geometry and its spaces refer to each
-    other).  A caller who controls their lifetime constructs
-    `KnowledgeBase` itself."""
-    kbs, bounds = _resolved.kbs, (n_max, depth, max_term_depth, max_points)
-    for i, kb in enumerate(kbs):
-        if kb.model is model and (kb.n_max, kb.depth, kb.max_term_depth,
-                                  kb.geometry.max_points) == bounds:
-            del kbs[i]
-            break
-    else:
-        kb = KnowledgeBase(model, *bounds)
-    kbs.append(kb)
-    del kbs[:-RESOLVED_KNOWLEDGE_BASES]
-    return kb
+# Each thread's kept pair of knowledge bases, so that no two threads share
+# one through `knowledge_bases`.
+_kept = threading.local()
 
 
 def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,
                     max_term_depth: Optional[int] = None,
                     max_points: int = DEFAULT_MAX_POINTS
                     ) -> tuple[KnowledgeBase, KnowledgeBase]:
-    """The pair's knowledge bases, resolved by `knowledge_base`: one for both
-    when the models are equal, so a self-pair builds each lattice once."""
-    kb1 = knowledge_base(model1, n_max, depth, max_term_depth, max_points)
-    if model2 == model1:
-        return kb1, kb1
-    return kb1, knowledge_base(model2, n_max, depth, max_term_depth, max_points)
+    """The pair's knowledge bases under these bounds, one for both when the
+    models are equal, so a self-pair builds each lattice once.  Each is one
+    of the pair this thread's last call returned, when its model is this
+    very object (`is`, not `Model.__eq__`) and its bounds are these, and
+    otherwise a new one; the thread then keeps the returned pair.
+
+    A knowledge base holds only memos of pure functions of its model and
+    bounds, and a model's tables are read-only, so a reused one gives the
+    reports a new one would.  Keying on identity keeps the reuse within a
+    caller's own model objects and compares no tables.  The kept pair
+    outlives the call; once replaced, it is freed when the cyclic collector
+    runs (a geometry and its spaces refer to each other).  A caller who
+    controls their lifetime constructs `KnowledgeBase` itself."""
+    bounds = (n_max, depth, max_term_depth, max_points)
+    kept = getattr(_kept, "kbs", ())
+
+    def resolve(model: Model) -> KnowledgeBase:
+        for kb in kept:
+            if kb.model is model and (kb.n_max, kb.depth, kb.max_term_depth,
+                                      kb.geometry.max_points) == bounds:
+                return kb
+        return KnowledgeBase(model, *bounds)
+
+    kb1 = resolve(model1)
+    kb2 = kb1 if model2 is model1 or model2 == model1 else resolve(model2)
+    _kept.kbs = kb1, kb2
+    return kb1, kb2
+
+
+def knowledge_base(model: Model, n_max: int, depth: int,
+                   max_term_depth: Optional[int] = None,
+                   max_points: int = DEFAULT_MAX_POINTS) -> KnowledgeBase:
+    """The knowledge base of `model` under these bounds, resolved by
+    `knowledge_bases` as the pair of the model with itself."""
+    return knowledge_bases(model, model, n_max, depth, max_term_depth, max_points)[0]
 
 
 def check_duality(model: Model, n_max: int, depth: int = 1,

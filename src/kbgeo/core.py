@@ -468,7 +468,7 @@ class Model:
     and `rel_tables` are mapping proxies, each op table refuses assignment,
     and each relation table is a frozenset; any mutation raises `TypeError`.
     Its knowledge bases, geometries and lattices are memos of its tables,
-    and `categories.knowledge_base` and the geometry resolver of
+    and `categories.knowledge_bases` and the geometry resolver of
     `semantics` reuse them by the model's identity.
     """
 

@@ -51,7 +51,7 @@ checked once per knowledge base for every phi and the transport), no
 bounded pullback is undefinable: `find_functor_iso` checks the generator
 squares alone, which `KnowledgeBase.naturality` picks, and accepts
 exactly the candidates the full loops accept, and `transport_model_iso`
-walks the same generators, where nothing is left to fail.  The sweeps
+walks no pullback, since nothing is left to fail.  The sweeps
 `check_duality` and `verify_push_functoriality` still visit every
 bounded substitution.
 
@@ -583,14 +583,13 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
     Each point is relabelled once, and each atom of the first model goes to
     the union of its points' images; the alpha, a `UnionMap`, sends each
     member to the union of its atoms' images.  The one check left is the
-    first model's pullbacks: for every a, b <= n_max, every s: X_a -> X_b
-    of `kb1.naturality(a, b)` and every atom k over X_a, in that order,
+    first model's pullbacks.  When `kb1.generators` is not None, it has
+    already found every generator pullback of every atom a member, and then
+    every bounded one is (module docstring), so nothing is walked.
+    Otherwise, for every a, b <= n_max, every s: X_a -> X_b of
+    `kb1.substitutions(a, b)` and every atom k over X_a, in that order,
     pre1_s(k) must be a member, and the first one that is not raises
     `UndefinablePullbackError`, as the squares of `find_functor_iso` do.
-    Along generators the walk cannot raise, since `KnowledgeBase.generators`
-    has found every generator pullback of every atom a member, and then
-    every bounded one is (module docstring); otherwise it walks every
-    bounded substitution.
     The two knowledge bases must have equal bounds and equal term depth
     caps.  Of the second, only its point spaces are read.
 
@@ -620,12 +619,13 @@ def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) 
         index_of = kb2.geometry.space(canonical_varset(n)).index_of
         bits = [1 << index_of(mmap.apply_values(row)) for row in algebra.space.value_rows]
         alphas[n] = UnionMap({atom: _gather(atom, bits) for atom in algebra.block_masks()})
-    for a, b in itertools.product(sizes, repeat=2):
-        atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
-        for subst in kb1.naturality(a, b):
-            table = kb1.geometry.table(subst)
-            for atom in atoms:
-                target.pullback(table, atom)
+    if kb1.generators is None:
+        for a, b in itertools.product(sizes, repeat=2):
+            atoms, target = kb1.description(a).algebra.block_masks(), kb1.description(b).algebra
+            for subst in kb1.substitutions(a, b):
+                table = kb1.geometry.table(subst)
+                for atom in atoms:
+                    target.pullback(table, atom)
     return FunctorIso(FormulaAutomorphism.identity(kb1.model.sig), alphas, kb1, kb2)
 
 

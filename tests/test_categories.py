@@ -39,7 +39,7 @@ from kbgeo import (
 )
 import kbgeo
 from kbgeo import categories, lattice, semantics
-from kbgeo.categories import knowledge_base
+from kbgeo.categories import knowledge_base, knowledge_bases
 from kbgeo.cli import write_report
 from kbgeo.core import compose_subst
 from kbgeo.lattice import UndefinablePullbackError, UnionMap
@@ -775,10 +775,10 @@ def test_both_sweeps_on_one_model_object_build_each_size_once(monkeypatch):
     assert [n for _, n in builds] == [1, 2]
 
 
-def test_the_resolver_keeps_the_two_most_recent_knowledge_bases(monkeypatch):
-    """Other bounds, an equal but distinct model object, two other models
-    resolved in between, or another thread build again; a model resolved
-    since does not."""
+def test_the_resolver_keeps_the_last_pair_of_knowledge_bases(monkeypatch):
+    """Other bounds, an equal but distinct model object, another model
+    resolved in between, or another thread build again; a model of the last
+    pair resolved, in either place, does not."""
     builds = counted_builds(monkeypatch)
 
     def sizes_built(model, n_max=2, depth=1, max_term_depth=None) -> list:
@@ -786,7 +786,7 @@ def test_the_resolver_keeps_the_two_most_recent_knowledge_bases(monkeypatch):
         check_duality(model, n_max, depth, max_term_depth)
         return [n for _, n in builds]
 
-    a, b, c = model_neg(), model_p(), model_eq()
+    a, b = model_neg(), model_p()
     assert sizes_built(a) == [1, 2]
     assert sizes_built(a) == []
     assert sizes_built(a, n_max=1) == [1]
@@ -795,10 +795,15 @@ def test_the_resolver_keeps_the_two_most_recent_knowledge_bases(monkeypatch):
     assert sizes_built(model_neg()) == [1, 2]
     assert sizes_built(a) == [1, 2]
     assert sizes_built(b) == [1, 2]
-    assert sizes_built(a) == []
-    assert sizes_built(c) == [1, 2]
-    assert sizes_built(a) == []
-    assert sizes_built(b) == [1, 2]
+    assert sizes_built(a) == [1, 2]
+    kb_a = knowledge_base(a, 2, 1)
+    assert knowledge_bases(a, b, 2, 1)[0] is kb_a
+    kb_b = knowledge_bases(a, b, 2, 1)[1]
+    assert knowledge_bases(b, a, 2, 1) == (kb_b, kb_a)
+    assert knowledge_base(b, 2, 1) is kb_b
+    assert knowledge_base(a, 2, 1) is not kb_a
+    kb1, kb2 = knowledge_bases(a, model_neg(), 2, 1)
+    assert kb1 is kb2
     kb = knowledge_base(a, 2, 1)
     assert knowledge_base(a, 2, 1) is kb
     assert knowledge_base(a, 2, 1, None, 100) is not kb

@@ -18,6 +18,8 @@ import pathlib
 from collections import Counter
 
 from kbgeo import (
+    FormulaAutomorphism,
+    FunctorIso,
     KnowledgeBase,
     Model,
     Signature,
@@ -27,9 +29,17 @@ from kbgeo import (
     check_informational_equivalence,
     decide_equivalence,
     enumerate_automorphisms,
+    find_functor_iso,
     model_isomorphisms,
+    transport_model_iso,
 )
-from helpers import relabeled
+from kbgeo.lattice import UnionMap
+from helpers import (
+    formulawise_atom_constraints,
+    memberwise_description_iso,
+    memberwise_is_boolean,
+    relabeled,
+)
 
 CENSUS_GOLDEN = pathlib.Path(__file__).resolve().parent / "census.golden"
 
@@ -117,6 +127,56 @@ def test_witnessed_census_verdicts_are_transitive():
         for i, j, k in itertools.permutations(range(len(reps)), 3):
             if verdicts[i, j] == verdicts[j, k] == VERDICT_WITNESSED:
                 assert verdicts[i, k] == VERDICT_WITNESSED, (label, i, j, k)
+
+
+def witness(kb1: KnowledgeBase, kb2: KnowledgeBase):
+    """The witness `decide_equivalence` reports for a witnessed pair: a
+    transported carrier isomorphism, else the first found functor
+    isomorphism over `enumerate_automorphisms`."""
+    mmap = next(model_isomorphisms(kb1.model, kb2.model), None)
+    if mmap is not None:
+        return transport_model_iso(mmap, kb1, kb2)
+    return next(iso for phi in enumerate_automorphisms(kb1.model.sig)
+                if (iso := find_functor_iso(kb1, kb2, phi)) is not None)
+
+
+def composed(first: FunctorIso, second: FunctorIso) -> FunctorIso:
+    """`first`, then `second`: the composed relation map, and per size the
+    `UnionMap` of each atom's image under both alphas."""
+    sig = first.kb1.model.sig
+    phi = FormulaAutomorphism(sig, tuple((name, second.phi.rel_image(first.phi.rel_image(name)))
+                                         for name in sig.rel_names))
+    alphas = {n: UnionMap({atom: second.alphas[n][first.alphas[n][atom]]
+                           for atom in first.kb1.description(n).algebra.block_masks()})
+              for n in first.alphas}
+    return FunctorIso(phi, alphas, first.kb1, second.kb2)
+
+
+def test_composed_census_witnesses_pass_the_member_wise_oracles():
+    """Per witnessed pair (i, j) of distinct representatives, one transitive
+    triple i -> j -> k, with k the first representative that j is witnessed
+    to: the census has no witnessed triple of three distinct
+    representatives, so k is i or j.  The composite of the two witnesses is
+    a description functor isomorphism from i to k, with Boolean alphas that
+    send each atomic formula's mask to the mask of its image under the
+    composed phi."""
+    composites = 0
+    for label, reps, verdicts in census():
+        kbs = [KnowledgeBase(rep, 2, 1) for rep in reps]
+        for i, j in itertools.permutations(range(len(reps)), 2):
+            if verdicts[i, j] != VERDICT_WITNESSED:
+                continue
+            k = next(k for k in range(len(reps)) if verdicts[j, k] == VERDICT_WITNESSED)
+            iso = composed(witness(kbs[i], kbs[j]), witness(kbs[j], kbs[k]))
+            assert memberwise_description_iso(iso).passed, (label, i, j, k)
+            assert memberwise_is_boolean(iso), (label, i, j, k)
+            for n in (1, 2):
+                constraints = formulawise_atom_constraints(kbs[i], kbs[k], iso.phi, n)
+                assert constraints is not None and all(
+                    iso.alphas[n][mask1] == mask2 for mask1, mask2 in constraints), (
+                    label, i, j, k, n)
+            composites += 1
+    assert composites == 20
 
 
 def test_an_inequivalent_verdict_is_the_same_on_both_members_of_a_witnessed_pair():

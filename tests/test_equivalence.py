@@ -976,6 +976,42 @@ def test_transport_relabels_each_point_once(monkeypatch):
                                    + list(itertools.product((0, 1), repeat=2)))
 
 
+def test_a_carrier_transport_along_generators_walks_no_pullback(monkeypatch):
+    """A carrier decision on a unary-op pair whose first model has
+    generators calls `DefinableAlgebra.pullback` nowhere inside the
+    transport: `KnowledgeBase.generators` has already found those pullbacks
+    members.  Without generators the transport walks them."""
+    pullback = lattice.DefinableAlgebra.pullback
+    transport = equivalence.transport_model_iso
+    calls: list[int] = []
+    inside = []
+
+    def counting(self, table, mask):
+        if inside:
+            calls.append(mask)
+        return pullback(self, table, mask)
+
+    def recording(*args):
+        inside.append(True)
+        try:
+            return transport(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(lattice.DefinableAlgebra, "pullback", counting)
+    monkeypatch.setattr(equivalence, "transport_model_iso", recording)
+    model1, model2 = model_neg(), relabeled(model_neg(), (1, 0))
+    pair = kbs(model1, model2, 2, 1)
+    report = decide_equivalence(*pair)
+    assert pair[0].generators is not None
+    assert report.verdict == VERDICT_WITNESSED
+    assert dict(report.witness)["kind"] == "model isomorphism"
+    assert calls == []
+    monkeypatch.setattr(KnowledgeBase, "generators", property(lambda kb: None))
+    assert decide_equivalence(*kbs(model1, model2, 2, 1)).verdict == VERDICT_WITNESSED
+    assert calls
+
+
 def test_a_tampered_composite_fails_the_functor_as_the_member_loops_do():
     """A composite's table in either model of a relabelling pair sends the
     first and last points' images to every point, so two atom pairs along
