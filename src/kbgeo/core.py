@@ -626,14 +626,6 @@ class TermFunction:
         return f"{self.witness}: {self.values}"
 
 
-@dataclass(frozen=True)
-class TermFunctionSet:
-    """Term-definable functions found by closure rounds; saturated means complete."""
-
-    functions: tuple[TermFunction, ...]
-    saturated: bool
-
-
 def _column_rows(columns: list, size: int) -> Iterator[tuple]:
     """The argument tuple at each of `size` points, read across the columns;
     without columns (a constant's) the empty tuple at every point."""
@@ -662,61 +654,95 @@ def _combos_from(base: int, start: int, arity: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def term_functions(space, max_term_depth: Optional[int] = None) -> TermFunctionSet:
-    """Close the projections over a point space (`semantics.PointSpace`,
-    which its geometry admitted under the point bound) under its model's
-    operations.
+class TermClone:
+    """The term functions of a point space (`semantics.PointSpace`, which its
+    geometry admitted under the point bound): its projections closed under
+    its model's operations in rounds, each run only when a walk passes the
+    functions found so far.
 
-    Functions are found in rounds; the round number equals the depth of the
-    witness term, and the first witness for a table wins.  With a finite
-    ``max_term_depth`` the closure stops after that many rounds and reports
-    saturation by probing one further round.  A variable's values are the
-    space's column; each candidate's are its operation table read across its
-    arguments' value columns.  Depths never decrease along the functions, so
-    a round's candidates are the argument tuples with an entry among the
-    previous round's functions, and a constant is a candidate of the first
-    round only; a candidate's witness term is built only for a new table.
+    The round number equals the depth of the witness term, and the first
+    witness for a table wins.  A variable's values are the space's column;
+    each candidate's are its operation table read across its arguments'
+    value columns.  Depths never decrease along the functions, so a round's
+    candidates are the argument tuples with an entry among the previous
+    round's functions, and a constant is a candidate of the first round
+    only; a candidate's witness term is built only for a new table.  The
+    clone is `complete` once a round finds nothing new or the round number
+    reaches a finite ``max_term_depth``, and from the start without
+    operations, since the projections are then every term function.
     """
-    model, npoints = space.model, space.size
-    funcs: list[TermFunction] = []
-    seen: set[tuple] = set()
-    for i, name in enumerate(space.varset.names):
-        values = space.column(i)
-        if values not in seen:
-            seen.add(values)
-            funcs.append(TermFunction(values, Var(name)))
 
-    def round_candidates(depth: int, start: int, base: int):
-        """(op, argument indices, values) of round `depth`, whose previous
-        round found the functions from `start` to `base`."""
+    def __init__(self, space, max_term_depth: Optional[int] = None):
+        self.space, self.max_term_depth = space, max_term_depth
+        self.functions: list[TermFunction] = []
+        self._seen: set[tuple] = set()
+        self._depth, self._start = 0, 0
+        capped = max_term_depth is not None and max_term_depth <= 0
+        self.complete = capped or not space.model.sig.ops
+        for i, name in enumerate(space.varset.names):
+            values = space.column(i)
+            if values not in self._seen:
+                self._seen.add(values)
+                self.functions.append(TermFunction(values, Var(name)))
+
+    def _next_round(self):
+        """(op, argument indices, values) of the next round's candidates."""
+        model, funcs, npoints = self.space.model, self.functions, self.space.size
+        depth, start, base = self._depth + 1, self._start, len(funcs)
         for op, arity in model.sig.ops:
             table = model.op_tables[op]
             for combo in _round_combos(depth, start, base, arity):
                 columns = [funcs[k].values for k in combo]
                 yield op, combo, tuple(map(table.__getitem__, _column_rows(columns, npoints)))
 
-    saturated, start = True, 0
-    for depth in itertools.count(1):
-        base = len(funcs)
-        if max_term_depth is not None and depth > max_term_depth:
-            saturated = all(values in seen
-                            for _, _, values in round_candidates(depth, start, base))
-            break
-        for op, combo, values in round_candidates(depth, start, base):
+    def grow(self) -> bool:
+        """Run the next round, unless the clone is complete; whether it found
+        a new function."""
+        if self.complete:
+            return False
+        funcs, seen, base = self.functions, self._seen, len(self.functions)
+        for op, combo, values in self._next_round():
             if values not in seen:
                 seen.add(values)
                 witness = OpApp(op, tuple(funcs[k].witness for k in combo))
                 funcs.append(TermFunction(values, witness))
-        if len(funcs) == base:
-            break
-        start = base
-    return TermFunctionSet(tuple(funcs), saturated)
+        self._depth, self._start = self._depth + 1, base
+        self.complete = len(funcs) == base or self._depth == self.max_term_depth
+        return len(funcs) > base
+
+    def walk(self, start: int = 0) -> Iterator[TermFunction]:
+        """The functions from index `start` on, growing the clone a round at a
+        time as the walk passes its end."""
+        funcs = self.functions
+        while start < len(funcs) or self.grow():
+            yield funcs[start]
+            start += 1
+
+    def drain(self) -> "TermClone":
+        """Run every round left; returns the clone, now complete."""
+        while self.grow():
+            pass
+        return self
+
+    @property
+    def saturated(self) -> bool:
+        """Whether the rounds find every term function: always without a cap;
+        with one, whether the round past the drained clone finds nothing new."""
+        if self.max_term_depth is None:
+            return True
+        return all(values in self._seen for _, _, values in self.drain()._next_round())
+
+
+def term_functions(space, max_term_depth: Optional[int] = None) -> TermClone:
+    """The drained `TermClone` of `space`; a build grows its own only as far
+    as its seeds read (`lattice.generate_definable_algebra`)."""
+    return TermClone(space, max_term_depth).drain()
 
 
 def enumerate_terms(sig: Signature, varset: VarSet, max_depth: int) -> list[Term]:
     """All terms of depth <= max_depth, ordered by depth then construction
     order: round d applies each op to the argument tuples of `_round_combos`,
-    as `term_functions` does."""
+    as `TermClone` does."""
     terms: list[Term] = [Var(n) for n in varset.names]
     start = 0
     for depth in range(1, max_depth + 1):

@@ -8,6 +8,8 @@ algebra, so its atoms fix it, and a build, by partition refinement, stores
 nothing else.  Its splits form a tree whose leaves are the atoms; a cut
 descends only into the nodes it cuts, so it visits only the blocks it
 splits, and a cut that splits none builds no formula and moves no block.
+Its seeds grow the term clone only as far as they read it, and stop once
+every point is its own atom.
 A map that preserves unions is fixed by its atom images:
 `UnionMap` reads it lazily.  It is each algebra's member index, every lattice
 bijection of the equivalence layer, and the member table of each least
@@ -31,9 +33,9 @@ A closed filter is represented by its dual definable set.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .core import BoundError, MismatchError, Model, Substitution, VarSet, term_functions
+from .core import BoundError, MismatchError, Model, Substitution, TermClone, VarSet
 from .formulas import (
     And,
     Atom,
@@ -288,6 +290,23 @@ def _select(cut: Formula, uncut: Formula, when: Formula, otherwise: Formula,
     return Or(conj(cut, when), conj(uncut, otherwise))
 
 
+def _tuples(clone: TermClone, arity: int) -> Iterable[tuple]:
+    """`itertools.product(functions, repeat=arity)` over the drained clone,
+    growing it only as far as the tuples read; a complete one goes to `itertools`."""
+    if clone.complete:
+        return itertools.product(clone.functions, repeat=arity)
+    if arity < 2:
+        return zip(clone.walk()) if arity else [()]
+    return ((first, *rest) for first in clone.walk() for rest in _tuples(clone, arity - 1))
+
+
+def _pairs(clone: TermClone) -> Iterable[tuple]:
+    """`itertools.combinations(functions, 2)` over the drained clone, as `_tuples`."""
+    if clone.complete:
+        return itertools.combinations(clone.functions, 2)
+    return ((f1, f2) for i, f1 in enumerate(clone.walk()) for f2 in clone.walk(i + 1))
+
+
 def generate_definable_algebra(model: Model, varset: VarSet,
                                max_term_depth: Optional[int] = None, *,
                                geometry: Optional[Geometry] = None) -> DefinableAlgebra:
@@ -296,13 +315,15 @@ def generate_definable_algebra(model: Model, varset: VarSet,
 
     Seeds are every relation atom over tuples of term functions, and, when
     the signature has equality, the equality of each unordered pair of
-    distinct term functions, in clone order.  A seed's set is its relation
-    or `==` read across the functions' value columns, by the helpers that
-    value `Atom` and `Equal` nodes; a witness check reads the same helpers
-    across columns of the witness's terms, evaluated over the space, so a
-    wrong clone column still fails the check.  Starting from the whole
-    space, each seed splits the blocks it cuts; then the projection of each
-    block along each variable splits the blocks until nothing splits.
+    distinct term functions, in `itertools` order over the whole clone, which
+    grows a round only when a seed needs a function not found yet.  A seed's
+    set is its relation or `==` read across the functions' value columns, by
+    the helpers that value `Atom` and `Equal` nodes; a witness check reads
+    the same helpers across columns of the witness's terms, evaluated over
+    the space, so a wrong clone column still fails the check.  Starting from
+    the whole space, each seed splits the blocks it cuts; then the
+    projection of each block along each variable splits the blocks until
+    nothing splits.
     Projection distributes over union, so the blocks are the atoms of the
     closure of the seeds under complement, intersection, union, and
     projection.  Each member is a union of atoms, witnessed by its choices
@@ -314,18 +335,23 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     the order they were made, and their parts are appended in that order,
     which fixes the witnesses.
 
+    Once the partition is discrete, every point its own block, no seed is
+    read: none could split, and a cut that splits nothing builds no formula,
+    so the blocks and witnesses are those of reading every seed.  A capped
+    clone is still grown to its cap for the saturation flag.
+
     Two kinds of projection cut are never made, since neither can split: one
     along the only variable, whose projection of a nonempty block is the
-    whole space, and any once the partition is discrete, every point its own
-    block.  Each block's witness is still checked.
+    whole space, and any once the partition is discrete.  Each block's
+    witness is still checked.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from the model's kept geometry under the
     default bound (`semantics._model_geometry`).
     """
     space = _model_geometry(model, geometry).space(varset)
-    clone = term_functions(space, max_term_depth)
-    root = space.full_mask
+    clone = TermClone(space, max_term_depth)
+    root, npoints = space.full_mask, space.size
     made = itertools.count()
     blocks = {root: next(made)}  # leaf -> its creation number, in creation order
     splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # node -> (cut, !cut, in, out)
@@ -383,15 +409,23 @@ def generate_definable_algebra(model: Model, varset: VarSet,
                                        witness(part & outside, outside), conj)
         return memo[node, part]
 
-    for rel, arity in model.sig.rels:
-        rows = model.rel_tables[rel]
-        for combo in itertools.product(clone.functions, repeat=arity):
-            split(_atom_mask(rows, [f.values for f in combo]),
-                  lambda: Atom(rel, tuple(f.witness for f in combo)))
-    if model.sig.with_equality:
-        # (f, f) holds everywhere, and (f2, f1) cuts what (f1, f2) already did.
-        for f1, f2 in itertools.combinations(clone.functions, 2):
-            split(_equal_mask(f1.values, f2.values), lambda: Equal(f1.witness, f2.witness))
+    def seed() -> None:
+        """Split by each seed until the partition is discrete."""
+        for rel, arity in model.sig.rels:
+            rows = model.rel_tables[rel]
+            for combo in _tuples(clone, arity):
+                if (split(_atom_mask(rows, [f.values for f in combo]),
+                          lambda: Atom(rel, tuple(f.witness for f in combo)))
+                        and len(blocks) == npoints):
+                    return
+        if model.sig.with_equality:
+            # (f, f) holds everywhere, and (f2, f1) cuts what (f1, f2) already did.
+            for f1, f2 in _pairs(clone):
+                if (split(_equal_mask(f1.values, f2.values),
+                          lambda: Equal(f1.witness, f2.witness)) and len(blocks) == npoints):
+                    return
+
+    seed()
 
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.  The
@@ -402,7 +436,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         block = pending.pop()
         body = witness(block)
         _check_witness(block, body, valuation)
-        if len(varset) > 1 and len(blocks) < space.size:
+        if len(varset) > 1 and len(blocks) < npoints:
             for var in varset.names:
                 pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
 

@@ -18,6 +18,10 @@ instead of extending atom images.  Beside them, the admissibility transfer
 of a witness is checked on every pair of members, and the atom constraints
 are made by building, mapping and valuing every atomic formula instead of
 pairing atom tables.
+
+`eager_definable_algebra` is the library's build as it was before its clone
+grew on demand: every seed is read off the fully drained clone, with no
+stop once each point is its own atom.
 """
 
 import itertools
@@ -48,7 +52,10 @@ from kbgeo import (
     push_filter,
     satisfying_points,
 )
+from kbgeo.core import term_functions
 from kbgeo.formulas import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Equal,
@@ -63,6 +70,8 @@ from kbgeo.formulas import (
     TrueF,
     atomic_formulas,
 )
+from kbgeo.lattice import DefinableAlgebra, _check_witness, _select
+from kbgeo.semantics import Geometry, _Valuation, _atom_mask, _equal_mask, _exists_mask
 
 
 def model_eq() -> Model:
@@ -90,6 +99,22 @@ def model_pq2() -> Model:
 def model_neg() -> Model:
     return Model(Signature((("neg", 1),), (("P", 1),)), (0, 1),
                  {"neg": {(0,): 1, (1,): 0}}, {"P": [(1,)]})
+
+
+def model_nand() -> Model:
+    """Two elements, g = NAND and P = {0}.  NAND is functionally complete, so
+    over n variables the clone is all 2^(2^n) functions, while the seeds
+    make every point its own atom within the first round."""
+    return Model(Signature((("g", 2),), (("P", 1),)), (0, 1),
+                 {"g": {(a, b): 1 - (a & b) for a in (0, 1) for b in (0, 1)}}, {"P": [(0,)]})
+
+
+def model_clone_wall() -> Model:
+    """Three elements, P = {0} and a binary g with rows 1 0 1 / 2 0 0 / 2 0 1,
+    whose clone over two variables has up to 3^9 functions."""
+    rows = ((1, 0, 1), (2, 0, 0), (2, 0, 1))
+    return Model(Signature((("g", 2),), (("P", 1),)), (0, 1, 2),
+                 {"g": {(a, b): rows[a][b] for a in range(3) for b in range(3)}}, {"P": [(0,)]})
 
 
 def model_p_relabeled() -> Model:
@@ -896,3 +921,81 @@ def memberwise_push_functoriality(kb) -> Report:
         ("triples", str(triples)),
     )
     return Report("push functoriality", entries, checked, tuple(failures))
+
+
+def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> DefinableAlgebra:
+    """`generate_definable_algebra` with every seed read off
+    `term_functions(space, max_term_depth).functions`, the whole clone, in
+    `itertools.product` and `itertools.combinations` order, and no stop
+    once the partition is discrete."""
+    space = Geometry(model).space(varset)
+    clone = term_functions(space, max_term_depth)
+    root = space.full_mask
+    made = itertools.count()
+    blocks = {root: next(made)}
+    splits, memo, conjunctions = {}, {}, {}
+
+    def split(by, make_cut):
+        if not by or by == root:
+            return []
+        leaves, nodes = [], [root]
+        for node in nodes:
+            entry = splits.get(node)
+            if entry is None:
+                leaves.append(node)
+                continue
+            for kid in entry[2:]:
+                inside = kid & by
+                if inside and inside != kid:
+                    nodes.append(kid)
+        if not leaves:
+            return []
+        leaves.sort(key=blocks.__getitem__)
+        cut = make_cut()
+        uncut = Not(cut)
+        parts = []
+        for leaf in leaves:
+            del blocks[leaf]
+            inside = leaf & by
+            splits[leaf] = (cut, uncut, inside, leaf ^ inside)
+            parts += (inside, leaf ^ inside)
+        for part in parts:
+            blocks[part] = next(made)
+        return parts
+
+    def conj(left, right):
+        key = (id(left), id(right))
+        if key not in conjunctions:
+            conjunctions[key] = And(left, right)
+        return conjunctions[key]
+
+    def witness(part, node=root):
+        if part == 0:
+            return FALSE
+        if part == node:
+            return TRUE
+        if (node, part) not in memo:
+            cut, uncut, inside, outside = splits[node]
+            memo[node, part] = _select(cut, uncut, witness(part & inside, inside),
+                                       witness(part & outside, outside), conj)
+        return memo[node, part]
+
+    for rel, arity in model.sig.rels:
+        rows = model.rel_tables[rel]
+        for combo in itertools.product(clone.functions, repeat=arity):
+            split(_atom_mask(rows, [f.values for f in combo]),
+                  lambda: Atom(rel, tuple(f.witness for f in combo)))
+    if model.sig.with_equality:
+        for f1, f2 in itertools.combinations(clone.functions, 2):
+            split(_equal_mask(f1.values, f2.values), lambda: Equal(f1.witness, f2.witness))
+
+    valuation = _Valuation(space)
+    pending = list(blocks)
+    while pending:
+        block = pending.pop()
+        body = witness(block)
+        _check_witness(block, body, valuation)
+        if len(varset) > 1 and len(blocks) < space.size:
+            for var in varset.names:
+                pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
+    return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)

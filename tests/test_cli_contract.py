@@ -124,6 +124,17 @@ along {x1 := x1, x2 := f(f(x1))} is not definable over {x1}
 failure.9: push along {x1 := f(x1), x2 := x2} then {x1 := f(x1), x2 := x1}: pullback 0x1 of 0x1 \
 along {x1 := f(f(x1)), x2 := x1} is not definable over {x1}"""
 
+# Two binary-op models whose clones once walled the build off, each with
+# P = {0}: NAND on two elements (all 2^(2^n) functions over n variables),
+# and the 3-element g with rows 1 0 1 / 2 0 0 / 2 0 1.
+NAND = ("carrier: 0 1\nop g 2\nrel P 1\n"
+        + "".join(f"op g: {a},{b} -> {1 - (a & b)}\n" for a in (0, 1) for b in (0, 1))
+        + "rel P: 0\n")
+CLONE_WALL = ("carrier: 0 1 2\nop g 2\nrel P 1\n"
+              + "".join(f"op g: {a},{b} -> {v}\n" for a, row in enumerate(("101", "200", "201"))
+                        for b, v in enumerate(row))
+              + "rel P: 0\n")
+
 R10 = ("carrier: 0 1\n" + "".join(f"rel R{i} 1\n" for i in range(1, 11))
        + "".join(f"rel R{i}: {i % 2}\n" for i in range(1, 11)))
 
@@ -391,6 +402,14 @@ CONTRACT = [
           models={"c6.kbm": C6, "tt.kbm": TT}, code=1,
           lines=("refutation.invariant: lattice size",
                  "refutation.summary: lattice size 1048576 vs 2048 at X={x1, x2, x3}")),
+    # The clone walls: every point is its own atom after a handful of seeds,
+    # so the build stops seeding there and grows the clone no further than
+    # those seeds read (exit 0, within 10 s each).
+    Entry("clone-wall-lattice", ("lattice", "g.kbm", "--vars", "x1,x2"),
+          models={"g.kbm": CLONE_WALL}, lines=("size: 512", "height: 9", "saturated: yes"),
+          timeout=10),
+    Entry("nand-lattice-4", ("lattice", "nand.kbm", "--vars", "x1,x2,x3,x4"),
+          models={"nand.kbm": NAND}, lines=("size: 65536", "height: 16"), timeout=10),
     # m_p over six, eight and ten variables.  The carrier transport builds
     # pullback tables of the first model only, so the decision fits in
     # 900 MB of address space; it reads them along the 27 substitution

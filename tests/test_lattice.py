@@ -40,7 +40,7 @@ from kbgeo import (
     satisfying_points,
 )
 from kbgeo import formulas, lattice
-from kbgeo.core import TermFunction, TermFunctionSet, term_functions
+from kbgeo.core import TermClone, TermFunction, term_functions
 from kbgeo.formulas import And, Atom, Formula, Not
 from helpers import (
     all_fixtures,
@@ -48,14 +48,19 @@ from helpers import (
     brute_definable_family,
     brute_lattice_profile,
     constant_models,
+    eager_definable_algebra,
+    model_clone_wall,
     model_eq,
+    model_nand,
     model_neg,
     model_p,
     model_p0,
     named_pair,
+    op_models,
     relabel_pairs,
     seeded_models,
 )
+from test_census import FAMILIES, all_models, representatives
 
 DIGESTS_GOLDEN = pathlib.Path(__file__).resolve().parent / "build_digests.golden"
 
@@ -151,21 +156,78 @@ def test_builds_of_generated_models_match_their_digests():
 
 def test_a_wrong_clone_column_fails_the_build(monkeypatch):
     """A build reads its seeds off the clone's value columns, but checks each
-    block's witness by evaluating the witness terms: with two functions'
-    columns swapped, the first block checked has a witness that evaluates
-    elsewhere, and the build stops there."""
-    def swapped(space, max_term_depth=None):
-        found = term_functions(space, max_term_depth)
-        first, second, *rest = found.functions
-        return TermFunctionSet((TermFunction(second.values, first.witness),
-                                TermFunction(first.values, second.witness), *rest),
-                               found.saturated)
+    block's witness by evaluating the witness terms: with the clone grown to
+    two functions and their columns swapped before the build reads any, the
+    first block checked has a witness that evaluates elsewhere, and the
+    build stops there.  The NAND build over three variables stops seeding
+    early, once every point is its own atom, and is still checked."""
+    class Swapped(TermClone):
+        def __init__(self, *args):
+            super().__init__(*args)
+            while len(self.functions) < 2 and self.grow():
+                pass
+            first, second = self.functions[:2]
+            self.functions[:2] = (TermFunction(second.values, first.witness),
+                                  TermFunction(first.values, second.witness))
 
-    monkeypatch.setattr(lattice, "term_functions", swapped)
-    for model, n in ((model_neg(), 1), (model_neg(), 2), (dict(seeded_models())["fp0"], 2)):
+    monkeypatch.setattr(lattice, "TermClone", Swapped)
+    for model, n in ((model_neg(), 1), (model_neg(), 2), (dict(seeded_models())["fp0"], 2),
+                     (model_nand(), 3)):
         with pytest.raises(DefinabilityError,
                            match=r"^witness .+ evaluates to \{.*\}, not \{.*\}$"):
             generate_definable_algebra(model, canonical_varset(n))
+
+
+def test_a_discrete_build_grows_its_clone_only_as_far_as_its_seeds_read(monkeypatch):
+    """The clone grows a round only when a seed needs a function not found
+    yet, and no seed is read once every point is its own atom.  On NAND the
+    P seeds of the projections already name every point, so no round runs:
+    over four variables none of the 2^16 functions past them is made.  The
+    3-element clone wall over two variables needs round 1 only.  Under a
+    cap, the clone still grows to the cap for the saturation flag."""
+    grow, grown = TermClone.grow, []
+
+    def counted(clone):
+        more = grow(clone)
+        grown.append(len(clone.functions))
+        return more
+
+    monkeypatch.setattr(TermClone, "grow", counted)
+    for model, n, cap, sizes in ((model_nand(), 3, None, []), (model_nand(), 4, None, []),
+                                 (model_clone_wall(), 2, None, [6]),
+                                 (model_nand(), 3, 2, [9, 31, 31])):
+        grown.clear()
+        algebra = generate_definable_algebra(model, canonical_varset(n), cap)
+        assert algebra.size == 1 << len(model.carrier) ** n, (n, cap)
+        assert grown == sizes, (n, cap)
+
+
+def test_the_on_demand_clone_builds_what_the_drained_clone_builds():
+    """The library build equals the eager reference, which reads every seed
+    off the drained clone: the same atoms, dump and saturation flag, under
+    caps 0, 1, 2 and none.  The op models put a binary R first, so its
+    pairs are read while the clone still grows, and they and the clone-wall
+    models are also taken without their relations, so that the equality
+    pairs are.  The two clone-wall models stop seeding early; the 3-element
+    one is built over one variable only, since its drained clone over two
+    does not finish."""
+    census = [(f"{label} #{i}", model) for label, size, ops, rels in FAMILIES
+              for i, model in enumerate(representatives(all_models(size, ops, rels)))]
+    ops = op_models() + [("nand", model_nand()), ("clone wall", model_clone_wall())]
+    models = all_fixtures() + seeded_models() + census + ops
+    models += [(f"{name} without relations", Model(Signature(model.sig.ops, ()), model.carrier,
+                                                    model.op_tables)) for name, model in ops]
+    cases = [(name, model, n, cap) for name, model in models for n in (1, 2)
+             for cap in (0, 1, 2, None) if n == 1 or not name.startswith("clone wall")]
+    cases.append(("nand", model_nand(), 3, 1))
+    for name, model, n, cap in cases:
+        varset = canonical_varset(n)
+        built = generate_definable_algebra(model, varset, cap)
+        eager = eager_definable_algebra(model, varset, cap)
+        assert built.block_masks() == eager.block_masks(), (name, n, cap)
+        assert built.dump_lines() == eager.dump_lines(), (name, n, cap)
+        assert built.saturated == eager.saturated, (name, n, cap)
+    assert not generate_definable_algebra(model_nand(), canonical_varset(3), 1).saturated
 
 
 def _node_ids(f, seen: set) -> None:
