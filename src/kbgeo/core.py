@@ -549,21 +549,66 @@ def eval_term(term: Term, env: Mapping[str, object], model: Model):
     return table[tuple(eval_term(a, env, model) for a in term.args)]
 
 
-def _preserves_structure(source: Model, target: Model, images: tuple) -> bool:
-    lookup = dict(zip(source.carrier, images))
-    for name, _ in source.sig.ops:
-        table = source.op_tables[name]
-        target_table = target.op_tables[name]
-        for key, value in table.items():
-            if target_table[tuple(lookup[e] for e in key)] != lookup[value]:
+def bijections(cells, fits=None) -> Iterator[dict]:
+    """The bijections from each cell's sources onto its targets, for a list
+    of (sources, targets) cells, as dicts from source to target.  One
+    iterative backtracking search assigns the sources in cell order, each
+    trying its cell's unused targets in order, so the leaves come in the
+    order `itertools.product` gives over each cell's target permutations.
+    `fits(mapping, source)` runs after each assignment and cuts the branch
+    when false; it reads only assigned sources, so it skips just the leaves
+    that would fail it."""
+    slots = []
+    for sources, targets in cells:
+        used: set = set()
+        slots += [(source, targets, used) for source in sources]
+    mapping, chosen, depth = {}, [-1] * len(slots), 0
+    while depth >= 0:
+        if depth == len(slots):
+            yield dict(mapping)
+            depth -= 1
+            continue
+        source, targets, used = slots[depth]
+        used.discard(chosen[depth])
+        for k in range(chosen[depth] + 1, len(targets)):
+            if k not in used:
+                mapping[source] = targets[k]
+                if fits is None or fits(mapping, source):
+                    used.add(k)
+                    chosen[depth] = k
+                    depth += 1
+                    break
+        else:
+            mapping.pop(source, None)
+            chosen[depth] = -1
+            depth -= 1
+
+
+def _fact_check(source: Model, target: Model) -> Optional[Callable[[dict, object], bool]]:
+    """`fits` for carrier maps source -> target in `bijections`: whether a
+    map sends each source fact whose last element in the carrier is the one
+    given to a target fact.  A fact is a row of a relation or of an op's
+    graph, its arguments then its value.  None when a symbol's row counts
+    differ, so that no bijection keeps them all."""
+    def graphs(model: Model) -> dict:
+        ops = {name: {key + (value,) for key, value in table.items()}
+               for name, table in model.op_tables.items()}
+        return {**ops, **model.rel_tables}
+
+    graphs1, graphs2 = graphs(source), graphs(target)
+    if any(len(rows) != len(graphs2[name]) for name, rows in graphs1.items()):
+        return None
+    index: dict = {e: [] for e in source.carrier}
+    for name, rows in graphs1.items():
+        for row in rows:
+            index[max(row, key=source._index.__getitem__)].append((row, graphs2[name]))
+
+    def fits(mapping: dict, element) -> bool:
+        for row, rows in index[element]:
+            if tuple(map(mapping.__getitem__, row)) not in rows:
                 return False
-    for name, _ in source.sig.rels:
-        rows = source.rel_tables[name]
-        target_rows = target.rel_tables[name]
-        mapped = frozenset(tuple(lookup[e] for e in row) for row in rows)
-        if mapped != target_rows:
-            return False
-    return True
+        return True
+    return fits
 
 
 class ModelMap:
@@ -573,14 +618,16 @@ class ModelMap:
         if source.sig != target.sig:
             raise MismatchError("models have different signatures")
         images = tuple(images)
-        if len(images) != len(source.carrier) or set(images) != set(target.carrier):
+        if (not len(source.carrier) == len(images) == len(target.carrier)
+                or set(images) != set(target.carrier)):
             raise ModelError("images do not form a bijection onto the target carrier")
-        if not _preserves_structure(source, target, images):
+        self._map = dict(zip(source.carrier, images))
+        fits = _fact_check(source, target)
+        if fits is None or not all(fits(self._map, e) for e in source.carrier):
             raise ModelError("map does not preserve the interpretation tables")
         self.source = source
         self.target = target
         self.images = images
-        self._map = dict(zip(source.carrier, images))
 
     def apply(self, element):
         return self._map[element]
@@ -606,13 +653,17 @@ class ModelMap:
 def model_isomorphisms(source: Model, target: Model) -> Iterator[ModelMap]:
     """The isomorphisms source -> target, in lexicographic carrier order, as
     a lazy iterator: a caller that needs one stops at the first.  The
-    signatures are compared on the call."""
+    signatures are compared on the call.  One `bijections` search checks
+    each op and relation fact once its last element is assigned, and the
+    row counts before it starts: a branch ends at its first broken fact, so
+    it skips only maps that are not isomorphisms, and the order stands."""
     if source.sig != target.sig:
         raise MismatchError("models have different signatures")
-    if len(source.carrier) != len(target.carrier):
+    fits = _fact_check(source, target)
+    if len(source.carrier) != len(target.carrier) or fits is None:
         return iter(())
-    return (ModelMap(source, target, images) for images in itertools.permutations(target.carrier)
-            if _preserves_structure(source, target, images))
+    found = bijections([(source.carrier, target.carrier)], fits)
+    return (ModelMap(source, target, mapping.values()) for mapping in found)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ bijection, and a carrier map relabels the points of each atom.  So a
 decision lists no member.  The search checks the naturality squares on
 atoms; the carrier witness's squares hold by the isomorphism, and its
 transport checks only that the first model's pullbacks are members
-(`transport_model_iso` gives the proof).  Both searches stream: the
-carrier maps and each size's candidates are generated lazily, so a
-decision stops at its first witness and holds no list of either.  The
+(`transport_model_iso` gives the proof).  Both searches stream from one
+backtracker, `core.bijections`, so a decision stops at its first witness
+and holds no list of carrier maps or candidates.  The
 model-level deciders take their pair from `categories.knowledge_bases`:
 one knowledge base for equal models, and the pair the last call on the same
 model objects and bounds resolved, so `check_informational_equivalence`
@@ -177,6 +177,7 @@ from .core import (
     SignatureError,
     Substitution,
     Var,
+    bijections,
     canonical_varset,
     model_isomorphisms,
 )
@@ -312,8 +313,10 @@ class FormulaAutomorphism:
 
 
 def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
-    """The default search order: the identity, then the relation permutations
-    lexicographically.
+    """The default search order: the relation permutations that keep
+    arities, lexicographically, so the identity first.  One `bijections`
+    search over the relation names cuts a branch at its first image of
+    another arity, which skips only permutations that change one.
 
     Variable renamings are supported but not searched, because they are
     inner: within the bounds, a phi that only renames variables has a witness
@@ -351,14 +354,9 @@ def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
 def _automorphisms(sig: Signature) -> Iterator[FormulaAutomorphism]:
     """`enumerate_automorphisms` as a stream, so a search that stops at its
     first witness builds no later phi."""
-    yield FormulaAutomorphism.identity(sig)
-    names = list(sig.rel_names)
-    for perm in itertools.permutations(names):
-        if list(perm) == names:
-            continue
-        if any(sig.rel_arity(a) != sig.rel_arity(b) for a, b in zip(names, perm)):
-            continue
-        yield FormulaAutomorphism(sig, tuple(zip(names, perm)))
+    names, arity = sig.rel_names, sig.rel_arity
+    found = bijections([(names, names)], lambda mapping, name: arity(name) == arity(mapping[name]))
+    return (FormulaAutomorphism(sig, tuple(mapping.items())) for mapping in found)
 
 
 @dataclass
@@ -476,17 +474,6 @@ def _constraint_classes(lat1: FilterLattice, lat2: FilterLattice,
     return [(classes1[k], classes2[k]) for k in keys]
 
 
-def _candidate_alphas(classes: list[tuple[list[int], list[int]]]) -> Iterator[UnionMap]:
-    """The mask bijections induced by block bijections that map each class
-    of `_constraint_classes` onto its partner, lazily, in deterministic
-    order."""
-    for choice in itertools.product(*(itertools.permutations(images) for _, images in classes)):
-        block_map: dict[int, int] = {}
-        for (blocks, _), images in zip(classes, choice):
-            block_map.update(zip(blocks, images))
-        yield UnionMap(block_map)
-
-
 def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorphism,
                      kb1: KnowledgeBase, kb2: KnowledgeBase,
                      source_n: int, target_n: int) -> bool:
@@ -528,9 +515,10 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     assignment only when every naturality square between assigned sizes
     commutes for every substitution within the depth bound.  Each size's
     blocks are grouped into constraint classes once, and each visit of the
-    size streams its candidates from them afresh, so no candidate list is
-    held.  Partial lattices never certify: the search requires saturated
-    generation.
+    size streams its candidates from them afresh, as the `bijections`
+    between partner classes with nothing cut, so in `itertools.product`
+    order and with no candidate list held.  Partial lattices never
+    certify: the search requires saturated generation.
 
     Step n checks the squares along `KnowledgeBase.naturality` between n
     and the sizes up to it.  On generators, given the sizes below n, a
@@ -563,7 +551,7 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     def assign(n: int) -> bool:
         if n > n_max:
             return True
-        for candidate in _candidate_alphas(groupings[n - 1]):
+        for candidate in map(UnionMap, bijections(groupings[n - 1])):
             alphas[n] = candidate
             if all(commute(other, n) and (other == n or commute(n, other))
                    for other in range(1, n + 1)) and assign(n + 1):

@@ -22,6 +22,11 @@ pairing atom tables.
 `eager_definable_algebra` is the library's build as it was before its clone
 grew on demand: every seed is read off the fully drained clone, with no
 stop once each point is its own atom.
+
+The filtered streams at the end are the three bijection searches as they
+were before they ran on `core.bijections`: every carrier permutation kept
+when it preserves every table, every relation permutation kept when it
+keeps arities, and the product of the permutations within each cell.
 """
 
 import itertools
@@ -307,6 +312,44 @@ def bounded_pairs() -> list:
         ("K33 / prism", symmetric_graph([(a, b) for a in range(3) for b in range(3, 6)]),
          symmetric_graph(triangles + [(0, 3), (1, 4), (2, 5)])),
     ]
+
+
+def cfi_pair(base_edges) -> tuple:
+    """The Cai-Fuerer-Immerman pair over a base graph (Cai, Fuerer &
+    Immerman, Combinatorica 1992) as two models with a symmetric binary R
+    and no ops: not isomorphic, by the parity of the twisted edges.  Per
+    base vertex v: a middle per even subset S of the edges at v, joined to
+    the end a(v, e, 1) for e in S and to a(v, e, 0) for the other edges e
+    at v.  Each base edge e = {u, v} joins a(u, e, i) to a(v, e, i); the
+    second model crosses the first edge, joining a(u, e, i) to
+    a(v, e, 1 - i).  Elements are "0", "1", ... in the order first met:
+    per vertex, each middle, then its ends not yet met, then any end
+    left."""
+    label: dict = {}
+
+    def element(key) -> str:
+        return label.setdefault(key, str(len(label)))
+
+    inner = []
+    for v in sorted({v for edge in base_edges for v in edge}):
+        at = [edge for edge in base_edges if v in edge]
+        for size in range(0, len(at) + 1, 2):
+            for subset in itertools.combinations(at, size):
+                middle = element(("m", v, subset))
+                inner += [(middle, element(("a", v, e, e in subset))) for e in at]
+        for e, i in itertools.product(at, (False, True)):
+            element(("a", v, e, i))
+
+    def model(twisted: bool) -> Model:
+        rows = list(inner)
+        for k, (u, v) in enumerate(base_edges):
+            for i in (False, True):
+                j = i != (twisted and k == 0)
+                rows.append((label["a", u, (u, v), i], label["a", v, (u, v), j]))
+        rows += [(b, a) for a, b in rows]
+        return Model(Signature((), (("R", 2),)), tuple(label.values()), None, {"R": rows})
+
+    return model(False), model(True)
 
 
 def relabeled(model: Model, perm) -> Model:
@@ -700,9 +743,10 @@ def formulawise_atom_constraints(kb1, kb2, phi, n: int):
 
 
 def memberwise_candidate_alphas(lat1, lat2, constraints):
-    """`_candidate_alphas` over `_constraint_classes`, with each member's
-    image summed over the blocks inside it; nothing where
-    `_constraint_classes` gives None."""
+    """The candidates of `find_functor_iso`, the block bijections between
+    the classes of `_constraint_classes`, with each member's image summed
+    over the blocks inside it; nothing where `_constraint_classes` gives
+    None."""
     blocks1 = lat1.algebra.block_masks()
     blocks2 = lat2.algebra.block_masks()
     sig1 = {b: tuple(b & ~a == 0 for a, _ in constraints) for b in blocks1}
@@ -999,3 +1043,57 @@ def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> Defina
             for var in varset.names:
                 pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
     return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
+
+
+def preserves_structure(source: Model, target: Model, images: tuple) -> bool:
+    """Whether the carrier map to `images` sends every op table and every
+    relation table of `source` onto `target`'s, table by table."""
+    lookup = dict(zip(source.carrier, images))
+    for name, _ in source.sig.ops:
+        table = source.op_tables[name]
+        target_table = target.op_tables[name]
+        for key, value in table.items():
+            if target_table[tuple(lookup[e] for e in key)] != lookup[value]:
+                return False
+    for name, _ in source.sig.rels:
+        rows = source.rel_tables[name]
+        target_rows = target.rel_tables[name]
+        mapped = frozenset(tuple(lookup[e] for e in row) for row in rows)
+        if mapped != target_rows:
+            return False
+    return True
+
+
+def filtered_isomorphisms(source: Model, target: Model) -> list:
+    """The images of `model_isomorphisms`, by filtering every permutation of
+    the target's carrier with `preserves_structure`."""
+    if len(source.carrier) != len(target.carrier):
+        return []
+    return [images for images in itertools.permutations(target.carrier)
+            if preserves_structure(source, target, images)]
+
+
+def filtered_automorphisms(sig: Signature) -> list:
+    """`enumerate_automorphisms` by filtering every relation permutation:
+    the identity, then each other permutation that keeps every arity."""
+    out = [FormulaAutomorphism.identity(sig)]
+    names = list(sig.rel_names)
+    for perm in itertools.permutations(names):
+        if list(perm) == names:
+            continue
+        if any(sig.rel_arity(a) != sig.rel_arity(b) for a, b in zip(names, perm)):
+            continue
+        out.append(FormulaAutomorphism(sig, tuple(zip(names, perm))))
+    return out
+
+
+def product_bijections(cells) -> list:
+    """`bijections(cells)` without `fits`, as `itertools.product` over the
+    cells' `itertools.permutations`, each leaf a dict in cell order."""
+    out = []
+    for choice in itertools.product(*(itertools.permutations(targets) for _, targets in cells)):
+        mapping: dict = {}
+        for (sources, _), images in zip(cells, choice):
+            mapping.update(zip(sources, images))
+        out.append(mapping)
+    return out

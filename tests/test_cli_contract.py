@@ -22,6 +22,8 @@ import sys
 import pytest
 
 import kbgeo
+from kbgeo.cli import print_model
+from helpers import cfi_pair
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE_ROOT = str(pathlib.Path(kbgeo.__file__).resolve().parent.parent)
@@ -77,6 +79,11 @@ P3 = "carrier: 0 1 2\nrel P 1\nrel P: 0\n"
 # Four elements, each with its own pair of P and Q values, so over two
 # variables the seeds alone make each of the 16 points an atom.
 PQ4 = "carrier: 0 1 2 3\nrel P 1\nrel Q 1\nrel P: 0\nrel P: 1\nrel Q: 1\nrel Q: 2\n"
+# The Cai-Fuerer-Immerman pairs over K3 and K4, 18 and 40 elements with a
+# symmetric binary R: not isomorphic, each as the files a.kbm and b.kbm.
+K3_CFI, K4_CFI = ({name: print_model(model) for name, model in zip(("a.kbm", "b.kbm"), pair)}
+                  for pair in (cfi_pair([(0, 1), (0, 2), (1, 2)]),
+                               cfi_pair([(a, b) for a in range(4) for b in range(a + 1, 4)])))
 C6 = graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
 TT = graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 # The model with f: 0->0, 1->1, 2->0 and P everything: over {x1} its algebra
@@ -369,6 +376,37 @@ CONTRACT = [
     # first, ends the search (exit 0: witnessed, within 10 s).
     Entry("cycle-12-iso", ("equiv", "c12.kbm", "c12.kbm", "--mode", "iso", "--format", "machine"),
           models={"c12.kbm": cycle(12)}, lines=("verdict: EQUIVALENT_WITNESSED",), timeout=10),
+    # The f 12-cycle with P = {0} against P = {11}, in isomorphism mode and
+    # in the default mode: the carrier search ends each branch at its first
+    # broken fact, so it reaches the one isomorphism, the shift back by one,
+    # long before the 12! maps (exit 0: witnessed, within 10 s).
+    *(Entry(f"cycle-12-shift{suffix}",
+            ("equiv", "c12.kbm", "c12s.kbm", *mode, "--format", "machine"),
+            models={"c12.kbm": cycle(12), "c12s.kbm": cycle(12, p=11)}, timeout=10,
+            lines=("witness.map: 0->11 1->0 2->1 3->2 4->3 5->4 "
+                   "6->5 7->6 8->7 9->8 10->9 11->10",))
+      for suffix, mode in (("-iso", ("--mode", "iso")), ("", ()))),
+    # The CFI pairs in isomorphism mode: the carrier search refutes each one
+    # (exit 1, within 10 s).
+    *(Entry(f"cfi-{base}-iso", ("equiv", "a.kbm", "b.kbm", "--mode", "iso", "--format", "machine"),
+            models=models, code=1, lines=("verdict: INEQUIVALENT",), timeout=10)
+      for base, models in (("k3", K3_CFI), ("k4", K4_CFI))),
+    # The K3 pair in the default mode over one and two variables at depth 0:
+    # the carrier search refutes it, and the lattice search witnesses it by
+    # the identity with alphas that no carrier map gives (exit 0, within
+    # 10 s).
+    *(Entry(f"cfi-k3-{n}-0", ("equiv", "a.kbm", "b.kbm", "--max-vars", str(n), "--depth", "0",
+                              "--format", "machine"),
+            models=K3_CFI, timeout=10,
+            lines=("witness.kind: functor isomorphism", "witness.phi: identity",
+                   f"witness.alphas: {alphas}"))
+      for n, alphas in ((1, "|X|=1: 2 filters"), (2, "|X|=1: 2 filters; |X|=2: 8 filters"))),
+    # m_p against itself in automorphic mode over ten variables: 1,024
+    # singleton constraint classes, one level each of the iterative
+    # candidate search (exit 0: witnessed by the identity, within 10 s).
+    Entry("m_p-10-1-lae", ("equiv", fixture("m_p.kbm"), fixture("m_p.kbm"), "--mode", "lae",
+                           "--max-vars", "10", "--depth", "1", "--format", "machine"),
+          lines=("witness.phi: identity",), timeout=10),
     # A self-pair whose carrier transport meets a pullback that is not
     # definable: the transport walks the first model's pullbacks and stops
     # at the first such one (exit 2: UNKNOWN, with that pullback's note).

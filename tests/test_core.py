@@ -1,6 +1,7 @@
 """Signatures, terms, substitutions, models, and term-function clones."""
 
 import itertools
+import random
 
 import pytest
 
@@ -37,15 +38,23 @@ from kbgeo import (
     term_vars,
     term_functions,
 )
+from kbgeo.core import bijections
 from helpers import (
+    bounded_pairs,
     brute_term_functions,
+    cfi_pair,
     constant_models,
+    filtered_isomorphisms,
     model_eq,
     model_neg,
     model_p,
     model_p_relabeled,
+    product_bijections,
+    relabeled,
     seeded_models,
+    seeded_pairs,
 )
+from test_census import FAMILIES, all_models, representatives
 
 
 def test_signature_basic():
@@ -215,6 +224,82 @@ def test_model_isomorphisms_enumeration():
     assert [iso.describe() for iso in both] == ["0->0 1->1", "0->1 1->0"]
     with pytest.raises(MismatchError):
         model_isomorphisms(model_p(), model_eq())
+
+
+def test_bijections_follow_the_product_of_permutations():
+    """Without `fits` the search gives the leaves of `itertools.product`
+    over each cell's permutations, in that order.  With one, it gives the
+    leaves whose every prefix fits, in the same order: a cut skips nothing
+    else.  A thousand singleton cells make a thousand levels, which a
+    recursive search would not reach."""
+    rng = random.Random(43)
+    for _ in range(100):
+        cells, labels = [], itertools.count()
+        for _ in range(rng.randint(0, 4)):
+            size = rng.randint(0, 4)
+            cells.append(([next(labels) for _ in range(size)],
+                          rng.sample(range(100), size)))
+        salt = rng.randrange(1 << 16)
+
+        def fits(mapping, source):
+            return hash((salt, source, mapping[source], len(mapping))) % 3 != 0
+
+        def every_prefix_fits(leaf):
+            return all(fits(dict(list(leaf.items())[:i]), source)
+                       for i, source in enumerate(leaf, 1))
+
+        leaves = product_bijections(cells)
+        assert list(bijections(cells)) == leaves
+        assert list(bijections(cells, fits)) == [m for m in leaves if every_prefix_fits(m)]
+    deep = [((i,), (-i,)) for i in range(1000)]
+    assert list(bijections(deep)) == [{i: -i for i in range(1000)}]
+
+
+def test_model_isomorphisms_match_the_permutation_filter():
+    """Every carrier isomorphism, in the order of the filtered permutations:
+    each census model against each representative of its family, both
+    directions of `bounded_pairs` and `seeded_pairs` with their self-pairs,
+    and a model whose carrier holds None and a tuple against its
+    relabellings."""
+    pairs = []
+    for _, size, ops, rels in FAMILIES:
+        models = list(all_models(size, ops, rels))
+        pairs += itertools.product(models, representatives(models))
+    for _, m1, m2 in bounded_pairs() + seeded_pairs():
+        pairs += itertools.product((m1, m2), repeat=2)
+    odd = Model(Signature((("f", 1), ("c", 0)), (("P", 1), ("R", 2))), (None, (0, 1), "a"),
+                {"f": {(None,): (0, 1), ((0, 1),): None, ("a",): "a"}, "c": {(): None}},
+                {"P": [(None,)], "R": [(None, "a"), ((0, 1), (0, 1))]})
+    for perm in itertools.permutations(odd.carrier):
+        pairs += [(odd, relabeled(odd, perm)), (relabeled(odd, perm), odd)]
+    isomorphic, several = 0, 0
+    for m1, m2 in pairs:
+        found = [mmap.images for mmap in model_isomorphisms(m1, m2)]
+        assert found == filtered_isomorphisms(m1, m2), (m1, m2)
+        isomorphic += bool(found)
+        several += len(found) > 1
+    assert 0 < several < isomorphic < len(pairs)
+
+
+def test_a_model_map_is_a_bijection():
+    """A map onto a smaller carrier is refused even when its images cover
+    that carrier."""
+    sig = Signature((), ())
+    with pytest.raises(ModelError, match="^images do not form a bijection"):
+        ModelMap(Model(sig, (0, 1, 2)), Model(sig, ("a", "b")), ("a", "a", "b"))
+
+
+def test_the_cfi_pairs_are_not_isomorphic():
+    """The Cai-Fuerer-Immerman pairs over K3 and K4: 18 elements and 36 rows
+    of R on each side, and 40 and 120.  The carrier search refutes the K3
+    pair; each side is isomorphic to itself."""
+    k3, k4 = (list(itertools.combinations(range(n), 2)) for n in (3, 4))
+    for base, size, rows in ((k3, 18, 36), (k4, 40, 120)):
+        for model in cfi_pair(base):
+            assert (len(model.carrier), len(model.rel_tables["R"])) == (size, rows)
+            assert next(model_isomorphisms(model, model)).images == model.carrier
+    first, twisted = cfi_pair(k3)
+    assert next(model_isomorphisms(first, twisted), None) is None
 
 
 def test_term_functions_clone():

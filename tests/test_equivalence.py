@@ -47,9 +47,9 @@ from kbgeo import (
     transport_model_iso,
 )
 from kbgeo import categories, equivalence, lattice, semantics
+from kbgeo.core import bijections
 from kbgeo.equivalence import (
     _atom_constraints,
-    _candidate_alphas,
     _constraint_classes,
     _is_boolean,
     _squares_commute,
@@ -62,6 +62,7 @@ from helpers import (
     atom_count_pairs,
     bounded_pairs,
     brute_atomic_classes,
+    filtered_automorphisms,
     formulawise_atom_constraints,
     memberwise_candidate_alphas,
     memberwise_description_iso,
@@ -193,6 +194,17 @@ def test_enumerate_automorphisms_order():
         descriptions = [a.describe() for a in renaming_families(PQ_SIG, n_max)]
         assert len(descriptions) == len(set(descriptions)) == count
         assert all(d.startswith("renamevars[") for d in descriptions)
+
+
+def test_the_relation_permutations_match_the_arity_filter():
+    """On random signatures of up to five relations with arities 1 to 3, the
+    search cut by arity gives the filtered permutations in their order,
+    the identity first."""
+    rng = random.Random(43)
+    for _ in range(300):
+        rels = tuple((f"R{i}", rng.randint(1, 3)) for i in range(rng.randint(0, 5)))
+        sig = Signature((), tuple(rng.sample(rels, len(rels))))
+        assert enumerate_automorphisms(sig) == filtered_automorphisms(sig), sig
 
 
 def test_find_functor_iso_needs_matching_signatures():
@@ -625,7 +637,8 @@ def test_atom_path_matches_the_member_loops():
                 if len(lat1) != len(lat2) or constraints is None:
                     break
                 classes = _constraint_classes(lat1, lat2, constraints)
-                candidates[n] = [] if classes is None else list(_candidate_alphas(classes))
+                candidates[n] = ([] if classes is None
+                                 else list(map(lattice.UnionMap, bijections(classes))))
             for a, b in itertools.product(candidates, repeat=2):
                 for alpha_a, alpha_b in itertools.product(candidates[a], candidates[b]):
                     if a == b and alpha_a is not alpha_b:
@@ -701,7 +714,8 @@ def test_atom_tables_match_the_member_loops():
                 if constraints is None:
                     continue
                 classes = _constraint_classes(lat1, lat2, constraints)
-                new = [] if classes is None else list(map(items, _candidate_alphas(classes)))
+                new = [] if classes is None else [items(lattice.UnionMap(mapping))
+                                                  for mapping in bijections(classes)]
                 assert new == list(map(items, memberwise_candidate_alphas(lat1, lat2,
                                                                           constraints)))
                 candidates += len(new)
@@ -1077,7 +1091,7 @@ def test_the_witness_search_runs_out_of_candidates():
     lat1, lat2 = kb1.description(1), kb2.description(1)
     assert len(lat1) == len(lat2) == 4
     classes = _constraint_classes(lat1, lat2, _atom_constraints(kb1, kb2, phi, 1))
-    [candidate] = _candidate_alphas(classes)
+    [candidate] = map(lattice.UnionMap, bijections(classes))
     assert not _squares_commute({1: candidate}, phi, kb1, kb2, 1, 1)
     x1 = canonical_varset(1)
     step = Substitution(x1, x1, (parse_term("f(x1)", sig, x1),))
