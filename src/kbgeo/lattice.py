@@ -23,10 +23,11 @@ or its negation's, with a witness.  An algebra keeps that tree, its witness
 memo, one valuation of its space and one text per rendered node, the last
 two keyed on node identity; the tree and the memo keep every keyed node
 alive as long as the algebra, so no identity is reused.  A build checks
-each block's witness through the valuation, a member is built and checked
-through it when first asked for, then cached, and a dump renders through
-the texts, so each shared node is checked, valued and rendered once per
-algebra.
+each cut once through the valuation, before the cut moves any block, and
+builds a block's witness only for a projection cut that splits something
+or for a member read; a member is built and checked through the valuation
+when first asked for, then cached, and a dump renders through the texts,
+so each shared node is checked, valued and rendered once per algebra.
 A closed filter is represented by its dual definable set.
 """
 
@@ -318,16 +319,36 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     distinct term functions, in `itertools` order over the whole clone, which
     grows a round only when a seed needs a function not found yet.  A seed's
     set is its relation or `==` read across the functions' value columns, by
-    the helpers that value `Atom` and `Equal` nodes; a witness check reads
-    the same helpers across columns of the witness's terms, evaluated over
-    the space, so a wrong clone column still fails the check.  Starting from
+    the helpers that value `Atom` and `Equal` nodes; a cut's check reads
+    the same helpers across columns of the cut's terms, evaluated over the
+    space, so a wrong clone column still fails the check.  Starting from
     the whole space, each seed splits the blocks it cuts; then the
     projection of each block along each variable splits the blocks until
     nothing splits.
     Projection distributes over union, so the blocks are the atoms of the
     closure of the seeds under complement, intersection, union, and
     projection.  Each member is a union of atoms, witnessed by its choices
-    at the splits; a block's witness is checked before it projects.
+    at the splits.
+
+    Each cut is checked once, when it is made: it must value to exactly the
+    set `by` it cuts by, or the build raises `DefinabilityError` before the
+    cut moves any block.  That makes every witness exact.  Let a split node
+    have cut c and kids `inside` = node & by and `outside` = node ^ inside;
+    since c values to `by`, c meets the node in `inside` and its negation
+    in `outside`.  By induction on the height of `node` in the tree,
+    `witness(part, node)` meets `node` exactly in `part`, for any part of
+    it.  FALSE is no part and TRUE all of it.  Otherwise let w and o be
+    the kids' witnesses, of part & inside and of part & outside; `_select`
+    gives c or c | o (w is TRUE), !c or !c & o (w is FALSE), c & w (o is
+    FALSE), !c | w (o is TRUE), or (c & w) | (!c & o), and each meets the
+    node in (part & inside) | (part & outside) = part.  At the root, the
+    whole space, every block's and member's witness values to its mask.
+    The check is stronger than valuing each block's witness, which reads a
+    cut only inside the nodes it splits: it also catches a cut that
+    disagrees with its mask on a block it leaves whole.  So no block's
+    witness is built for a check: one is built for a projection cut that
+    splits something, and a member's when it is read, where
+    `DefinableAlgebra.member` checks it again through the same valuation.
 
     The splits form a tree whose leaves are the blocks, so a cut descends
     only into the nodes it cuts and visits no block it misses; a cut node is
@@ -342,8 +363,8 @@ def generate_definable_algebra(model: Model, varset: VarSet,
 
     Two kinds of projection cut are never made, since neither can split: one
     along the only variable, whose projection of a nonempty block is the
-    whole space, and any once the partition is discrete.  Each block's
-    witness is still checked.
+    whole space, and any once the partition is discrete.  Such a build
+    builds no block witness.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from the model's kept geometry under the
@@ -357,10 +378,13 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # node -> (cut, !cut, in, out)
     memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
     conjunctions: dict[tuple[int, int], Formula] = {}  # conjunct identities -> And
+    # The split tree and the witness memo keep every node the valuation keys alive.
+    valuation = _Valuation(space)
 
     def split(by: int, make_cut: Callable[[], Formula]) -> list[int]:
         """Split every block that the set `by` cuts, by the node `make_cut()`,
-        built only if `by` cuts one; returns the parts."""
+        built only if `by` cuts one and checked to value to `by` before any
+        block moves; returns the parts."""
         if not by or by == root:
             return []
         leaves, nodes = [], [root]
@@ -377,6 +401,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
             return []
         leaves.sort(key=blocks.__getitem__)
         cut = make_cut()
+        _check_witness(by, cut, valuation)
         uncut = Not(cut)  # one negation node for every block the cut splits
         parts = []
         for leaf in leaves:
@@ -428,17 +453,13 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     seed()
 
     # Each block is queued once: its projections stay unions of blocks as the
-    # partition refines, and a block split later has its parts queued.  The
-    # witness memo and the split tree keep every node the valuation keys alive.
-    valuation = _Valuation(space)
-    pending = list(blocks)
-    while pending:
+    # partition refines, and a block split later has its parts queued.
+    pending = list(blocks) if len(varset) > 1 else []
+    while pending and len(blocks) < npoints:
         block = pending.pop()
-        body = witness(block)
-        _check_witness(block, body, valuation)
-        if len(varset) > 1 and len(blocks) < npoints:
-            for var in varset.names:
-                pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
+        for var in varset.names:
+            pending += split(_exists_mask(block, space, var),
+                             lambda: Exists(var, witness(block)))
 
     return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
 

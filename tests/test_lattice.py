@@ -41,7 +41,7 @@ from kbgeo import (
 )
 from kbgeo import formulas, lattice
 from kbgeo.core import TermClone, TermFunction, term_functions
-from kbgeo.formulas import And, Atom, Formula, Not
+from kbgeo.formulas import And, Atom, Equal, Formula, Not
 from helpers import (
     all_fixtures,
     brute_closure,
@@ -156,11 +156,11 @@ def test_builds_of_generated_models_match_their_digests():
 
 def test_a_wrong_clone_column_fails_the_build(monkeypatch):
     """A build reads its seeds off the clone's value columns, but checks each
-    block's witness by evaluating the witness terms: with the clone grown to
-    two functions and their columns swapped before the build reads any, the
-    first block checked has a witness that evaluates elsewhere, and the
-    build stops there.  The NAND build over three variables stops seeding
-    early, once every point is its own atom, and is still checked."""
+    cut it makes by evaluating the cut's terms: with the clone grown to two
+    functions and their columns swapped before the build reads any, the
+    first cut checked evaluates elsewhere, and the build stops there.  The
+    NAND build over three variables stops seeding early, once every point is
+    its own atom, and is still checked."""
     class Swapped(TermClone):
         def __init__(self, *args):
             super().__init__(*args)
@@ -176,6 +176,33 @@ def test_a_wrong_clone_column_fails_the_build(monkeypatch):
         with pytest.raises(DefinabilityError,
                            match=r"^witness .+ evaluates to \{.*\}, not \{.*\}$"):
             generate_definable_algebra(model, canonical_varset(n))
+
+
+@pytest.mark.parametrize("seed_mask, model, n", [
+    ("_atom_mask", model_p0(), 1),
+    ("_atom_mask", model_nand(), 3),
+    ("_equal_mask", model_eq(), 2),
+])
+def test_a_wrong_seed_mask_fails_its_cut_check(monkeypatch, seed_mask, model, n):
+    """The build splits by the seed masks it reads through `lattice`, while
+    the cut check values the cut through `semantics`: with one bit flipped in
+    the first seed mask, the first cut fails its check before any block
+    moves.  These builds end without a block witness (one variable; NAND
+    over three ends discrete), so the cut check is the only one they make."""
+    original, read = getattr(lattice, seed_mask), []
+
+    def flipped(*args):
+        read.append(None)
+        return original(*args) ^ (len(read) == 1)
+
+    selects = []
+    select = lattice._select
+    monkeypatch.setattr(lattice, seed_mask, flipped)
+    monkeypatch.setattr(lattice, "_select", lambda *args: selects.append(None) or select(*args))
+    with pytest.raises(DefinabilityError,
+                       match=r"^witness .+ evaluates to \{.*\}, not \{.*\}$"):
+        generate_definable_algebra(model, canonical_varset(n))
+    assert len(read) == 1 and selects == []
 
 
 def test_a_discrete_build_grows_its_clone_only_as_far_as_its_seeds_read(monkeypatch):
@@ -210,7 +237,7 @@ def test_the_on_demand_clone_builds_what_the_drained_clone_builds():
     models are also taken without their relations, so that the equality
     pairs are.  The two clone-wall models stop seeding early; the 3-element
     one is built over one variable only, since its drained clone over two
-    does not finish."""
+    does not finish.  The six fixtures are also built over three variables."""
     census = [(f"{label} #{i}", model) for label, size, ops, rels in FAMILIES
               for i, model in enumerate(representatives(all_models(size, ops, rels)))]
     ops = op_models() + [("nand", model_nand()), ("clone wall", model_clone_wall())]
@@ -220,6 +247,7 @@ def test_the_on_demand_clone_builds_what_the_drained_clone_builds():
     cases = [(name, model, n, cap) for name, model in models for n in (1, 2)
              for cap in (0, 1, 2, None) if n == 1 or not name.startswith("clone wall")]
     cases.append(("nand", model_nand(), 3, 1))
+    cases += [(name, model, 3, None) for name, model in all_fixtures()]
     for name, model, n, cap in cases:
         varset = canonical_varset(n)
         built = generate_definable_algebra(model, varset, cap)
@@ -230,19 +258,20 @@ def test_the_on_demand_clone_builds_what_the_drained_clone_builds():
     assert not generate_definable_algebra(model_nand(), canonical_varset(3), 1).saturated
 
 
-def _node_ids(f, seen: set) -> None:
-    """Add the identities of f's subformulas to seen."""
+def _nodes(f, seen: dict) -> None:
+    """Add f's subformulas to seen, keyed on their identities."""
     if id(f) not in seen:
-        seen.add(id(f))
+        seen[id(f)] = f
         for child in (getattr(f, "body", None), getattr(f, "left", None),
                       getattr(f, "right", None)):
             if isinstance(child, Formula):
-                _node_ids(child, seen)
+                _nodes(child, seen)
 
 
 def _most_shared_select_call(monkeypatch, model, varset) -> int:
-    """The index, among the `_select` calls of a build, of the first call whose
-    result is a subformula of the most member witnesses, at least two."""
+    """The index, among the `_select` calls of a build and a read of all its
+    members, of the first call whose result is a subformula of the most
+    member witnesses, at least two."""
     original = lattice._select
     results = []
 
@@ -252,11 +281,11 @@ def _most_shared_select_call(monkeypatch, model, varset) -> int:
 
     with monkeypatch.context() as patch:
         patch.setattr(lattice, "_select", recording)
-        algebra = generate_definable_algebra(model, varset)
+        members = list(generate_definable_algebra(model, varset))
     uses = {}
-    for member in algebra:
-        seen = set()
-        _node_ids(member.witness, seen)
+    for member in members:
+        seen = {}
+        _nodes(member.witness, seen)
         for key in seen:
             uses[key] = uses.get(key, 0) + 1
     shares = [uses.get(id(f), 0) for f in results]
@@ -269,10 +298,11 @@ def _most_shared_select_call(monkeypatch, model, varset) -> int:
     (lambda f: And(Atom("Undeclared", (Var("x1"),)), f), SignatureError),
 ])
 def test_build_memo_still_checks_every_member(monkeypatch, corrupt, error):
-    """Corrupting one shared split-tree subformula fails the build: the memo
-    answers shared nodes, but every member's witness is still checked and
-    valued.  Builds before and after, over other spaces, stay correct, so no
-    memo entry outlives its build."""
+    """Corrupting one shared split-tree subformula fails the read of the
+    members: the memo answers shared nodes, but every member's witness is
+    still checked and valued when first read, so the first member that uses
+    the corrupted node is refused.  Builds before and after, over other
+    spaces, stay correct, so no memo entry outlives its build."""
     for model in (model_neg(), dict(seeded_models())["fp0"]):
         two, one = canonical_varset(2), canonical_varset(1)
         index = _most_shared_select_call(monkeypatch, model, two)
@@ -288,7 +318,7 @@ def test_build_memo_still_checks_every_member(monkeypatch, corrupt, error):
         with monkeypatch.context() as patch:
             patch.setattr(lattice, "_select", corrupted)
             with pytest.raises(error):
-                generate_definable_algebra(model, two)
+                list(generate_definable_algebra(model, two))
         assert len(calls) > index
         assert generate_definable_algebra(model, one).dump_lines() == expected
         assert member_rows(generate_definable_algebra(model, two)) == \
@@ -514,15 +544,29 @@ def test_a_dump_after_other_algebras_are_freed_matches_a_fresh_rendering():
     assert kept.dump_lines() == fresh_lines(kept) == fresh_lines(later)
 
 
+def _seed_cuts(algebra) -> int:
+    """The distinct cut nodes in the split tree of a build that made no
+    projection cut.  Each such cut is a seed's `Atom` or `Equal` node, and a
+    block's witness reads the cut of every split above it, so the block
+    witnesses hold them all."""
+    seen = {}
+    for mask in algebra.block_masks():
+        _nodes(algebra.member(mask).witness, seen)
+    return sum(isinstance(f, (Atom, Equal)) for f in seen.values())
+
+
 def test_builds_that_no_projection_can_split_make_no_projection(monkeypatch):
     """Over one variable the projection of a nonempty block is the whole
     space, and a discrete partition has no block to split, so these builds
-    project nothing; each still checks every block's witness once, and
-    their members are the brute-force family."""
+    project nothing and select no witness part: each checks every cut it
+    makes once, and builds its block witnesses only when its members are
+    read.  Then its members are the brute-force family, and its dump is the
+    eager reference's."""
     cases = [(name, model, 1) for name, model in all_fixtures() + seeded_models()]
-    cases += [("m_p", model_p(), 2), ("m_p", model_p(), 3), ("named", named_pair()[0], 2)]
+    cases += [("m_p", model_p(), 2), ("m_p", model_p(), 3), ("named", named_pair()[0], 2),
+              ("nand", model_nand(), 3)]
     for name, model, k in cases:
-        calls = {"_exists_mask": 0, "_check_witness": 0}
+        calls = {"_exists_mask": 0, "_select": 0, "_check_witness": 0}
         with monkeypatch.context() as patch:
             for called in calls:
                 def counting(*args, called=called, original=getattr(lattice, called)):
@@ -532,9 +576,11 @@ def test_builds_that_no_projection_can_split_make_no_projection(monkeypatch):
             algebra = generate_definable_algebra(model, canonical_varset(k))
         if k > 1:
             assert len(algebra.block_masks()) == algebra.space.size, (name, k)
-        assert calls == {"_exists_mask": 0, "_check_witness": len(algebra.block_masks())}, \
+        assert calls == {"_exists_mask": 0, "_select": 0, "_check_witness": _seed_cuts(algebra)}, \
             (name, k)
         assert member_rows(algebra) == brute_definable_family(model, k), (name, k)
+        assert algebra.dump_lines() == \
+            eager_definable_algebra(model, canonical_varset(k)).dump_lines(), (name, k)
 
 
 def test_union_map_matches_brute_force_or():
