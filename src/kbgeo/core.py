@@ -422,7 +422,7 @@ class Substitution:
             if not isinstance(term, Var):
                 return None
             mapping[name] = term.name
-        if len(set(mapping.values())) != len(self.target):
+        if not len(self.target) == len(mapping) == len(set(mapping.values())):
             return None
         return mapping
 

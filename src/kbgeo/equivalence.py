@@ -28,9 +28,10 @@ bijection, and a carrier map relabels the points of each atom.  So a
 decision lists no member.  The search checks the naturality squares on
 atoms; the carrier witness's squares hold by the isomorphism, and its
 transport checks only that the first model's pullbacks are members
-(`transport_model_iso` gives the proof).  Both searches stream from one
-backtracker, `core.bijections`, so a decision stops at its first witness
-and holds no list of carrier maps or candidates.  The
+(`transport_model_iso` gives the proof).  Both searches are single runs
+of one backtracker, `core.bijections`, the witness search over every
+size's atoms at once, so a decision stops at its first witness and holds
+no list of carrier maps or candidates.  The
 model-level deciders take their pair from `categories.knowledge_bases`:
 one knowledge base for equal models, and the pair the last call on the same
 model objects and bounds resolved, so `check_informational_equivalence`
@@ -511,27 +512,29 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     """Search for lattice bijections realizing the automorphism, or None.
 
     Candidates for each size are block bijections pinned down by the
-    automorphism's action on atomic formulas; a backtracking pass accepts an
-    assignment only when every naturality square between assigned sizes
-    commutes for every substitution within the depth bound.  Each size's
-    blocks are grouped into constraint classes once, and each visit of the
-    size streams its candidates from them afresh, as the `bijections`
-    between partner classes with nothing cut, so in `itertools.product`
-    order and with no candidate list held.  Partial lattices never
-    certify: the search requires saturated generation.
+    automorphism's action on atomic formulas.  One `bijections` run maps
+    every size's blocks at once: its cells are each size's constraint
+    classes, in size order, with each block tagged by its size, since
+    blocks of different sizes can be equal masks.  Its cut lets every
+    branch through until the last block of a size is placed; it then
+    extends that size's atom images to a `UnionMap` and accepts it only
+    when every naturality square between assigned sizes commutes.  So the
+    candidates come in `itertools.product` order, size by size, with no
+    candidate list held, and the first leaf is the witness.  Partial
+    lattices never certify: the search requires saturated generation.
 
-    Step n checks the squares along `KnowledgeBase.naturality` between n
+    Size n checks the squares along `KnowledgeBase.naturality` between n
     and the sizes up to it.  On generators, given the sizes below n, a
     candidate passes them exactly when it passes every bounded square
     between sizes up to n (module docstring, "Generators"), so the search
     accepts the same candidates in the same order as over the bounded sets.
     """
     _check_bounds(kb1, kb2)
-    n_max = kb1.n_max
     if not (kb1.saturated and kb2.saturated):
         return None
-    groupings: list[list[tuple[list[int], list[int]]]] = []
-    for n in range(1, n_max + 1):
+    cells: list[tuple[list[tuple[int, int]], list[int]]] = []
+    ends: dict[tuple[int, int], int] = {}
+    for n in range(1, kb1.n_max + 1):
         lat1, lat2 = kb1.description(n), kb2.description(n)
         if lat1.algebra.size != lat2.algebra.size:
             return None
@@ -541,27 +544,23 @@ def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
         classes = _constraint_classes(lat1, lat2, constraints)
         if classes is None:
             return None
-        groupings.append(classes)
+        cells += [([(n, b) for b in blocks], images) for blocks, images in classes]
+        ends[cells[-1][0][-1]] = n
 
     alphas: dict[int, UnionMap] = {}
 
-    def commute(a: int, b: int) -> bool:
-        return _squares_commute(alphas, phi, kb1, kb2, a, b)
-
-    def assign(n: int) -> bool:
-        if n > n_max:
+    def fits(mapping: dict[tuple[int, int], int], source: tuple[int, int]) -> bool:
+        n = ends.get(source)
+        if n is None:
             return True
-        for candidate in map(UnionMap, bijections(groupings[n - 1])):
-            alphas[n] = candidate
-            if all(commute(other, n) and (other == n or commute(n, other))
-                   for other in range(1, n + 1)) and assign(n + 1):
-                return True
-            del alphas[n]
-        return False
+        alphas[n] = UnionMap({b: image for (m, b), image in mapping.items() if m == n})
+        return all(_squares_commute(alphas, phi, kb1, kb2, other, n)
+                   and (other == n or _squares_commute(alphas, phi, kb1, kb2, n, other))
+                   for other in range(1, n + 1))
 
-    if not assign(1):
+    if next(bijections(cells, fits), None) is None:
         return None
-    return FunctorIso(phi, dict(alphas), kb1, kb2)
+    return FunctorIso(phi, alphas, kb1, kb2)
 
 
 def transport_model_iso(mmap: ModelMap, kb1: KnowledgeBase, kb2: KnowledgeBase) -> FunctorIso:

@@ -27,16 +27,21 @@ The filtered streams at the end are the three bijection searches as they
 were before they ran on `core.bijections`: every carrier permutation kept
 when it preserves every table, every relation permutation kept when it
 keeps arities, and the product of the permutations within each cell.
+`recursive_find_functor_iso` is the witness search as it was before one
+`bijections` run mapped every size: a recursion over the sizes that opens a
+new stream for each candidate of the size below.
 """
 
 import itertools
 import random
+from typing import Optional
 
 from kbgeo import (
     AdmissibilityError,
     DefinabilityError,
     DescMorphism,
     FormulaAutomorphism,
+    FunctorIso,
     KnowledgeBase,
     MismatchError,
     Model,
@@ -57,7 +62,13 @@ from kbgeo import (
     push_filter,
     satisfying_points,
 )
-from kbgeo.core import term_functions
+from kbgeo.core import bijections, term_functions
+from kbgeo.equivalence import (
+    _atom_constraints,
+    _check_bounds,
+    _constraint_classes,
+    _squares_commute,
+)
 from kbgeo.formulas import (
     FALSE,
     TRUE,
@@ -75,7 +86,7 @@ from kbgeo.formulas import (
     TrueF,
     atomic_formulas,
 )
-from kbgeo.lattice import DefinableAlgebra, _check_witness, _select
+from kbgeo.lattice import DefinableAlgebra, UnionMap, _check_witness, _select
 from kbgeo.semantics import Geometry, _Valuation, _atom_mask, _equal_mask, _exists_mask
 
 
@@ -1097,3 +1108,46 @@ def product_bijections(cells) -> list:
             mapping.update(zip(sources, images))
         out.append(mapping)
     return out
+
+
+def recursive_find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
+                               phi: FormulaAutomorphism) -> Optional[FunctorIso]:
+    """`find_functor_iso` as a recursion over the sizes: each candidate of a
+    size that passes its squares opens a new `bijections` stream over the
+    next size's constraint classes."""
+    _check_bounds(kb1, kb2)
+    n_max = kb1.n_max
+    if not (kb1.saturated and kb2.saturated):
+        return None
+    groupings: list[list[tuple[list[int], list[int]]]] = []
+    for n in range(1, n_max + 1):
+        lat1, lat2 = kb1.description(n), kb2.description(n)
+        if lat1.algebra.size != lat2.algebra.size:
+            return None
+        constraints = _atom_constraints(kb1, kb2, phi, n)
+        if constraints is None:
+            return None
+        classes = _constraint_classes(lat1, lat2, constraints)
+        if classes is None:
+            return None
+        groupings.append(classes)
+
+    alphas: dict[int, UnionMap] = {}
+
+    def commute(a: int, b: int) -> bool:
+        return _squares_commute(alphas, phi, kb1, kb2, a, b)
+
+    def assign(n: int) -> bool:
+        if n > n_max:
+            return True
+        for candidate in map(UnionMap, bijections(groupings[n - 1])):
+            alphas[n] = candidate
+            if all(commute(other, n) and (other == n or commute(n, other))
+                   for other in range(1, n + 1)) and assign(n + 1):
+                return True
+            del alphas[n]
+        return False
+
+    if not assign(1):
+        return None
+    return FunctorIso(phi, dict(alphas), kb1, kb2)

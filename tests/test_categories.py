@@ -649,6 +649,20 @@ def test_an_identity_moving_an_atom_reruns_over_every_member():
     assert push.failures.count("identity push moved a filter over |X|=2") == algebra.size // 2
 
 
+def test_an_identity_whose_dual_moves_an_atom():
+    """The identity's table on m_p over {x1} keeps the empty set as the
+    first atom's image, so the identity does not dualize to the identity:
+    both sweeps report that alone."""
+    kb = KnowledgeBase(model_p(), 1, 0)
+    algebra = kb.description(1).algebra
+    table = kb.geometry.table(Substitution.identity(algebra.varset))
+    table.images[algebra.block_masks()[0]] = 0
+    duality = kb.check_duality()
+    assert duality == memberwise_check_duality(kb)
+    assert duality.checked == 3
+    assert duality.failures == ("identity over |X|=1 does not dualize to the identity",)
+
+
 def test_a_composite_whose_dual_differs_on_the_first_atom():
     """A composite's table loses the image of the first point, so the least
     content morphism along it differs from the composed duals on the first

@@ -170,6 +170,17 @@ def test_substitution_renaming_inverts():
     assert compose_subst(ren, ren.inverted()).is_identity
 
 
+def test_a_renaming_is_a_bijection():
+    """A variable map is a renaming only when it is a bijection: one that
+    merges two variables is not, even when it is onto a smaller target."""
+    merge = Substitution(canonical_varset(2), canonical_varset(1), (Var("x1"), Var("x1")))
+    assert merge.as_renaming() is None
+    with pytest.raises(MismatchError, match="is not an invertible renaming$"):
+        merge.inverted()
+    onto = Substitution(canonical_varset(1), canonical_varset(2), (Var("x2"),))
+    assert onto.as_renaming() is None
+
+
 def test_substitution_requires_every_source_variable():
     xs = VarSet(("x", "y"))
     with pytest.raises(MismatchError):

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -57,11 +58,13 @@ from kbgeo.equivalence import (
 from kbgeo.lattice import UndefinablePullbackError
 from test_categories import counted_builds, tampered_composite_table
 from test_census import FAMILIES, all_models, census, representatives
+import helpers
 from helpers import (
     all_fixtures,
     atom_count_pairs,
     bounded_pairs,
     brute_atomic_classes,
+    cfi_pair,
     filtered_automorphisms,
     formulawise_atom_constraints,
     memberwise_candidate_alphas,
@@ -80,6 +83,7 @@ from helpers import (
     named_pair,
     op_models,
     random_query,
+    recursive_find_functor_iso,
     relabel_pairs,
     relabeled,
     relabeled_mask,
@@ -230,6 +234,18 @@ def test_find_functor_iso_swap_witnesses():
 def test_find_functor_iso_fails_across_different_lattices():
     phi = FormulaAutomorphism.identity(model_p().sig)
     assert find_functor_iso(*kbs(model_p(), model_p0()), phi) is None
+
+
+def test_find_functor_iso_needs_saturated_lattices():
+    """With terms capped at depth 0, m_neg's clone is not saturated, so its
+    lattices are partial and certify nothing, not even paired with
+    themselves; without the cap the same pair is witnessed."""
+    phi = FormulaAutomorphism.identity(model_neg().sig)
+    partial = KnowledgeBase(model_neg(), 2, 1, max_term_depth=0)
+    assert not partial.saturated
+    assert find_functor_iso(partial, partial, phi) is None
+    full = KnowledgeBase(model_neg(), 2, 1)
+    assert find_functor_iso(full, full, phi) is not None
 
 
 def test_transport_model_iso():
@@ -1075,17 +1091,23 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
     assert build_description_iso(iso) == memberwise_description_iso(iso)
 
 
-def test_the_witness_search_runs_out_of_candidates():
-    """A constant f = 1 against f swapping 0 and 2, both with P everywhere.
-    Over one variable the lattice sizes and the constraint classes agree, so
-    the identity has one candidate, and it fails the square along
-    x1 := f(x1): the preimage of {1} is the whole carrier in the first model
-    and {1} in the second.  The search runs out of candidates, and both
-    modes decide UNKNOWN with the class note alone."""
+def exhaustion_pair() -> tuple[Model, Model]:
+    """A constant f = 1 against f swapping 0 and 2, both with P everywhere."""
     sig = Signature((("f", 1),), (("P", 1),))
     everywhere = {"P": [(0,), (1,), (2,)]}
-    fc = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 1, (2,): 1}}, everywhere)
-    fi = Model(sig, (0, 1, 2), {"f": {(0,): 2, (1,): 1, (2,): 0}}, everywhere)
+    return (Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 1, (2,): 1}}, everywhere),
+            Model(sig, (0, 1, 2), {"f": {(0,): 2, (1,): 1, (2,): 0}}, everywhere))
+
+
+def test_the_witness_search_runs_out_of_candidates():
+    """The exhaustion pair: over one variable the lattice sizes and the
+    constraint classes agree, so the identity has one candidate, and it
+    fails the square along x1 := f(x1): the preimage of {1} is the whole
+    carrier in the first model and {1} in the second.  The search runs out
+    of candidates, and both modes decide UNKNOWN with the class note
+    alone."""
+    fc, fi = exhaustion_pair()
+    sig = fc.sig
     kb1, kb2 = kbs(fc, fi, 1, 1)
     phi = FormulaAutomorphism.identity(sig)
     lat1, lat2 = kb1.description(1), kb2.description(1)
@@ -1103,6 +1125,77 @@ def test_the_witness_search_runs_out_of_candidates():
         assert report.verdict == VERDICT_UNKNOWN
         assert report.notes == (
             "supported automorphism class: relation permutations and variable renamings",)
+
+
+def supported_phis(sig: Signature, n_max: int) -> list:
+    """Every relation permutation, alone and with each variable renaming
+    family."""
+    relations = enumerate_automorphisms(sig)
+    return relations + [FormulaAutomorphism(sig, r.rel_images, f.var_images)
+                        for r in relations for f in renaming_families(sig, n_max)]
+
+
+def test_one_bijections_run_matches_the_recursion_over_sizes(monkeypatch):
+    """`find_functor_iso` gives what the recursion over the sizes gave
+    (`recursive_find_functor_iso`): None, the same error text, or the same
+    atom images per size.  It checks the same squares on the same atom
+    images in the same order, with the same results, so it visits the same
+    candidates.  It makes one `bijections` call when the size, constraint
+    and class checks pass, and none otherwise; the recursion opens a stream
+    per candidate of the size below.  The corpus is every ordered pair of
+    each census family's representatives at (2, 1), the seeded and bounded
+    pairs at n_max 1 and 2, the K3 CFI pair at n_max 1 and 2, and the
+    exhaustion pair, each under every supported automorphism."""
+    cases = []
+    for _, size, ops, rels in FAMILIES:
+        reps = [KnowledgeBase(m, 2, 1) for m in representatives(all_models(size, ops, rels))]
+        cases += itertools.product(reps, repeat=2)
+    for (_, m1, m2), n_max in itertools.product(seeded_pairs() + bounded_pairs(), (1, 2)):
+        cases.append(kbs(m1, m2, n_max, 1))
+    cases += [kbs(*cfi_pair([(0, 1), (0, 2), (1, 2)]), n_max, 0) for n_max in (1, 2)]
+    cases.append(kbs(*exhaustion_pair(), 1, 1))
+
+    squares, streams = [], []
+
+    def recording(alphas, phi, kb1, kb2, source_n, target_n):
+        args = (source_n, target_n, items(alphas[source_n].atoms), items(alphas[target_n].atoms))
+        try:
+            result = _squares_commute(alphas, phi, kb1, kb2, source_n, target_n)
+        except UndefinablePullbackError as exc:
+            squares.append((args, str(exc)))
+            raise
+        squares.append((args, result))
+        return result
+
+    def counting(cells, fits=None):
+        streams.append(fits)
+        return bijections(cells, fits)
+
+    for module in (equivalence, helpers):
+        monkeypatch.setattr(module, "_squares_commute", recording)
+        monkeypatch.setattr(module, "bijections", counting)
+
+    def run(search, kb1, kb2, phi) -> tuple:
+        squares.clear()
+        streams.clear()
+        iso = outcome(search, kb1, kb2, phi)
+        if isinstance(iso, FunctorIso):
+            assert iso.phi == phi
+            iso = [(n, items(alpha.atoms)) for n, alpha in iso.alphas.items()]
+        return iso, list(squares), len(streams)
+
+    outcomes = Counter()
+    most_streams = 0
+    for kb1, kb2 in cases:
+        for phi in supported_phis(kb1.model.sig, kb1.n_max):
+            old, old_squares, old_streams = run(recursive_find_functor_iso, kb1, kb2, phi)
+            new, new_squares, new_streams = run(find_functor_iso, kb1, kb2, phi)
+            assert (new, new_squares) == (old, old_squares)
+            assert new_streams == min(old_streams, 1)
+            most_streams = max(most_streams, old_streams)
+            outcomes["raised" if isinstance(new, str) else "none" if new is None else "found"] += 1
+            outcomes["squares"] += len(new_squares)
+    assert all(outcomes[k] for k in ("raised", "none", "found", "squares")) and most_streams > 1
 
 
 def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):

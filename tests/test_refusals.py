@@ -6,19 +6,28 @@ import pytest
 
 from kbgeo import (
     Atom,
+    Equal,
+    Exists,
     FormulaAutomorphism,
     Geometry,
     MismatchError,
+    Model,
+    ModelMap,
     Not,
+    OpApp,
     PointSet,
+    Signature,
     SignatureError,
+    SubstNode,
     Substitution,
     TRUE,
     Var,
+    VarSet,
     build_filter_lattice,
     canonical_varset,
     compose_cont,
     compose_desc,
+    compose_subst,
     content_morphism,
     filter_preimage,
     identity_desc,
@@ -30,6 +39,7 @@ from kbgeo import (
     subst_image_points,
     subst_preimage_points,
 )
+from kbgeo.core import check_term
 from kbgeo.semantics import pullback_indices
 from helpers import model_neg, model_p
 
@@ -50,6 +60,11 @@ def full_filter(n: int, model=None):
 
 def space(n: int, model=None):
     return full_filter(n, model).points.space
+
+
+def without_equality() -> Model:
+    """A 2-element model with P = {0} whose signature has no equality."""
+    return Model(Signature((), (("P", 1),), False), (0, 1), None, {"P": [(0,)]})
 
 
 REFUSALS = {
@@ -123,6 +138,45 @@ REFUSALS = {
         (lambda: FormulaAutomorphism.identity(model_p().sig).map_formula(
             Not(Atom("P", (Var("x1"),))), 1),
          MismatchError, "only atomic formulas are mapped directly"),
+    "an empty variable set":
+        (lambda: VarSet(()), SignatureError, "variable set must be nonempty"),
+    "a canonical variable set of size 0":
+        (lambda: canonical_varset(0), SignatureError, "canonical variable set needs n >= 1"),
+    "a substitution with too few images":
+        (lambda: Substitution(canonical_varset(1), canonical_varset(1), ()),
+         MismatchError, "substitution needs 1 images, got 0"),
+    "a substitution image outside the target":
+        (lambda: Substitution(canonical_varset(1), canonical_varset(1), (Var("x2"),)),
+         MismatchError, "image x2 uses variables ['x2'] outside {x1}"),
+    "compose_subst across ends":
+        (lambda: compose_subst(identity(1), identity(2)),
+         MismatchError, "cannot compose: first targets {x1}, second starts at {x1, x2}"),
+    "the inverse of a renaming onto fewer variables":
+        (lambda: Substitution(canonical_varset(2), canonical_varset(1),
+                              (Var("x1"), Var("x1"))).inverted(),
+         MismatchError, "substitution {x1 := x1, x2 := x1} is not an invertible renaming"),
+    "a carrier map across signatures":
+        (lambda: ModelMap(model_p(), model_neg(), model_neg().carrier),
+         MismatchError, "models have different signatures"),
+    "a quantified variable outside the context":
+        (lambda: satisfying_points(Exists("x2", TRUE), model_p(), canonical_varset(1)),
+         MismatchError, "quantified variable x2 not in {x1}"),
+    "equality without it in the signature":
+        (lambda: satisfying_points(Equal(Var("x1"), Var("x1")), without_equality(),
+                                   canonical_varset(1)),
+         SignatureError, "equality is not enabled in this signature"),
+    "a substitution node over another variable set":
+        (lambda: satisfying_points(SubstNode(identity(2), TRUE), model_p(), canonical_varset(1)),
+         MismatchError, "substitution targets {x1, x2}, context is over {x1}"),
+    "check_term on a non-term":
+        (lambda: check_term(42, model_neg().sig, canonical_varset(1)),
+         SignatureError, "not a term: 42"),
+    "check_term on an unknown operation":
+        (lambda: check_term(OpApp("g", (Var("x1"),)), model_neg().sig, canonical_varset(1)),
+         SignatureError, "unknown operation g"),
+    "check_term with the wrong arity":
+        (lambda: check_term(OpApp("neg", ()), model_neg().sig, canonical_varset(1)),
+         SignatureError, "operation neg expects 1 arguments, got 0"),
 }
 
 
