@@ -493,7 +493,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     stream = sys.stderr if code >= EXIT_USAGE else sys.stdout
-    print(text, file=stream)
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:  # the reader left; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     return code
 
 

@@ -557,7 +557,8 @@ def bijections(cells, fits=None) -> Iterator[dict]:
     order `itertools.product` gives over each cell's target permutations.
     `fits(mapping, source)` runs after each assignment and cuts the branch
     when false; it reads only assigned sources, so it skips just the leaves
-    that would fail it."""
+    that would fail it.  The carrier maps (`model_isomorphisms`) and the
+    relation permutations (`equivalence`) come from one cell each."""
     slots = []
     for sources, targets in cells:
         used: set = set()

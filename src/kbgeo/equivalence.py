@@ -23,19 +23,19 @@ them, so each lattice is built once; it passes the pair to
 `transport_model_iso`, which read their bounds from it.  The two
 knowledge bases must have equal signatures, n_max and depth.  Each alpha
 is the lattice layer's `UnionMap` of its atom images, which reads a
-member's image on lookup: a candidate sends the atoms along a block
-bijection, and a carrier map relabels the points of each atom.  So a
-decision lists no member.  The search checks the naturality squares on
-atoms; the carrier witness's squares hold by the isomorphism, and its
-transport checks only that the first model's pullbacks are members
-(`transport_model_iso` gives the proof).  Both searches are single runs
-of one backtracker, `core.bijections`, the witness search over every
-size's atoms at once, so a decision stops at its first witness and holds
-no list of carrier maps or candidates.  The
-model-level deciders take their pair from `categories.knowledge_bases`:
-one knowledge base for equal models, and the pair the last call on the same
-model objects and bounds resolved, so `check_informational_equivalence`
-then `check_automorphic_equivalence` on one pair builds each lattice once.
+member's image on lookup: phi's map sends each atom where phi sends its
+witness formula, and a carrier map relabels the points of each atom.  So
+a decision lists no member.  `find_functor_iso` checks the naturality
+squares on atoms; the carrier witness's squares hold by the isomorphism,
+and its transport checks only that the first model's pullbacks are
+members (`transport_model_iso` gives the proof).  The carrier search is
+one run of the backtracker `core.bijections`, and each phi has one
+candidate ("One candidate"), so a decision stops at its first witness
+and holds no list of carrier maps or candidates.  The model-level
+deciders take their pair from `categories.knowledge_bases`: one knowledge
+base for equal models, and the pair the last call on the same model
+objects and bounds resolved, so `check_informational_equivalence` then
+`check_automorphic_equivalence` on one pair builds each lattice once.
 The atom constraints pair the two knowledge bases' atom tables
 (`_atom_constraints`), so the search builds and values no atomic formula.
 
@@ -51,7 +51,7 @@ atom along every generator is a member (`KnowledgeBase.generators`,
 checked once per knowledge base for every phi and the transport), no
 bounded pullback is undefinable: `find_functor_iso` checks the generator
 squares alone, which `KnowledgeBase.naturality` picks, and accepts
-exactly the candidates the full loops accept, and `transport_model_iso`
+exactly what the full loops accept, and `transport_model_iso`
 walks no pullback, since nothing is left to fail.  The sweeps
 `check_duality` and `verify_push_functoriality` still visit every
 bounded substitution.
@@ -78,11 +78,11 @@ pair of its representatives (`test_census_verdicts_agree_at_depths_1_and_2`).
 The squares are the functor.  A witness from either search is reported as
 it is: every check of `build_description_iso` then holds, by the proof
 below, which needs two facts that hold by construction.  Its alphas are
-Boolean isomorphisms (`_is_boolean`): a candidate is a block bijection,
-and a carrier map sends the atoms onto the atoms, since it relabels every
-formula's extension.  And phi permutes each bounded substitution set: a
-relation permutation leaves each substitution as it is, and conjugating
-by renamings keeps term depth.  `build_description_iso` stays public as a
+Boolean isomorphisms (`_is_boolean`): phi's map is taken only when it
+sends the atoms onto the atoms, and a carrier map does, since it
+relabels every formula's extension.  And phi permutes each bounded
+substitution set: a relation permutation leaves each substitution as it
+is, and conjugating by renamings keeps term depth.  `build_description_iso` stays public as a
 test oracle.
 
 Proof.  Write pre_s for a model's pullback along s, x;y for "x, then y",
@@ -160,6 +160,21 @@ relation permutation is witnessed, except the 10 self-pairs whose search
 meets an undefinable pullback, which stay UNKNOWN.  Below that bound the
 search witnesses pairs that no carrier map relates, such as the 6-cycle
 against two triangles over one and two variables.
+
+One candidate.  Let I send each atom a over X_n to val2(phi(w_a)), with
+w_a its witness formula, built from the seed cuts, atomic formulas over
+X_n, by !, & and exists.  By "Queries", with each seed counted as an atom
+constraint, every witness is I at any depth D at least every seed's term
+depth.  Inside the scope of "Depth" this holds already at d, since a
+witness meets the squares along every composite of the generators, so
+every deeper constraint; and without ops every seed has depth 0.  So
+`find_functor_iso` tries I alone.  The search it replaced, over every
+block bijection that keeps the constraints, witnesses phi at d whenever I
+passes the depth-d checks: I is one of its candidates, and no candidate
+raises on a square that I passes.  So a verdict moves only where that
+search finds no witness for phi at such a D, as on two 6-cycles of f with
+R = {(a, f^2(a))} on one against R = {(b, f^3(b))} on the other at n_max
+1 and depth 1: it ignored R(x1, f(f(x1))), and at depth 2 finds none.
 """
 
 from __future__ import annotations
@@ -183,10 +198,10 @@ from .core import (
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula
-from .lattice import FilterLattice, UndefinablePullbackError, UnionMap
+from .lattice import UndefinablePullbackError, UnionMap
 from .categories import (AdmissibilityError, KnowledgeBase, Report, _Memo, _check_pairs,
                          knowledge_bases)
-from .semantics import _gather
+from .semantics import _Valuation, _gather
 
 VERDICT_WITNESSED = "EQUIVALENT_WITNESSED"
 VERDICT_INEQUIVALENT = "INEQUIVALENT"
@@ -326,14 +341,13 @@ def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
     (Mashevitzky, Plotkin & Plotkin, ERA-AMS 2002).  Write u_n for phi's
     renaming over size n, and pre2_s for `kb2.geometry.table(s).preimage`, so
     that pre2_{x;y} = pre2_y . pre2_x and each pre2_{u_n} permutes the
-    members and the atoms of the second model's algebra.  Then
-    beta -> alpha with alpha_n = pre2_{u_n^-1} . beta_n is a bijection from
-    phi's block-bijection candidates to the identity's:
-    - Constraints: phi sends an atomic formula A to A[u_n], and
-      mask2(A[u_n]) = pre2_{u_n}(mask2(A)).  So an atom b of the second
-      model lies inside phi's constraint masks exactly where pre2_{u_n^-1}(b)
-      lies inside the identity's: the clashes, the constraint classes and
-      their sizes agree.
+    members and the atoms of the second model's algebra.  phi sends w over
+    X_n to its relation part's image of w renamed by u_n, valued as
+    pre2_{u_n} of that image, so phi's map is beta_n = pre2_{u_n} . alpha_n,
+    with alpha its relation part's map:
+    - Atoms and constraints: mask2(A[u_n]) = pre2_{u_n}(mask2(A)), so beta
+      sends the atoms onto the atoms and meets phi's constraints exactly
+      when alpha does with its relation part's.
     - Squares: phi(s) = u_a^-1; s; u_b, so pre2_{phi(s)} is
       pre2_{u_b} . pre2_s . pre2_{u_a^-1}.  Applying pre2_{u_b^-1} to both
       sides of beta's square at (s, m) gives alpha's square at (s, m), so
@@ -341,13 +355,10 @@ def enumerate_automorphisms(sig: Signature) -> list[FormulaAutomorphism]:
       outcome.
     - An undefinable pullback, pre1_s(m) not a member, depends on the first
       model alone.
-    So the two backtracking trees are isomorphic.  Either both searches give
-    a witness, or both give None, or both raise the same
-    `UndefinablePullbackError`: a search raises only at the first size whose
-    squares meet an undefinable pullback, and there at its first one.  The
-    identity is searched first, so no renaming family can change a report;
-    with a relation part, the same map pairs phi with that part alone.  A
-    pinned renaming (`--phi renamevars`) still runs its own search.
+    So both give a witness, both None, or both the same
+    `UndefinablePullbackError`.  The identity is searched first, so no
+    renaming family can change a report, and with a relation part the same
+    map pairs phi with that part alone.  A pinned renaming is tried as is.
     """
     return list(_automorphisms(sig))
 
@@ -455,26 +466,6 @@ def _atom_constraints(kb1: KnowledgeBase, kb2: KnowledgeBase, phi: FormulaAutomo
     return sorted(forward.items())
 
 
-def _constraint_classes(lat1: FilterLattice, lat2: FilterLattice,
-                        constraints: list[tuple[int, int]]
-                        ) -> Optional[list[tuple[list[int], list[int]]]]:
-    """Each lattice's blocks grouped by the constraint masks that contain
-    them: the pairs of matching classes in key order, or None when the keys
-    or the class sizes differ, so that no block bijection keeps the
-    constraints."""
-    def classes(lat: FilterLattice, side: int) -> dict[tuple, list[int]]:
-        out: dict[tuple, list[int]] = {}
-        for b in lat.algebra.block_masks():
-            out.setdefault(tuple(b & ~pair[side] == 0 for pair in constraints), []).append(b)
-        return out
-
-    classes1, classes2 = classes(lat1, 0), classes(lat2, 1)
-    keys = sorted(classes1)
-    if keys != sorted(classes2) or any(len(classes1[k]) != len(classes2[k]) for k in keys):
-        return None
-    return [(classes1[k], classes2[k]) for k in keys]
-
-
 def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorphism,
                      kb1: KnowledgeBase, kb2: KnowledgeBase,
                      source_n: int, target_n: int) -> bool:
@@ -483,8 +474,8 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
     pushing along the mapped substitution.
 
     The squares are checked on the atoms of the source lattice, ascending.
-    The one caller, `find_functor_iso`, passes block bijections, which
-    preserve unions, and so do pullbacks, so both sides of a square preserve
+    The one caller, `find_functor_iso`, passes `UnionMap`s, which preserve
+    unions, and so do pullbacks, so both sides of a square preserve
     unions: a member's pullback is definable and its square commutes when
     that holds for each of its atoms.  A carrier witness needs no square
     check (`transport_model_iso`).  The member loop in ascending order
@@ -509,56 +500,43 @@ def _squares_commute(alphas: dict[int, Mapping[int, int]], phi: FormulaAutomorph
 
 def find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
                      phi: FormulaAutomorphism) -> Optional[FunctorIso]:
-    """Search for lattice bijections realizing the automorphism, or None.
-
-    Candidates for each size are block bijections pinned down by the
-    automorphism's action on atomic formulas.  One `bijections` run maps
-    every size's blocks at once: its cells are each size's constraint
-    classes, in size order, with each block tagged by its size, since
-    blocks of different sizes can be equal masks.  Its cut lets every
-    branch through until the last block of a size is placed; it then
-    extends that size's atom images to a `UnionMap` and accepts it only
-    when every naturality square between assigned sizes commutes.  So the
-    candidates come in `itertools.product` order, size by size, with no
-    candidate list held, and the first leaf is the witness.  Partial
-    lattices never certify: the search requires saturated generation.
-
-    Size n checks the squares along `KnowledgeBase.naturality` between n
-    and the sizes up to it.  On generators, given the sizes below n, a
-    candidate passes them exactly when it passes every bounded square
-    between sizes up to n (module docstring, "Generators"), so the search
-    accepts the same candidates in the same order as over the bounded sets.
+    """The lattice bijections that phi induces, when they realize it, or
+    None: each atom a over X_n goes to val2(phi(w_a)), w_a its witness
+    formula, as under every witness (module docstring, "One candidate").
+    The first model's algebra replays its splits over the second's space
+    (`DefinableAlgebra.replay`) with each `Atom` cut renamed by phi, and the
+    images move along phi's renaming as in `_atom_constraints`.  At every
+    size the map must send the atoms onto the second model's and meet the
+    atom constraints; then the squares along `KnowledgeBase.naturality`
+    between each size and those up to it are checked, the generator squares
+    deciding as every bounded one (module docstring, "Generators").
+    Partial lattices never certify.
     """
     _check_bounds(kb1, kb2)
     if not (kb1.saturated and kb2.saturated):
         return None
-    cells: list[tuple[list[tuple[int, int]], list[int]]] = []
-    ends: dict[tuple[int, int], int] = {}
-    for n in range(1, kb1.n_max + 1):
-        lat1, lat2 = kb1.description(n), kb2.description(n)
-        if lat1.algebra.size != lat2.algebra.size:
-            return None
-        constraints = _atom_constraints(kb1, kb2, phi, n)
-        if constraints is None:
-            return None
-        classes = _constraint_classes(lat1, lat2, constraints)
-        if classes is None:
-            return None
-        cells += [([(n, b) for b in blocks], images) for blocks, images in classes]
-        ends[cells[-1][0][-1]] = n
-
     alphas: dict[int, UnionMap] = {}
+    for n in range(1, kb1.n_max + 1):
+        algebra2 = kb2.description(n).algebra
+        valuation, renamed = _Valuation(algebra2.space), []  # `renamed` keeps its nodes alive
 
-    def fits(mapping: dict[tuple[int, int], int], source: tuple[int, int]) -> bool:
-        n = ends.get(source)
-        if n is None:
-            return True
-        alphas[n] = UnionMap({b: image for (m, b), image in mapping.items() if m == n})
-        return all(_squares_commute(alphas, phi, kb1, kb2, other, n)
-                   and (other == n or _squares_commute(alphas, phi, kb1, kb2, n, other))
-                   for other in range(1, n + 1))
+        def seed_mask(cut: Formula) -> int:
+            if isinstance(cut, Atom):
+                renamed.append(cut := Atom(phi.rel_image(cut.rel), cut.args))
+            return valuation.mask(cut)
 
-    if next(bijections(cells, fits), None) is None:
+        images = kb1.description(n).algebra.replay(algebra2.space, seed_mask)
+        if n in dict(phi.var_images):
+            move = kb2.geometry.table(phi.renaming_for(n)).preimage
+            images = {atom: move(image) for atom, image in images.items()}
+        alpha = alphas[n] = UnionMap(images)
+        constraints = _atom_constraints(kb1, kb2, phi, n)
+        if (sorted(images.values()) != list(algebra2.block_masks()) or constraints is None
+                or any(alpha.get(mask1) != mask2 for mask1, mask2 in constraints)):
+            return None
+    if not all(_squares_commute(alphas, phi, kb1, kb2, other, n)
+               and (other == n or _squares_commute(alphas, phi, kb1, kb2, n, other))
+               for n in alphas for other in range(1, n + 1)):
         return None
     return FunctorIso(phi, alphas, kb1, kb2)
 

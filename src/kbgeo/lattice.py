@@ -196,7 +196,7 @@ class DefinableAlgebra:
     `OverflowError` there.  Listings bound the count by the atoms instead,
     so past that bound they raise `BoundError`."""
 
-    def __init__(self, space: PointSpace, blocks: tuple[int, ...],
+    def __init__(self, space: PointSpace, blocks: tuple[int, ...], splits: dict,
                  witness: Callable[[int], Formula], valuation: _Valuation, saturated: bool):
         self.model = space.model
         self.varset = space.varset
@@ -205,6 +205,7 @@ class DefinableAlgebra:
         self.size = 1 << len(blocks)
         self.index = UnionMap({block: block for block in blocks})
         self._blocks = blocks
+        self._splits = splits
         self._witness = witness
         self._valuation = valuation
         self._members: dict[int, DefinableSet] = {}
@@ -241,6 +242,22 @@ class DefinableAlgebra:
     def block_masks(self) -> tuple[int, ...]:
         """Masks of the atoms, ascending; every member is a union of these."""
         return self._blocks
+
+    def replay(self, space: PointSpace, seed_mask: Callable[[Formula], int]) -> dict[int, int]:
+        """Each atom's witness value over `space`, of the same variables, by
+        atom, with no witness built or valued.  A node's witness is its
+        path's cuts or their negations, so, splits walked as made, a node's
+        value is its parent's cut by its cut's: `seed_mask(cut)` for a seed
+        cut (`Atom` or `Equal`), the projection of its block's for one made
+        by projection."""
+        values, last, mask = {self.space.full_mask: space.full_mask}, None, 0
+        for node, (cut, _, inside, outside, block) in self._splits.items():
+            if cut is not last:  # a cut's splits are made one after another
+                last = cut
+                mask = seed_mask(cut) if block is None else _exists_mask(values[block], space,
+                                                                         cut.var)
+            values[inside], values[outside] = values[node] & mask, values[node] & ~mask
+        return {atom: values[atom] for atom in self._blocks}
 
     def pullback(self, table: _Table, mask: int) -> int:
         """The pullback of `mask` along the substitution of `table`, which
@@ -375,16 +392,16 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     root, npoints = space.full_mask, space.size
     made = itertools.count()
     blocks = {root: next(made)}  # leaf -> its creation number, in creation order
-    splits: dict[int, tuple[Formula, Formula, int, int]] = {}  # node -> (cut, !cut, in, out)
+    splits: dict[int, tuple] = {}  # node -> (cut, !cut, in, out, projected block or None)
     memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
     conjunctions: dict[tuple[int, int], Formula] = {}  # conjunct identities -> And
     # The split tree and the witness memo keep every node the valuation keys alive.
     valuation = _Valuation(space)
 
-    def split(by: int, make_cut: Callable[[], Formula]) -> list[int]:
+    def split(by: int, make_cut: Callable[[], Formula], block: Optional[int] = None) -> list[int]:
         """Split every block that the set `by` cuts, by the node `make_cut()`,
         built only if `by` cuts one and checked to value to `by` before any
-        block moves; returns the parts."""
+        block moves, projected from `block` if given; returns the parts."""
         if not by or by == root:
             return []
         leaves, nodes = [], [root]
@@ -393,7 +410,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
             if entry is None:
                 leaves.append(node)
                 continue
-            for kid in entry[2:]:
+            for kid in entry[2:4]:
                 inside = kid & by
                 if inside and inside != kid:
                     nodes.append(kid)
@@ -407,7 +424,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         for leaf in leaves:
             del blocks[leaf]
             inside = leaf & by
-            splits[leaf] = (cut, uncut, inside, leaf ^ inside)
+            splits[leaf] = (cut, uncut, inside, leaf ^ inside, block)
             parts += (inside, leaf ^ inside)
         for part in parts:
             blocks[part] = next(made)
@@ -429,7 +446,7 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         if part == node:
             return TRUE
         if (node, part) not in memo:
-            cut, uncut, inside, outside = splits[node]
+            cut, uncut, inside, outside, _ = splits[node]
             memo[node, part] = _select(cut, uncut, witness(part & inside, inside),
                                        witness(part & outside, outside), conj)
         return memo[node, part]
@@ -459,9 +476,10 @@ def generate_definable_algebra(model: Model, varset: VarSet,
         block = pending.pop()
         for var in varset.names:
             pending += split(_exists_mask(block, space, var),
-                             lambda: Exists(var, witness(block)))
+                             lambda: Exists(var, witness(block)), block)
 
-    return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
+    return DefinableAlgebra(space, tuple(sorted(blocks)), splits, witness, valuation,
+                            clone.saturated)
 
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:

@@ -27,9 +27,12 @@ The filtered streams at the end are the three bijection searches as they
 were before they ran on `core.bijections`: every carrier permutation kept
 when it preserves every table, every relation permutation kept when it
 keeps arities, and the product of the permutations within each cell.
-`recursive_find_functor_iso` is the witness search as it was before one
-`bijections` run mapped every size: a recursion over the sizes that opens a
-new stream for each candidate of the size below.
+`search_find_functor_iso` is the witness search as it was before each phi
+had one candidate, its formula-induced map: one `bijections` run over
+every block bijection that keeps the atom constraints, with the squares
+checked once a size's last atom is placed.  `recursive_find_functor_iso` is
+that search as it was before one run mapped every size: a recursion over
+the sizes that opens a new stream for each candidate of the size below.
 """
 
 import itertools
@@ -63,12 +66,7 @@ from kbgeo import (
     satisfying_points,
 )
 from kbgeo.core import bijections, term_functions
-from kbgeo.equivalence import (
-    _atom_constraints,
-    _check_bounds,
-    _constraint_classes,
-    _squares_commute,
-)
+from kbgeo.equivalence import _atom_constraints, _check_bounds, _squares_commute
 from kbgeo.formulas import (
     FALSE,
     TRUE,
@@ -86,7 +84,8 @@ from kbgeo.formulas import (
     TrueF,
     atomic_formulas,
 )
-from kbgeo.lattice import DefinableAlgebra, UnionMap, _check_witness, _select
+from kbgeo.lattice import (DefinableAlgebra, FilterLattice, UnionMap, _check_witness,
+                           _select)
 from kbgeo.semantics import Geometry, _Valuation, _atom_mask, _equal_mask, _exists_mask
 
 
@@ -361,6 +360,21 @@ def cfi_pair(base_edges) -> tuple:
         return Model(Signature((), (("R", 2),)), tuple(label.values()), None, {"R": rows})
 
     return model(False), model(True)
+
+
+def two_six_cycles() -> tuple[Model, Model]:
+    """Two 6-cycles of f, on "0".."5" and "6".."11", with R = {(a, f(f(a)))}
+    on the first cycle alone, against R = {(b, f(f(f(b))))} on the second
+    alone."""
+    def shift(a: int, step: int) -> str:
+        return str(a - a % 6 + (a + step) % 6)
+
+    def model(step: int, start: int) -> Model:
+        rows = [(str(a), shift(a, step)) for a in range(start, start + 6)]
+        return Model(Signature((("f", 1),), (("R", 2),)), tuple(map(str, range(12))),
+                     {"f": {(str(a),): shift(a, 1) for a in range(12)}}, {"R": rows})
+
+    return model(2, 0), model(3, 6)
 
 
 def relabeled(model: Model, perm) -> Model:
@@ -754,10 +768,10 @@ def formulawise_atom_constraints(kb1, kb2, phi, n: int):
 
 
 def memberwise_candidate_alphas(lat1, lat2, constraints):
-    """The candidates of `find_functor_iso`, the block bijections between
-    the classes of `_constraint_classes`, with each member's image summed
-    over the blocks inside it; nothing where `_constraint_classes` gives
-    None."""
+    """The candidates of `search_find_functor_iso`, the block bijections
+    between the classes of `constraint_classes`, with each member's image
+    summed over the blocks inside it; nothing where `constraint_classes`
+    gives None."""
     blocks1 = lat1.algebra.block_masks()
     blocks2 = lat2.algebra.block_masks()
     sig1 = {b: tuple(b & ~a == 0 for a, _ in constraints) for b in blocks1}
@@ -990,7 +1004,7 @@ def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> Defina
     blocks = {root: next(made)}
     splits, memo, conjunctions = {}, {}, {}
 
-    def split(by, make_cut):
+    def split(by, make_cut, block=None):
         if not by or by == root:
             return []
         leaves, nodes = [], [root]
@@ -999,7 +1013,7 @@ def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> Defina
             if entry is None:
                 leaves.append(node)
                 continue
-            for kid in entry[2:]:
+            for kid in entry[2:4]:
                 inside = kid & by
                 if inside and inside != kid:
                     nodes.append(kid)
@@ -1012,7 +1026,7 @@ def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> Defina
         for leaf in leaves:
             del blocks[leaf]
             inside = leaf & by
-            splits[leaf] = (cut, uncut, inside, leaf ^ inside)
+            splits[leaf] = (cut, uncut, inside, leaf ^ inside, block)
             parts += (inside, leaf ^ inside)
         for part in parts:
             blocks[part] = next(made)
@@ -1030,7 +1044,7 @@ def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> Defina
         if part == node:
             return TRUE
         if (node, part) not in memo:
-            cut, uncut, inside, outside = splits[node]
+            cut, uncut, inside, outside, _ = splits[node]
             memo[node, part] = _select(cut, uncut, witness(part & inside, inside),
                                        witness(part & outside, outside), conj)
         return memo[node, part]
@@ -1052,8 +1066,10 @@ def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> Defina
         _check_witness(block, body, valuation)
         if len(varset) > 1 and len(blocks) < space.size:
             for var in varset.names:
-                pending += split(_exists_mask(block, space, var), lambda: Exists(var, body))
-    return DefinableAlgebra(space, tuple(sorted(blocks)), witness, valuation, clone.saturated)
+                pending += split(_exists_mask(block, space, var), lambda: Exists(var, body),
+                                 block)
+    return DefinableAlgebra(space, tuple(sorted(blocks)), splits, witness, valuation,
+                            clone.saturated)
 
 
 def preserves_structure(source: Model, target: Model, images: tuple) -> bool:
@@ -1110,11 +1126,76 @@ def product_bijections(cells) -> list:
     return out
 
 
+def constraint_classes(lat1: FilterLattice, lat2: FilterLattice,
+                       constraints: list[tuple[int, int]]
+                       ) -> Optional[list[tuple[list[int], list[int]]]]:
+    """Each lattice's blocks grouped by the constraint masks that contain
+    them: the pairs of matching classes in key order, or None when the keys
+    or the class sizes differ, so that no block bijection keeps the
+    constraints."""
+    def classes(lat: FilterLattice, side: int) -> dict[tuple, list[int]]:
+        out: dict[tuple, list[int]] = {}
+        for b in lat.algebra.block_masks():
+            out.setdefault(tuple(b & ~pair[side] == 0 for pair in constraints), []).append(b)
+        return out
+
+    classes1, classes2 = classes(lat1, 0), classes(lat2, 1)
+    keys = sorted(classes1)
+    if keys != sorted(classes2) or any(len(classes1[k]) != len(classes2[k]) for k in keys):
+        return None
+    return [(classes1[k], classes2[k]) for k in keys]
+
+
+def search_find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
+                            phi: FormulaAutomorphism) -> Optional[FunctorIso]:
+    """`find_functor_iso` as a search over every block bijection that keeps
+    the atom constraints, in one `bijections` run: its cells are each
+    size's constraint classes, in size order, with each block tagged by its
+    size, since blocks of different sizes can be equal masks.  Its cut lets
+    every branch through until the last block of a size is placed; it then
+    extends that size's atom images to a `UnionMap` and accepts it only when
+    every naturality square between assigned sizes commutes.  So the
+    candidates come in `itertools.product` order, size by size, and the
+    first leaf is the witness."""
+    _check_bounds(kb1, kb2)
+    if not (kb1.saturated and kb2.saturated):
+        return None
+    cells: list[tuple[list[tuple[int, int]], list[int]]] = []
+    ends: dict[tuple[int, int], int] = {}
+    for n in range(1, kb1.n_max + 1):
+        lat1, lat2 = kb1.description(n), kb2.description(n)
+        if lat1.algebra.size != lat2.algebra.size:
+            return None
+        constraints = _atom_constraints(kb1, kb2, phi, n)
+        if constraints is None:
+            return None
+        classes = constraint_classes(lat1, lat2, constraints)
+        if classes is None:
+            return None
+        cells += [([(n, b) for b in blocks], images) for blocks, images in classes]
+        ends[cells[-1][0][-1]] = n
+
+    alphas: dict[int, UnionMap] = {}
+
+    def fits(mapping: dict[tuple[int, int], int], source: tuple[int, int]) -> bool:
+        n = ends.get(source)
+        if n is None:
+            return True
+        alphas[n] = UnionMap({b: image for (m, b), image in mapping.items() if m == n})
+        return all(_squares_commute(alphas, phi, kb1, kb2, other, n)
+                   and (other == n or _squares_commute(alphas, phi, kb1, kb2, n, other))
+                   for other in range(1, n + 1))
+
+    if next(bijections(cells, fits), None) is None:
+        return None
+    return FunctorIso(phi, alphas, kb1, kb2)
+
+
 def recursive_find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
                                phi: FormulaAutomorphism) -> Optional[FunctorIso]:
-    """`find_functor_iso` as a recursion over the sizes: each candidate of a
-    size that passes its squares opens a new `bijections` stream over the
-    next size's constraint classes."""
+    """`search_find_functor_iso` as a recursion over the sizes: each
+    candidate of a size that passes its squares opens a new `bijections`
+    stream over the next size's constraint classes."""
     _check_bounds(kb1, kb2)
     n_max = kb1.n_max
     if not (kb1.saturated and kb2.saturated):
@@ -1127,7 +1208,7 @@ def recursive_find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
         constraints = _atom_constraints(kb1, kb2, phi, n)
         if constraints is None:
             return None
-        classes = _constraint_classes(lat1, lat2, constraints)
+        classes = constraint_classes(lat1, lat2, constraints)
         if classes is None:
             return None
         groupings.append(classes)

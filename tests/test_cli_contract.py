@@ -13,6 +13,7 @@ A new assertion about the command line goes here, as one more entry.
 import dataclasses
 import os
 import pathlib
+import random
 import re
 import resource
 import shutil
@@ -23,7 +24,7 @@ import pytest
 
 import kbgeo
 from kbgeo.cli import print_model
-from helpers import cfi_pair
+from helpers import cfi_pair, two_six_cycles
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 PACKAGE_ROOT = str(pathlib.Path(kbgeo.__file__).resolve().parent.parent)
@@ -55,11 +56,15 @@ def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def cycle(size: int, p: int = 0) -> str:
-    """The f `size`-cycle on 0..size-1, with P = {p}."""
+def cycle(size: int, p: int = 0, seed: int | None = None) -> str:
+    """The f `size`-cycle on 0..size-1, with P = {p}; with a seed, its
+    elements renamed by a shuffle drawn from it."""
+    name = list(range(size))
+    if seed is not None:
+        random.Random(seed).shuffle(name)
     return (f"carrier: {' '.join(map(str, range(size)))}\nop f 1\nrel P 1\n"
-            + "".join(f"op f: {i} -> {(i + 1) % size}\n" for i in range(size))
-            + f"rel P: {p}\n")
+            + "".join(f"op f: {name[i]} -> {name[(i + 1) % size]}\n" for i in range(size))
+            + f"rel P: {name[p]}\n")
 
 
 def graph(edges) -> str:
@@ -84,6 +89,10 @@ PQ4 = "carrier: 0 1 2 3\nrel P 1\nrel Q 1\nrel P: 0\nrel P: 1\nrel Q: 1\nrel Q: 
 K3_CFI, K4_CFI = ({name: print_model(model) for name, model in zip(("a.kbm", "b.kbm"), pair)}
                   for pair in (cfi_pair([(0, 1), (0, 2), (1, 2)]),
                                cfi_pair([(a, b) for a in range(4) for b in range(a + 1, 4)])))
+# Two 6-cycles of f with R = {(a, f(f(a)))} on the first cycle against
+# R = {(b, f(f(f(b))))} on the second, as the files r2.kbm and r3.kbm.
+SIX_CYCLES = {name: print_model(model) for name, model in zip(("r2.kbm", "r3.kbm"),
+                                                              two_six_cycles())}
 C6 = graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
 TT = graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 # The model with f: 0->0, 1->1, 2->0 and P everything: over {x1} its algebra
@@ -307,9 +316,9 @@ CONTRACT = [
                   "d.kbm": "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"},
           code=2, output=(*header("UNKNOWN", "informational", 3, 1), CLASS_NOTE)),
     # A constant f = 1 against f swapping 0 and 2, both with P everywhere:
-    # over one variable the lattice sizes and constraint classes agree, and
-    # the one candidate fails the square along x1 := f(x1), so the search
-    # runs out of candidates (exit 2: UNKNOWN, with the class note alone).
+    # over one variable phi's map meets the atom constraints and fails the
+    # square along x1 := f(x1) (exit 2: UNKNOWN, with the class note
+    # alone).
     Entry("failed-square", ("equiv", "fc.kbm", "fi.kbm", "--mode", "lae", "--max-vars", "1",
                             "--depth", "1", "--format", "machine"),
           models={"fc.kbm": "carrier: 0 1 2\nop f 1\nrel P 1\nop f: 0 -> 1\nop f: 1 -> 1\n"
@@ -356,13 +365,33 @@ CONTRACT = [
                       "--depth", "1", "--format", "machine"),
           lines=("verdict: EQUIVALENT_WITNESSED",)),
     # The f 5-cycle with P = {0} over three variables in automorphic mode:
-    # each size's candidates stream from its constraint classes, so the
-    # search holds no candidate list and stops at its first witness (exit 0:
-    # witnessed by the identity, in 2 GB of address space).
+    # each size has one candidate, phi's map, so the search holds no
+    # candidate list (exit 0: witnessed by the identity, in 2 GB of address
+    # space).
     Entry("cycle-5-lae", ("equiv", "c5.kbm", "c5.kbm", "--mode", "lae", "--max-vars", "3",
                           "--depth", "1", "--format", "machine"),
           models={"c5.kbm": cycle(5)}, lines=("witness.phi: identity",),
           address_space_kib=2000000),
+    # The f 12-cycle with P = {0} against its relabelling by a seeded
+    # shuffle, in automorphic mode over one variable: each atom goes where
+    # phi sends its witness formula, so the search tries one map per phi,
+    # not the 10! bijections between the atoms that no atomic formula of
+    # depth 1 tells apart (exit 0: witnessed, within 10 s).
+    Entry("cycle-12-shuffled-lae", ("equiv", "c12.kbm", "s12.kbm", "--mode", "lae",
+                                    "--max-vars", "1", "--depth", "1", "--format", "machine"),
+          models={"c12.kbm": cycle(12), "s12.kbm": cycle(12, seed=12)},
+          lines=("verdict: EQUIVALENT_WITNESSED",), timeout=10),
+    # Two 6-cycles of f with R = {(a, f^2(a))} on the first against R =
+    # {(b, f^3(b))} on the second.  Over one variable each model has two
+    # atoms, the cycle with R and the other.  Phi's map sends the first
+    # model's R(x1, f(f(x1))) atom to the empty set, so no phi is witnessed
+    # at depth 1, and at depth 2 that atomic formula's constraint clashes
+    # (exit 2: UNKNOWN, with the class note alone).
+    *(Entry(f"six-cycles-1-{depth}", ("equiv", "r2.kbm", "r3.kbm", "--max-vars", "1",
+                                      "--depth", str(depth), "--format", "machine"),
+            models=SIX_CYCLES, code=2,
+            output=(*header("UNKNOWN", "informational", 1, depth), CLASS_NOTE))
+      for depth in (1, 2)),
     # A 2-element self-pair with ten unary relations, Ri = {i mod 2}, in
     # automorphic mode: the relation permutations stream, so the decision
     # stops at the identity and builds none of the other 10! - 1 phis
@@ -402,8 +431,8 @@ CONTRACT = [
                    f"witness.alphas: {alphas}"))
       for n, alphas in ((1, "|X|=1: 2 filters"), (2, "|X|=1: 2 filters; |X|=2: 8 filters"))),
     # m_p against itself in automorphic mode over ten variables: 1,024
-    # singleton constraint classes, one level each of the iterative
-    # candidate search (exit 0: witnessed by the identity, within 10 s).
+    # atoms, each sent where phi sends its witness formula (exit 0:
+    # witnessed by the identity, within 10 s).
     Entry("m_p-10-1-lae", ("equiv", fixture("m_p.kbm"), fixture("m_p.kbm"), "--mode", "lae",
                            "--max-vars", "10", "--depth", "1", "--format", "machine"),
           lines=("witness.phi: identity",), timeout=10),
@@ -463,6 +492,15 @@ CONTRACT = [
 ]
 
 
+def child_env(env: dict) -> dict:
+    """A run's environment: PYTHONPATH, `env`, and PYTHONDONTWRITEBYTECODE
+    when the test run has it set, so that a test run that writes no
+    bytecode keeps its children from writing any."""
+    passed = {name: value for name, value in os.environ.items()
+              if name == "PYTHONDONTWRITEBYTECODE"}
+    return {"PYTHONPATH": PACKAGE_ROOT, **passed, **env}
+
+
 def check(entry: Entry, directory: pathlib.Path) -> None:
     """Runs the entry in `directory`; raises AssertionError unless it keeps
     its contract."""
@@ -473,13 +511,10 @@ def check(entry: Entry, directory: pathlib.Path) -> None:
         limit = entry.address_space_kib * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    # A test run that writes no bytecode keeps its children from writing any.
-    passed = {name: value for name, value in os.environ.items()
-              if name == "PYTHONDONTWRITEBYTECODE"}
     try:
         done = subprocess.run(
             [sys.executable, "-m", "kbgeo.cli", *entry.argv], cwd=directory,
-            env={"PYTHONPATH": PACKAGE_ROOT, **passed, **entry.env}, timeout=entry.timeout,
+            env=child_env(entry.env), timeout=entry.timeout,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, encoding="utf-8",
             preexec_fn=None if entry.address_space_kib is None else limit_address_space)
     except subprocess.TimeoutExpired:
@@ -499,6 +534,23 @@ def check(entry: Entry, directory: pathlib.Path) -> None:
 @pytest.mark.parametrize("entry", CONTRACT, ids=lambda entry: entry.name)
 def test_the_command_line_keeps_its_contract(entry, tmp_path):
     check(entry, tmp_path)
+
+
+def test_a_closed_stdout_keeps_the_command_s_exit_code():
+    """A reader that leaves before the report is written, as `| head -1`
+    does, costs the run neither a traceback nor its exit code: the child
+    gets a pipe whose read end is already closed, and still exits 0 with
+    nothing on stderr."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kbgeo.cli", "equiv", fixture("m_p.kbm"), fixture("m_p.kbm")],
+            env=child_env({}), stdout=write, stderr=subprocess.PIPE,
+            encoding="utf-8", timeout=TIMEOUT)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("broken, message", [

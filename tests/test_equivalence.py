@@ -45,16 +45,12 @@ from kbgeo import (
     model_isomorphisms,
     parse_term,
     satisfying_points,
+    term_depth,
     transport_model_iso,
 )
 from kbgeo import categories, equivalence, lattice, semantics
 from kbgeo.core import bijections
-from kbgeo.equivalence import (
-    _atom_constraints,
-    _constraint_classes,
-    _is_boolean,
-    _squares_commute,
-)
+from kbgeo.equivalence import _atom_constraints, _is_boolean, _squares_commute
 from kbgeo.lattice import UndefinablePullbackError
 from test_categories import counted_builds, tampered_composite_table
 from test_census import FAMILIES, all_models, census, representatives
@@ -65,6 +61,7 @@ from helpers import (
     bounded_pairs,
     brute_atomic_classes,
     cfi_pair,
+    constraint_classes,
     filtered_automorphisms,
     formulawise_atom_constraints,
     memberwise_candidate_alphas,
@@ -88,9 +85,11 @@ from helpers import (
     relabeled,
     relabeled_mask,
     renaming_families,
+    search_find_functor_iso,
     seeded_models,
     seeded_pairs,
     swap_pairs,
+    two_six_cycles,
     verify_admissibility_transfer,
 )
 
@@ -652,7 +651,7 @@ def test_atom_path_matches_the_member_loops():
                 constraints = _atom_constraints(kb1, kb2, phi, n)
                 if len(lat1) != len(lat2) or constraints is None:
                     break
-                classes = _constraint_classes(lat1, lat2, constraints)
+                classes = constraint_classes(lat1, lat2, constraints)
                 candidates[n] = ([] if classes is None
                                  else list(map(lattice.UnionMap, bijections(classes))))
             for a, b in itertools.product(candidates, repeat=2):
@@ -729,7 +728,7 @@ def test_atom_tables_match_the_member_loops():
                 constraints = _atom_constraints(kb1, kb2, phi, n)
                 if constraints is None:
                     continue
-                classes = _constraint_classes(lat1, lat2, constraints)
+                classes = constraint_classes(lat1, lat2, constraints)
                 new = [] if classes is None else [items(lattice.UnionMap(mapping))
                                                   for mapping in bijections(classes)]
                 assert new == list(map(items, memberwise_candidate_alphas(lat1, lat2,
@@ -884,11 +883,11 @@ def test_a_relation_swap_is_never_refuted():
 
 def test_relabellings_and_swaps_decide_over_three_variables():
     """The relabelling and swap pairs at (3, 1) keep the relations they have
-    at (2, 1).  Over three variables a search that held every candidate
-    could not finish: `relabel10`'s automorphic search alone would list
-    11,943,936 block bijections before its first square.  The searches
-    stream, so each decision stops at its first witness or undefinable
-    pullback."""
+    at (2, 1).  Over three variables a search that held every block
+    bijection could not finish: `relabel10`'s automorphic search alone would
+    list 11,943,936 of them before its first square.  Each phi has one
+    candidate and the phis stream, so each decision stops at its first
+    witness or undefinable pullback."""
     assert relabelling_verdicts(3) == {VERDICT_WITNESSED, VERDICT_UNKNOWN}
     verdicts = swap_verdicts(3)
     assert verdicts.count(VERDICT_WITNESSED) > len(verdicts) // 2
@@ -1071,9 +1070,11 @@ def test_a_tampered_composite_fails_the_functor_as_the_member_loops_do():
 
 def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
     """On this 3-element self-pair, with x1 and x2 swapped over two variables,
-    candidate alphas fail naturality squares during the search, which drops
-    them and goes on, and a witness still comes back.  Its description
-    functor report is the member loops' report, over 2^9 members."""
+    candidate alphas fail naturality squares during the block-bijection
+    search (`search_find_functor_iso`), which drops them and goes on, and a
+    witness still comes back.  The formula-induced map is a witness too, and
+    its description functor report is the member loops' report, over 2^9
+    members."""
     sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
     model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
                   {"P": [], "Q": [(0,)]})
@@ -1085,9 +1086,11 @@ def test_the_witness_search_backtracks_past_a_failed_square(monkeypatch):
         squares.append(_squares_commute(*args))
         return squares[-1]
 
-    monkeypatch.setattr(equivalence, "_squares_commute", recording)
-    iso = find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1), phi)
-    assert False in squares and iso is not None
+    monkeypatch.setattr(helpers, "_squares_commute", recording)
+    kb = KnowledgeBase(model, 2, 1)
+    assert search_find_functor_iso(kb, kb, phi) is not None and False in squares
+    iso = find_functor_iso(kb, kb, phi)
+    assert iso is not None
     assert build_description_iso(iso) == memberwise_description_iso(iso)
 
 
@@ -1101,25 +1104,25 @@ def exhaustion_pair() -> tuple[Model, Model]:
 
 def test_the_witness_search_runs_out_of_candidates():
     """The exhaustion pair: over one variable the lattice sizes and the
-    constraint classes agree, so the identity has one candidate, and it
-    fails the square along x1 := f(x1): the preimage of {1} is the whole
-    carrier in the first model and {1} in the second.  The search runs out
-    of candidates, and both modes decide UNKNOWN with the class note
-    alone."""
+    constraint classes agree, so the identity has one block bijection, and
+    it fails the square along x1 := f(x1): the preimage of {1} is the whole
+    carrier in the first model and {1} in the second.  Neither the search
+    nor the block-bijection search finds a witness, and both modes decide
+    UNKNOWN with the class note alone."""
     fc, fi = exhaustion_pair()
     sig = fc.sig
     kb1, kb2 = kbs(fc, fi, 1, 1)
     phi = FormulaAutomorphism.identity(sig)
     lat1, lat2 = kb1.description(1), kb2.description(1)
     assert len(lat1) == len(lat2) == 4
-    classes = _constraint_classes(lat1, lat2, _atom_constraints(kb1, kb2, phi, 1))
+    classes = constraint_classes(lat1, lat2, _atom_constraints(kb1, kb2, phi, 1))
     [candidate] = map(lattice.UnionMap, bijections(classes))
     assert not _squares_commute({1: candidate}, phi, kb1, kb2, 1, 1)
     x1 = canonical_varset(1)
     step = Substitution(x1, x1, (parse_term("f(x1)", sig, x1),))
     assert kb1.geometry.table(step).preimage(0b010) == 0b111
     assert kb2.geometry.table(step).preimage(0b010) == 0b010
-    assert find_functor_iso(kb1, kb2, phi) is None
+    assert find_functor_iso(kb1, kb2, phi) is None is search_find_functor_iso(kb1, kb2, phi)
     for decide in (check_informational_equivalence, check_automorphic_equivalence):
         report = decide(fc, fi, n_max=1, depth=1)
         assert report.verdict == VERDICT_UNKNOWN
@@ -1136,13 +1139,14 @@ def supported_phis(sig: Signature, n_max: int) -> list:
 
 
 def test_one_bijections_run_matches_the_recursion_over_sizes(monkeypatch):
-    """`find_functor_iso` gives what the recursion over the sizes gave
-    (`recursive_find_functor_iso`): None, the same error text, or the same
-    atom images per size.  It checks the same squares on the same atom
-    images in the same order, with the same results, so it visits the same
-    candidates.  It makes one `bijections` call when the size, constraint
-    and class checks pass, and none otherwise; the recursion opens a stream
-    per candidate of the size below.  The corpus is every ordered pair of
+    """The block-bijection search (`search_find_functor_iso`) gives what
+    the recursion over the sizes gave (`recursive_find_functor_iso`): None,
+    the same error text, or the same atom images per size.  It checks the
+    same squares on the same atom images in the same order, with the same
+    results, so it visits the same candidates.  It makes one `bijections`
+    call when the size, constraint and class checks pass, and none
+    otherwise; the recursion opens a stream per candidate of the size
+    below.  The corpus is every ordered pair of
     each census family's representatives at (2, 1), the seeded and bounded
     pairs at n_max 1 and 2, the K3 CFI pair at n_max 1 and 2, and the
     exhaustion pair, each under every supported automorphism."""
@@ -1171,9 +1175,8 @@ def test_one_bijections_run_matches_the_recursion_over_sizes(monkeypatch):
         streams.append(fits)
         return bijections(cells, fits)
 
-    for module in (equivalence, helpers):
-        monkeypatch.setattr(module, "_squares_commute", recording)
-        monkeypatch.setattr(module, "bijections", counting)
+    monkeypatch.setattr(helpers, "_squares_commute", recording)
+    monkeypatch.setattr(helpers, "bijections", counting)
 
     def run(search, kb1, kb2, phi) -> tuple:
         squares.clear()
@@ -1189,7 +1192,7 @@ def test_one_bijections_run_matches_the_recursion_over_sizes(monkeypatch):
     for kb1, kb2 in cases:
         for phi in supported_phis(kb1.model.sig, kb1.n_max):
             old, old_squares, old_streams = run(recursive_find_functor_iso, kb1, kb2, phi)
-            new, new_squares, new_streams = run(find_functor_iso, kb1, kb2, phi)
+            new, new_squares, new_streams = run(search_find_functor_iso, kb1, kb2, phi)
             assert (new, new_squares) == (old, old_squares)
             assert new_streams == min(old_streams, 1)
             most_streams = max(most_streams, old_streams)
@@ -1198,9 +1201,66 @@ def test_one_bijections_run_matches_the_recursion_over_sizes(monkeypatch):
     assert all(outcomes[k] for k in ("raised", "none", "found", "squares")) and most_streams > 1
 
 
+def seed_depth(kb: KnowledgeBase) -> int:
+    """The largest term depth of a seed cut in the knowledge base's
+    algebras: a cut that projects no block."""
+    depths = [0]
+    for n in range(1, kb.n_max + 1):
+        for cut, _, _, _, block in kb.description(n).algebra._splits.values():
+            if block is None:
+                depths += map(term_depth, cut.args if isinstance(cut, Atom)
+                              else (cut.left, cut.right))
+    return max(depths)
+
+
+def test_the_induced_map_decides_as_the_block_bijection_search():
+    """`find_functor_iso` against the block-bijection search it replaced
+    (`search_find_functor_iso`), under every relation permutation and every
+    renaming family: a witness on both sides or on neither, and the same
+    error text.  A decision may move only where the search has no witness
+    either at the depth D of the first model's seed terms (module
+    docstring, "One candidate").  The corpus is every ordered pair of each
+    census family's representatives at (n_max, depth) = (1, 1), (2, 1) and
+    (1, 2), the seeded, relabelling, swap and bounded pairs and every
+    same-signature pair of `op_models` at n_max 1 and 2, the K3 CFI pair
+    at n_max 1 and 2, and the two-6-cycle pair at (1, 1) and (1, 2).  Only
+    that pair at (1, 1) moves: the search witnesses it by a map that
+    ignores R(x1, f(f(x1))), and finds no witness at D = 2."""
+    cases = []
+    for (_, size, ops, rels), bounds in itertools.product(FAMILIES, ((1, 1), (2, 1), (1, 2))):
+        reps = representatives(all_models(size, ops, rels))
+        cases += [(m1, m2, *bounds) for m1, m2 in itertools.product(reps, repeat=2)]
+    ops = [m for _, m in op_models()]
+    pairs = [(m1, m2) for _, m1, m2 in seeded_pairs() + relabel_pairs() + swap_pairs()
+             + bounded_pairs()]
+    pairs += [(m1, m2) for m1, m2 in itertools.product(ops, repeat=2) if m1.sig == m2.sig]
+    cases += [(m1, m2, n_max, 1) for (m1, m2), n_max in itertools.product(pairs, (1, 2))]
+    cases += [(*cfi_pair([(0, 1), (0, 2), (1, 2)]), n_max, 0) for n_max in (1, 2)]
+    cases += [(*two_six_cycles(), 1, depth) for depth in (1, 2)]
+
+    def run(search, *args):
+        """True for a witness, else None or the error text."""
+        iso = outcome(search, *args)
+        return isinstance(iso, FunctorIso) or iso
+
+    outcomes, moved = Counter(), []
+    for m1, m2, n_max, depth in cases:
+        kb1, kb2 = kbs(m1, m2, n_max, depth)
+        for phi in enumerate_automorphisms(m1.sig) + renaming_families(m1.sig, n_max):
+            new = run(find_functor_iso, kb1, kb2, phi)
+            old = run(search_find_functor_iso, kb1, kb2, phi)
+            outcomes[new if new in (True, None) else "raised"] += 1
+            if new != old:
+                deep = kbs(m1, m2, n_max, max(depth, seed_depth(kb1)))
+                assert run(search_find_functor_iso, *deep, phi) is not True
+                moved.append((m1, n_max, depth, phi.describe(), old, new))
+    assert moved == [(two_six_cycles()[0], 1, 1, "identity", True, None)]
+    assert all(outcomes[k] for k in (True, None, "raised")), outcomes
+
+
 def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
     """Only `KnowledgeBase.substitutions` enumerates substitutions, once per
-    bounded set.  The backtracking search above checks its squares on the
+    bounded set.  The witness search above checks its squares on the
     generators alone and enumerates none.  The same search on a model with a
     binary op has no generators, and makes one enumeration per pair of
     sizes, over two sizes; so do both sweeps over one knowledge base

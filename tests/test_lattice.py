@@ -17,6 +17,7 @@ from kbgeo import (
     KnowledgeBase,
     MismatchError,
     Model,
+    ModelMap,
     Point,
     PointSet,
     Signature,
@@ -38,10 +39,13 @@ from kbgeo import (
     parse_term,
     points_satisfying_all,
     satisfying_points,
+    transport_model_iso,
 )
 from kbgeo import formulas, lattice
 from kbgeo.core import TermClone, TermFunction, term_functions
 from kbgeo.formulas import And, Atom, Equal, Formula, Not
+from kbgeo.lattice import UndefinablePullbackError
+from kbgeo.semantics import _Valuation
 from helpers import (
     all_fixtures,
     brute_closure,
@@ -58,6 +62,7 @@ from helpers import (
     named_pair,
     op_models,
     relabel_pairs,
+    relabeled,
     seeded_models,
 )
 from test_census import FAMILIES, all_models, representatives
@@ -468,6 +473,33 @@ def test_block_masks_partition_the_space():
         assert union == algebra.space.full_mask
         for mask in algebra.masks:
             assert all(b & mask in (0, b) for b in blocks)
+
+
+def test_a_replay_values_each_atom_s_witness():
+    """Replaying an algebra over its own space through its own valuation
+    gives each atom itself, on the fixtures, the seeded models and the op
+    models over one to three variables.  Replayed over the space of a
+    carrier relabelling, with the seeds valued there, it gives the atom
+    images of the carrier transport: a carrier isomorphism keeps every
+    formula, deep terms included."""
+    transported = 0
+    for _, model in all_fixtures() + seeded_models() + op_models():
+        perm = model.carrier[1:] + model.carrier[:1]
+        image = relabeled(model, perm)
+        kb1, kb2 = KnowledgeBase(model, 3, 1), KnowledgeBase(image, 3, 1)
+        algebras = [kb1.description(n).algebra for n in (1, 2, 3)]
+        for algebra in algebras:
+            assert algebra.replay(algebra.space, algebra._valuation.mask) == \
+                {atom: atom for atom in algebra.block_masks()}
+        try:
+            alphas = transport_model_iso(ModelMap(model, image, perm), kb1, kb2).alphas
+        except UndefinablePullbackError:
+            continue
+        for n, algebra in enumerate(algebras, 1):
+            space = kb2.description(n).algebra.space
+            assert algebra.replay(space, _Valuation(space).mask) == alphas[n].atoms
+        transported += 1
+    assert transported > len(all_fixtures())
 
 
 def test_dump_lines_are_sorted_and_witnessed():
