@@ -40,8 +40,12 @@ class BoundError(ValueError):
 
 
 def _check_name(name: str, what: str) -> None:
+    """Refuse a name that is not an identifier the scanner reads as one name
+    token, such as "Pé" spelt with a combining accent, or a reserved word."""
     if not isinstance(name, str) or not name.isidentifier():
         raise SignatureError(f"{what} name {name!r} is not an identifier")
+    if _SCANNER.findall(name) != [name] or not _starts_name(name):
+        raise SignatureError(f"{what} name {name!r} does not scan as one name token")
     if name in RESERVED_WORDS:
         raise SignatureError(f"{what} name {name!r} is a reserved word")
 
@@ -50,8 +54,9 @@ def _check_name(name: str, what: str) -> None:
 class Signature:
     """Operation and relation symbols with arities, plus the equality flag.
 
-    Operation arities may be zero (constants); relation arities must be
-    positive.  Equality is built in, written ``=``, and needs no symbol.
+    Operation arities may be zero (constants, whose names `constants`
+    holds); relation arities must be positive.  Equality is built in,
+    written ``=``, and needs no symbol.
     """
 
     ops: tuple[tuple[str, int], ...] = ()
@@ -80,6 +85,7 @@ class Signature:
             seen.add(name)
         object.__setattr__(self, "_op_arity", dict(ops))
         object.__setattr__(self, "_rel_arity", dict(rels))
+        object.__setattr__(self, "constants", frozenset(n for n, a in ops if a == 0))
 
     def op_arity(self, name: str) -> Optional[int]:
         return self._op_arity.get(name)
@@ -203,27 +209,33 @@ def check_term(term: Term, sig: Signature, varset: VarSet) -> None:
 
 
 # --- scanner shared by the term and formula parsers ---
-# One pattern reads a name, a symbol or whitespace; any other character is an
-# error.  \w and \s match exactly str.isalnum()-or-"_" and str.isspace(), and
-# a name must start with a letter or "_", so "x²" is a name and "²x" an error
-# at its first character.
-_TOKEN = re.compile(r"(?P<name>\w+)|(?P<symbol>->|:=|[(),=.&|!{}])|\s+|(?P<bad>.)", re.S)
+# One pattern reads a token: a run of word characters, a two-character
+# symbol, or any other single character but whitespace, which it skips.  \w
+# and \s match exactly str.isalnum()-or-"_" and str.isspace().  A token is a
+# symbol of SYMBOLS or a name, a word run that starts with a letter or "_";
+# any other token is an error at its first character, so "x²" is a name and
+# "²x" an error there.  A text is read by one `findall` of the values;
+# offsets come from a `finditer` of the same pattern, only where a message
+# names one.
+_SCANNER = re.compile(r"\w+|->|:=|\S")
+SYMBOLS = frozenset({"->", ":=", "(", ")", ",", "=", ".", "&", "|", "!", "{", "}"})
+
+
+def _starts_name(value: str) -> bool:
+    return value[0].isalpha() or value[0] == "_"
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     """Split text into (kind, value, offset) tokens; kind is 'name' or the symbol itself."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        value, pos = m.group(), m.start()
-        if kind == "symbol":
-            tokens.append((value, value, pos))
-        elif kind == "name" and (value[0].isalpha() or value[0] == "_"):
-            tokens.append(("name", value, pos))
+    for m in _SCANNER.finditer(text):
+        value = m.group()
+        if value in SYMBOLS:
+            tokens.append((value, value, m.start()))
+        elif _starts_name(value):
+            tokens.append(("name", value, m.start()))
         else:
-            raise ParseError(f"unexpected character {value[0]!r}", position=pos)
+            raise ParseError(f"unexpected character {value[0]!r}", position=m.start())
     return tokens
 
 
@@ -236,9 +248,10 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 200
 
 
-# The kind of the sentinel token that ends every `TokenStream`; no text
-# token has it, since a token's kind is "name" or its symbol.
-END = "end"
+# The value of the sentinel that ends every `TokenStream`; no scanned token
+# is empty.  `_NOT_NAMES` holds every value that is not a name.
+END = ""
+_NOT_NAMES = SYMBOLS | {END}
 
 
 def too_deep(position: int) -> ParseError:
@@ -247,91 +260,117 @@ def too_deep(position: int) -> ParseError:
 
 
 class TokenStream:
-    """Cursor over the tokens of a text, with one-token lookahead.
+    """The token values of a text, read by index.
 
-    The token list ends with a sentinel, `END` at the text's length, so
-    `peek` never runs out and no token test needs a length check; `next`
-    refuses to pass it.  `depth` is the nesting level at the cursor, and
+    `values` is one `findall` of the scanner, each value a name or a symbol
+    of SYMBOLS, and ends with the sentinel `END`, so a lookahead never runs
+    out and no token test needs a length check.  `pos` is the index of the
+    next token.  A token's character offset is computed only for an error
+    message, by `offset`.  `depth` is the nesting level at the cursor, and
     `deepest` the deepest level the term parser has entered since a caller
     last set it; the formula parser sets both before it reads terms."""
 
+    __slots__ = ("text", "values", "pos", "depth", "deepest")
+
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.tokens.append((END, "", len(text)))
+        values = _SCANNER.findall(text)
+        if not all(map(_starts_name, set(values).difference(SYMBOLS))):
+            tokenize(text)  # raises at the first token that is neither a name nor a symbol
+        values.append(END)
+        self.text = text
+        self.values = values
         self.pos = 0
         self.depth = 0
         self.deepest = 0
 
-    def enter(self, position: int) -> None:
-        """Go one level deeper at the token at `position`, which past
+    def offset(self, index: int) -> int:
+        """The character offset of the token at `index`; the sentinel's is
+        the text's length."""
+        if index == len(self.values) - 1:
+            return len(self.text)
+        return next(itertools.islice(_SCANNER.finditer(self.text), index, None)).start()
+
+    def error(self, message: str, index: int) -> ParseError:
+        return ParseError(message, position=self.offset(index))
+
+    def unexpected(self, index: int, wanted: str) -> ParseError:
+        """The error for the token at `index` where `wanted` must stand:
+        'name' or a symbol."""
+        value = self.values[index]
+        if value == END:
+            return self.error("unexpected end of input", index)
+        return self.error(f"expected {wanted!r}, found {value!r}", index)
+
+    def expect(self, symbol: str) -> None:
+        """Pass the symbol at the cursor, or refuse the text."""
+        if self.values[self.pos] != symbol:
+            raise self.unexpected(self.pos, symbol)
+        self.pos += 1
+
+    def name(self) -> str:
+        """Pass the name at the cursor and return it, or refuse the text."""
+        value = self.values[self.pos]
+        if value in _NOT_NAMES:
+            raise self.unexpected(self.pos, "name")
+        self.pos += 1
+        return value
+
+    def enter(self, index: int) -> None:
+        """Go one level deeper at the token at `index`, which past
         `MAX_NESTING` refuses the text; `depth -= 1` leaves the level."""
         self.depth += 1
         if self.depth > self.deepest:
             if self.depth > MAX_NESTING:
-                raise too_deep(position)
+                raise too_deep(self.offset(index))
             self.deepest = self.depth
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] is END:
-            raise ParseError("unexpected end of input", position=tok[2])
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", position=tok[2])
-        return tok
-
-    def match(self, kind: str) -> bool:
-        if self.tokens[self.pos][0] == kind:
-            self.pos += 1
-            return True
-        return False
-
-    def items(self, read_item: Callable[[], object], open_kind: str, close_kind: str) -> list:
-        """Read `open item (, item)* close`: one item at least, each read by
-        `read_item()`."""
-        self.expect(open_kind)
-        items = [read_item()]
-        while self.match(","):
-            items.append(read_item())
-        self.expect(close_kind)
-        return items
-
     def require_done(self) -> None:
-        tok = self.tokens[self.pos]
-        if tok[0] is not END:
-            raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
+        value = self.values[self.pos]
+        if value != END:
+            raise self.error(f"trailing input {value!r}", self.pos)
 
 
 def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
     """Parse one term from the stream.  Variables shadow nullary operations."""
-    kind, name, pos = ts.next()
-    if kind != "name":
-        raise ParseError(f"expected a term, found {name!r}", position=pos)
-    if ts.peek()[0] == "(":
+    values = ts.values
+    at = ts.pos
+    name = values[at]
+    if name in _NOT_NAMES:
+        if name == END:
+            raise ts.error("unexpected end of input", at)
+        raise ts.error(f"expected a term, found {name!r}", at)
+    if values[at + 1] != "(":
+        ts.pos = at + 1
+        if name in varset:
+            return Var(name)
         arity = sig.op_arity(name)
-        if arity is None:
-            raise ParseError(f"unknown operation {name}", position=pos)
-        ts.enter(pos)
-        args = ts.items(lambda: parse_term_stream(ts, sig, varset), "(", ")")
-        ts.depth -= 1
-        if len(args) != arity:
-            raise ParseError(f"operation {name} expects {arity} arguments, got {len(args)}", position=pos)
-        return OpApp(name, tuple(args))
-    if name in varset:
-        return Var(name)
+        if arity == 0:
+            return OpApp(name, ())
+        if arity is not None:
+            raise ts.error(f"operation {name} expects {arity} arguments, got 0", at)
+        raise ts.error(f"unknown term symbol {name}", at)
     arity = sig.op_arity(name)
-    if arity == 0:
-        return OpApp(name, ())
-    if arity is not None:
-        raise ParseError(f"operation {name} expects {arity} arguments, got 0", position=pos)
-    raise ParseError(f"unknown term symbol {name}", position=pos)
+    if arity is None:
+        raise ts.error(f"unknown operation {name}", at)
+    ts.enter(at)
+    ts.pos = at + 1
+    args = parse_term_args(ts, sig, varset)
+    ts.depth -= 1
+    if len(args) != arity:
+        raise ts.error(f"operation {name} expects {arity} arguments, got {len(args)}", at)
+    return OpApp(name, args)
+
+
+def parse_term_args(ts: TokenStream, sig: Signature, varset: VarSet) -> tuple[Term, ...]:
+    """Parse `(term, ..., term)`, one term at least, from the stream."""
+    ts.expect("(")
+    values = ts.values
+    args = [parse_term_stream(ts, sig, varset)]
+    while values[ts.pos] == ",":
+        ts.pos += 1
+        args.append(parse_term_stream(ts, sig, varset))
+    ts.expect(")")
+    return tuple(args)
 
 
 def parse_term(text: str, sig: Signature, varset: VarSet) -> Term:

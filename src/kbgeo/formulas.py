@@ -17,7 +17,6 @@ from .core import (
     END,
     MAX_NESTING,
     MismatchError,
-    ParseError,
     Signature,
     SignatureError,
     Substitution,
@@ -27,6 +26,7 @@ from .core import (
     check_term,
     compose_subst,
     enumerate_terms,
+    parse_term_args,
     parse_term_stream,
     term_to_text,
     term_vars,
@@ -112,10 +112,17 @@ FALSE = FalseF()
 
 @dataclass(frozen=True)
 class FormulaContext:
-    """The signature and ambient variable set a formula lives over."""
+    """The signature and ambient variable set a formula lives over.  A
+    variable may not have the name of a constant, since a printed formula
+    could not tell the two apart."""
 
     sig: Signature
     varset: VarSet
+
+    def __post_init__(self):
+        if not self.sig.constants.isdisjoint(self.varset.names):
+            name = next(n for n in self.varset.names if n in self.sig.constants)
+            raise SignatureError(f"variable {name} has the name of the constant {name}")
 
 
 # Printer precedence: higher binds tighter.  Binders get the lowest level so
@@ -189,7 +196,10 @@ def parse_formula(text: str, ctx: FormulaContext) -> Formula:
     return f
 
 
-_INFIX = {"&": And, "|": Or, "->": Implies}
+_INFIX = {symbol: (node, _PRECS[node])
+          for symbol, node in (("&", And), ("|", Or), ("->", Implies))}
+# The tokens that open a nesting level in prefix position.
+_OPENERS = frozenset({"!", "(", "exists", "forall", "subst"})
 
 
 def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int,
@@ -203,15 +213,16 @@ def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int,
     the formula read so far one level under it, and its right operand one
     level down."""
     left, height = _parse_unary(ts, ctx, depth)
+    values = ts.values
     while True:
-        tok = ts.peek()
-        node = _INFIX.get(tok[0])
-        if node is None or _PRECS[node] < min_prec:
+        at = ts.pos
+        infix = _INFIX.get(values[at])
+        if infix is None or infix[1] < min_prec:
             return left, height
         if depth + height >= MAX_NESTING:
-            raise too_deep(tok[2])
-        ts.next()
-        prec = _PRECS[node]
+            raise too_deep(ts.offset(at))
+        ts.pos = at + 1
+        node, prec = infix
         right, right_height = _parse_binary(ts, ctx, prec if node is Implies else prec + 1,
                                             depth + 1)
         left = node(left, right)
@@ -220,72 +231,73 @@ def _parse_binary(ts: TokenStream, ctx: FormulaContext, min_prec: int,
 
 def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Formula, int]:
     """A prefix formula at nesting level `depth`, with its height."""
-    kind, value, pos = ts.peek()
-    if kind is END:
-        raise ParseError("unexpected end of input", position=pos)
-    if depth >= MAX_NESTING and (kind in ("!", "(") or value in ("exists", "forall", "subst")):
-        raise too_deep(pos)
-    if kind == "!":
-        ts.next()
+    at = ts.pos
+    value = ts.values[at]
+    if value == END:
+        raise ts.error("unexpected end of input", at)
+    if depth >= MAX_NESTING and value in _OPENERS:
+        raise too_deep(ts.offset(at))
+    if value == "!":
+        ts.pos = at + 1
         body, height = _parse_unary(ts, ctx, depth + 1)
         return Not(body), height + 1
-    if kind == "(":
-        ts.next()
+    if value == "(":
+        ts.pos = at + 1
         f, height = _parse_binary(ts, ctx, 0, depth + 1)
         ts.expect(")")
         return f, height + 1
-    if kind == "name" and value in ("exists", "forall"):
-        ts.next()
-        var_tok = ts.expect("name")
-        if var_tok[1] not in ctx.varset:
-            raise ParseError(f"quantified variable {var_tok[1]} not in {ctx.varset}",
-                             position=var_tok[2])
+    if value == "exists" or value == "forall":
+        ts.pos = at + 1
+        var = ts.name()
+        if var not in ctx.varset:
+            raise ts.error(f"quantified variable {var} not in {ctx.varset}", ts.pos - 1)
         ts.expect(".")
         body, height = _parse_binary(ts, ctx, 0, depth + 1)
-        node = Exists if value == "exists" else Forall
-        return node(var_tok[1], body), height + 1
-    if kind == "name" and value == "subst":
-        ts.next()
+        return (Exists if value == "exists" else Forall)(var, body), height + 1
+    if value == "subst":
+        ts.pos = at + 1
         ts.depth = ts.deepest = depth + 1
-
-        def binding() -> tuple[str, Term]:
-            name = ts.expect("name")[1]
+        ts.expect("{")
+        names, images = [], []
+        while True:
+            names.append(ts.name())
             ts.expect(":=")
-            return name, parse_term_stream(ts, ctx.sig, ctx.varset)
-
-        names, images = zip(*ts.items(binding, "{", "}"))
+            images.append(parse_term_stream(ts, ctx.sig, ctx.varset))
+            if ts.values[ts.pos] != ",":
+                break
+            ts.pos += 1
+        ts.expect("}")
         terms_height = ts.deepest - depth
         try:
-            source = VarSet(names)
+            inner = FormulaContext(ctx.sig, VarSet(names))
         except SignatureError as exc:
-            raise ParseError(f"bad substitution block: {exc}", position=pos) from None
-        subst = Substitution(source, ctx.varset, images)
-        body, height = _parse_binary(ts, FormulaContext(ctx.sig, source), 0, depth + 1)
+            raise ts.error(f"bad substitution block: {exc}", at) from None
+        subst = Substitution(inner.varset, ctx.varset, images)
+        body, height = _parse_binary(ts, inner, 0, depth + 1)
         return SubstNode(subst, body), max(height + 1, terms_height)
-    if kind == "name" and value == "true":
-        ts.next()
+    if value == "true":
+        ts.pos = at + 1
         return TRUE, 0
-    if kind == "name" and value == "false":
-        ts.next()
+    if value == "false":
+        ts.pos = at + 1
         return FALSE, 0
     # an atom or an equality, whose terms the term parser reads from `depth`
     ts.depth = ts.deepest = depth
     arity = ctx.sig.rel_arity(value)
     if arity is not None:
-        ts.next()
-        args = ts.items(lambda: parse_term_stream(ts, ctx.sig, ctx.varset), "(", ")")
+        ts.pos = at + 1
+        args = parse_term_args(ts, ctx.sig, ctx.varset)
         if len(args) != arity:
-            raise ParseError(f"relation {value} expects {arity} arguments, got {len(args)}",
-                             position=pos)
-        return Atom(value, tuple(args)), ts.deepest - depth
+            raise ts.error(f"relation {value} expects {arity} arguments, got {len(args)}", at)
+        return Atom(value, args), ts.deepest - depth
     # anything else must start an equality between terms
     left = parse_term_stream(ts, ctx.sig, ctx.varset)
-    eq = ts.peek()
-    if eq[0] != "=":
-        raise ParseError("expected '=' after a bare term", position=eq[2])
+    eq = ts.pos
+    if ts.values[eq] != "=":
+        raise ts.error("expected '=' after a bare term", eq)
     if not ctx.sig.with_equality:
-        raise ParseError("equality is not enabled in this signature", position=eq[2])
-    ts.next()
+        raise ts.error("equality is not enabled in this signature", eq)
+    ts.pos = eq + 1
     right = parse_term_stream(ts, ctx.sig, ctx.varset)
     return Equal(left, right), ts.deepest - depth
 

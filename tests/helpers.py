@@ -33,10 +33,16 @@ every block bijection that keeps the atom constraints, with the squares
 checked once a size's last atom is placed.  `recursive_find_functor_iso` is
 that search as it was before one run mapped every size: a recursion over
 the sizes that opens a new stream for each candidate of the size below.
+
+`tuple_parse_formula` and `tuple_parse_term` are the parsers as they were
+before they read token values by index: a scanner regex with one group per
+token kind gives every token as a (kind, value, offset) tuple, and a cursor
+object hands them out through `peek`, `next`, `expect` and `items`.
 """
 
 import itertools
 import random
+import re
 from typing import Optional
 
 from kbgeo import (
@@ -65,7 +71,8 @@ from kbgeo import (
     push_filter,
     satisfying_points,
 )
-from kbgeo.core import bijections, term_functions
+from kbgeo.core import (MAX_NESTING, OpApp, ParseError, SignatureError, Term, Var, VarSet,
+                        bijections, term_functions)
 from kbgeo.equivalence import _atom_constraints, _check_bounds, _squares_commute
 from kbgeo.formulas import (
     FALSE,
@@ -77,11 +84,13 @@ from kbgeo.formulas import (
     FalseF,
     Forall,
     Formula,
+    FormulaContext,
     Implies,
     Not,
     Or,
     SubstNode,
     TrueF,
+    _PRECS,
     atomic_formulas,
 )
 from kbgeo.lattice import (DefinableAlgebra, FilterLattice, UnionMap, _check_witness,
@@ -1232,3 +1241,216 @@ def recursive_find_functor_iso(kb1: KnowledgeBase, kb2: KnowledgeBase,
     if not assign(1):
         return None
     return FunctorIso(phi, dict(alphas), kb1, kb2)
+
+
+# --- the tuple-based parser ---
+
+_TUPLE_TOKEN = re.compile(r"(?P<name>\w+)|(?P<symbol>->|:=|[(),=.&|!{}])|\s+|(?P<bad>.)", re.S)
+
+
+def tuple_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Split text into (kind, value, offset) tokens; kind is 'name' or the symbol itself."""
+    tokens = []
+    for m in _TUPLE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        value, pos = m.group(), m.start()
+        if kind == "symbol":
+            tokens.append((value, value, pos))
+        elif kind == "name" and (value[0].isalpha() or value[0] == "_"):
+            tokens.append(("name", value, pos))
+        else:
+            raise ParseError(f"unexpected character {value[0]!r}", position=pos)
+    return tokens
+
+
+_TUPLE_END = "end"
+
+
+def _tuple_too_deep(position: int) -> ParseError:
+    return ParseError(f"input nested deeper than {MAX_NESTING} levels", position=position)
+
+
+class TupleTokenStream:
+    """Cursor over the (kind, value, offset) tokens of a text, ended by a
+    sentinel token of kind `_TUPLE_END` at the text's length."""
+
+    def __init__(self, text: str):
+        self.tokens = tuple_tokenize(text)
+        self.tokens.append((_TUPLE_END, "", len(text)))
+        self.pos = 0
+        self.depth = 0
+        self.deepest = 0
+
+    def enter(self, position: int) -> None:
+        self.depth += 1
+        if self.depth > self.deepest:
+            if self.depth > MAX_NESTING:
+                raise _tuple_too_deep(position)
+            self.deepest = self.depth
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] is _TUPLE_END:
+            raise ParseError("unexpected end of input", position=tok[2])
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", position=tok[2])
+        return tok
+
+    def match(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
+
+    def items(self, read_item, open_kind: str, close_kind: str) -> list:
+        self.expect(open_kind)
+        items = [read_item()]
+        while self.match(","):
+            items.append(read_item())
+        self.expect(close_kind)
+        return items
+
+    def require_done(self) -> None:
+        tok = self.tokens[self.pos]
+        if tok[0] is not _TUPLE_END:
+            raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
+
+
+def _tuple_parse_term_stream(ts: TupleTokenStream, sig: Signature, varset: VarSet) -> Term:
+    kind, name, pos = ts.next()
+    if kind != "name":
+        raise ParseError(f"expected a term, found {name!r}", position=pos)
+    if ts.peek()[0] == "(":
+        arity = sig.op_arity(name)
+        if arity is None:
+            raise ParseError(f"unknown operation {name}", position=pos)
+        ts.enter(pos)
+        args = ts.items(lambda: _tuple_parse_term_stream(ts, sig, varset), "(", ")")
+        ts.depth -= 1
+        if len(args) != arity:
+            raise ParseError(f"operation {name} expects {arity} arguments, got {len(args)}",
+                             position=pos)
+        return OpApp(name, tuple(args))
+    if name in varset:
+        return Var(name)
+    arity = sig.op_arity(name)
+    if arity == 0:
+        return OpApp(name, ())
+    if arity is not None:
+        raise ParseError(f"operation {name} expects {arity} arguments, got 0", position=pos)
+    raise ParseError(f"unknown term symbol {name}", position=pos)
+
+
+def tuple_parse_term(text: str, sig: Signature, varset: VarSet) -> Term:
+    ts = TupleTokenStream(text)
+    term = _tuple_parse_term_stream(ts, sig, varset)
+    ts.require_done()
+    return term
+
+
+def tuple_parse_formula(text: str, ctx: FormulaContext) -> Formula:
+    ts = TupleTokenStream(text)
+    f, _ = _tuple_parse_binary(ts, ctx, 0, 0)
+    ts.require_done()
+    return f
+
+
+_TUPLE_INFIX = {"&": And, "|": Or, "->": Implies}
+
+
+def _tuple_parse_binary(ts: TupleTokenStream, ctx: FormulaContext, min_prec: int,
+                        depth: int) -> tuple[Formula, int]:
+    left, height = _tuple_parse_unary(ts, ctx, depth)
+    while True:
+        tok = ts.peek()
+        node = _TUPLE_INFIX.get(tok[0])
+        if node is None or _PRECS[node] < min_prec:
+            return left, height
+        if depth + height >= MAX_NESTING:
+            raise _tuple_too_deep(tok[2])
+        ts.next()
+        prec = _PRECS[node]
+        right, right_height = _tuple_parse_binary(
+            ts, ctx, prec if node is Implies else prec + 1, depth + 1)
+        left = node(left, right)
+        height = 1 + (height if height > right_height else right_height)
+
+
+def _tuple_parse_unary(ts: TupleTokenStream, ctx: FormulaContext,
+                       depth: int) -> tuple[Formula, int]:
+    kind, value, pos = ts.peek()
+    if kind is _TUPLE_END:
+        raise ParseError("unexpected end of input", position=pos)
+    if depth >= MAX_NESTING and (kind in ("!", "(") or value in ("exists", "forall", "subst")):
+        raise _tuple_too_deep(pos)
+    if kind == "!":
+        ts.next()
+        body, height = _tuple_parse_unary(ts, ctx, depth + 1)
+        return Not(body), height + 1
+    if kind == "(":
+        ts.next()
+        f, height = _tuple_parse_binary(ts, ctx, 0, depth + 1)
+        ts.expect(")")
+        return f, height + 1
+    if kind == "name" and value in ("exists", "forall"):
+        ts.next()
+        var_tok = ts.expect("name")
+        if var_tok[1] not in ctx.varset:
+            raise ParseError(f"quantified variable {var_tok[1]} not in {ctx.varset}",
+                             position=var_tok[2])
+        ts.expect(".")
+        body, height = _tuple_parse_binary(ts, ctx, 0, depth + 1)
+        node = Exists if value == "exists" else Forall
+        return node(var_tok[1], body), height + 1
+    if kind == "name" and value == "subst":
+        ts.next()
+        ts.depth = ts.deepest = depth + 1
+
+        def binding() -> tuple[str, Term]:
+            name = ts.expect("name")[1]
+            ts.expect(":=")
+            return name, _tuple_parse_term_stream(ts, ctx.sig, ctx.varset)
+
+        names, images = zip(*ts.items(binding, "{", "}"))
+        terms_height = ts.deepest - depth
+        try:
+            source = VarSet(names)
+        except SignatureError as exc:
+            raise ParseError(f"bad substitution block: {exc}", position=pos) from None
+        subst = Substitution(source, ctx.varset, images)
+        body, height = _tuple_parse_binary(ts, FormulaContext(ctx.sig, source), 0, depth + 1)
+        return SubstNode(subst, body), max(height + 1, terms_height)
+    if kind == "name" and value == "true":
+        ts.next()
+        return TRUE, 0
+    if kind == "name" and value == "false":
+        ts.next()
+        return FALSE, 0
+    ts.depth = ts.deepest = depth
+    arity = ctx.sig.rel_arity(value)
+    if arity is not None:
+        ts.next()
+        args = ts.items(lambda: _tuple_parse_term_stream(ts, ctx.sig, ctx.varset), "(", ")")
+        if len(args) != arity:
+            raise ParseError(f"relation {value} expects {arity} arguments, got {len(args)}",
+                             position=pos)
+        return Atom(value, tuple(args)), ts.deepest - depth
+    left = _tuple_parse_term_stream(ts, ctx.sig, ctx.varset)
+    eq = ts.peek()
+    if eq[0] != "=":
+        raise ParseError("expected '=' after a bare term", position=eq[2])
+    if not ctx.sig.with_equality:
+        raise ParseError("equality is not enabled in this signature", position=eq[2])
+    ts.next()
+    right = _tuple_parse_term_stream(ts, ctx.sig, ctx.varset)
+    return Equal(left, right), ts.deepest - depth

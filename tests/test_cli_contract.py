@@ -210,6 +210,24 @@ CONTRACT = [
                                 "--formula", "!" * count + "P(x1)"),
             code=65, output=("error: input nested deeper than 200 levels (at offset 200)",))
       for count in (600, 1200)),
+    # A character no token starts with is a data error at its offset, as the
+    # formula text is read (exit 65).
+    Entry("unexpected-character", ("eval", fixture("m_p.kbm"), "--vars", "x1",
+                                   "--formula", "P(x1) & \u00b2x1"),
+          code=65, output=("error: unexpected character '\u00b2' (at offset 8)",)),
+    # A variable named like a constant would print formulas that read back
+    # otherwise, so no command takes one (exit 65, with both named).
+    *(Entry(f"shadowed-constant-{command}", (command, "c.kbm", "--vars", "c", *flags),
+            models={"c.kbm": "carrier: 0 1\nop c 0\nop c: -> 1\n"}, code=65,
+            output=("error: variable c has the name of the constant c",))
+      for command, flags in (("lattice", ("--dump",)), ("eval", ("--formula", "c = c")))),
+    # A variable name that is an identifier but not one name token, here
+    # "x" and a combining accent, could never be read back in a formula
+    # (exit 64).
+    Entry("unreadable-variable", ("eval", fixture("m_p.kbm"), "--vars", "x1,xe\u0301",
+                                  "--formula", "P(x1)"),
+          code=64,
+          output=("usage error: variable name 'xe\u0301' does not scan as one name token",)),
     # eval values a substitution node's body over its source space in the
     # flag's bound: three variables over m_p are 8 points, past a bound of 4
     # (exit 65, with the bound named) and within one of 8 (exit 0).

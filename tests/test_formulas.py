@@ -1,11 +1,13 @@
 """Formula parsing, printing, free variables, and formal substitution."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
 from kbgeo import core, formulas
-from kbgeo.core import tokenize
+from kbgeo.core import TokenStream, tokenize
 from kbgeo import (
     And,
     Atom,
@@ -36,7 +38,7 @@ from kbgeo import (
     parse_term,
     satisfying_points,
 )
-from helpers import model_neg
+from helpers import model_neg, tuple_parse_formula, tuple_parse_term, tuple_tokenize
 
 
 def ctx_neg(n: int = 2) -> FormulaContext:
@@ -356,3 +358,76 @@ def test_enumerate_formulas_depth_zero_is_atomic():
     ctx = ctx_pq(1)
     atomic = list(enumerate_formulas(ctx, 0))
     assert [formula_to_text(f) for f in atomic] == ["true", "false", "P(x1)", "Q(x1)", "x1 = x1"]
+
+
+# Characters inserted at every offset of a corpus text: a numeral and a
+# digit that \\w reads but no name starts with, a combining mark, the halves
+# of the two-character symbols, two spaces beyond ASCII, and the term
+# parser's punctuation.
+INSERTED = ("\u00b2", "\u0661", "\u0301", "-", ":", ">", "\u00a0", "\u3000", "(", ")", ",")
+SUBST_BLOCKS = ("subst {x1 := neg(x2), x2 := x1} P(x1) & exists x2. P(x2)",
+                "P(x2) -> subst {x1 := x2} !(P(x1) | x1 = neg(x1))")
+
+
+@functools.cache
+def parser_corpus() -> tuple:
+    """(text, context) pairs: over ctx_pq() and ctx_neg(), the printed texts
+    of the first 24 formulas of `enumerate_formulas` and of a seeded sample
+    of 24 more among its first 400, with SUBST_BLOCKS over ctx_neg(); each
+    with every prefix and every insertion of one INSERTED character.  Then
+    the NESTED texts, whole."""
+    rng = random.Random(47)
+    corpus = {}
+    for ctx in (ctx_pq(), ctx_neg()):
+        stream = [formula_to_text(f) for f in itertools.islice(enumerate_formulas(ctx, 1), 400)]
+        texts = stream[:24] + rng.sample(stream[24:], 24)
+        if ctx.sig.op_arity("neg"):
+            texts += SUBST_BLOCKS
+        for text in texts:
+            for k in range(len(text) + 1):
+                corpus[text[:k], ctx] = None
+                for char in INSERTED:
+                    corpus[text[:k] + char + text[k:], ctx] = None
+    for text, _ in NESTED:
+        corpus[text, ctx_neg()] = None
+    return tuple(corpus)
+
+
+def _outcome(parse, *args):
+    """What `parse(*args)` gives: its result, or its ParseError's message and
+    offset."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def test_the_parsers_agree_with_the_tuple_parser():
+    """Over the corpus, each text parses as a formula and as a term to the
+    tuple parser's tree, or fails with its message at its offset."""
+    for text, ctx in parser_corpus():
+        assert _outcome(parse_formula, text, ctx) == _outcome(tuple_parse_formula, text, ctx), text
+        assert _outcome(parse_term, text, ctx.sig, ctx.varset) == \
+            _outcome(tuple_parse_term, text, ctx.sig, ctx.varset), text
+
+
+def test_one_token_grammar():
+    """Over the corpus, `tokenize` gives the tuple scanner's tokens, and a
+    `TokenStream` its values and their offsets, with the sentinel at the
+    text's length; where `tokenize` refuses a text, the stream refuses it
+    with the same message at the same offset.  Each offset costs a scan up
+    to its token, so past 64 tokens a seeded sample of 64 is read."""
+    rng = random.Random(47)
+    for text, _ in parser_corpus():
+        tokens = _outcome(tokenize, text)
+        assert tokens == _outcome(tuple_tokenize, text), text
+        if isinstance(tokens, tuple):
+            assert _outcome(TokenStream, text) == tokens, text
+            continue
+        ts = TokenStream(text)
+        assert ts.values == [value for _, value, _ in tokens] + [core.END], text
+        offsets = [offset for _, _, offset in tokens] + [len(text)]
+        read = range(len(offsets))
+        if len(read) > 64:
+            read = rng.sample(read, 64)
+        assert [ts.offset(i) for i in read] == [offsets[i] for i in read], text

@@ -4,17 +4,21 @@ own callers never pass such arguments."""
 
 import pytest
 
+import pathlib
+
 from kbgeo import (
     Atom,
     Equal,
     Exists,
     FormulaAutomorphism,
+    FormulaContext,
     Geometry,
     MismatchError,
     Model,
     ModelMap,
     Not,
     OpApp,
+    ParseError,
     PointSet,
     Signature,
     SignatureError,
@@ -34,11 +38,13 @@ from kbgeo import (
     is_admissible_cont,
     is_admissible_desc,
     least_desc_morphism,
+    parse_formula,
     push_filter,
     satisfying_points,
     subst_image_points,
     subst_preimage_points,
 )
+from kbgeo.cli import EXIT_USAGE, run_command
 from kbgeo.core import check_term
 from kbgeo.semantics import pullback_indices
 from helpers import model_neg, model_p
@@ -177,6 +183,26 @@ REFUSALS = {
     "check_term with the wrong arity":
         (lambda: check_term(OpApp("neg", ()), model_neg().sig, canonical_varset(1)),
          SignatureError, "operation neg expects 1 arguments, got 0"),
+    # "e" and a combining acute accent make an identifier, but the accent is
+    # not a word character, so the parser would stop at it
+    "an operation name the parser cannot read":
+        (lambda: Signature((("fe\u0301", 1),), ()),
+         SignatureError, "operation name 'fe\u0301' does not scan as one name token"),
+    "a relation name the parser cannot read":
+        (lambda: Signature((), (("Pe\u0301", 1),)),
+         SignatureError, "relation name 'Pe\u0301' does not scan as one name token"),
+    "a variable name the parser cannot read":
+        (lambda: VarSet(("xe\u0301",)),
+         SignatureError, "variable name 'xe\u0301' does not scan as one name token"),
+    # a printed formula could not tell such a variable from the constant
+    "a variable named like a constant":
+        (lambda: FormulaContext(Signature((("c", 0),), ()), VarSet(("x1", "c"))),
+         SignatureError, "variable c has the name of the constant c"),
+    "a substitution block that binds a constant's name":
+        (lambda: parse_formula("subst {c := x1} c = c",
+                               FormulaContext(Signature((("c", 0),), ()), canonical_varset(1))),
+         ParseError, "bad substitution block: variable c has the name of the constant c "
+                     "(at offset 0)"),
 }
 
 
@@ -187,3 +213,11 @@ def test_each_refusal_raises_its_error(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_the_command_line_refuses_a_variable_the_parser_cannot_read():
+    """--vars naming a variable the parser cannot read is a usage error
+    (exit 64)."""
+    model = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "m_p.kbm"
+    assert run_command(["eval", str(model), "--vars", "x1,xe\u0301", "--formula", "P(x1)"]) == \
+        (EXIT_USAGE, "usage error: variable name 'xe\u0301' does not scan as one name token")
