@@ -187,9 +187,11 @@ def parse_formula(text: str, ctx: FormulaContext) -> Formula:
     """Parse a formula.  The connectives bind as the printer's `_PRECS` says:
     ! tighter than &, & than |, | than ->; & and | group to the left and ->
     to the right.  Binders (quantifiers and subst blocks) scope maximally to
-    the right.  A text nested deeper than `core.MAX_NESTING` levels, each
-    connective, parenthesis and term application one level, is refused with
-    a `ParseError` at the token that passes the bound."""
+    the right.  A name that is both a relation and a variable starts an
+    atom before `(` and a term elsewhere.  A text nested deeper than
+    `core.MAX_NESTING` levels, each connective, parenthesis and term
+    application one level, is refused with a `ParseError` at the token that
+    passes the bound."""
     ts = TokenStream(text)
     f, _ = _parse_binary(ts, ctx, 0, 0)
     ts.require_done()
@@ -281,10 +283,12 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Form
     if value == "false":
         ts.pos = at + 1
         return FALSE, 0
-    # an atom or an equality, whose terms the term parser reads from `depth`
+    # an atom or an equality, whose terms the term parser reads from `depth`;
+    # an atom always opens its arguments, so a relation name that is also a
+    # variable and is not followed by `(` starts a term
     ts.depth = ts.deepest = depth
     arity = ctx.sig.rel_arity(value)
-    if arity is not None:
+    if arity is not None and (ts.values[at + 1] == "(" or value not in ctx.varset):
         ts.pos = at + 1
         args = parse_term_args(ts, ctx.sig, ctx.varset)
         if len(args) != arity:

@@ -20,14 +20,16 @@ Every member carries a witness formula that evaluates exactly to its point
 set.  The witnesses come from the split tree that made the atoms, so they
 share subformulas: a cut's negation is one node, and so is its conjunction,
 or its negation's, with a witness.  An algebra keeps that tree, its witness
-memo, one valuation of its space and one text per rendered node, the last
-two keyed on node identity; the tree and the memo keep every keyed node
-alive as long as the algebra, so no identity is reused.  A build checks
-each cut once through the valuation, before the cut moves any block, and
-builds a block's witness only for a projection cut that splits something
-or for a member read; a member is built and checked through the valuation
-when first asked for, then cached, and a dump renders through the texts,
-so each shared node is checked, valued and rendered once per algebra.
+memo, one valuation of its space, keyed on node identity, and the lines of
+its first complete dump; the tree and the memo keep every keyed node alive
+as long as the algebra, so no identity is reused.  A build checks each cut
+once through the valuation, before the cut moves any block, and builds a
+block's witness only for a projection cut that splits something or for a
+member read; a member is built and checked through the valuation when
+first asked for, then cached.  A dump builds no member: it checks each
+witness through the valuation and renders it through texts kept for that
+one pass, so each shared node is checked and valued once per algebra and
+rendered once per dump, and a later dump returns the kept lines.
 A closed filter is represented by its dual definable set.
 """
 
@@ -190,7 +192,8 @@ class UnionMap(Mapping[int, int]):
 class DefinableAlgebra:
     """The definable algebra over one space, whose model and variable set it
     reads, held by its atoms; `index` maps every member to itself, and a
-    member is built when first asked for.
+    member is built when first asked for.  The first complete dump's lines
+    are kept, and a dump builds no member.
     `size` is the member count, 2^k for k atoms, which `len` cannot return
     past 62 atoms: Python's `len` is bounded by the index size, so it raises
     `OverflowError` there.  Listings bound the count by the atoms instead,
@@ -209,7 +212,7 @@ class DefinableAlgebra:
         self._witness = witness
         self._valuation = valuation
         self._members: dict[int, DefinableSet] = {}
-        self._texts: dict[int, str] = {}  # node id -> text without parentheses
+        self._lines: Optional[tuple[str, ...]] = None
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -280,11 +283,21 @@ class DefinableAlgebra:
         return sum(b for b in self._blocks if b & mask)
 
     def dump_lines(self) -> list[str]:
-        """One line per member, sorted by mask: hex mask, cardinality, witness;
-        each subformula the witnesses share is rendered once per algebra."""
-        member, texts = self.member, self._texts
-        return [f"{hex(mask)} {mask.bit_count()} {_render(member(mask).witness, 0, texts)}"
-                for mask in self.index]
+        """One line per member, sorted by mask: hex mask, cardinality, witness.
+        The first dump checks each member's witness through the algebra's
+        valuation and renders it, each shared subformula once, with no
+        member object built; the algebra keeps the lines once all are done,
+        and every dump returns a new list of them.  A witness that fails its
+        check raises `DefinabilityError`, and no line is kept."""
+        if self._lines is None:
+            witness, valuation, texts = self._witness, self._valuation, {}
+            lines = []
+            for mask in self.index:
+                formula = witness(mask)
+                _check_witness(mask, formula, valuation)
+                lines.append(f"{hex(mask)} {mask.bit_count()} {_render(formula, 0, texts)}")
+            self._lines = tuple(lines)
+        return list(self._lines)
 
     def __repr__(self) -> str:
         return (f"DefinableAlgebra({self.varset}, {self.size} sets,"
@@ -364,8 +377,9 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     cut only inside the nodes it splits: it also catches a cut that
     disagrees with its mask on a block it leaves whole.  So no block's
     witness is built for a check: one is built for a projection cut that
-    splits something, and a member's when it is read, where
-    `DefinableAlgebra.member` checks it again through the same valuation.
+    splits something, and a member's when it is read or dumped, where
+    `DefinableAlgebra.member` or `dump_lines` checks it again through the
+    same valuation.
 
     The splits form a tree whose leaves are the blocks, so a cut descends
     only into the nodes it cuts and visits no block it misses; a cut node is

@@ -81,6 +81,8 @@ NAMED_IMAGE = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 2\nrel Q: 0\n"
 R1 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"
 R2 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel Q: 0\nrel R: 0\nrel R: 1\n"
 P3 = "carrier: 0 1 2\nrel P 1\nrel P: 0\n"
+# P = {1}, whose name the relation-named-variable entries also give a variable.
+RELATION_P = "carrier: 0 1 2\nrel P 1\nrel P: 1\n"
 # Four elements, each with its own pair of P and Q values, so over two
 # variables the seeds alone make each of the 16 points an atom.
 PQ4 = "carrier: 0 1 2 3\nrel P 1\nrel Q 1\nrel P: 0\nrel P: 1\nrel Q: 1\nrel Q: 2\n"
@@ -228,6 +230,15 @@ CONTRACT = [
                                   "--formula", "P(x1)"),
           code=64,
           output=("usage error: variable name 'xe\u0301' does not scan as one name token",)),
+    # A variable named like a relation: an atom always opens its arguments,
+    # so the name not followed by `(` is read as the variable, and every
+    # witness the dump prints reads back (exit 0).
+    Entry("relation-named-variable-eval", ("eval", "p.kbm", "--vars", "P,x1",
+                                           "--formula", "P = x1"),
+          models={"p.kbm": RELATION_P}, lines=("points: {(0,0), (1,1), (2,2)}",)),
+    Entry("relation-named-variable-dump", ("lattice", "p.kbm", "--vars", "P,x1", "--dump"),
+          models={"p.kbm": RELATION_P},
+          lines=("size: 32", "0x101 2 !P(P) & (!P(x1) & P = x1)")),
     # eval values a substitution node's body over its source space in the
     # flag's bound: three variables over m_p are 8 points, past a bound of 4
     # (exit 65, with the bound named) and within one of 8 (exit 0).
@@ -554,7 +565,11 @@ def test_the_command_line_keeps_its_contract(entry, tmp_path):
     check(entry, tmp_path)
 
 
-def test_a_closed_stdout_keeps_the_command_s_exit_code():
+@pytest.mark.parametrize("argv", [
+    ("equiv", fixture("m_p.kbm"), fixture("m_p.kbm")),
+    ("lattice", fixture("m_p.kbm"), "--vars", "x1,x2", "--dump"),
+], ids=("equiv", "lattice-dump"))
+def test_a_closed_stdout_keeps_the_command_s_exit_code(argv):
     """A reader that leaves before the report is written, as `| head -1`
     does, costs the run neither a traceback nor its exit code: the child
     gets a pipe whose read end is already closed, and still exits 0 with
@@ -563,7 +578,7 @@ def test_a_closed_stdout_keeps_the_command_s_exit_code():
     os.close(read)
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "kbgeo.cli", "equiv", fixture("m_p.kbm"), fixture("m_p.kbm")],
+            [sys.executable, "-m", "kbgeo.cli", *argv],
             env=child_env({}), stdout=write, stderr=subprocess.PIPE,
             encoding="utf-8", timeout=TIMEOUT)
     finally:

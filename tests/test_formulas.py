@@ -369,25 +369,29 @@ SUBST_BLOCKS = ("subst {x1 := neg(x2), x2 := x1} P(x1) & exists x2. P(x2)",
                 "P(x2) -> subst {x1 := x2} !(P(x1) | x1 = neg(x1))")
 
 
+def edited_corpus(ctx: FormulaContext, rng: random.Random, extra: tuple = ()) -> dict:
+    """(text, ctx) keys: the printed texts of the first 24 formulas of
+    `enumerate_formulas` over `ctx` and of a sample drawn by `rng` of 24
+    more among its first 400, then `extra`; each with every prefix and every
+    insertion of one INSERTED character."""
+    stream = [formula_to_text(f) for f in itertools.islice(enumerate_formulas(ctx, 1), 400)]
+    corpus = {}
+    for text in stream[:24] + rng.sample(stream[24:], 24) + list(extra):
+        for k in range(len(text) + 1):
+            corpus[text[:k], ctx] = None
+            for char in INSERTED:
+                corpus[text[:k] + char + text[k:], ctx] = None
+    return corpus
+
+
 @functools.cache
 def parser_corpus() -> tuple:
-    """(text, context) pairs: over ctx_pq() and ctx_neg(), the printed texts
-    of the first 24 formulas of `enumerate_formulas` and of a seeded sample
-    of 24 more among its first 400, with SUBST_BLOCKS over ctx_neg(); each
-    with every prefix and every insertion of one INSERTED character.  Then
-    the NESTED texts, whole."""
+    """(text, context) pairs: the edited corpora over ctx_pq() and ctx_neg(),
+    with SUBST_BLOCKS over ctx_neg(), from one seeded sampler.  Then the
+    NESTED texts, whole."""
     rng = random.Random(47)
-    corpus = {}
-    for ctx in (ctx_pq(), ctx_neg()):
-        stream = [formula_to_text(f) for f in itertools.islice(enumerate_formulas(ctx, 1), 400)]
-        texts = stream[:24] + rng.sample(stream[24:], 24)
-        if ctx.sig.op_arity("neg"):
-            texts += SUBST_BLOCKS
-        for text in texts:
-            for k in range(len(text) + 1):
-                corpus[text[:k], ctx] = None
-                for char in INSERTED:
-                    corpus[text[:k] + char + text[k:], ctx] = None
+    corpus = edited_corpus(ctx_pq(), rng)
+    corpus.update(edited_corpus(ctx_neg(), rng, SUBST_BLOCKS))
     for text, _ in NESTED:
         corpus[text, ctx_neg()] = None
     return tuple(corpus)
@@ -409,6 +413,32 @@ def test_the_parsers_agree_with_the_tuple_parser():
         assert _outcome(parse_formula, text, ctx) == _outcome(tuple_parse_formula, text, ctx), text
         assert _outcome(parse_term, text, ctx.sig, ctx.varset) == \
             _outcome(tuple_parse_term, text, ctx.sig, ctx.varset), text
+
+
+def test_a_variable_named_like_a_relation_reads_back():
+    """An atom always opens its arguments, so a relation name that is also a
+    variable and is not followed by `(` starts a term.  Every printed
+    formula reads back to itself.  Over the edited corpus the parser agrees
+    with the tuple parser, which reads every relation name as an atom,
+    except where that parser refuses the text for a missing `(` right after
+    such a name: another token or the end of the text."""
+    ctx = FormulaContext(Signature((), (("P", 1),)), VarSet(("P", "x1")))
+    p, x1 = Var("P"), Var("x1")
+    assert parse_formula("P = x1", ctx) == Equal(p, x1)
+    assert parse_formula("P(P) & !P = x1", ctx) == And(Atom("P", (p,)), Not(Equal(p, x1)))
+    assert parse_formula("exists P. P = P", ctx) == Exists("P", Equal(p, p))
+    assert _outcome(parse_formula, "P", ctx) == ("expected '=' after a bare term (at offset 1)", 1)
+    for f in itertools.islice(enumerate_formulas(ctx, 1), 400):
+        assert parse_formula(formula_to_text(f), ctx) == f, formula_to_text(f)
+    differ = 0
+    for text, _ in edited_corpus(ctx, random.Random(48)):
+        expected = _outcome(tuple_parse_formula, text, ctx)
+        if isinstance(expected, tuple) and text[:expected[1]].rstrip().endswith("P") \
+                and expected[0].startswith(("expected '(', found ", "unexpected end of input")):
+            differ += 1
+            continue
+        assert _outcome(parse_formula, text, ctx) == expected, text
+    assert differ > 0
 
 
 def test_one_token_grammar():

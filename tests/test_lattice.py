@@ -24,6 +24,7 @@ from kbgeo import (
     SignatureError,
     Substitution,
     Var,
+    VarSet,
     build_filter_lattice,
     canonical_varset,
     closure,
@@ -106,17 +107,43 @@ def test_known_algebra_sizes():
     assert len(generate_definable_algebra(model_p0(), canonical_varset(1))) == 2
 
 
+def model_relation_variable() -> Model:
+    """P = {1} on three elements, to be read over a variable also named P."""
+    return Model(Signature((), (("P", 1),)), (0, 1, 2), None, {"P": [(1,)]})
+
+
+def witness_cases() -> list:
+    """(name, model, varset): the fixtures over 1 to 3 variables, the seeded
+    models over 1 and 2, and P = {1} over the variables P and x1, whose
+    witnesses read the variable P beside the relation P."""
+    cases = [(name, model, canonical_varset(k)) for name, model in all_fixtures()
+             for k in (1, 2, 3)]
+    cases += [(name, model, canonical_varset(k)) for name, model in seeded_models()
+              for k in (1, 2)]
+    return cases + [("relation-variable", model_relation_variable(), VarSet(("P", "x1")))]
+
+
 def test_every_member_checks_its_witness():
     """Every member, rebuilt outside its build, passes the from-scratch check,
     and its dump line ends with its witness rendered from scratch."""
-    cases = [(name, model, k) for name, model in all_fixtures() for k in (1, 2, 3)]
-    cases += [(name, model, k) for name, model in seeded_models() for k in (1, 2)]
-    for name, model, k in cases:
-        algebra = generate_definable_algebra(model, canonical_varset(k))
+    for name, model, varset in witness_cases():
+        algebra = generate_definable_algebra(model, varset)
         for member, line in zip(algebra, algebra.dump_lines(), strict=True):
             recomputed = DefinableSet(member.points, member.witness)
-            assert recomputed.mask == member.mask, (name, k)
-            assert line.endswith(" " + formula_to_text(member.witness)), (name, k)
+            assert recomputed.mask == member.mask, (name, varset)
+            assert line.endswith(" " + formula_to_text(member.witness)), (name, varset)
+
+
+def test_dump_lines_read_back():
+    """Every dump line's witness parses over the algebra's variables and
+    values to the line's mask, a variable named like a relation included."""
+    for name, model, varset in witness_cases():
+        algebra = generate_definable_algebra(model, varset)
+        ctx = FormulaContext(model.sig, varset)
+        for line in algebra.dump_lines():
+            mask, _, text = line.split(" ", 2)
+            points = satisfying_points(parse_formula(text, ctx), model, varset)
+            assert points.mask == int(mask, 16), (name, line)
 
 
 def _sha256(lines) -> str:
@@ -540,29 +567,84 @@ def test_witnesses_share_negations_and_conjunctions():
     assert lines == fresh_lines(algebra)
 
 
-def test_a_second_dump_renders_each_line_from_the_kept_texts(monkeypatch):
-    """An algebra keeps the text of every node its dumps render, so a second
-    dump finds each line's witness whole: one `_render` call per line, none
-    for a subformula, and the same lines."""
+def test_a_second_dump_returns_the_kept_lines(monkeypatch):
+    """An algebra keeps its dump's lines, so a second dump renders and
+    checks nothing and returns the same lines, in a list of its own."""
     algebra = generate_definable_algebra(named_pair()[0], canonical_varset(2))
     first = algebra.dump_lines()
     calls = []
-    render = formulas._render
+    render, check = formulas._render, lattice._check_witness
 
-    def counting(f, min_prec, memo):
-        calls.append(f)
+    def counting_render(f, min_prec, memo):
+        calls.append("render")
         return render(f, min_prec, memo)
 
-    monkeypatch.setattr(formulas, "_render", counting)
-    monkeypatch.setattr(lattice, "_render", counting)
-    assert algebra.dump_lines() == first
-    assert len(calls) == len(first) == 512
+    def counting_check(mask, witness, valuation):
+        calls.append("check")
+        return check(mask, witness, valuation)
+
+    monkeypatch.setattr(formulas, "_render", counting_render)
+    monkeypatch.setattr(lattice, "_render", counting_render)
+    monkeypatch.setattr(lattice, "_check_witness", counting_check)
+    second = algebra.dump_lines()
+    assert second == first and len(first) == 512
+    assert calls == []
+    second[0] = "edited"
+    del second[1:]
+    assert algebra.dump_lines() == fresh_lines(algebra)
+
+
+def test_a_dump_builds_no_member(monkeypatch):
+    """A first dump checks each member's witness once through the algebra's
+    valuation and builds no `DefinableSet`; a member read after it carries
+    the witness the dump checked and rendered."""
+    algebra = generate_definable_algebra(named_pair()[0], canonical_varset(2))
+    built, checked = [], {}
+    check = lattice._check_witness
+
+    def counting_check(mask, witness, valuation):
+        checked.setdefault(mask, []).append(witness)
+        return check(mask, witness, valuation)
+
+    monkeypatch.setattr(lattice, "_check_witness", counting_check)
+    monkeypatch.setattr(DefinableSet, "__init__", lambda self, *args: built.append(args))
+    lines = algebra.dump_lines()
+    assert built == []
+    assert len(lines) == len(checked) == 512
+    assert all(len(witnesses) == 1 for witnesses in checked.values())
+    monkeypatch.undo()
+    for mask, (witness,) in checked.items():
+        assert algebra.member(mask).witness is witness
+    assert fresh_lines(algebra) == lines
+
+
+@pytest.mark.parametrize("fail_at", [0, 200, 511])
+def test_a_dump_whose_witness_fails_keeps_no_lines(monkeypatch, fail_at):
+    """A witness that fails its check fails the dump, which keeps no lines,
+    so the next dump checks and renders every member again."""
+    algebra = generate_definable_algebra(named_pair()[0], canonical_varset(2))
+    check, seen = lattice._check_witness, []
+
+    def failing_check(mask, witness, valuation):
+        seen.append(mask)
+        if len(seen) > fail_at:
+            raise DefinabilityError(f"refused {mask:#x}")
+        return check(mask, witness, valuation)
+
+    monkeypatch.setattr(lattice, "_check_witness", failing_check)
+    with pytest.raises(DefinabilityError, match="^refused "):
+        algebra.dump_lines()
+    monkeypatch.undo()
+    lines = algebra.dump_lines()
+    assert len(lines) == 512
+    assert lines == fresh_lines(algebra) == \
+        generate_definable_algebra(named_pair()[0], canonical_varset(2)).dump_lines()
 
 
 def test_a_dump_after_other_algebras_are_freed_matches_a_fresh_rendering():
-    """The kept texts are keyed on node identity, and an algebra keeps its
+    """A dump's texts are keyed on node identity, and an algebra keeps its
     nodes alive, so algebras built, dumped and freed beside it, whose
-    identities later nodes may reuse, change neither its next dump nor the
+    identities later nodes may reuse, change neither its kept lines nor the
     dump of an algebra built after them."""
     model = named_pair()[0]
     kept = generate_definable_algebra(model, canonical_varset(2))
