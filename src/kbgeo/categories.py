@@ -17,22 +17,37 @@ which builds each table once; a loop that moves several masks along one
 substitution fetches its table once and holds it.  A `KnowledgeBase` is one
 model's context: it holds the bounds n_max and depth, which fix its objects
 and its morphisms' substitutions, and one geometry, whose point bound is
-the only bound on its transport; each object is built once, and each
-bounded substitution set enumerated once (`KnowledgeBase.substitutions`),
-so that the tables are keyed by those objects.  Its two sweeps,
+the only bound on its transport; each object is built once.  It refuses a
+size outside 1..n_max for every object, set and table it reads, and its
+sweeps, like the equivalence decision, raise the point bound's error for
+the first size past it before they build any object.  Its two sweeps,
 `check_duality` and `verify_push_functoriality`, share spaces,
 substitutions and tables across every substitution they visit, and an
 equivalence decision runs its whole witness search over one knowledge base
 per model.
+
+The substitutions and their composites are model-free: they depend on the
+signature's operations and the depth alone.  So they live in a `Syntax`
+keyed by those two, which knows no model and no n_max.  Each thread keeps
+the syntax of its last knowledge base, and a new knowledge base over the
+same operations and depth takes it (`_syntax`), so both sides of a
+decision, and a run of models over one signature, share one; it lives until
+the thread makes a knowledge base over other operations or another depth,
+and as long as a knowledge base holds it.  Each bounded substitution set is
+enumerated once per syntax (`Syntax.substitutions`), and every table is
+keyed by those objects.
 Every composable pair of these loops, and of the description functor
 (`equivalence.build_description_iso`), finds its composite's table in
 `KnowledgeBase._composite_rows`, one row per first factor, made once per
 knowledge base and indexed by the factors' places in
-`KnowledgeBase.substitutions`.  A row finds each composite by its sizes and
+`KnowledgeBase.substitutions`.  The composites are the syntax's
+(`Syntax.composites`), made once per syntax: each is found by its sizes and
 interned images, each image term composed once per second substitution,
-and looks up its first factor's image ids once.  The table itself is still
-built from the composite substitution's own terms, never from its factors'
-tables, so a composite check compares two independent computations.
+and each first factor's image ids are looked up once.  A knowledge base
+maps them to its own tables through its geometry, which builds each table
+from the composite substitution's own terms, never from its factors'
+tables, so a composite check compares two independent computations; no
+table, memo or class is shared between models.
 
 Over a finite model these categories see a substitution only through its
 pullback table, so substitutions whose tables share a class
@@ -80,6 +95,7 @@ from .core import (
     DEFAULT_MAX_POINTS,
     MismatchError,
     Model,
+    Signature,
     Substitution,
     Term,
     canonical_varset,
@@ -103,6 +119,7 @@ from .semantics import (
     Geometry,
     _Table,
     _atom_mask,
+    _check_point_count,
     _equal_mask,
     _term_columns,
     subst_image_points,
@@ -308,19 +325,157 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
     return least_cont_morphism(morphism.target, morphism.source, morphism.subst)
 
 
+def _composite_memos() -> tuple[_Memo, _Memo, _Memo]:
+    """`Syntax.composites`' memos: each substitution's images as ids of
+    interned terms, per second substitution the id of each term after it,
+    and each composite by its sizes, then its image ids.  They do not refer
+    back to the syntax, which stays acyclic."""
+    terms: list[Term] = []
+    term_ids: dict[Term, int] = {}
+
+    def intern(term: Term) -> int:
+        i = term_ids.get(term)
+        if i is None:
+            i = term_ids[term] = len(terms)
+            terms.append(term)
+        return i
+
+    return (_Memo(lambda s: tuple(map(intern, s.images))),
+            _Memo(lambda s: _Memo(lambda i: intern(s.apply_to_term(terms[i])))),
+            _Memo(lambda ends: {}))
+
+
+class Syntax:
+    """The model-free part of a knowledge base: the substitutions between
+    canonical variable sets over one operation set whose images have depth
+    up to one depth, and the composites of their composable pairs.  Both
+    are read from the operations and the depth alone, the only inputs of
+    `enumerate_terms` and `enumerate_substitutions`, so every knowledge base
+    over them may share one syntax (`_syntax`).  It knows no model and no
+    n_max, and refuses no size; each knowledge base refuses sizes past its
+    own n_max.
+
+    Each bounded set and each size triple's composites are made on first
+    use, and stored only once made whole, so knowledge bases in several
+    threads may share a syntax: a bounded set is stored by
+    `dict.setdefault`, and every thread reads the first stored; composites
+    are made under a lock, which also guards the interning memos that
+    every triple's build shares.
+    """
+
+    def __init__(self, ops: tuple[tuple[str, int], ...], depth: int):
+        self.ops = ops
+        self.depth = depth
+        self._sig = Signature(ops)
+        self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
+        self._composites: dict[tuple[int, int, int],
+                               tuple[tuple[Substitution, ...], tuple[tuple[int, ...], ...]]] = {}
+        self._memos = _composite_memos()
+        self._lock = threading.Lock()
+
+    def substitutions(self, a: int, b: int) -> tuple[Substitution, ...]:
+        """The substitutions from the canonical variable set of size a to that
+        of size b with images of depth up to the depth, in
+        `enumerate_substitutions` order, enumerated once."""
+        subs = self._substitutions.get((a, b))
+        if subs is None:
+            subs = self._substitutions.setdefault((a, b), tuple(enumerate_substitutions(
+                self._sig, canonical_varset(a), canonical_varset(b), self.depth)))
+        return subs
+
+    def composites(self, a: int, b: int, c: int
+                   ) -> tuple[tuple[Substitution, ...], tuple[tuple[int, ...], ...]]:
+        """The composites of the composable pairs of `substitutions(a, b)` and
+        `substitutions(b, c)`, made once: the distinct ones, in order of
+        first appearance, and per first factor, in order, its row: per
+        second factor, in order, the place of their composite among them.
+
+        A composite is found by its sizes and the ids of its interned
+        images, each the image of one interned term after its second
+        factor, computed once per term and second factor; so a pair whose
+        images have met its second factor builds no term and hashes no
+        substitution, and equal composites of any two triples with the same
+        ends are one object.  Each second factor's term memo is looked up
+        once, and each first factor's image ids once per row.  The memos
+        hold every term and substitution they are keyed by, and live as
+        long as the syntax."""
+        entry = self._composites.get((a, b, c))
+        if entry is None:
+            firsts, seconds = self.substitutions(a, b), self.substitutions(b, c)
+            with self._lock:
+                entry = self._composites.get((a, b, c))
+                if entry is None:
+                    entry = self._composites[(a, b, c)] = self._compose(firsts, seconds, (a, c))
+        return entry
+
+    def _compose(self, firsts: tuple[Substitution, ...], seconds: tuple[Substitution, ...],
+                 ends: tuple[int, int]
+                 ) -> tuple[tuple[Substitution, ...], tuple[tuple[int, ...], ...]]:
+        """`composites` for these factors, made under the lock."""
+        image_ids, after, found = self._memos
+        found = found[ends]
+        afters = [after[second].__getitem__ for second in seconds]
+        distinct: list[Substitution] = []
+        places: dict[tuple[int, ...], int] = {}
+        rows = []
+        for first in firsts:
+            ids = image_ids[first]
+            row = []
+            for second, term_after in zip(seconds, afters):
+                key = tuple(map(term_after, ids))
+                composite = found.get(key)
+                if composite is None:
+                    composite = found[key] = Substitution._composite(first, second)
+                place = places.get(key)
+                if place is None:
+                    place = places[key] = len(distinct)
+                    distinct.append(composite)
+                row.append(place)
+            rows.append(tuple(row))
+        return tuple(distinct), tuple(rows)
+
+
+# Each thread's kept pair of knowledge bases (`knowledge_bases`) and the
+# syntax of its last knowledge base (`_syntax`), so that no two threads
+# share one through this module.
+_kept = threading.local()
+
+
+def _syntax(ops: tuple[tuple[str, int], ...], depth: int) -> Syntax:
+    """The syntax over these operations and depth: the one of this thread's
+    last knowledge base when it has them, and otherwise a new one; the
+    thread keeps the one returned.  So knowledge bases made in a row over
+    one operation set and depth, such as the two of a decision, share one,
+    and it lives as long as the last of them or until the thread makes a
+    knowledge base over other operations or another depth."""
+    syntax = getattr(_kept, "syntax", None)
+    if syntax is None or syntax.ops != ops or syntax.depth != depth:
+        syntax = Syntax(ops, depth)
+    _kept.syntax = syntax
+    return syntax
+
+
 class KnowledgeBase:
     """A model with its objects, the filter lattices of sizes 1..n_max.
 
     It holds the model's bounds: n_max, the substitution depth, the
-    term-depth cap, and its geometry, which holds the point bound.  Its
-    morphisms run along the substitutions between sizes 1..n_max whose
-    images have depth up to the depth (`substitutions`), and every sweep
-    and witness check over it reads that set, or its generators
-    (`naturality`), from it.  The module-level sweeps and deciders take
-    theirs from `knowledge_bases` under the default point bound, so a call
-    on the model object and bounds of the thread's last pair reuses it,
-    with every object, table and row of composite tables it has built;
-    the rows (`_composite_rows`) are the only source of a composite's table.
+    term-depth cap, and its geometry, which holds the point bound; it
+    refuses a size outside 1..n_max for every object, set and table it
+    reads.  Its morphisms run along the substitutions between sizes
+    1..n_max whose images have depth up to the depth (`substitutions`), and
+    every sweep and witness check over it reads that set, or its generators
+    (`naturality`), from it.  Those substitutions and their composites are
+    its `syntax`'s: model-free, keyed by the signature's operations and the
+    depth, and shared with the knowledge bases over the same two that its
+    thread makes next (`_syntax`).  What depends on the model is its own:
+    its geometry and objects, its atom tables, its generator check, and the
+    pullback tables it maps the syntax's substitutions and composites to,
+    each built from the substitution's own terms.  The module-level sweeps
+    and deciders take theirs from `knowledge_bases` under the default point
+    bound, so a call on the model object and bounds of the thread's last
+    pair reuses it, with every object, table and row of composite tables it
+    has built; the rows (`_composite_rows`) are the only source of a
+    composite's table.
     Objects are built over the canonical variable sets of the geometry and
     cached, and so is one atom table per size (`atom_table`): the masks of
     the atomic formulas within the depth, which the witness search pairs
@@ -343,20 +498,32 @@ class KnowledgeBase:
         self.depth = depth
         self.max_term_depth = max_term_depth
         self.geometry = Geometry(model, max_points)
+        self.syntax = _syntax(model.sig.ops, depth)
         self._descriptions: dict[int, FilterLattice] = {}
         self._atom_tables: dict[int, tuple[dict[str, list[int]], list[int]]] = {}
-        self._substitutions: dict[tuple[int, int], tuple[Substitution, ...]] = {}
         self._tables_by_sizes: dict[tuple[int, int], list[_Table]] = {}
         self._rows_by_sizes: dict[tuple[int, int, int], list[list[_Table]]] = {}
 
+    def _check_sizes(self, *sizes: int) -> None:
+        """Refuse the first of the sizes outside 1..n_max."""
+        for n in sizes:
+            if not 1 <= n <= self.n_max:
+                raise MismatchError(f"object size {n} outside 1..{self.n_max}")
+
+    def _check_points(self) -> None:
+        """Raise the `BoundError` of the first size in 1..n_max whose space
+        passes the geometry's point bound, before any object is built."""
+        for n in range(1, self.n_max + 1):
+            _check_point_count(self.model, n, self.geometry.max_points)
+
     def description(self, n: int) -> FilterLattice:
         """The object of size n: the filter lattice over x1..xn, built once."""
-        if not 1 <= n <= self.n_max:
-            raise MismatchError(f"object size {n} outside 1..{self.n_max}")
-        if n not in self._descriptions:
-            self._descriptions[n] = build_filter_lattice(
+        lattice = self._descriptions.get(n)
+        if lattice is None:
+            self._check_sizes(n)
+            lattice = self._descriptions[n] = build_filter_lattice(
                 self.model, canonical_varset(n), self.max_term_depth, geometry=self.geometry)
-        return self._descriptions[n]
+        return lattice
 
     def atom_table(self, n: int) -> tuple[dict[str, list[int]], list[int]]:
         """The masks of the atomic formulas over the canonical variable set of
@@ -368,6 +535,7 @@ class KnowledgeBase:
         mask is read from the columns as the lattice build's seeds are."""
         table = self._atom_tables.get(n)
         if table is None:
+            self._check_sizes(n)
             sig, varset = self.model.sig, canonical_varset(n)
             space = self.geometry.space(varset)
             columns = []
@@ -385,14 +553,11 @@ class KnowledgeBase:
     def substitutions(self, a: int, b: int) -> tuple[Substitution, ...]:
         """The substitutions from the canonical variable set of size a to that
         of size b with images of depth up to the depth, in
-        `enumerate_substitutions` order, enumerated once.  The sweeps and
-        searches look up pullback tables with these objects, so the tables
-        are keyed by them."""
-        subs = self._substitutions.get((a, b))
-        if subs is None:
-            subs = self._substitutions[(a, b)] = tuple(enumerate_substitutions(
-                self.model.sig, canonical_varset(a), canonical_varset(b), self.depth))
-        return subs
+        `enumerate_substitutions` order: the syntax's set, for sizes in
+        1..n_max.  The sweeps and searches look up pullback tables with
+        these objects, so the tables are keyed by them."""
+        self._check_sizes(a, b)
+        return self.syntax.substitutions(a, b)
 
     def _tables(self, a: int, b: int) -> list[_Table]:
         """The pullback tables of `substitutions(a, b)`, in order, made once."""
@@ -432,68 +597,30 @@ class KnowledgeBase:
         factor, or with an undefinable generator pullback, the checks walk
         the bounded set in order, so the first undefinable pullback they meet
         is the first in that order."""
+        self._check_sizes(a, b)
         gens = self.generators
         if gens is None:
             return self.substitutions(a, b)
         return tuple(g for g in gens if len(g.source) == a and len(g.target) == b)
 
-    @functools.cached_property
-    def _composite_memos(self) -> tuple[_Memo, _Memo, _Memo]:
-        """`_composite_rows`' memos, made on its first call: each
-        substitution's images as ids of interned terms, per second
-        substitution the id of each term after it, and each composite's table
-        by its sizes, then its image ids.  They do not refer back to
-        the knowledge base, which stays acyclic."""
-        terms: list[Term] = []
-        term_ids: dict[Term, int] = {}
-
-        def intern(term: Term) -> int:
-            i = term_ids.get(term)
-            if i is None:
-                i = term_ids[term] = len(terms)
-                terms.append(term)
-            return i
-
-        return (_Memo(lambda s: tuple(map(intern, s.images))),
-                _Memo(lambda s: _Memo(lambda i: intern(s.apply_to_term(terms[i])))),
-                _Memo(lambda ends: {}))
-
     def _composite_rows(self, a: int, b: int, c: int) -> list[list[_Table]]:
         """Per substitution of `substitutions(a, b)`, in order, its row: the
-        pullback tables of it then each of `substitutions(b, c)`, in order.
-        Made once, so both sweeps and the description functor read every
-        composite's table here.
+        pullback tables of it then each of `substitutions(b, c)`, in order,
+        for sizes in 1..n_max.  Made once, so both sweeps and the
+        description functor read every composite's table here.
 
-        A composite is found by its sizes and the ids of its
-        interned images, each the image of one interned term after its
-        second factor, computed once per term and second factor; so a pair
-        whose images have met its second factor builds no term and hashes no
-        substitution.  Each second factor's term memo is looked up once, and
-        each first factor's image ids once per row.  A composite's first
-        lookup fetches its table from the geometry, which builds it from the
+        Each table is the geometry's table of the composite in the syntax's
+        row (`Syntax.composites`), so the geometry builds it from the
         composite substitution itself, never from its factors' tables.  The
-        memos hold every term and substitution they are keyed by, and live
-        as long as the knowledge base, as its tables do.
-        """
+        composites are the syntax's, shared with every knowledge base over
+        its operations and depth; the tables are this knowledge base's."""
         rows = self._rows_by_sizes.get((a, b, c))
         if rows is None:
-            image_ids, after, composites = self._composite_memos
-            seconds = self.substitutions(b, c)
-            afters = [after[second].__getitem__ for second in seconds]
-            found = composites[(a, c)]
-            table = self.geometry.table
-            rows = []
-            for first in self.substitutions(a, b):
-                ids = image_ids[first]
-                row = []
-                for second, term_after in zip(seconds, afters):
-                    key = tuple(map(term_after, ids))
-                    composite = found.get(key)
-                    if composite is None:
-                        composite = found[key] = table(Substitution._composite(first, second))
-                    row.append(composite)
-                rows.append(row)
-            self._rows_by_sizes[(a, b, c)] = rows
+            self._check_sizes(a, b, c)
+            composites, places = self.syntax.composites(a, b, c)
+            tables = list(map(self.geometry.table, composites))
+            rows = self._rows_by_sizes[(a, b, c)] = [
+                list(map(tables.__getitem__, row)) for row in places]
         return rows
 
     def _unsettled_pairs(self, a: int, b: int, c: int, settled: set[tuple[int, int, int]]
@@ -555,6 +682,7 @@ class KnowledgeBase:
         from `_unsettled_pairs`, which checks each triple of classes once
         while it passes.
         """
+        self._check_points()
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
@@ -636,6 +764,7 @@ class KnowledgeBase:
         The blocks come from `_unsettled_pairs`, so the blocks of one triple
         of classes run on the atoms once while they pass.
         """
+        self._check_points()
         n_max = self.n_max
         checked = 0
         failures: list[str] = []
@@ -706,11 +835,6 @@ def push_filter(subst: Substitution, filt: ClosedFilter,
         raise MismatchError("lattice does not match the substitution's target")
     table = filt.points.space.geometry.table(subst)
     return target_lattice.filter_for_mask(target_lattice.algebra.pullback(table, filt.mask))
-
-
-# Each thread's kept pair of knowledge bases, so that no two threads share
-# one through `knowledge_bases`.
-_kept = threading.local()
 
 
 def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,

@@ -819,6 +819,9 @@ def decide_equivalence(kb1: KnowledgeBase, kb2: KnowledgeBase,
     search: the verdict is UNKNOWN, with a note naming that pullback.
     """
     _check_bounds(kb1, kb2)
+    # A size past the point bound refuses the pair before any object is built.
+    kb1._check_points()
+    kb2._check_points()
     model1, model2 = kb1.model, kb2.model
     # Both families are built in full, the first model's first, before any verdict.
     saturated = all([kb1.saturated, kb2.saturated])

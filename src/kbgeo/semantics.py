@@ -96,6 +96,14 @@ class Point:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
+def _check_point_count(model: Model, n: int, bound: int) -> None:
+    """Refuse the space of `n` variables over the model when its points,
+    |M|^n, pass the point bound."""
+    count = len(model.carrier) ** n
+    if count > bound:
+        raise BoundError(f"{count} points exceed the bound {bound}")
+
+
 class PointSpace:
     """All assignments varset -> carrier for one model, in enumeration order.
 
@@ -110,9 +118,7 @@ class PointSpace:
 
     def __init__(self, model: Model, varset: VarSet, geometry: "Geometry"):
         self.geometry = geometry
-        count, bound = len(model.carrier) ** len(varset), self.geometry.max_points
-        if count > bound:
-            raise BoundError(f"{count} points exceed the bound {bound}")
+        _check_point_count(model, len(varset), geometry.max_points)
         self.model = model
         self.varset = varset
         self.value_rows: tuple[tuple, ...] = tuple(

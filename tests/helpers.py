@@ -43,6 +43,7 @@ object hands them out through `peek`, `next`, `expect` and `items`.
 import itertools
 import random
 import re
+import threading
 from typing import Optional
 
 from kbgeo import (
@@ -227,6 +228,27 @@ def op_models() -> list:
         out.append((f"g{i}", Model(Signature((("g", 2),), (("P", 1),)), carrier,
                                    {"g": g}, {"P": rows(1)})))
     return out
+
+
+def in_new_thread(call):
+    """`call()` run in a new thread, which has made no knowledge base, so it
+    keeps no syntax and no pair of knowledge bases from an earlier call: its
+    result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = call()
+        except BaseException as exc:  # raised again in the caller's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
 
 
 def relabel_pairs() -> list:

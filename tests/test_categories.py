@@ -3,6 +3,7 @@
 import copy
 import itertools
 import pickle
+import sys
 import threading
 
 import pytest
@@ -17,6 +18,7 @@ from kbgeo import (
     Geometry,
     KnowledgeBase,
     MismatchError,
+    Model,
     Report,
     Substitution,
     build_filter_lattice,
@@ -25,6 +27,7 @@ from kbgeo import (
     compose_cont,
     compose_desc,
     content_morphism,
+    decide_equivalence,
     enumerate_substitutions,
     filter_preimage,
     identity_desc,
@@ -47,6 +50,7 @@ from helpers import (
     all_fixtures,
     brute_composites,
     constant_models,
+    in_new_thread,
     memberwise_check_duality,
     memberwise_push_functoriality,
     model_eq,
@@ -55,6 +59,7 @@ from helpers import (
     model_pq1,
     named_pair,
     op_models,
+    relabeled,
     seeded_models,
 )
 
@@ -327,6 +332,24 @@ def test_filter_transport_honours_the_lattice_bound():
         push_filter(up, narrow.bottom, wide)
 
 
+def test_a_size_past_the_point_bound_stops_sweeps_and_decisions_before_any_build(monkeypatch):
+    """Both sweeps and the decider raise the `BoundError` of the first size
+    past the point bound, and build no object first; a pair is refused at
+    its first model's size, then at its second's."""
+    builds = counted_builds(monkeypatch)
+    two = KnowledgeBase(model_p(), 3, 1, max_points=4)
+    three = KnowledgeBase(Model(model_p().sig, (0, 1, 2), None, {"P": [(1,)]}), 3, 1,
+                          max_points=4)
+    for call, message in ((two.check_duality, "8 points exceed the bound 4"),
+                          (three.verify_push_functoriality, "9 points exceed the bound 4"),
+                          (lambda: decide_equivalence(two, three), "8 points exceed the bound 4"),
+                          (lambda: decide_equivalence(three, two), "9 points exceed the bound 4")):
+        with pytest.raises(BoundError) as info:
+            call()
+        assert str(info.value) == message
+    assert builds == []
+
+
 def test_equal_substitutions_share_one_table():
     m = model_neg()
     geometry = KnowledgeBase(m, 1, 1).geometry
@@ -369,13 +392,17 @@ def test_a_composite_table_is_the_composite_substitutions_own(name, depth):
 @pytest.mark.parametrize("name,depth", COMPOSITE_CASES)
 def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
     """Both sweeps at two depths, alternated over one knowledge base per
-    depth, report what each reports on a fresh one: no composite memo
-    answers for another size, or for the other sweep's pairs."""
+    depth, report what each reports on a fresh one, made in a new thread
+    with a fresh syntax, and on a new one over this thread's kept syntax:
+    no composite memo answers for another size, or for the other sweep's
+    pairs."""
     make = COMPOSITE_MODELS[name]
     kbs = {d: KnowledgeBase(make(), 2, d) for d in (depth, depth - 1)}
     duality, push = KnowledgeBase.check_duality, KnowledgeBase.verify_push_functoriality
     for sweep, d in ((duality, depth), (push, depth - 1), (duality, depth - 1), (push, depth)):
-        assert sweep(kbs[d]) == sweep(KnowledgeBase(make(), 2, d))
+        fresh = in_new_thread(lambda: KnowledgeBase(make(), 2, d))
+        assert fresh.syntax is not kbs[d].syntax
+        assert sweep(kbs[d]) == sweep(fresh) == sweep(KnowledgeBase(make(), 2, d))
 
 
 def pullbacks_or_error(masks, table, target):
@@ -827,6 +854,47 @@ def test_the_resolver_keeps_the_last_pair_of_knowledge_bases(monkeypatch):
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert other[0] is not knowledge_base(a, 2, 1)
+
+
+def test_threads_sharing_one_syntax_report_as_a_sequential_run():
+    """Four threads each sweep a model of their own over one operation set,
+    with knowledge bases all made in this thread, so that they share one
+    syntax, which none has made a set or composite of yet: they race to
+    make each.  Each thread reports what a sequential run over knowledge
+    bases with syntaxes of their own reports.  A short switch interval
+    makes the threads switch inside the syntax's builds."""
+    models = [m for name, m in op_models() if name.startswith("g")]
+    models.append(relabeled(models[0], (1, 0)))
+
+    def sweeps(kb):
+        return kb.check_duality(), kb.verify_push_functoriality()
+
+    expected = [in_new_thread(lambda m=m: sweeps(KnowledgeBase(m, 2, 1))) for m in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            # The thread's kept syntax is now another, so the next is new.
+            assert KnowledgeBase(model_p(), 1, 0).syntax.depth == 0
+            kbs = [KnowledgeBase(m, 2, 1) for m in models]
+            assert all(kb.syntax is kbs[0].syntax for kb in kbs)
+            results = [None] * len(kbs)
+
+            def run(i):
+                try:
+                    results[i] = sweeps(kbs[i])
+                except Exception as exc:  # compared with the expected reports below
+                    results[i] = exc
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(kbs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("name,model", all_fixtures() + seeded_models())

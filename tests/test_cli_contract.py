@@ -190,6 +190,22 @@ CONTRACT = [
     Entry("point-bound-flag-wins", ("functor", fixture("m_p.kbm"), "--max-points", "4",
                                     "--format", "machine"),
           env={"KBGEO_MAX_POINTS": "3"}, lines=("failures: 0",)),
+    # The sweeps and the deciders refuse the first size past the point bound
+    # before they build any object: m_neg over 15 variables has 32768
+    # points, and its 14 smaller objects take a minute to build (exit 65, at
+    # once).  A pair is refused at the first model's first such size, then
+    # at the second's: m_p first, though the 3-element model of P passes the
+    # bound at 10 variables, with 59049 points.
+    Entry("point-bound-before-any-object", ("functor", fixture("m_neg.kbm"), "--max-vars", "16",
+                                            "--max-points", "20000"),
+          code=65, output=("error: 32768 points exceed the bound 20000",), timeout=10),
+    Entry("point-bound-before-any-object-duality",
+          ("duality", fixture("m_neg.kbm"), "--max-vars", "20", "--max-points", "100000"),
+          code=65, output=("error: 131072 points exceed the bound 100000",), timeout=10),
+    Entry("point-bound-before-any-object-equiv",
+          ("equiv", fixture("m_p.kbm"), "p3.kbm", "--max-vars", "16", "--max-points", "20000"),
+          models={"p3.kbm": RELATION_P}, code=65,
+          output=("error: 32768 points exceed the bound 20000",), timeout=10),
     # The environment is read only after the arguments parse, so help prints
     # beside a malformed KBGEO_MAX_POINTS (exit 0), and a usage error, from
     # the parser or a bound flag, wins over the bad value (exit 64).

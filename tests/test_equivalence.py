@@ -61,9 +61,11 @@ from helpers import (
     bounded_pairs,
     brute_atomic_classes,
     cfi_pair,
+    constant_models,
     constraint_classes,
     filtered_automorphisms,
     formulawise_atom_constraints,
+    in_new_thread,
     memberwise_candidate_alphas,
     memberwise_description_iso,
     memberwise_is_boolean,
@@ -1258,14 +1260,8 @@ def test_the_induced_map_decides_as_the_block_bijection_search():
     assert all(outcomes[k] for k in (True, None, "raised")), outcomes
 
 
-def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
-    """Only `KnowledgeBase.substitutions` enumerates substitutions, once per
-    bounded set.  The witness search above checks its squares on the
-    generators alone and enumerates none.  The same search on a model with a
-    binary op has no generators, and makes one enumeration per pair of
-    sizes, over two sizes; so do both sweeps over one knowledge base
-    together."""
-    assert not hasattr(equivalence, "enumerate_substitutions")
+def counted_enumerations(monkeypatch) -> list:
+    """The arguments of each `enumerate_substitutions` call from now on."""
     calls = []
     enumerate_substitutions = categories.enumerate_substitutions
 
@@ -1274,22 +1270,124 @@ def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
         return enumerate_substitutions(*args)
 
     monkeypatch.setattr(categories, "enumerate_substitutions", counting)
-    sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
-    model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
-                  {"P": [], "Q": [(0,)]})
-    phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
-    assert find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1), phi) is not None
-    assert len(calls) == 0
-    sig = Signature((("g", 2),), (("P", 1),))
-    binary = Model(sig, (0, 1), {"g": {(a, b): a * b for a in (0, 1) for b in (0, 1)}},
-                   {"P": [(0,)]})
-    pair = kbs(binary, binary, 2, 1)
-    assert pair[0].generators is None
-    assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig)) is not None
-    assert len(calls) == 4
-    kb = KnowledgeBase(model_neg(), 2, 1)
-    assert kb.check_duality().passed and kb.verify_push_functoriality().passed
-    assert len(calls) == 8
+    return calls
+
+
+def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
+    """Only `Syntax.substitutions` enumerates substitutions, once per
+    bounded set of a syntax.  The witness search above checks its squares
+    on the generators alone and enumerates none.  The same search on a
+    model with a binary op has no generators, and makes one enumeration per
+    pair of sizes, over two sizes; so do both sweeps over one knowledge
+    base together.  The knowledge bases are made in a new thread, which
+    keeps no syntax, so no syntax an earlier test left kept answers."""
+    assert not hasattr(equivalence, "enumerate_substitutions")
+    calls = counted_enumerations(monkeypatch)
+
+    def run():
+        sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
+        model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
+                      {"P": [], "Q": [(0,)]})
+        phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
+        assert find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1),
+                                phi) is not None
+        assert len(calls) == 0
+        sig = Signature((("g", 2),), (("P", 1),))
+        binary = Model(sig, (0, 1), {"g": {(a, b): a * b for a in (0, 1) for b in (0, 1)}},
+                       {"P": [(0,)]})
+        pair = kbs(binary, binary, 2, 1)
+        assert pair[0].generators is None
+        assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig)) is not None
+        assert len(calls) == 4
+        kb = KnowledgeBase(model_neg(), 2, 1)
+        assert kb.check_duality().passed and kb.verify_push_functoriality().passed
+        assert len(calls) == 8
+
+    in_new_thread(run)
+
+
+def test_knowledge_bases_over_one_operation_set_and_depth_share_one_syntax(monkeypatch):
+    """Two models with other relations but one operation set and depth
+    share one syntax: between them, their sweeps enumerate each bounded set
+    once, and read its substitutions and composites as the same objects,
+    while each maps them to tables of its own.  Another depth or another
+    operation set gets a syntax of its own, and the thread then keeps that
+    one.  Made in a new thread, which keeps no syntax."""
+    calls = counted_enumerations(monkeypatch)
+
+    def run():
+        p, pq = KnowledgeBase(model_p(), 2, 1), KnowledgeBase(model_pq1(), 2, 1)
+        assert p.syntax is pq.syntax
+        for kb in (p, pq):
+            assert kb.check_duality().passed and kb.verify_push_functoriality().passed
+        sizes = [(len(source), len(target)) for _, source, target, _ in calls]
+        assert sorted(sizes) == sorted(itertools.product((1, 2), repeat=2))
+        for a, b in itertools.product((1, 2), repeat=2):
+            assert p.substitutions(a, b) is pq.substitutions(a, b)
+        for a, b, c in itertools.product((1, 2), repeat=3):
+            composites, _ = p.syntax.composites(a, b, c)
+            rows_p, rows_pq = p._composite_rows(a, b, c), pq._composite_rows(a, b, c)
+            assert [t.key for row in rows_p for t in row] == \
+                [t.key for row in rows_pq for t in row]
+            assert not {id(t) for row in rows_p for t in row} & \
+                {id(t) for row in rows_pq for t in row}
+            assert {id(t.key) for row in rows_p for t in row} <= \
+                {id(s) for s in composites + p.substitutions(a, c)}
+        deeper, neg = KnowledgeBase(model_p(), 2, 2), KnowledgeBase(model_neg(), 2, 1)
+        assert len({id(kb.syntax) for kb in (p, deeper, neg)}) == 3
+        assert [(kb.syntax.ops, kb.syntax.depth) for kb in (p, deeper, neg)] == \
+            [((), 1), ((), 2), ((("neg", 1),), 1)]
+        again = KnowledgeBase(model_pq2(), 2, 1)
+        assert again.syntax is not p.syntax and KnowledgeBase(model_p(), 2, 1).syntax is again.syntax
+
+    in_new_thread(run)
+
+
+def sweeps_and_decisions(kbs: list) -> list:
+    """Both sweeps over each knowledge base, in order, then both deciders over
+    each knowledge base and the next, the last with the first, where their
+    signatures are one."""
+    out = []
+    for kb in kbs:
+        out += [kb.check_duality(), kb.verify_push_functoriality()]
+    for kb1, kb2 in zip(kbs, kbs[1:] + kbs[:1]):
+        if kb1.model.sig == kb2.model.sig:
+            out += [decide_equivalence(kb1, kb2),
+                    decide_equivalence(kb1, kb2, mode="automorphic")]
+    return out
+
+
+def shared_syntax_cases() -> list:
+    """Per case, its models, all with one operation set, n_max and depth."""
+    fixtures = [m for _, m in all_fixtures()]
+    one_op = [m for _, m in op_models()]
+    cases = [pytest.param(group, 2, depth, id=f"fixtures {name} d{depth}")
+             for depth in (1, 2)
+             for name, group in (("without ops", [m for m in fixtures if not m.sig.ops]),
+                                 ("with ops", [m for m in fixtures if m.sig.ops]))]
+    cases += [pytest.param(one_op[:3], 2, 1, id="op_models f"),
+              pytest.param(one_op[3:], 2, 1, id="op_models g"),
+              pytest.param([dict(constant_models())["cg2"]], 2, 1, id="cg2"),
+              pytest.param([model_neg(), model_neg()], 2, 2, id="m_neg d2")]
+    cases += [pytest.param(representatives(all_models(size, ops, rels)), 2, 1,
+                           id=f"census {label}")
+              for label, size, ops, rels in FAMILIES]
+    return cases
+
+
+@pytest.mark.parametrize("models,n_max,depth", shared_syntax_cases())
+def test_a_warm_shared_syntax_reports_as_a_fresh_one(models, n_max, depth):
+    """Both sweeps and both deciders report the same over knowledge bases
+    that share a warm syntax, one whose sets and composites an earlier pass
+    over the same models made, and over knowledge bases each made in a new
+    thread, so each with a fresh syntax of its own."""
+    first = [KnowledgeBase(m, n_max, depth) for m in models]
+    sweeps_and_decisions(first)
+    warm = [KnowledgeBase(m, n_max, depth) for m in models]
+    assert all(kb.syntax is first[0].syntax for kb in warm)
+    fresh = [in_new_thread(lambda m=m: KnowledgeBase(m, n_max, depth)) for m in models]
+    assert len({id(kb.syntax) for kb in fresh + warm[:1]}) == len(models) + 1
+    assert sweeps_and_decisions(warm) == sweeps_and_decisions(fresh)
 
 
 def conjugated(iso: FunctorIso, renaming: FormulaAutomorphism, phi: FormulaAutomorphism,

@@ -13,6 +13,7 @@ from kbgeo import (
     FormulaAutomorphism,
     FormulaContext,
     Geometry,
+    KnowledgeBase,
     MismatchError,
     Model,
     ModelMap,
@@ -113,6 +114,23 @@ REFUSALS = {
         (lambda: satisfying_points(TRUE, model_p(), canonical_varset(1),
                                    geometry=Geometry(model_neg())),
          MismatchError, "geometry belongs to another model"),
+    # A knowledge base refuses, as it does an object, a size outside 1..n_max
+    # for every set and table it reads, though its syntax knows no n_max.
+    "substitutions past n_max":
+        (lambda: KnowledgeBase(model_neg(), 2, 1).substitutions(3, 3),
+         MismatchError, "object size 3 outside 1..2"),
+    "substitutions from size 0":
+        (lambda: KnowledgeBase(model_neg(), 2, 1).substitutions(0, 1),
+         MismatchError, "object size 0 outside 1..2"),
+    "composite tables through a size past n_max":
+        (lambda: KnowledgeBase(model_neg(), 2, 1)._composite_rows(1, 3, 1),
+         MismatchError, "object size 3 outside 1..2"),
+    "naturality squares past n_max, where generators would give none":
+        (lambda: KnowledgeBase(model_neg(), 2, 1).naturality(1, 3),
+         MismatchError, "object size 3 outside 1..2"),
+    "an atom table past n_max":
+        (lambda: KnowledgeBase(model_neg(), 2, 1).atom_table(3),
+         MismatchError, "object size 3 outside 1..2"),
     "a mask past the space":
         (lambda: PointSet(space(1), 0b100),
          MismatchError, "mask 0x4 outside space of 2 points"),
