@@ -39,15 +39,27 @@ keyed by those objects.
 Every composable pair of these loops, and of the description functor
 (`equivalence.build_description_iso`), finds its composite's table in
 `KnowledgeBase._composite_rows`, one row per first factor, made once per
-knowledge base and indexed by the factors' places in
+frame and syntax and indexed by the factors' places in
 `KnowledgeBase.substitutions`.  The composites are the syntax's
 (`Syntax.composites`), made once per syntax: each is found by its sizes and
 interned images, each image term composed once per second substitution,
 and each first factor's image ids are looked up once.  A knowledge base
-maps them to its own tables through its geometry, which builds each table
-from the composite substitution's own terms, never from its factors'
-tables, so a composite check compares two independent computations; no
-table, memo or class is shared between models.
+maps them to tables through its geometry, which builds each table from the
+composite substitution's own terms, never from its factors' tables, so a
+composite check compares two independent computations.
+
+The pullback tables are carrier-side, not relation-side: a table depends
+on the carrier, the operation tables and its substitution, and never on a
+relation.  So the tables, their classes and memos, and the knowledge
+base's table lists and composite rows live in its geometry's frame
+(`semantics.Frame`), keyed by the carrier, in order, the operation tables
+and the point bound.  `knowledge_bases` gives a new knowledge base the
+frame of the thread's kept pair when those three are equal, so both sides
+of a decision, and a run of models that differ only in their relations,
+build each table once; every other knowledge base has a frame of its own.
+A frame lives while a geometry holds it or the thread's kept pair does.
+What a knowledge base keeps for itself reads the relations: its lattices,
+atom tables and generator check.
 
 Over a finite model these categories see a substitution only through its
 pullback table, so substitutions whose tables share a class
@@ -467,15 +479,19 @@ class KnowledgeBase:
     (`naturality`), from it.  Those substitutions and their composites are
     its `syntax`'s: model-free, keyed by the signature's operations and the
     depth, and shared with the knowledge bases over the same two that its
-    thread makes next (`_syntax`).  What depends on the model is its own:
-    its geometry and objects, its atom tables, its generator check, and the
-    pullback tables it maps the syntax's substitutions and composites to,
-    each built from the substitution's own terms.  The module-level sweeps
-    and deciders take theirs from `knowledge_bases` under the default point
-    bound, so a call on the model object and bounds of the thread's last
-    pair reuses it, with every object, table and row of composite tables it
-    has built; the rows (`_composite_rows`) are the only source of a
-    composite's table.
+    thread makes next (`_syntax`).  The pullback tables it maps them to,
+    each built from the substitution's own terms, and its lists and rows of
+    them (`_tables`, `_composite_rows`) are its geometry's frame's: keyed by
+    the carrier, the operation tables and the point bound, and fresh for a
+    knowledge base made here; `knowledge_bases` shares one between the
+    knowledge bases it resolves in a row over those three.  What reads the
+    relations is its own: its geometry's spaces, its objects, its atom
+    tables and its generator check.  The module-level sweeps and deciders
+    take theirs from `knowledge_bases` under the default point bound, so a
+    call on the model object and bounds of the thread's last pair reuses
+    it, with every object, table and row of composite tables it has built;
+    the rows (`_composite_rows`) are the only source of a composite's
+    table.
     Objects are built over the canonical variable sets of the geometry and
     cached, and so is one atom table per size (`atom_table`): the masks of
     the atomic formulas within the depth, which the witness search pairs
@@ -501,8 +517,6 @@ class KnowledgeBase:
         self.syntax = _syntax(model.sig.ops, depth)
         self._descriptions: dict[int, FilterLattice] = {}
         self._atom_tables: dict[int, tuple[dict[str, list[int]], list[int]]] = {}
-        self._tables_by_sizes: dict[tuple[int, int], list[_Table]] = {}
-        self._rows_by_sizes: dict[tuple[int, int, int], list[list[_Table]]] = {}
 
     def _check_sizes(self, *sizes: int) -> None:
         """Refuse the first of the sizes outside 1..n_max."""
@@ -560,11 +574,13 @@ class KnowledgeBase:
         return self.syntax.substitutions(a, b)
 
     def _tables(self, a: int, b: int) -> list[_Table]:
-        """The pullback tables of `substitutions(a, b)`, in order, made once."""
-        tables = self._tables_by_sizes.get((a, b))
+        """The pullback tables of `substitutions(a, b)`, in order, made once
+        per frame and syntax (`Frame.table_lists`)."""
+        self._check_sizes(a, b)
+        lists, key = self.geometry.frame.table_lists, (self.syntax, a, b)
+        tables = lists.get(key)
         if tables is None:
-            tables = self._tables_by_sizes[(a, b)] = list(
-                map(self.geometry.table, self.substitutions(a, b)))
+            tables = lists[key] = list(map(self.geometry.table, self.syntax.substitutions(a, b)))
         return tables
 
     @functools.cached_property
@@ -606,21 +622,24 @@ class KnowledgeBase:
     def _composite_rows(self, a: int, b: int, c: int) -> list[list[_Table]]:
         """Per substitution of `substitutions(a, b)`, in order, its row: the
         pullback tables of it then each of `substitutions(b, c)`, in order,
-        for sizes in 1..n_max.  Made once, so both sweeps and the
-        description functor read every composite's table here.
+        for sizes in 1..n_max.  Made once per frame and syntax
+        (`Frame.composite_rows`), so both sweeps and the description functor
+        read every composite's table here.
 
         Each table is the geometry's table of the composite in the syntax's
         row (`Syntax.composites`), so the geometry builds it from the
         composite substitution itself, never from its factors' tables.  The
         composites are the syntax's, shared with every knowledge base over
-        its operations and depth; the tables are this knowledge base's."""
-        rows = self._rows_by_sizes.get((a, b, c))
+        its operations and depth; the tables and rows are the frame's,
+        shared with the knowledge bases over its carrier, operation tables
+        and point bound that `knowledge_bases` resolves in a row."""
+        self._check_sizes(a, b, c)
+        frame_rows, key = self.geometry.frame.composite_rows, (self.syntax, a, b, c)
+        rows = frame_rows.get(key)
         if rows is None:
-            self._check_sizes(a, b, c)
             composites, places = self.syntax.composites(a, b, c)
             tables = list(map(self.geometry.table, composites))
-            rows = self._rows_by_sizes[(a, b, c)] = [
-                list(map(tables.__getitem__, row)) for row in places]
+            rows = frame_rows[key] = [list(map(tables.__getitem__, row)) for row in places]
         return rows
 
     def _unsettled_pairs(self, a: int, b: int, c: int, settled: set[tuple[int, int, int]]
@@ -847,25 +866,42 @@ def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,
     very object (`is`, not `Model.__eq__`) and its bounds are these, and
     otherwise a new one; the thread then keeps the returned pair.
 
+    A new knowledge base takes the frame (`semantics.Frame`) of the first
+    of the pair returned here, then of the kept pair, whose carrier, in
+    order, operation tables and point bound are its own (`Frame.fits`), so
+    both sides of a decision, and models resolved in a row that differ only
+    in their relations, share pullback tables, classes, table lists and
+    composite rows.  A frame is shared within one thread only, and no
+    knowledge base constructed directly takes one.
+
     A knowledge base holds only memos of pure functions of its model and
-    bounds, and a model's tables are read-only, so a reused one gives the
-    reports a new one would.  Keying on identity keeps the reuse within a
-    caller's own model objects and compares no tables.  The kept pair
-    outlives the call; once replaced, it is freed when the cyclic collector
-    runs (a geometry and its spaces refer to each other).  A caller who
-    controls their lifetime constructs `KnowledgeBase` itself."""
+    bounds, a frame only memos of pure functions of its carrier, operation
+    tables and point bound, and a model's tables are read-only, so a reused
+    one gives the reports a new one would.  Keying the pair on identity
+    keeps its reuse within a caller's own model objects and compares no
+    tables; a frame's key compares the carrier and operation tables.  The
+    kept pair outlives the call, and keeps its frames alive; once replaced,
+    it is freed when the cyclic collector runs (a geometry and its spaces
+    refer to each other), and a frame with it unless a newer knowledge base
+    holds it.  A caller who controls their lifetime constructs
+    `KnowledgeBase` itself."""
     bounds = (n_max, depth, max_term_depth, max_points)
     kept = getattr(_kept, "kbs", ())
 
-    def resolve(model: Model) -> KnowledgeBase:
+    def resolve(model: Model, earlier: tuple[KnowledgeBase, ...]) -> KnowledgeBase:
         for kb in kept:
             if kb.model is model and (kb.n_max, kb.depth, kb.max_term_depth,
                                       kb.geometry.max_points) == bounds:
                 return kb
-        return KnowledgeBase(model, *bounds)
+        kb = KnowledgeBase(model, *bounds)
+        for other in earlier:
+            if other.geometry.frame.fits(model, max_points):
+                kb.geometry.frame = other.geometry.frame
+                break
+        return kb
 
-    kb1 = resolve(model1)
-    kb2 = kb1 if model2 is model1 or model2 == model1 else resolve(model2)
+    kb1 = resolve(model1, kept)
+    kb2 = kb1 if model2 is model1 or model2 == model1 else resolve(model2, (kb1, *kept))
     _kept.kbs = kb1, kb2
     return kb1, kb2
 

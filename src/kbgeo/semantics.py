@@ -16,17 +16,26 @@ element, in O(|M|) big-integer operations.  A space builds each axis's
 column and digit masks on first use and holds them: per axis valued, |M|^n
 column entries and |M| masks of |M|^n bits.
 
-A `Geometry` holds one model's spaces under one point bound: one space per
-varset, and one pullback table per substitution, computed on first use.  A
-table is the one transport primitive: its `preimage` and `image` are the
-only loops that move masks along a substitution, and every caller reads
-them from the substitution's table, `Geometry.table(subst)`, whether it
-moves one mask or many.  Every space knows its geometry, so a point set
-reaches the other end of a substitution through `pset.space.geometry`.
-Each table also memoizes transport per mask, so a mask moves along a
-substitution once per direction and later calls are dict lookups.  The
-memo grows with the distinct masks moved; inside the package those are
-lattice members and the masks of substitution nodes' bodies.
+A `Geometry` holds one model's spaces under one point bound, one space per
+varset, and reads one pullback table per substitution, computed on first
+use, from its `Frame`.  A table is the one transport primitive: its
+`preimage` and `image` are the only loops that move masks along a
+substitution, and every caller reads them from the substitution's table,
+`Geometry.table(subst)`, whether it moves one mask or many.  Every space
+knows its geometry, so a point set reaches the other end of a substitution
+through `pset.space.geometry`.  Each table also memoizes transport per
+mask, so a mask moves along a substitution once per direction and later
+calls are dict lookups.  The memo grows with the distinct masks moved;
+inside the package those are lattice members and the masks of substitution
+nodes' bodies.
+
+A table depends on the carrier, the operation tables and the substitution,
+never on a relation, so the tables, their classes and memos live in the
+frame, keyed by the carrier, in order, the operation tables and the point
+bound; the relations are read only through each space's model.  Every
+geometry gets a fresh frame, and only `categories.knowledge_bases` shares
+one, between the knowledge bases it resolves in a row in one thread over
+one carrier, operation tables and point bound.
 
 A space is also the one context for valuing formulas and comparing sets: a
 valuation of a space checks each formula before it values it, and every
@@ -37,12 +46,13 @@ A call given no geometry values over its model's kept geometry under the
 default bound (`_model_geometry`): each thread keeps the geometry of the
 last model object it resolved, by identity, so queries on one model reuse
 its spaces, columns and tables, while each call still checks and values
-its formula through a valuation of its own.  A kept geometry keeps its
-model, spaces and tables alive, the memos of the tables its substitution
-nodes move masks through included, until another model is resolved in its
-thread; then a set or lattice built over it keeps it alive as long as that
-lives, and otherwise the cyclic collector frees it.  A caller who wants
-them freed with its results passes a `Geometry` of its own.
+its formula through a valuation of its own.  A kept geometry has a frame
+of its own, and keeps its model, spaces and frame alive, the memos of the
+tables its substitution nodes move masks through included, until another
+model is resolved in its thread; then a set or lattice built over it keeps
+it alive as long as that lives, and otherwise the cyclic collector frees
+it.  A caller who wants them freed with its results passes a `Geometry` of
+its own.
 """
 
 from __future__ import annotations
@@ -196,12 +206,13 @@ class _Table:
     already moved each way.  Its `preimage` and `image` are the package's
     only loops that move a mask along a substitution.
 
-    The class is the ordinal, in its geometry, of the first table built with
+    The class is the ordinal, in its frame, of the first table built with
     the same ends and the same pull list, so two tables of one class move
     every mask alike as built: their substitutions are one arrow of the
     categories over the model.  Each table still holds its own key, lists
-    and memos, none shared with its class, so a table changed after it is
-    built changes no other, and keeps the class it was built with."""
+    and memos, none shared with its class.  The table belongs to its frame
+    (`Frame`), so a table changed after it is built changes every geometry
+    over its frame, and keeps the class it was built with."""
 
     __slots__ = ("key", "cls", "bits", "fibers", "preimages", "images")
 
@@ -232,33 +243,80 @@ class _Table:
         return out
 
 
-class Geometry:
-    """One model's point spaces and pullback tables under one point bound.
+class Frame:
+    """The relation-free half of a geometry: what depends on the carrier,
+    in order, the operation tables and the point bound, and on no relation.
 
-    Spaces and tables are built on first use and live as long as the
-    geometry.  Masks move along a substitution only through its table:
-    `table(subst).preimage(mask)` and `table(subst).image(mask)`.  Equal
-    substitutions share one table, keyed by the first of them looked up; a
-    lookup with that object finds it by identity, without comparing terms.
-    Substitutions that differ but pull back alike, such as x1 := neg(neg(x1))
-    and x1 := x1, get tables of one class (`_Table.cls`), found as each table
-    is built through one dict keyed by its ends and pull list, which holds
-    one pull list per class for as long as the geometry lives; a sweep that
-    checks each class once reads it.
+    A point space's enumeration and a substitution's action on it are read
+    from the carrier and the operations alone, so a pullback table is too.
+    The frame holds the pullback tables, each keyed by the first equal
+    substitution looked up, with their memos; the dict of classes, one
+    pull list per class (`_Table.cls`); and two dicts that
+    `categories.KnowledgeBase` fills, keyed by a syntax and sizes: the
+    table lists of its bounded substitutions (`table_lists`) and its rows
+    of composite tables (`composite_rows`).  It refers to no geometry,
+    space, model or knowledge base, so it is acyclic, as a
+    `categories.Syntax` is.
+
+    Every geometry gets a fresh frame.  Only `categories.knowledge_bases`
+    shares one: it gives a new knowledge base's geometry the frame of its
+    thread's kept pair when `fits` says the frame is keyed by the new
+    model's carrier, operation tables and point bound.  A frame lives while
+    a geometry holds it or its thread keeps it through that pair.  It is
+    shared within one thread only, so it needs no lock; each entry is
+    stored only once it is built whole, as a geometry's were.
+    """
+
+    def __init__(self, model: Model, max_points: int):
+        self.carrier = model.carrier
+        self.op_tables = model.op_tables
+        self.max_points = max_points
+        self.tables: dict[Substitution, _Table] = {}
+        self.classes: dict[tuple, int] = {}
+        self.table_lists: dict[tuple, list[_Table]] = {}
+        self.composite_rows: dict[tuple, list[list[_Table]]] = {}
+
+    def fits(self, model: Model, max_points: int) -> bool:
+        """Whether the frame is keyed by the model's carrier, in order, its
+        operation tables and this point bound."""
+        return (self.max_points == max_points and self.carrier == model.carrier
+                and self.op_tables == model.op_tables)
+
+
+class Geometry:
+    """One model's point spaces under one point bound, and the frame
+    (`Frame`) it reads and builds pullback tables through.
+
+    Spaces are built on first use and live as long as the geometry; tables
+    are built on first use by the geometry whose lookup misses first, over
+    its own spaces, and live as long as the frame.  Masks move along a
+    substitution only through its table: `table(subst).preimage(mask)` and
+    `table(subst).image(mask)`.  Equal substitutions share one table, keyed
+    by the first of them looked up; a lookup with that object finds it by
+    identity, without comparing terms.  Substitutions that differ but pull
+    back alike, such as x1 := neg(neg(x1)) and x1 := x1, get tables of one
+    class (`_Table.cls`), found as each table is built through the frame's
+    dict keyed by ends and pull list; a sweep that checks each class once
+    reads it.
     Each table memoizes `preimage` and `image` per mask, so its memory
     grows with the distinct masks moved along its substitution; inside the
     package those are lattice members and the masks of substitution nodes'
-    bodies.  Masks over
-    equal spaces of different geometries are interchangeable, since the
-    enumeration order is fixed by model and varset.
+    bodies.  Masks over equal spaces of different geometries are
+    interchangeable, since the enumeration order is fixed by carrier and
+    varset.
+
+    A geometry made here gets a fresh frame; `categories.knowledge_bases`
+    replaces a new knowledge base's, before any table is built, with one it
+    shares.  The point bound must be at least 1.
     """
 
     def __init__(self, model: Model, max_points: int = DEFAULT_MAX_POINTS):
+        if max_points < 1:
+            raise MismatchError("max_points must be at least 1")
         self.model = model
         self.max_points = max_points
+        self.frame = Frame(model, max_points)
         self._spaces: dict[tuple[str, ...], PointSpace] = {}
-        self._tables: dict[Substitution, _Table] = {}
-        self._classes: dict[tuple, int] = {}
 
     def space(self, varset: VarSet) -> PointSpace:
         """The space over varset, refusing to enumerate past the bound."""
@@ -268,16 +326,18 @@ class Geometry:
         return space
 
     def table(self, subst: Substitution) -> _Table:
-        """The substitution's pullback table, built on first use with its
-        class (`_Table.cls`)."""
-        table = self._tables.get(subst)
+        """The substitution's pullback table from the frame, built there on
+        first use, over this geometry's spaces, with its class
+        (`_Table.cls`)."""
+        frame = self.frame
+        table = frame.tables.get(subst)
         if table is None:
             source = self.space(subst.source)
             pull = pullback_indices(subst, source, self.space(subst.target))
-            classes = self._classes
+            classes = frame.classes
             cls = classes.setdefault((subst.source.names, subst.target.names, tuple(pull)),
                                      len(classes))
-            table = self._tables[subst] = _Table(subst, pull, source.size, cls)
+            table = frame.tables[subst] = _Table(subst, pull, source.size, cls)
         return table
 
 

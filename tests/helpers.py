@@ -96,6 +96,7 @@ from kbgeo.formulas import (
 )
 from kbgeo.lattice import (DefinableAlgebra, FilterLattice, UnionMap, _check_witness,
                            _select)
+from kbgeo import semantics
 from kbgeo.semantics import Geometry, _Valuation, _atom_mask, _equal_mask, _exists_mask
 
 
@@ -232,8 +233,8 @@ def op_models() -> list:
 
 def in_new_thread(call):
     """`call()` run in a new thread, which has made no knowledge base, so it
-    keeps no syntax and no pair of knowledge bases from an earlier call: its
-    result, or its exception raised here."""
+    keeps no syntax, no pair of knowledge bases and no frame from an earlier
+    call: its result, or its exception raised here."""
     out = {}
 
     def run():
@@ -250,6 +251,19 @@ def in_new_thread(call):
         raise out["error"]
     return out["result"]
 
+
+def counted_pullbacks(monkeypatch) -> list:
+    """The substitution of each pullback table built from now on, in any
+    thread."""
+    calls = []
+    original = semantics.pullback_indices
+
+    def counting(subst, source_space, target_space):
+        calls.append(subst)
+        return original(subst, source_space, target_space)
+
+    monkeypatch.setattr(semantics, "pullback_indices", counting)
+    return calls
 
 def relabel_pairs() -> list:
     """24 models from a fixed seed, each paired with itself under a carrier

@@ -9,6 +9,8 @@ import threading
 import pytest
 
 from kbgeo import (
+    DEFAULT_MAX_POINTS,
+    TRUE,
     AdmissibilityError,
     BoundError,
     ContMorphism,
@@ -37,6 +39,7 @@ from kbgeo import (
     least_desc_morphism,
     parse_term,
     push_filter,
+    satisfying_points,
     subst_preimage_points,
     verify_push_functoriality,
 )
@@ -50,6 +53,7 @@ from helpers import (
     all_fixtures,
     brute_composites,
     constant_models,
+    counted_pullbacks,
     in_new_thread,
     memberwise_check_duality,
     memberwise_push_functoriality,
@@ -57,6 +61,7 @@ from helpers import (
     model_neg,
     model_p,
     model_pq1,
+    model_pq2,
     named_pair,
     op_models,
     relabeled,
@@ -270,14 +275,7 @@ def test_least_morphisms_between_sizes():
 
 
 def test_second_sweep_over_one_knowledge_base_computes_no_pullback(monkeypatch):
-    calls = []
-    original = semantics.pullback_indices
-
-    def counting(subst, source_space, target_space):
-        calls.append(subst)
-        return original(subst, source_space, target_space)
-
-    monkeypatch.setattr(semantics, "pullback_indices", counting)
+    calls = counted_pullbacks(monkeypatch)
     kb = KnowledgeBase(model_neg(), 2, 1)
     first = kb.check_duality()
     computed = len(calls)
@@ -359,7 +357,7 @@ def test_equal_substitutions_share_one_table():
     table = geometry.table(first)
     assert geometry.table(again) is table and table.key is first
     assert geometry.table(again).preimage(0b01) == geometry.table(first).preimage(0b01)
-    assert len(geometry._tables) == 1
+    assert len(geometry.frame.tables) == 1
 
 
 # The unary op at depth 2, and the binary op with a constant at depth 1:
@@ -854,6 +852,111 @@ def test_the_resolver_keeps_the_last_pair_of_knowledge_bases(monkeypatch):
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert other[0] is not knowledge_base(a, 2, 1)
+
+
+def test_models_resolved_in_a_row_over_one_carrier_build_each_table_once(monkeypatch):
+    """Models over one carrier and operation tables that differ only in
+    their relations, resolved in a row, share one frame: the second model's
+    sweeps build no pullback table, and between them the sweeps and a
+    decision over two more such models build each table once.  Run in a new
+    thread, which keeps no pair."""
+    calls = counted_pullbacks(monkeypatch)
+
+    def run():
+        p, eq = model_p(), model_eq()
+        check_duality(p, 2, 1)
+        verify_push_functoriality(p, 1, 2)
+        built = len(calls)
+        assert built > 0
+        check_duality(eq, 2, 1)
+        verify_push_functoriality(eq, 1, 2)
+        assert len(calls) == built
+        frame = knowledge_base(p, 2, 1).geometry.frame
+        assert knowledge_base(eq, 2, 1).geometry.frame is frame
+        kb1, kb2 = knowledge_bases(model_pq1(), model_pq2(), 2, 1)
+        assert kb1.geometry.frame is kb2.geometry.frame is frame
+        decide_equivalence(kb1, kb2)
+        decide_equivalence(kb1, kb2, mode="automorphic")
+        assert len(set(calls)) == len(calls)
+
+    in_new_thread(run)
+
+
+def test_another_carrier_order_operation_table_or_point_bound_builds_its_own_frame(monkeypatch):
+    """The model with neg over its carrier in the other order, the model
+    with the identity for neg, and the model with neg under another point
+    bound each get a frame of their own, though a model with neg is
+    resolved just before each, and their sweeps build every table that
+    one's built.  Run in a new thread, which keeps no pair."""
+    calls = counted_pullbacks(monkeypatch)
+    neg = model_neg()
+    variants = [(Model(neg.sig, (1, 0), neg.op_tables, neg.rel_tables), DEFAULT_MAX_POINTS),
+                (Model(neg.sig, (0, 1), {"neg": {(0,): 0, (1,): 1}}, neg.rel_tables),
+                 DEFAULT_MAX_POINTS),
+                (model_neg(), 100)]
+
+    def run():
+        for model, max_points in variants:
+            calls.clear()
+            base = knowledge_base(model_neg(), 2, 1)
+            base.check_duality()
+            built = len(calls)
+            calls.clear()
+            kb = knowledge_base(model, 2, 1, None, max_points)
+            assert kb.geometry.frame is not base.geometry.frame
+            kb.check_duality()
+            assert len(calls) == built > 0
+
+    in_new_thread(run)
+
+
+def test_a_knowledge_base_made_directly_or_in_another_thread_shares_no_frame(monkeypatch):
+    """The resolver hands its frame only to the knowledge bases it makes in
+    its own thread: a knowledge base constructed directly, one resolved in
+    another thread, a geometry constructed directly and a model's kept
+    geometry each have a frame of their own, and the two knowledge bases
+    build their tables again.  Run in a new thread, which keeps no pair."""
+    calls = counted_pullbacks(monkeypatch)
+
+    def run():
+        kb = knowledge_base(model_p(), 2, 1)
+        kb.check_duality()
+        frame = kb.geometry.frame
+        for other in (KnowledgeBase(model_pq1(), 2, 1),
+                      in_new_thread(lambda: knowledge_base(model_pq1(), 2, 1))):
+            assert other.geometry.frame is not frame
+            calls.clear()
+            other.check_duality()
+            assert calls
+        assert Geometry(model_p()).frame is not frame
+        kept = satisfying_points(TRUE, model_p(), canonical_varset(1)).space.geometry
+        assert kept.frame is not frame
+        assert knowledge_base(model_pq1(), 2, 1).geometry.frame is frame
+
+    in_new_thread(run)
+
+
+def test_a_table_tampered_through_a_direct_knowledge_base_never_reaches_a_resolved_one():
+    """A composite table tampered through a knowledge base constructed
+    directly fails that knowledge base's sweep, while knowledge bases over
+    the same carrier and operations resolved before and after it report
+    what a fresh one in a new thread does.  Run in a new thread, which
+    keeps no pair."""
+    expected = in_new_thread(lambda: KnowledgeBase(model_neg(), 2, 1).check_duality())
+
+    def run():
+        assert check_duality(model_neg(), 2, 1) == expected
+        direct = KnowledgeBase(model_neg(), 2, 1)
+        table = tampered_composite_table(direct)
+        table.bits[0] = table.bits[-1] = (1 << len(table.fibers)) - 1
+        table.images.clear()
+        with pytest.raises(AdmissibilityError):
+            direct.check_duality()
+        kb = knowledge_base(model_neg(), 2, 1)
+        assert kb.geometry.frame is not direct.geometry.frame
+        assert kb.check_duality() == expected
+
+    in_new_thread(run)
 
 
 def test_threads_sharing_one_syntax_report_as_a_sequential_run():

@@ -31,6 +31,7 @@ from kbgeo import (
     build_description_iso,
     canonical_varset,
     check_automorphic_equivalence,
+    check_duality,
     closure,
     check_informational_equivalence,
     check_isomorphic,
@@ -47,6 +48,7 @@ from kbgeo import (
     satisfying_points,
     term_depth,
     transport_model_iso,
+    verify_push_functoriality,
 )
 from kbgeo import categories, equivalence, lattice, semantics
 from kbgeo.core import bijections
@@ -62,6 +64,7 @@ from helpers import (
     brute_atomic_classes,
     cfi_pair,
     constant_models,
+    counted_pullbacks,
     constraint_classes,
     filtered_automorphisms,
     formulawise_atom_constraints,
@@ -787,7 +790,7 @@ def test_the_carrier_transport_checks_only_what_can_fail():
         for mmap in model_isomorphisms(m1, m2):
             kb1, kb2 = KnowledgeBase(m1, n_max, depth, cap), KnowledgeBase(m2, n_max, depth, cap)
             iso = outcome(transport_model_iso, mmap, kb1, kb2)
-            assert not kb2.geometry._tables and not kb2._descriptions, label
+            assert not kb2.geometry.frame.tables and not kb2._descriptions, label
             for n in sizes:
                 spaces = [kb.geometry.space(canonical_varset(n)) for kb in (kb1, kb2)]
                 constraints = _atom_constraints(kb1, kb2, phi, n)
@@ -1390,6 +1393,96 @@ def test_a_warm_shared_syntax_reports_as_a_fresh_one(models, n_max, depth):
     assert sweeps_and_decisions(warm) == sweeps_and_decisions(fresh)
 
 
+def resolved_reports(models: list, n_max: int, depth: int) -> list:
+    """`sweeps_and_decisions` through the module-level sweeps and deciders,
+    which resolve the models' knowledge bases in a row."""
+    out = []
+    for m in models:
+        out += [check_duality(m, n_max, depth), verify_push_functoriality(m, depth, n_max)]
+    for m1, m2 in zip(models, models[1:] + models[:1]):
+        if m1.sig == m2.sig:
+            out += [check_informational_equivalence(m1, m2, n_max, depth),
+                    check_automorphic_equivalence(m1, m2, None, n_max, depth)]
+    return out
+
+
+def fresh_reports(models: list, n_max: int, depth: int) -> list:
+    """`resolved_reports` over knowledge bases constructed directly in a new
+    thread, one per sweep and per side of a decision, one for both sides
+    when the models are equal, so each with a frame of its own."""
+    def run():
+        def kb(m):
+            return KnowledgeBase(m, n_max, depth)
+
+        out = []
+        for m in models:
+            out += [kb(m).check_duality(), kb(m).verify_push_functoriality()]
+        for m1, m2 in zip(models, models[1:] + models[:1]):
+            if m1.sig == m2.sig:
+                kb1 = kb(m1)
+                kb2 = kb1 if m2 == m1 else kb(m2)
+                out += [decide_equivalence(kb1, kb2),
+                        decide_equivalence(kb1, kb2, mode="automorphic")]
+        return out
+
+    return in_new_thread(run)
+
+
+def warm_frame_cases() -> list:
+    """Per case, its models in a row and their bounds: the fixtures, the
+    seeded models, grouped by shape so that models in a row share a
+    signature, the models with one operation and each census family's
+    representatives at (2, 1)."""
+    seeded = sorted(seeded_models(), key=lambda named: named[0].rstrip("0123456789"))
+    cases = [pytest.param([m for _, m in all_fixtures()], 2, 1, id="fixtures"),
+             pytest.param([m for _, m in seeded], 2, 1, id="seeded"),
+             pytest.param([m for _, m in op_models()], 2, 1, id="op_models")]
+    cases += [pytest.param(representatives(all_models(size, ops, rels)), 2, 1,
+                           id=f"census {label}")
+              for label, size, ops, rels in FAMILIES]
+    return cases
+
+
+@pytest.mark.parametrize("models,n_max,depth", warm_frame_cases())
+def test_knowledge_bases_on_warm_frames_report_as_fresh_ones(monkeypatch, models, n_max, depth):
+    """Both sweeps and both deciders report the same, failure lines naming a
+    table's key included, over knowledge bases resolved in a row, which
+    share frames, and over fresh ones, each with a frame of its own.  The
+    resolved run goes twice, the second time over copies of the models, so
+    that its knowledge bases are new and take frames whose tables the first
+    built: between them its second run builds fewer tables than the fresh
+    one."""
+    calls = counted_pullbacks(monkeypatch)
+    resolved_reports(models, n_max, depth)
+    calls.clear()
+    warm = resolved_reports([copy.copy(m) for m in models], n_max, depth)
+    warm_built = len(calls)
+    calls.clear()
+    assert warm == fresh_reports(models, n_max, depth)
+    assert warm_built < len(calls)
+
+
+def test_decider_pairs_on_warm_frames_report_as_fresh_knowledge_bases():
+    """Both deciders over each decider pair give the same reports on
+    knowledge bases the module-level deciders resolve, over copies of pairs
+    decided just before, and on knowledge bases constructed directly in a
+    new thread, each with a frame of its own."""
+    pairs = [(m1, m2, n_max, depth) for _, m1, m2, n_max, depth in decider_pairs()]
+
+    def decisions(pairs: list, resolve) -> list:
+        return [decide_equivalence(*resolve(m1, m2, n_max, depth), mode=mode)
+                for m1, m2, n_max, depth in pairs for mode in ("informational", "automorphic")]
+
+    def direct(m1, m2, n_max, depth):
+        kb1 = KnowledgeBase(m1, n_max, depth)
+        return kb1, kb1 if m2 == m1 else KnowledgeBase(m2, n_max, depth)
+
+    decisions(pairs, categories.knowledge_bases)
+    warm = decisions([(copy.copy(m1), copy.copy(m2), *bounds) for m1, m2, *bounds in pairs],
+                     categories.knowledge_bases)
+    assert warm == in_new_thread(lambda: decisions(pairs, direct))
+
+
 def conjugated(iso: FunctorIso, renaming: FormulaAutomorphism, phi: FormulaAutomorphism,
                inverse: bool) -> FunctorIso:
     """The witness as a family for `phi`: each alpha followed by the second
@@ -1566,9 +1659,9 @@ def test_the_description_functor_reads_the_sweeps_composite_tables():
         kb = KnowledgeBase(model_neg(), 2, 1)
         assert kb.check_duality().passed and kb.verify_push_functoriality().passed
         iso = find_functor_iso(kb, kb, phi)
-        tables = len(kb.geometry._tables)
+        tables = len(kb.geometry.frame.tables)
         assert build_description_iso(iso).passed, phi.describe()
-        assert len(kb.geometry._tables) == tables
+        assert len(kb.geometry.frame.tables) == tables
 
 
 def test_both_deciders_on_one_pair_build_each_model_s_sizes_once(monkeypatch):

@@ -110,6 +110,14 @@ REFUSALS = {
     "is_leq across spaces":
         (lambda: full_filter(1).is_leq(full_filter(2)),
          MismatchError, "filters live over different spaces"),
+    # A point bound below 1 is refused where it is given, before a frame is
+    # keyed by it, as the command line refuses --max-points 0.
+    "a geometry with a point bound of 0":
+        (lambda: Geometry(model_p(), 0),
+         MismatchError, "max_points must be at least 1"),
+    "a knowledge base with a negative point bound":
+        (lambda: KnowledgeBase(model_p(), 1, 1, None, -5),
+         MismatchError, "max_points must be at least 1"),
     "a geometry of another model":
         (lambda: satisfying_points(TRUE, model_p(), canonical_varset(1),
                                    geometry=Geometry(model_neg())),
