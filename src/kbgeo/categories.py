@@ -28,14 +28,9 @@ per model.
 
 The substitutions and their composites are model-free: they depend on the
 signature's operations and the depth alone.  So they live in a `Syntax`
-keyed by those two, which knows no model and no n_max.  Each thread keeps
-the syntax of its last knowledge base, and a new knowledge base over the
-same operations and depth takes it (`_syntax`), so both sides of a
-decision, and a run of models over one signature, share one; it lives until
-the thread makes a knowledge base over other operations or another depth,
-and as long as a knowledge base holds it.  Each bounded substitution set is
-enumerated once per syntax (`Syntax.substitutions`), and every table is
-keyed by those objects.
+keyed by those two, which knows no model and no n_max.  Each bounded
+substitution set is enumerated once per syntax (`Syntax.substitutions`),
+and every table is keyed by those objects.
 Every composable pair of these loops, and of the description functor
 (`equivalence.build_description_iso`), finds its composite's table in
 `KnowledgeBase._composite_rows`, one row per first factor, made once per
@@ -53,11 +48,10 @@ on the carrier, the operation tables and its substitution, and never on a
 relation.  So the tables, their classes and memos, and the knowledge
 base's table lists and composite rows live in its geometry's frame
 (`semantics.Frame`), keyed by the carrier, in order, the operation tables
-and the point bound.  `knowledge_bases` gives a new knowledge base the
-frame of the thread's kept pair when those three are equal, so both sides
-of a decision, and a run of models that differ only in their relations,
-build each table once; every other knowledge base has a frame of its own.
-A frame lives while a geometry holds it or the thread's kept pair does.
+and the point bound.  A knowledge base constructed directly owns its
+syntax and frame; `knowledge_bases` shares them between the knowledge
+bases it resolves in a row, by the rule and with the lifetimes stated in
+`semantics._Kept`.
 What a knowledge base keeps for itself reads the relations: its lattices,
 atom tables and generator check.
 
@@ -71,10 +65,7 @@ The module-level sweeps and deciders, and the CLI, take their knowledge
 bases from `knowledge_bases` (`knowledge_base` asks it for a model paired
 with itself), which keeps in each thread the pair of its last call: the
 sweeps, then the deciders, called on the same model object (`is`) and
-bounds share one, and equal models in one call share one.  The kept pair
-lives until the thread's next call on other models or bounds; a caller who
-needs to control that lifetime constructs `KnowledgeBase` itself and calls
-its sweeps, or `decide_equivalence` over the pair.
+bounds share one, and equal models in one call share one.
 
 A morphism holds every member of its source.  The sweeps and the witness
 check build none: every map they compare preserves unions (pullbacks,
@@ -103,6 +94,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
+from . import semantics
 from .core import (
     DEFAULT_MAX_POINTS,
     MismatchError,
@@ -362,10 +354,10 @@ class Syntax:
     canonical variable sets over one operation set whose images have depth
     up to one depth, and the composites of their composable pairs.  Both
     are read from the operations and the depth alone, the only inputs of
-    `enumerate_terms` and `enumerate_substitutions`, so every knowledge base
-    over them may share one syntax (`_syntax`).  It knows no model and no
-    n_max, and refuses no size; each knowledge base refuses sizes past its
-    own n_max.
+    `enumerate_terms` and `enumerate_substitutions`, so knowledge bases over
+    them may share one syntax (`semantics._Kept`).  It knows no model and
+    no n_max, and refuses no size; each knowledge base refuses sizes past
+    its own n_max.
 
     Each bounded set and each size triple's composites are made on first
     use, and stored only once made whole, so knowledge bases in several
@@ -447,26 +439,6 @@ class Syntax:
         return tuple(distinct), tuple(rows)
 
 
-# Each thread's kept pair of knowledge bases (`knowledge_bases`) and the
-# syntax of its last knowledge base (`_syntax`), so that no two threads
-# share one through this module.
-_kept = threading.local()
-
-
-def _syntax(ops: tuple[tuple[str, int], ...], depth: int) -> Syntax:
-    """The syntax over these operations and depth: the one of this thread's
-    last knowledge base when it has them, and otherwise a new one; the
-    thread keeps the one returned.  So knowledge bases made in a row over
-    one operation set and depth, such as the two of a decision, share one,
-    and it lives as long as the last of them or until the thread makes a
-    knowledge base over other operations or another depth."""
-    syntax = getattr(_kept, "syntax", None)
-    if syntax is None or syntax.ops != ops or syntax.depth != depth:
-        syntax = Syntax(ops, depth)
-    _kept.syntax = syntax
-    return syntax
-
-
 class KnowledgeBase:
     """A model with its objects, the filter lattices of sizes 1..n_max.
 
@@ -478,20 +450,15 @@ class KnowledgeBase:
     every sweep and witness check over it reads that set, or its generators
     (`naturality`), from it.  Those substitutions and their composites are
     its `syntax`'s: model-free, keyed by the signature's operations and the
-    depth, and shared with the knowledge bases over the same two that its
-    thread makes next (`_syntax`).  The pullback tables it maps them to,
-    each built from the substitution's own terms, and its lists and rows of
-    them (`_tables`, `_composite_rows`) are its geometry's frame's: keyed by
-    the carrier, the operation tables and the point bound, and fresh for a
-    knowledge base made here; `knowledge_bases` shares one between the
-    knowledge bases it resolves in a row over those three.  What reads the
-    relations is its own: its geometry's spaces, its objects, its atom
-    tables and its generator check.  The module-level sweeps and deciders
-    take theirs from `knowledge_bases` under the default point bound, so a
-    call on the model object and bounds of the thread's last pair reuses
-    it, with every object, table and row of composite tables it has built;
-    the rows (`_composite_rows`) are the only source of a composite's
-    table.
+    depth.  The pullback tables it maps them to, each built from the
+    substitution's own terms, and its lists and rows of them (`_tables`,
+    `_composite_rows`) are its geometry's frame's: keyed by the carrier, the
+    operation tables and the point bound.  A knowledge base constructed
+    directly owns both; one that `knowledge_bases` resolves may share them
+    (`semantics._Kept`).  What reads the relations is its own: its
+    geometry's spaces, its objects, its atom tables and its generator
+    check.  The rows (`_composite_rows`) are the only source of a
+    composite's table.
     Objects are built over the canonical variable sets of the geometry and
     cached, and so is one atom table per size (`atom_table`): the masks of
     the atomic formulas within the depth, which the witness search pairs
@@ -514,9 +481,14 @@ class KnowledgeBase:
         self.depth = depth
         self.max_term_depth = max_term_depth
         self.geometry = Geometry(model, max_points)
-        self.syntax = _syntax(model.sig.ops, depth)
         self._descriptions: dict[int, FilterLattice] = {}
         self._atom_tables: dict[int, tuple[dict[str, list[int]], list[int]]] = {}
+
+    @functools.cached_property
+    def syntax(self) -> Syntax:
+        """The syntax of the knowledge base's operations and depth: a fresh
+        one."""
+        return Syntax(self.model.sig.ops, self.depth)
 
     def _check_sizes(self, *sizes: int) -> None:
         """Refuse the first of the sizes outside 1..n_max."""
@@ -629,10 +601,7 @@ class KnowledgeBase:
         Each table is the geometry's table of the composite in the syntax's
         row (`Syntax.composites`), so the geometry builds it from the
         composite substitution itself, never from its factors' tables.  The
-        composites are the syntax's, shared with every knowledge base over
-        its operations and depth; the tables and rows are the frame's,
-        shared with the knowledge bases over its carrier, operation tables
-        and point bound that `knowledge_bases` resolves in a row."""
+        composites are the syntax's; the tables and rows are the frame's."""
         self._check_sizes(a, b, c)
         frame_rows, key = self.geometry.frame.composite_rows, (self.syntax, a, b, c)
         rows = frame_rows.get(key)
@@ -864,29 +833,18 @@ def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,
     models are equal, so a self-pair builds each lattice once.  Each is one
     of the pair this thread's last call returned, when its model is this
     very object (`is`, not `Model.__eq__`) and its bounds are these, and
-    otherwise a new one; the thread then keeps the returned pair.
+    otherwise a new one; the thread then keeps the returned pair
+    (`semantics._Kept`).
 
-    A new knowledge base takes the frame (`semantics.Frame`) of the first
-    of the pair returned here, then of the kept pair, whose carrier, in
-    order, operation tables and point bound are its own (`Frame.fits`), so
-    both sides of a decision, and models resolved in a row that differ only
-    in their relations, share pullback tables, classes, table lists and
-    composite rows.  A frame is shared within one thread only, and no
-    knowledge base constructed directly takes one.
-
-    A knowledge base holds only memos of pure functions of its model and
-    bounds, a frame only memos of pure functions of its carrier, operation
-    tables and point bound, and a model's tables are read-only, so a reused
-    one gives the reports a new one would.  Keying the pair on identity
-    keeps its reuse within a caller's own model objects and compares no
-    tables; a frame's key compares the carrier and operation tables.  The
-    kept pair outlives the call, and keeps its frames alive; once replaced,
-    it is freed when the cyclic collector runs (a geometry and its spaces
-    refer to each other), and a frame with it unless a newer knowledge base
-    holds it.  A caller who controls their lifetime constructs
-    `KnowledgeBase` itself."""
+    A new knowledge base takes its syntax and frame from the pair returned
+    here, then from the kept pair, by the rule in `semantics._Kept`, and
+    builds neither when it takes one.  A knowledge base, a syntax and a
+    frame hold only memos of pure functions of their keys, and a model's
+    tables are read-only, so a reused or shared one gives the reports a new
+    one would.  Keying the pair on identity keeps its reuse within a
+    caller's own model objects and compares no tables."""
     bounds = (n_max, depth, max_term_depth, max_points)
-    kept = getattr(_kept, "kbs", ())
+    kept = semantics._kept.kbs
 
     def resolve(model: Model, earlier: tuple[KnowledgeBase, ...]) -> KnowledgeBase:
         for kb in kept:
@@ -895,6 +853,10 @@ def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,
                 return kb
         kb = KnowledgeBase(model, *bounds)
         for other in earlier:
+            if other.depth == depth and other.model.sig.ops == model.sig.ops:
+                kb.syntax = other.syntax
+                break
+        for other in earlier:
             if other.geometry.frame.fits(model, max_points):
                 kb.geometry.frame = other.geometry.frame
                 break
@@ -902,7 +864,7 @@ def knowledge_bases(model1: Model, model2: Model, n_max: int, depth: int,
 
     kb1 = resolve(model1, kept)
     kb2 = kb1 if model2 is model1 or model2 == model1 else resolve(model2, (kb1, *kept))
-    _kept.kbs = kb1, kb2
+    semantics._kept.kbs = kb1, kb2
     return kb1, kb2
 
 

@@ -16,8 +16,9 @@ bad input data or an exceeded bound, memory included.  The KBGEO_MAX_POINTS
 environment variable sets the point-space bound, and --max-points overrides
 it.  Each command builds one context per model from its flags: eval, closure
 and lattice a `Geometry`, the others a `KnowledgeBase`, resolved through
-`categories.knowledge_base`.  A term or formula nested deeper than
-`core.MAX_NESTING` levels is bad input data.
+`categories.knowledge_bases`, except `equiv --mode iso`, which compares the
+models alone.  A term or formula nested deeper than `core.MAX_NESTING`
+levels is bad input data.
 """
 
 from __future__ import annotations
@@ -442,12 +443,12 @@ def _run_functor(args) -> tuple[int, str]:
 
 def _run_equiv(args) -> tuple[int, str]:
     model1, model2 = load_model(args.model1), load_model(args.model2)
-    kb1, kb2 = knowledge_bases(model1, model2, *_bounds(args))
     if args.mode == "iso":
         if args.phi is not None:
             raise UsageError("--phi applies to modes lae and info only")
-        report = check_isomorphic(kb1.model, kb2.model)
+        report = check_isomorphic(model1, model2)
         return report.exit_code, write_report(report, args.format)
+    kb1, kb2 = knowledge_bases(model1, model2, *_bounds(args))
     phis = None
     if args.phi is not None:
         phis = [parse_phi_spec(args.phi, kb1.model.sig, kb1.n_max)]

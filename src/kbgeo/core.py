@@ -508,11 +508,7 @@ class Model:
     and each relation table is a frozenset; any mutation raises `TypeError`.
     Its knowledge bases, geometries and lattices are memos of its tables,
     and `categories.knowledge_bases` and the geometry resolver of
-    `semantics` reuse them by the model's identity.  A geometry's frame
-    (`semantics.Frame`), which holds its pullback tables, is a memo of the
-    carrier and the operation tables alone, so `knowledge_bases` shares one
-    between models, resolved in a row in one thread, that are equal in
-    those and differ in their relations.
+    `semantics` reuse them by the model's identity (`semantics._Kept`).
     """
 
     def __init__(self, sig: Signature, carrier, op_tables=None, rel_tables=None):

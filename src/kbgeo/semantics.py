@@ -32,10 +32,7 @@ nodes' bodies.
 A table depends on the carrier, the operation tables and the substitution,
 never on a relation, so the tables, their classes and memos live in the
 frame, keyed by the carrier, in order, the operation tables and the point
-bound; the relations are read only through each space's model.  Every
-geometry gets a fresh frame, and only `categories.knowledge_bases` shares
-one, between the knowledge bases it resolves in a row in one thread over
-one carrier, operation tables and point bound.
+bound; the relations are read only through each space's model.
 
 A space is also the one context for valuing formulas and comparing sets: a
 valuation of a space checks each formula before it values it, and every
@@ -43,20 +40,15 @@ entry values through one, so none values an unchecked formula.  Two point
 sets share a space exactly when their `PointSpace`s are equal.
 
 A call given no geometry values over its model's kept geometry under the
-default bound (`_model_geometry`): each thread keeps the geometry of the
-last model object it resolved, by identity, so queries on one model reuse
-its spaces, columns and tables, while each call still checks and values
-its formula through a valuation of its own.  A kept geometry has a frame
-of its own, and keeps its model, spaces and frame alive, the memos of the
-tables its substitution nodes move masks through included, until another
-model is resolved in its thread; then a set or lattice built over it keeps
-it alive as long as that lives, and otherwise the cyclic collector frees
-it.  A caller who wants them freed with its results passes a `Geometry` of
-its own.
+default bound (`_model_geometry`), so queries on one model reuse its
+spaces, columns and tables, while each call still checks and values its
+formula through a valuation of its own.  What a thread keeps, what is
+shared and for how long is stated once, in `_Kept`.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from itertools import chain, product, repeat
@@ -258,13 +250,18 @@ class Frame:
     space, model or knowledge base, so it is acyclic, as a
     `categories.Syntax` is.
 
-    Every geometry gets a fresh frame.  Only `categories.knowledge_bases`
-    shares one: it gives a new knowledge base's geometry the frame of its
-    thread's kept pair when `fits` says the frame is keyed by the new
-    model's carrier, operation tables and point bound.  A frame lives while
-    a geometry holds it or its thread keeps it through that pair.  It is
+    A geometry makes a fresh frame on first use unless it was given one;
+    what shares a frame, and for how long, is stated in `_Kept`.  A frame is
     shared within one thread only, so it needs no lock; each entry is
-    stored only once it is built whole, as a geometry's were.
+    stored only once it is built whole.
+
+    A shared frame keeps the per-mask memos of every model that used it, on
+    purpose: small spaces repeat masks across models, so the next model
+    finds some of its masks moved already.  Clearing every table's
+    `preimages` and `images` when another model takes the frame made the
+    `verify_sweeps` benchmark's median case 4.5% slower (10 interleaved
+    runs a side, seed 4401, 2-vCPU Xeon, Python 3.11).  The memos are
+    bounded by the masks over each space.
     """
 
     def __init__(self, model: Model, max_points: int):
@@ -297,17 +294,13 @@ class Geometry:
     back alike, such as x1 := neg(neg(x1)) and x1 := x1, get tables of one
     class (`_Table.cls`), found as each table is built through the frame's
     dict keyed by ends and pull list; a sweep that checks each class once
-    reads it.
-    Each table memoizes `preimage` and `image` per mask, so its memory
-    grows with the distinct masks moved along its substitution; inside the
-    package those are lattice members and the masks of substitution nodes'
-    bodies.  Masks over equal spaces of different geometries are
+    reads it.  Masks over equal spaces of different geometries are
     interchangeable, since the enumeration order is fixed by carrier and
     varset.
 
-    A geometry made here gets a fresh frame; `categories.knowledge_bases`
-    replaces a new knowledge base's, before any table is built, with one it
-    shares.  The point bound must be at least 1.
+    Its frame is made on first use unless `categories.knowledge_bases`
+    gave it a shared one before (`_Kept`).  The point bound must be at
+    least 1.
     """
 
     def __init__(self, model: Model, max_points: int = DEFAULT_MAX_POINTS):
@@ -315,8 +308,12 @@ class Geometry:
             raise MismatchError("max_points must be at least 1")
         self.model = model
         self.max_points = max_points
-        self.frame = Frame(model, max_points)
         self._spaces: dict[tuple[str, ...], PointSpace] = {}
+
+    @functools.cached_property
+    def frame(self) -> Frame:
+        """The frame the geometry reads its tables from: a fresh one."""
+        return Frame(self.model, self.max_points)
 
     def space(self, varset: VarSet) -> PointSpace:
         """The space over varset, refusing to enumerate past the bound."""
@@ -348,9 +345,44 @@ def enumerate_points(model: Model, varset: VarSet) -> PointSpace:
     return Geometry(model).space(varset)
 
 
-# Each thread's kept geometry, so that no two threads share one through
-# `_model_geometry`.
-_kept = threading.local()
+class _Kept(threading.local):
+    """What a thread keeps between calls, in one record of its own, so no two
+    threads share anything through it.
+
+    `geometry` is the geometry under the default bound of the last model
+    object that a call given no geometry resolved (`_model_geometry`), and
+    `kbs` the pair of knowledge bases that `categories.knowledge_bases`
+    returned last.  Each is reused for the very same model objects (`is`,
+    not `Model.__eq__`), and the pair under the same bounds only.
+
+    Sharing.  A `Geometry` constructed directly makes its own `Frame` on
+    first use, and a `categories.KnowledgeBase` constructed directly its own
+    frame and `categories.Syntax`; neither shares them.  Only
+    `knowledge_bases` shares syntaxes and frames: a knowledge base it makes
+    takes the syntax of the first of the pair being returned, then of the
+    kept pair, over its operations and depth, and the frame of the first
+    over its carrier, in order, operation tables and point bound
+    (`Frame.fits`).  So both sides of a decision, and models resolved in a
+    row over one operation set and depth, enumerate and compose each
+    substitution set once, and over one carrier, operation tables and point
+    bound build each table once.
+
+    Lifetimes.  A kept geometry keeps its model, spaces and frame alive,
+    its tables' memos included, and the kept pair its knowledge bases with
+    their objects, syntaxes and frames, until the thread's next call on
+    other models or bounds replaces them.  Then a set, lattice or knowledge
+    base built over one keeps it alive as long as that lives, and otherwise
+    the cyclic collector frees it (a geometry and its spaces refer to each
+    other).  A syntax or frame lives while a knowledge base or geometry
+    holds it.  A caller who wants its state freed with its results passes a
+    `Geometry` or constructs a `KnowledgeBase` of its own.
+    """
+
+    geometry: Optional[Geometry] = None
+    kbs: tuple = ()
+
+
+_kept = _Kept()
 
 
 def _model_geometry(model: Model, geometry: Optional[Geometry]) -> Geometry:
@@ -359,7 +391,7 @@ def _model_geometry(model: Model, geometry: Optional[Geometry]) -> Geometry:
     (`is`, not `Model.__eq__`), and otherwise a new one, which replaces the
     kept one."""
     if geometry is None:
-        geometry = getattr(_kept, "geometry", None)
+        geometry = _kept.geometry
         if geometry is None or geometry.model is not model:
             geometry = _kept.geometry = Geometry(model)
         return geometry

@@ -232,9 +232,9 @@ def op_models() -> list:
 
 
 def in_new_thread(call):
-    """`call()` run in a new thread, which has made no knowledge base, so it
-    keeps no syntax, no pair of knowledge bases and no frame from an earlier
-    call: its result, or its exception raised here."""
+    """`call()` run in a new thread, which keeps no geometry and no pair of
+    knowledge bases, with their syntaxes and frames, from an earlier call:
+    its result, or its exception raised here."""
     out = {}
 
     def run():

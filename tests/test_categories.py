@@ -390,17 +390,16 @@ def test_a_composite_table_is_the_composite_substitutions_own(name, depth):
 @pytest.mark.parametrize("name,depth", COMPOSITE_CASES)
 def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
     """Both sweeps at two depths, alternated over one knowledge base per
-    depth, report what each reports on a fresh one, made in a new thread
-    with a fresh syntax, and on a new one over this thread's kept syntax:
-    no composite memo answers for another size, or for the other sweep's
-    pairs."""
+    depth, report what each reports on a fresh one, constructed directly
+    with a syntax of its own: no composite memo answers for another size,
+    or for the other sweep's pairs."""
     make = COMPOSITE_MODELS[name]
     kbs = {d: KnowledgeBase(make(), 2, d) for d in (depth, depth - 1)}
     duality, push = KnowledgeBase.check_duality, KnowledgeBase.verify_push_functoriality
     for sweep, d in ((duality, depth), (push, depth - 1), (duality, depth - 1), (push, depth)):
-        fresh = in_new_thread(lambda: KnowledgeBase(make(), 2, d))
+        fresh = KnowledgeBase(make(), 2, d)
         assert fresh.syntax is not kbs[d].syntax
-        assert sweep(kbs[d]) == sweep(fresh) == sweep(KnowledgeBase(make(), 2, d))
+        assert sweep(kbs[d]) == sweep(fresh)
 
 
 def pullbacks_or_error(masks, table, target):
@@ -959,33 +958,63 @@ def test_a_table_tampered_through_a_direct_knowledge_base_never_reaches_a_resolv
     in_new_thread(run)
 
 
+def both_sweeps(kb: KnowledgeBase) -> tuple[Report, Report]:
+    return kb.check_duality(), kb.verify_push_functoriality()
+
+
+def test_a_knowledge_base_made_directly_shares_no_syntax_or_frame():
+    """A knowledge base constructed directly owns its syntax and frame: the
+    knowledge bases resolved in its thread after it, and another constructed
+    directly over the same model, share neither with it, though the
+    resolved ones share both with each other.  The composites of one size
+    triple, reordered in its syntax before any sweep, fail its push sweep,
+    while the others report what a fresh knowledge base does.  Run in a new
+    thread, which keeps no pair."""
+    expected = both_sweeps(KnowledgeBase(model_neg(), 2, 1))
+
+    def run():
+        direct = KnowledgeBase(model_neg(), 2, 1)
+        composites, places = direct.syntax.composites(2, 2, 2)
+        direct.syntax._composites[(2, 2, 2)] = composites[::-1], places
+        assert not direct.verify_push_functoriality().passed
+        resolved = [knowledge_base(model_neg(), 2, 1) for _ in range(2)]
+        assert resolved[1] is not resolved[0]
+        assert resolved[1].syntax is resolved[0].syntax
+        assert resolved[1].geometry.frame is resolved[0].geometry.frame
+        for kb in (*resolved, KnowledgeBase(model_neg(), 2, 1)):
+            assert kb.syntax is not direct.syntax
+            assert kb.geometry.frame is not direct.geometry.frame
+            assert both_sweeps(kb) == expected
+
+    in_new_thread(run)
+
+
 def test_threads_sharing_one_syntax_report_as_a_sequential_run():
     """Four threads each sweep a model of their own over one operation set,
-    with knowledge bases all made in this thread, so that they share one
-    syntax, which none has made a set or composite of yet: they race to
-    make each.  Each thread reports what a sequential run over knowledge
-    bases with syntaxes of their own reports.  A short switch interval
-    makes the threads switch inside the syntax's builds."""
+    with knowledge bases all resolved in a row in this thread, so that they
+    share one syntax, which none has made a set or composite of yet: they
+    race to make each.  Their operation tables differ, so each has a frame
+    of its own.  Each thread reports what a sequential run over knowledge
+    bases constructed directly, with syntaxes of their own, reports.  A
+    short switch interval makes the threads switch inside the syntax's
+    builds."""
     models = [m for name, m in op_models() if name.startswith("g")]
     models.append(relabeled(models[0], (1, 0)))
-
-    def sweeps(kb):
-        return kb.check_duality(), kb.verify_push_functoriality()
-
-    expected = [in_new_thread(lambda m=m: sweeps(KnowledgeBase(m, 2, 1))) for m in models]
+    expected = [both_sweeps(KnowledgeBase(m, 2, 1)) for m in models]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            # The thread's kept syntax is now another, so the next is new.
-            assert KnowledgeBase(model_p(), 1, 0).syntax.depth == 0
-            kbs = [KnowledgeBase(m, 2, 1) for m in models]
+            # The kept pair's syntax is now another, so the next is new.
+            assert knowledge_base(model_p(), 1, 0).syntax.depth == 0
+            kbs = [knowledge_base(m, 2, 1) for m in models]
             assert all(kb.syntax is kbs[0].syntax for kb in kbs)
+            assert len({id(kb.geometry.frame) for kb in kbs}) == len(kbs)
             results = [None] * len(kbs)
 
             def run(i):
                 try:
-                    results[i] = sweeps(kbs[i])
+                    results[i] = both_sweeps(kbs[i])
                 except Exception as exc:  # compared with the expected reports below
                     results[i] = exc
 

@@ -16,7 +16,9 @@ from kbgeo import (
     check_informational_equivalence,
     cli,
     lattice,
+    semantics,
 )
+from kbgeo.categories import knowledge_base
 from kbgeo.cli import (
     DataError,
     EXIT_DATA,
@@ -314,6 +316,17 @@ def test_carrier_isomorphism_builds_no_space():
     code, text = run_command(["equiv", fixture("m_p.kbm"), fixture("m_p.kbm"), "--mode", "iso",
                               "--max-points", "3"])
     assert code == EXIT_PASS and "verdict: EQUIVALENT_WITNESSED" in text
+
+
+def test_an_iso_command_resolves_no_knowledge_base():
+    """`equiv --mode iso` compares the two models alone: it neither builds
+    a knowledge base nor replaces the pair its thread keeps."""
+    knowledge_base(model_p(), 2, 1)
+    kept = semantics._kept.kbs
+    code, text = run_command(["equiv", fixture("m_pq1.kbm"), fixture("m_pq2.kbm"),
+                              "--mode", "iso"])
+    assert code == EXIT_FAIL and "verdict: INEQUIVALENT" in text
+    assert semantics._kept.kbs is kept
 
 
 def lattice_dump_runs() -> str:

@@ -51,6 +51,7 @@ from kbgeo import (
     verify_push_functoriality,
 )
 from kbgeo import categories, equivalence, lattice, semantics
+from kbgeo.categories import knowledge_base
 from kbgeo.core import bijections
 from kbgeo.equivalence import _atom_constraints, _is_boolean, _squares_commute
 from kbgeo.lattice import UndefinablePullbackError
@@ -1282,45 +1283,46 @@ def test_a_knowledge_base_enumerates_each_substitution_set_once(monkeypatch):
     on the generators alone and enumerates none.  The same search on a
     model with a binary op has no generators, and makes one enumeration per
     pair of sizes, over two sizes; so do both sweeps over one knowledge
-    base together.  The knowledge bases are made in a new thread, which
-    keeps no syntax, so no syntax an earlier test left kept answers."""
+    base together.  Each knowledge base is constructed directly, so it
+    owns a fresh syntax and no syntax an earlier test left answers."""
     assert not hasattr(equivalence, "enumerate_substitutions")
     calls = counted_enumerations(monkeypatch)
-
-    def run():
-        sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
-        model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
-                      {"P": [], "Q": [(0,)]})
-        phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
-        assert find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1),
-                                phi) is not None
-        assert len(calls) == 0
-        sig = Signature((("g", 2),), (("P", 1),))
-        binary = Model(sig, (0, 1), {"g": {(a, b): a * b for a in (0, 1) for b in (0, 1)}},
-                       {"P": [(0,)]})
-        pair = kbs(binary, binary, 2, 1)
-        assert pair[0].generators is None
-        assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig)) is not None
-        assert len(calls) == 4
-        kb = KnowledgeBase(model_neg(), 2, 1)
-        assert kb.check_duality().passed and kb.verify_push_functoriality().passed
-        assert len(calls) == 8
-
-    in_new_thread(run)
+    sig = Signature((("f", 1),), (("P", 1), ("Q", 1)))
+    model = Model(sig, (0, 1, 2), {"f": {(0,): 1, (1,): 0, (2,): 0}},
+                  {"P": [], "Q": [(0,)]})
+    phi = FormulaAutomorphism.variable_renaming(sig, {2: ("x2", "x1")})
+    assert find_functor_iso(KnowledgeBase(model, 2, 1), KnowledgeBase(model, 2, 1),
+                            phi) is not None
+    assert len(calls) == 0
+    sig = Signature((("g", 2),), (("P", 1),))
+    binary = Model(sig, (0, 1), {"g": {(a, b): a * b for a in (0, 1) for b in (0, 1)}},
+                   {"P": [(0,)]})
+    pair = kbs(binary, binary, 2, 1)
+    assert pair[0].generators is None
+    assert find_functor_iso(*pair, FormulaAutomorphism.identity(sig)) is not None
+    assert len(calls) == 4
+    kb = KnowledgeBase(model_neg(), 2, 1)
+    assert kb.check_duality().passed and kb.verify_push_functoriality().passed
+    assert len(calls) == 8
 
 
 def test_knowledge_bases_over_one_operation_set_and_depth_share_one_syntax(monkeypatch):
-    """Two models with other relations but one operation set and depth
-    share one syntax: between them, their sweeps enumerate each bounded set
-    once, and read its substitutions and composites as the same objects,
-    while each maps them to tables of its own.  Another depth or another
-    operation set gets a syntax of its own, and the thread then keeps that
-    one.  Made in a new thread, which keeps no syntax."""
+    """Two models with other relations but one operation set and depth,
+    resolved in a row, share one syntax: between them, their sweeps
+    enumerate each bounded set once, and read its substitutions and
+    composites as the same objects, while each maps them to tables of its
+    own, since the second lists its carrier in the other order.  Another
+    depth or another operation set gets a syntax of its own, and the next
+    model over the first operation set and depth, resolved after it, gets
+    another.  Run in a new thread, which keeps no pair."""
     calls = counted_enumerations(monkeypatch)
 
     def run():
-        p, pq = KnowledgeBase(model_p(), 2, 1), KnowledgeBase(model_pq1(), 2, 1)
+        pq1 = model_pq1()
+        p = knowledge_base(model_p(), 2, 1)
+        pq = knowledge_base(Model(pq1.sig, (1, 0), None, pq1.rel_tables), 2, 1)
         assert p.syntax is pq.syntax
+        assert p.geometry.frame is not pq.geometry.frame
         for kb in (p, pq):
             assert kb.check_duality().passed and kb.verify_push_functoriality().passed
         sizes = [(len(source), len(target)) for _, source, target, _ in calls]
@@ -1336,12 +1338,14 @@ def test_knowledge_bases_over_one_operation_set_and_depth_share_one_syntax(monke
                 {id(t) for row in rows_pq for t in row}
             assert {id(t.key) for row in rows_p for t in row} <= \
                 {id(s) for s in composites + p.substitutions(a, c)}
-        deeper, neg = KnowledgeBase(model_p(), 2, 2), KnowledgeBase(model_neg(), 2, 1)
+        deeper = knowledge_base(model_p(), 2, 2)
+        neg = knowledge_base(model_neg(), 2, 1)
         assert len({id(kb.syntax) for kb in (p, deeper, neg)}) == 3
         assert [(kb.syntax.ops, kb.syntax.depth) for kb in (p, deeper, neg)] == \
             [((), 1), ((), 2), ((("neg", 1),), 1)]
-        again = KnowledgeBase(model_pq2(), 2, 1)
-        assert again.syntax is not p.syntax and KnowledgeBase(model_p(), 2, 1).syntax is again.syntax
+        again = knowledge_base(model_pq2(), 2, 1)
+        assert again.syntax is not p.syntax
+        assert knowledge_base(model_p(), 2, 1).syntax is again.syntax
 
     in_new_thread(run)
 
@@ -1381,14 +1385,16 @@ def shared_syntax_cases() -> list:
 @pytest.mark.parametrize("models,n_max,depth", shared_syntax_cases())
 def test_a_warm_shared_syntax_reports_as_a_fresh_one(models, n_max, depth):
     """Both sweeps and both deciders report the same over knowledge bases
-    that share a warm syntax, one whose sets and composites an earlier pass
-    over the same models made, and over knowledge bases each made in a new
-    thread, so each with a fresh syntax of its own."""
-    first = [KnowledgeBase(m, n_max, depth) for m in models]
+    resolved in a row that share a warm syntax, one whose sets and
+    composites an earlier pass over the same models made, and over
+    knowledge bases constructed directly, each with a fresh syntax of its
+    own.  The warm ones are resolved for copies of the models, so they are
+    new knowledge bases that take the kept syntax."""
+    first = [knowledge_base(m, n_max, depth) for m in models]
     sweeps_and_decisions(first)
-    warm = [KnowledgeBase(m, n_max, depth) for m in models]
-    assert all(kb.syntax is first[0].syntax for kb in warm)
-    fresh = [in_new_thread(lambda m=m: KnowledgeBase(m, n_max, depth)) for m in models]
+    warm = [knowledge_base(copy.copy(m), n_max, depth) for m in models]
+    assert all(kb.syntax is first[0].syntax and kb not in first for kb in warm)
+    fresh = [KnowledgeBase(m, n_max, depth) for m in models]
     assert len({id(kb.syntax) for kb in fresh + warm[:1]}) == len(models) + 1
     assert sweeps_and_decisions(warm) == sweeps_and_decisions(fresh)
 

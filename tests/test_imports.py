@@ -1,5 +1,6 @@
-"""Hygiene of the package: no module imports a name it never uses, and
-only the per-model contexts take a point bound or a substitution depth.
+"""Hygiene of the package: no module imports a name it never uses, only
+the per-model contexts take a point bound or a substitution depth, and one
+record holds all that a thread keeps.
 
 A name counts as used when the module reads it, names it in a quoted
 annotation, lists it in `__all__`, or when another module of the package
@@ -107,6 +108,48 @@ def test_the_check_finds_an_unused_import():
         "two": ast.parse("from .one import Passed\n"),
     }
     assert unused_imports(trees) == ["one.py:4: Mapping"]
+
+
+def thread_locals(trees: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """Each call in the modules that makes a `threading.local`, with its
+    module: a call of `threading.local` itself, of `local` imported from
+    `threading`, or of a class any module bases on either."""
+    local = {"threading.local"}
+    for tree in trees.values():
+        local |= {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "threading"
+                  for alias in node.names if alias.name == "local"}
+    kinds = {node.name for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and {ast.unparse(b) for b in node.bases} & local}
+    calls = [(module, node) for module, tree in sorted(trees.items())
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [(module, ast.unparse(call)) for module, call in calls
+            if ast.unparse(call.func) in local or ast.unparse(call.func).split(".")[-1] in kinds]
+
+
+def test_one_record_holds_what_a_thread_keeps():
+    """The package makes one `threading.local`: `semantics._kept`, the one
+    instance of `semantics._Kept`."""
+    assert thread_locals(parse_package()) == [("semantics", "_Kept()")]
+
+
+def test_the_check_finds_every_thread_local():
+    """A direct call, a call of `local` imported under another name, and a
+    subclass made in its own module and in another are all caught."""
+    trees = {
+        "one": ast.parse("import threading\n"
+                         "class Kept(threading.local):\n"
+                         "    pass\n"
+                         "kept = Kept()\n"
+                         "other = threading.local()\n"),
+        "two": ast.parse("from threading import Lock, local as fresh\n"
+                         "from . import one\n"
+                         "lock = Lock()\n"
+                         "mine = fresh()\n"
+                         "theirs = one.Kept()\n"),
+    }
+    assert thread_locals(trees) == [("one", "Kept()"), ("one", "threading.local()"),
+                                    ("two", "fresh()"), ("two", "one.Kept()")]
 
 
 def takers(param: str) -> set[str]:
