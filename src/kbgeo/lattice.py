@@ -5,8 +5,10 @@ all atomic formulas (relation atoms over term-definable argument tuples, plus
 equalities between them when the signature has equality) under complement,
 intersection, union, and one-variable projection.  It is a finite Boolean
 algebra, so its atoms fix it, and a build, by partition refinement, stores
-nothing else.  Its splits form a tree whose leaves are the atoms; a cut
-descends only into the nodes it cuts, so it visits only the blocks it
+nothing else.  Its splits form a tree whose leaves are the atoms, held by
+the algebra alone: nodes by index, numbered as made from the root 0, so a
+leaf's index is its creation order, and distinct nodes have distinct masks.
+A cut descends only into the nodes it cuts, so it visits only the blocks it
 splits, and a cut that splits none builds no formula and moves no block.
 Its seeds grow the term clone only as far as they read it, and stop once
 every point is its own atom.
@@ -197,22 +199,106 @@ class DefinableAlgebra:
     `size` is the member count, 2^k for k atoms, which `len` cannot return
     past 62 atoms: Python's `len` is bounded by the index size, so it raises
     `OverflowError` there.  Listings bound the count by the atoms instead,
-    so past that bound they raise `BoundError`."""
+    so past that bound they raise `BoundError`.
 
-    def __init__(self, space: PointSpace, blocks: tuple[int, ...], splits: dict,
-                 witness: Callable[[int], Formula], valuation: _Valuation, saturated: bool):
+    A builder makes the algebra whole, refines it by `_split` and ends by
+    `_seal`.  The split tree is its own: nodes by index, the root 0, each
+    (mask, first kid, cut, !cut), where a leaf has kid 0 and no cut, and
+    the second kid is the index after the first.  Nodes are numbered as
+    made, so a leaf's index is its creation order, and distinct nodes have
+    distinct masks.  `_splits` lists the splits as made, each (node, cut,
+    projected block's node or None); `_leaves` maps each leaf to its mask,
+    ascending by index: the blocks, whose count and first queue the
+    builders read."""
+
+    def __init__(self, space: PointSpace):
         self.model = space.model
         self.varset = space.varset
         self.space = space
-        self.saturated = saturated
-        self.size = 1 << len(blocks)
-        self.index = UnionMap({block: block for block in blocks})
-        self._blocks = blocks
-        self._splits = splits
-        self._witness = witness
-        self._valuation = valuation
+        self._nodes: list[tuple] = [(space.full_mask, 0, None, None)]
+        self._splits: list[tuple[int, Formula, Optional[int]]] = []
+        self._leaves = {0: space.full_mask}
+        self._memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
+        self._ands: dict[tuple[int, int], Formula] = {}  # conjunct identities -> And
+        # The tree and the memos keep every node the valuation keys alive.
+        self._valuation = _Valuation(space)
         self._members: dict[int, DefinableSet] = {}
         self._lines: Optional[tuple[str, ...]] = None
+
+    def _split(self, by: int, make_cut: Callable[[], Formula],
+               block: Optional[int] = None) -> list[tuple[int, int]]:
+        """Split every leaf that the set `by` cuts, by the node `make_cut()`,
+        built only if `by` cuts one and checked to value to `by` before any
+        leaf moves, projected from the node `block` if given.  A cut descends
+        only into the nodes it cuts; the leaves it splits are split in index
+        order, each into its part inside `by` and the rest.  Returns the
+        parts, (node, mask) each."""
+        nodes = self._nodes
+        if not by or by == nodes[0][0]:
+            return []
+        leaves, walk = [], [0]
+        for node in walk:  # the nodes `by` cuts, grown as it is walked
+            kid = nodes[node][1]
+            if not kid:
+                leaves.append(node)
+                continue
+            for kid in (kid, kid + 1):
+                mask = nodes[kid][0]
+                inside = mask & by
+                if inside and inside != mask:
+                    walk.append(kid)
+        if not leaves:
+            return []
+        leaves.sort()
+        cut = make_cut()
+        _check_witness(by, cut, self._valuation)
+        uncut = Not(cut)  # one negation node for every leaf the cut splits
+        parts, splits = [], self._splits
+        for leaf in leaves:
+            mask, kid = nodes[leaf][0], len(nodes)
+            inside = mask & by
+            nodes[leaf] = (mask, kid, cut, uncut)
+            nodes += ((inside, 0, None, None), (mask ^ inside, 0, None, None))
+            splits.append((leaf, cut, block))
+            parts += ((kid, inside), (kid + 1, mask ^ inside))
+            del self._leaves[leaf]
+        self._leaves.update(parts)
+        return parts
+
+    def _witness(self, part: int, node: int = 0) -> Formula:
+        """A formula whose set meets the node exactly in `part`, a union of
+        leaves under it; witnesses share subformulas through the memos.
+
+        It is exact because `_split` checks each cut c to value to the set
+        it cuts by, so c meets a split node in its first kid and !c in its
+        second.  By induction on the node's height: FALSE is no part and
+        TRUE all of it; otherwise, with w and o the kids' witnesses of the
+        part's two halves, `_select` gives c or c | o (w is TRUE), !c or
+        !c & o (w is FALSE), c & w (o is FALSE), !c | w (o is TRUE), or
+        (c & w) | (!c & o), each meeting the node in the part.  The cut
+        check is stronger than valuing each block's witness, which reads a
+        cut only inside the nodes it splits, so no witness is built for a
+        check; `member` and `dump_lines` check each again when read."""
+        if part == 0:
+            return FALSE
+        mask, kid, cut, uncut = self._nodes[node]
+        if part == mask:
+            return TRUE
+        formula = self._memo.get((node, part))
+        if formula is None:
+            inside = part & self._nodes[kid][0]
+            formula = self._memo[node, part] = _select(
+                cut, uncut, self._witness(inside, kid), self._witness(part ^ inside, kid + 1),
+                self._ands)
+        return formula
+
+    def _seal(self, saturated: bool) -> "DefinableAlgebra":
+        """End the build: fix the atoms, the index and the size."""
+        self.saturated = saturated
+        self._blocks = tuple(sorted(self._leaves.values()))
+        self.size = 1 << len(self._blocks)
+        self.index = UnionMap({block: block for block in self._blocks})
+        return self
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -253,14 +339,16 @@ class DefinableAlgebra:
         value is its parent's cut by its cut's: `seed_mask(cut)` for a seed
         cut (`Atom` or `Equal`), the projection of its block's for one made
         by projection."""
-        values, last, mask = {self.space.full_mask: space.full_mask}, None, 0
-        for node, (cut, _, inside, outside, block) in self._splits.items():
+        nodes, leaves = self._nodes, self._leaves
+        values, last, mask = [space.full_mask] * len(nodes), None, 0
+        for node, cut, block in self._splits:
             if cut is not last:  # a cut's splits are made one after another
                 last = cut
                 mask = seed_mask(cut) if block is None else _exists_mask(values[block], space,
                                                                          cut.var)
-            values[inside], values[outside] = values[node] & mask, values[node] & ~mask
-        return {atom: values[atom] for atom in self._blocks}
+            kid = nodes[node][1]
+            values[kid], values[kid + 1] = values[node] & mask, values[node] & ~mask
+        return {mask: values[node] for mask, node in sorted(zip(leaves.values(), leaves))}
 
     def pullback(self, table: _Table, mask: int) -> int:
         """The pullback of `mask` along the substitution of `table`, which
@@ -304,21 +392,31 @@ class DefinableAlgebra:
                 f" saturated={self.saturated})")
 
 
+def _and(left: Formula, right: Formula, ands: dict[tuple[int, int], Formula]) -> Formula:
+    """One node for each pair of conjuncts, a cut or its negation and a
+    witness, kept in `ands` by their identities."""
+    key = (id(left), id(right))
+    formula = ands.get(key)
+    if formula is None:
+        formula = ands[key] = And(left, right)
+    return formula
+
+
 def _select(cut: Formula, uncut: Formula, when: Formula, otherwise: Formula,
-            conj: Callable[[Formula, Formula], Formula]) -> Formula:
+            ands: dict[tuple[int, int], Formula]) -> Formula:
     """A formula agreeing with `when` inside `cut` and with `otherwise` outside
-    it, without constant parts; `uncut` is the negation of `cut`, `conj`
-    builds the conjunctions, and `when` and `otherwise` are not the same
-    constant."""
+    it, without constant parts; `uncut` is the negation of `cut`, the
+    conjunctions come from `ands` (`_and`), and `when` and `otherwise` are
+    not the same constant."""
     if when is TRUE:
         return cut if otherwise is FALSE else Or(cut, otherwise)
     if when is FALSE:
-        return uncut if otherwise is TRUE else conj(uncut, otherwise)
+        return uncut if otherwise is TRUE else _and(uncut, otherwise, ands)
     if otherwise is FALSE:
-        return conj(cut, when)
+        return _and(cut, when, ands)
     if otherwise is TRUE:
         return Or(uncut, when)
-    return Or(conj(cut, when), conj(uncut, otherwise))
+    return Or(_and(cut, when, ands), _and(uncut, otherwise, ands))
 
 
 def _tuples(clone: TermClone, arity: int) -> Iterable[tuple]:
@@ -338,64 +436,43 @@ def _pairs(clone: TermClone) -> Iterable[tuple]:
     return ((f1, f2) for i, f1 in enumerate(clone.walk()) for f2 in clone.walk(i + 1))
 
 
+def _seeds(model: Model, clone: TermClone) -> Iterator[tuple[int, Callable[[], Formula]]]:
+    """Each seed's set and a maker of its cut, to be called before the next
+    seed is read: every relation atom over tuples of the clone's functions,
+    then, with equality, every pair of distinct functions, since (f, f)
+    holds everywhere and (f2, f1) cuts what (f1, f2) already did."""
+    for rel, arity in model.sig.rels:
+        rows = model.rel_tables[rel]
+        for combo in _tuples(clone, arity):
+            yield (_atom_mask(rows, [f.values for f in combo]),
+                   lambda: Atom(rel, tuple(f.witness for f in combo)))
+    if model.sig.with_equality:
+        for f1, f2 in _pairs(clone):
+            yield _equal_mask(f1.values, f2.values), lambda: Equal(f1.witness, f2.witness)
+
+
 def generate_definable_algebra(model: Model, varset: VarSet,
                                max_term_depth: Optional[int] = None, *,
                                geometry: Optional[Geometry] = None) -> DefinableAlgebra:
     """Generate the definable algebra from its atoms, found by partition
     refinement.
 
-    Seeds are every relation atom over tuples of term functions, and, when
-    the signature has equality, the equality of each unordered pair of
-    distinct term functions, in `itertools` order over the whole clone, which
-    grows a round only when a seed needs a function not found yet.  A seed's
-    set is its relation or `==` read across the functions' value columns, by
-    the helpers that value `Atom` and `Equal` nodes; a cut's check reads
-    the same helpers across columns of the cut's terms, evaluated over the
-    space, so a wrong clone column still fails the check.  Starting from
-    the whole space, each seed splits the blocks it cuts; then the
-    projection of each block along each variable splits the blocks until
-    nothing splits.
-    Projection distributes over union, so the blocks are the atoms of the
-    closure of the seeds under complement, intersection, union, and
-    projection.  Each member is a union of atoms, witnessed by its choices
-    at the splits.
+    The seeds are read in `itertools` order over the whole clone, which
+    grows a round only when a seed needs a function not found yet.  A
+    seed's set is read across the functions' value columns, by the helpers
+    that value `Atom` and `Equal` nodes, while its cut's check evaluates
+    the cut's terms over the space, so a wrong clone column still fails
+    the build.  Then the projection of each block along each variable
+    splits the blocks until nothing splits.  Projection distributes over
+    union, so the blocks are the atoms of the closure of the seeds under
+    complement, intersection, union, and projection.
 
-    Each cut is checked once, when it is made: it must value to exactly the
-    set `by` it cuts by, or the build raises `DefinabilityError` before the
-    cut moves any block.  That makes every witness exact.  Let a split node
-    have cut c and kids `inside` = node & by and `outside` = node ^ inside;
-    since c values to `by`, c meets the node in `inside` and its negation
-    in `outside`.  By induction on the height of `node` in the tree,
-    `witness(part, node)` meets `node` exactly in `part`, for any part of
-    it.  FALSE is no part and TRUE all of it.  Otherwise let w and o be
-    the kids' witnesses, of part & inside and of part & outside; `_select`
-    gives c or c | o (w is TRUE), !c or !c & o (w is FALSE), c & w (o is
-    FALSE), !c | w (o is TRUE), or (c & w) | (!c & o), and each meets the
-    node in (part & inside) | (part & outside) = part.  At the root, the
-    whole space, every block's and member's witness values to its mask.
-    The check is stronger than valuing each block's witness, which reads a
-    cut only inside the nodes it splits: it also catches a cut that
-    disagrees with its mask on a block it leaves whole.  So no block's
-    witness is built for a check: one is built for a projection cut that
-    splits something, and a member's when it is read or dumped, where
-    `DefinableAlgebra.member` or `dump_lines` checks it again through the
-    same valuation.
-
-    The splits form a tree whose leaves are the blocks, so a cut descends
-    only into the nodes it cuts and visits no block it misses; a cut node is
-    built only when it splits a block.  The blocks it splits are split in
-    the order they were made, and their parts are appended in that order,
-    which fixes the witnesses.
-
-    Once the partition is discrete, every point its own block, no seed is
-    read: none could split, and a cut that splits nothing builds no formula,
+    Once every point is its own block, no seed is read and no projection
+    made: none could split, and a cut that splits nothing is never built,
     so the blocks and witnesses are those of reading every seed.  A capped
-    clone is still grown to its cap for the saturation flag.
-
-    Two kinds of projection cut are never made, since neither can split: one
-    along the only variable, whose projection of a nonempty block is the
-    whole space, and any once the partition is discrete.  Such a build
-    builds no block witness.
+    clone is still grown to its cap for the saturation flag.  Nor is a
+    projection made along the only variable: it sends a nonempty block to
+    the whole space.  So such builds build no block witness.
 
     The space comes from `geometry`, the model's geometry, which holds the
     point bound; without one, from the model's kept geometry under the
@@ -403,97 +480,20 @@ def generate_definable_algebra(model: Model, varset: VarSet,
     """
     space = _model_geometry(model, geometry).space(varset)
     clone = TermClone(space, max_term_depth)
-    root, npoints = space.full_mask, space.size
-    made = itertools.count()
-    blocks = {root: next(made)}  # leaf -> its creation number, in creation order
-    splits: dict[int, tuple] = {}  # node -> (cut, !cut, in, out, projected block or None)
-    memo: dict[tuple[int, int], Formula] = {}  # (node, part) -> witness
-    conjunctions: dict[tuple[int, int], Formula] = {}  # conjunct identities -> And
-    # The split tree and the witness memo keep every node the valuation keys alive.
-    valuation = _Valuation(space)
-
-    def split(by: int, make_cut: Callable[[], Formula], block: Optional[int] = None) -> list[int]:
-        """Split every block that the set `by` cuts, by the node `make_cut()`,
-        built only if `by` cuts one and checked to value to `by` before any
-        block moves, projected from `block` if given; returns the parts."""
-        if not by or by == root:
-            return []
-        leaves, nodes = [], [root]
-        for node in nodes:  # the nodes `by` cuts, grown as it is walked
-            entry = splits.get(node)
-            if entry is None:
-                leaves.append(node)
-                continue
-            for kid in entry[2:4]:
-                inside = kid & by
-                if inside and inside != kid:
-                    nodes.append(kid)
-        if not leaves:
-            return []
-        leaves.sort(key=blocks.__getitem__)
-        cut = make_cut()
-        _check_witness(by, cut, valuation)
-        uncut = Not(cut)  # one negation node for every block the cut splits
-        parts = []
-        for leaf in leaves:
-            del blocks[leaf]
-            inside = leaf & by
-            splits[leaf] = (cut, uncut, inside, leaf ^ inside, block)
-            parts += (inside, leaf ^ inside)
-        for part in parts:
-            blocks[part] = next(made)
-        return parts
-
-    def conj(left: Formula, right: Formula) -> Formula:
-        """One node for each pair of conjuncts, a cut or its negation and a
-        witness, which the split tree and the witness memo keep alive."""
-        key = (id(left), id(right))
-        if key not in conjunctions:
-            conjunctions[key] = And(left, right)
-        return conjunctions[key]
-
-    def witness(part: int, node: int = root) -> Formula:
-        """A formula whose set meets the split tree's `node` exactly in `part`;
-        members share subformulas through the memos."""
-        if part == 0:
-            return FALSE
-        if part == node:
-            return TRUE
-        if (node, part) not in memo:
-            cut, uncut, inside, outside, _ = splits[node]
-            memo[node, part] = _select(cut, uncut, witness(part & inside, inside),
-                                       witness(part & outside, outside), conj)
-        return memo[node, part]
-
-    def seed() -> None:
-        """Split by each seed until the partition is discrete."""
-        for rel, arity in model.sig.rels:
-            rows = model.rel_tables[rel]
-            for combo in _tuples(clone, arity):
-                if (split(_atom_mask(rows, [f.values for f in combo]),
-                          lambda: Atom(rel, tuple(f.witness for f in combo)))
-                        and len(blocks) == npoints):
-                    return
-        if model.sig.with_equality:
-            # (f, f) holds everywhere, and (f2, f1) cuts what (f1, f2) already did.
-            for f1, f2 in _pairs(clone):
-                if (split(_equal_mask(f1.values, f2.values),
-                          lambda: Equal(f1.witness, f2.witness)) and len(blocks) == npoints):
-                    return
-
-    seed()
-
+    algebra, npoints = DefinableAlgebra(space), space.size
+    leaves = algebra._leaves
+    for by, make_cut in _seeds(model, clone):
+        if algebra._split(by, make_cut) and len(leaves) == npoints:
+            break
     # Each block is queued once: its projections stay unions of blocks as the
     # partition refines, and a block split later has its parts queued.
-    pending = list(blocks) if len(varset) > 1 else []
-    while pending and len(blocks) < npoints:
-        block = pending.pop()
+    pending = list(leaves.items()) if len(varset) > 1 else []
+    while pending and len(leaves) < npoints:
+        node, block = pending.pop()
         for var in varset.names:
-            pending += split(_exists_mask(block, space, var),
-                             lambda: Exists(var, witness(block)), block)
-
-    return DefinableAlgebra(space, tuple(sorted(blocks)), splits, witness, valuation,
-                            clone.saturated)
+            pending += algebra._split(_exists_mask(block, space, var),
+                                      lambda: Exists(var, algebra._witness(block)), node)
+    return algebra._seal(clone.saturated)
 
 
 def closure(pset: PointSet, algebra: DefinableAlgebra) -> DefinableSet:

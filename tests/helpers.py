@@ -19,9 +19,10 @@ of a witness is checked on every pair of members, and the atom constraints
 are made by building, mapping and valuing every atomic formula instead of
 pairing atom tables.
 
-`eager_definable_algebra` is the library's build as it was before its clone
-grew on demand: every seed is read off the fully drained clone, with no
-stop once each point is its own atom.
+`eager_definable_algebra` is the eager seed policy over the library's
+split tree: every seed is read off the fully drained clone, with no stop
+once each point is its own atom, and every block's witness is checked
+through a fresh valuation.
 
 The filtered streams at the end are the three bijection searches as they
 were before they ran on `core.bijections`: every carrier permutation kept
@@ -94,8 +95,7 @@ from kbgeo.formulas import (
     _PRECS,
     atomic_formulas,
 )
-from kbgeo.lattice import (DefinableAlgebra, FilterLattice, UnionMap, _check_witness,
-                           _select)
+from kbgeo.lattice import DefinableAlgebra, FilterLattice, UnionMap, _check_witness
 from kbgeo import semantics
 from kbgeo.semantics import Geometry, _Valuation, _atom_mask, _equal_mask, _exists_mask
 
@@ -1040,81 +1040,33 @@ def memberwise_push_functoriality(kb) -> Report:
 def eager_definable_algebra(model: Model, varset, max_term_depth=None) -> DefinableAlgebra:
     """`generate_definable_algebra` with every seed read off
     `term_functions(space, max_term_depth).functions`, the whole clone, in
-    `itertools.product` and `itertools.combinations` order, and no stop
-    once the partition is discrete."""
+    `itertools.product` and `itertools.combinations` order, no stop once
+    the partition is discrete, and every block's witness checked through a
+    fresh valuation."""
     space = Geometry(model).space(varset)
     clone = term_functions(space, max_term_depth)
-    root = space.full_mask
-    made = itertools.count()
-    blocks = {root: next(made)}
-    splits, memo, conjunctions = {}, {}, {}
-
-    def split(by, make_cut, block=None):
-        if not by or by == root:
-            return []
-        leaves, nodes = [], [root]
-        for node in nodes:
-            entry = splits.get(node)
-            if entry is None:
-                leaves.append(node)
-                continue
-            for kid in entry[2:4]:
-                inside = kid & by
-                if inside and inside != kid:
-                    nodes.append(kid)
-        if not leaves:
-            return []
-        leaves.sort(key=blocks.__getitem__)
-        cut = make_cut()
-        uncut = Not(cut)
-        parts = []
-        for leaf in leaves:
-            del blocks[leaf]
-            inside = leaf & by
-            splits[leaf] = (cut, uncut, inside, leaf ^ inside, block)
-            parts += (inside, leaf ^ inside)
-        for part in parts:
-            blocks[part] = next(made)
-        return parts
-
-    def conj(left, right):
-        key = (id(left), id(right))
-        if key not in conjunctions:
-            conjunctions[key] = And(left, right)
-        return conjunctions[key]
-
-    def witness(part, node=root):
-        if part == 0:
-            return FALSE
-        if part == node:
-            return TRUE
-        if (node, part) not in memo:
-            cut, uncut, inside, outside, _ = splits[node]
-            memo[node, part] = _select(cut, uncut, witness(part & inside, inside),
-                                       witness(part & outside, outside), conj)
-        return memo[node, part]
-
+    algebra = DefinableAlgebra(space)
     for rel, arity in model.sig.rels:
         rows = model.rel_tables[rel]
         for combo in itertools.product(clone.functions, repeat=arity):
-            split(_atom_mask(rows, [f.values for f in combo]),
-                  lambda: Atom(rel, tuple(f.witness for f in combo)))
+            algebra._split(_atom_mask(rows, [f.values for f in combo]),
+                           lambda: Atom(rel, tuple(f.witness for f in combo)))
     if model.sig.with_equality:
         for f1, f2 in itertools.combinations(clone.functions, 2):
-            split(_equal_mask(f1.values, f2.values), lambda: Equal(f1.witness, f2.witness))
+            algebra._split(_equal_mask(f1.values, f2.values),
+                           lambda: Equal(f1.witness, f2.witness))
 
     valuation = _Valuation(space)
-    pending = list(blocks)
+    pending = list(algebra._leaves.items())
     while pending:
-        block = pending.pop()
-        body = witness(block)
+        node, block = pending.pop()
+        body = algebra._witness(block)
         _check_witness(block, body, valuation)
-        if len(varset) > 1 and len(blocks) < space.size:
+        if len(varset) > 1 and len(algebra._leaves) < space.size:
             for var in varset.names:
-                pending += split(_exists_mask(block, space, var), lambda: Exists(var, body),
-                                 block)
-    return DefinableAlgebra(space, tuple(sorted(blocks)), splits, witness, valuation,
-                            clone.saturated)
+                pending += algebra._split(_exists_mask(block, space, var),
+                                          lambda: Exists(var, body), node)
+    return algebra._seal(clone.saturated)
 
 
 def preserves_structure(source: Model, target: Model, images: tuple) -> bool:

@@ -27,7 +27,6 @@ from kbgeo import (
     check_informational_equivalence,
     closure,
     enumerate_formulas,
-    enumerate_points,
     enumerate_substitutions,
     find_functor_iso,
     generate_definable_algebra,

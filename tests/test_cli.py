@@ -35,7 +35,7 @@ from kbgeo.cli import (
     print_model,
     run_command,
 )
-from helpers import all_fixtures, model_neg, model_p
+from helpers import all_fixtures, model_p
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EQUIV_GOLDEN = pathlib.Path(__file__).resolve().parent / "equiv_machine.golden"

@@ -475,6 +475,15 @@ CONTRACT = [
             lines=("witness.kind: functor isomorphism", "witness.phi: identity",
                    f"witness.alphas: {alphas}"))
       for n, alphas in ((1, "|X|=1: 2 filters"), (2, "|X|=1: 2 filters; |X|=2: 8 filters"))),
+    # The same pair over three variables, 5,832 points each, the largest
+    # build an entry pins: 56 atoms against 164 refute it by lattice size
+    # (exit 1, within 10 s).
+    Entry("cfi-k3-3-0", ("equiv", "a.kbm", "b.kbm", "--max-vars", "3", "--depth", "0",
+                         "--format", "machine"),
+          models=K3_CFI, code=1, timeout=10,
+          lines=("refutation.invariant: lattice size", "refutation.var_count: 3",
+                 "refutation.left: 72057594037927936",
+                 "refutation.right: 23384026197294446691258957323460528314494920687616")),
     # m_p against itself in automorphic mode over ten variables: 1,024
     # atoms, each sent where phi sends its witness formula (exit 0:
     # witnessed by the identity, within 10 s).

@@ -14,7 +14,6 @@ from kbgeo import (
     Model,
     ModelError,
     ModelMap,
-    OpApp,
     ParseError,
     PointSet,
     Signature,

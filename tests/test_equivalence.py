@@ -1212,7 +1212,7 @@ def seed_depth(kb: KnowledgeBase) -> int:
     algebras: a cut that projects no block."""
     depths = [0]
     for n in range(1, kb.n_max + 1):
-        for cut, _, _, _, block in kb.description(n).algebra._splits.values():
+        for _, cut, block in kb.description(n).algebra._splits:
             if block is None:
                 depths += map(term_depth, cut.args if isinstance(cut, Atom)
                               else (cut.left, cut.right))

@@ -13,7 +13,6 @@ from kbgeo import (
     Atom,
     Equal,
     Exists,
-    FALSE,
     Forall,
     FormulaContext,
     Implies,

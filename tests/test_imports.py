@@ -1,10 +1,11 @@
-"""Hygiene of the package: no module imports a name it never uses, only
-the per-model contexts take a point bound or a substitution depth, and one
-record holds all that a thread keeps.
+"""Hygiene of the package and its tests: no module imports a name it never
+uses, only the per-model contexts take a point bound or a substitution
+depth, and one record holds all that a thread keeps.
 
 A name counts as used when the module reads it, names it in a quoted
-annotation, lists it in `__all__`, or when another module of the package
-imports it from this one (the package's `__init__.py` re-exports that way).
+annotation, lists it in `__all__`, or when another module of the same
+directory imports it from this one (the package's `__init__.py` re-exports
+that way, and the test modules import from `helpers`).
 """
 
 import ast
@@ -15,8 +16,9 @@ from pathlib import Path
 
 import kbgeo
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kbgeo"
-PROBES = Path(__file__).resolve().parent.parent / "kbbench" / "probes.py"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "kbgeo"
+PROBES = TESTS.parent / "kbbench" / "probes.py"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -63,11 +65,12 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 def reexported(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
-    """Per module, the names other modules of the package import from it."""
+    """Per module, the names other modules of its directory import from it,
+    relatively (in the package) or by its bare name (in the tests)."""
     out: dict[str, set[str]] = {name: set() for name in trees}
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in out:
+            if isinstance(node, ast.ImportFrom) and node.level < 2 and node.module in out:
                 out[node.module] |= {alias.name for alias in node.names}
     return out
 
@@ -83,29 +86,31 @@ def unused_imports(trees: dict[str, ast.Module]) -> list[str]:
     return found
 
 
-def parse_package() -> dict[str, ast.Module]:
+def parse_package(directory: Path = PACKAGE) -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path))
-            for path in sorted(PACKAGE.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports(parse_package()) == []
+    assert unused_imports(parse_package(TESTS)) == []
 
 
 def test_the_check_finds_an_unused_import():
     """A module that imports a name only its docstring mentions is caught;
     a read name, an `__all__` entry, a quoted annotation and a name another
-    module imports from it are not."""
+    module imports from it, relatively or by its bare name, are not."""
     trees = {
         "one": ast.parse('"""Uses Mapping."""\n'
                          "from __future__ import annotations\n"
                          "import os\n"
-                         "from typing import Mapping, Optional\n"
+                         "from typing import Mapping, Optional, Sequence\n"
                          "from .two import Kept, Listed, Quoted, Passed\n"
                          "__all__ = ['Listed']\n"
                          "def f(x: 'Quoted') -> Optional[int]:\n"
                          "    return os.sep, Kept\n"),
         "two": ast.parse("from .one import Passed\n"),
+        "three": ast.parse("from one import Sequence\nprint(Sequence)\n"),
     }
     assert unused_imports(trees) == ["one.py:4: Mapping"]
 

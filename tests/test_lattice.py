@@ -1,5 +1,6 @@
 """Definable-set algebras, closure, and the filter lattices dual to them."""
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -52,6 +53,7 @@ from helpers import (
     brute_closure,
     brute_definable_family,
     brute_lattice_profile,
+    cfi_pair,
     constant_models,
     eager_definable_algebra,
     model_clone_wall,
@@ -269,7 +271,12 @@ def test_the_on_demand_clone_builds_what_the_drained_clone_builds():
     models are also taken without their relations, so that the equality
     pairs are.  The two clone-wall models stop seeding early; the 3-element
     one is built over one variable only, since its drained clone over two
-    does not finish.  The six fixtures are also built over three variables."""
+    does not finish.  The six fixtures are also built over three variables,
+    and so are both K3 CFI models, 5,832 points each: there the atoms,
+    saturation flags and atom witnesses are compared, since their 2^56 and
+    2^164 members are past `MAX_MEMBERS`.  The witnesses are compared by
+    `_shape`, which fixes their texts: those of the 164 atoms would be
+    293 MB, and rendering one holds a text for each of its shared nodes."""
     census = [(f"{label} #{i}", model) for label, size, ops, rels in FAMILIES
               for i, model in enumerate(representatives(all_models(size, ops, rels)))]
     ops = op_models() + [("nand", model_nand()), ("clone wall", model_clone_wall())]
@@ -287,7 +294,27 @@ def test_the_on_demand_clone_builds_what_the_drained_clone_builds():
         assert built.block_masks() == eager.block_masks(), (name, n, cap)
         assert built.dump_lines() == eager.dump_lines(), (name, n, cap)
         assert built.saturated == eager.saturated, (name, n, cap)
+    for model in cfi_pair([(0, 1), (0, 2), (1, 2)]):
+        built, eager = (build(model, canonical_varset(3))
+                        for build in (generate_definable_algebra, eager_definable_algebra))
+        assert built.block_masks() == eager.block_masks()
+        assert built.saturated == eager.saturated
+        shapes, known = {}, {}
+        assert [_shape(built.member(atom).witness, shapes, known) for atom in built.block_masks()] \
+            == [_shape(eager.member(atom).witness, shapes, known) for atom in eager.block_masks()]
     assert not generate_definable_algebra(model_nand(), canonical_varset(3), 1).saturated
+
+
+def _shape(f: Formula, shapes: dict, known: dict) -> int:
+    """A number for f's structure, the same for two formulas exactly when
+    their node classes, fields and subformulas' structures agree, and then
+    their texts do too; `known` maps each node read to its number, by
+    identity, so a shared subformula is read once."""
+    if id(f) not in known:
+        key = (type(f), *(_shape(v, shapes, known) if isinstance(v, Formula) else v
+                          for v in (getattr(f, field.name) for field in dataclasses.fields(f))))
+        known[id(f)] = shapes.setdefault(key, len(shapes))
+    return known[id(f)]
 
 
 def _nodes(f, seen: dict) -> None:
