@@ -332,8 +332,8 @@ def content_morphism(morphism: DescMorphism) -> ContMorphism:
 def _composite_memos() -> tuple[_Memo, _Memo, _Memo]:
     """`Syntax.composites`' memos: each substitution's images as ids of
     interned terms, per second substitution the id of each term after it,
-    and each composite by its sizes, then its image ids.  They do not refer
-    back to the syntax, which stays acyclic."""
+    and each composite by its sizes, then its image ids, built from the
+    terms they name.  None refers back to the syntax, which stays acyclic."""
     terms: list[Term] = []
     term_ids: dict[Term, int] = {}
 
@@ -346,7 +346,8 @@ def _composite_memos() -> tuple[_Memo, _Memo, _Memo]:
 
     return (_Memo(lambda s: tuple(map(intern, s.images))),
             _Memo(lambda s: _Memo(lambda i: intern(s.apply_to_term(terms[i])))),
-            _Memo(lambda ends: {}))
+            _Memo(lambda ends: _Memo(lambda ids: Substitution._trusted(
+                *map(canonical_varset, ends), tuple(map(terms.__getitem__, ids))))))
 
 
 class Syntax:
@@ -396,13 +397,13 @@ class Syntax:
 
         A composite is found by its sizes and the ids of its interned
         images, each the image of one interned term after its second
-        factor, computed once per term and second factor; so a pair whose
-        images have met its second factor builds no term and hashes no
-        substitution, and equal composites of any two triples with the same
-        ends are one object.  Each second factor's term memo is looked up
-        once, and each first factor's image ids once per row.  The memos
-        hold every term and substitution they are keyed by, and live as
-        long as the syntax."""
+        factor, computed once per term and second factor, and is built from
+        those interned terms; so a pair whose images have met its second
+        factor builds no term and hashes no substitution, and equal
+        composites of any two triples with the same ends are one object.
+        Each second factor's term memo is looked up once, and each first
+        factor's image ids once per row.  The memos hold every term and
+        substitution they are keyed by, and live as long as the syntax."""
         entry = self._composites.get((a, b, c))
         if entry is None:
             firsts, seconds = self.substitutions(a, b), self.substitutions(b, c)
@@ -425,15 +426,12 @@ class Syntax:
         for first in firsts:
             ids = image_ids[first]
             row = []
-            for second, term_after in zip(seconds, afters):
+            for term_after in afters:
                 key = tuple(map(term_after, ids))
-                composite = found.get(key)
-                if composite is None:
-                    composite = found[key] = Substitution._composite(first, second)
                 place = places.get(key)
                 if place is None:
                     place = places[key] = len(distinct)
-                    distinct.append(composite)
+                    distinct.append(found[key])
                 row.append(place)
             rows.append(tuple(row))
         return tuple(distinct), tuple(rows)

@@ -428,13 +428,12 @@ class Substitution:
         return cls(varset, varset, tuple(Var(n) for n in varset.names))
 
     @classmethod
-    def _composite(cls, first: "Substitution", second: "Substitution") -> "Substitution":
-        """`first` then `second`, valid and known to compose, without the
-        constructor's checks: the images of `second` use only its target's
-        variables.  `compose_subst` checks that the two compose, then calls it."""
+    def _trusted(cls, source: VarSet, target: VarSet, images: tuple[Term, ...]) -> "Substitution":
+        """The substitution with these images, unchecked: the caller knows one
+        per source variable, each over the target's variables, as a
+        composite's are.  `compose_subst` and `categories.Syntax` use it."""
         out = object.__new__(cls)
-        out.__dict__.update(source=first.source, target=second.target,
-                            images=tuple(map(second.apply_to_term, first.images)))
+        out.__dict__.update(source=source, target=target, images=images)
         return out
 
     @classmethod
@@ -483,7 +482,8 @@ def compose_subst(first: Substitution, second: Substitution) -> Substitution:
     if first.target != second.source:
         raise MismatchError(
             f"cannot compose: first targets {first.target}, second starts at {second.source}")
-    return Substitution._composite(first, second)
+    return Substitution._trusted(first.source, second.target,
+                                 tuple(map(second.apply_to_term, first.images)))
 
 
 class _OpTable(dict):

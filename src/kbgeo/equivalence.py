@@ -195,6 +195,7 @@ from .core import (
     Var,
     bijections,
     canonical_varset,
+    compose_subst,
     model_isomorphisms,
 )
 from .formulas import Atom, Equal, Formula
@@ -291,9 +292,9 @@ class FormulaAutomorphism:
         source = self._conjugators.get(len(subst.source))
         target = self._conjugators.get(len(subst.target))
         if source is not None:
-            subst = Substitution._composite(source[0], subst)
+            subst = compose_subst(source[0], subst)
         if target is not None:
-            subst = Substitution._composite(subst, target[1])
+            subst = compose_subst(subst, target[1])
         return subst
 
     def map_formula(self, f: Formula, n: int) -> Formula:

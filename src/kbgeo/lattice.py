@@ -81,12 +81,23 @@ class DefinabilityError(RuntimeError):
 
 class UndefinablePullbackError(DefinabilityError):
     """The pullback of a definable set along a substitution is not definable
-    over the substitution's target, whose variables cannot express it."""
+    over the substitution's target, whose variables cannot express it.
+    `sizes` are the source and target spaces' sizes, when known."""
 
-    def __init__(self, subst: Substitution, mask: int, pullback: int):
-        super().__init__(f"pullback {pullback:#x} of {mask:#x} along {subst}"
+    def __init__(self, subst: Substitution, mask: int, pullback: int,
+                 sizes: tuple[Optional[int], Optional[int]] = (None, None)):
+        super().__init__(f"pullback {_mask_text(pullback, sizes[1])} of"
+                         f" {_mask_text(mask, sizes[0])} along {subst}"
                          f" is not definable over {subst.target}")
         self.subst = subst
+
+
+def _mask_text(mask: int, size: Optional[int]) -> str:
+    """The mask in hex, or, past 64 hex digits, its point count and its
+    space's size, so that a note that names it fits a terminal."""
+    if mask.bit_length() <= 256:
+        return f"{mask:#x}"
+    return f"a {mask.bit_count()}-point set" + ("" if size is None else f" of {size}")
 
 
 def _check_witness(mask: int, witness: Formula, valuation: _Valuation) -> None:
@@ -363,7 +374,8 @@ class DefinableAlgebra:
         atoms, so a member, that contains image_t(T)."""
         pullback = table.preimage(mask)
         if pullback not in self.index:
-            raise UndefinablePullbackError(table.key, mask, pullback)
+            raise UndefinablePullbackError(table.key, mask, pullback,
+                                           (len(table.fibers), len(table.bits)))
         return pullback
 
     def close(self, mask: int) -> int:

@@ -387,6 +387,38 @@ def test_a_composite_table_is_the_composite_substitutions_own(name, depth):
                         for a, b, c in itertools.product(sizes, repeat=3))
 
 
+@pytest.mark.parametrize("make,triples,pairs", [
+    (lambda: dict(op_models())["g1"], [(1, 2, 1), (2, 1, 2)], 950),
+    (model_neg, [(2, 2, 2)], 1296)], ids=["g1", "m_neg"])
+def test_a_composite_is_built_from_interned_terms_and_pulls_back_as_its_own(make, triples,
+                                                                            pairs):
+    """At depth 2, every composite of the syntax equals, hashes and prints
+    as `compose_subst` of its factors; its images are the syntax's interned
+    terms, one object per distinct term across every composite; and its
+    table's pull list is `pullback_indices` over the composite rebuilt by
+    the checking constructor from freshly applied terms."""
+    kb = KnowledgeBase(make(), 2, 2)
+    interned = {}
+    for a, b, c in triples:
+        distinct, rows = kb.syntax.composites(a, b, c)
+        tables = kb._composite_rows(a, b, c)
+        firsts, seconds = kb.substitutions(a, b), kb.substitutions(b, c)
+        assert len(firsts) * len(seconds) == pairs
+        for s1, row, table_row in zip(firsts, rows, tables):
+            for s2, place, table in zip(seconds, row, table_row):
+                composite, checked = distinct[place], compose_subst(s1, s2)
+                assert composite == checked and hash(composite) == hash(checked)
+                assert str(composite) == str(checked)
+                for term in composite.images:
+                    assert interned.setdefault(term, term) is term
+                fresh = Substitution(s1.source, s2.target,
+                                     tuple(map(s2.apply_to_term, s1.images)))
+                spaces = kb.geometry.space(fresh.source), kb.geometry.space(fresh.target)
+                assert table.key == composite
+                assert [bit.bit_length() - 1 for bit in table.bits] == \
+                    semantics.pullback_indices(fresh, *spaces)
+
+
 @pytest.mark.parametrize("name,depth", COMPOSITE_CASES)
 def test_a_warm_knowledge_base_sweeps_as_a_fresh_one(name, depth):
     """Both sweeps at two depths, alternated over one knowledge base per

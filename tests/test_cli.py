@@ -137,6 +137,21 @@ def test_missing_file_is_data_error():
      "error: {path}:4: op f row ('0',) given twice"),
     ("carrier: 0 1\nrel P 1\nrel P:\n", None, EXIT_DATA,
      "error: {path}:3: relation row needs at least one element"),
+    ("carrier: 0 1\nop f -1\n", None, EXIT_DATA, "error: {path}: operation f has negative arity"),
+    ("carrier: 0 1\nrel P 0\n", None, EXIT_DATA,
+     "error: {path}: relation P must have arity >= 1"),
+    ("carrier: 0 1\nop f 1\n", None, EXIT_DATA, "error: {path}: op f has no table"),
+    ("carrier: 0 1\nop f 1\nop f: 0 -> 1\n", None, EXIT_DATA, "error: {path}: op f not total"),
+    ("carrier: 0 1\nop f 1\nop f: 0,0 -> 1\n", None, EXIT_DATA,
+     "error: {path}: op f row ('0', '0') has wrong arity"),
+    ("carrier: 0 1\nop f 1\nop f: 0 -> 2\n", None, EXIT_DATA,
+     "error: {path}: op f row ('0',) -> 2 leaves the carrier"),
+    ("carrier: 0 1\nop f: 0 -> 1\n", None, EXIT_DATA, "error: {path}: table for undeclared op f"),
+    ("carrier: 0 1\nrel P: 0\n", None, EXIT_DATA, "error: {path}: table for undeclared rel P"),
+    ("carrier: 0 1\nrel P 1\nrel P: 0,1\n", None, EXIT_DATA,
+     "error: {path}: rel P row ('0', '1') has wrong arity"),
+    ("carrier: 0 1\nrel P 1\nrel P: 2\n", None, EXIT_DATA,
+     "error: {path}: rel P row ('2',) leaves the carrier"),
     (None, "swaprel P P", EXIT_USAGE, "usage error: swaprel names must be distinct"),
     (None, "renamevars x1", EXIT_USAGE, "usage error: renamevars entry 'x1' is not 'var:var'"),
     (None, "renamevars x1:x3,x3:x1", EXIT_USAGE,

@@ -154,7 +154,8 @@ def test_trusted_composite_equals_compose_subst():
             if b != c:
                 continue
             for s1, s2 in itertools.product(subs[a, b], subs[c, d]):
-                checked, trusted = compose_subst(s1, s2), Substitution._composite(s1, s2)
+                images = tuple(map(s2.apply_to_term, s1.images))
+                checked, trusted = Substitution(s1.source, s2.target, images), compose_subst(s1, s2)
                 assert trusted == checked and hash(trusted) == hash(checked)
                 assert str(trusted) == str(checked)
                 assert geometry.table(trusted) is geometry.table(checked)
