@@ -125,7 +125,6 @@ from .semantics import (
     _atom_mask,
     _check_point_count,
     _equal_mask,
-    _term_columns,
     subst_image_points,
     subst_preimage_points,
 )
@@ -361,11 +360,8 @@ class Syntax:
     its own n_max.
 
     Each bounded set and each size triple's composites are made on first
-    use, and stored only once made whole, so knowledge bases in several
-    threads may share a syntax: a bounded set is stored by
-    `dict.setdefault`, and every thread reads the first stored; composites
-    are made under a lock, which also guards the interning memos that
-    every triple's build shares.
+    use; knowledge bases in several threads may share a syntax, by the one
+    rule that `semantics._Kept` states.
     """
 
     def __init__(self, ops: tuple[tuple[str, int], ...], depth: int):
@@ -525,7 +521,7 @@ class KnowledgeBase:
             columns = []
             for term in enumerate_terms(sig, varset, self.depth):
                 check_term(term, sig, varset)
-                columns.append(_term_columns(term, space))
+                columns.append(space.column(term))
             relations = {rel: [_atom_mask(self.model.rel_tables[rel], list(combo))
                                for combo in itertools.product(columns, repeat=arity)]
                          for rel, arity in sig.rels}

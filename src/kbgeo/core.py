@@ -754,7 +754,8 @@ class TermClone:
     The round number equals the depth of the witness term, and the first
     witness for a table wins.  A variable's values are the space's column;
     each candidate's are its operation table read across its arguments'
-    value columns.  Depths never decrease along the functions, so a round's
+    value columns, made here, apart from the space's, which a build's cut
+    check reads.  Depths never decrease along the functions, so a round's
     candidates are the argument tuples with an entry among the previous
     round's functions, and a constant is a candidate of the first round
     only; a candidate's witness term is built only for a new table.  The
@@ -770,8 +771,8 @@ class TermClone:
         self._depth, self._start = 0, 0
         capped = max_term_depth is not None and max_term_depth <= 0
         self.complete = capped or not space.model.sig.ops
-        for i, name in enumerate(space.varset.names):
-            values = space.column(i)
+        for name in space.varset.names:
+            values = space.column(Var(name))
             if values not in self._seen:
                 self._seen.add(values)
                 self.functions.append(TermFunction(values, Var(name)))

@@ -82,22 +82,19 @@ class DefinabilityError(RuntimeError):
 class UndefinablePullbackError(DefinabilityError):
     """The pullback of a definable set along a substitution is not definable
     over the substitution's target, whose variables cannot express it.
-    `sizes` are the source and target spaces' sizes, when known."""
+    `sizes` are the source and target spaces' sizes."""
 
-    def __init__(self, subst: Substitution, mask: int, pullback: int,
-                 sizes: tuple[Optional[int], Optional[int]] = (None, None)):
+    def __init__(self, subst: Substitution, mask: int, pullback: int, sizes: tuple[int, int]):
         super().__init__(f"pullback {_mask_text(pullback, sizes[1])} of"
                          f" {_mask_text(mask, sizes[0])} along {subst}"
                          f" is not definable over {subst.target}")
         self.subst = subst
 
 
-def _mask_text(mask: int, size: Optional[int]) -> str:
+def _mask_text(mask: int, size: int) -> str:
     """The mask in hex, or, past 64 hex digits, its point count and its
     space's size, so that a note that names it fits a terminal."""
-    if mask.bit_length() <= 256:
-        return f"{mask:#x}"
-    return f"a {mask.bit_count()}-point set" + ("" if size is None else f" of {size}")
+    return f"{mask:#x}" if mask.bit_length() <= 256 else f"a {mask.bit_count()}-point set of {size}"
 
 
 def _check_witness(mask: int, witness: Formula, valuation: _Valuation) -> None:

@@ -6,15 +6,17 @@ from the varset, element order from the carrier.  Point sets are immutable
 bitmasks over that enumeration, so all boolean structure is integer work.
 
 Valuation runs a column at a time, with no Python loop over points.  A
-space holds each variable's value column; a term's column is its operation
-table mapped over its arguments' columns zipped (a constant, with no
-arguments, reads the empty tuple at every point), and an atom's or an
-equality's mask is its relation or `==` read across those columns in one
-pass, turned into an integer as one binary numeral.  Projection along an
-axis works on whole masks through the space's digit masks, one per carrier
-element, in O(|M|) big-integer operations.  A space builds each axis's
-column and digit masks on first use and holds them: per axis valued, |M|^n
-column entries and |M| masks of |M|^n bits.
+term's value column is its operation table mapped over its arguments'
+columns zipped (a constant, with no arguments, reads the empty tuple at
+every point), and an atom's or an equality's mask is its relation or `==`
+read across those columns in one pass, turned into an integer as one
+binary numeral.  Projection along an axis works on whole masks through the
+space's digit masks, one per carrier element, in O(|M|) big-integer
+operations.  A space values each term once (`PointSpace.column`), keyed by
+term equality, and builds each axis's digit masks once: it holds |M|^n
+column entries per distinct term valued over it and |M| masks of |M|^n
+bits per axis projected along, so, as a table's memos, it grows with what
+is asked.
 
 A `Geometry` holds one model's spaces under one point bound, one space per
 varset, and reads one pullback table per substitution, computed on first
@@ -51,7 +53,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from itertools import chain, count, product, repeat
 from operator import eq
 from typing import Iterable, Iterator, Optional
 
@@ -112,10 +114,11 @@ class PointSpace:
     The space belongs to `geometry`, and it refuses to enumerate past the
     geometry's bound.
 
-    `column(axis)` and `digit_masks(axis)` are an axis's value column and
-    digit masks, derived from the carrier on first use and then held: a
-    space never valued holds neither, and a valued one at most one column of
-    `size` entries and |M| masks of `size` bits per axis.
+    `column(term)` is a term's value column and `digit_masks(axis)` an
+    axis's digit masks, each made on first use and then held: one column of
+    `size` entries per distinct term valued over the space, and |M| masks
+    of `size` bits per axis projected along, bounded, as a table's memos
+    are, by what is asked.
     """
 
     def __init__(self, model: Model, varset: VarSet, geometry: "Geometry"):
@@ -128,20 +131,27 @@ class PointSpace:
         self._row_index = {row: i for i, row in enumerate(self.value_rows)}
         self.size = len(self.value_rows)
         self.full_mask = (1 << self.size) - 1
-        self._columns: list[Optional[tuple]] = [None] * len(varset)
+        self._columns: dict[Term, tuple] = {}
         self._digits: list[Optional[tuple[int, ...]]] = [None] * len(varset)
         self.geometry._spaces.setdefault(varset.names, self)
 
-    def column(self, axis: int) -> tuple:
-        """Each point's value on the axis, in enumeration order: each element
-        repeated once per point of the later axes, and that run repeated once
-        per point of the earlier ones."""
-        column = self._columns[axis]
+    def column(self, term: Term) -> tuple:
+        """The term's value at every point, in enumeration order, made once
+        and held under the term, so equal terms read one tuple: a variable's
+        is each element repeated once per point of the later axes, that run
+        repeated once per point of the earlier ones, and an application's
+        its operation table read across its arguments' columns."""
+        column = self._columns.get(term)
         if column is None:
-            carrier = self.model.carrier
-            run = tuple(chain.from_iterable(
-                map(repeat, carrier, repeat(len(carrier) ** (len(self.varset) - 1 - axis)))))
-            column = self._columns[axis] = run * len(carrier) ** axis
+            if isinstance(term, Var):
+                carrier, axis = self.model.carrier, self.varset.index(term.name)
+                run = tuple(chain.from_iterable(
+                    map(repeat, carrier, repeat(len(carrier) ** (len(self.varset) - 1 - axis)))))
+                column = run * len(carrier) ** axis
+            else:
+                column = tuple(map(self.model.op_tables[term.op].__getitem__,
+                                   _column_rows(list(map(self.column, term.args)), self.size)))
+            column = self._columns.setdefault(term, column)
         return column
 
     def digit_masks(self, axis: int) -> tuple[int, ...]:
@@ -198,7 +208,7 @@ class _Table:
     already moved each way.  Its `preimage` and `image` are the package's
     only loops that move a mask along a substitution.
 
-    The class is the ordinal, in its frame, of the first table built with
+    The class is the number its frame drew for the first table built with
     the same ends and the same pull list, so two tables of one class move
     every mask alike as built: their substitutions are one arrow of the
     categories over the model.  Each table still holds its own key, lists
@@ -243,17 +253,16 @@ class Frame:
     from the carrier and the operations alone, so a pullback table is too.
     The frame holds the pullback tables, each keyed by the first equal
     substitution looked up, with their memos; the dict of classes, one
-    pull list per class (`_Table.cls`); and two dicts that
+    pull list per class (`_Table.cls`), each a number drawn once from
+    `ordinals`; and two dicts that
     `categories.KnowledgeBase` fills, keyed by a syntax and sizes: the
     table lists of its bounded substitutions (`table_lists`) and its rows
     of composite tables (`composite_rows`).  It refers to no geometry,
     space, model or knowledge base, so it is acyclic, as a
     `categories.Syntax` is.
 
-    A geometry makes a fresh frame on first use unless it was given one;
-    what shares a frame, and for how long, is stated in `_Kept`.  A frame is
-    shared within one thread only, so it needs no lock; each entry is
-    stored only once it is built whole.
+    A geometry makes a fresh frame on first use unless given one; what
+    shares a frame, for how long and across threads, is stated in `_Kept`.
 
     A shared frame keeps the per-mask memos of every model that used it, on
     purpose: small spaces repeat masks across models, so the next model
@@ -270,6 +279,7 @@ class Frame:
         self.max_points = max_points
         self.tables: dict[Substitution, _Table] = {}
         self.classes: dict[tuple, int] = {}
+        self.ordinals = count()
         self.table_lists: dict[tuple, list[_Table]] = {}
         self.composite_rows: dict[tuple, list[list[_Table]]] = {}
 
@@ -331,10 +341,9 @@ class Geometry:
         if table is None:
             source = self.space(subst.source)
             pull = pullback_indices(subst, source, self.space(subst.target))
-            classes = frame.classes
-            cls = classes.setdefault((subst.source.names, subst.target.names, tuple(pull)),
-                                     len(classes))
-            table = frame.tables[subst] = _Table(subst, pull, source.size, cls)
+            cls = frame.classes.setdefault((subst.source.names, subst.target.names, tuple(pull)),
+                                           next(frame.ordinals))
+            table = frame.tables.setdefault(subst, _Table(subst, pull, source.size, cls))
         return table
 
 
@@ -366,6 +375,15 @@ class _Kept(threading.local):
     row over one operation set and depth, enumerate and compose each
     substitution set once, and over one carrier, operation tables and point
     bound build each table once.
+
+    Threads.  A resolved knowledge base may be swept in another thread,
+    beside others over its syntax and frame.  So a syntax, a frame and a
+    space follow one rule: an entry is stored only once built whole, and
+    two threads that build one entry at once build equal ones, or, for a
+    table and its class, store the first by `dict.setdefault`.  A class is
+    drawn from a counter: read from the number of classes, which may change
+    before the store, it could name two pull lists.  Composites and the
+    interning memos their builds share are made under the syntax's lock.
 
     Lifetimes.  A kept geometry keeps its model, spaces and frame alive,
     its tables' memos included, and the kept pair its knowledge bases with
@@ -497,17 +515,6 @@ def _equal_mask(left: tuple, right: tuple) -> int:
     return _truth_mask(map(eq, left, right))
 
 
-def _term_columns(term: Term, space: PointSpace) -> tuple:
-    """Evaluate a term at every point of the space, as a value column: a
-    variable's is held by the space, an application's is its operation table
-    read across its arguments' columns."""
-    if isinstance(term, Var):
-        return space.column(space.varset.index(term.name))
-    columns = [_term_columns(a, space) for a in term.args]
-    return tuple(map(space.model.op_tables[term.op].__getitem__,
-                     _column_rows(columns, space.size)))
-
-
 def pullback_indices(subst: Substitution, source_space: PointSpace,
                      target_space: PointSpace) -> list[int]:
     """For each target point mu, the source index of the composite mu after subst.
@@ -520,9 +527,9 @@ def pullback_indices(subst: Substitution, source_space: PointSpace,
         raise MismatchError("substitution endpoints do not match the given spaces")
     if source_space.model != target_space.model:
         raise MismatchError("spaces live over different models")
-    columns = [_term_columns(t, target_space) for t in subst.images]
     try:
-        return list(map(source_space._row_index.__getitem__, zip(*columns)))
+        return list(map(source_space._row_index.__getitem__,
+                        zip(*map(target_space.column, subst.images))))
     except KeyError as missing:
         raise MismatchError(f"{missing.args[0]!r} is not a point of this space") from None
 
@@ -589,12 +596,11 @@ def _node_mask(f: Formula, space: PointSpace, memo: dict) -> int:
     if kind is Not:
         return space.full_mask & ~_formula_mask(f.body, space, memo)
     if kind is Atom:
-        return _atom_mask(space.model.rel_tables[f.rel],
-                          [_term_columns(t, space) for t in f.args])
+        return _atom_mask(space.model.rel_tables[f.rel], list(map(space.column, f.args)))
     if kind is Exists:
         return _exists_mask(_formula_mask(f.body, space, memo), space, f.var)
     if kind is Equal:
-        return _equal_mask(_term_columns(f.left, space), _term_columns(f.right, space))
+        return _equal_mask(space.column(f.left), space.column(f.right))
     if kind is TrueF:
         return space.full_mask
     if kind is FalseF:

@@ -784,10 +784,12 @@ def memberwise_squares_commute(alphas, phi, kb1, kb2, source_n: int, target_n: i
     for subst in enumerate_substitutions(kb1.model.sig, canonical_varset(source_n),
                                          canonical_varset(target_n), kb1.depth):
         mapped = phi.map_subst(subst)
+        table = kb1.geometry.table(subst)
         for mask in kb1.description(source_n).algebra.masks:
-            push1 = kb1.geometry.table(subst).preimage(mask)
+            push1 = table.preimage(mask)
             if push1 not in alpha_b:
-                raise UndefinablePullbackError(subst, mask, push1)
+                raise UndefinablePullbackError(subst, mask, push1,
+                                               (len(table.fibers), len(table.bits)))
             if alpha_b[push1] != kb2.geometry.table(mapped).preimage(alpha_a[mask]):
                 return False
     return True

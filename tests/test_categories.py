@@ -1,6 +1,7 @@
 """Description and content categories, their duality, and pushforwards."""
 
 import copy
+import functools
 import itertools
 import pickle
 import sys
@@ -396,8 +397,10 @@ def test_a_composite_is_built_from_interned_terms_and_pulls_back_as_its_own(make
     as `compose_subst` of its factors; its images are the syntax's interned
     terms, one object per distinct term across every composite; and its
     table's pull list is `pullback_indices` over the composite rebuilt by
-    the checking constructor from freshly applied terms."""
+    the checking constructor from freshly applied terms, valued over the
+    spaces of a fresh geometry, whose columns the table never read."""
     kb = KnowledgeBase(make(), 2, 2)
+    reference = Geometry(kb.model)
     interned = {}
     for a, b, c in triples:
         distinct, rows = kb.syntax.composites(a, b, c)
@@ -413,7 +416,7 @@ def test_a_composite_is_built_from_interned_terms_and_pulls_back_as_its_own(make
                     assert interned.setdefault(term, term) is term
                 fresh = Substitution(s1.source, s2.target,
                                      tuple(map(s2.apply_to_term, s1.images)))
-                spaces = kb.geometry.space(fresh.source), kb.geometry.space(fresh.target)
+                spaces = reference.space(fresh.source), reference.space(fresh.target)
                 assert table.key == composite
                 assert [bit.bit_length() - 1 for bit in table.bits] == \
                     semantics.pullback_indices(fresh, *spaces)
@@ -994,6 +997,32 @@ def both_sweeps(kb: KnowledgeBase) -> tuple[Report, Report]:
     return kb.check_duality(), kb.verify_push_functoriality()
 
 
+def push_first(kb: KnowledgeBase) -> tuple[Report, Report]:
+    """`both_sweeps`, the push sweep run first."""
+    push = kb.verify_push_functoriality()
+    return kb.check_duality(), push
+
+
+def race(calls) -> list:
+    """Each call run at once in a thread of its own: per call, its result, or
+    the exception it raised, for the caller to compare."""
+    results = [None] * len(calls)
+
+    def run(i):
+        try:
+            results[i] = calls[i]()
+        except Exception as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
 def test_a_knowledge_base_made_directly_shares_no_syntax_or_frame():
     """A knowledge base constructed directly owns its syntax and frame: the
     knowledge bases resolved in its thread after it, and another constructed
@@ -1042,21 +1071,44 @@ def test_threads_sharing_one_syntax_report_as_a_sequential_run():
             kbs = [knowledge_base(m, 2, 1) for m in models]
             assert all(kb.syntax is kbs[0].syntax for kb in kbs)
             assert len({id(kb.geometry.frame) for kb in kbs}) == len(kbs)
-            results = [None] * len(kbs)
+            assert race([functools.partial(both_sweeps, kb) for kb in kbs]) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
-            def run(i):
-                try:
-                    results[i] = both_sweeps(kbs[i])
-                except Exception as exc:  # compared with the expected reports below
-                    results[i] = exc
 
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(kbs))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert results == expected
+def test_threads_sharing_one_frame_report_as_a_sequential_run():
+    """Four threads each sweep a model of their own over one carrier and one
+    operation table, with knowledge bases resolved in a row in this thread,
+    so that they share one frame, which none has built a table in yet: they
+    race to build tables and draw their classes, every other thread running
+    its push sweep first, so that they draw new classes for different
+    tables at once.  Each thread reports what a sequential run over
+    knowledge bases constructed directly reports, and no two tables with
+    different ends or pull lists share a class, which would let a sweep
+    skip a pair that fails.  A short switch interval makes the threads
+    switch inside the frame's builds."""
+    g1 = dict(op_models())["g1"]
+    models = [Model(g1.sig, g1.carrier, {"g": dict(g1.op_tables["g"])}, {"P": rows})
+              for rows in ([], [(0,)], [(1,)], [(0,), (1,)])]
+    expected = [both_sweeps(KnowledgeBase(m, 2, 1)) for m in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            # The kept pair's frame is now another, so the next is new.
+            knowledge_base(model_p(), 1, 0)
+            kbs = [knowledge_base(m, 2, 1) for m in models]
+            frame = kbs[0].geometry.frame
+            assert all(kb.geometry.frame is frame for kb in kbs) and not frame.tables
+            assert race([functools.partial(push_first if i % 2 else both_sweeps, kb)
+                         for i, kb in enumerate(kbs)]) == expected
+            tables = [*frame.tables.values(), *itertools.chain(*frame.table_lists.values()),
+                      *itertools.chain(*itertools.chain(*frame.composite_rows.values()))]
+            kinds = {}
+            for table in tables:
+                kind = (table.key.source, table.key.target,
+                        [bit.bit_length() - 1 for bit in table.bits])
+                assert kinds.setdefault(table.cls, kind) == kind
     finally:
         sys.setswitchinterval(interval)
 

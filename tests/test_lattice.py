@@ -559,8 +559,8 @@ def test_a_replay_values_each_atom_s_witness():
 def test_an_undefinable_pullback_names_a_wide_mask_by_its_point_count():
     """A mask of up to 64 hex digits is written in hex; a wider one, as the
     64,000-point masks of a 40-element carrier at three variables, by its
-    point count and, when the error knows it, its space's size, so that a
-    note naming it fits a terminal."""
+    point count and its space's size, so that a note naming it fits a
+    terminal."""
     subst = Substitution(canonical_varset(3), canonical_varset(1), (Var("x1"),) * 3)
     along = "along {x1 := x1, x2 := x1, x3 := x1} is not definable over {x1}"
     wide, widest_hex = (1 << 63999) | (1 << 256) | 1, 1 << 255
@@ -568,8 +568,8 @@ def test_an_undefinable_pullback_names_a_wide_mask_by_its_point_count():
         f"pullback 0x5 of a 3-point set of 64000 {along}"
     assert str(UndefinablePullbackError(subst, 0x5, wide, (40, 64000))) == \
         f"pullback a 3-point set of 64000 of 0x5 {along}"
-    assert str(UndefinablePullbackError(subst, 1 << 256, 0x5)) == \
-        f"pullback 0x5 of a 1-point set {along}"
+    assert str(UndefinablePullbackError(subst, 1 << 256, 0x5, (64000, 40))) == \
+        f"pullback 0x5 of a 1-point set of 64000 {along}"
     assert str(UndefinablePullbackError(subst, widest_hex, 0x5, (64000, 40))) == \
         f"pullback 0x5 of {widest_hex:#x} {along}"
     assert len(f"{widest_hex:#x}") == 2 + 64

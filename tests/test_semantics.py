@@ -27,6 +27,7 @@ from kbgeo import (
     canonical_varset,
     enumerate_points,
     enumerate_substitutions,
+    enumerate_terms,
     eval_term,
     filter_preimage,
     generate_definable_algebra,
@@ -52,9 +53,11 @@ from helpers import (
     brute_term_functions,
     constant_models,
     model_eq,
+    model_nand,
     model_neg,
     model_p,
     model_pq1,
+    op_models,
     random_query,
     seeded_models,
 )
@@ -296,6 +299,30 @@ def test_value_columns_match_pointwise_evaluation(name, model):
         for s in [Substitution(source, target, (constant,) * a)] + sample:
             assert pullback_indices(s, g.space(source), g.space(target)) \
                 == brute_composites(model, s)
+
+
+def _rebuilt(term):
+    """An equal term made of new objects throughout."""
+    if isinstance(term, Var):
+        return Var(term.name)
+    return OpApp(term.op, tuple(map(_rebuilt, term.args)))
+
+
+@pytest.mark.parametrize("name,model", all_fixtures() + op_models() + [("nand", model_nand())])
+def test_a_space_values_each_term_once(name, model):
+    """`PointSpace.column` gives each term's value at every point, in
+    enumeration order, as evaluation one point at a time does; it makes
+    each column once, so a second call, or a call with an equal term made
+    of other objects, returns the very same tuple."""
+    for n in (1, 2, 3):
+        varset = canonical_varset(n)
+        space, rows = Geometry(model).space(varset), brute_rows(model, n)
+        envs = [dict(zip(varset.names, row)) for row in rows]
+        for term in enumerate_terms(model.sig, varset, 2):
+            column = space.column(term)
+            assert column == tuple(eval_term(term, env, model) for env in envs), term
+            assert space.column(term) is column
+            assert space.column(_rebuilt(term)) is column
 
 
 def _subst_queries(rng, model, n: int, count: int) -> list:
