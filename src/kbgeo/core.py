@@ -266,11 +266,11 @@ class TokenStream:
     of SYMBOLS, and ends with the sentinel `END`, so a lookahead never runs
     out and no token test needs a length check.  `pos` is the index of the
     next token.  A token's character offset is computed only for an error
-    message, by `offset`.  `depth` is the nesting level at the cursor, and
-    `deepest` the deepest level the term parser has entered since a caller
-    last set it; the formula parser sets both before it reads terms."""
+    message, by `offset`.  The stream is a plain cursor: each parse
+    function takes the nesting level it starts at and returns the height it
+    reaches."""
 
-    __slots__ = ("text", "values", "pos", "depth", "deepest")
+    __slots__ = ("text", "values", "pos")
 
     def __init__(self, text: str):
         values = _SCANNER.findall(text)
@@ -280,8 +280,6 @@ class TokenStream:
         self.text = text
         self.values = values
         self.pos = 0
-        self.depth = 0
-        self.deepest = 0
 
     def offset(self, index: int) -> int:
         """The character offset of the token at `index`; the sentinel's is
@@ -315,23 +313,17 @@ class TokenStream:
         self.pos += 1
         return value
 
-    def enter(self, index: int) -> None:
-        """Go one level deeper at the token at `index`, which past
-        `MAX_NESTING` refuses the text; `depth -= 1` leaves the level."""
-        self.depth += 1
-        if self.depth > self.deepest:
-            if self.depth > MAX_NESTING:
-                raise too_deep(self.offset(index))
-            self.deepest = self.depth
-
     def require_done(self) -> None:
         value = self.values[self.pos]
         if value != END:
             raise self.error(f"trailing input {value!r}", self.pos)
 
 
-def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
-    """Parse one term from the stream.  Variables shadow nullary operations."""
+def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet,
+                      depth: int = 0) -> tuple[Term, int]:
+    """Parse one term at nesting level `depth`; return it with its height, one
+    level per nested application, refusing an application past
+    `MAX_NESTING` at its name.  Variables shadow nullary operations."""
     values = ts.values
     at = ts.pos
     name = values[at]
@@ -342,41 +334,46 @@ def parse_term_stream(ts: TokenStream, sig: Signature, varset: VarSet) -> Term:
     if values[at + 1] != "(":
         ts.pos = at + 1
         if name in varset:
-            return Var(name)
+            return Var(name), 0
         arity = sig.op_arity(name)
         if arity == 0:
-            return OpApp(name, ())
+            return OpApp(name, ()), 0
         if arity is not None:
             raise ts.error(f"operation {name} expects {arity} arguments, got 0", at)
         raise ts.error(f"unknown term symbol {name}", at)
     arity = sig.op_arity(name)
     if arity is None:
         raise ts.error(f"unknown operation {name}", at)
-    ts.enter(at)
+    if depth >= MAX_NESTING:
+        raise too_deep(ts.offset(at))
     ts.pos = at + 1
-    args = parse_term_args(ts, sig, varset)
-    ts.depth -= 1
+    args, height = parse_term_args(ts, sig, varset, depth + 1)
     if len(args) != arity:
         raise ts.error(f"operation {name} expects {arity} arguments, got {len(args)}", at)
-    return OpApp(name, args)
+    return OpApp(name, args), height + 1
 
 
-def parse_term_args(ts: TokenStream, sig: Signature, varset: VarSet) -> tuple[Term, ...]:
-    """Parse `(term, ..., term)`, one term at least, from the stream."""
+def parse_term_args(ts: TokenStream, sig: Signature, varset: VarSet,
+                    depth: int = 0) -> tuple[tuple[Term, ...], int]:
+    """Parse `(term, ..., term)`, one term at least, each at nesting level
+    `depth`, and return the terms with the greatest of their heights."""
     ts.expect("(")
-    values = ts.values
-    args = [parse_term_stream(ts, sig, varset)]
-    while values[ts.pos] == ",":
+    arg, height = parse_term_stream(ts, sig, varset, depth)
+    args = [arg]
+    while ts.values[ts.pos] == ",":
         ts.pos += 1
-        args.append(parse_term_stream(ts, sig, varset))
+        arg, arg_height = parse_term_stream(ts, sig, varset, depth)
+        args.append(arg)
+        if arg_height > height:
+            height = arg_height
     ts.expect(")")
-    return tuple(args)
+    return tuple(args), height
 
 
 def parse_term(text: str, sig: Signature, varset: VarSet) -> Term:
     """Parse a full term; the entire text must be consumed."""
     ts = TokenStream(text)
-    term = parse_term_stream(ts, sig, varset)
+    term, _ = parse_term_stream(ts, sig, varset)
     ts.require_done()
     return term
 
@@ -414,6 +411,11 @@ class Substitution:
         except AttributeError:
             object.__setattr__(self, "_hash", hash((self.source, self.target, self.images)))
             return self._hash
+
+    def __reduce__(self):
+        """Copied and pickled as its fields, without the cached hash, which
+        an interpreter with another hash seed would not reproduce."""
+        return Substitution, (self.source, self.target, self.images)
 
     @classmethod
     def of(cls, source: VarSet, target: VarSet, mapping: Mapping[str, Term]) -> "Substitution":

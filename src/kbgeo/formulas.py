@@ -258,25 +258,24 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Form
         return (Exists if value == "exists" else Forall)(var, body), height + 1
     if value == "subst":
         ts.pos = at + 1
-        ts.depth = ts.deepest = depth + 1
         ts.expect("{")
-        names, images = [], []
+        names, parsed = [], []
         while True:
             names.append(ts.name())
             ts.expect(":=")
-            images.append(parse_term_stream(ts, ctx.sig, ctx.varset))
+            parsed.append(parse_term_stream(ts, ctx.sig, ctx.varset, depth + 1))
             if ts.values[ts.pos] != ",":
                 break
             ts.pos += 1
         ts.expect("}")
-        terms_height = ts.deepest - depth
+        images, heights = zip(*parsed)
         try:
             inner = FormulaContext(ctx.sig, VarSet(names))
         except SignatureError as exc:
             raise ts.error(f"bad substitution block: {exc}", at) from None
         subst = Substitution(inner.varset, ctx.varset, images)
         body, height = _parse_binary(ts, inner, 0, depth + 1)
-        return SubstNode(subst, body), max(height + 1, terms_height)
+        return SubstNode(subst, body), 1 + max(height, *heights)
     if value == "true":
         ts.pos = at + 1
         return TRUE, 0
@@ -286,24 +285,23 @@ def _parse_unary(ts: TokenStream, ctx: FormulaContext, depth: int) -> tuple[Form
     # an atom or an equality, whose terms the term parser reads from `depth`;
     # an atom always opens its arguments, so a relation name that is also a
     # variable and is not followed by `(` starts a term
-    ts.depth = ts.deepest = depth
     arity = ctx.sig.rel_arity(value)
     if arity is not None and (ts.values[at + 1] == "(" or value not in ctx.varset):
         ts.pos = at + 1
-        args = parse_term_args(ts, ctx.sig, ctx.varset)
+        args, height = parse_term_args(ts, ctx.sig, ctx.varset, depth)
         if len(args) != arity:
             raise ts.error(f"relation {value} expects {arity} arguments, got {len(args)}", at)
-        return Atom(value, args), ts.deepest - depth
+        return Atom(value, args), height
     # anything else must start an equality between terms
-    left = parse_term_stream(ts, ctx.sig, ctx.varset)
+    left, height = parse_term_stream(ts, ctx.sig, ctx.varset, depth)
     eq = ts.pos
     if ts.values[eq] != "=":
         raise ts.error("expected '=' after a bare term", eq)
     if not ctx.sig.with_equality:
         raise ts.error("equality is not enabled in this signature", eq)
     ts.pos = eq + 1
-    right = parse_term_stream(ts, ctx.sig, ctx.varset)
-    return Equal(left, right), ts.deepest - depth
+    right, right_height = parse_term_stream(ts, ctx.sig, ctx.varset, depth)
+    return Equal(left, right), max(height, right_height)
 
 
 def free_vars(f: Formula) -> frozenset[str]:

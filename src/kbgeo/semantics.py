@@ -67,6 +67,7 @@ from .core import (
     Var,
     VarSet,
     _column_rows,
+    check_term,
 )
 from .formulas import (
     And,
@@ -111,8 +112,9 @@ def _check_point_count(model: Model, n: int, bound: int) -> None:
 class PointSpace:
     """All assignments varset -> carrier for one model, in enumeration order.
 
-    The space belongs to `geometry`, and it refuses to enumerate past the
-    geometry's bound.
+    The space belongs to `geometry`, whose `Geometry.space` makes and
+    stores it.  It refuses a model other than the geometry's, and refuses
+    to enumerate past the geometry's bound.
 
     `column(term)` is a term's value column and `digit_masks(axis)` an
     axis's digit masks, each made on first use and then held: one column of
@@ -122,6 +124,8 @@ class PointSpace:
     """
 
     def __init__(self, model: Model, varset: VarSet, geometry: "Geometry"):
+        if model is not geometry.model and model != geometry.model:
+            raise MismatchError("geometry belongs to another model")
         self.geometry = geometry
         _check_point_count(model, len(varset), geometry.max_points)
         self.model = model
@@ -133,7 +137,6 @@ class PointSpace:
         self.full_mask = (1 << self.size) - 1
         self._columns: dict[Term, tuple] = {}
         self._digits: list[Optional[tuple[int, ...]]] = [None] * len(varset)
-        self.geometry._spaces.setdefault(varset.names, self)
 
     def column(self, term: Term) -> tuple:
         """The term's value at every point, in enumeration order, made once
@@ -326,10 +329,12 @@ class Geometry:
         return Frame(self.model, self.max_points)
 
     def space(self, varset: VarSet) -> PointSpace:
-        """The space over varset, refusing to enumerate past the bound."""
+        """The space over varset, refusing to enumerate past the bound, made
+        on first use and stored; threads that make one space at once all
+        get the one stored first."""
         space = self._spaces.get(varset.names)
         if space is None:
-            space = PointSpace(self.model, varset, self)
+            space = self._spaces.setdefault(varset.names, PointSpace(self.model, varset, self))
         return space
 
     def table(self, subst: Substitution) -> _Table:
@@ -531,7 +536,12 @@ def pullback_indices(subst: Substitution, source_space: PointSpace,
         return list(map(source_space._row_index.__getitem__,
                         zip(*map(target_space.column, subst.images))))
     except KeyError as missing:
-        raise MismatchError(f"{missing.args[0]!r} is not a point of this space") from None
+        point = missing.args[0]
+    # an operation the model lacks, or one given the wrong number of
+    # arguments, misses its table before any row is looked up
+    for image in subst.images:
+        check_term(image, target_space.model.sig, subst.target)
+    raise MismatchError(f"{point!r} is not a point of this space")
 
 
 def _exists_mask(mask: int, space: PointSpace, var: str) -> int:

@@ -80,6 +80,8 @@ NAMED = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 1\nrel Q: 0\n"
 NAMED_IMAGE = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel P: 2\nrel Q: 0\n"
 R1 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"
 R2 = "carrier: 0 1 2\nrel P 1\nrel Q 1\nrel R 1\nrel Q: 0\nrel R: 0\nrel R: 1\n"
+R1_TWO = "carrier: 0 1\nrel P 1\nrel Q 1\nrel R 1\nrel P: 0\nrel Q: 0\nrel Q: 1\n"
+R2_TWO = "carrier: 0 1\nrel P 1\nrel Q 1\nrel R 1\nrel Q: 0\nrel R: 0\nrel R: 1\n"
 P3 = "carrier: 0 1 2\nrel P 1\nrel P: 0\n"
 # P = {1}, whose name the relation-named-variable entries also give a variable.
 RELATION_P = "carrier: 0 1 2\nrel P 1\nrel P: 1\n"
@@ -372,16 +374,27 @@ CONTRACT = [
                             "op f: 2 -> 0\nrel P: 0\nrel P: 1\nrel P: 2\n"},
           code=2, output=(*header("UNKNOWN", "automorphic", 1, 1), CLASS_NOTE)),
     # A 3-cycle of the relations, P, Q, R = {0}, {0, 1}, {} against {}, {0},
-    # {0, 1}: no swap matches the atoms, so both modes witness the pair by
-    # the cycle, named as a relation permutation (exit 0).
-    *(Entry(f"relperm-{mode}", ("equiv", "r1.kbm", "r2.kbm", "--mode", mode,
-                                "--format", "machine"),
-            models={"r1.kbm": R1, "r2.kbm": R2},
+    # {0, 1}, on three elements and on two: no swap matches the atoms, so
+    # both modes witness the pair by the cycle, named as a relation
+    # permutation (exit 0).  Isomorphism mode, which keeps every relation's
+    # name, finds no carrier bijection of the two-element pair (exit 1).
+    *(Entry(f"relperm{suffix}-{mode}", ("equiv", "r1.kbm", "r2.kbm", "--mode", mode,
+                                        "--format", "machine"),
+            models={"r1.kbm": r1, "r2.kbm": r2},
             output=(*header("EQUIVALENT_WITNESSED", label, 2, 2),
                     "witness.kind: functor isomorphism",
                     "witness.phi: relperm P->Q,Q->R,R->P",
-                    "witness.alphas: |X|=1: 8 filters; |X|=2: 512 filters", CLASS_NOTE))
+                    f"witness.alphas: {alphas}", CLASS_NOTE))
+      for suffix, r1, r2, alphas in (
+          ("", R1, R2, "|X|=1: 8 filters; |X|=2: 512 filters"),
+          ("-two-elements", R1_TWO, R2_TWO, "|X|=1: 4 filters; |X|=2: 16 filters"))
       for mode, label in (("lae", "automorphic"), ("info", "informational"))),
+    Entry("relperm-two-elements-iso", ("equiv", "r1.kbm", "r2.kbm", "--mode", "iso",
+                                       "--format", "machine"),
+          models={"r1.kbm": R1_TWO, "r2.kbm": R2_TWO}, code=1,
+          output=("verdict: INEQUIVALENT", "mode: isomorphism",
+                  "refutation.invariant: model isomorphism",
+                  "refutation.detail: no carrier bijection preserves every table")),
     # m_p against P = {0} on three elements: isomorphism mode finds no
     # carrier bijection, and the lattices first differ in size over two
     # variables, 16 against 32 (exit 1 in both modes).

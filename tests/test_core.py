@@ -1,10 +1,16 @@
 """Signatures, terms, substitutions, models, and term-function clones."""
 
+import copy
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kbgeo
 from kbgeo import (
     BoundError,
     FormulaContext,
@@ -185,6 +191,33 @@ def test_substitution_requires_every_source_variable():
     xs = VarSet(("x", "y"))
     with pytest.raises(MismatchError):
         Substitution.of(xs, xs, {"x": Var("x")})
+
+
+def test_a_pickled_substitution_keys_a_dict_in_another_interpreter():
+    """A substitution is copied and pickled as its fields, not with the
+    hash it cached: an interpreter with another hash seed finds, under the
+    loaded substitution, the entry of an equal one made there."""
+    make = ("import pickle, sys\n"
+            "from kbgeo import OpApp, Substitution, Var, canonical_varset\n"
+            "s = Substitution(canonical_varset(2), canonical_varset(2),"
+            " (OpApp('f', (Var('x2'),)), Var('x1')))\n")
+    package_root = str(pathlib.Path(kbgeo.__file__).resolve().parent.parent)
+
+    def run(seed: str, code: str, stdin: str = "") -> str:
+        env = {"PYTHONPATH": package_root, "PYTHONHASHSEED": seed,
+               **{name: value for name, value in os.environ.items()
+                  if name == "PYTHONDONTWRITEBYTECODE"}}
+        return subprocess.run([sys.executable, "-c", make + code], input=stdin, env=env,
+                              capture_output=True, text=True, timeout=60, check=True).stdout
+
+    dumped = run("0", "hash(s)\nprint(pickle.dumps(s).hex())")
+    loaded = "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+    assert run("1", loaded + "print(loaded == s, {s: 1}.get(loaded))", dumped).split() == \
+        ["True", "1"]
+    s = Substitution(canonical_varset(1), canonical_varset(1), (Var("x1"),))
+    hash(s)
+    for twin in (copy.copy(s), copy.deepcopy(s)):
+        assert twin == s and twin is not s and "_hash" not in vars(twin)
 
 
 def test_model_validation():

@@ -128,6 +128,9 @@ def test_automorphism_describe():
     assert swap_pq().describe() == "swap P Q"
     ren = FormulaAutomorphism.variable_renaming(PQ_SIG, {2: ("x2", "x1")})
     assert ren.describe() == "renamevars[2] x1:x2,x2:x1"
+    cycle = FormulaAutomorphism.relation_permutation(
+        Signature((), (("P", 1), ("Q", 1), ("R", 1))), {"P": "Q", "Q": "R", "R": "P"})
+    assert cycle.describe() == "relperm P->Q,Q->R,R->P"
     assert FormulaAutomorphism.identity(PQ_SIG).is_identity
     assert not swap_pq().is_identity
 

@@ -1,6 +1,7 @@
 """Hygiene of the package and its tests: no module imports a name it never
 uses, only the per-model contexts take a point bound or a substitution
-depth, and one record holds all that a thread keeps.
+depth, one record holds all that a thread keeps, and only a geometry
+touches its spaces.
 
 A name counts as used when the module reads it, names it in a quoted
 annotation, lists it in `__all__`, or when another module of the same
@@ -155,6 +156,53 @@ def test_the_check_finds_every_thread_local():
     }
     assert thread_locals(trees) == [("one", "Kept()"), ("one", "threading.local()"),
                                     ("two", "fresh()"), ("two", "one.Kept()")]
+
+
+def attribute_users(trees: dict[str, ast.Module], attr: str) -> list[tuple[str, str]]:
+    """Each read or write of an attribute named `attr` in the modules, as
+    its module and the dotted name of the class or function it is in ("" at
+    module level), in module and source order."""
+    found = []
+
+    def visit(module: str, node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{owner}.{child.name}".lstrip(".")
+            elif isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append((module, owner))
+            visit(module, child, inner)
+
+    for module, tree in sorted(trees.items()):
+        visit(module, tree, "")
+    return found
+
+
+def test_only_a_geometry_touches_its_spaces():
+    """`Geometry.space` is the one place a geometry's spaces are stored:
+    in the package, only `Geometry`'s own methods read or write
+    `_spaces`."""
+    users = attribute_users(parse_package(), "_spaces")
+    assert users and all(module == "semantics" and owner.startswith("Geometry.")
+                         for module, owner in users), users
+
+
+def test_the_check_finds_every_use_of_the_spaces():
+    """A write from another class's method, a read in a function and one
+    at module level are found, each with where it stands."""
+    trees = {
+        "one": ast.parse("class Geometry:\n"
+                         "    def space(self, key):\n"
+                         "        return self._spaces.setdefault(key, PointSpace(self))\n"
+                         "class PointSpace:\n"
+                         "    def __init__(self, geometry):\n"
+                         "        geometry._spaces[0] = self\n"),
+        "two": ast.parse("def peek(g):\n"
+                         "    return g._spaces.get(0)\n"
+                         "spaces = peek._spaces\n"),
+    }
+    assert attribute_users(trees, "_spaces") == [
+        ("one", "Geometry.space"), ("one", "PointSpace.__init__"), ("two", "peek"), ("two", "")]
 
 
 def takers(param: str) -> set[str]:

@@ -16,6 +16,7 @@ from kbgeo import (
     KnowledgeBase,
     MismatchError,
     Model,
+    ModelError,
     ModelMap,
     Not,
     OpApp,
@@ -47,6 +48,7 @@ from kbgeo import (
 )
 from kbgeo.cli import EXIT_USAGE, run_command
 from kbgeo.core import check_term
+from kbgeo.lattice import UnionMap
 from kbgeo.semantics import pullback_indices
 from helpers import model_neg, model_p
 
@@ -67,6 +69,11 @@ def full_filter(n: int, model=None):
 
 def space(n: int, model=None):
     return full_filter(n, model).points.space
+
+
+def unknown_op(n: int) -> Substitution:
+    """x1 := g(x1) over x1..xn, where no model here has an operation g."""
+    return Substitution(canonical_varset(1), canonical_varset(n), (OpApp("g", (Var("x1"),)),))
 
 
 def without_equality() -> Model:
@@ -160,6 +167,21 @@ REFUSALS = {
     "image from another variable set":
         (lambda: subst_image_points(identity(2), PointSet.full(space(1))),
          MismatchError, "point set is over {x1}, substitution targets {x1, x2}"),
+    # A substitution over another signature misses an operation table before
+    # it reaches a row, and is refused as its images fail the check of terms.
+    "a table along an operation the model lacks":
+        (lambda: Geometry(model_p()).table(unknown_op(1)),
+         SignatureError, "unknown operation g"),
+    "a preimage along an operation the model lacks":
+        (lambda: subst_preimage_points(unknown_op(1), PointSet.full(space(1))),
+         SignatureError, "unknown operation g"),
+    "a filter preimage along an operation the model lacks":
+        (lambda: filter_preimage(unknown_op(1), full_filter(1), lattice(1)),
+         SignatureError, "unknown operation g"),
+    "a table along an operation with the wrong arity":
+        (lambda: Geometry(model_neg()).table(Substitution(
+            canonical_varset(1), canonical_varset(1), (OpApp("neg", (Var("x1"), Var("x1"))),))),
+         SignatureError, "operation neg expects 1 arguments, got 2"),
     "a row outside the space":
         (lambda: space(1).index_of((9,)),
          MismatchError, "(9,) is not a point of this space"),
@@ -170,6 +192,17 @@ REFUSALS = {
         (lambda: FormulaAutomorphism.identity(model_p().sig).map_formula(
             Not(Atom("P", (Var("x1"),))), 1),
          MismatchError, "only atomic formulas are mapped directly"),
+    "a variable outside the variable set":
+        (lambda: canonical_varset(2).index("y"), MismatchError, "variable y not in {x1, x2}"),
+    "the inverse of a substitution with an operation image":
+        (lambda: Substitution(canonical_varset(1), canonical_varset(1),
+                              (OpApp("neg", (Var("x1"),)),)).inverted(),
+         MismatchError, "substitution {x1 := neg(x1)} is not an invertible renaming"),
+    "a model with an empty carrier":
+        (lambda: Model(Signature(), []), ModelError, "carrier must be nonempty"),
+    # 0b01 meets the atom 0b11 without holding it
+    "a union map looked up at a mask that is no union of its atoms":
+        (lambda: UnionMap({0b11: 0b01, 0b100: 0b10})[0b01], KeyError, "1"),
     "an empty variable set":
         (lambda: VarSet(()), SignatureError, "variable set must be nonempty"),
     "a canonical variable set of size 0":
@@ -239,6 +272,13 @@ def test_each_refusal_raises_its_error(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_a_union_map_gets_nothing_at_a_mask_that_is_no_union_of_its_atoms():
+    """`get` answers None where a lookup refuses, and a union of atoms."""
+    members = UnionMap({0b11: 0b01, 0b100: 0b10})
+    assert members.get(0b01) is None and 0b01 not in members
+    assert members.get(0b111) == 0b11
 
 
 def test_the_command_line_refuses_a_variable_the_parser_cannot_read():

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import sys
 import threading
 
 import pytest
@@ -13,6 +14,7 @@ from kbgeo import (
     BoundError,
     FormulaContext,
     Geometry,
+    MismatchError,
     Not,
     OpApp,
     Point,
@@ -56,6 +58,7 @@ from helpers import (
     model_nand,
     model_neg,
     model_p,
+    model_p0,
     model_pq1,
     op_models,
     random_query,
@@ -261,6 +264,45 @@ def test_point_space_refuses_to_pass_its_geometry_bound():
     with pytest.raises(BoundError):
         g.space(canonical_varset(3))
     assert g.space(canonical_varset(2)).size == 4
+
+
+def test_a_point_space_built_directly_leaves_its_geometry_alone():
+    """A space refuses a model other than its geometry's, as a query given
+    another model's geometry does, and one of the geometry's own model is
+    not stored: the geometry reads only the spaces `Geometry.space` made."""
+    g = Geometry(model_p())
+    with pytest.raises(MismatchError, match="^geometry belongs to another model$"):
+        PointSpace(model_p0(), canonical_varset(1), g)
+    p = parse_formula("P(x1)", FormulaContext(model_p().sig, canonical_varset(1)))
+    assert rows(satisfying_points(p, model_p(), canonical_varset(1), geometry=g)) == {(1,)}
+    stray = PointSpace(model_p(), canonical_varset(2), g)
+    assert g.space(canonical_varset(2)) is not stray
+    assert g.space(canonical_varset(2)) is g.space(canonical_varset(2))
+
+
+def test_threads_that_make_one_space_at_once_get_the_one_stored():
+    """Eight threads that ask a fresh geometry for one 256-point space at
+    once, under a short switch interval, all get the space it stores."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            g, varset = Geometry(model_p()), canonical_varset(8)
+            barrier, got = threading.Barrier(8), []
+
+            def run():
+                barrier.wait(timeout=60)
+                got.append(g.space(varset))
+
+            threads = [threading.Thread(target=run) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(got) == 8 and all(space is g.space(varset) for space in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("name,model", constant_models())
